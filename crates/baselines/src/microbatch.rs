@@ -237,29 +237,4 @@ mod tests {
             .max_sustainable_rate(Duration::from_millis(1), &vocab)
             .is_none());
     }
-
-    #[test]
-    fn larger_windows_sustain_higher_rates() {
-        let mut e = MicroBatchWordCount::new(MicroBatchConfig {
-            scheduling_overhead: Duration::from_micros(500),
-            tasks_per_batch: 1,
-            per_item: Duration::ZERO,
-        });
-        let vocab = words(10);
-        let small = e
-            .max_sustainable_rate(Duration::from_millis(2), &vocab)
-            .unwrap_or(0.0);
-        let mut e2 = MicroBatchWordCount::new(MicroBatchConfig {
-            scheduling_overhead: Duration::from_micros(500),
-            tasks_per_batch: 1,
-            per_item: Duration::ZERO,
-        });
-        let large = e2
-            .max_sustainable_rate(Duration::from_millis(50), &vocab)
-            .unwrap_or(0.0);
-        assert!(
-            large > small,
-            "throughput must grow with window size: {small} vs {large}"
-        );
-    }
 }

@@ -14,7 +14,7 @@ use sdg_checkpoint::config::CheckpointConfig;
 use sdg_common::metrics::Summary;
 use sdg_runtime::config::RuntimeConfig;
 
-use crate::util::{fmt_bytes, fmt_latency, fmt_rate, OutputDrainer};
+use crate::util::{fmt_bytes, fmt_latency, fmt_rate, shape_verdict, OutputDrainer};
 use crate::Scale;
 
 /// Value payload size; state size = keys × payload.
@@ -248,62 +248,18 @@ pub fn print(rows: &[Fig6Row]) {
             );
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sdg_throughput_stays_flat_while_sync_engine_degrades() {
-        // A tiny version of the sweep: compare a small and a large state
-        // size directly. The synchronous engine's checkpoint stall is
-        // proportional to state size; the asynchronous SDG's is not.
-        let small = 1024 * 1024;
-        let large = 16 * 1024 * 1024;
-        let measure = Duration::from_millis(2_000);
-        let interval = Duration::from_millis(300);
-        let disk = NaiadCheckpointTarget::Disk {
-            write_bps: 50_000_000,
-        };
-
-        let sdg_at = |bytes| {
-            measure_sdg_kv_median(
-                &KvMeasure {
-                    state_bytes: bytes,
-                    measure,
-                    ckpt_interval: Some(interval),
-                    per_request: Some(PER_REQUEST),
-                    ..KvMeasure::default()
-                },
-                3,
-            )
-        };
-        let naiad_at = |bytes| {
-            let mut points: Vec<EnginePoint> = (0..3)
-                .map(|_| measure_naiad(bytes, measure, interval, disk))
-                .collect();
-            points.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-            points.swap_remove(1)
-        };
-
-        let sdg_small = sdg_at(small);
-        let sdg_large = sdg_at(large);
-        let naiad_small = naiad_at(small);
-        let naiad_large = naiad_at(large);
-
-        // The sync engine must lose a large share of its throughput; the
-        // async SDG must retain proportionally more.
-        let sdg_ratio = sdg_large.throughput / sdg_small.throughput;
-        let naiad_ratio = naiad_large.throughput / naiad_small.throughput;
-        assert!(
-            naiad_ratio < 0.8,
-            "sync engine should degrade markedly: kept {naiad_ratio:.2}"
+    // The paper's shape, from the smallest to the largest state: the
+    // synchronous engine's checkpoint stall grows with the state and costs
+    // it a large share of its throughput; the asynchronous SDG keeps
+    // proportionally more.
+    if let (Some(small), Some(large)) = (rows.first(), rows.last()) {
+        let sdg = large.sdg.throughput / small.sdg.throughput;
+        let naiad = large.naiad_disk.throughput / small.naiad_disk.throughput;
+        println!(
+            "shape ({} -> {}): SDG kept {sdg:.2} of its throughput, Naiad-Disk kept {naiad:.2} — {}",
+            fmt_bytes(small.state_bytes),
+            fmt_bytes(large.state_bytes),
+            shape_verdict(naiad < 0.8 && sdg > naiad)
         );
-        assert!(
-            sdg_ratio > naiad_ratio,
-            "sdg kept {sdg_ratio:.2}, naiad kept {naiad_ratio:.2}"
-        );
-        assert!(sdg_small.latency.count > 0);
     }
 }

@@ -15,7 +15,7 @@ use sdg_baselines::microbatch::{MicroBatchConfig, MicroBatchWordCount};
 use sdg_baselines::naiadlike::{NaiadConfig, NaiadWordCount};
 use sdg_runtime::config::RuntimeConfig;
 
-use crate::util::fmt_rate;
+use crate::util::{fmt_rate, shape_verdict};
 use crate::Scale;
 
 /// One window-size row. `None` means the engine cannot sustain the window.
@@ -131,6 +131,20 @@ pub fn print(rows: &[Fig8Row]) {
             cell(&row.streaming_spark),
             cell(&row.naiad_low_latency),
             cell(&row.naiad_high_throughput)
+        );
+    }
+    // The paper's shape for the micro-batch engine: a larger window
+    // amortises the per-job scheduling overhead, so the sustainable rate
+    // grows with the window.
+    let mut sustained = rows
+        .iter()
+        .filter_map(|r| r.streaming_spark.map(|rate| (r.window, rate)));
+    if let (Some((w0, r0)), Some((w1, r1))) = (sustained.next(), sustained.next_back()) {
+        println!(
+            "shape: StreamingSpark sustains {} at {w0:?} and {} at {w1:?} — {}",
+            fmt_rate(r0),
+            fmt_rate(r1),
+            shape_verdict(r1 > r0)
         );
     }
 }

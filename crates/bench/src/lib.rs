@@ -28,10 +28,6 @@ pub mod fig6_state_size;
 pub mod fig7_kv_scale;
 pub mod fig8_wc_window;
 pub mod fig9_lr_scale;
-pub mod pr10;
-pub mod pr4;
-pub mod pr8;
-pub mod pr9;
 pub mod table1;
 pub mod util;
 

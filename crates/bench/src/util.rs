@@ -40,6 +40,17 @@ pub fn fmt_bytes(bytes: usize) -> String {
     format!("{v:.1} {}", UNITS[unit])
 }
 
+/// The closing words of a figure's printed `shape` line. The shapes that
+/// compare two timings are printed rather than asserted by `cargo test`:
+/// a loaded host can invert them.
+pub fn shape_verdict(holds: bool) -> &'static str {
+    if holds {
+        "as in the paper"
+    } else {
+        "DEVIATES (rerun on an idle host)"
+    }
+}
+
 /// Formats a rate as `N.N k/s` or `N.N M/s`.
 pub fn fmt_rate(per_sec: f64) -> String {
     if per_sec >= 1_000_000.0 {

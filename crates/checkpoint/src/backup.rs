@@ -495,9 +495,7 @@ pub struct BackupSet {
     /// The instance's output buffers at snapshot time.
     ///
     /// Always sealed to [`BufferedPayload::Encoded`] wire bytes by the
-    /// coordinator's persist phase, regardless of whether the runtime
-    /// logged them live (deferred encoding) or pre-encoded (eager
-    /// baseline) — a persisted set is byte-identical in both modes.
+    /// coordinator's persist phase; the runtime logs them live.
     ///
     /// [`BufferedPayload::Encoded`]: crate::buffer::BufferedPayload::Encoded
     pub out_buffers: Vec<(EdgeId, Vec<BufferedItem>)>,

@@ -36,9 +36,9 @@ pub enum BufferedPayload {
         /// The dispatched record, shared with the in-flight item.
         payload: Arc<Record>,
     },
-    /// Wire bytes, either produced by the eager-encoding baseline or
-    /// restored from a checkpoint. Layout: varint `corr`, varint `expect`,
-    /// then the record encoding.
+    /// Wire bytes, sealed at checkpoint persist or restored from a
+    /// checkpoint. Layout: varint `corr`, varint `expect`, then the record
+    /// encoding.
     Encoded(Vec<u8>),
 }
 
@@ -73,7 +73,7 @@ impl BufferedItem {
     }
 
     /// Renders the payload's wire bytes (varint `corr`, varint `expect`,
-    /// record encoding) — identical to what the eager path logs.
+    /// record encoding).
     pub fn to_bytes(&self) -> Vec<u8> {
         match &self.payload {
             BufferedPayload::Live {
@@ -193,7 +193,7 @@ impl OutputBuffer {
         self.push(BufferedItem::live(ts, corr, expect, payload));
     }
 
-    /// Appends an item already in wire form (the eager-encoding baseline).
+    /// Appends an item already in wire form (restored from a checkpoint).
     /// See [`OutputBuffer::push`] for the monotonicity rule.
     pub fn push_encoded(&mut self, ts: ScalarTs, bytes: Vec<u8>) {
         self.push(BufferedItem::encoded(ts, bytes));
@@ -392,11 +392,11 @@ mod tests {
     }
 
     #[test]
-    fn seal_produces_the_eager_wire_bytes() {
+    fn seal_produces_the_wire_bytes() {
         let r = rec(42);
         let mut item = BufferedItem::live(3, 99, 2, Arc::clone(&r));
 
-        // Reference: what the eager path would have logged.
+        // Reference: the wire layout written out by hand.
         let mut expect = BytesMut::new();
         write_varint(&mut expect, 99);
         write_varint(&mut expect, 2);

@@ -40,13 +40,6 @@ pub struct CheckpointConfig {
     /// fraction of the base checkpoint's bytes, the next checkpoint is
     /// forced full to bound the restore chain.
     pub compact_threshold: f64,
-    /// Deferred output-buffer encoding (the default): producers log sent
-    /// items as refcounted `Live` payloads and the wire encode happens on
-    /// the checkpoint persist phase's thread pool. `false` restores the
-    /// eager baseline that serialises every item on the dispatch path —
-    /// kept for one release as an equivalence reference; persisted
-    /// checkpoints are byte-identical either way.
-    pub deferred_encode: bool,
 }
 
 impl Default for CheckpointConfig {
@@ -63,7 +56,6 @@ impl Default for CheckpointConfig {
             incremental: false,
             delta_chunks: 64,
             compact_threshold: 0.5,
-            deferred_encode: true,
         }
     }
 }
@@ -209,13 +201,6 @@ impl CheckpointConfigBuilder {
         self
     }
 
-    /// Selects deferred (`true`, default) or eager (`false`) output-buffer
-    /// encoding.
-    pub fn deferred_encode(mut self, on: bool) -> Self {
-        self.cfg.deferred_encode = on;
-        self
-    }
-
     /// Finishes the chain. Consistency is still checked by
     /// [`CheckpointConfig::validate`] at deploy time.
     pub fn build(self) -> CheckpointConfig {
@@ -252,14 +237,6 @@ mod tests {
     #[test]
     fn default_is_valid() {
         let cfg = CheckpointConfig::default();
-        assert!(cfg.deferred_encode, "deferred encoding is the default");
-        cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn eager_baseline_remains_selectable() {
-        let cfg = CheckpointConfig::builder().deferred_encode(false).build();
-        assert!(!cfg.deferred_encode);
         cfg.validate().unwrap();
     }
 

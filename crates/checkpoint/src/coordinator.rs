@@ -65,25 +65,6 @@ pub fn take_checkpoint(
     stores: &[Arc<BackupStore>],
     cfg: &CheckpointConfig,
 ) -> SdgResult<BackupSet> {
-    take_checkpoint_observed(cell, instance, seq, capture_outputs, stores, cfg, None)
-}
-
-/// [`take_checkpoint`] with an optional observability probe.
-///
-/// When `obs` is given, the protocol's phase timings land in its
-/// histograms — `snapshot_ns` (lock-held initiation), `persist_ns`
-/// (off-path serialise + backup), `consolidate_ns` (lock-held overlay
-/// fold), or `sync_ns` (the whole stop-the-world span in synchronous
-/// mode) — and `taken`/`failed`/`bytes` are counted.
-pub fn take_checkpoint_observed(
-    cell: &StateCell,
-    instance: InstanceId,
-    seq: u64,
-    capture_outputs: impl FnOnce() -> Vec<(EdgeId, Vec<BufferedItem>)>,
-    stores: &[Arc<BackupStore>],
-    cfg: &CheckpointConfig,
-    obs: Option<&CheckpointInstruments>,
-) -> SdgResult<BackupSet> {
     take_checkpoint_with(
         cell,
         instance,
@@ -91,12 +72,19 @@ pub fn take_checkpoint_observed(
         capture_outputs,
         stores,
         cfg,
-        obs,
+        None,
         CheckpointOptions::default(),
     )
 }
 
-/// [`take_checkpoint_observed`] with explicit [`CheckpointOptions`].
+/// [`take_checkpoint`] with an optional observability probe and explicit
+/// [`CheckpointOptions`].
+///
+/// When `obs` is given, the protocol's phase timings land in its
+/// histograms — `snapshot_ns` (lock-held initiation), `persist_ns`
+/// (off-path serialise + backup), `consolidate_ns` (lock-held overlay
+/// fold), or `sync_ns` (the whole stop-the-world span in synchronous
+/// mode) — and `taken`/`failed`/`bytes` are counted.
 #[allow(clippy::too_many_arguments)]
 pub fn take_checkpoint_with(
     cell: &StateCell,
@@ -224,10 +212,9 @@ fn take_checkpoint_inner(
     let vector = min_vector(&stripe_vectors);
 
     // Steps 2–4 run off the processing path. Captured output buffers are
-    // sealed here too: the dispatch path only parked refcounted records
-    // (deferred encoding), so the wire encode joins the state serialise on
-    // the persist-phase pool and `BackupSet` stays byte-identical to the
-    // eager baseline on disk.
+    // sealed here too: the dispatch path only parked refcounted records,
+    // so the wire encode joins the state serialise on the persist-phase
+    // pool.
     let t1 = Instant::now();
     let (payloads, delta) = serialise_generation(&cut, cfg, opts.force_full);
     let sealed = seal_out_buffers(&mut cut.out_buffers, cfg.serialise_threads);
@@ -466,10 +453,9 @@ fn write_chunks(
 }
 
 /// Seals every captured output-buffer item into its `Encoded` wire form,
-/// splitting the edges across `threads` workers. Items logged by the eager
-/// baseline are already encoded and pass through untouched, so a persisted
-/// `BackupSet` holds identical bytes in both modes. Returns the number of
-/// encodes performed (live items sealed).
+/// splitting the edges across `threads` workers. Items restored from an
+/// earlier checkpoint are already encoded and pass through untouched.
+/// Returns the number of encodes performed (live items sealed).
 fn seal_out_buffers(out_buffers: &mut [(EdgeId, Vec<BufferedItem>)], threads: usize) -> u64 {
     if out_buffers.is_empty() {
         return 0;
@@ -586,7 +572,7 @@ mod tests {
         let cfg = CheckpointConfig::default();
         let obs = CheckpointInstruments::default();
         let (outs, wire) = live_capture();
-        let set = take_checkpoint_observed(
+        let set = take_checkpoint_with(
             &cell,
             instance(),
             1,
@@ -594,12 +580,13 @@ mod tests {
             &stores,
             &cfg,
             Some(&obs),
+            CheckpointOptions::default(),
         )
         .unwrap();
         assert_eq!(
             set.out_buffers[0].1[0],
             BufferedItem::encoded(3, wire),
-            "persisted out_buffers must hold the eager wire bytes"
+            "persisted out_buffers must hold the wire bytes"
         );
         assert_eq!(obs.encode_deferred.get(), 1);
     }
@@ -614,7 +601,7 @@ mod tests {
         };
         let obs = CheckpointInstruments::default();
         let (outs, wire) = live_capture();
-        let set = take_checkpoint_observed(
+        let set = take_checkpoint_with(
             &cell,
             instance(),
             1,
@@ -622,6 +609,7 @@ mod tests {
             &stores,
             &cfg,
             Some(&obs),
+            CheckpointOptions::default(),
         )
         .unwrap();
         assert_eq!(set.out_buffers[0].1[0], BufferedItem::encoded(3, wire));
@@ -657,7 +645,7 @@ mod tests {
         let obs = CheckpointInstruments::default();
 
         // Async mode fills the three async-phase histograms.
-        take_checkpoint_observed(
+        take_checkpoint_with(
             &cell,
             instance(),
             1,
@@ -665,6 +653,7 @@ mod tests {
             &stores,
             &CheckpointConfig::default(),
             Some(&obs),
+            CheckpointOptions::default(),
         )
         .unwrap();
         assert_eq!(obs.taken.get(), 1);
@@ -679,7 +668,7 @@ mod tests {
             synchronous: true,
             ..Default::default()
         };
-        take_checkpoint_observed(
+        take_checkpoint_with(
             &cell,
             instance(),
             2,
@@ -687,6 +676,7 @@ mod tests {
             &stores,
             &sync_cfg,
             Some(&obs),
+            CheckpointOptions::default(),
         )
         .unwrap();
         assert_eq!(obs.taken.get(), 2);
@@ -694,7 +684,7 @@ mod tests {
         assert_eq!(obs.snapshot_ns.count(), 1);
 
         // Failures are counted, not recorded as taken.
-        let r = take_checkpoint_observed(
+        let r = take_checkpoint_with(
             &cell,
             instance(),
             3,
@@ -702,6 +692,7 @@ mod tests {
             &[],
             &CheckpointConfig::default(),
             Some(&obs),
+            CheckpointOptions::default(),
         );
         assert!(r.is_err());
         assert_eq!(obs.failed.get(), 1);

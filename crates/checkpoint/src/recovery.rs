@@ -61,25 +61,6 @@ pub fn restore_state(
     restore_state_with(set, stores, n, RestoreOptions::default())
 }
 
-/// [`restore_state_with`] with an optional observability probe: the whole
-/// fetch + rebuild span is recorded into `restore_ns`.
-pub fn restore_state_observed(
-    set: &BackupSet,
-    stores: &[Arc<BackupStore>],
-    n: usize,
-    options: RestoreOptions,
-    obs: Option<&sdg_common::obs::CheckpointInstruments>,
-) -> SdgResult<Vec<(StateStore, VectorTs)>> {
-    let t0 = std::time::Instant::now();
-    let result = restore_state_with(set, stores, n, options);
-    if let Some(obs) = obs {
-        if result.is_ok() {
-            obs.restore_ns.record_duration(t0.elapsed());
-        }
-    }
-    result
-}
-
 /// [`restore_state`] with explicit [`RestoreOptions`].
 pub fn restore_state_with(
     set: &BackupSet,
@@ -218,6 +199,20 @@ pub fn restore_chain_resilient(
     Err(SdgError::Recovery("empty restore chain".into()))
 }
 
+/// Runs `restore` and, when it succeeds and a probe is given, records the
+/// whole fetch + rebuild span into `restore_ns`.
+fn observed<T>(
+    obs: Option<&sdg_common::obs::CheckpointInstruments>,
+    restore: impl FnOnce() -> SdgResult<T>,
+) -> SdgResult<T> {
+    let t0 = std::time::Instant::now();
+    let result = restore();
+    if let (Some(obs), Ok(_)) = (obs, &result) {
+        obs.restore_ns.record_duration(t0.elapsed());
+    }
+    result
+}
+
 /// [`restore_chain_resilient`] with an optional observability probe.
 pub fn restore_chain_resilient_observed(
     sets: &[BackupSet],
@@ -226,14 +221,7 @@ pub fn restore_chain_resilient_observed(
     options: RestoreOptions,
     obs: Option<&sdg_common::obs::CheckpointInstruments>,
 ) -> SdgResult<ChainRestore> {
-    let t0 = std::time::Instant::now();
-    let result = restore_chain_resilient(sets, stores, n, options);
-    if let Some(obs) = obs {
-        if result.is_ok() {
-            obs.restore_ns.record_duration(t0.elapsed());
-        }
-    }
-    result
+    observed(obs, || restore_chain_resilient(sets, stores, n, options))
 }
 
 /// [`restore_chain`] with an optional observability probe.
@@ -244,14 +232,7 @@ pub fn restore_chain_observed(
     options: RestoreOptions,
     obs: Option<&sdg_common::obs::CheckpointInstruments>,
 ) -> SdgResult<Vec<(StateStore, VectorTs)>> {
-    let t0 = std::time::Instant::now();
-    let result = restore_chain(sets, stores, n, options);
-    if let Some(obs) = obs {
-        if result.is_ok() {
-            obs.restore_ns.record_duration(t0.elapsed());
-        }
-    }
-    result
+    observed(obs, || restore_chain(sets, stores, n, options))
 }
 
 fn restore_chunks(

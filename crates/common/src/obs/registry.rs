@@ -548,11 +548,16 @@ mod tests {
             let stop = Arc::clone(&stop);
             readers.push(std::thread::spawn(move || {
                 let mut snaps = 0u64;
+                let mut seen: BTreeMap<String, u64> = BTreeMap::new();
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let snap = reg.snapshot();
-                    // Internal consistency: processed never exceeds in.
+                    // A snapshot is not a consistent cut across counters
+                    // (each is read on its own), but no counter may ever
+                    // be seen going backwards.
                     for t in &snap.tasks {
-                        assert!(t.processed <= t.items_in);
+                        let last = seen.entry(t.name.clone()).or_insert(0);
+                        assert!(t.processed >= *last);
+                        *last = t.processed;
                     }
                     snaps += 1;
                 }

@@ -191,30 +191,6 @@ impl SupervisorConfig {
     }
 }
 
-/// Which execution engine runs translated (StateLang) TE code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// Deploy-time slot compilation: names are interned into per-TE symbol
-    /// tables, the per-item environment is a reused flat register file.
-    /// The default.
-    #[default]
-    Compiled,
-    /// The tree-walking reference interpreter over a `HashMap` environment.
-    /// Slower; kept as the semantic baseline and for debugging.
-    Reference,
-}
-
-impl ExecEngine {
-    /// Reads `SDG_ENGINE` (`compiled` | `reference`, case-insensitive);
-    /// unset or unrecognised values fall back to [`ExecEngine::Compiled`].
-    pub fn from_env() -> Self {
-        match std::env::var("SDG_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") => ExecEngine::Reference,
-            _ => ExecEngine::Compiled,
-        }
-    }
-}
-
 /// Which scheduler hosts TE instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
@@ -306,10 +282,6 @@ pub struct RuntimeConfig {
     /// Bound on the deployment's structured observability event log
     /// (oldest events are evicted past this).
     pub event_log_capacity: usize,
-    /// Which engine executes translated TE code. Defaults to the
-    /// slot-compiled engine, overridable per process with
-    /// `SDG_ENGINE=reference`.
-    pub engine: ExecEngine,
     /// Which scheduler hosts TE instances. Defaults to thread-per-replica,
     /// overridable per process with `SDG_SCHED=pool`.
     pub scheduler: SchedulerMode,
@@ -351,7 +323,6 @@ impl Default for RuntimeConfig {
             scaling: ScalingConfig::default(),
             checkpoint: CheckpointConfig::disabled(),
             event_log_capacity: sdg_common::obs::DEFAULT_EVENT_CAPACITY,
-            engine: ExecEngine::from_env(),
             scheduler: SchedulerMode::from_env(),
             sched_threads: 4,
             batch: BatchConfig::default(),
@@ -491,12 +462,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Selects the execution engine for translated TE code.
-    pub fn engine(mut self, engine: ExecEngine) -> Self {
-        self.cfg.engine = engine;
-        self
-    }
-
     /// Selects the scheduler hosting TE instances.
     pub fn scheduler(mut self, scheduler: SchedulerMode) -> Self {
         self.cfg.scheduler = scheduler;
@@ -598,11 +563,9 @@ mod tests {
 
         let cfg = RuntimeConfig::builder()
             .batch(BatchConfig::with_max_items(16))
-            .engine(ExecEngine::Reference)
             .build();
         cfg.validate().unwrap();
         assert_eq!(cfg.batch.max_items, 16);
-        assert_eq!(cfg.engine, ExecEngine::Reference);
         assert_eq!(BatchConfig::disabled().max_items, 1);
     }
 

@@ -702,7 +702,6 @@ impl Inner {
                     replica as usize, // Stagger round-robin start points.
                     Arc::clone(&self.buffers),
                     buffered,
-                    self.cfg.checkpoint.deferred_encode,
                     self.edge_batch(flow.to),
                     Arc::clone(&self.in_flight),
                 )
@@ -721,9 +720,9 @@ impl Inner {
             .write()
             .insert((task_id, replica), node);
 
-        // Prepare the task's code for the configured engine; compiled form
-        // is built once per task and shared by every replica.
-        let code = PreparedCode::prepare(&task.code, self.cfg.engine, |te| {
+        // The compiled form is built once per task and shared by every
+        // replica.
+        let code = PreparedCode::prepare(&task.code, |te| {
             Arc::clone(
                 self.compiled
                     .lock()
@@ -902,12 +901,10 @@ impl Inner {
                     src,
                     dst: idx as u32,
                 };
-                let buf = self.buffers.get(key);
-                if self.cfg.checkpoint.deferred_encode {
-                    buf.lock().push_live(ts, corr, expect, Arc::clone(&shared));
-                } else {
-                    buf.lock().push_encoded(ts, item.encode_payload());
-                }
+                self.buffers
+                    .get(key)
+                    .lock()
+                    .push_live(ts, corr, expect, Arc::clone(&shared));
             }
             targets[idx]
                 .send(WorkerMsg::Item(item))
@@ -1272,8 +1269,7 @@ impl Inner {
                     for buffered in buf.lock().replay_after(wm) {
                         // Live entries re-send the buffered `Arc` directly
                         // (zero decode); only `Encoded` entries — restored
-                        // from a checkpoint or logged by the eager
-                        // baseline — go through the wire codec.
+                        // from a checkpoint — go through the wire codec.
                         let item = Item::from_buffered(edge, src, buffered)?;
                         // Replay runs while the target write guards are held;
                         // a blocking send could never receive credit (the

@@ -1,11 +1,12 @@
-//! Interpreter for translated TE code.
+//! Reference interpreter for translated TE code.
 //!
-//! The paper's `java2sdg` generates JVM bytecode per TE (§4.2 step 6); here
-//! each TE carries a [`TeProgram`] that this interpreter executes once per
-//! input item. State accesses (`field.method(...)`) are served by the TE
-//! instance's local [`StateStore`]; `@Global` access needs no special
-//! handling at this level because the broadcast dispatch already delivered
-//! the item to every partial instance.
+//! Deployments run the slot-compiled form ([`crate::compile`]); this
+//! tree-walking interpreter over the [`TeProgram`] is the oracle the
+//! engine-equivalence tests compare it against, and the home of the
+//! semantic kernels both share. State accesses (`field.method(...)`) are
+//! served by the TE instance's local [`StateStore`]; `@Global` access
+//! needs no special handling at this level because the broadcast dispatch
+//! already delivered the item to every partial instance.
 
 use std::collections::HashMap;
 

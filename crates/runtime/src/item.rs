@@ -63,25 +63,10 @@ impl Item {
         // Pre-size from the payload's approximate footprint so typical
         // items encode without growth reallocations.
         let mut buf = BytesMut::with_capacity(self.payload.approx_size() + 16);
-        self.encode_payload_to(&mut buf);
+        write_varint(&mut buf, self.corr);
+        write_varint(&mut buf, u64::from(self.expect));
+        self.payload.encode(&mut buf);
         buf.to_vec()
-    }
-
-    /// [`Item::encode_payload`] through a reusable scratch buffer.
-    ///
-    /// The scratch is cleared, the item is encoded into it, and the encoded
-    /// bytes are copied out. Workers keep one scratch per outgoing edge so
-    /// steady-state encoding never grows a fresh allocation buffer.
-    pub fn encode_payload_into(&self, scratch: &mut BytesMut) -> Vec<u8> {
-        scratch.clear();
-        self.encode_payload_to(scratch);
-        scratch[..].to_vec()
-    }
-
-    fn encode_payload_to(&self, buf: &mut BytesMut) {
-        write_varint(buf, self.corr);
-        write_varint(buf, u64::from(self.expect));
-        self.payload.encode(buf);
     }
 
     /// Rebuilds an item from buffered bytes for replay.
@@ -109,8 +94,8 @@ impl Item {
     /// Rebuilds an item from a buffered (two-state) entry for replay.
     ///
     /// `Live` payloads are re-sent with zero decode — the buffered `Arc` is
-    /// the item; only `Encoded` payloads (restored from a checkpoint or
-    /// logged by the eager baseline) go through the wire codec.
+    /// the item; only `Encoded` payloads (restored from a checkpoint) go
+    /// through the wire codec.
     pub fn from_buffered(
         edge: EdgeId,
         src_replica: u32,
@@ -191,26 +176,6 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(Item::decode_payload(EdgeId(0), 0, 1, &[0xff, 0xff]).is_err());
-    }
-
-    #[test]
-    fn scratch_encoding_matches_fresh_encoding() {
-        let mut scratch = BytesMut::new();
-        for corr in 0..3u64 {
-            let item = Item {
-                edge: EdgeId(1),
-                src_replica: 0,
-                ts: corr + 1,
-                corr,
-                expect: 1,
-                payload: Arc::new(record! {"k" => Value::Int(corr as i64), "v" => Value::str("x")}),
-                submitted_at: None,
-            };
-            assert_eq!(
-                item.encode_payload_into(&mut scratch),
-                item.encode_payload()
-            );
-        }
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! Runtime features:
 //!
 //! - **deploy-time slot compilation** of translated StateLang TE code
-//!   ([`compile`], the default engine): variable names are interned into
+//!   ([`compile`], the engine): variable names are interned into
 //!   per-TE symbol tables at deploy time and the per-item environment is a
 //!   reused flat register file — the analogue of the paper's Javassist
 //!   bytecode generation step (§4.2 step 6);
-//! - a **reference tree-walking interpreter** ([`interp`]) kept as the
-//!   semantic baseline and debug engine
-//!   (select with [`config::ExecEngine::Reference`] or `SDG_ENGINE=reference`);
+//! - a **reference tree-walking interpreter** ([`interp`]): not reachable
+//!   from a deployment; its kernels are shared with [`compile`] and
+//!   [`interp::run_te`] is the oracle of the engine-equivalence tests;
 //! - a **work-stealing cooperative scheduler** ([`sched`]): every TE
 //!   instance becomes an actor with a serial mailbox multiplexed onto a
 //!   fixed pool of workers, so replica counts can exceed core counts
@@ -61,7 +61,7 @@ pub mod worker;
 
 pub use compile::{run_compiled, Scratch};
 pub use config::{
-    BatchConfig, ClusterSpec, ExecEngine, NodeSpec, RuntimeConfig, ScalingConfig, SchedulerMode,
+    BatchConfig, ClusterSpec, NodeSpec, RuntimeConfig, ScalingConfig, SchedulerMode,
     SupervisorConfig,
 };
 pub use deploy::{Deployment, OutputEvent};

@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use sdg_checkpoint::buffer::{BufferedItem, OutputBuffer};
@@ -27,9 +26,9 @@ use sdg_graph::model::{Dispatch, NativeTask, TaskCode, TaskContext};
 use sdg_ir::te_compiled::CompiledTe;
 
 use crate::compile::{run_compiled, Scratch};
-use crate::config::{BatchConfig, ExecEngine};
+use crate::config::BatchConfig;
 use crate::fault::{FailureHub, FaultAction, FaultTrigger, PanicProbe};
-use crate::interp::{run_te, Effects};
+use crate::interp::Effects;
 use crate::item::{lane, Item};
 
 /// Messages delivered to a worker.
@@ -240,10 +239,6 @@ pub struct OutEdge {
     pub buffers: Arc<BufferRegistry>,
     /// Whether to record items in output buffers (fault tolerance on).
     pub buffered: bool,
-    /// Deferred encoding: log sent items as refcounted `Live` payloads
-    /// (wire encode happens at checkpoint-persist time). `false` is the
-    /// eager baseline that serialises on the dispatch path.
-    pub defer_encode: bool,
     /// Micro-batching knobs (`max_items = 1` sends eagerly).
     batch: BatchConfig,
     /// Pending (unsent) items per destination replica.
@@ -252,8 +247,6 @@ pub struct OutEdge {
     pending_since: Option<Instant>,
     /// Deployment-wide in-flight gauge; pending items are counted here.
     in_flight: Arc<AtomicU64>,
-    /// Reused encode buffer for output-buffer appends.
-    enc_scratch: BytesMut,
     /// Cached buffer handles per destination (the registry hands out one
     /// `Arc` per key for the deployment's lifetime, so caching is safe and
     /// removes the registry lock from the steady-state send path).
@@ -275,7 +268,6 @@ impl OutEdge {
         rr: usize,
         buffers: Arc<BufferRegistry>,
         buffered: bool,
-        defer_encode: bool,
         batch: BatchConfig,
         in_flight: Arc<AtomicU64>,
     ) -> Self {
@@ -288,12 +280,10 @@ impl OutEdge {
             rr,
             buffers,
             buffered,
-            defer_encode,
             batch,
             pending: Vec::new(),
             pending_since: None,
             in_flight,
-            enc_scratch: BytesMut::new(),
             buf_cache: Vec::new(),
             proj_idx: None,
         }
@@ -467,20 +457,14 @@ impl OutEdge {
     fn enqueue(&mut self, targets: &[MailboxSender], idx: usize, item: Item) -> SdgResult<()> {
         if self.batch.max_items <= 1 {
             if self.buffered {
-                let buf = self.buffer_for(item.src_replica, idx);
-                if self.defer_encode {
-                    // Deferred: the log entry shares the item's allocation;
-                    // the wire encode happens at checkpoint-persist time.
-                    buf.lock().push_live(
-                        item.ts,
-                        item.corr,
-                        item.expect,
-                        Arc::clone(&item.payload),
-                    );
-                } else {
-                    let bytes = item.encode_payload_into(&mut self.enc_scratch);
-                    buf.lock().push_encoded(item.ts, bytes);
-                }
+                // The log entry shares the item's allocation; the wire
+                // encode happens at checkpoint-persist time.
+                self.buffer_for(item.src_replica, idx).lock().push_live(
+                    item.ts,
+                    item.corr,
+                    item.expect,
+                    Arc::clone(&item.payload),
+                );
             }
             return targets[idx]
                 .send(WorkerMsg::Item(item))
@@ -515,20 +499,11 @@ impl OutEdge {
         let n = batch.len();
         if self.buffered {
             let buf = self.buffer_for(batch[0].src_replica, idx);
-            if self.defer_encode {
-                buf.lock().push_all(
-                    batch.iter().map(|i| {
-                        BufferedItem::live(i.ts, i.corr, i.expect, Arc::clone(&i.payload))
-                    }),
-                );
-            } else {
-                let enc = &mut self.enc_scratch;
-                buf.lock().push_all(
-                    batch
-                        .iter()
-                        .map(|i| BufferedItem::encoded(i.ts, i.encode_payload_into(enc))),
-                );
-            }
+            buf.lock().push_all(
+                batch
+                    .iter()
+                    .map(|i| BufferedItem::live(i.ts, i.corr, i.expect, Arc::clone(&i.payload))),
+            );
         }
         let result = if n == 1 {
             let item = batch.into_iter().next().expect("len checked");
@@ -628,14 +603,11 @@ pub struct OutputEvent {
 ///
 /// Translated (StateLang) code is lowered once per task into slot-addressed
 /// form and shared by every instance via `Arc` — the engine analogue of the
-/// paper's per-TE bytecode generation. The reference interpreter remains
-/// selectable ([`ExecEngine::Reference`]) as the semantic baseline.
+/// paper's per-TE bytecode generation.
 #[derive(Clone)]
 pub enum PreparedCode {
     /// Forward the input unchanged.
     Passthrough,
-    /// Tree-walking reference interpreter over the translated AST.
-    Reference(sdg_ir::te::TeProgram),
     /// Slot-compiled TE, executed against a reused register file.
     Compiled(Arc<CompiledTe>),
     /// Handwritten native task.
@@ -643,23 +615,19 @@ pub enum PreparedCode {
 }
 
 impl PreparedCode {
-    /// Prepares `code` for execution under `engine`.
+    /// Prepares `code` for execution.
     ///
     /// `compile` resolves a task's compiled form; deployments pass a
     /// memoising closure so all replicas of a task share one
     /// [`CompiledTe`].
     pub fn prepare(
         code: &TaskCode,
-        engine: ExecEngine,
         compile: impl FnOnce(&sdg_ir::te::TeProgram) -> Arc<CompiledTe>,
     ) -> PreparedCode {
         match code {
             TaskCode::Passthrough => PreparedCode::Passthrough,
             TaskCode::Native(task) => PreparedCode::Native(Arc::clone(task)),
-            TaskCode::Interpreted(te) => match engine {
-                ExecEngine::Reference => PreparedCode::Reference(te.clone()),
-                ExecEngine::Compiled => PreparedCode::Compiled(compile(te)),
-            },
+            TaskCode::Interpreted(te) => PreparedCode::Compiled(compile(te)),
         }
     }
 }
@@ -1057,24 +1025,6 @@ impl Worker {
     }
 }
 
-/// Executes a task's code against one input (reference path; translated
-/// code runs through the tree-walking interpreter).
-pub fn execute(
-    code: &TaskCode,
-    input: &Record,
-    state: Option<&mut sdg_state::store::StateStore>,
-    replica: u32,
-) -> SdgResult<Effects> {
-    match code {
-        TaskCode::Passthrough => Ok(Effects {
-            forwards: vec![input.clone()],
-            emits: Vec::new(),
-        }),
-        TaskCode::Interpreted(te) => run_te(te, input, state),
-        TaskCode::Native(task) => run_native(task.as_ref(), input, state, replica),
-    }
-}
-
 /// Executes prepared code against one input, reusing `scratch` on the
 /// compiled path.
 pub fn execute_prepared(
@@ -1089,7 +1039,6 @@ pub fn execute_prepared(
             forwards: vec![input.clone()],
             emits: Vec::new(),
         }),
-        PreparedCode::Reference(te) => run_te(te, input, state),
         PreparedCode::Compiled(te) => run_compiled(te, input, state, scratch),
         PreparedCode::Native(task) => run_native(task.as_ref(), input, state, replica),
     }
@@ -1218,7 +1167,14 @@ mod tests {
     #[test]
     fn passthrough_execute_forwards_input() {
         let rec = record! {"a" => Value::Int(1)};
-        let fx = execute(&TaskCode::Passthrough, &rec, None, 0).unwrap();
+        let fx = execute_prepared(
+            &PreparedCode::Passthrough,
+            &rec,
+            None,
+            0,
+            &mut Scratch::default(),
+        )
+        .unwrap();
         assert_eq!(fx.forwards, vec![rec]);
         assert!(fx.emits.is_empty());
     }
@@ -1245,9 +1201,9 @@ mod tests {
                 Ok(())
             }
         }
-        let code = TaskCode::Native(Arc::new(Echo));
+        let code = PreparedCode::Native(Arc::new(Echo));
         let rec = record! {"value" => Value::Int(42), "other" => Value::Int(1)};
-        let fx = execute(&code, &rec, None, 3).unwrap();
+        let fx = execute_prepared(&code, &rec, None, 3, &mut Scratch::default()).unwrap();
         assert_eq!(fx.emits, vec![Value::Int(42)]);
         assert_eq!(fx.forwards.len(), 1);
     }

@@ -61,7 +61,6 @@ fn probe_worker(
         0,
         Arc::new(BufferRegistry::new(64)),
         false,
-        false,
         batch,
         Arc::new(AtomicU64::new(0)),
     );

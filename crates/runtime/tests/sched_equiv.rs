@@ -379,7 +379,7 @@ fn pool_monitor_scales_out_and_back_in() {
     let task = sdg.task_by_name("work_0").unwrap().id;
     let mut cfg = RuntimeConfig {
         scheduler: SchedulerMode::Pool,
-        sched_threads: 4,
+        sched_threads: 2, // Oversubscribed once the monitor scales out.
         channel_capacity: 8,
         scaling: ScalingConfig {
             enabled: true,
@@ -400,6 +400,11 @@ fn pool_monitor_scales_out_and_back_in() {
     }
     assert!(d.quiesce(Duration::from_secs(30)));
     assert!(d.stats().scale_outs > 0, "burst must trigger scale-out");
+    let sched = d.metrics().sched;
+    assert!(
+        sched.workers == 2 && sched.polls > 0,
+        "the burst must have run on the pool: {sched:?}"
+    );
     assert_eq!(
         d.metrics().task_by_id(task).unwrap().processed,
         200,

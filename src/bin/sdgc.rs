@@ -27,20 +27,57 @@
 //! integers, floats, `true`/`false`, or fall back to strings. All requests
 //! run against one deployment, in order.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
 use sdg::common::record;
 use sdg::common::value::{Record, Value};
 use sdg::graph::model::{Distribution, Sdg, TaskKind};
+use sdg::ir::ast::Method;
 use sdg::prelude::RuntimeConfig;
 use sdg::SdgProgram;
 
+/// Why a command stopped early.
+enum Failure {
+    /// A diagnostic for the user (exit 1).
+    Message(String),
+    /// Standard output could not be written.
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Message(message.to_owned())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = io::stdout().lock();
+    let result = run(&args, &mut out).and_then(|()| Ok(out.flush()?));
+    match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        // The reader went away (`sdgc explain … | head -1`): it has all
+        // the output it wanted.
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("sdgc: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(message)) => {
             eprintln!("sdgc: {message}");
             ExitCode::FAILURE
         }
@@ -62,7 +99,7 @@ fn parse_metrics_mode(v: &str) -> Result<MetricsMode, String> {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let usage = "usage: sdgc <check|lint|verify|dot|explain|run> <file> [entry] [name=value ...] \
                  [--metrics json|text] [--dot]";
     let mut metrics: Option<MetricsMode> = None;
@@ -81,7 +118,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 args.get(i).map(String::as_str).unwrap_or(""),
             )?);
         } else if a.starts_with("--") {
-            return Err(format!("unknown flag `{a}`; {usage}"));
+            return Err(format!("unknown flag `{a}`; {usage}").into());
         } else {
             positional.push(args[i].clone());
         }
@@ -94,49 +131,50 @@ fn run(args: &[String]) -> Result<(), String> {
     // `lint` wants to show *all* diagnostics, not stop at the first
     // compile error, so it handles the source itself.
     if command == "lint" {
-        return lint_cmd(&source);
+        return lint_cmd(&source, out);
     }
     if command == "verify" {
-        return verify_cmd(&source, dot);
+        return verify_cmd(&source, dot, out);
     }
     let program = SdgProgram::compile(&source).map_err(|e| e.to_string())?;
 
     match command.as_str() {
         "check" => {
-            println!(
+            writeln!(
+                out,
                 "ok: {} state element(s), {} task element(s), {} dataflow(s)",
                 program.graph().states.len(),
                 program.graph().tasks.len(),
                 program.graph().flows.len()
-            );
+            )?;
             Ok(())
         }
         "dot" => {
-            print!("{}", program.to_dot_with_lints());
+            write!(out, "{}", program.to_dot_with_lints())?;
             Ok(())
         }
         "explain" => {
-            explain(&program);
+            explain(&program, out)?;
             Ok(())
         }
         "run" => {
             if args.len() < 3 {
                 return Err("run needs at least one request: 'entry name=value ...'".into());
             }
-            run_requests(program, &args[2..], metrics)
+            run_requests(program, &args[2..], metrics, out)
         }
-        other => Err(format!("unknown command `{other}`; {usage}")),
+        other => Err(format!("unknown command `{other}`; {usage}").into()),
     }
 }
 
 /// The `lint` subcommand: run every analysis layer, render everything it
 /// found, and summarise what the optimization passes changed.
-fn lint_cmd(source: &str) -> Result<(), String> {
+fn lint_cmd(source: &str, out: &mut impl Write) -> Result<(), Failure> {
     use sdg::ir::diag::{render_diagnostics, Severity};
 
     let program = sdg::ir::parser::parse_program(source).map_err(|e| e.to_string())?;
     let diags = sdg::ir::analysis::lint_program(&program);
-    print!("{}", render_diagnostics(source, &diags));
+    write!(out, "{}", render_diagnostics(source, &diags))?;
     if diags.iter().any(|d| d.severity == Severity::Error) {
         return Err("program has lint errors; skipping translation".into());
     }
@@ -144,24 +182,26 @@ fn lint_cmd(source: &str) -> Result<(), String> {
     let before = SdgProgram::compile(source).map_err(|e| e.to_string())?;
     let (after, report) = SdgProgram::compile_optimized(source).map_err(|e| e.to_string())?;
     let graph_diags = sdg::graph::lint(after.graph());
-    print!("{}", render_diagnostics(source, &graph_diags));
+    write!(out, "{}", render_diagnostics(source, &graph_diags))?;
 
-    println!("optimization: {report}");
-    println!(
+    writeln!(out, "optimization: {report}")?;
+    writeln!(
+        out,
         "task elements: {} -> {}",
         before.graph().tasks.len(),
         after.graph().tasks.len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "edge payload slots: {} -> {}",
         payload_slots(before.graph()),
         payload_slots(after.graph())
-    );
+    )?;
     if graph_diags.iter().any(|d| d.severity == Severity::Error) {
         return Err("graph has lint errors".into());
     }
     if diags.is_empty() && graph_diags.is_empty() {
-        println!("ok: no diagnostics");
+        writeln!(out, "ok: no diagnostics")?;
     }
     Ok(())
 }
@@ -169,14 +209,14 @@ fn lint_cmd(source: &str) -> Result<(), String> {
 /// The `verify` subcommand: run the `SL03xx` effect and replay-safety
 /// verifier and show which runtime optimizations each element is certified
 /// for.
-fn verify_cmd(source: &str, dot: bool) -> Result<(), String> {
+fn verify_cmd(source: &str, dot: bool, out: &mut impl Write) -> Result<(), Failure> {
     use sdg::ir::diag::{render_diagnostics, Severity};
 
     // Surface semantic errors with spans before attempting translation.
     let parsed = sdg::ir::parser::parse_program(source).map_err(|e| e.to_string())?;
     let diags = sdg::ir::analysis::lint_program(&parsed);
     if diags.iter().any(|d| d.severity == Severity::Error) {
-        print!("{}", render_diagnostics(source, &diags));
+        write!(out, "{}", render_diagnostics(source, &diags))?;
         return Err("program has lint errors; skipping verification".into());
     }
 
@@ -184,9 +224,9 @@ fn verify_cmd(source: &str, dot: bool) -> Result<(), String> {
     let report = program
         .verify_report()
         .ok_or("translation did not attach a verify report")?;
-    print!("{}", render_diagnostics(source, &report.diagnostics));
+    write!(out, "{}", render_diagnostics(source, &report.diagnostics))?;
 
-    println!("state element certificates:");
+    writeln!(out, "state element certificates:")?;
     for state in &program.graph().states {
         let Some(cert) = report.se(&state.name) else {
             continue;
@@ -196,36 +236,42 @@ fn verify_cmd(source: &str, dot: bool) -> Result<(), String> {
         } else {
             format!("uncertified [{}]", cert.violations.join(", "))
         };
-        println!(
+        writeln!(
+            out,
             "  {:<12} key-local={} replay-safe={} merge-sound={} — {verdict}",
             state.name,
             yn(cert.key_local),
             yn(cert.replay_safe),
             yn(cert.merge_sound),
-        );
+        )?;
     }
-    println!("task element certificates:");
+    writeln!(out, "task element certificates:")?;
     for task in &program.graph().tasks {
         let Some(cert) = report.te(&task.name) else {
             continue;
         };
-        println!(
+        writeln!(
+            out,
             "  {:<14} effect={} deterministic={}",
             task.name,
             cert.effect,
             yn(cert.deterministic),
-        );
+        )?;
     }
     if report.is_clean() {
-        println!("ok: all elements certified; runtime optimizations fully enabled");
+        writeln!(
+            out,
+            "ok: all elements certified; runtime optimizations fully enabled"
+        )?;
     } else {
-        println!(
+        writeln!(
+            out,
             "{} verification finding(s); affected optimizations run in safe mode",
             report.diagnostics.len()
-        );
+        )?;
     }
     if dot {
-        print!("{}", program.to_dot_with_verify());
+        write!(out, "{}", program.to_dot_with_verify())?;
     }
     Ok(())
 }
@@ -244,17 +290,17 @@ fn payload_slots(sdg: &Sdg) -> usize {
     sdg.flows.iter().map(|f| f.live_vars.len()).sum()
 }
 
-fn explain(program: &SdgProgram) {
-    println!("state elements:");
+fn explain(program: &SdgProgram, out: &mut impl Write) -> io::Result<()> {
+    writeln!(out, "state elements:")?;
     for state in &program.graph().states {
         let dist = match state.dist {
             Distribution::Local => "local".to_string(),
             Distribution::Partitioned { dim } => format!("partitioned by {dim}"),
             Distribution::Partial => "partial (replicated, merge to reconcile)".to_string(),
         };
-        println!("  {:<12} {} — {dist}", state.name, state.ty);
+        writeln!(out, "  {:<12} {} — {dist}", state.name, state.ty)?;
     }
-    println!("task elements:");
+    writeln!(out, "task elements:")?;
     for task in &program.graph().tasks {
         let role = match &task.kind {
             TaskKind::Entry { method } => format!("entry point of {method}()"),
@@ -272,27 +318,30 @@ fn explain(program: &SdgProgram) {
                 format!("{rw} {state} ({:?})", a.mode)
             }
         };
-        println!("  {:<14} {role}; {access}", task.name);
+        writeln!(out, "  {:<14} {role}; {access}", task.name)?;
     }
-    println!("dataflows:");
+    writeln!(out, "dataflows:")?;
     for flow in &program.graph().flows {
         let from = &program.graph().task(flow.from).expect("valid").name;
         let to = &program.graph().task(flow.to).expect("valid").name;
-        println!(
+        writeln!(
+            out,
             "  {from} -> {to}  [{}] carrying {{{}}}",
             flow.dispatch,
             flow.live_vars.join(", ")
-        );
+        )?;
     }
     let allocation = sdg::graph::allocate(program.graph());
-    println!("allocation: {} node(s)", allocation.num_nodes);
+    writeln!(out, "allocation: {} node(s)", allocation.num_nodes)?;
     for task in &program.graph().tasks {
-        println!(
+        writeln!(
+            out,
             "  {:<14} -> {}",
             task.name,
             allocation.node_of_task(task.id)
-        );
+        )?;
     }
+    Ok(())
 }
 
 fn parse_payload(pairs: &[String]) -> Result<Record, String> {
@@ -315,44 +364,67 @@ fn parse_payload(pairs: &[String]) -> Result<Record, String> {
     Ok(payload)
 }
 
+/// Parses one quoted request and checks it against the signature of the
+/// entry method it names, so a typo fails before anything is deployed.
+fn parse_request(entries: &[&Method], request: &str) -> Result<(String, Record), String> {
+    let mut parts = request.split_whitespace();
+    let entry = parts.next().ok_or("empty request")?;
+    let pairs: Vec<String> = parts.map(str::to_owned).collect();
+    let payload = parse_payload(&pairs)?;
+    let method = entries.iter().find(|m| m.name == entry).ok_or_else(|| {
+        let names: Vec<&str> = entries.iter().map(|m| m.name.as_str()).collect();
+        format!("no entry method '{entry}' (entries: {})", names.join(", "))
+    })?;
+    let params: Vec<&str> = method.params.iter().map(|p| p.name.as_str()).collect();
+    let signature = format!("{entry}({})", params.join(", "));
+    if let Some(missing) = params.iter().find(|p| payload.get(p).is_none()) {
+        return Err(format!("entry {signature} is missing field '{missing}'"));
+    }
+    if let Some((extra, _)) = payload.iter().find(|(name, _)| !params.contains(&&**name)) {
+        return Err(format!("entry {signature} has no field '{extra}'"));
+    }
+    Ok((entry.to_owned(), payload))
+}
+
 fn run_requests(
     program: SdgProgram,
     requests: &[String],
     metrics: Option<MetricsMode>,
-) -> Result<(), String> {
+    out: &mut impl Write,
+) -> Result<(), Failure> {
+    let entries = program.ast().entry_points();
+    let requests = requests
+        .iter()
+        .map(|r| parse_request(&entries, r).map_err(|e| format!("request '{r}': {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
     let deployment = program
         .deploy(RuntimeConfig::default())
         .map_err(|e| e.to_string())?;
-    for request in requests {
-        let mut parts = request.split_whitespace();
-        let entry = parts
-            .next()
-            .ok_or_else(|| format!("empty request `{request}`"))?;
-        let pairs: Vec<String> = parts.map(str::to_owned).collect();
-        let payload = parse_payload(&pairs)?;
+    for (entry, payload) in requests {
         deployment
-            .submit(entry, payload)
+            .submit(&entry, payload)
             .map_err(|e| e.to_string())?;
         if !deployment.quiesce(Duration::from_secs(30)) {
             return Err("deployment did not drain within 30s".into());
         }
         while let Ok(event) = deployment.outputs().try_recv() {
-            println!(
+            writeln!(
+                out,
                 "{entry} -> {} (latency {:?})",
                 event.value,
                 event.latency.unwrap_or_default()
-            );
+            )?;
         }
     }
     match metrics {
-        Some(MetricsMode::Json) => println!("{}", deployment.metrics().to_json()),
-        Some(MetricsMode::Text) => print!("{}", deployment.metrics().to_text()),
+        Some(MetricsMode::Json) => writeln!(out, "{}", deployment.metrics().to_json())?,
+        Some(MetricsMode::Text) => write!(out, "{}", deployment.metrics().to_text())?,
         None => {}
     }
     let errors = deployment.stats().errors;
     deployment.shutdown();
     if errors > 0 {
-        return Err(format!("{errors} task error(s) during execution"));
+        return Err(format!("{errors} task error(s) during execution").into());
     }
     Ok(())
 }

@@ -1,15 +1,15 @@
-//! Deferred-encoding equivalence properties (the PR's zero-copy dispatch).
+//! Deferred-encoding equivalence properties (zero-copy dispatch).
 //!
-//! The runtime may log sent items in their live (`Arc`-shared) form and
-//! defer wire encoding to the checkpoint persist phase. Three guarantees
+//! The runtime logs sent items in their live (`Arc`-shared) form and
+//! defers wire encoding to the checkpoint persist phase. Three guarantees
 //! are pinned here:
 //!
 //! 1. **Persisted buffers are byte-identical.** A checkpoint taken over
-//!    live-logged buffers must seal to exactly the bytes the eager
-//!    baseline would have written, over arbitrary generated payloads.
-//! 2. **Whole deployments agree.** Generated programs run under deferred
-//!    and eager configurations — including a checkpoint → kill → replay
-//!    cycle — leave identical state.
+//!    live-logged buffers must seal to exactly the bytes
+//!    `Item::encode_payload` writes, over arbitrary generated payloads.
+//! 2. **Recovery is invisible.** Generated programs that go through a
+//!    checkpoint → kill → replay cycle leave the state the same program
+//!    leaves when it is never killed.
 //! 3. **Mixed buffers replay.** A buffer holding both `Encoded` entries
 //!    (restored from a checkpoint) and `Live` entries (logged since) must
 //!    replay every suffix item, the live ones with zero decode.
@@ -32,7 +32,7 @@ use sdg::state::store::StateType;
 use sdg::SdgProgram;
 
 // ---------------------------------------------------------------------------
-// Property 1: sealed checkpoints match the eager baseline byte for byte
+// Property 1: sealed checkpoints hold the wire encoding byte for byte
 // ---------------------------------------------------------------------------
 
 fn arb_value() -> BoxedStrategy<Value> {
@@ -61,8 +61,8 @@ fn arb_sends() -> impl Strategy<Value = Vec<(u64, u32, Record)>> {
     prop::collection::vec((any::<u64>(), 1u32..5, arb_record()), 1..10)
 }
 
-/// The exact bytes the eager dispatch path logs for one item.
-fn eager_bytes(edge: EdgeId, ts: u64, corr: u64, expect: u32, payload: &Record) -> Vec<u8> {
+/// The wire bytes of one item (the byte-identity golden).
+fn wire_bytes(edge: EdgeId, ts: u64, corr: u64, expect: u32, payload: &Record) -> Vec<u8> {
     Item {
         edge,
         src_replica: 0,
@@ -96,18 +96,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn deferred_checkpoints_persist_the_eager_bytes(sends in arb_sends()) {
+    fn deferred_checkpoints_persist_the_wire_bytes(sends in arb_sends()) {
         let edge = EdgeId(7);
         let mut live = OutputBuffer::new();
-        let mut eager = OutputBuffer::new();
+        let mut encoded = OutputBuffer::new();
         for (ts0, &(corr, expect, ref payload)) in sends.iter().enumerate() {
             let ts = ts0 as u64 + 1;
             live.push_live(ts, corr, expect, Arc::new(payload.clone()));
-            eager.push_encoded(ts, eager_bytes(edge, ts, corr, expect, payload));
+            encoded.push_encoded(ts, wire_bytes(edge, ts, corr, expect, payload));
         }
 
         let sealed = checkpoint_buffers(&live);
-        let baseline = checkpoint_buffers(&eager);
+        let baseline = checkpoint_buffers(&encoded);
         prop_assert_eq!(&sealed, &baseline, "persisted out_buffers diverged");
         // Every sealed entry really is the wire form (not a live residue).
         for item in &sealed[0].1 {
@@ -117,7 +117,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Property 2: deferred and eager deployments agree end to end
+// Property 2: a recovered deployment agrees with one that never failed
 // ---------------------------------------------------------------------------
 
 fn op_stmt() -> BoxedStrategy<String> {
@@ -144,22 +144,14 @@ fn arb_requests() -> impl Strategy<Value = Vec<(i64, i64)>> {
     prop::collection::vec(((0i64..6), (-20i64..20)), 1..10)
 }
 
-fn ft_cfg(deferred: bool) -> RuntimeConfig {
+/// Sorted `(key, value)` byte pairs of `t` after `requests`. With
+/// `kill`, the run takes a mid-stream checkpoint and ends with a kill +
+/// replay of replica 0.
+fn final_state(src: &str, requests: &[(i64, i64)], kill: bool) -> Vec<(Vec<u8>, Vec<u8>)> {
+    use sdg::common::record;
     let mut cfg = RuntimeConfig::default();
     cfg.checkpoint.enabled = true;
     cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
-    cfg.checkpoint.deferred_encode = deferred;
-    cfg
-}
-
-/// Sorted `(key, value)` byte pairs of `t` after requests, a mid-stream
-/// checkpoint, and a kill + replay of replica 0.
-fn run_with_recovery(
-    src: &str,
-    cfg: RuntimeConfig,
-    requests: &[(i64, i64)],
-) -> Vec<(Vec<u8>, Vec<u8>)> {
-    use sdg::common::record;
     let program = SdgProgram::compile(src).expect("generated program compiles");
     let sid = program.state("t").expect("state t exists");
     let d = program.deploy(cfg).expect("deploys");
@@ -169,19 +161,23 @@ fn run_with_recovery(
             .expect("submit");
     }
     assert!(d.quiesce(Duration::from_secs(30)));
-    d.reconfigure(ReconfigRequest::Checkpoint)
-        .expect("checkpoint");
+    if kill {
+        d.reconfigure(ReconfigRequest::Checkpoint)
+            .expect("checkpoint");
+    }
     for &(k, v) in &requests[cut..] {
         d.submit("main", record! {"k" => Value::Int(k), "v" => Value::Int(v)})
             .expect("submit");
     }
     assert!(d.quiesce(Duration::from_secs(30)));
-    d.reconfigure(ReconfigRequest::FailAndRecover {
-        state: sid,
-        replica: 0,
-    })
-    .expect("recover");
-    assert!(d.quiesce(Duration::from_secs(30)));
+    if kill {
+        d.reconfigure(ReconfigRequest::FailAndRecover {
+            state: sid,
+            replica: 0,
+        })
+        .expect("recover");
+        assert!(d.quiesce(Duration::from_secs(30)));
+    }
     let mut entries = d
         .with_state(sid, 0, |s| {
             s.export_entries()
@@ -199,13 +195,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn deferred_and_eager_recoveries_agree(
+    fn recovered_state_matches_the_never_killed_run(
         src in arb_program(),
         requests in arb_requests(),
     ) {
-        let deferred = run_with_recovery(&src, ft_cfg(true), &requests);
-        let eager = run_with_recovery(&src, ft_cfg(false), &requests);
-        prop_assert_eq!(deferred, eager, "recovered state diverged for:\n{}", src);
+        let recovered = final_state(&src, &requests, true);
+        let never_killed = final_state(&src, &requests, false);
+        prop_assert_eq!(recovered, never_killed, "recovered state diverged for:\n{}", src);
     }
 }
 
@@ -221,7 +217,7 @@ fn mixed_live_and_encoded_buffers_replay_exactly() {
     let mut payloads = Vec::new();
     for ts in 1u64..=3 {
         let payload = sdg::common::record! {"k" => Value::Int(ts as i64)};
-        buf.push_encoded(ts, eager_bytes(edge, ts, ts * 10, 1, &payload));
+        buf.push_encoded(ts, wire_bytes(edge, ts, ts * 10, 1, &payload));
         payloads.push(Arc::new(payload));
     }
     // Items 4..=6 logged live since the restore.
