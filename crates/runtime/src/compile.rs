@@ -120,6 +120,13 @@ impl<'a> Exec<'a> {
         Ok(())
     }
 
+    /// Borrows the value in `slot`, or reports it unbound.
+    fn bound<'r>(&self, regs: &'r Regs, slot: u32) -> SdgResult<&'r Value> {
+        regs[slot as usize].as_ref().ok_or_else(|| {
+            SdgError::Eval(format!("unbound variable `{}`", self.te.symbols.name(slot)))
+        })
+    }
+
     fn exec_block(&mut self, stmts: &[CStmt], regs: &mut Regs) -> SdgResult<Flow> {
         for stmt in stmts {
             match self.exec_stmt(stmt, regs)? {
@@ -164,8 +171,12 @@ impl<'a> Exec<'a> {
                 Ok(Flow::Normal)
             }
             CStmt::Foreach { slot, iter, body } => {
-                let list = self.eval(iter, regs)?;
-                let items = list.as_list()?.to_vec();
+                // The evaluated list is already our own copy (the body may
+                // reassign its source): move the items out of it.
+                let items = match self.eval(iter, regs)? {
+                    Value::List(items) => items,
+                    other => return Err(SdgError::type_mismatch("List", other.type_name())),
+                };
                 for item in items {
                     self.tick()?;
                     regs[*slot as usize] = Some(item);
@@ -195,12 +206,7 @@ impl<'a> Exec<'a> {
         self.tick()?;
         match expr {
             CExpr::Const(v) => Ok(v.clone()),
-            CExpr::Slot(slot) => regs[*slot as usize].clone().ok_or_else(|| {
-                SdgError::Eval(format!(
-                    "unbound variable `{}`",
-                    self.te.symbols.name(*slot)
-                ))
-            }),
+            CExpr::Slot(slot) => self.bound(regs, *slot).cloned(),
             CExpr::Binary { op, lhs, rhs } => {
                 match op {
                     BinOp::And => {
@@ -235,16 +241,19 @@ impl<'a> Exec<'a> {
                 }
             }
             CExpr::Index { base, idx } => {
+                if let CExpr::Slot(slot) = **base {
+                    // Borrow the register instead of cloning the whole list.
+                    // The base is still checked (and ticked) before the
+                    // index is evaluated, as `eval(base)` would; expressions
+                    // never write registers, so it is still bound after.
+                    self.tick()?;
+                    self.bound(regs, slot)?;
+                    let i = self.eval(idx, regs)?.as_int()?;
+                    return index_list(self.bound(regs, slot)?, i);
+                }
                 let b = self.eval(base, regs)?;
                 let i = self.eval(idx, regs)?.as_int()?;
-                let list = b.as_list()?;
-                if i < 0 || i as usize >= list.len() {
-                    return Err(SdgError::Eval(format!(
-                        "index {i} out of bounds for list of length {}",
-                        list.len()
-                    )));
-                }
-                Ok(list[i as usize].clone())
+                index_list(&b, i)
             }
             CExpr::ListLit(items) => {
                 let vals = items
@@ -310,6 +319,18 @@ impl<'a> Exec<'a> {
             Flow::Normal => Ok(Value::Null),
         }
     }
+}
+
+/// `base[i]`, with the reference interpreter's type and bounds errors.
+fn index_list(base: &Value, i: i64) -> SdgResult<Value> {
+    let list = base.as_list()?;
+    if i < 0 || i as usize >= list.len() {
+        return Err(SdgError::Eval(format!(
+            "index {i} out of bounds for list of length {}",
+            list.len()
+        )));
+    }
+    Ok(list[i as usize].clone())
 }
 
 #[cfg(test)]

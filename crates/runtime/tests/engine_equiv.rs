@@ -1,12 +1,15 @@
 //! Property-based equivalence: the slot-compiled engine must produce the
 //! same observable effects as the reference interpreter.
 //!
-//! Programs are generated as StateLang source (arithmetic, control flow,
-//! bounded loops, helper calls, Table state accesses), parsed, wrapped as a
+//! Programs are generated as StateLang source, parsed, wrapped as a
 //! `TeProgram`, and executed by both engines against independent state
-//! stores. For every generated program and input, either both engines
-//! succeed with identical `Effects` (forwards, emits) and identical final
-//! state, or both fail with the same error message.
+//! stores. Two families: `Table` programs (arithmetic, control flow,
+//! bounded loops, helper calls, table accesses) and `Matrix` programs
+//! (matrix rows walked with `foreach` and indexed with `p[i]`, which reach
+//! the compiled engine's list paths). For every generated program and
+//! input, either both engines succeed with identical `Effects` (forwards,
+//! emits) and identical final state, or both fail with the same error
+//! message.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,6 +121,114 @@ fn program() -> BoxedStrategy<String> {
         .boxed()
 }
 
+/// Variables the matrix family may forward as live vars.
+const MATRIX_VARS: [&str; 2] = ["acc", "r"];
+
+/// A row or column index: mostly small constants, so rows collide.
+fn m_int() -> BoxedStrategy<String> {
+    prop_oneof![
+        3 => (-1i64..5).prop_map(|i| format!("({i})")),
+        1 => prop::sample::select(INPUTS.to_vec()).prop_map(str::to_owned),
+    ]
+    .boxed()
+}
+
+/// A fractional, possibly negative float literal.
+fn m_float() -> BoxedStrategy<String> {
+    (-40i64..40)
+        .prop_map(|q| format!("({:?})", q as f64 / 8.0))
+        .boxed()
+}
+
+/// `base[i]`: in-range, out-of-range and negative indices on the loop
+/// variable and the row list (slot bases), on an `Int` slot, on an `Int`
+/// produced by another index, on a fresh row (non-slot bases), and on a
+/// never-bound variable whose index would fail too (the unbound base must
+/// be reported first).
+fn m_index() -> BoxedStrategy<String> {
+    let i = prop_oneof![
+        4 => (0i64..2).prop_map(|i| i.to_string()),
+        1 => (-2i64..4).prop_map(|i| format!("({i})")),
+        1 => prop::sample::select(INPUTS.to_vec()).prop_map(str::to_owned),
+    ]
+    .boxed();
+    prop_oneof![
+        8 => i.clone().prop_map(|i| format!("p[{i}]")),
+        2 => i.clone().prop_map(|i| format!("r[{i}][1]")),
+        1 => i.clone().prop_map(|i| format!("n0[{i}]")),
+        1 => i.clone().prop_map(|i| format!("p[0][{i}]")),
+        1 => (m_int(), i).prop_map(|(k, i)| format!("m.row({k})[{i}][0]")),
+        1 => Just("zz[(1 / 0)]".to_owned()),
+    ]
+    .boxed()
+}
+
+/// One statement of the `foreach (p : r)` body.
+fn m_loop_stmt() -> BoxedStrategy<String> {
+    prop_oneof![
+        4 => m_index().prop_map(|e| format!("acc = acc + {e};")),
+        2 => (m_index(), m_int(), m_float())
+            .prop_map(|(e, c, v)| format!("if ({e} > 0) {{ m.add(p[0], {c}, {v}); }}")),
+        2 => (m_int(), m_float()).prop_map(|(c, v)| format!("m.add({c}, p[0], {v} * p[1]);")),
+        1 => m_int().prop_map(|k| format!("r = m.row({k});")),
+        1 => m_index().prop_map(|e| format!("emit {e};")),
+    ]
+    .boxed()
+}
+
+/// A sparse vector literal with duplicate indices, zeros and any order.
+fn m_vector() -> BoxedStrategy<String> {
+    prop::collection::vec(((-1i64..5), m_float()), 0..5)
+        .prop_map(|cells| {
+            let cells: Vec<String> = cells.iter().map(|(i, v)| format!("[{i}, {v}]")).collect();
+            format!("[{}]", cells.join(", "))
+        })
+        .boxed()
+}
+
+/// A whole matrix-family program: fill some cells, read a row, walk it
+/// (reassigning the row list inside its own loop), then `add`, `multiply`
+/// and `nnz`.
+fn matrix_program() -> BoxedStrategy<String> {
+    let fill = prop::collection::vec((m_int(), m_int(), m_float()), 1..8).prop_map(|cells| {
+        cells
+            .iter()
+            .map(|(r, c, v)| format!("m.add({r}, {c}, {v});"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    });
+    let iter = prop_oneof![
+        6 => Just("r".to_owned()),
+        1 => m_int().prop_map(|k| format!("m.row({k})")),
+        1 => Just("n1".to_owned()),
+    ];
+    let body = prop::collection::vec(m_loop_stmt(), 1..4).prop_map(|s| s.join(" "));
+    (
+        fill,
+        m_int(),
+        iter,
+        body,
+        (m_int(), m_int(), m_float()),
+        m_vector(),
+    )
+        .prop_map(|(fill, k, iter, body, (ar, ac, av), x)| {
+            format!(
+                "Matrix m;\n\
+                 void main(int n0, int n1, int n2) {{\n\
+                   {fill}\n\
+                   let acc = 0.0;\n\
+                   let r = m.row({k});\n\
+                   foreach (p : {iter}) {{ {body} }}\n\
+                   m.add({ar}, {ac}, {av});\n\
+                   emit m.multiply(r);\n\
+                   emit m.multiply({x});\n\
+                   emit m.nnz();\n\
+                 }}"
+            )
+        })
+        .boxed()
+}
+
 fn te_of(src: &str, out_vars: Vec<String>) -> TeProgram {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("generated bad syntax: {e}\n{src}"));
     let entry = prog
@@ -145,19 +256,28 @@ fn export_sorted(store: &StateStore) -> Vec<(Vec<u8>, Vec<u8>)> {
     entries
 }
 
-/// Runs both engines on the same program/input and asserts equivalence.
-fn assert_equivalent(src: &str, out_vars: Vec<String>, inputs: [i64; 3]) {
+/// Sorted, deduplicated live set, like the translator produces.
+fn live_set(live: Vec<&str>) -> Vec<String> {
+    let mut out_vars: Vec<String> = live.into_iter().map(str::to_owned).collect();
+    out_vars.sort();
+    out_vars.dedup();
+    out_vars
+}
+
+/// Runs both engines on the same program/input, each against a fresh
+/// store of type `ty`, and asserts equivalence.
+fn assert_equivalent(src: &str, ty: StateType, out_vars: Vec<String>, inputs: [i64; 3]) {
     let te = te_of(src, out_vars);
     let input = record! {
         "n0" => Value::Int(inputs[0]),
         "n1" => Value::Int(inputs[1]),
         "n2" => Value::Int(inputs[2]),
     };
-    let mut ref_store = StateStore::new(StateType::Table);
+    let mut ref_store = StateStore::new(ty);
     let reference = run_te(&te, &input, Some(&mut ref_store));
 
     let compiled = CompiledTe::compile(&te);
-    let mut cmp_store = StateStore::new(StateType::Table);
+    let mut cmp_store = StateStore::new(ty);
     let mut scratch = Scratch::new();
     let slotted = run_compiled(&compiled, &input, Some(&mut cmp_store), &mut scratch);
 
@@ -188,11 +308,16 @@ proptest! {
         inputs in prop::array::uniform3(-10i64..10),
         live in prop::collection::vec(prop::sample::select(VARS.to_vec()), 0..3),
     ) {
-        // Sorted, deduplicated live set, like the translator produces.
-        let mut out_vars: Vec<String> = live.into_iter().map(str::to_owned).collect();
-        out_vars.sort();
-        out_vars.dedup();
-        assert_equivalent(src.as_str(), out_vars, inputs);
+        assert_equivalent(src.as_str(), StateType::Table, live_set(live), inputs);
+    }
+
+    #[test]
+    fn compiled_engine_matches_reference_on_matrix_lists(
+        src in matrix_program(),
+        inputs in prop::array::uniform3(-2i64..5),
+        live in prop::collection::vec(prop::sample::select(MATRIX_VARS.to_vec()), 0..3),
+    ) {
+        assert_equivalent(src.as_str(), StateType::Matrix, live_set(live), inputs);
     }
 
     #[test]

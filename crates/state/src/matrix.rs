@@ -2,10 +2,21 @@
 //!
 //! Backs both matrices of the collaborative filtering algorithm (§2.1):
 //! `userItem` (partitioned by row = user) and `coOcc` (partial, replicated,
-//! randomly accessed). Rows are hash maps from column index to `f64`, so
-//! fine-grained `set_element`/`get_element` updates are O(1) and
-//! matrix–vector multiplication is O(nnz).
+//! randomly accessed). Rows are hash maps from column index to `f64`.
+//!
+//! Cost model, with `c` the cells of one row and `x` the entries of a
+//! vector. While a checkpoint is outstanding, writes land in a dirty
+//! overlay keyed by row the same way, so every bound below holds with the
+//! overlay's row added to `c`; nothing scans the whole overlay.
+//! - `get`, `set`, `add`: one probe per level (row, then column).
+//! - `row`: O(c log c); builds and sorts that row only.
+//! - `multiply`: one pass over the rows, each costing min(x, c) lookups
+//!   (probe `x`'s columns in the row, or walk the row and binary-search
+//!   `x`), then a sort of the non-zero results. No row is copied; the only
+//!   allocation is the output, plus a sorted copy of `x` when `x` is not
+//!   already strictly ascending (what `row` returns is).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -22,9 +33,61 @@ type Rows = HashMap<i64, HashMap<i64, f64>>;
 #[derive(Debug, Clone, Default)]
 pub struct SparseMatrix {
     base: Arc<Rows>,
-    /// Writes performed while a checkpoint snapshot is outstanding.
-    dirty: Option<HashMap<(i64, i64), f64>>,
+    /// Writes performed while a checkpoint snapshot is outstanding, keyed
+    /// by row like `base` so per-row reads never scan the whole overlay.
+    dirty: Option<Rows>,
+    /// Cells held by `dirty`.
+    dirty_cells: usize,
     nnz: usize,
+}
+
+/// The visible cells of one row: the overlay's row shadowing the base's.
+#[derive(Clone, Copy)]
+struct RowView<'a> {
+    base: Option<&'a HashMap<i64, f64>>,
+    over: Option<&'a HashMap<i64, f64>>,
+}
+
+impl RowView<'_> {
+    fn get(self, col: i64) -> Option<f64> {
+        self.over
+            .and_then(|o| o.get(&col))
+            .or_else(|| self.base.and_then(|b| b.get(&col)))
+            .copied()
+    }
+
+    /// Upper bound on the visible cells (exact outside a checkpoint).
+    fn len_bound(self) -> usize {
+        self.base.map_or(0, HashMap::len) + self.over.map_or(0, HashMap::len)
+    }
+
+    /// Visits every visible cell once, in unspecified order.
+    fn for_each(self, mut f: impl FnMut(i64, f64)) {
+        for (&c, &v) in self.over.into_iter().flatten() {
+            f(c, v);
+        }
+        for (&c, &v) in self.base.into_iter().flatten() {
+            if !self.over.is_some_and(|o| o.contains_key(&c)) {
+                f(c, v);
+            }
+        }
+    }
+}
+
+/// The partition (of `n`) that cell `(row, col)` belongs to along `dim`.
+fn owner(dim: PartitionDim, row: i64, col: i64, n: usize) -> usize {
+    let key = match dim {
+        PartitionDim::Row => row,
+        PartitionDim::Col => col,
+    };
+    (Key::Int(key).stable_hash() % n as u64) as usize
+}
+
+fn retain_cells(rows: &mut Rows, keep: impl Fn(i64, i64) -> bool) {
+    rows.retain(|&row, cells| {
+        cells.retain(|&col, _| keep(row, col));
+        !cells.is_empty()
+    });
 }
 
 impl SparseMatrix {
@@ -58,110 +121,167 @@ impl SparseMatrix {
     /// Approximate bytes held by the dirty overlay (0 outside a
     /// checkpoint).
     pub fn dirty_bytes(&self) -> usize {
-        self.dirty.as_ref().map_or(0, |d| d.len() * 32)
+        self.dirty_cells * 32
+    }
+
+    fn row_view(&self, row: i64) -> RowView<'_> {
+        RowView {
+            base: self.base.get(&row),
+            over: self.dirty.as_ref().and_then(|d| d.get(&row)),
+        }
+    }
+
+    /// Visits every row with a visible cell once, in unspecified order.
+    fn for_each_row(&self, mut f: impl FnMut(i64, RowView<'_>)) {
+        let dirty = self.dirty.as_ref().filter(|d| !d.is_empty());
+        for (&row, cells) in self.base.iter() {
+            let over = dirty.and_then(|d| d.get(&row));
+            f(
+                row,
+                RowView {
+                    base: Some(cells),
+                    over,
+                },
+            );
+        }
+        for (&row, cells) in dirty.into_iter().flatten() {
+            if !self.base.contains_key(&row) {
+                f(
+                    row,
+                    RowView {
+                        base: None,
+                        over: Some(cells),
+                    },
+                );
+            }
+        }
+    }
+
+    /// Visits every visible cell once, in unspecified order.
+    fn for_each_cell(&self, mut f: impl FnMut(i64, i64, f64)) {
+        self.for_each_row(|row, cells| cells.for_each(|col, v| f(row, col, v)));
     }
 
     /// Reads element `(row, col)`; absent elements read as `0.0`.
     pub fn get(&self, row: i64, col: i64) -> f64 {
-        if let Some(dirty) = &self.dirty {
-            if let Some(v) = dirty.get(&(row, col)) {
-                return *v;
-            }
-        }
-        self.base
-            .get(&row)
-            .and_then(|r| r.get(&col))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    fn is_present(&self, row: i64, col: i64) -> bool {
-        if let Some(dirty) = &self.dirty {
-            if dirty.contains_key(&(row, col)) {
-                return true;
-            }
-        }
-        self.base.get(&row).is_some_and(|r| r.contains_key(&col))
+        self.row_view(row).get(col).unwrap_or(0.0)
     }
 
     /// Writes element `(row, col)`.
     pub fn set(&mut self, row: i64, col: i64, value: f64) {
-        if !self.is_present(row, col) {
-            self.nnz += 1;
-        }
-        match &mut self.dirty {
-            Some(dirty) => {
-                dirty.insert((row, col), value);
-            }
-            None => {
-                Arc::make_mut(&mut self.base)
-                    .entry(row)
-                    .or_default()
-                    .insert(col, value);
-            }
-        }
+        self.update(row, col, |_| value);
     }
 
     /// Adds `delta` to element `(row, col)`.
     pub fn add(&mut self, row: i64, col: i64, delta: f64) {
-        let v = self.get(row, col);
-        self.set(row, col, v + delta);
+        self.update(row, col, |v| v + delta);
+    }
+
+    /// Writes `f(current)` to `(row, col)`, an absent cell reading `0.0`,
+    /// with one probe into the row that takes the write.
+    fn update(&mut self, row: i64, col: i64, f: impl FnOnce(f64) -> f64) {
+        match &mut self.dirty {
+            Some(dirty) => match dirty.entry(row).or_default().entry(col) {
+                Entry::Occupied(mut e) => {
+                    let v = e.get_mut();
+                    *v = f(*v);
+                }
+                Entry::Vacant(e) => {
+                    let below = self.base.get(&row).and_then(|r| r.get(&col)).copied();
+                    if below.is_none() {
+                        self.nnz += 1;
+                    }
+                    self.dirty_cells += 1;
+                    e.insert(f(below.unwrap_or(0.0)));
+                }
+            },
+            None => match Arc::make_mut(&mut self.base)
+                .entry(row)
+                .or_default()
+                .entry(col)
+            {
+                Entry::Occupied(mut e) => {
+                    let v = e.get_mut();
+                    *v = f(*v);
+                }
+                Entry::Vacant(e) => {
+                    self.nnz += 1;
+                    e.insert(f(0.0));
+                }
+            },
+        }
     }
 
     /// Returns the visible contents of `row` as `(col, value)` pairs sorted
     /// by column.
     pub fn row(&self, row: i64) -> Vec<(i64, f64)> {
-        let mut merged: HashMap<i64, f64> = self.base.get(&row).cloned().unwrap_or_default();
-        if let Some(dirty) = &self.dirty {
-            for (&(r, c), &v) in dirty.iter() {
-                if r == row {
-                    merged.insert(c, v);
-                }
-            }
-        }
-        let mut out: Vec<(i64, f64)> = merged.into_iter().collect();
-        out.sort_by_key(|&(c, _)| c);
+        let cells = self.row_view(row);
+        let mut out = Vec::with_capacity(cells.len_bound());
+        cells.for_each(|c, v| out.push((c, v)));
+        out.sort_unstable_by_key(|&(c, _)| c);
         out
     }
 
     /// Returns the sorted list of row indices with stored elements.
     pub fn row_indices(&self) -> Vec<i64> {
-        let mut rows: Vec<i64> = self.base.keys().copied().collect();
-        if let Some(dirty) = &self.dirty {
-            for &(r, _) in dirty.keys() {
-                if !self.base.contains_key(&r) {
-                    rows.push(r);
-                }
-            }
-            rows.sort_unstable();
-            rows.dedup();
-            return rows;
-        }
+        let mut rows = Vec::with_capacity(self.base.len());
+        self.for_each_row(|row, _| rows.push(row));
         rows.sort_unstable();
         rows
     }
 
     /// Computes the matrix–vector product `M · x` for a sparse vector `x`
-    /// given as `(index, value)` pairs.
+    /// given as `(index, value)` pairs; on a duplicate index the last pair
+    /// wins.
     ///
-    /// Returns the sparse result as `(row, value)` pairs sorted by row. This
-    /// is the `coOcc.multiply(userRow)` operation of Alg. 1 line 16.
+    /// Returns the non-zero results as `(row, value)` pairs sorted by row.
+    /// Each result accumulates its products in ascending column order, so
+    /// it does not depend on which side of a row is walked. This is the
+    /// `coOcc.multiply(userRow)` operation of Alg. 1 line 16.
     pub fn multiply(&self, x: &[(i64, f64)]) -> Vec<(i64, f64)> {
-        let xmap: HashMap<i64, f64> = x.iter().copied().collect();
-        let mut out: HashMap<i64, f64> = HashMap::new();
-        for row in self.row_indices() {
-            let mut acc = 0.0;
-            for (col, v) in self.row(row) {
-                if let Some(xv) = xmap.get(&col) {
-                    acc += v * xv;
+        let sorted;
+        let x = if x.windows(2).all(|w| w[0].0 < w[1].0) {
+            x
+        } else {
+            let mut v = x.to_vec();
+            v.sort_by_key(|&(i, _)| i); // Stable: duplicates keep their order.
+            v.dedup_by(|later, kept| {
+                let dup = later.0 == kept.0;
+                if dup {
+                    *kept = *later;
                 }
-            }
+                dup
+            });
+            sorted = v;
+            &sorted[..]
+        };
+        let mut out: Vec<(i64, f64)> = Vec::new();
+        self.for_each_row(|row, cells| {
+            let acc = if x.len() <= cells.len_bound() {
+                // Probe x's columns in the row; x is already ascending.
+                x.iter().fold(0.0, |acc, &(c, xv)| match cells.get(c) {
+                    Some(v) => acc + v * xv,
+                    None => acc,
+                })
+            } else {
+                // Walk the shorter row. Its products are staged past the
+                // end of `out` and summed in ascending column order there.
+                let mark = out.len();
+                cells.for_each(|c, v| {
+                    if let Ok(i) = x.binary_search_by_key(&c, |&(xc, _)| xc) {
+                        out.push((c, v * x[i].1));
+                    }
+                });
+                out[mark..].sort_unstable_by_key(|&(c, _)| c);
+                let acc = out[mark..].iter().fold(0.0, |acc, &(_, p)| acc + p);
+                out.truncate(mark);
+                acc
+            };
             if acc != 0.0 {
-                out.insert(row, acc);
+                out.push((row, acc));
             }
-        }
-        let mut out: Vec<(i64, f64)> = out.into_iter().collect();
-        out.sort_by_key(|&(r, _)| r);
+        });
+        out.sort_unstable_by_key(|&(r, _)| r);
         out
     }
 
@@ -183,9 +303,10 @@ impl SparseMatrix {
             .dirty
             .take()
             .ok_or_else(|| SdgError::State("consolidate without begin_checkpoint".into()))?;
+        self.dirty_cells = 0;
         let base = Arc::make_mut(&mut self.base);
-        for ((row, col), v) in dirty {
-            base.entry(row).or_default().insert(col, v);
+        for (row, cells) in dirty {
+            base.entry(row).or_default().extend(cells);
         }
         Ok(())
     }
@@ -245,53 +366,31 @@ impl SparseMatrix {
     pub fn split_by_hash(&self, dim: PartitionDim, n: usize) -> Vec<SparseMatrix> {
         assert!(n > 0, "partition count must be positive");
         let mut parts: Vec<SparseMatrix> = (0..n).map(|_| SparseMatrix::new()).collect();
-        for row in self.row_indices() {
-            for (col, v) in self.row(row) {
-                let key = match dim {
-                    PartitionDim::Row => row,
-                    PartitionDim::Col => col,
-                };
-                let idx = (Key::Int(key).stable_hash() % n as u64) as usize;
-                parts[idx].set(row, col, v);
-            }
-        }
+        self.for_each_cell(|row, col, v| parts[owner(dim, row, col, n)].set(row, col, v));
         parts
     }
 
     /// Retains only the elements whose `dim` index hashes to partition
     /// `idx` of `n`.
     ///
+    /// During a checkpoint the dirty overlay is filtered too, so
+    /// `consolidate` cannot bring a dropped cell back; the snapshot already
+    /// handed out is unaffected.
+    ///
     /// # Panics
     ///
     /// Panics if `n` is zero or `idx >= n`.
     pub fn retain_partition(&mut self, dim: PartitionDim, idx: usize, n: usize) {
         assert!(n > 0 && idx < n, "invalid partition index");
-        let rows = self.row_indices();
-        let mut to_clear: Vec<(i64, i64)> = Vec::new();
-        for row in rows {
-            for (col, _) in self.row(row) {
-                let key = match dim {
-                    PartitionDim::Row => row,
-                    PartitionDim::Col => col,
-                };
-                if (Key::Int(key).stable_hash() % n as u64) as usize != idx {
-                    to_clear.push((row, col));
-                }
-            }
+        let keep = |row, col| owner(dim, row, col, n) == idx;
+        retain_cells(Arc::make_mut(&mut self.base), keep);
+        if let Some(dirty) = &mut self.dirty {
+            retain_cells(dirty, keep);
+            self.dirty_cells = dirty.values().map(HashMap::len).sum();
         }
-        // Removal is only supported outside dirty mode; scale-out never
-        // overlaps a checkpoint (the runtime serialises the two).
-        let base = Arc::make_mut(&mut self.base);
-        for (row, col) in to_clear {
-            if let Some(r) = base.get_mut(&row) {
-                if r.remove(&col).is_some() {
-                    self.nnz -= 1;
-                }
-                if r.is_empty() {
-                    base.remove(&row);
-                }
-            }
-        }
+        let mut nnz = 0;
+        self.for_each_cell(|_, _, _| nnz += 1);
+        self.nnz = nnz;
     }
 
     /// Adds every element of `other` into `self` (elementwise sum).
@@ -299,11 +398,7 @@ impl SparseMatrix {
     /// This is one natural reconciliation for partial co-occurrence
     /// matrices, exposed for ablation experiments.
     pub fn absorb_add(&mut self, other: &SparseMatrix) {
-        for row in other.row_indices() {
-            for (col, v) in other.row(row) {
-                self.add(row, col, v);
-            }
-        }
+        other.for_each_cell(|row, col, v| self.add(row, col, v));
     }
 }
 
@@ -369,6 +464,19 @@ mod tests {
     }
 
     #[test]
+    fn multiply_takes_the_last_duplicate_and_ignores_order() {
+        let mut m = SparseMatrix::new();
+        m.set(0, 1, 2.0);
+        m.set(0, 3, 1.0);
+        // Probe side (x no longer than the row) and walk side (x longer).
+        assert_eq!(m.multiply(&[(3, 5.0), (1, 1.0), (1, 4.0)]), vec![(0, 13.0)]);
+        assert_eq!(
+            m.multiply(&[(7, 1.0), (3, 5.0), (1, 1.0), (1, 4.0), (0, 9.0)]),
+            vec![(0, 13.0)]
+        );
+    }
+
+    #[test]
     fn dirty_mode_merges_reads() {
         let mut m = SparseMatrix::new();
         m.set(1, 1, 1.0);
@@ -381,6 +489,8 @@ mod tests {
         assert_eq!(m.get(2, 1), 5.0);
         assert_eq!(m.row(1), vec![(1, 10.0), (2, 2.0)]);
         assert_eq!(m.row_indices(), vec![1, 2]);
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.dirty_bytes(), 2 * 32);
 
         // The snapshot still holds the pre-checkpoint values.
         assert_eq!(snap.get(&1).unwrap().get(&1), Some(&1.0));
@@ -389,6 +499,7 @@ mod tests {
         m.consolidate().unwrap();
         assert_eq!(m.get(1, 1), 10.0);
         assert_eq!(m.get(2, 1), 5.0);
+        assert_eq!(m.dirty_bytes(), 0);
     }
 
     #[test]
@@ -458,6 +569,31 @@ mod tests {
         let mut own = m.clone();
         own.retain_partition(PartitionDim::Row, 2, 4);
         assert_eq!(own.nnz(), expected);
+    }
+
+    #[test]
+    fn retain_partition_during_a_checkpoint_drops_overlay_writes_too() {
+        let mut m = SparseMatrix::new();
+        for r in 0..40 {
+            m.set(r, 0, r as f64);
+        }
+        let expected = m.split_by_hash(PartitionDim::Row, 4)[2].clone();
+        let snap = m.begin_checkpoint().unwrap();
+        // Overwrite every cell and add a second column: all in the overlay.
+        for r in 0..40 {
+            m.set(r, 0, r as f64);
+            m.set(r, 1, 1.0);
+        }
+        m.retain_partition(PartitionDim::Row, 2, 4);
+        assert_eq!(m.nnz(), 2 * expected.nnz());
+        assert_eq!(m.dirty_bytes(), 2 * expected.nnz() * 32);
+        m.consolidate().unwrap();
+        assert_eq!(snap.len(), 40, "the handed-out snapshot is untouched");
+        assert_eq!(m.nnz(), 2 * expected.nnz());
+        assert_eq!(m.row_indices(), expected.row_indices());
+        for r in m.row_indices() {
+            assert_eq!(m.row(r), vec![(0, r as f64), (1, 1.0)]);
+        }
     }
 
     #[test]

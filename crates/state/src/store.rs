@@ -258,12 +258,7 @@ impl StateStore {
             StateStore::Matrix(m) => {
                 let mut other = SparseMatrix::new();
                 other.import_entries(entries)?;
-                for row in other.row_indices() {
-                    for (col, v) in other.row(row) {
-                        let cur = m.get(row, col);
-                        m.set(row, col, cur + v);
-                    }
-                }
+                m.absorb_add(&other);
                 Ok(())
             }
             StateStore::Vector(v) => {

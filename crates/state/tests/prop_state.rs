@@ -5,6 +5,8 @@
 //! inserted anywhere must be observationally identical to the same sequence
 //! executed without any checkpoint.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use sdg_common::value::{Key, Value};
 use sdg_state::partition::PartitionDim;
@@ -42,6 +44,108 @@ fn table_contents(t: &KeyedTable) -> Vec<(Key, Value)> {
     t.for_each(|k, v| out.push((k.clone(), v.clone())));
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
+}
+
+/// The matrix kernels' naive reference: a plain row map read the way
+/// `SparseMatrix` once did — materialise the row, sort it by column,
+/// accumulate.
+#[derive(Default)]
+struct NaiveMatrix {
+    rows: HashMap<i64, HashMap<i64, f64>>,
+}
+
+impl NaiveMatrix {
+    fn get(&self, r: i64, c: i64) -> f64 {
+        self.rows
+            .get(&r)
+            .and_then(|row| row.get(&c))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
+    fn set(&mut self, r: i64, c: i64, v: f64) {
+        self.rows.entry(r).or_default().insert(c, v);
+    }
+
+    fn add(&mut self, r: i64, c: i64, delta: f64) {
+        let v = self.get(r, c);
+        self.set(r, c, v + delta);
+    }
+
+    fn nnz(&self) -> usize {
+        self.rows.values().map(HashMap::len).sum()
+    }
+
+    fn row(&self, r: i64) -> Vec<(i64, f64)> {
+        let mut out: Vec<(i64, f64)> = self
+            .rows
+            .get(&r)
+            .cloned()
+            .unwrap_or_default()
+            .into_iter()
+            .collect();
+        out.sort_by_key(|&(c, _)| c);
+        out
+    }
+
+    fn multiply(&self, x: &[(i64, f64)]) -> Vec<(i64, f64)> {
+        let xmap: HashMap<i64, f64> = x.iter().copied().collect();
+        let mut rows: Vec<i64> = self.rows.keys().copied().collect();
+        rows.sort_unstable();
+        let mut out = Vec::new();
+        for r in rows {
+            let mut acc = 0.0;
+            for (c, v) in self.row(r) {
+                if let Some(xv) = xmap.get(&c) {
+                    acc += v * xv;
+                }
+            }
+            if acc != 0.0 {
+                out.push((r, acc));
+            }
+        }
+        out
+    }
+}
+
+#[derive(Debug, Clone)]
+enum MatrixOp {
+    Set(i64, i64, f64),
+    Add(i64, i64, f64),
+    Get(i64, i64),
+    Row(i64),
+    Multiply(Vec<(i64, f64)>),
+    /// `begin_checkpoint` when none is outstanding, else `consolidate`.
+    Checkpoint,
+}
+
+/// Fractional and negative values, with exact (and negative) zeros mixed in.
+fn arb_f64() -> BoxedStrategy<f64> {
+    prop_oneof![
+        4 => -100.0f64..100.0,
+        1 => prop::sample::select(vec![0.0, -0.0, 1.0, -0.5, 1e-300]),
+    ]
+    .boxed()
+}
+
+fn arb_matrix_ops() -> impl Strategy<Value = Vec<MatrixOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            3 => (0i64..6, 0i64..10, arb_f64()).prop_map(|(r, c, v)| MatrixOp::Set(r, c, v)),
+            4 => (0i64..6, 0i64..10, arb_f64()).prop_map(|(r, c, v)| MatrixOp::Add(r, c, v)),
+            1 => (0i64..7, 0i64..11).prop_map(|(r, c)| MatrixOp::Get(r, c)),
+            1 => (0i64..7).prop_map(MatrixOp::Row),
+            // Unsorted, with duplicate indices, zeros, and lengths on
+            // both sides of a row's length.
+            2 => prop::collection::vec((0i64..11, arb_f64()), 0..16).prop_map(MatrixOp::Multiply),
+            1 => Just(MatrixOp::Checkpoint),
+        ],
+        0..80,
+    )
+}
+
+fn bits(cells: &[(i64, f64)]) -> Vec<(i64, u64)> {
+    cells.iter().map(|&(i, v)| (i, v.to_bits())).collect()
 }
 
 proptest! {
@@ -160,6 +264,48 @@ proptest! {
         prop_assert_eq!(plain.nnz(), ckpt.nnz());
         for r in 0..8 {
             prop_assert_eq!(plain.row(r), ckpt.row(r));
+        }
+    }
+
+    /// `get`, `row`, `multiply`, `add` and `nnz` are bit-identical to the
+    /// naive reference, with checkpoints begun and consolidated anywhere.
+    #[test]
+    fn matrix_kernels_match_naive_reference_bit_for_bit(ops in arb_matrix_ops()) {
+        let mut naive = NaiveMatrix::default();
+        let mut m = SparseMatrix::new();
+        let mut snap = None;
+        for op in &ops {
+            match op {
+                MatrixOp::Set(r, c, v) => {
+                    naive.set(*r, *c, *v);
+                    m.set(*r, *c, *v);
+                }
+                MatrixOp::Add(r, c, v) => {
+                    naive.add(*r, *c, *v);
+                    m.add(*r, *c, *v);
+                }
+                MatrixOp::Get(r, c) => {
+                    prop_assert_eq!(m.get(*r, *c).to_bits(), naive.get(*r, *c).to_bits());
+                }
+                MatrixOp::Row(r) => prop_assert_eq!(bits(&m.row(*r)), bits(&naive.row(*r))),
+                MatrixOp::Multiply(x) => {
+                    prop_assert_eq!(bits(&m.multiply(x)), bits(&naive.multiply(x)), "x = {:?}", x);
+                }
+                MatrixOp::Checkpoint => {
+                    if snap.take().is_some() {
+                        m.consolidate().unwrap();
+                    } else {
+                        snap = Some(m.begin_checkpoint().unwrap());
+                    }
+                }
+            }
+            prop_assert_eq!(m.nnz(), naive.nnz());
+        }
+        if snap.is_some() {
+            m.consolidate().unwrap();
+        }
+        for r in 0..6 {
+            prop_assert_eq!(bits(&m.row(r)), bits(&naive.row(r)));
         }
     }
 
