@@ -148,11 +148,11 @@ pub struct ReconfigInstruments {
     pub migrated_bytes: Histogram,
 }
 
-/// Counters and gauges of the cooperative actor scheduler (the `Pool`
-/// execution mode). All zero under the thread-per-instance scheduler.
+/// Counters and gauges of the work-stealing actor pool that runs every TE
+/// instance.
 #[derive(Debug, Default)]
 pub struct SchedInstruments {
-    /// Pool worker threads (sampled once at pool start; zero = no pool).
+    /// Pool worker threads (sampled once at pool start).
     pub workers: Gauge,
     /// Actor activations: slices a pool worker ran.
     pub polls: Counter,
@@ -164,7 +164,8 @@ pub struct SchedInstruments {
     pub suspends: Counter,
     /// Suspended actors rescheduled by arriving mailbox credit.
     pub resumes: Counter,
-    /// Linger deadlines fired from the shared timer heap.
+    /// Deadlines fired from the shared timer heap: micro-batch lingers and
+    /// the ends of synthetic service-time rests.
     pub timer_fires: Counter,
     /// Messages queued across all actor mailboxes (sampled).
     pub mailbox_depth: Gauge,

@@ -99,11 +99,11 @@ pub struct ReconfigStats {
     pub migrated_bytes: Summary,
 }
 
-/// Frozen cooperative-scheduler statistics (all zero under the
-/// thread-per-replica scheduler).
+/// Frozen statistics of the work-stealing actor pool that runs every TE
+/// instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedStats {
-    /// Pool workers running (0 = thread-per-replica scheduler).
+    /// Pool workers running.
     pub workers: u64,
     /// Actor run-slices executed by pool workers.
     pub polls: u64,
@@ -115,7 +115,8 @@ pub struct SchedStats {
     pub suspends: u64,
     /// Suspended actors resumed by a credit hand-back.
     pub resumes: u64,
-    /// Linger deadlines fired from the shared timer heap.
+    /// Deadlines fired from the shared timer heap: micro-batch lingers and
+    /// the ends of synthetic service-time rests.
     pub timer_fires: u64,
     /// Queued messages across all actor mailboxes at snapshot time.
     pub mailbox_depth: u64,

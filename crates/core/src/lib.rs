@@ -162,8 +162,7 @@ pub mod prelude {
     pub use sdg_common::value::{Key, Record, Value};
     pub use sdg_graph::model::{Dispatch, Distribution, Sdg, SdgBuilder, TaskCode, TaskKind};
     pub use sdg_runtime::config::{
-        ClusterSpec, NodeSpec, RuntimeConfig, RuntimeConfigBuilder, ScalingConfig, SchedulerMode,
-        SupervisorConfig,
+        ClusterSpec, NodeSpec, RuntimeConfig, RuntimeConfigBuilder, ScalingConfig, SupervisorConfig,
     };
     pub use sdg_runtime::deploy::{Deployment, OutputEvent};
     pub use sdg_runtime::fault::{FaultAction, FaultPlan, Health, WorkerFault};

@@ -191,33 +191,6 @@ impl SupervisorConfig {
     }
 }
 
-/// Which scheduler hosts TE instances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// One dedicated OS thread per TE instance. The reference
-    /// implementation: simple, but deployment cost and context-switch
-    /// pressure grow linearly with replica count. The default.
-    #[default]
-    Threads,
-    /// Work-stealing cooperative executor: every TE instance becomes an
-    /// actor with a serial mailbox, multiplexed onto
-    /// [`RuntimeConfig::sched_threads`] pool workers (see
-    /// [`crate::sched`]). Ordering and dedupe semantics are identical to
-    /// [`SchedulerMode::Threads`].
-    Pool,
-}
-
-impl SchedulerMode {
-    /// Reads `SDG_SCHED` (`threads` | `pool`, case-insensitive); unset or
-    /// unrecognised values fall back to [`SchedulerMode::Threads`].
-    pub fn from_env() -> Self {
-        match std::env::var("SDG_SCHED") {
-            Ok(v) if v.eq_ignore_ascii_case("pool") => SchedulerMode::Pool,
-            _ => SchedulerMode::Threads,
-        }
-    }
-}
-
 /// Edge micro-batching settings.
 ///
 /// Producers coalesce consecutive items per (edge, destination replica)
@@ -282,11 +255,10 @@ pub struct RuntimeConfig {
     /// Bound on the deployment's structured observability event log
     /// (oldest events are evicted past this).
     pub event_log_capacity: usize,
-    /// Which scheduler hosts TE instances. Defaults to thread-per-replica,
-    /// overridable per process with `SDG_SCHED=pool`.
-    pub scheduler: SchedulerMode,
-    /// Pool workers when `scheduler` is [`SchedulerMode::Pool`]; ignored
-    /// under [`SchedulerMode::Threads`].
+    /// OS threads of the work-stealing pool that runs every TE instance as
+    /// an actor (see [`crate::sched`]). Independent of the instance count:
+    /// synthetic service time (`work_ns`) rests an actor on the pool's
+    /// timer heap instead of holding one of these threads.
     pub sched_threads: usize,
     /// Edge micro-batching settings (default: disabled).
     pub batch: BatchConfig,
@@ -323,7 +295,6 @@ impl Default for RuntimeConfig {
             scaling: ScalingConfig::default(),
             checkpoint: CheckpointConfig::disabled(),
             event_log_capacity: sdg_common::obs::DEFAULT_EVENT_CAPACITY,
-            scheduler: SchedulerMode::from_env(),
             sched_threads: 4,
             batch: BatchConfig::default(),
             state_stripes: 16,
@@ -462,13 +433,7 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Selects the scheduler hosting TE instances.
-    pub fn scheduler(mut self, scheduler: SchedulerMode) -> Self {
-        self.cfg.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the pool worker count for [`SchedulerMode::Pool`].
+    /// Sets the number of pool worker threads.
     pub fn sched_threads(mut self, n: usize) -> Self {
         self.cfg.sched_threads = n;
         self
@@ -645,11 +610,7 @@ mod tests {
     #[test]
     fn scheduler_config_validation() {
         assert_eq!(RuntimeConfig::default().sched_threads, 4);
-        let cfg = RuntimeConfig::builder()
-            .scheduler(SchedulerMode::Pool)
-            .sched_threads(2)
-            .build();
-        assert_eq!(cfg.scheduler, SchedulerMode::Pool);
+        let cfg = RuntimeConfig::builder().sched_threads(2).build();
         assert_eq!(cfg.sched_threads, 2);
         cfg.validate().unwrap();
         assert!(RuntimeConfig::builder()

@@ -1,10 +1,11 @@
 //! Deployment: materialising an SDG onto the simulated cluster.
 //!
 //! `Deployment::start` allocates TE and SE instances to nodes (§3.3),
-//! spawns one worker thread per TE instance, wires the dataflow channels,
-//! and starts the checkpoint and scaling controllers. The handle then
-//! accepts external requests ([`Deployment::submit`]), exposes the output
-//! sink, and supports failure injection with §5's replay-based recovery.
+//! registers every TE instance as an actor on the deployment's
+//! work-stealing pool, wires the dataflow mailboxes, and starts the
+//! checkpoint and scaling controllers. The handle then accepts external
+//! requests ([`Deployment::submit`]), exposes the output sink, and
+//! supports failure injection with §5's replay-based recovery.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -12,7 +13,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use sdg_checkpoint::backup::{BackupSet, BackupStore};
 use sdg_checkpoint::buffer::BufferedItem;
@@ -35,17 +36,15 @@ use sdg_state::partition::PartitionDim;
 use sdg_state::store::{StateStore, StateType};
 
 use crate::compile::Scratch;
-use crate::config::{BatchConfig, RuntimeConfig, SchedulerMode};
+use crate::config::{BatchConfig, RuntimeConfig};
 use crate::fault::{
     run_supervisor, FailureHub, FaultInjector, Health, HeartbeatView, RecoveryUnit,
 };
 use crate::item::{lane, Item};
 use crate::reconfig::{ReconfigReport, ReconfigRequest};
 use crate::scaling::{run_scaling_monitor, ScaleDirection, ScaleEvent, StopWait};
-use crate::sched::Pool;
-use crate::worker::{
-    BufferKey, BufferRegistry, MailboxSender, OutEdge, PreparedCode, Targets, Worker, WorkerMsg,
-};
+use crate::sched::{Pool, PoolSender};
+use crate::worker::{BufferKey, BufferRegistry, OutEdge, PreparedCode, Targets, Worker, WorkerMsg};
 
 pub use crate::worker::OutputEvent;
 
@@ -163,10 +162,8 @@ pub(crate) struct Inner {
     /// shared by all replicas (including respawns during recovery and
     /// scale-out).
     compiled: Mutex<HashMap<TaskId, Arc<CompiledTe>>>,
-    /// The cooperative executor when `cfg.scheduler` is
-    /// [`SchedulerMode::Pool`]; `None` runs one OS thread per instance.
-    pool: Option<Arc<Pool>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// The work-stealing pool running every TE instance as an actor.
+    pool: Arc<Pool>,
     stop: Arc<AtomicBool>,
     /// Parks the controller threads between ticks; notified at shutdown so
     /// they exit without sleeping out their interval.
@@ -260,12 +257,8 @@ impl Deployment {
             );
         }
 
-        // The cooperative executor (PR 9): TE instances become actors on a
-        // fixed worker pool instead of one OS thread each.
-        let pool = match cfg.scheduler {
-            SchedulerMode::Pool => Some(Pool::start(cfg.sched_threads, Arc::clone(obs.sched()))),
-            SchedulerMode::Threads => None,
-        };
+        // TE instances become actors on a fixed worker pool.
+        let pool = Pool::start(cfg.sched_threads, Arc::clone(obs.sched()));
 
         // Resolve the fault plan against the graph before anything runs:
         // a plan naming an unknown task is a config error, not a silently
@@ -300,7 +293,6 @@ impl Deployment {
             in_flight: Arc::new(AtomicU64::new(0)),
             compiled: Mutex::new(HashMap::new()),
             pool,
-            threads: Mutex::new(Vec::new()),
             stop: Arc::new(AtomicBool::new(false)),
             stop_wait: StopWait::new(),
             started: Instant::now(),
@@ -518,8 +510,8 @@ impl Deployment {
                 .sum();
             let busy = self.inner.in_flight.load(Ordering::Acquire);
             if queued == 0 && busy == 0 {
-                // Double-check after a grace period: a worker may be
-                // between recv and the in-flight increment.
+                // Double-check after a grace period: an actor may be
+                // between its mailbox pop and the in-flight increment.
                 std::thread::sleep(Duration::from_millis(2));
                 let queued: usize = self
                     .inner
@@ -546,22 +538,16 @@ impl Deployment {
         self.inner.stop_wait.notify();
         for t in self.inner.targets.values() {
             for sender in t.read().iter() {
-                // `force_send` so a full mailbox cannot block shutdown: under
-                // the pool scheduler Stop must reach every actor even when
-                // its producers are suspended on it.
+                // `force_send` so a full mailbox cannot block shutdown: Stop
+                // must reach every actor even when its producers are
+                // suspended on it.
                 let _ = sender.force_send(WorkerMsg::Stop);
             }
         }
         for handle in self.control.lock().drain(..) {
             let _ = handle.join();
         }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.inner.threads.lock());
-        for handle in handles {
-            let _ = handle.join();
-        }
-        if let Some(pool) = &self.inner.pool {
-            pool.join();
-        }
+        self.inner.pool.join();
     }
 }
 
@@ -569,13 +555,15 @@ impl Inner {
     /// Refreshes the sampled gauges (queue depths, instance counts, state
     /// sizes) so a snapshot taken right after reflects current occupancy.
     fn refresh_gauges(&self) {
+        let mut mailbox_depth = 0;
         for (task, instruments) in &self.instruments {
             let targets = self.targets[task].read();
+            let depth: u64 = targets.iter().map(|s| s.len() as u64).sum();
             instruments.instances.set(targets.len() as u64);
-            instruments
-                .queue_depth
-                .set(targets.iter().map(|s| s.len() as u64).sum());
+            instruments.queue_depth.set(depth);
+            mailbox_depth += depth;
         }
+        self.obs.sched().mailbox_depth.set(mailbox_depth);
         for (&state, group) in self.cells.read().iter() {
             let Ok(decl) = self.sdg.state(state) else {
                 continue;
@@ -602,14 +590,6 @@ impl Inner {
         if retried > seen {
             self.obs.faults().io_retries.add(retried - seen);
         }
-        if self.pool.is_some() {
-            let depth: usize = self
-                .targets
-                .values()
-                .map(|t| t.read().iter().map(|s| s.len()).sum::<usize>())
-                .sum();
-            self.obs.sched().mailbox_depth.set(depth as u64);
-        }
     }
 
     /// Label of SE instance `(state, replica)` in event payloads.
@@ -630,7 +610,7 @@ impl Inner {
         cell_layout(&self.cfg, decl, self.sdg.verify.as_deref())
     }
 
-    /// Spawns one TE instance worker; its sender is appended (or swapped in
+    /// Spawns one TE instance actor; its sender is appended (or swapped in
     /// at `replica`) in the task's target list.
     pub(crate) fn spawn_instance(&self, task_id: TaskId, replica: u32, node: u32) -> SdgResult<()> {
         self.spawn_instance_in(task_id, replica, node, None)
@@ -647,7 +627,7 @@ impl Inner {
         task_id: TaskId,
         replica: u32,
         node: u32,
-        slot_override: Option<&mut Vec<MailboxSender>>,
+        slot_override: Option<&mut Vec<PoolSender>>,
     ) -> SdgResult<()> {
         let task = self.sdg.task(task_id)?.clone();
 
@@ -757,31 +737,10 @@ impl Inner {
             fault: self.injector.trigger_for(task_id, replica),
             hub: Some(Arc::clone(&self.failure_hub)),
         };
-        let tx = match &self.pool {
-            Some(pool) => MailboxSender::Pool(pool.spawn_actor(worker, self.cfg.channel_capacity)),
-            None => {
-                let (tx, rx) = bounded::<WorkerMsg>(self.cfg.channel_capacity);
-                let handle = std::thread::spawn(move || {
-                    // The panic boundary of a dedicated worker thread: a
-                    // caught panic is reported to the failure hub (for the
-                    // supervisor) instead of dying silently into `join`.
-                    // The unwind drops the worker, whose `OutEdge`s repay
-                    // any parked batches, and drops `rx`, so producers see
-                    // a disconnected channel instead of a wedged queue.
-                    let probe = worker.panic_probe();
-                    if let Err(payload) =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(rx)))
-                    {
-                        probe.report(payload.as_ref());
-                    }
-                });
-                self.threads.lock().push(handle);
-                MailboxSender::Thread(tx)
-            }
-        };
+        let tx = self.pool.spawn_actor(worker, self.cfg.channel_capacity);
 
         let mut own_guard;
-        let targets: &mut Vec<MailboxSender> = match slot_override {
+        let targets: &mut Vec<PoolSender> = match slot_override {
             Some(slot) => slot,
             None => {
                 own_guard = self.targets[&task_id].write();
@@ -1273,7 +1232,7 @@ impl Inner {
                         let item = Item::from_buffered(edge, src, buffered)?;
                         // Replay runs while the target write guards are held;
                         // a blocking send could never receive credit (the
-                        // pool's producers are paused), so bypass the cap.
+                        // producers are paused), so bypass the cap.
                         sender
                             .force_send(WorkerMsg::Item(item))
                             .map_err(|_| SdgError::Runtime("replay channel closed".into()))?;
@@ -1356,7 +1315,8 @@ impl Inner {
 
     /// Samples every instance's heartbeat epoch together with what the
     /// supervisor needs to judge it: liveness, queued input, and whether
-    /// a stalled epoch can mean a hang at all under the scheduler.
+    /// a stalled epoch can mean a hang at all (only a `Running` actor
+    /// holds a pool thread).
     pub(crate) fn heartbeat_view(&self) -> Vec<HeartbeatView> {
         let heartbeats = self.heartbeats.read();
         let alive = self.alive.read();
@@ -1377,7 +1337,7 @@ impl Inner {
                     .get(&(task, replica))
                     .is_some_and(|f| f.load(Ordering::Acquire)),
                 queued: sender.len(),
-                hang_candidate: sender.hang_candidate(),
+                hang_candidate: sender.is_running(),
                 label: self.te_label(task, replica),
             });
         }

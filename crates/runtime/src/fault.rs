@@ -7,8 +7,8 @@
 //!    [`StoreFaultSpec`] on the backup stores, so chaos runs are exactly
 //!    reproducible: the same plan over the same input fails at the same
 //!    item on every run.
-//! 2. **Detection** — worker/actor run loops are wrapped in
-//!    `catch_unwind`; a caught panic is reported to the deployment's
+//! 2. **Detection** — every actor step runs inside the pool's
+//!    `catch_unwind` boundary; a caught panic is reported to the deployment's
 //!    [`FailureHub`]. Independently, every worker bumps a heartbeat epoch
 //!    per step, and [`run_supervisor`] scans the epochs to flag instances
 //!    that sit on a non-empty mailbox without making progress.
@@ -37,7 +37,7 @@ use crate::deploy::Inner;
 /// What an armed injection point does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Panic the worker mid-loop; caught at the scheduler boundary and
+    /// Panic the worker mid-loop; caught at the pool's panic boundary and
     /// reported to the [`FailureHub`].
     Panic,
     /// Stall the worker for the given duration *before* it touches the
@@ -224,7 +224,7 @@ pub(crate) struct FailureReport {
     pub at: Instant,
 }
 
-/// Collects [`FailureReport`]s from scheduler boundaries for the
+/// Collects [`FailureReport`]s from the pool's panic boundary for the
 /// supervisor to drain. Reporting also logs the `worker_panicked` event
 /// and bumps the panic counter, so failures are visible even when the
 /// supervisor is disabled.
@@ -267,7 +267,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Everything a scheduler boundary needs to report a panic after the
+/// Everything the pool's panic boundary needs to report a panic after the
 /// worker itself was consumed by the unwind.
 #[derive(Debug, Clone)]
 pub(crate) struct PanicProbe {
@@ -348,9 +348,9 @@ pub(crate) struct HeartbeatView {
     pub alive: bool,
     /// Items waiting in the instance's mailbox.
     pub queued: usize,
-    /// `false` when the instance is provably not hung (pool actors that
-    /// are idle, waiting for credit, or queued behind busy pool workers).
-    /// Dedicated threads are always candidates.
+    /// `false` when the instance is provably not hung: only a `Running`
+    /// actor holds a pool thread, while idle, queued, credit-suspended and
+    /// resting ones legitimately sit on a stalled epoch.
     pub hang_candidate: bool,
     /// TE instance label for events.
     pub label: String,

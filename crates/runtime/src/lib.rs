@@ -1,8 +1,8 @@
 //! Pipelined data-parallel execution engine for stateful dataflow graphs.
 //!
 //! The engine materialises an [`sdg_graph::Sdg`] onto a simulated cluster
-//! (§3.3): every TE instance is a worker thread with a bounded input
-//! channel (pipelining and backpressure, never scheduling), SE instances
+//! (§3.3): every TE instance is an actor with a bounded input mailbox
+//! (pipelining and backpressure, never per-item scheduling), SE instances
 //! are [`sdg_checkpoint::StateCell`]s colocated with the TE instances that
 //! access them, and dataflow edges are implemented by dispatchers on the
 //! producer side (hash-partitioned, round-robin, broadcast, or all-to-one
@@ -19,10 +19,10 @@
 //!   from a deployment; its kernels are shared with [`compile`] and
 //!   [`interp::run_te`] is the oracle of the engine-equivalence tests;
 //! - a **work-stealing cooperative scheduler** ([`sched`]): every TE
-//!   instance becomes an actor with a serial mailbox multiplexed onto a
-//!   fixed pool of workers, so replica counts can exceed core counts
-//!   without one OS thread each (select with [`config::SchedulerMode::Pool`]
-//!   or `SDG_SCHED=pool`; thread-per-replica remains the reference);
+//!   instance is an actor with a serial mailbox multiplexed onto a fixed
+//!   pool of `sched_threads` workers, so replica counts can exceed core
+//!   counts without one OS thread each; synthetic service time rests an
+//!   actor on the pool's timer heap instead of holding a thread;
 //! - **edge micro-batching** ([`config::BatchConfig`]): producers coalesce
 //!   items per (edge, destination) and flush on a size bound, linger
 //!   timeout, or shutdown, amortising channel and output-buffer locking;
@@ -40,7 +40,7 @@
 //!   replay with timestamp-based duplicate filtering ([`deploy`]);
 //! - a **self-healing supervisor** ([`fault`]): deterministic seeded
 //!   fault injection (worker panics/stalls, backup-store I/O errors and
-//!   torn writes), panic capture at both scheduler boundaries plus
+//!   torn writes), panic capture at the pool's actor boundary plus
 //!   heartbeat-epoch hang detection, and automatic fail-and-recover with
 //!   exponential backoff, jitter, a recovery storm guard and escalation
 //!   to a terminal `Degraded` health state.
@@ -61,8 +61,7 @@ pub mod worker;
 
 pub use compile::{run_compiled, Scratch};
 pub use config::{
-    BatchConfig, ClusterSpec, NodeSpec, RuntimeConfig, ScalingConfig, SchedulerMode,
-    SupervisorConfig,
+    BatchConfig, ClusterSpec, NodeSpec, RuntimeConfig, ScalingConfig, SupervisorConfig,
 };
 pub use deploy::{Deployment, OutputEvent};
 pub use fault::{FaultAction, FaultPlan, Health, WorkerFault};

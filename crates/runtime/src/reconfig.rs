@@ -32,7 +32,8 @@ use sdg_state::store::{StateStore, StateType};
 
 use crate::deploy::Inner;
 use crate::scaling::ScaleDirection;
-use crate::worker::{MailboxSender, WorkerMsg};
+use crate::sched::PoolSender;
+use crate::worker::WorkerMsg;
 
 /// A topology-change request for [`crate::deploy::Deployment::reconfigure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,9 +239,9 @@ pub(crate) fn scale_in(inner: &Inner, task_id: TaskId) -> SdgResult<MigrationSta
             }
             let victim = guard.len() as u32 - 1;
             let sender = guard.pop().expect("len > 1");
-            // `force_send`: the victim's mailbox may be full, and under the
-            // pool scheduler a blocking send from the control plane while
-            // producers hold this write guard could never get credit.
+            // `force_send`: the victim's mailbox may be full, and a blocking
+            // send from the control plane while producers hold this write
+            // guard could never get credit.
             let _ = sender.force_send(WorkerMsg::Stop);
             inner.alive.write().remove(&(task_id, victim));
             let node = inner
@@ -497,7 +498,7 @@ fn accessing_sorted(inner: &Inner, state: StateId) -> Vec<TaskId> {
 /// mid-processing, so a migration sees a consistent key population.
 fn drain_barrier<G>(inner: &Inner, guards: &[G]) -> Duration
 where
-    G: std::ops::Deref<Target = Vec<MailboxSender>>,
+    G: std::ops::Deref<Target = Vec<PoolSender>>,
 {
     let drain_t0 = Instant::now();
     let deadline = drain_t0 + Duration::from_secs(5);
@@ -547,7 +548,7 @@ fn export_group(inner: &Inner, state: StateId) -> SdgResult<(Vec<StateEntry>, Ve
 /// unregisters it, returning the node it ran on.
 fn stop_victims<G>(inner: &Inner, tasks: &[TaskId], guards: &mut [G], victim: u32) -> u32
 where
-    G: std::ops::DerefMut<Target = Vec<MailboxSender>>,
+    G: std::ops::DerefMut<Target = Vec<PoolSender>>,
 {
     let mut node = 0;
     for (i, &task) in tasks.iter().enumerate() {

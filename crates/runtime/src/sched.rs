@@ -1,24 +1,27 @@
-//! The `Pool` scheduler: a work-stealing cooperative executor running
-//! every TE instance as an *actor*.
+//! The work-stealing actor pool: the scheduler that runs every TE instance.
 //!
-//! The reference `Threads` scheduler spends one OS thread per TE replica;
-//! at the replica counts the reconfiguration plane can reach, deployment
-//! cost and context-switch pressure grow linearly with instances. This
-//! module multiplexes instances onto a fixed pool instead
-//! (`RuntimeConfig::sched_threads` workers, selected via
-//! `RuntimeConfig::scheduler` or `SDG_SCHED=pool`):
+//! Every TE instance is an *actor* — a FIFO mailbox plus the instance's
+//! [`Worker`] — multiplexed onto a fixed pool of
+//! `RuntimeConfig::sched_threads` OS threads, so a deployment costs a few
+//! threads however many replicas the reconfiguration plane adds:
 //!
-//! - **Serial mailboxes.** Each instance is an actor: a FIFO mailbox plus
-//!   the instance's [`Worker`]. At most one pool worker runs an actor at a
-//!   time, so per-instance ordering and dedupe semantics are exactly those
-//!   of a dedicated thread. One mutex guards both the queue and the
-//!   actor's run state, so a push can never race an idle transition into a
-//!   lost wakeup.
+//! - **Serial mailboxes.** At most one pool worker runs an actor at a
+//!   time, so per-instance ordering and dedupe semantics are those of one
+//!   serial consumer. One mutex guards both the queue and the actor's run
+//!   state, so a push can never race an idle transition into a lost
+//!   wakeup.
 //! - **Work stealing.** Runnable actors sit in per-worker local deques
 //!   (owner pops newest) or a global injector; an idle worker takes its
 //!   own work first, then the injector, then steals the *oldest* work from
-//!   randomly probed victims. Idle workers park on a condvar; a global
-//!   injection epoch closes the scan-then-park window.
+//!   randomly probed victims. Idle workers park on a condvar.
+//! - **Wake protocol.** Any push that makes an actor runnable — onto a
+//!   local deque or the injector, from a timer fire or a credit resume —
+//!   wakes one parked worker if any is parked, so a runnable actor never
+//!   waits for a parked worker's `MAX_PARK` timeout. A push reads the
+//!   atomic parked count and takes the idle lock only when it is non-zero;
+//!   a parking worker announces itself in that count under the idle lock
+//!   and then re-scans the deques, so it either sees the push or the push
+//!   sees it — and the lock makes the wake land after it is waiting.
 //! - **Credit-based backpressure.** A send from inside an actor never
 //!   blocks the pool thread: the message is pushed unconditionally and, if
 //!   the destination is at capacity, the *producer actor* suspends after
@@ -29,22 +32,23 @@
 //!   induction over reverse topological order, every suspended actor is
 //!   eventually resumed — no deadlock. External threads (ingest, control
 //!   plane) block on the mailbox condvar instead, like a bounded channel.
-//! - **Timer heap.** Micro-batch linger deadlines move from per-thread
-//!   `recv_timeout` waits to one shared min-heap; pool workers fire due
-//!   entries between slices and bound their park time by the earliest
-//!   deadline.
+//! - **Timer heap.** One shared min-heap holds the micro-batch linger
+//!   deadlines of idle actors and the ends of synthetic service-time
+//!   rests: an actor that owes `RuntimeConfig::work_ns` service time is
+//!   `Resting` on the heap instead of sleeping a pool thread, so the
+//!   simulated cluster's capacity grows with its instances, not with the
+//!   pool size. Workers fire due entries before every slice and bound
+//!   their park time by the earliest deadline.
 //!
-//! Shutdown and disconnect mirror the thread-per-instance semantics:
 //! `Stop` flushes pending batches and retires the actor; dropping the last
 //! [`PoolSender`] (the scale-in/recovery slot swap) lets the actor drain
-//! what is queued and then retire, exactly as a dedicated thread exits on
-//! channel disconnect. Sends to a retired actor fail like sends to a
-//! disconnected channel.
+//! what is queued and then retire, like a consumer observing channel
+//! disconnect. Sends to a retired actor fail with [`SendClosed`].
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -58,9 +62,13 @@ use crate::worker::{SendClosed, Worker, WorkerMsg};
 /// that one busy mailbox cannot monopolise a pool worker.
 const RUN_SLICE: usize = 128;
 
-/// Longest a pool worker parks before re-checking for work; bounds the
-/// staleness of a timer registered while every worker was asleep.
+/// Longest a pool worker parks before re-checking for work. Wakes make it
+/// a backstop only: every runnable push and every timer registration
+/// wakes a parked worker.
 const MAX_PARK: Duration = Duration::from_millis(50);
+
+/// [`PoolShared::next_due`] when the timer heap is empty.
+const NO_TIMER: u64 = u64::MAX;
 
 /// Run state of an actor, kept under the mailbox lock so queue contents
 /// and scheduling decisions can never disagree.
@@ -74,6 +82,9 @@ enum RunState {
     Running,
     /// Waiting for credit on one or more full downstream mailboxes.
     Suspended,
+    /// Serving synthetic service time until the deadline: pushes only
+    /// enqueue, and the timer heap reschedules the actor once it is due.
+    Resting(Instant),
 }
 
 /// Everything guarded by the mailbox lock.
@@ -89,6 +100,9 @@ struct MailboxInner {
     disconnected: bool,
     /// Producer actors suspended on this mailbox's credit.
     waiters: Vec<Arc<Actor>>,
+    /// External senders blocked on `not_full` since the last notify; pops
+    /// notify only when one is waiting.
+    blocked_senders: usize,
 }
 
 /// One TE instance scheduled on the pool: a serial mailbox plus the
@@ -125,10 +139,9 @@ fn ctx_worker() -> Option<usize> {
     CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.me))
 }
 
-/// Sending half of an actor mailbox — the pool analogue of a bounded
-/// channel sender. Clones are counted: when the last clone drops, the
-/// mailbox disconnects and the actor drains what is queued, then retires,
-/// exactly like a dedicated worker thread observing channel disconnect.
+/// Sending half of an actor mailbox. Clones are counted: when the last
+/// clone drops, the mailbox disconnects and the actor drains what is
+/// queued, then retires.
 pub struct PoolSender {
     actor: Arc<Actor>,
 }
@@ -144,13 +157,14 @@ impl PoolSender {
 
     /// Delivers `msg` without waiting for space even from an external
     /// thread. Used by paths that run under the target-list write guards
-    /// (recovery replay, victim `Stop`), where waiting could stall every
-    /// pool worker behind the same guards.
+    /// (recovery replay, victim `Stop`, shutdown), where waiting could
+    /// stall every pool worker behind the same guards.
     pub fn force_send(&self, msg: WorkerMsg) -> Result<(), SendClosed> {
         self.actor.push(msg, true)
     }
 
-    /// Messages queued in the mailbox.
+    /// Messages queued in the mailbox (join-shortest-queue dispatch, drain
+    /// barriers, queue-depth gauges).
     pub fn len(&self) -> usize {
         self.actor.mb.lock().expect("mailbox lock").queue.len()
     }
@@ -161,9 +175,10 @@ impl PoolSender {
     }
 
     /// Whether the actor holds a pool thread right now. The supervisor's
-    /// hang detection only suspects `Running` actors: `Idle`, `Scheduled`
-    /// and `Suspended` actors legitimately sit on stalled heartbeat
-    /// epochs while parked behind busy workers or awaiting send credit.
+    /// hang detection only suspects `Running` actors: `Idle`, `Scheduled`,
+    /// `Suspended` and `Resting` actors legitimately sit on stalled
+    /// heartbeat epochs while queued behind busy workers, awaiting send
+    /// credit, or serving synthetic service time.
     pub(crate) fn is_running(&self) -> bool {
         self.actor.mb.lock().expect("mailbox lock").state == RunState::Running
     }
@@ -186,9 +201,8 @@ impl Drop for PoolSender {
             if mb.senders > 0 || mb.closed {
                 false
             } else {
-                // Last sender gone: the thread-per-instance equivalent is
-                // a disconnecting channel. Schedule the actor so it drains
-                // the remaining queue and retires.
+                // Last sender gone: schedule the actor so it drains the
+                // remaining queue and retires.
                 mb.disconnected = true;
                 if mb.state == RunState::Idle {
                     mb.state = RunState::Scheduled;
@@ -212,6 +226,7 @@ impl Actor {
         let mut mb = self.mb.lock().expect("mailbox lock");
         if !in_ctx && !force {
             while !mb.closed && mb.queue.len() >= self.cap {
+                mb.blocked_senders += 1;
                 mb = self.not_full.wait(mb).expect("mailbox lock");
             }
         }
@@ -247,16 +262,24 @@ impl Actor {
 
     /// Pops one message. Returns the message, the waiters to resume when
     /// the pop crossed back under capacity, and the disconnect flag.
+    ///
+    /// Blocked external senders are woken only once the queue has drained
+    /// to half its capacity, so a closed-loop feeder refills half a mailbox
+    /// per wake instead of trading one context switch per message with the
+    /// consumer at the capacity edge. The notify claims every counted
+    /// sender; one that has to wait again counts itself again.
     fn pop(&self) -> (Option<WorkerMsg>, Vec<Arc<Actor>>, bool) {
         let mut mb = self.mb.lock().expect("mailbox lock");
         let msg = mb.queue.pop_front();
         let mut waiters = Vec::new();
-        let mut notify = false;
         if msg.is_some() && mb.queue.len() + 1 == self.cap {
             // Crossed from at-capacity to under-capacity: hand the credit
-            // to suspended producers and blocked external senders.
+            // to suspended producers.
             waiters = std::mem::take(&mut mb.waiters);
-            notify = true;
+        }
+        let notify = mb.blocked_senders > 0 && mb.queue.len() <= self.cap / 2;
+        if notify {
+            mb.blocked_senders = 0;
         }
         let disconnected = mb.disconnected;
         drop(mb);
@@ -267,14 +290,7 @@ impl Actor {
     }
 }
 
-/// Bumped on every global injection; parking workers re-check it under the
-/// idle lock to close the scan-then-park window.
-struct IdleState {
-    epoch: u64,
-    parked: usize,
-}
-
-/// A linger deadline for one actor, ordered by `(deadline, seq)`.
+/// A timer-heap deadline for one actor, ordered by `(deadline, seq)`.
 struct TimerEntry {
     at: Instant,
     seq: u64,
@@ -298,7 +314,7 @@ impl Ord for TimerEntry {
     }
 }
 
-/// The shared linger-deadline min-heap.
+/// The shared deadline min-heap.
 struct TimerHeap {
     heap: BinaryHeap<Reverse<TimerEntry>>,
     seq: u64,
@@ -311,9 +327,18 @@ struct PoolShared {
     /// Per-worker deques: owner pushes/pops the back, thieves steal the
     /// front.
     locals: Vec<Mutex<VecDeque<Arc<Actor>>>>,
-    idle: Mutex<IdleState>,
+    /// Workers parked (or announcing that they are about to park) on
+    /// `idle_cv`. Raised under `idle`.
+    parked: AtomicUsize,
+    /// Held by a parking worker from its announcement until it waits, so
+    /// a wake that takes it cannot fall between the re-scan and the wait.
+    idle: Mutex<()>,
     idle_cv: Condvar,
     timers: Mutex<TimerHeap>,
+    /// Earliest heap deadline as nanoseconds since `origin` ([`NO_TIMER`]
+    /// when empty), so workers check for due timers without the heap lock.
+    next_due: AtomicU64,
+    origin: Instant,
     /// Actors not yet retired; `join` waits for zero.
     live: Mutex<usize>,
     done: Condvar,
@@ -322,26 +347,60 @@ struct PoolShared {
 }
 
 impl PoolShared {
-    /// Queues a runnable actor: onto the scheduling worker's own deque
-    /// when called from a pool slice (locality), onto the global injector
-    /// otherwise.
-    fn schedule(&self, actor: Arc<Actor>, me: Option<usize>) {
-        if let Some(me) = me {
-            self.locals[me].lock().expect("deque lock").push_back(actor);
-            return;
+    fn new(workers: usize, obs: Arc<SchedInstruments>) -> Self {
+        PoolShared {
+            injector: Mutex::new(VecDeque::new()),
+            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            parked: AtomicUsize::new(0),
+            idle: Mutex::new(()),
+            idle_cv: Condvar::new(),
+            timers: Mutex::new(TimerHeap {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            }),
+            next_due: AtomicU64::new(NO_TIMER),
+            origin: Instant::now(),
+            live: Mutex::new(0),
+            done: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            obs,
         }
-        self.injector
-            .lock()
-            .expect("injector lock")
-            .push_back(actor);
-        let mut idle = self.idle.lock().expect("idle lock");
-        idle.epoch += 1;
-        // Only a fully parked pool needs a kick: any awake worker scans
-        // the injector on its next loop iteration.
-        if idle.parked == self.locals.len() {
-            drop(idle);
+    }
+
+    /// Queues a runnable actor — onto the scheduling worker's own deque
+    /// when called from a pool slice (locality), onto the global injector
+    /// otherwise — and wakes one parked worker if any is parked.
+    fn schedule(&self, actor: Arc<Actor>, me: Option<usize>) {
+        match me {
+            Some(me) => self.locals[me].lock().expect("deque lock").push_back(actor),
+            None => self
+                .injector
+                .lock()
+                .expect("injector lock")
+                .push_back(actor),
+        }
+        self.wake_if_parked();
+    }
+
+    /// Wakes one parked worker, if any, without taking the idle lock when
+    /// none is. The fence pairs with the one in `worker_loop`'s park path:
+    /// either this load sees the parker's announcement, or the parker's
+    /// re-scan sees what was pushed before it.
+    fn wake_if_parked(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            drop(self.idle.lock().expect("idle lock"));
             self.idle_cv.notify_one();
         }
+    }
+
+    /// Whether any deque holds a runnable actor (the park re-check).
+    fn has_runnable(&self) -> bool {
+        !self.injector.lock().expect("injector lock").is_empty()
+            || self
+                .locals
+                .iter()
+                .any(|l| !l.lock().expect("deque lock").is_empty())
     }
 
     /// Resumes suspended actors whose awaited credit arrived.
@@ -365,47 +424,76 @@ impl PoolShared {
         }
     }
 
-    /// Registers a linger deadline for `actor`.
+    /// `at` as nanoseconds since the pool started.
+    fn since_origin(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.origin).as_nanos() as u64
+    }
+
+    /// Registers a deadline for `actor` (a linger flush or a rest end).
     fn register_timer(&self, at: Instant, actor: Arc<Actor>) {
         {
             let mut t = self.timers.lock().expect("timer lock");
             t.seq += 1;
             let seq = t.seq;
             t.heap.push(Reverse(TimerEntry { at, seq, actor }));
+            self.next_due
+                .fetch_min(self.since_origin(at), Ordering::SeqCst);
         }
         // A parked worker may be sleeping past the new deadline: wake one
         // so it re-parks against the updated heap minimum.
-        let idle = self.idle.lock().expect("idle lock");
-        if idle.parked > 0 {
-            drop(idle);
-            self.idle_cv.notify_one();
-        }
+        self.wake_if_parked();
     }
 
-    /// Schedules every idle actor whose deadline passed; returns the count.
+    /// Pops the earliest entry if it is due at `now`.
+    fn pop_due(&self, now: Instant) -> Option<Arc<Actor>> {
+        let mut t = self.timers.lock().expect("timer lock");
+        let due = matches!(t.heap.peek(), Some(Reverse(e)) if e.at <= now);
+        let actor = if due {
+            t.heap.pop().map(|e| e.0.actor)
+        } else {
+            None
+        };
+        let next = t
+            .heap
+            .peek()
+            .map_or(NO_TIMER, |e| self.since_origin(e.0.at));
+        self.next_due.store(next, Ordering::SeqCst);
+        actor
+    }
+
+    /// Schedules every idle actor whose linger deadline passed and every
+    /// resting actor whose rest is over; returns the count. Without a due
+    /// deadline this is one atomic load (and a clock read when the heap is
+    /// not empty), so workers call it before every slice.
     fn fire_due_timers(&self, me: usize) -> usize {
+        let due = self.next_due.load(Ordering::SeqCst);
+        if due == NO_TIMER {
+            return 0;
+        }
         let now = Instant::now();
+        if self.since_origin(now) < due {
+            return 0;
+        }
         let mut fired = 0;
-        loop {
-            let actor = {
-                let mut t = self.timers.lock().expect("timer lock");
-                match t.heap.peek() {
-                    Some(Reverse(e)) if e.at <= now => t.heap.pop().expect("peeked").0.actor,
-                    _ => break,
-                }
-            };
+        while let Some(actor) = self.pop_due(now) {
             let schedule = {
                 let mut mb = actor.mb.lock().expect("mailbox lock");
                 // Scheduled/Running actors flush expired batches on their
                 // own; a suspended actor flushes when its credit arrives
                 // (flushing from here would push into the very mailboxes
-                // it is waiting on).
-                if !mb.closed && mb.state == RunState::Idle {
+                // it is waiting on). A resting actor is due only at the
+                // end of its current rest — a stale linger entry must not
+                // cut the rest short.
+                let fire = !mb.closed
+                    && match mb.state {
+                        RunState::Idle => true,
+                        RunState::Resting(until) => until <= now,
+                        _ => false,
+                    };
+                if fire {
                     mb.state = RunState::Scheduled;
-                    true
-                } else {
-                    false
                 }
+                fire
             };
             if schedule {
                 self.obs.timer_fires.inc();
@@ -417,12 +505,8 @@ impl PoolShared {
     }
 
     fn next_timer(&self) -> Option<Instant> {
-        self.timers
-            .lock()
-            .expect("timer lock")
-            .heap
-            .peek()
-            .map(|e| e.0.at)
+        let due = self.next_due.load(Ordering::SeqCst);
+        (due != NO_TIMER).then(|| self.origin + Duration::from_nanos(due))
     }
 
     fn retire_one(&self) {
@@ -453,8 +537,7 @@ impl XorShift {
     }
 }
 
-/// The work-stealing actor pool. One per deployment when
-/// `RuntimeConfig::scheduler` is `Pool`.
+/// The work-stealing actor pool. One per deployment.
 pub struct Pool {
     shared: Arc<PoolShared>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -465,23 +548,7 @@ impl Pool {
     pub(crate) fn start(threads: usize, obs: Arc<SchedInstruments>) -> Arc<Pool> {
         let n = threads.max(1);
         obs.workers.set(n as u64);
-        let shared = Arc::new(PoolShared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(IdleState {
-                epoch: 0,
-                parked: 0,
-            }),
-            idle_cv: Condvar::new(),
-            timers: Mutex::new(TimerHeap {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            }),
-            live: Mutex::new(0),
-            done: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            obs,
-        });
+        let shared = Arc::new(PoolShared::new(n, obs));
         let handles = (0..n)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -501,21 +568,9 @@ impl Pool {
     /// returns its sending half.
     pub(crate) fn spawn_actor(&self, worker: Worker, cap: usize) -> PoolSender {
         *self.shared.live.lock().expect("live lock") += 1;
-        let actor = Arc::new(Actor {
-            mb: Mutex::new(MailboxInner {
-                queue: VecDeque::new(),
-                state: RunState::Idle,
-                senders: 1,
-                closed: false,
-                disconnected: false,
-                waiters: Vec::new(),
-            }),
-            not_full: Condvar::new(),
-            cap: cap.max(1),
-            worker: Mutex::new(Some(worker)),
-            shared: Arc::clone(&self.shared),
-        });
-        PoolSender { actor }
+        PoolSender {
+            actor: new_actor(&self.shared, cap, Some(worker)),
+        }
     }
 
     /// Waits until every actor has retired, then stops and joins the pool
@@ -542,24 +597,37 @@ impl Pool {
         // Take the idle lock so no worker can re-park between the flag
         // store and the broadcast.
         drop(self.shared.idle.lock().expect("idle lock"));
-        self.idle_cv_notify_all();
+        self.shared.idle_cv.notify_all();
         for handle in self.threads.lock().expect("thread list").drain(..) {
             let _ = handle.join();
         }
-    }
-
-    fn idle_cv_notify_all(&self) {
-        self.shared.idle_cv.notify_all();
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
         // A deployment dropped without `shutdown()` abandons queued work,
-        // exactly as dedicated threads abandon their channels — but the
-        // pool workers themselves must still exit.
+        // but the pool workers themselves must still exit.
         self.stop_workers();
     }
+}
+
+fn new_actor(shared: &Arc<PoolShared>, cap: usize, worker: Option<Worker>) -> Arc<Actor> {
+    Arc::new(Actor {
+        mb: Mutex::new(MailboxInner {
+            queue: VecDeque::new(),
+            state: RunState::Idle,
+            senders: 1,
+            closed: false,
+            disconnected: false,
+            waiters: Vec::new(),
+            blocked_senders: 0,
+        }),
+        not_full: Condvar::new(),
+        cap: cap.max(1),
+        worker: Mutex::new(worker),
+        shared: Arc::clone(shared),
+    })
 }
 
 /// Main loop of one pool worker.
@@ -569,18 +637,25 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        let epoch = shared.idle.lock().expect("idle lock").epoch;
+        // Due timers go first: a pool that always finds work would
+        // otherwise never reach them.
+        shared.fire_due_timers(me);
         if let Some(actor) = find_task(shared, me, &mut rng) {
             run_actor(shared, me, actor);
             continue;
         }
-        if shared.fire_due_timers(me) > 0 {
+        // Park: announce, then re-scan. A push that read `parked` before
+        // the announcement skipped its wake, so the re-scan must see it; a
+        // later push wakes this worker, and holding `idle` until the wait
+        // keeps that wake from landing before it.
+        let idle = shared.idle.lock().expect("idle lock");
+        if shared.shutdown.load(Ordering::Acquire) {
             continue;
         }
-        // Park. Re-check the injection epoch under the idle lock so an
-        // injection racing the scan above is never slept through.
-        let mut idle = shared.idle.lock().expect("idle lock");
-        if idle.epoch != epoch || shared.shutdown.load(Ordering::Acquire) {
+        shared.parked.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if shared.has_runnable() {
+            shared.parked.fetch_sub(1, Ordering::SeqCst);
             continue;
         }
         let wait = shared
@@ -588,10 +663,10 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
             .map(|at| at.saturating_duration_since(Instant::now()))
             .unwrap_or(MAX_PARK)
             .min(MAX_PARK);
-        idle.parked += 1;
         shared.obs.parks.inc();
-        let (mut idle, _) = shared.idle_cv.wait_timeout(idle, wait).expect("idle lock");
-        idle.parked -= 1;
+        let (idle, _) = shared.idle_cv.wait_timeout(idle, wait).expect("idle lock");
+        shared.parked.fetch_sub(1, Ordering::SeqCst);
+        drop(idle);
     }
 }
 
@@ -654,11 +729,10 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     loop {
         // Timer-heap-driven linger: flush expired micro-batches before
         // draining further input, so a parked batch is never starved by a
-        // steady arrival stream (mirrors `Worker::run`'s post-message
-        // flush under the `Threads` scheduler).
+        // steady arrival stream.
         worker.flush_expired();
         let blocked = CURRENT.with(|c| c.borrow().as_ref().is_some_and(|x| !x.blocked.is_empty()));
-        if blocked {
+        if blocked || worker.owes_rest() {
             break;
         }
         let (msg, waiters, disconnected) = actor.pop();
@@ -668,8 +742,7 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         match msg {
             None => {
                 if disconnected {
-                    // All senders dropped: a dedicated thread would see
-                    // channel disconnect here — flush and exit.
+                    // All senders dropped: flush and retire.
                     worker.flush_or_discard();
                     stopped = true;
                 }
@@ -688,8 +761,7 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
                         }
                     }
                     Err(payload) => {
-                        // The actor dies the way a panicking dedicated
-                        // thread would: report the caught panic, drop the
+                        // The actor dies: report the caught panic, drop the
                         // worker (its `OutEdge`s repay parked batches on
                         // drop), and retire the mailbox so producers see
                         // disconnect instead of a wedged queue — the pool
@@ -715,16 +787,31 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         retire(shared, &actor, Some(me));
         return;
     }
-    // Pending micro-batches flush through the shared timer heap. The
-    // worker goes back before any state transition so whichever pool
-    // thread runs the actor next finds it in place.
+    // Owed service time and pending micro-batches are served through the
+    // shared timer heap. The worker goes back before any state transition
+    // so whichever pool thread runs the actor next finds it in place.
+    let rest = if ctx.blocked.is_empty() {
+        worker.take_rest()
+    } else {
+        None
+    };
     let deadline = worker.earliest_deadline();
     *actor.worker.lock().expect("worker slot") = Some(worker);
     if !ctx.blocked.is_empty() {
         // No timer while suspended: the resumed slice flushes expired
-        // batches first thing, and `fire_due_timers` would drop an entry
-        // for a non-Idle actor anyway.
+        // batches first thing (and rests any owed service time), and
+        // `fire_due_timers` would drop an entry for a suspended actor
+        // anyway.
         suspend(shared, me, actor, ctx.blocked);
+        return;
+    }
+    if let Some(rest) = rest {
+        // Rest instead of sleeping the pool thread. The entry is
+        // registered only after the actor is observably Resting, so the
+        // fire path cannot miss it; pushes meanwhile only enqueue.
+        let until = Instant::now() + rest;
+        actor.mb.lock().expect("mailbox lock").state = RunState::Resting(until);
+        shared.register_timer(until, actor);
         return;
     }
     let schedule = {
@@ -791,63 +878,88 @@ fn suspend(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>, blocked: Vec<
 }
 
 /// Retires an actor: marks the mailbox closed, drops whatever is still
-/// queued (as a dedicated thread drops its channel on exit), releases
-/// blocked senders and suspended producers, and signals `join`.
+/// queued, releases blocked senders and suspended producers, and signals
+/// `join`.
 fn retire(shared: &Arc<PoolShared>, actor: &Arc<Actor>, me: Option<usize>) {
-    let waiters = {
+    let (waiters, notify) = {
         let mut mb = actor.mb.lock().expect("mailbox lock");
         mb.closed = true;
         mb.state = RunState::Idle;
         mb.queue.clear();
-        std::mem::take(&mut mb.waiters)
+        let notify = std::mem::take(&mut mb.blocked_senders) > 0;
+        (std::mem::take(&mut mb.waiters), notify)
     };
-    actor.not_full.notify_all();
+    if notify {
+        actor.not_full.notify_all();
+    }
     shared.resume(waiters, me);
     shared.retire_one();
+}
+
+#[cfg(test)]
+impl PoolSender {
+    /// A sender into a mailbox no pool worker ever runs: tests read what
+    /// was sent with [`PoolSender::take`].
+    pub(crate) fn probe(cap: usize) -> PoolSender {
+        let (_, actor) = tests::shell(1, cap);
+        PoolSender { actor }
+    }
+
+    /// Pops the oldest queued message.
+    pub(crate) fn take(&self) -> Option<WorkerMsg> {
+        self.actor.pop().0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn test_obs() -> Arc<SchedInstruments> {
-        Arc::new(SchedInstruments::default())
+    /// A bare actor shell for mailbox-protocol tests: a pool of `workers`
+    /// deques with no threads, and one actor without a worker.
+    pub(super) fn shell(workers: usize, cap: usize) -> (Arc<PoolShared>, Arc<Actor>) {
+        let shared = Arc::new(PoolShared::new(
+            workers,
+            Arc::new(SchedInstruments::default()),
+        ));
+        *shared.live.lock().unwrap() = 1;
+        let actor = new_actor(&shared, cap, None);
+        (shared, actor)
     }
 
-    /// A bare actor shell for mailbox-protocol tests (no worker).
-    fn shell(cap: usize) -> (Arc<PoolShared>, Arc<Actor>) {
-        let shared = Arc::new(PoolShared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: vec![Mutex::new(VecDeque::new())],
-            idle: Mutex::new(IdleState {
-                epoch: 0,
-                parked: 0,
-            }),
-            idle_cv: Condvar::new(),
-            timers: Mutex::new(TimerHeap {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            }),
-            live: Mutex::new(1),
-            done: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            obs: test_obs(),
+    /// A thread standing in for a parked pool worker: it announces itself
+    /// in `parked` under the idle lock and waits on `idle_cv` for up to
+    /// 10 s. Returns once it is parked; joining yields whether it was woken
+    /// (notified with an actor runnable) rather than timed out.
+    fn parked_stand_in(shared: &Arc<PoolShared>) -> JoinHandle<bool> {
+        let parker = Arc::clone(shared);
+        let handle = std::thread::spawn(move || {
+            let mut idle = parker.idle.lock().unwrap();
+            parker.parked.fetch_add(1, Ordering::SeqCst);
+            let woken = loop {
+                let (guard, res) = parker
+                    .idle_cv
+                    .wait_timeout(idle, Duration::from_secs(10))
+                    .unwrap();
+                idle = guard;
+                if res.timed_out() {
+                    break false;
+                }
+                if parker.has_runnable() {
+                    break true;
+                }
+            };
+            parker.parked.fetch_sub(1, Ordering::SeqCst);
+            drop(idle);
+            woken
         });
-        let actor = Arc::new(Actor {
-            mb: Mutex::new(MailboxInner {
-                queue: VecDeque::new(),
-                state: RunState::Idle,
-                senders: 1,
-                closed: false,
-                disconnected: false,
-                waiters: Vec::new(),
-            }),
-            not_full: Condvar::new(),
-            cap,
-            worker: Mutex::new(None),
-            shared: Arc::clone(&shared),
-        });
-        (shared, actor)
+        // `parked` is raised under the idle lock, which the stand-in only
+        // releases by waiting: once a wake can take the lock, it is
+        // waiting.
+        while shared.parked.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        handle
     }
 
     fn marker(corr: u64) -> WorkerMsg {
@@ -864,7 +976,7 @@ mod tests {
 
     #[test]
     fn mailbox_preserves_fifo_order() {
-        let (_shared, actor) = shell(16);
+        let (_shared, actor) = shell(1, 16);
         for i in 0..5u64 {
             actor.push(marker(i), true).unwrap();
         }
@@ -881,18 +993,17 @@ mod tests {
 
     #[test]
     fn push_schedules_an_idle_actor_exactly_once() {
-        let (shared, actor) = shell(16);
+        let (shared, actor) = shell(1, 16);
         actor.push(WorkerMsg::Stop, true).unwrap();
         actor.push(WorkerMsg::Stop, true).unwrap();
         // One injection for two pushes: the second saw `Scheduled`.
         assert_eq!(shared.injector.lock().unwrap().len(), 1);
         assert_eq!(actor.mb.lock().unwrap().state, RunState::Scheduled);
-        assert_eq!(shared.idle.lock().unwrap().epoch, 1);
     }
 
     #[test]
     fn closed_mailbox_rejects_sends_like_a_disconnected_channel() {
-        let (shared, actor) = shell(16);
+        let (shared, actor) = shell(1, 16);
         retire(&shared, &actor, None);
         assert_eq!(actor.push(WorkerMsg::Stop, false), Err(SendClosed));
         assert_eq!(actor.push(WorkerMsg::Stop, true), Err(SendClosed));
@@ -901,8 +1012,8 @@ mod tests {
 
     #[test]
     fn pop_crossing_capacity_returns_waiters_once() {
-        let (shared, actor) = shell(2);
-        let (_, producer) = shell(2);
+        let (shared, actor) = shell(1, 2);
+        let (_, producer) = shell(1, 2);
         producer.mb.lock().unwrap().state = RunState::Suspended;
         for _ in 0..3 {
             actor.push(WorkerMsg::Stop, true).unwrap();
@@ -923,9 +1034,38 @@ mod tests {
     }
 
     #[test]
+    fn blocked_external_sender_wakes_once_the_mailbox_is_half_drained() {
+        let (_shared, actor) = shell(1, 4);
+        for corr in 0..4 {
+            actor.push(marker(corr), true).unwrap();
+        }
+        let sender = Arc::clone(&actor);
+        let handle = std::thread::spawn(move || sender.push(marker(4), false));
+        while actor.mb.lock().unwrap().blocked_senders == 0 {
+            std::thread::yield_now();
+        }
+        // 4 → 3: room for one, but the sender stays blocked (and counted)
+        // until the mailbox is half drained.
+        assert!(actor.pop().0.is_some());
+        assert_eq!(actor.mb.lock().unwrap().blocked_senders, 1);
+        // 3 → 2: half drained with a sender counted as blocked — the pop
+        // must notify, or the join below never returns.
+        assert!(actor.pop().0.is_some());
+        assert_eq!(handle.join().unwrap(), Ok(()));
+        assert_eq!(actor.mb.lock().unwrap().blocked_senders, 0);
+        let corrs: Vec<u64> = std::iter::from_fn(|| actor.pop().0)
+            .map(|m| match m {
+                WorkerMsg::Item(item) => item.corr,
+                other => panic!("expected an item, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(corrs, vec![2, 3, 4]);
+    }
+
+    #[test]
     fn resume_skips_actors_already_rescheduled() {
-        let (shared, actor) = shell(2);
-        let (_, producer) = shell(2);
+        let (shared, actor) = shell(1, 2);
+        let (_, producer) = shell(1, 2);
         producer.mb.lock().unwrap().state = RunState::Scheduled;
         shared.resume(vec![Arc::clone(&producer)], None);
         assert_eq!(shared.obs.resumes.get(), 0);
@@ -935,7 +1075,7 @@ mod tests {
 
     #[test]
     fn last_sender_drop_disconnects_and_schedules_the_drain() {
-        let (shared, actor) = shell(4);
+        let (shared, actor) = shell(1, 4);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
         };
@@ -952,8 +1092,8 @@ mod tests {
 
     #[test]
     fn timer_heap_fires_in_deadline_order() {
-        let (shared, a) = shell(4);
-        let (_, b) = shell(4);
+        let (shared, a) = shell(1, 4);
+        let b = new_actor(&shared, 4, None);
         let now = Instant::now();
         shared.register_timer(now + Duration::from_millis(200), Arc::clone(&b));
         shared.register_timer(now, Arc::clone(&a));
@@ -968,16 +1108,39 @@ mod tests {
 
     #[test]
     fn due_timer_skips_non_idle_actors() {
-        let (shared, a) = shell(4);
+        let (shared, a) = shell(1, 4);
         a.mb.lock().unwrap().state = RunState::Suspended;
         shared.register_timer(Instant::now(), Arc::clone(&a));
         assert_eq!(shared.fire_due_timers(0), 0);
         assert_eq!(a.mb.lock().unwrap().state, RunState::Suspended);
+        assert_eq!(shared.next_timer(), None);
+    }
+
+    #[test]
+    fn resting_actor_is_rescheduled_only_once_its_rest_is_due() {
+        let (shared, a) = shell(1, 4);
+        let far = Instant::now() + Duration::from_secs(3600);
+        a.mb.lock().unwrap().state = RunState::Resting(far);
+        // A push while resting only enqueues.
+        a.push(marker(0), true).unwrap();
+        assert_eq!(a.mb.lock().unwrap().state, RunState::Resting(far));
+        assert!(shared.injector.lock().unwrap().is_empty());
+        // A stale (due) linger entry must not cut the rest short.
+        shared.register_timer(Instant::now(), Arc::clone(&a));
+        assert_eq!(shared.fire_due_timers(0), 0);
+        assert_eq!(a.mb.lock().unwrap().state, RunState::Resting(far));
+        // The rest's own entry, once due, reschedules the actor.
+        let over = Instant::now();
+        a.mb.lock().unwrap().state = RunState::Resting(over);
+        shared.register_timer(over, Arc::clone(&a));
+        assert_eq!(shared.fire_due_timers(0), 1);
+        assert_eq!(a.mb.lock().unwrap().state, RunState::Scheduled);
+        assert_eq!(shared.locals[0].lock().unwrap().len(), 1);
     }
 
     #[test]
     fn timer_entries_order_by_deadline_then_seq() {
-        let (_, a) = shell(1);
+        let (_, a) = shell(1, 1);
         let t = Instant::now();
         let early = TimerEntry {
             at: t,
@@ -1019,11 +1182,29 @@ mod tests {
 
     #[test]
     fn schedule_prefers_the_local_deque() {
-        let (shared, actor) = shell(4);
+        let (shared, actor) = shell(1, 4);
         shared.schedule(Arc::clone(&actor), Some(0));
         assert_eq!(shared.locals[0].lock().unwrap().len(), 1);
         assert!(shared.injector.lock().unwrap().is_empty());
-        // Epoch untouched: local pushes are consumed by their own worker.
-        assert_eq!(shared.idle.lock().unwrap().epoch, 0);
+        // The local push still wakes a parked worker to steal it: see
+        // `local_push_wakes_a_parked_worker`.
+    }
+
+    #[test]
+    fn local_push_wakes_a_parked_worker() {
+        let (shared, actor) = shell(1, 4);
+        let parked = parked_stand_in(&shared);
+        shared.schedule(actor, Some(0));
+        assert!(parked.join().unwrap(), "the parked worker slept on");
+    }
+
+    #[test]
+    fn injector_push_wakes_a_parked_worker_while_another_is_awake() {
+        // Two workers, one parked: the pool is not fully parked, yet the
+        // runnable actor must not wait for the awake one.
+        let (shared, actor) = shell(2, 4);
+        let parked = parked_stand_in(&shared);
+        shared.schedule(actor, None);
+        assert!(parked.join().unwrap(), "the parked worker slept on");
     }
 }

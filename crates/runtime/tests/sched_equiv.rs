@@ -1,14 +1,15 @@
-//! Property-based scheduler equivalence: the work-stealing pool executor
-//! must be observably identical to thread-per-replica execution.
+//! Property-based scheduler equivalence: a multi-worker pool (stealing,
+//! concurrent actors) must be observably identical to a one-worker pool,
+//! where every actor runs on one thread in turn.
 //!
 //! Programs are generated as StateLang source (arithmetic, control flow,
 //! bounded loops, helper calls, Table state accesses), deployed as a
 //! two-stage pipeline (entry → stateful compute), and driven with the same
-//! input stream under [`SchedulerMode::Threads`] and
-//! [`SchedulerMode::Pool`]. For every generated program and stream, both
-//! schedulers must produce identical emitted outputs, identical final
-//! state, and identical error counts — including across a checkpoint and a
-//! mid-stream fail/recover.
+//! input stream on a one-worker pool (`sched_threads: 1`, the reference)
+//! and a four-worker pool. For every generated program and stream, both
+//! must produce identical emitted outputs, identical final state, and
+//! identical error counts — including across a checkpoint and a mid-stream
+//! fail/recover.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +25,7 @@ use sdg_graph::model::{
 use sdg_ir::ast::Method;
 use sdg_ir::parser::parse_program;
 use sdg_ir::te::TeProgram;
-use sdg_runtime::config::{BatchConfig, RuntimeConfig, SchedulerMode};
+use sdg_runtime::config::{BatchConfig, RuntimeConfig};
 use sdg_runtime::deploy::Deployment;
 use sdg_runtime::reconfig::ReconfigRequest;
 use sdg_state::partition::PartitionDim;
@@ -153,13 +154,18 @@ fn te_of(src: &str) -> TeProgram {
     TeProgram::new(entry.name, entry.body, Arc::new(helpers), Vec::new())
 }
 
-/// Deploys the generated program as a two-stage pipeline: a passthrough
-/// entry forwarding over a dataflow edge into a stateful compute task, so
-/// the pool scheduler's actor-to-actor dispatch path is on the critical
-/// path (not just external submits).
+/// The reference pool size: every actor runs on the same thread in turn.
+const REFERENCE: usize = 1;
+/// The pool size compared against it.
+const WORKERS: usize = 4;
+
+/// Deploys the generated program as a two-stage pipeline on a pool of
+/// `workers` threads: a passthrough entry forwarding over a dataflow edge
+/// into a stateful compute task, so the actor-to-actor dispatch path is on
+/// the critical path (not just external submits).
 fn deploy_generated(
     src: &str,
-    scheduler: SchedulerMode,
+    workers: usize,
     partitions: usize,
     batch: BatchConfig,
     ft: bool,
@@ -206,8 +212,7 @@ fn deploy_generated(
     );
     let sdg = b.build().unwrap();
     let mut cfg = RuntimeConfig {
-        scheduler,
-        sched_threads: 4,
+        sched_threads: workers,
         batch,
         ..Default::default()
     };
@@ -261,7 +266,7 @@ fn drain_emits(d: &Deployment) -> Vec<Value> {
     out
 }
 
-/// What one scheduler run observed: emitted values, final state, errors.
+/// What one run observed: emitted values, final state, errors.
 #[derive(Debug, PartialEq)]
 struct Observed {
     emits: Vec<Value>,
@@ -269,17 +274,12 @@ struct Observed {
     errors: u64,
 }
 
-fn run_once(
-    src: &str,
-    scheduler: SchedulerMode,
-    inputs: &[[i64; 3]],
-    batch: BatchConfig,
-) -> Observed {
-    let (d, t) = deploy_generated(src, scheduler, 1, batch, false);
+fn run_once(src: &str, workers: usize, inputs: &[[i64; 3]], batch: BatchConfig) -> Observed {
+    let (d, t) = deploy_generated(src, workers, 1, batch, false);
     submit_all(&d, inputs);
     assert!(
         d.quiesce(Duration::from_secs(30)),
-        "drain under {scheduler:?}"
+        "drain on {workers} pool workers"
     );
     let observed = Observed {
         emits: drain_emits(&d),
@@ -296,11 +296,11 @@ fn run_once(
 /// byte-identical to the pre-failure state within the run itself.
 fn run_with_recovery(
     src: &str,
-    scheduler: SchedulerMode,
+    workers: usize,
     inputs: &[[i64; 3]],
     batch: BatchConfig,
 ) -> Observed {
-    let (d, t) = deploy_generated(src, scheduler, 2, batch, true);
+    let (d, t) = deploy_generated(src, workers, 2, batch, true);
     let mid = inputs.len() / 2;
     submit_all(&d, &inputs[..mid]);
     assert!(d.quiesce(Duration::from_secs(30)));
@@ -318,7 +318,7 @@ fn run_with_recovery(
     assert_eq!(
         state_of(&d, t),
         before,
-        "recovery under {scheduler:?} must restore byte-identical state:\n{src}"
+        "recovery on {workers} pool workers must restore byte-identical state:\n{src}"
     );
     let observed = Observed {
         emits,
@@ -329,10 +329,9 @@ fn run_with_recovery(
     observed
 }
 
-/// Quiesce under the pool scheduler must observe parked micro-batches:
-/// `in_flight` counts them, and the shared timer heap (not a per-thread
-/// `recv_timeout`) is what flushes them, so a lost linger wakeup would
-/// show up here as a drain timeout.
+/// Quiesce must observe parked micro-batches: `in_flight` counts them, and
+/// the shared timer heap is what flushes them, so a lost linger wakeup
+/// would show up here as a drain timeout.
 #[test]
 fn pool_quiesce_drains_parked_micro_batches() {
     let src = "Table t;\n\
@@ -341,7 +340,7 @@ fn pool_quiesce_drains_parked_micro_batches() {
         max_items: 16,
         linger: Duration::from_millis(1),
     };
-    let (d, t) = deploy_generated(src, SchedulerMode::Pool, 2, batch, false);
+    let (d, t) = deploy_generated(src, WORKERS, 2, batch, false);
     // 5 items per burst never fill a 16-item batch: every flush is
     // timer-driven. Interleave bursts with drains to race slice-end timer
     // registration against concurrent pool workers repeatedly.
@@ -368,9 +367,10 @@ fn pool_quiesce_drains_parked_micro_batches() {
     d.shutdown();
 }
 
-/// The scaling monitor must work unchanged over pool actors: queue depths
-/// come from mailbox lengths, scale-out spawns actors, and idle scale-in
-/// retires them through the same drain barriers as dedicated threads.
+/// The scaling monitor must work over pool actors: queue depths come from
+/// mailbox lengths, scale-out spawns actors, and idle scale-in retires them
+/// through the drain barriers. Four resting instances on two workers: the
+/// 3 ms service time rests on the timer heap instead of holding a worker.
 #[test]
 fn pool_monitor_scales_out_and_back_in() {
     use sdg_runtime::config::ScalingConfig;
@@ -378,7 +378,6 @@ fn pool_monitor_scales_out_and_back_in() {
     let sdg = sdg_translate::translate(&prog).unwrap();
     let task = sdg.task_by_name("work_0").unwrap().id;
     let mut cfg = RuntimeConfig {
-        scheduler: SchedulerMode::Pool,
         sched_threads: 2, // Oversubscribed once the monitor scales out.
         channel_capacity: 8,
         scaling: ScalingConfig {
@@ -434,11 +433,11 @@ fn pool_monitor_scales_out_and_back_in() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Single-replica pipeline: the serial mailbox must make the pool run
-    /// indistinguishable from a dedicated thread — same emit sequence
-    /// (order included), same final state, same error count.
+    /// Single-replica pipeline: the serial mailbox must make the
+    /// four-worker run indistinguishable from the one-worker run — same
+    /// emit sequence (order included), same final state, same error count.
     #[test]
-    fn pool_matches_threads_on_serial_pipeline(
+    fn multi_worker_pool_matches_one_worker_on_serial_pipeline(
         src in program(false),
         inputs in prop::collection::vec(prop::array::uniform3(-10i64..10), 1..24),
         max_items in prop::sample::select(vec![1usize, 4]),
@@ -447,9 +446,9 @@ proptest! {
             max_items,
             linger: Duration::from_millis(1),
         };
-        let threads = run_once(src.as_str(), SchedulerMode::Threads, &inputs, batch);
-        let pool = run_once(src.as_str(), SchedulerMode::Pool, &inputs, batch);
-        prop_assert_eq!(&threads, &pool, "schedulers diverged for:\n{}", src);
+        let reference = run_once(src.as_str(), REFERENCE, &inputs, batch);
+        let pool = run_once(src.as_str(), WORKERS, &inputs, batch);
+        prop_assert_eq!(&reference, &pool, "pool sizes diverged for:\n{}", src);
     }
 }
 
@@ -457,9 +456,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Two partitions, checkpoint + fail/recover mid-stream: replay and
-    /// duplicate filtering must land both schedulers on the same state.
+    /// duplicate filtering must land both pool sizes on the same state.
     #[test]
-    fn pool_matches_threads_across_recovery(
+    fn multi_worker_pool_matches_one_worker_across_recovery(
         src in program(true),
         inputs in prop::collection::vec(prop::array::uniform3(-10i64..10), 8..32),
         max_items in prop::sample::select(vec![1usize, 4]),
@@ -468,13 +467,12 @@ proptest! {
             max_items,
             linger: Duration::from_millis(1),
         };
-        let mut threads =
-            run_with_recovery(src.as_str(), SchedulerMode::Threads, &inputs, batch);
-        let mut pool = run_with_recovery(src.as_str(), SchedulerMode::Pool, &inputs, batch);
-        // Two partitions interleave emits nondeterministically (under both
-        // schedulers): compare as sorted multisets.
-        threads.emits.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        let mut reference = run_with_recovery(src.as_str(), REFERENCE, &inputs, batch);
+        let mut pool = run_with_recovery(src.as_str(), WORKERS, &inputs, batch);
+        // Two partitions interleave emits nondeterministically (on any
+        // pool size): compare as sorted multisets.
+        reference.emits.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         pool.emits.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        prop_assert_eq!(&threads, &pool, "schedulers diverged across recovery for:\n{}", src);
+        prop_assert_eq!(&reference, &pool, "pool sizes diverged across recovery for:\n{}", src);
     }
 }

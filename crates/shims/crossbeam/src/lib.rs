@@ -1,32 +1,38 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Only [`channel`] is provided: multi-producer multi-consumer channels
-//! with clonable senders *and* receivers, bounded backpressure, timeouts
-//! and disconnect detection — the subset the SDG runtime uses. The
-//! implementation is a `Mutex<VecDeque>` with two condvars; adequate for
-//! the worker fan-out sizes the runtime deploys (tens of threads), if not
-//! for crossbeam's lock-free throughput.
+//! Only [`channel`] is provided: unbounded multi-producer multi-consumer
+//! channels with clonable senders *and* receivers, timeouts and disconnect
+//! detection — the subset the SDG runtime uses (its deployment output
+//! sink). The implementation is a `Mutex<VecDeque>` with one condvar that
+//! is signalled only when a receiver is waiting on it: a futex wake costs
+//! a syscall even with nobody to wake, an order of magnitude more than the
+//! uncontended lock.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct Shared<T> {
         inner: Mutex<Inner<T>>,
-        /// Signalled when an item is pushed (wakes receivers).
+        /// Signalled when an item is pushed or the last sender leaves, if a
+        /// receiver is waiting.
         not_empty: Condvar,
-        /// Signalled when an item is popped or a side disconnects (wakes
-        /// bounded senders).
-        not_full: Condvar,
     }
 
     struct Inner<T> {
         queue: VecDeque<T>,
-        cap: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `not_empty`.
+        waiting: usize,
+    }
+
+    impl<T> Shared<T> {
+        fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+            self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        }
     }
 
     /// The sending half of a channel.
@@ -80,24 +86,14 @@ pub mod channel {
 
     /// Creates an unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
-    /// Creates a bounded channel: `send` blocks while `cap` items queue.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_capacity(Some(cap.max(1)))
-    }
-
-    fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
-                cap,
                 senders: 1,
                 receivers: 1,
+                waiting: 0,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         });
         (
             Sender {
@@ -108,38 +104,24 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Sends `value`, blocking while a bounded channel is full.
+        /// Sends `value`; never blocks.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if inner.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                match inner.cap {
-                    Some(cap) if inner.queue.len() >= cap => {
-                        inner = self
-                            .shared
-                            .not_full
-                            .wait(inner)
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
-                    _ => break,
-                }
+            let mut inner = self.shared.lock();
+            if inner.receivers == 0 {
+                return Err(SendError(value));
             }
             inner.queue.push_back(value);
+            let wake = inner.waiting > 0;
             drop(inner);
-            self.shared.not_empty.notify_one();
+            if wake {
+                self.shared.not_empty.notify_one();
+            }
             Ok(())
         }
 
         /// Number of queued items (racy, for monitoring only).
         pub fn len(&self) -> usize {
-            self.shared
-                .inner
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .queue
-                .len()
+            self.shared.lock().queue.len()
         }
 
         /// `true` when no items are queued (racy, for monitoring only).
@@ -152,32 +134,30 @@ pub mod channel {
         /// Receives an item, blocking until one arrives or all senders are
         /// dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let mut inner = self.shared.lock();
             loop {
                 if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.shared.not_full.notify_one();
                     return Ok(v);
                 }
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
+                inner.waiting += 1;
                 inner = self
                     .shared
                     .not_empty
                     .wait(inner)
                     .unwrap_or_else(|e| e.into_inner());
+                inner.waiting -= 1;
             }
         }
 
         /// Receives an item, waiting at most `timeout`.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
-            let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let mut inner = self.shared.lock();
             loop {
                 if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.shared.not_full.notify_one();
                     return Ok(v);
                 }
                 if inner.senders == 0 {
@@ -187,24 +167,21 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, res) = self
+                inner.waiting += 1;
+                let (guard, _) = self
                     .shared
                     .not_empty
                     .wait_timeout(inner, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 inner = guard;
-                if res.timed_out() && inner.queue.is_empty() {
-                    return Err(RecvTimeoutError::Timeout);
-                }
+                inner.waiting -= 1;
             }
         }
 
         /// Receives an item if one is immediately available.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let mut inner = self.shared.lock();
             if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.not_full.notify_one();
                 return Ok(v);
             }
             if inner.senders == 0 {
@@ -216,12 +193,7 @@ pub mod channel {
 
         /// Number of queued items (racy, for monitoring only).
         pub fn len(&self) -> usize {
-            self.shared
-                .inner
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .queue
-                .len()
+            self.shared.lock().queue.len()
         }
 
         /// `true` when no items are queued (racy, for monitoring only).
@@ -232,11 +204,7 @@ pub mod channel {
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            self.shared
-                .inner
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .senders += 1;
+            self.shared.lock().senders += 1;
             Sender {
                 shared: Arc::clone(&self.shared),
             }
@@ -245,11 +213,7 @@ pub mod channel {
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            self.shared
-                .inner
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .receivers += 1;
+            self.shared.lock().receivers += 1;
             Receiver {
                 shared: Arc::clone(&self.shared),
             }
@@ -258,12 +222,12 @@ pub mod channel {
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            let remaining = {
-                let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let wake = {
+                let mut inner = self.shared.lock();
                 inner.senders -= 1;
-                inner.senders
+                inner.senders == 0 && inner.waiting > 0
             };
-            if remaining == 0 {
+            if wake {
                 // Wake receivers blocked on an empty queue so they observe
                 // the disconnect.
                 self.shared.not_empty.notify_all();
@@ -273,16 +237,7 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let remaining = {
-                let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                inner.receivers -= 1;
-                inner.receivers
-            };
-            if remaining == 0 {
-                // Wake senders blocked on a full queue so they observe the
-                // disconnect.
-                self.shared.not_full.notify_all();
-            }
+            self.shared.lock().receivers -= 1;
         }
     }
 
@@ -303,6 +258,13 @@ pub mod channel {
         use super::*;
         use std::thread;
 
+        /// Blocks until `n` receivers of `rx`'s channel are waiting.
+        fn await_waiting<T>(rx: &Receiver<T>, n: usize) {
+            while rx.shared.lock().waiting < n {
+                thread::yield_now();
+            }
+        }
+
         #[test]
         fn unbounded_roundtrip_across_threads() {
             let (tx, rx) = unbounded();
@@ -317,24 +279,44 @@ pub mod channel {
         }
 
         #[test]
+        fn blocked_receiver_wakes_on_send() {
+            let (tx, rx) = unbounded();
+            let rx2 = rx.clone();
+            let h = thread::spawn(move || rx2.recv());
+            // The send happens only once the receiver is counted as
+            // waiting, so it must notify, or the join never returns.
+            await_waiting(&rx, 1);
+            tx.send(5).unwrap();
+            assert_eq!(h.join().unwrap(), Ok(5));
+            assert_eq!(rx.shared.lock().waiting, 0);
+        }
+
+        #[test]
+        fn blocked_timed_receiver_wakes_on_send() {
+            let (tx, rx) = unbounded();
+            let rx2 = rx.clone();
+            let h = thread::spawn(move || rx2.recv_timeout(Duration::from_secs(60)));
+            await_waiting(&rx, 1);
+            tx.send(6).unwrap();
+            assert_eq!(h.join().unwrap(), Ok(6));
+        }
+
+        #[test]
+        fn blocked_receiver_wakes_on_disconnect() {
+            let (tx, rx) = unbounded::<i32>();
+            let rx2 = rx.clone();
+            let h = thread::spawn(move || rx2.recv());
+            await_waiting(&rx, 1);
+            drop(tx);
+            assert_eq!(h.join().unwrap(), Err(RecvError));
+        }
+
+        #[test]
         fn recv_reports_disconnect() {
             let (tx, rx) = unbounded::<i32>();
             drop(tx);
             assert_eq!(rx.recv(), Err(RecvError));
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        }
-
-        #[test]
-        fn bounded_send_blocks_until_popped() {
-            let (tx, rx) = bounded(1);
-            tx.send(1).unwrap();
-            let h = thread::spawn(move || {
-                tx.send(2).unwrap(); // Blocks until the first item is taken.
-                tx.len()
-            });
-            assert_eq!(rx.recv().unwrap(), 1);
-            assert_eq!(rx.recv().unwrap(), 2);
-            h.join().unwrap();
         }
 
         #[test]
@@ -344,13 +326,14 @@ pub mod channel {
                 rx.recv_timeout(Duration::from_millis(10)),
                 Err(RecvTimeoutError::Timeout)
             );
+            assert_eq!(rx.shared.lock().waiting, 0);
             tx.send(7).unwrap();
             assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(7));
         }
 
         #[test]
         fn send_to_dropped_receiver_fails() {
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = unbounded();
             drop(rx);
             assert_eq!(tx.send(9), Err(SendError(9)));
         }

@@ -35,8 +35,8 @@ fn quiet_injected_panics() {
     });
 }
 
-fn chaos_config(mode: SchedulerMode, plan: Option<FaultPlan>) -> RuntimeConfig {
-    let mut builder = RuntimeConfig::builder().scheduler(mode);
+fn chaos_config(plan: Option<FaultPlan>) -> RuntimeConfig {
+    let mut builder = RuntimeConfig::builder();
     if let Some(plan) = plan {
         builder = builder.faults(plan);
     }
@@ -81,8 +81,8 @@ fn feed(app: &KvApp, range: std::ops::Range<i64>) {
     }
 }
 
-fn run_fault_free(mode: SchedulerMode) -> BTreeMap<Key, Value> {
-    let app = KvApp::start(PARTITIONS, chaos_config(mode, None)).unwrap();
+fn run_fault_free() -> BTreeMap<Key, Value> {
+    let app = KvApp::start(PARTITIONS, chaos_config(None)).unwrap();
     feed(&app, 0..ITEMS);
     assert!(app.quiesce(Duration::from_secs(30)));
     let contents = table_contents(&app);
@@ -109,9 +109,9 @@ fn await_recovery(app: &KvApp, timeout: Duration) -> bool {
     }
 }
 
-fn chaos_round(mode: SchedulerMode, seed: u64) {
+fn chaos_round(seed: u64) {
     quiet_injected_panics();
-    let baseline = run_fault_free(mode);
+    let baseline = run_fault_free();
 
     // Scatter the injection point deterministically from the seed: one of
     // the two bump instances panics in the second half of the workload —
@@ -129,7 +129,7 @@ fn chaos_round(mode: SchedulerMode, seed: u64) {
             ..Default::default()
         });
 
-    let app = KvApp::start(PARTITIONS, chaos_config(mode, Some(plan))).unwrap();
+    let app = KvApp::start(PARTITIONS, chaos_config(Some(plan))).unwrap();
     feed(&app, 0..ITEMS / 2);
     assert!(app.quiesce(Duration::from_secs(30)));
     app.deployment()
@@ -138,7 +138,7 @@ fn chaos_round(mode: SchedulerMode, seed: u64) {
     feed(&app, ITEMS / 2..ITEMS);
     assert!(
         await_recovery(&app, Duration::from_secs(20)),
-        "supervisor did not recover (mode {mode:?}, seed {seed}): {:?}",
+        "supervisor did not recover (seed {seed}): {:?}",
         app.deployment().metrics()
     );
     assert!(app.quiesce(Duration::from_secs(30)));
@@ -151,29 +151,22 @@ fn chaos_round(mode: SchedulerMode, seed: u64) {
         table_contents(&app),
         baseline,
         "chaos run diverged from the fault-free baseline \
-         (mode {mode:?}, seed {seed}, fault at item {nth} of bump_0#{replica})"
+         (seed {seed}, fault at item {nth} of bump_0#{replica})"
     );
     app.shutdown();
 }
 
 #[test]
-fn chaos_threads_scheduler_is_exactly_once() {
-    for seed in [7, 21] {
-        chaos_round(SchedulerMode::Threads, seed);
-    }
-}
-
-#[test]
 fn chaos_pool_scheduler_is_exactly_once() {
     for seed in [7, 21] {
-        chaos_round(SchedulerMode::Pool, seed);
+        chaos_round(seed);
     }
 }
 
 #[test]
 fn stalled_worker_is_detected_by_heartbeats_and_recovered() {
     quiet_injected_panics();
-    let baseline = run_fault_free(SchedulerMode::Threads);
+    let baseline = run_fault_free();
 
     // Heartbeat (hang) detection is opt-in: a worker blocked on downstream
     // backpressure is indistinguishable from a hung one, so the default
@@ -181,12 +174,14 @@ fn stalled_worker_is_detected_by_heartbeats_and_recovered() {
     // interval short, and the mailbox non-empty — the supervisor must
     // declare the instance hung and fail it over while it sleeps; the
     // stalled worker drops its item on waking and replay redelivers it.
+    // The stalled actor holds its pool thread (it is `Running`), so it
+    // stays a hang candidate while the other pool workers carry on.
     let plan = FaultPlan::seeded(1009);
     let nth = plan.draw("stall.nth", 20, 60);
     let replica = plan.draw("stall.replica", 0, PARTITIONS as u64 - 1) as u32;
     let plan = plan.with_worker_stall("bump_0", replica, nth, Duration::from_millis(600));
 
-    let mut cfg = chaos_config(SchedulerMode::Threads, Some(plan));
+    let mut cfg = chaos_config(Some(plan));
     cfg.supervisor.hang_detection = true;
     cfg.supervisor.heartbeat_interval = Duration::from_millis(5);
     cfg.supervisor.miss_threshold = 4;
