@@ -492,10 +492,14 @@ pub struct BackupSet {
     /// For each written chunk: the index of the store holding it, and its
     /// key (whose `chunk` field is the chunk id).
     pub chunk_locations: Vec<(usize, ChunkKey)>,
-    /// The instance's output buffers at snapshot time.
+    /// Whatever the caller's `capture_outputs` returned at snapshot time,
+    /// always sealed to [`BufferedPayload::Encoded`] wire bytes by the
+    /// coordinator's persist phase.
     ///
-    /// Always sealed to [`BufferedPayload::Encoded`] wire bytes by the
-    /// coordinator's persist phase; the runtime logs them live.
+    /// Empty for every checkpoint the runtime takes: the upstream buffers
+    /// that feed an instance live in the deployment's buffer registry,
+    /// which survives the instance's failure, so recovery replays from the
+    /// registry and never from this copy.
     ///
     /// [`BufferedPayload::Encoded`]: crate::buffer::BufferedPayload::Encoded
     pub out_buffers: Vec<(EdgeId, Vec<BufferedItem>)>,

@@ -9,9 +9,10 @@
 //! [`BufferedPayload::Live`] — a refcounted handle on the very record the
 //! consumer received, so logging costs an `Arc` clone instead of an encode —
 //! and are only *sealed* into [`BufferedPayload::Encoded`] wire bytes when a
-//! checkpoint persists them (or when they were restored from one). Replay
-//! handles both: `Live` items are re-sent with zero decode, `Encoded` items
-//! fall back to the wire codec.
+//! caller hands them to a checkpoint to persist. The runtime never does: its
+//! buffers outlive any instance kill, so they stay `Live` until trimmed.
+//! Replay handles both: `Live` items are re-sent with zero decode, `Encoded`
+//! items fall back to the wire codec.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

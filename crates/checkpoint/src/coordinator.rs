@@ -4,8 +4,10 @@
 //!
 //! 1. under a short lock (all stripes at once, forming one consistent
 //!    cut): flag each stripe's shard dirty (O(1) snapshot), copy the
-//!    stripe vectors, take the dirty-chunk set, and capture the instance's
-//!    output buffers;
+//!    stripe vectors, and take the dirty-chunk set. The caller's
+//!    output-buffer capture also runs here; the runtime passes an empty
+//!    one, because its upstream buffers live in a registry that survives
+//!    an instance kill and recovery replays from that registry directly;
 //! 2. processing resumes immediately against the dirty overlays;
 //! 3. off the processing path, a serialisation thread pool encodes the
 //!    snapshots into hash-partitioned chunks (Fig. 4 step B1–B2) — in
@@ -47,9 +49,10 @@ pub struct CheckpointOptions {
 
 /// Takes one checkpoint of `cell`, writing chunks to `stores`.
 ///
-/// `capture_outputs` is invoked inside the initiation lock and must return
-/// the instance's output buffers (they become part of the checkpoint so a
-/// restored node can re-send downstream).
+/// `capture_outputs` is invoked inside the initiation lock; whatever it
+/// returns is sealed to wire bytes and kept in
+/// [`BackupSet::out_buffers`]. Callers whose buffers outlive the instance
+/// (the runtime's) pass `Vec::new` and pay nothing.
 ///
 /// Returns the [`BackupSet`] describing where everything landed.
 ///
@@ -211,10 +214,8 @@ fn take_checkpoint_inner(
     let stripe_vectors: Vec<VectorTs> = cut.snapshots.iter().map(|(_, v)| v.clone()).collect();
     let vector = min_vector(&stripe_vectors);
 
-    // Steps 2–4 run off the processing path. Captured output buffers are
-    // sealed here too: the dispatch path only parked refcounted records,
-    // so the wire encode joins the state serialise on the persist-phase
-    // pool.
+    // Steps 2–4 run off the processing path. Captured output buffers, if
+    // any, are sealed here too, on the persist-phase pool.
     let t1 = Instant::now();
     let (payloads, delta) = serialise_generation(&cut, cfg, opts.force_full);
     let sealed = seal_out_buffers(&mut cut.out_buffers, cfg.serialise_threads);

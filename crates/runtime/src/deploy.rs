@@ -16,7 +16,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use sdg_checkpoint::backup::{BackupSet, BackupStore};
-use sdg_checkpoint::buffer::BufferedItem;
 use sdg_checkpoint::cell::StateCell;
 use sdg_checkpoint::coordinator::{take_checkpoint_with, CheckpointOptions};
 use sdg_checkpoint::recovery::{restore_chain_resilient_observed, RestoreOptions};
@@ -191,7 +190,7 @@ impl IngestHandle {
             .or_insert((TsGen::new(), self.src as usize));
         let ts = ts_gen.tick();
         let inner = Arc::clone(&self.inner);
-        inner.ingest_dispatch(&task, &payload, corr, self.src, ts, rr)?;
+        inner.ingest_dispatch(&task, payload, corr, self.src, ts, rr)?;
         Ok(corr)
     }
 }
@@ -436,10 +435,11 @@ impl Deployment {
     /// by the recovered TEs forward downstream with *fresh* timestamps
     /// rather than regenerating their original ones, so when a recovered
     /// stage feeds a different stateful stage, that downstream stage may
-    /// re-apply effects it already holds. (The paper avoids this by
-    /// checkpointing output buffers and relying on deterministic timestamp
-    /// regeneration; the checkpoint layer here captures output buffers —
-    /// see `take_checkpoint` — but the engine does not yet replay them.)
+    /// re-apply effects it already holds. (The paper avoids this with
+    /// deterministic timestamp regeneration, which the engine does not yet
+    /// do.) Checkpoints do not copy the upstream buffers: those live in
+    /// the deployment's buffer registry, which survives the kill, and
+    /// replay reads them directly.
     /// Pipelines whose stateful stages hang off distinct
     /// upstream-stateless paths, such as the KV store and each SE of CF in
     /// isolation, recover exactly. A reconfiguration that migrated state
@@ -797,7 +797,7 @@ impl Inner {
     fn ingest_dispatch(
         &self,
         task: &sdg_graph::model::TaskDecl,
-        payload: &Record,
+        payload: Record,
         corr: u64,
         src: u32,
         ts: sdg_common::time::ScalarTs,
@@ -843,7 +843,7 @@ impl Inner {
         let submitted_at = Some(Instant::now());
         // One refcounted allocation shared across every broadcast target
         // and the output-buffer log — fan-out is a refcount bump.
-        let shared = Arc::new(payload.clone());
+        let shared = Arc::new(payload);
         for idx in idxs {
             let item = Item {
                 edge,
@@ -877,17 +877,15 @@ impl Inner {
         let corr = self.corr.fetch_add(1, Ordering::Relaxed);
         // The shared path funnels through one ingest lane (src 0); heavy
         // multi-threaded feeders should use `Deployment::ingest_handle`.
-        let (ts, mut rr) = {
-            let mut ingest = self.ingest.lock();
-            let lane_state = ingest.entry(task.id).or_insert(IngestLane {
-                ts: TsGen::new(),
-                rr: 0,
-            });
-            let ts = lane_state.ts.tick();
-            lane_state.rr = lane_state.rr.wrapping_add(1);
-            (ts, lane_state.rr)
-        };
-        self.ingest_dispatch(task, &payload, corr, 0, ts, &mut rr)?;
+        // The lane lock is held across the dispatch so concurrent callers
+        // deliver and log their timestamps in the order they ticked them.
+        let mut ingest = self.ingest.lock();
+        let lane_state = ingest.entry(task.id).or_insert(IngestLane {
+            ts: TsGen::new(),
+            rr: 0,
+        });
+        let ts = lane_state.ts.tick();
+        self.ingest_dispatch(task, payload, corr, 0, ts, &mut lane_state.rr)?;
         Ok(corr)
     }
 
@@ -951,11 +949,14 @@ impl Inner {
                     instance: label.clone(),
                     seq,
                 });
+                // No upstream buffers are captured: they live in the
+                // deployment's `BufferRegistry`, which survives the kill of
+                // any instance, and recovery replays from it directly.
                 let set = take_checkpoint_with(
                     cell,
                     se_instance_id(state, replica as u32),
                     seq,
-                    || self.capture_outputs_for(state, replica as u32),
+                    Vec::new,
                     &self.stores,
                     &self.cfg.checkpoint,
                     Some(self.obs.checkpoints()),
@@ -999,35 +1000,6 @@ impl Inner {
             }
         }
         Ok(())
-    }
-
-    /// Snapshots the output buffers feeding SE instance `(state, replica)`,
-    /// keyed by their dedupe lane so a restored node can match watermarks.
-    ///
-    /// Runs inside the checkpoint initiation lock. Snapshots are O(items)
-    /// refcount bumps (live entries stay un-encoded until the persist
-    /// phase seals them), so the lock-held span stays short.
-    fn capture_outputs_for(
-        &self,
-        state: StateId,
-        replica: u32,
-    ) -> Vec<(EdgeId, Vec<BufferedItem>)> {
-        let mut out = Vec::new();
-        for task in self.sdg.tasks_accessing(state) {
-            let mut edges: Vec<EdgeId> = self.sdg.flows_to(task.id).iter().map(|f| f.id).collect();
-            if matches!(task.kind, TaskKind::Entry { .. }) {
-                edges.push(ingest_edge(task.id));
-            }
-            for edge in edges {
-                for (src, buf) in self.buffers.buffers_into(edge, replica) {
-                    let items = buf.lock().snapshot();
-                    if !items.is_empty() {
-                        out.push((lane(edge, src), items));
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Trims buffers into `(state, replica)`'s consumer tasks using the
@@ -1471,6 +1443,8 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdg_common::record;
+    use sdg_common::value::Value;
     use sdg_ir::analysis::verify::SeCertificate;
 
     fn decl(ty: StateType, dist: Distribution) -> StateDecl {
@@ -1580,5 +1554,91 @@ mod tests {
         assert_eq!(cell_layout(&cfg, &vec_decl, None).0, 1);
         let partial = decl(StateType::Table, Distribution::Partial);
         assert_eq!(cell_layout(&cfg, &partial, None).0, 1);
+    }
+
+    fn put(d: &Deployment, k: i64) {
+        d.submit(
+            "put",
+            record! {"k" => Value::Int(k), "v" => Value::Int(k * 3)},
+        )
+        .unwrap();
+    }
+
+    fn sorted_entries(d: &Deployment, state: StateId, replica: u32) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut entries: Vec<_> = d
+            .with_state(state, replica, |s| {
+                s.export_entries()
+                    .into_iter()
+                    .map(|e| (e.key, e.value))
+                    .collect()
+            })
+            .unwrap();
+        entries.sort();
+        entries
+    }
+
+    #[test]
+    fn checkpoints_copy_no_upstream_buffers_and_recovery_replays_the_registry() {
+        let prog = sdg_ir::parser::parse_program(
+            "@Partitioned Table kv;\nvoid put(int k, int v) { kv.put(k, v); }",
+        )
+        .unwrap();
+        let sdg = sdg_translate::translate(&prog).unwrap();
+        let kv = sdg.state_by_name("kv").unwrap().id;
+        let mut cfg = RuntimeConfig::default();
+        cfg.se_instances.insert(kv, 2);
+        cfg.checkpoint.enabled = true;
+        cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+        let d = Deployment::start(sdg, cfg).unwrap();
+
+        for k in 0..300 {
+            put(&d, k);
+        }
+        assert!(d.quiesce(Duration::from_secs(30)));
+        d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+        assert_eq!(d.metrics().checkpoints.encode_deferred, 0);
+        {
+            let backups = d.inner.backups.lock();
+            assert_eq!(backups.len(), 2, "one chain per replica");
+            assert!(backups
+                .values()
+                .flatten()
+                .all(|set| set.out_buffers.is_empty()));
+        }
+
+        // Items logged after the checkpoint are above its watermark.
+        for k in 300..450 {
+            put(&d, k);
+        }
+        assert!(d.quiesce(Duration::from_secs(30)));
+        let before = sorted_entries(&d, kv, 0);
+        let edge = ingest_edge(d.inner.find_entry("put").unwrap().id);
+        let watermark = d.inner.backups.lock()[&(kv, 0)]
+            .last()
+            .unwrap()
+            .vector
+            .get(lane(edge, 0));
+        let buffer = d.inner.buffers.get(BufferKey {
+            edge,
+            src: 0,
+            dst: 0,
+        });
+        let expected = buffer.lock().replay_after(watermark).len();
+        assert!(expected > 0);
+
+        let report = d
+            .reconfigure(ReconfigRequest::FailAndRecover {
+                state: kv,
+                replica: 0,
+            })
+            .unwrap();
+        assert_eq!(report.replayed, expected);
+        assert!(d.quiesce(Duration::from_secs(30)));
+        assert_eq!(
+            sorted_entries(&d, kv, 0),
+            before,
+            "recovery is exactly-once"
+        );
+        d.shutdown();
     }
 }

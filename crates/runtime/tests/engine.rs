@@ -269,6 +269,47 @@ fn kv_counts_are_exact_across_partitions() {
     d.shutdown();
 }
 
+/// Concurrent callers of the shared `Deployment::submit` lane must deliver
+/// its timestamps in the order they were ticked: a reordered pair panics
+/// the upstream buffer's monotonicity check (checkpointing on) or loses the
+/// older item to the dedupe filter (checkpointing off).
+#[test]
+fn concurrent_shared_lane_submits_are_all_applied() {
+    for checkpointing in [true, false] {
+        let (d, kv) = deploy_kv(2, checkpointing);
+        let start = std::sync::Barrier::new(4);
+        let panicked = std::thread::scope(|s| {
+            let feeders: Vec<_> = (0..4i64)
+                .map(|t| {
+                    let (d, start) = (&d, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for k in t * 2000..(t + 1) * 2000 {
+                            d.submit("bump", record! {"k" => Value::Int(k)}).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            feeders
+                .into_iter()
+                .map(|h| h.join())
+                .filter(Result::is_err)
+                .count()
+        });
+        assert_eq!(panicked, 0, "checkpointing {checkpointing}");
+        assert!(d.quiesce(Duration::from_secs(30)));
+        let keys: usize = (0..2)
+            .map(|r| {
+                d.with_state(kv, r, |s| s.as_table().unwrap().len())
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(keys, 8000, "checkpointing {checkpointing}");
+        assert_eq!(total_count(&d, kv), 8000, "checkpointing {checkpointing}");
+        d.shutdown();
+    }
+}
+
 #[test]
 fn failure_recovery_preserves_exactly_once_counts() {
     let (d, kv) = deploy_kv(2, true);

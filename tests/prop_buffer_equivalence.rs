@@ -1,15 +1,15 @@
 //! Deferred-encoding equivalence properties (zero-copy dispatch).
 //!
-//! The runtime logs sent items in their live (`Arc`-shared) form and
-//! defers wire encoding to the checkpoint persist phase. Three guarantees
-//! are pinned here:
+//! The runtime logs sent items in their live (`Arc`-shared) form. Its
+//! checkpoints copy no buffer: the buffers outlive any instance kill and
+//! replay reads them directly. Three guarantees are pinned here:
 //!
-//! 1. **Persisted buffers are byte-identical.** A checkpoint taken over
-//!    live-logged buffers must seal to exactly the bytes
+//! 1. **Persisted buffers are byte-identical.** A checkpoint handed
+//!    live-logged buffers must seal them to exactly the bytes
 //!    `Item::encode_payload` writes, over arbitrary generated payloads.
-//! 2. **Recovery is invisible.** Generated programs that go through a
-//!    checkpoint → kill → replay cycle leave the state the same program
-//!    leaves when it is never killed.
+//! 2. **Recovery is invisible.** Generated programs that go through two
+//!    checkpoints (a base and a delta) → kill → replay leave the state the
+//!    same program leaves when it is never killed.
 //! 3. **Mixed buffers replay.** A buffer holding both `Encoded` entries
 //!    (restored from a checkpoint) and `Live` entries (logged since) must
 //!    replay every suffix item, the live ones with zero decode.
@@ -145,32 +145,40 @@ fn arb_requests() -> impl Strategy<Value = Vec<(i64, i64)>> {
 }
 
 /// Sorted `(key, value)` byte pairs of `t` after `requests`. With
-/// `kill`, the run takes a mid-stream checkpoint and ends with a kill +
-/// replay of replica 0.
+/// `kill`, the run takes two mid-stream checkpoints, so restore composes a
+/// base and a delta, and ends with a kill + replay of replica 0.
 fn final_state(src: &str, requests: &[(i64, i64)], kill: bool) -> Vec<(Vec<u8>, Vec<u8>)> {
     use sdg::common::record;
     let mut cfg = RuntimeConfig::default();
     cfg.checkpoint.enabled = true;
+    cfg.checkpoint.incremental = true;
     cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
     let program = SdgProgram::compile(src).expect("generated program compiles");
     let sid = program.state("t").expect("state t exists");
     let d = program.deploy(cfg).expect("deploys");
-    let cut = requests.len() / 2;
-    for &(k, v) in &requests[..cut] {
-        d.submit("main", record! {"k" => Value::Int(k), "v" => Value::Int(v)})
-            .expect("submit");
+    let cuts = [
+        0,
+        requests.len() / 3,
+        2 * requests.len() / 3,
+        requests.len(),
+    ];
+    for (segment, bounds) in cuts.windows(2).enumerate() {
+        if kill && segment > 0 {
+            d.reconfigure(ReconfigRequest::Checkpoint)
+                .expect("checkpoint");
+        }
+        for &(k, v) in &requests[bounds[0]..bounds[1]] {
+            d.submit("main", record! {"k" => Value::Int(k), "v" => Value::Int(v)})
+                .expect("submit");
+        }
+        assert!(d.quiesce(Duration::from_secs(30)));
     }
-    assert!(d.quiesce(Duration::from_secs(30)));
     if kill {
-        d.reconfigure(ReconfigRequest::Checkpoint)
-            .expect("checkpoint");
-    }
-    for &(k, v) in &requests[cut..] {
-        d.submit("main", record! {"k" => Value::Int(k), "v" => Value::Int(v)})
-            .expect("submit");
-    }
-    assert!(d.quiesce(Duration::from_secs(30)));
-    if kill {
+        assert_eq!(
+            d.metrics().checkpoints.deltas,
+            1,
+            "the second take is a delta"
+        );
         d.reconfigure(ReconfigRequest::FailAndRecover {
             state: sid,
             replica: 0,
