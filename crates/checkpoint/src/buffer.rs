@@ -200,18 +200,6 @@ impl OutputBuffer {
         self.push(BufferedItem::encoded(ts, bytes));
     }
 
-    /// Appends a batch of items under one borrow of the buffer.
-    ///
-    /// Callers holding the buffer behind a lock amortise one lock
-    /// acquisition over the whole batch (the runtime's edge micro-batching
-    /// path). The same monotonicity rule as [`OutputBuffer::push`] applies
-    /// to the concatenation of existing and new items.
-    pub fn push_all(&mut self, items: impl IntoIterator<Item = BufferedItem>) {
-        for item in items {
-            self.push(item);
-        }
-    }
-
     /// Drops all items with `ts <= watermark` (they are covered by every
     /// downstream checkpoint).
     ///
@@ -354,28 +342,6 @@ mod tests {
     fn non_monotone_live_push_panics() {
         let mut b = buf_with(&[5]);
         b.push_live(4, 0, 1, rec(4));
-    }
-
-    #[test]
-    fn push_all_appends_a_batch() {
-        let mut b = buf_with(&[1]);
-        b.push_all([
-            BufferedItem::encoded(2, vec![0; 2]),
-            BufferedItem::encoded(3, vec![0; 3]),
-        ]);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.last_ts(), 3);
-        assert_eq!(b.buffered_bytes(), 4 + 2 + 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "timestamps must increase")]
-    fn push_all_enforces_monotonicity_across_the_batch() {
-        let mut b = buf_with(&[5]);
-        b.push_all([
-            BufferedItem::encoded(6, vec![]),
-            BufferedItem::encoded(6, vec![]),
-        ]);
     }
 
     #[test]
@@ -522,10 +488,8 @@ mod tests {
             a.push_encoded(t, vec![0; t as usize]);
         }
         b.push_live(1, 0, 1, rec(1));
-        b.push_all([
-            BufferedItem::encoded(2, vec![0; 5]),
-            BufferedItem::encoded(3, vec![0; 7]),
-        ]);
+        b.push(BufferedItem::encoded(2, vec![0; 5]));
+        b.push(BufferedItem::encoded(3, vec![0; 7]));
         let recompute = |x: &OutputBuffer, y: &OutputBuffer| {
             x.snapshot().iter().map(BufferedItem::cost).sum::<usize>()
                 + y.snapshot().iter().map(BufferedItem::cost).sum::<usize>()

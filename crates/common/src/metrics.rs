@@ -6,8 +6,7 @@
 //! recording on the hot path; [`Counter`] and [`Gauge`] are plain atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -245,62 +244,10 @@ pub struct Summary {
     pub max: u64,
 }
 
-/// Measures sustained throughput over a wall-clock interval.
-#[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    started: Instant,
-    events: Arc<Counter>,
-}
-
-impl Default for ThroughputMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThroughputMeter {
-    /// Starts a meter now.
-    pub fn new() -> Self {
-        ThroughputMeter {
-            started: Instant::now(),
-            events: Arc::new(Counter::new()),
-        }
-    }
-
-    /// Returns a cloneable handle for recording events from worker threads.
-    pub fn recorder(&self) -> Arc<Counter> {
-        Arc::clone(&self.events)
-    }
-
-    /// Records `n` events.
-    pub fn add(&self, n: u64) {
-        self.events.add(n);
-    }
-
-    /// Returns total recorded events.
-    pub fn total(&self) -> u64 {
-        self.events.get()
-    }
-
-    /// Returns events per second since the meter was created.
-    pub fn rate(&self) -> f64 {
-        let secs = self.started.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.events.get() as f64 / secs
-        }
-    }
-
-    /// Returns time elapsed since creation.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn counter_and_gauge_basics() {
@@ -441,15 +388,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(h.count(), 4_000);
-    }
-
-    #[test]
-    fn throughput_meter_counts() {
-        let m = ThroughputMeter::new();
-        m.add(10);
-        m.recorder().add(5);
-        assert_eq!(m.total(), 15);
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(m.rate() > 0.0);
     }
 }

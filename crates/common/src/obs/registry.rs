@@ -164,8 +164,8 @@ pub struct SchedInstruments {
     pub suspends: Counter,
     /// Suspended actors rescheduled by arriving mailbox credit.
     pub resumes: Counter,
-    /// Deadlines fired from the shared timer heap: micro-batch lingers and
-    /// the ends of synthetic service-time rests.
+    /// Deadlines fired from the shared timer heap: the ends of synthetic
+    /// service-time rests.
     pub timer_fires: Counter,
     /// Messages queued across all actor mailboxes (sampled).
     pub mailbox_depth: Gauge,

@@ -115,8 +115,8 @@ pub struct SchedStats {
     pub suspends: u64,
     /// Suspended actors resumed by a credit hand-back.
     pub resumes: u64,
-    /// Deadlines fired from the shared timer heap: micro-batch lingers and
-    /// the ends of synthetic service-time rests.
+    /// Deadlines fired from the shared timer heap: the ends of synthetic
+    /// service-time rests.
     pub timer_fires: u64,
     /// Queued messages across all actor mailboxes at snapshot time.
     pub mailbox_depth: u64,

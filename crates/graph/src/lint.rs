@@ -1,6 +1,6 @@
 //! SDG-level lints (`SL02xx`).
 //!
-//! [`validate`](crate::validate) rejects graphs that cannot execute at all;
+//! [`validate`](crate::validate()) rejects graphs that cannot execute at all;
 //! the lints here catch graphs that execute but are probably wrong or
 //! needlessly slow — dead elements, reconciliation gaps, synchronisation
 //! hazards. They run on any [`Sdg`], including ones assembled with

@@ -1,13 +1,12 @@
 //! `sdg-verify` — the interprocedural effect & replay-safety verifier
 //! (`SL03xx`).
 //!
-//! The runtime optimizations introduced by the striped-cell and
-//! micro-batching work *assume* properties that the paper's static
-//! analysis is supposed to establish: key-local access to `@Partitioned`
-//! state, deterministic TE replay, and sound `@Partial` merges. This pass
-//! proves (or refutes) those properties and packages the verdicts as
-//! typed certificates that the runtime consults before enabling an
-//! optimization:
+//! The runtime's striped cells, delta checkpoints and `@Partial` scale-in
+//! *assume* properties that the paper's static analysis is supposed to
+//! establish: key-local access to `@Partitioned` state, deterministic TE
+//! replay, and sound `@Partial` merges. This pass proves (or refutes)
+//! those properties and packages the verdicts as typed certificates that
+//! the runtime consults before enabling an optimization:
 //!
 //! 1. **Key locality** — extends the access-key reaching analysis: every
 //!    read/write of a `@Partitioned` SE must be reachable only through
@@ -25,8 +24,10 @@
 //!    `@Collection` gathers (`SL0303`) and unbarriered races through
 //!    `@Global` (`SL0304`). Dedupe-watermark recovery replays inputs and
 //!    relies on the replayed TE producing the same state transitions;
-//!    a `NonDet` verdict disables micro-batching and incremental
-//!    checkpointing for the affected elements.
+//!    a `NonDet` verdict revokes replay safety for the state elements the
+//!    method touches, which disables their incremental checkpointing. The
+//!    per-TE `deterministic` certificate is diagnostic: `sdgc verify`
+//!    prints it, and no runtime gate reads it.
 //!
 //! 3. **Merge soundness** — the merge function gathering a `@Partial`
 //!    value must read *all* replicas (`SL0305` otherwise) and combine
@@ -35,10 +36,8 @@
 //!    over permuted replica pairs (`SL0306` on a witnessed difference).
 //!
 //! All `SL03xx` diagnostics are **warnings**: an uncertified program
-//! still deploys and runs correctly — unsharded, unbatched, with full
-//! checkpoints — it just runs without the optimizations its annotations
-//! promised. `RuntimeConfig::trust_annotations` restores the old
-//! trust-the-annotations behavior.
+//! still deploys and runs correctly — unsharded, with full checkpoints —
+//! it just runs without the optimizations its annotations promised.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 

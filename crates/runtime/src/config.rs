@@ -191,47 +191,6 @@ impl SupervisorConfig {
     }
 }
 
-/// Edge micro-batching settings.
-///
-/// Producers coalesce consecutive items per (edge, destination replica)
-/// into one channel message and one output-buffer append, flushing when
-/// `max_items` accumulate, when the oldest pending item has waited
-/// `linger`, or at shutdown. `max_items = 1` disables batching (each item
-/// is sent eagerly, the pre-batching behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Flush a destination's pending batch at this size. `1` disables
-    /// batching.
-    pub max_items: usize,
-    /// Flush pending batches when the oldest pending item has waited this
-    /// long (bounds added latency under low load).
-    pub linger: Duration,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_items: 1,
-            linger: Duration::from_millis(1),
-        }
-    }
-}
-
-impl BatchConfig {
-    /// Batching disabled: every item is sent eagerly.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Batch up to `max_items` with the default 1 ms linger.
-    pub fn with_max_items(max_items: usize) -> Self {
-        BatchConfig {
-            max_items,
-            ..Default::default()
-        }
-    }
-}
-
 /// Full runtime configuration for one deployment.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -260,22 +219,14 @@ pub struct RuntimeConfig {
     /// synthetic service time (`work_ns`) rests an actor on the pool's
     /// timer heap instead of holding one of these threads.
     pub sched_threads: usize,
-    /// Edge micro-batching settings (default: disabled).
-    pub batch: BatchConfig,
     /// Lock stripes per partitioned SE instance. Accessing tasks route each
     /// item to the stripe owning its key, so replicas of one SE group and
     /// the checkpoint coordinator contend per-stripe instead of on one cell
     /// mutex. `1` restores the single-mutex cell; partial and vector SEs
-    /// always use one stripe.
+    /// always use one stripe. Striping is enabled only for elements whose
+    /// `sdg-verify` key-locality certificate holds (graphs without an
+    /// attached report are trusted).
     pub state_stripes: usize,
-    /// Trust the program's annotations instead of the `sdg-verify`
-    /// certificates. By default (`false`), striping, edge micro-batching
-    /// and incremental checkpointing are enabled only for elements whose
-    /// certificates hold; setting this to `true` restores the
-    /// pre-verifier behavior where the annotations alone are believed.
-    /// Graphs without an attached report (hand-built, native tasks) are
-    /// always trusted — there is nothing to check them against.
-    pub trust_annotations: bool,
     /// Self-healing supervisor settings (failure detection and automatic
     /// recovery).
     pub supervisor: SupervisorConfig,
@@ -296,9 +247,7 @@ impl Default for RuntimeConfig {
             checkpoint: CheckpointConfig::disabled(),
             event_log_capacity: sdg_common::obs::DEFAULT_EVENT_CAPACITY,
             sched_threads: 4,
-            batch: BatchConfig::default(),
             state_stripes: 16,
-            trust_annotations: false,
             supervisor: SupervisorConfig::default(),
             faults: None,
         }
@@ -349,16 +298,6 @@ impl RuntimeConfig {
                     "task {t}: instance count must be in 1..=1024"
                 )));
             }
-        }
-        if self.batch.max_items == 0 {
-            return Err(SdgError::Config(
-                "batch.max_items must be ≥ 1 (1 disables batching)".into(),
-            ));
-        }
-        if self.batch.max_items > self.channel_capacity.saturating_mul(1024) {
-            return Err(SdgError::Config(
-                "batch.max_items is implausibly large".into(),
-            ));
         }
         if self.state_stripes == 0 || self.state_stripes > 1024 {
             return Err(SdgError::Config("state_stripes must be in 1..=1024".into()));
@@ -439,21 +378,9 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Replaces the edge micro-batching settings.
-    pub fn batch(mut self, batch: BatchConfig) -> Self {
-        self.cfg.batch = batch;
-        self
-    }
-
     /// Sets the lock-stripe count of partitioned SE instances.
     pub fn state_stripes(mut self, n: usize) -> Self {
         self.cfg.state_stripes = n;
-        self
-    }
-
-    /// Trusts annotations over `sdg-verify` certificates (escape hatch).
-    pub fn trust_annotations(mut self, trust: bool) -> Self {
-        self.cfg.trust_annotations = trust;
         self
     }
 
@@ -514,24 +441,6 @@ mod tests {
     fn zero_event_log_capacity_is_rejected() {
         let cfg = RuntimeConfig::builder().event_log_capacity(0).build();
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn batch_config_validation() {
-        let cfg = RuntimeConfig::builder()
-            .batch(BatchConfig {
-                max_items: 0,
-                linger: Duration::from_millis(1),
-            })
-            .build();
-        assert!(cfg.validate().is_err());
-
-        let cfg = RuntimeConfig::builder()
-            .batch(BatchConfig::with_max_items(16))
-            .build();
-        cfg.validate().unwrap();
-        assert_eq!(cfg.batch.max_items, 16);
-        assert_eq!(BatchConfig::disabled().max_items, 1);
     }
 
     #[test]

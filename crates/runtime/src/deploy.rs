@@ -35,7 +35,7 @@ use sdg_state::partition::PartitionDim;
 use sdg_state::store::{StateStore, StateType};
 
 use crate::compile::Scratch;
-use crate::config::{BatchConfig, RuntimeConfig};
+use crate::config::RuntimeConfig;
 use crate::fault::{
     run_supervisor, FailureHub, FaultInjector, Health, HeartbeatView, RecoveryUnit,
 };
@@ -74,15 +74,14 @@ fn se_instance_id(state: StateId, replica: u32) -> InstanceId {
 /// and delta checkpointing requires the replay-safety certificate (replay
 /// recovery of a delta chain re-executes buffered items and needs them to
 /// reproduce the same transitions). A graph without a report — hand-built,
-/// native tasks — is trusted, as is `RuntimeConfig::trust_annotations`.
+/// native tasks — is trusted: there is nothing to check it against.
 fn cell_layout(
     cfg: &RuntimeConfig,
     decl: &StateDecl,
     verify: Option<&VerifyReport>,
 ) -> (usize, PartitionDim, Option<usize>) {
-    let trusted = cfg.trust_annotations;
-    let key_local = trusted || verify.is_none_or(|r| r.key_local(&decl.name));
-    let replay_safe = trusted || verify.is_none_or(|r| r.replay_safe(&decl.name));
+    let key_local = verify.is_none_or(|r| r.key_local(&decl.name));
+    let replay_safe = verify.is_none_or(|r| r.replay_safe(&decl.name));
     let (stripes, dim) = match decl.dist {
         Distribution::Partitioned { dim } if decl.ty != StateType::Vector && key_local => {
             (cfg.state_stripes, dim)
@@ -147,6 +146,12 @@ pub(crate) struct Inner {
     node_cursor: AtomicU32,
     pub(crate) node_of_instance: RwLock<HashMap<(TaskId, u32), u32>>,
     pub stores: Vec<Arc<BackupStore>>,
+    /// Serialises [`Inner::checkpoint_all`] against itself and against
+    /// [`Deployment::with_state`], whose merged view replaces every
+    /// stripe's store: a second take of the same cell, or a re-split in
+    /// the middle of one, fails the cell's checkpoint phases. Held from seq
+    /// assignment to chain bookkeeping, so seqs enter the chains in order.
+    checkpoint_lock: Mutex<()>,
     backup_seq: AtomicU64,
     /// Checkpoint chains per SE instance: a base generation followed by the
     /// deltas taken since it. Restore composes the whole chain.
@@ -285,6 +290,7 @@ impl Deployment {
             node_cursor: AtomicU32::new(allocation.num_nodes),
             node_of_instance: RwLock::new(HashMap::new()),
             stores,
+            checkpoint_lock: Mutex::new(()),
             backup_seq: AtomicU64::new(1),
             backups: Mutex::new(HashMap::new()),
             force_full: Mutex::new(HashSet::new()),
@@ -426,7 +432,7 @@ impl Deployment {
     /// survivors (with pointwise-max dedupe watermarks), a partial
     /// aggregate is additively folded into a survivor — refused when the
     /// SE's `@Partial` merge is uncertified by the attached `sdg-verify`
-    /// report, unless `trust_annotations` is set.
+    /// report.
     ///
     /// On `FailAndRecover`, recovery is exact (exactly-once) for the
     /// failed SE's own state: the checkpoint restores it, upstream buffers
@@ -481,6 +487,9 @@ impl Deployment {
     }
 
     /// Runs `f` against SE instance `(state, replica)` under its lock.
+    ///
+    /// Waits for a checkpoint in progress, and holds the next one off
+    /// until `f` returns, so `f` must not itself checkpoint.
     pub fn with_state<R>(
         &self,
         state: StateId,
@@ -494,6 +503,7 @@ impl Deployment {
             .get(&state)
             .and_then(|v| v.get(replica as usize).cloned())
             .ok_or_else(|| SdgError::NotFound(format!("state instance {state}#{replica}")))?;
+        let _checkpoint = self.inner.checkpoint_lock.lock();
         cell.with_merged(f)
     }
 
@@ -682,8 +692,6 @@ impl Inner {
                     replica as usize, // Stagger round-robin start points.
                     Arc::clone(&self.buffers),
                     buffered,
-                    self.edge_batch(flow.to),
-                    Arc::clone(&self.in_flight),
                 )
             })
             .collect();
@@ -889,34 +897,8 @@ impl Inner {
         Ok(corr)
     }
 
-    /// The micro-batching configuration for edges into task `to`.
-    ///
-    /// Batching coalesces consecutive items and reorders their interleaving
-    /// with other producers' items, which is only replay-transparent when
-    /// the destination TE is certified deterministic — so an uncertified
-    /// destination gets eager (unbatched) delivery. Tasks without a
-    /// certificate (native code in a translated graph, or a graph with no
-    /// report at all) are trusted, preserving pre-verifier behavior.
-    fn edge_batch(&self, to: TaskId) -> BatchConfig {
-        if self.cfg.trust_annotations {
-            return self.cfg.batch;
-        }
-        let Some(report) = self.sdg.verify.as_deref() else {
-            return self.cfg.batch;
-        };
-        let certified = self
-            .sdg
-            .task(to)
-            .ok()
-            .is_none_or(|t| report.te(&t.name).is_none_or(|c| c.deterministic));
-        if certified {
-            self.cfg.batch
-        } else {
-            BatchConfig::disabled()
-        }
-    }
-
     pub(crate) fn checkpoint_all(&self) -> SdgResult<()> {
+        let _serial = self.checkpoint_lock.lock();
         let snapshot: Vec<(StateId, Vec<Arc<StateCell>>)> = self
             .cells
             .read()
@@ -1525,8 +1507,8 @@ mod tests {
     }
 
     #[test]
-    fn absent_report_and_trust_annotations_are_both_trusted() {
-        let mut cfg = cfg_with_delta();
+    fn absent_report_is_trusted() {
+        let cfg = cfg_with_delta();
         let d = decl(
             StateType::Table,
             Distribution::Partitioned {
@@ -1535,10 +1517,6 @@ mod tests {
         );
         // Hand-built graphs attach no report: optimizations stay on.
         let (stripes, _, delta) = cell_layout(&cfg, &d, None);
-        assert_eq!((stripes, delta), (8, Some(32)));
-        // The escape hatch overrides a failing certificate.
-        cfg.trust_annotations = true;
-        let (stripes, _, delta) = cell_layout(&cfg, &d, Some(&report(false, false)));
         assert_eq!((stripes, delta), (8, Some(32)));
     }
 

@@ -10,7 +10,7 @@
 //! 2. **Detection** — every actor step runs inside the pool's
 //!    `catch_unwind` boundary; a caught panic is reported to the deployment's
 //!    [`FailureHub`]. Independently, every worker bumps a heartbeat epoch
-//!    per step, and [`run_supervisor`] scans the epochs to flag instances
+//!    per step, and the supervisor scans the epochs to flag instances
 //!    that sit on a non-empty mailbox without making progress.
 //! 3. **Recovery** — the supervisor drives the existing §5
 //!    fail-and-recover path (restore from the backup chain, replay
@@ -66,7 +66,7 @@ pub struct WorkerFault {
 /// A deterministic, seedable fault plan for one deployment.
 ///
 /// The plan is pure data: resolving it against a graph happens at deploy
-/// time ([`FaultInjector::resolve`]) and fails fast on unknown task names.
+/// time (`FaultInjector::resolve`) and fails fast on unknown task names.
 /// The seed feeds [`FaultPlan::draw`] (for scattering injection points in
 /// tests without a rand dependency) and the supervisor's backoff jitter.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -224,7 +224,7 @@ pub(crate) struct FailureReport {
     pub at: Instant,
 }
 
-/// Collects [`FailureReport`]s from the pool's panic boundary for the
+/// Collects `FailureReport`s from the pool's panic boundary for the
 /// supervisor to drain. Reporting also logs the `worker_panicked` event
 /// and bumps the panic counter, so failures are visible even when the
 /// supervisor is disabled.

@@ -22,10 +22,8 @@
 //!   instance is an actor with a serial mailbox multiplexed onto a fixed
 //!   pool of `sched_threads` workers, so replica counts can exceed core
 //!   counts without one OS thread each; synthetic service time rests an
-//!   actor on the pool's timer heap instead of holding a thread;
-//! - **edge micro-batching** ([`config::BatchConfig`]): producers coalesce
-//!   items per (edge, destination) and flush on a size bound, linger
-//!   timeout, or shutdown, amortising channel and output-buffer locking;
+//!   actor on the pool's timer heap instead of holding a thread; every
+//!   item is logged and sent the moment it is produced;
 //! - **reactive scaling** (§3.3): a monitor watches queue depths and adds
 //!   TE instances (and partial/partitioned SE instances) when a task
 //!   becomes a bottleneck or a node straggles, and removes them again —
@@ -60,9 +58,7 @@ pub mod sched;
 pub mod worker;
 
 pub use compile::{run_compiled, Scratch};
-pub use config::{
-    BatchConfig, ClusterSpec, NodeSpec, RuntimeConfig, ScalingConfig, SupervisorConfig,
-};
+pub use config::{ClusterSpec, NodeSpec, RuntimeConfig, ScalingConfig, SupervisorConfig};
 pub use deploy::{Deployment, OutputEvent};
 pub use fault::{FaultAction, FaultPlan, Health, WorkerFault};
 pub use item::Item;

@@ -298,26 +298,24 @@ fn scale_out_partial(inner: &Inner, state: StateId, trigger: TaskId) -> SdgResul
 /// with the victim instance of every accessing task.
 ///
 /// Refused when the SE's `@Partial` merge is not certified sound by the
-/// attached `sdg-verify` report (unless `trust_annotations` is set): the
-/// fold applies the merge function outside its usual read-all barrier, so
-/// an unsound merge could corrupt the surviving aggregate.
+/// attached `sdg-verify` report: the fold applies the merge function
+/// outside its usual read-all barrier, so an unsound merge could corrupt
+/// the surviving aggregate. A graph without a report is trusted.
 fn scale_in_partial(inner: &Inner, state: StateId, trigger: TaskId) -> SdgResult<MigrationStats> {
     let decl = inner.sdg.state(state)?.clone();
-    if !inner.cfg.trust_annotations {
-        if let Some(cert) = inner.sdg.verify.as_deref().and_then(|r| r.se(&decl.name)) {
-            if !cert.merge_sound {
-                return Err(SdgError::Runtime(format!(
-                    "scale-in of `{}` refused: its @Partial merge is not certified sound \
-                     ({}); folding the removed replica into a survivor could corrupt the \
-                     aggregate. Fix the merge, or set trust_annotations to override.",
-                    decl.name,
-                    if cert.violations.is_empty() {
-                        "certificate withheld".to_string()
-                    } else {
-                        cert.violations.join(", ")
-                    }
-                )));
-            }
+    if let Some(cert) = inner.sdg.verify.as_deref().and_then(|r| r.se(&decl.name)) {
+        if !cert.merge_sound {
+            return Err(SdgError::Runtime(format!(
+                "scale-in of `{}` refused: its @Partial merge is not certified sound \
+                 ({}); folding the removed replica into a survivor could corrupt the \
+                 aggregate. Fix the merge.",
+                decl.name,
+                if cert.violations.is_empty() {
+                    "certificate withheld".to_string()
+                } else {
+                    cert.violations.join(", ")
+                }
+            )));
         }
     }
 

@@ -32,18 +32,17 @@
 //!   induction over reverse topological order, every suspended actor is
 //!   eventually resumed — no deadlock. External threads (ingest, control
 //!   plane) block on the mailbox condvar instead, like a bounded channel.
-//! - **Timer heap.** One shared min-heap holds the micro-batch linger
-//!   deadlines of idle actors and the ends of synthetic service-time
-//!   rests: an actor that owes `RuntimeConfig::work_ns` service time is
-//!   `Resting` on the heap instead of sleeping a pool thread, so the
-//!   simulated cluster's capacity grows with its instances, not with the
-//!   pool size. Workers fire due entries before every slice and bound
-//!   their park time by the earliest deadline.
+//! - **Timer heap.** One shared min-heap holds the ends of synthetic
+//!   service-time rests: an actor that owes `RuntimeConfig::work_ns`
+//!   service time is `Resting` on the heap instead of sleeping a pool
+//!   thread, so the simulated cluster's capacity grows with its instances,
+//!   not with the pool size. Workers fire due entries before every slice
+//!   and bound their park time by the earliest deadline.
 //!
-//! `Stop` flushes pending batches and retires the actor; dropping the last
-//! [`PoolSender`] (the scale-in/recovery slot swap) lets the actor drain
-//! what is queued and then retire, like a consumer observing channel
-//! disconnect. Sends to a retired actor fail with [`SendClosed`].
+//! `Stop` retires the actor; dropping the last [`PoolSender`] (the
+//! scale-in/recovery slot swap) lets the actor drain what is queued and
+//! then retire, like a consumer observing channel disconnect. Sends to a
+//! retired actor fail with [`SendClosed`].
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -74,7 +73,7 @@ const NO_TIMER: u64 = u64::MAX;
 /// and scheduling decisions can never disagree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RunState {
-    /// Not queued anywhere; the next push (or timer) schedules it.
+    /// Not queued anywhere; the next push schedules it.
     Idle,
     /// Sitting in a pool deque awaiting a worker.
     Scheduled,
@@ -429,7 +428,7 @@ impl PoolShared {
         at.saturating_duration_since(self.origin).as_nanos() as u64
     }
 
-    /// Registers a deadline for `actor` (a linger flush or a rest end).
+    /// Registers the end of `actor`'s rest.
     fn register_timer(&self, at: Instant, actor: Arc<Actor>) {
         {
             let mut t = self.timers.lock().expect("timer lock");
@@ -461,10 +460,9 @@ impl PoolShared {
         actor
     }
 
-    /// Schedules every idle actor whose linger deadline passed and every
-    /// resting actor whose rest is over; returns the count. Without a due
-    /// deadline this is one atomic load (and a clock read when the heap is
-    /// not empty), so workers call it before every slice.
+    /// Schedules every resting actor whose rest is over; returns the count.
+    /// Without a due deadline this is one atomic load (and a clock read
+    /// when the heap is not empty), so workers call it before every slice.
     fn fire_due_timers(&self, me: usize) -> usize {
         let due = self.next_due.load(Ordering::SeqCst);
         if due == NO_TIMER {
@@ -478,18 +476,11 @@ impl PoolShared {
         while let Some(actor) = self.pop_due(now) {
             let schedule = {
                 let mut mb = actor.mb.lock().expect("mailbox lock");
-                // Scheduled/Running actors flush expired batches on their
-                // own; a suspended actor flushes when its credit arrives
-                // (flushing from here would push into the very mailboxes
-                // it is waiting on). A resting actor is due only at the
-                // end of its current rest — a stale linger entry must not
-                // cut the rest short.
-                let fire = !mb.closed
-                    && match mb.state {
-                        RunState::Idle => true,
-                        RunState::Resting(until) => until <= now,
-                        _ => false,
-                    };
+                // Only a rest's own end reschedules the actor: an entry
+                // for an actor in any other state, or due before its
+                // current rest ends, is stale.
+                let fire =
+                    !mb.closed && matches!(mb.state, RunState::Resting(until) if until <= now);
                 if fire {
                     mb.state = RunState::Scheduled;
                 }
@@ -727,10 +718,6 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     let mut stopped = false;
     let mut processed = 0usize;
     loop {
-        // Timer-heap-driven linger: flush expired micro-batches before
-        // draining further input, so a parked batch is never starved by a
-        // steady arrival stream.
-        worker.flush_expired();
         let blocked = CURRENT.with(|c| c.borrow().as_ref().is_some_and(|x| !x.blocked.is_empty()));
         if blocked || worker.owes_rest() {
             break;
@@ -741,11 +728,8 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         }
         match msg {
             None => {
-                if disconnected {
-                    // All senders dropped: flush and retire.
-                    worker.flush_or_discard();
-                    stopped = true;
-                }
+                // The queue is drained: retire once every sender dropped.
+                stopped = disconnected;
                 break;
             }
             Some(msg) => {
@@ -762,8 +746,7 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
                     }
                     Err(payload) => {
                         // The actor dies: report the caught panic, drop the
-                        // worker (its `OutEdge`s repay parked batches on
-                        // drop), and retire the mailbox so producers see
+                        // worker, and retire the mailbox so producers see
                         // disconnect instead of a wedged queue — the pool
                         // worker itself survives to run other actors.
                         let probe = worker.panic_probe();
@@ -787,21 +770,18 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         retire(shared, &actor, Some(me));
         return;
     }
-    // Owed service time and pending micro-batches are served through the
-    // shared timer heap. The worker goes back before any state transition
-    // so whichever pool thread runs the actor next finds it in place.
+    // Owed service time is served through the shared timer heap. The
+    // worker goes back before any state transition so whichever pool
+    // thread runs the actor next finds it in place.
     let rest = if ctx.blocked.is_empty() {
         worker.take_rest()
     } else {
         None
     };
-    let deadline = worker.earliest_deadline();
     *actor.worker.lock().expect("worker slot") = Some(worker);
     if !ctx.blocked.is_empty() {
-        // No timer while suspended: the resumed slice flushes expired
-        // batches first thing (and rests any owed service time), and
-        // `fire_due_timers` would drop an entry for a suspended actor
-        // anyway.
+        // No rest while suspended: the resumed slice rests any owed
+        // service time.
         suspend(shared, me, actor, ctx.blocked);
         return;
     }
@@ -827,18 +807,7 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         }
     };
     if schedule {
-        // The next slice's top-of-loop `flush_expired` honours the
-        // deadline; no timer entry needed.
         shared.schedule(actor, Some(me));
-    } else if let Some(at) = deadline {
-        // Register only after the actor is observably Idle: the fire path
-        // drops entries for non-Idle actors, so registering while still
-        // Running races a concurrent `fire_due_timers` into losing the
-        // only wakeup for a parked micro-batch. A push that schedules the
-        // actor between the transition and this registration merely makes
-        // the entry stale — firing on a busy (or re-idled and re-armed)
-        // actor is harmless.
-        shared.register_timer(at, Arc::clone(&actor));
     }
 }
 
@@ -897,27 +866,12 @@ fn retire(shared: &Arc<PoolShared>, actor: &Arc<Actor>, me: Option<usize>) {
 }
 
 #[cfg(test)]
-impl PoolSender {
-    /// A sender into a mailbox no pool worker ever runs: tests read what
-    /// was sent with [`PoolSender::take`].
-    pub(crate) fn probe(cap: usize) -> PoolSender {
-        let (_, actor) = tests::shell(1, cap);
-        PoolSender { actor }
-    }
-
-    /// Pops the oldest queued message.
-    pub(crate) fn take(&self) -> Option<WorkerMsg> {
-        self.actor.pop().0
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
     /// A bare actor shell for mailbox-protocol tests: a pool of `workers`
     /// deques with no threads, and one actor without a worker.
-    pub(super) fn shell(workers: usize, cap: usize) -> (Arc<PoolShared>, Arc<Actor>) {
+    fn shell(workers: usize, cap: usize) -> (Arc<PoolShared>, Arc<Actor>) {
         let shared = Arc::new(PoolShared::new(
             workers,
             Arc::new(SchedInstruments::default()),
@@ -1095,25 +1049,30 @@ mod tests {
         let (shared, a) = shell(1, 4);
         let b = new_actor(&shared, 4, None);
         let now = Instant::now();
-        shared.register_timer(now + Duration::from_millis(200), Arc::clone(&b));
+        let later = now + Duration::from_millis(200);
+        a.mb.lock().unwrap().state = RunState::Resting(now);
+        b.mb.lock().unwrap().state = RunState::Resting(later);
+        shared.register_timer(later, Arc::clone(&b));
         shared.register_timer(now, Arc::clone(&a));
-        // Only `a` is due; it is idle, so firing schedules it.
+        // Only `a`'s rest is over, so firing schedules it alone.
         let fired = shared.fire_due_timers(0);
         assert_eq!(fired, 1);
         assert_eq!(a.mb.lock().unwrap().state, RunState::Scheduled);
-        assert_eq!(b.mb.lock().unwrap().state, RunState::Idle);
-        assert_eq!(shared.next_timer(), Some(now + Duration::from_millis(200)));
+        assert_eq!(b.mb.lock().unwrap().state, RunState::Resting(later));
+        assert_eq!(shared.next_timer(), Some(later));
         assert_eq!(shared.obs.timer_fires.get(), 1);
     }
 
     #[test]
-    fn due_timer_skips_non_idle_actors() {
-        let (shared, a) = shell(1, 4);
-        a.mb.lock().unwrap().state = RunState::Suspended;
-        shared.register_timer(Instant::now(), Arc::clone(&a));
-        assert_eq!(shared.fire_due_timers(0), 0);
-        assert_eq!(a.mb.lock().unwrap().state, RunState::Suspended);
-        assert_eq!(shared.next_timer(), None);
+    fn due_timer_skips_actors_that_are_not_resting() {
+        for state in [RunState::Idle, RunState::Suspended] {
+            let (shared, a) = shell(1, 4);
+            a.mb.lock().unwrap().state = state;
+            shared.register_timer(Instant::now(), Arc::clone(&a));
+            assert_eq!(shared.fire_due_timers(0), 0);
+            assert_eq!(a.mb.lock().unwrap().state, state);
+            assert_eq!(shared.next_timer(), None);
+        }
     }
 
     #[test]
@@ -1125,7 +1084,7 @@ mod tests {
         a.push(marker(0), true).unwrap();
         assert_eq!(a.mb.lock().unwrap().state, RunState::Resting(far));
         assert!(shared.injector.lock().unwrap().is_empty());
-        // A stale (due) linger entry must not cut the rest short.
+        // A stale (due) entry must not cut the rest short.
         shared.register_timer(Instant::now(), Arc::clone(&a));
         assert_eq!(shared.fire_due_timers(0), 0);
         assert_eq!(a.mb.lock().unwrap().state, RunState::Resting(far));

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
-use sdg_checkpoint::buffer::{BufferedItem, OutputBuffer};
+use sdg_checkpoint::buffer::OutputBuffer;
 use sdg_checkpoint::cell::StateCell;
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, TaskId};
@@ -26,7 +26,6 @@ use sdg_graph::model::{Dispatch, NativeTask, TaskCode, TaskContext};
 use sdg_ir::te_compiled::CompiledTe;
 
 use crate::compile::{run_compiled, Scratch};
-use crate::config::BatchConfig;
 use crate::fault::{FailureHub, FaultAction, FaultTrigger, PanicProbe};
 use crate::interp::Effects;
 use crate::item::{lane, Item};
@@ -42,10 +41,6 @@ const REST_QUANTUM: Duration = Duration::from_millis(1);
 pub enum WorkerMsg {
     /// A data item to process.
     Item(Item),
-    /// A micro-batch of items, processed in order. One mailbox message —
-    /// producers coalesce per destination to amortise mailbox signalling
-    /// (see [`crate::config::BatchConfig`]).
-    Batch(Vec<Item>),
     /// Graceful stop.
     Stop,
 }
@@ -150,15 +145,8 @@ impl BufferRegistry {
     }
 }
 
-/// One outgoing edge of a worker, with its dispatch machinery.
-///
-/// When micro-batching is on (`batch.max_items > 1`), items are assigned
-/// their timestamp at enqueue time and parked in a per-destination pending
-/// list; a destination's batch flushes as one mailbox message and one
-/// output-buffer lock when it reaches `max_items`, when the linger timer
-/// expires (driven by the owning worker's loop), or at shutdown. Pending
-/// items are counted in the deployment's `in_flight` gauge so drain
-/// barriers ([`crate::Deployment::quiesce`]) observe them.
+/// One outgoing edge of a worker, with its dispatch machinery. Every item
+/// is logged and sent the moment it is produced.
 pub struct OutEdge {
     /// Edge id.
     pub edge: EdgeId,
@@ -176,14 +164,6 @@ pub struct OutEdge {
     pub buffers: Arc<BufferRegistry>,
     /// Whether to record items in output buffers (fault tolerance on).
     pub buffered: bool,
-    /// Micro-batching knobs (`max_items = 1` sends eagerly).
-    batch: BatchConfig,
-    /// Pending (unsent) items per destination replica.
-    pending: Vec<Vec<Item>>,
-    /// Enqueue time of the oldest pending item since the last full flush.
-    pending_since: Option<Instant>,
-    /// Deployment-wide in-flight gauge; pending items are counted here.
-    in_flight: Arc<AtomicU64>,
     /// Cached buffer handles per destination (the registry hands out one
     /// `Arc` per key for the deployment's lifetime, so caching is safe and
     /// removes the registry lock from the steady-state send path).
@@ -205,8 +185,6 @@ impl OutEdge {
         rr: usize,
         buffers: Arc<BufferRegistry>,
         buffered: bool,
-        batch: BatchConfig,
-        in_flight: Arc<AtomicU64>,
     ) -> Self {
         OutEdge {
             edge,
@@ -217,10 +195,6 @@ impl OutEdge {
             rr,
             buffers,
             buffered,
-            batch,
-            pending: Vec::new(),
-            pending_since: None,
-            in_flight,
             buf_cache: Vec::new(),
             proj_idx: None,
         }
@@ -389,110 +363,21 @@ impl OutEdge {
         self.enqueue(targets, idx, item)
     }
 
-    /// Hands one timestamped item to destination `idx`: eagerly when
-    /// batching is off, otherwise parked until a flush condition.
+    /// Logs one timestamped item and sends it to destination `idx`.
     fn enqueue(&mut self, targets: &[PoolSender], idx: usize, item: Item) -> SdgResult<()> {
-        if self.batch.max_items <= 1 {
-            if self.buffered {
-                // The log entry shares the item's allocation; the wire
-                // encode happens at checkpoint-persist time.
-                self.buffer_for(item.src_replica, idx).lock().push_live(
-                    item.ts,
-                    item.corr,
-                    item.expect,
-                    Arc::clone(&item.payload),
-                );
-            }
-            return targets[idx]
-                .send(WorkerMsg::Item(item))
-                .map_err(|_| SdgError::Runtime("consumer channel closed".into()));
-        }
-        if self.pending.len() <= idx {
-            self.pending.resize_with(idx + 1, Vec::new);
-        }
-        // Count the parked item as in-flight *before* it leaves the
-        // mailbox-visible world, so drain barriers never observe a gap.
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        self.pending[idx].push(item);
-        if self.pending_since.is_none() {
-            self.pending_since = Some(Instant::now());
-        }
-        if self.pending[idx].len() >= self.batch.max_items {
-            self.flush_dst(targets, idx)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes destination `idx`'s pending batch: one output-buffer lock
-    /// for all appends, one mailbox message for all items.
-    fn flush_dst(&mut self, targets: &[PoolSender], idx: usize) -> SdgResult<()> {
-        let Some(slot) = self.pending.get_mut(idx) else {
-            return Ok(());
-        };
-        if slot.is_empty() {
-            return Ok(());
-        }
-        let batch = std::mem::take(slot);
-        let n = batch.len();
         if self.buffered {
-            let buf = self.buffer_for(batch[0].src_replica, idx);
-            buf.lock().push_all(
-                batch
-                    .iter()
-                    .map(|i| BufferedItem::live(i.ts, i.corr, i.expect, Arc::clone(&i.payload))),
+            // The log entry shares the item's allocation; the wire encode
+            // happens at checkpoint-persist time.
+            self.buffer_for(item.src_replica, idx).lock().push_live(
+                item.ts,
+                item.corr,
+                item.expect,
+                Arc::clone(&item.payload),
             );
         }
-        let result = if n == 1 {
-            let item = batch.into_iter().next().expect("len checked");
-            targets[idx].send(WorkerMsg::Item(item))
-        } else {
-            targets[idx].send(WorkerMsg::Batch(batch))
-        };
-        // Items are now visible in the channel (or lost with it): hand the
-        // accounting back either way.
-        self.in_flight.fetch_sub(n as u64, Ordering::AcqRel);
-        result.map_err(|_| SdgError::Runtime("consumer channel closed".into()))
-    }
-
-    /// Flushes every destination's pending batch and clears the linger
-    /// deadline.
-    pub fn flush_all(&mut self) -> SdgResult<()> {
-        self.pending_since = None;
-        if !self.has_pending() {
-            return Ok(());
-        }
-        let targets_arc = Arc::clone(&self.targets);
-        let targets = targets_arc.read();
-        for idx in 0..self.pending.len() {
-            self.flush_dst(&targets, idx)?;
-        }
-        Ok(())
-    }
-
-    /// Drops every pending item without sending or buffering it, modelling
-    /// the loss of in-flight data when the hosting node dies. The dropped
-    /// timestamps were never buffered, so a respawned producer resuming
-    /// from the buffered high-water mark stays monotone.
-    pub fn discard_pending(&mut self) {
-        let n: usize = self.pending.iter().map(Vec::len).sum();
-        if n > 0 {
-            for slot in &mut self.pending {
-                slot.clear();
-            }
-            self.in_flight.fetch_sub(n as u64, Ordering::AcqRel);
-        }
-        self.pending_since = None;
-    }
-
-    /// Whether any destination has parked items.
-    pub fn has_pending(&self) -> bool {
-        self.pending.iter().any(|p| !p.is_empty())
-    }
-
-    /// When the oldest pending item must be flushed (absent when nothing
-    /// has been parked since the last flush).
-    pub fn linger_deadline(&self) -> Option<Instant> {
-        self.pending_since.map(|t| t + self.batch.linger)
+        targets[idx]
+            .send(WorkerMsg::Item(item))
+            .map_err(|_| SdgError::Runtime("consumer channel closed".into()))
     }
 
     fn buffer_for(&mut self, src: u32, dst: usize) -> Arc<Mutex<OutputBuffer>> {
@@ -509,19 +394,6 @@ impl OutEdge {
         });
         self.buf_cache[dst] = Some(Arc::clone(&buf));
         buf
-    }
-}
-
-impl Drop for OutEdge {
-    /// Repays the in-flight gauge for items still parked for batching.
-    ///
-    /// Graceful paths resolve pending batches before the edge drops, so
-    /// this is a no-op there — but a worker consumed by a panic unwind
-    /// drops its edges with whatever was parked, and without repayment
-    /// the deployment's quiesce barrier would wait on those ghosts
-    /// forever.
-    fn drop(&mut self) {
-        self.discard_pending();
     }
 }
 
@@ -631,33 +503,15 @@ impl Worker {
     /// Processes one message; returns `true` when the instance must stop.
     ///
     /// The pool actor ([`crate::sched`]) calls this once per mailbox
-    /// message. `Stop` resolves pending micro-batches exactly once — flush
-    /// on a live node, discard on a dead one — so a linger deadline racing
-    /// shutdown behaves deterministically.
+    /// message.
     pub(crate) fn step(&mut self, msg: WorkerMsg) -> bool {
         self.heartbeat.fetch_add(1, Ordering::Release);
         match msg {
-            WorkerMsg::Stop => {
-                self.flush_or_discard();
-                true
-            }
+            WorkerMsg::Stop => true,
             WorkerMsg::Item(item) => {
-                if !self.alive.load(Ordering::Acquire) {
-                    // Simulated dead node: in-flight items are lost,
-                    // including anything parked for batching.
-                    self.discard_all_pending();
-                } else {
+                // On a simulated dead node, in-flight items are lost.
+                if self.alive.load(Ordering::Acquire) {
                     self.handle(item);
-                }
-                false
-            }
-            WorkerMsg::Batch(items) => {
-                if !self.alive.load(Ordering::Acquire) {
-                    self.discard_all_pending();
-                } else {
-                    for item in items {
-                        self.handle(item);
-                    }
                 }
                 false
             }
@@ -673,39 +527,6 @@ impl Worker {
     pub(crate) fn take_rest(&mut self) -> Option<Duration> {
         self.owes_rest()
             .then(|| std::mem::take(&mut self.work_debt))
-    }
-
-    pub(crate) fn earliest_deadline(&self) -> Option<Instant> {
-        self.outs.iter().filter_map(OutEdge::linger_deadline).min()
-    }
-
-    /// Resolves pending micro-batches: flush on a live node, discard on a
-    /// dead one (its in-flight data is lost with it).
-    pub(crate) fn flush_or_discard(&mut self) {
-        if self.alive.load(Ordering::Acquire) {
-            for out in &mut self.outs {
-                // Send failures here mean consumers already shut down.
-                let _ = out.flush_all();
-            }
-        } else {
-            self.discard_all_pending();
-        }
-    }
-
-    /// Applies [`Worker::flush_or_discard`] when the earliest linger
-    /// deadline has passed.
-    pub(crate) fn flush_expired(&mut self) {
-        if let Some(deadline) = self.earliest_deadline() {
-            if deadline <= Instant::now() {
-                self.flush_or_discard();
-            }
-        }
-    }
-
-    fn discard_all_pending(&mut self) {
-        for out in &mut self.outs {
-            out.discard_pending();
-        }
     }
 
     /// Everything a scheduler boundary needs to report this worker's
@@ -985,223 +806,7 @@ impl TaskContext for NativeCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::Pool;
-    use sdg_common::obs::{MetricsRegistry, SchedInstruments};
     use sdg_common::record;
-
-    /// A passthrough worker on a one-worker pool, with one batched out edge
-    /// into a probe mailbox that no pool runs. Returns the pool, the
-    /// worker's sender, and the probe.
-    fn probe_worker(batch: BatchConfig) -> (Arc<Pool>, PoolSender, PoolSender) {
-        let probe = PoolSender::probe(1024);
-        // The sink receiver may drop: a passthrough worker never emits.
-        let (sink, _) = crossbeam::channel::unbounded();
-        let registry = MetricsRegistry::new();
-        let out = OutEdge::new(
-            EdgeId(7),
-            Dispatch::OneToAny,
-            Vec::new(),
-            Arc::new(RwLock::new(vec![probe.clone()])),
-            TsGen::new(),
-            0,
-            Arc::new(BufferRegistry::new(64)),
-            false,
-            batch,
-            Arc::new(AtomicU64::new(0)),
-        );
-        let worker = Worker {
-            name: "probe".into(),
-            replica: 0,
-            code: PreparedCode::Passthrough,
-            scratch: Scratch::new(),
-            cell: None,
-            route_key: None,
-            outs: vec![out],
-            sink,
-            pending_gathers: HashMap::new(),
-            gather_var: None,
-            work_ns: 0,
-            speed: 1.0,
-            alive: Arc::new(AtomicBool::new(true)),
-            obs: registry.task("probe"),
-            e2e: Arc::clone(registry.e2e_latency()),
-            dedupe: false,
-            in_flight: Arc::new(AtomicU64::new(0)),
-            work_debt: Duration::ZERO,
-            task: TaskId(0),
-            heartbeat: Arc::new(AtomicU64::new(0)),
-            fault: None,
-            hub: None,
-        };
-        let pool = Pool::start(1, Arc::new(SchedInstruments::default()));
-        let tx = pool.spawn_actor(worker, 1024);
-        (pool, tx, probe)
-    }
-
-    fn input_item(corr: u64) -> Item {
-        Item {
-            edge: EdgeId(1),
-            src_replica: 0,
-            ts: corr + 1,
-            corr,
-            expect: 1,
-            payload: Arc::new(record! {"k" => Value::Int(corr as i64)}),
-            submitted_at: None,
-        }
-    }
-
-    /// Number of records carried by one outbound message.
-    fn msg_len(msg: &WorkerMsg) -> usize {
-        match msg {
-            WorkerMsg::Item(_) => 1,
-            WorkerMsg::Batch(items) => items.len(),
-            WorkerMsg::Stop => 0,
-        }
-    }
-
-    /// Waits up to `timeout` for the probe's next message.
-    fn recv(probe: &PoolSender, timeout: Duration) -> Option<WorkerMsg> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(msg) = probe.take() {
-                return Some(msg);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Records drained from the probe: `(total, messages)`.
-    fn drain(probe: &PoolSender) -> (usize, usize) {
-        std::iter::from_fn(|| probe.take())
-            .fold((0, 0), |(total, msgs), m| (total + msg_len(&m), msgs + 1))
-    }
-
-    #[test]
-    fn full_batch_flushes_immediately_on_size() {
-        // Linger is far too long to fire: only the size trigger can flush.
-        let (pool, tx, probe) = probe_worker(BatchConfig {
-            max_items: 4,
-            linger: Duration::from_secs(60),
-        });
-        for corr in 0..4 {
-            tx.send(WorkerMsg::Item(input_item(corr))).unwrap();
-        }
-        let msg = recv(&probe, Duration::from_secs(5))
-            .expect("full batch must flush on size, not linger");
-        assert_eq!(msg_len(&msg), 4);
-        assert!(matches!(msg, WorkerMsg::Batch(_)));
-        tx.send(WorkerMsg::Stop).unwrap();
-        pool.join();
-    }
-
-    #[test]
-    fn partial_batch_flushes_on_linger_timeout() {
-        // 2 ≪ 100 items: only the linger deadline, fired from the pool's
-        // timer heap with no further input, can flush.
-        let linger = Duration::from_millis(30);
-        let (pool, tx, probe) = probe_worker(BatchConfig {
-            max_items: 100,
-            linger,
-        });
-        let t0 = Instant::now();
-        for corr in 0..2 {
-            tx.send(WorkerMsg::Item(input_item(corr))).unwrap();
-        }
-        // The deadline counts from the first enqueue, which follows `t0`:
-        // a look taken before `t0 + linger` must find nothing.
-        let early = probe.take();
-        if t0.elapsed() < linger {
-            assert!(early.is_none(), "partial batch flushed before its linger");
-        }
-        let msg = early
-            .or_else(|| recv(&probe, Duration::from_secs(5)))
-            .expect("linger expiry must flush the partial batch without a Stop");
-        assert!(t0.elapsed() >= linger, "flush arrived before the linger");
-        assert_eq!(msg_len(&msg), 2);
-        tx.send(WorkerMsg::Stop).unwrap();
-        pool.join();
-    }
-
-    #[test]
-    fn stop_flushes_pending_batch() {
-        // Neither size (3 < 100) nor linger (60 s) can trigger: only `Stop`.
-        let (pool, tx, probe) = probe_worker(BatchConfig {
-            max_items: 100,
-            linger: Duration::from_secs(60),
-        });
-        for corr in 0..3 {
-            tx.send(WorkerMsg::Item(input_item(corr))).unwrap();
-        }
-        tx.send(WorkerMsg::Stop).unwrap();
-        pool.join();
-        assert_eq!(drain(&probe), (3, 1), "Stop must flush exactly once");
-    }
-
-    #[test]
-    fn last_sender_drop_flushes_like_stop() {
-        let (pool, tx, probe) = probe_worker(BatchConfig {
-            max_items: 100,
-            linger: Duration::from_secs(60),
-        });
-        tx.send(WorkerMsg::Item(input_item(0))).unwrap();
-        drop(tx); // The last sender goes: the actor drains and retires.
-        pool.join();
-        assert_eq!(drain(&probe), (1, 1), "flush on disconnect");
-    }
-
-    #[test]
-    fn steady_arrivals_do_not_starve_linger_flushes() {
-        // A zero linger makes every parked item immediately due, so the
-        // slice's next top-of-loop check flushes it: a steady burst (queue
-        // never empty) must not come out as one end-of-burst batch.
-        let (pool, tx, probe) = probe_worker(BatchConfig {
-            max_items: 1000,
-            linger: Duration::ZERO,
-        });
-        for corr in 0..50 {
-            tx.send(WorkerMsg::Item(input_item(corr))).unwrap();
-        }
-        tx.send(WorkerMsg::Stop).unwrap();
-        pool.join();
-        let (total, msgs) = drain(&probe);
-        assert_eq!(total, 50, "no item may be lost or duplicated");
-        assert!(
-            msgs > 1,
-            "an expired linger must flush mid-burst, not wait for the queue to drain"
-        );
-    }
-
-    #[test]
-    fn stop_racing_linger_deadline_resolves_batches_exactly_once() {
-        // A parked batch whose linger deadline expires right around `Stop`
-        // must be resolved exactly once — either the timer flush or the
-        // Stop flush wins, never both, never neither. Repeated to shake
-        // the race.
-        for round in 0..20 {
-            let (pool, tx, probe) = probe_worker(BatchConfig {
-                max_items: 100,
-                linger: Duration::from_millis(1),
-            });
-            for corr in 0..3 {
-                tx.send(WorkerMsg::Item(input_item(corr))).unwrap();
-            }
-            // Let the deadline expire (or not — both interleavings must
-            // work).
-            if round % 2 == 0 {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            tx.send(WorkerMsg::Stop).unwrap();
-            pool.join();
-            assert_eq!(
-                drain(&probe).0,
-                3,
-                "round {round}: Stop racing an expired linger lost or duplicated items"
-            );
-        }
-    }
 
     #[test]
     fn buffer_registry_creates_and_trims() {

@@ -2,11 +2,13 @@
 //! cluster, with failure injection, recovery and scaling.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use sdg_common::ids::StateId;
 use sdg_common::record;
-use sdg_common::value::Value;
+use sdg_common::value::{Key, Value};
 use sdg_ir::parser::parse_program;
 use sdg_runtime::config::{RuntimeConfig, ScalingConfig};
 use sdg_runtime::deploy::Deployment;
@@ -356,6 +358,81 @@ fn failure_recovery_preserves_exactly_once_counts() {
     assert!(d.quiesce(Duration::from_secs(10)));
     assert_eq!(total_count(&d, kv), 700);
     assert_eq!(d.stats().errors, 0);
+    d.shutdown();
+}
+
+/// Checkpoints come from the interval thread and from
+/// `ReconfigRequest::Checkpoint` alike, and `with_state` re-splits a
+/// striped cell's stores: each must wait for the other instead of failing
+/// it with "consolidate without begin_checkpoint" or "checkpoint already in
+/// progress".
+#[test]
+fn concurrent_checkpoints_and_with_state_do_not_fail_each_other() {
+    const KEYS: i64 = 10_000;
+    const ROUNDS: usize = 30;
+    let (d, kv) = deploy_kv(2, true);
+    for replica in 0..2u32 {
+        d.with_state(kv, replica, |s| {
+            let table = s.as_table().unwrap();
+            for k in 0..KEYS {
+                let key = Key::Int(k);
+                if (key.stable_hash() % 2) as u32 == replica {
+                    table.put(key, Value::Int(1));
+                }
+            }
+        })
+        .unwrap();
+    }
+    let checkpoints = || -> Vec<String> {
+        (0..ROUNDS)
+            .filter_map(|_| d.reconfigure(ReconfigRequest::Checkpoint).err())
+            .map(|e| e.to_string())
+            .collect()
+    };
+
+    // One thread reads through `with_state` while another checkpoints.
+    let reading = AtomicBool::new(true);
+    let start = Barrier::new(2);
+    let failed = std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            while reading.load(Ordering::Acquire) {
+                d.with_state(kv, 0, |s| s.as_table().unwrap().len())
+                    .unwrap();
+            }
+        });
+        start.wait();
+        let failed = checkpoints();
+        reading.store(false, Ordering::Release);
+        failed
+    });
+    assert!(
+        failed.is_empty(),
+        "{} of {ROUNDS} checkpoints failed against with_state: {:?}",
+        failed.len(),
+        failed.first()
+    );
+
+    // Two threads checkpoint at once.
+    let start = Barrier::new(2);
+    let failed = std::thread::scope(|s| {
+        let other = s.spawn(|| {
+            start.wait();
+            checkpoints()
+        });
+        start.wait();
+        let mut failed = checkpoints();
+        failed.extend(other.join().unwrap());
+        failed
+    });
+    assert!(
+        failed.is_empty(),
+        "{} of {} concurrent checkpoints failed: {:?}",
+        failed.len(),
+        2 * ROUNDS,
+        failed.first()
+    );
+    assert_eq!(total_count(&d, kv), KEYS);
     d.shutdown();
 }
 

@@ -25,7 +25,7 @@ use sdg_graph::model::{
 use sdg_ir::ast::Method;
 use sdg_ir::parser::parse_program;
 use sdg_ir::te::TeProgram;
-use sdg_runtime::config::{BatchConfig, RuntimeConfig};
+use sdg_runtime::config::RuntimeConfig;
 use sdg_runtime::deploy::Deployment;
 use sdg_runtime::reconfig::ReconfigRequest;
 use sdg_state::partition::PartitionDim;
@@ -167,7 +167,6 @@ fn deploy_generated(
     src: &str,
     workers: usize,
     partitions: usize,
-    batch: BatchConfig,
     ft: bool,
 ) -> (Deployment, StateId) {
     let mut b = SdgBuilder::new();
@@ -213,7 +212,6 @@ fn deploy_generated(
     let sdg = b.build().unwrap();
     let mut cfg = RuntimeConfig {
         sched_threads: workers,
-        batch,
         ..Default::default()
     };
     cfg.se_instances.insert(t, partitions);
@@ -274,8 +272,8 @@ struct Observed {
     errors: u64,
 }
 
-fn run_once(src: &str, workers: usize, inputs: &[[i64; 3]], batch: BatchConfig) -> Observed {
-    let (d, t) = deploy_generated(src, workers, 1, batch, false);
+fn run_once(src: &str, workers: usize, inputs: &[[i64; 3]]) -> Observed {
+    let (d, t) = deploy_generated(src, workers, 1, false);
     submit_all(&d, inputs);
     assert!(
         d.quiesce(Duration::from_secs(30)),
@@ -294,13 +292,8 @@ fn run_once(src: &str, workers: usize, inputs: &[[i64; 3]], batch: BatchConfig) 
 /// are sorted (two partitions interleave; replay re-emits are filtered by
 /// neither side, identically) and the restored state is asserted
 /// byte-identical to the pre-failure state within the run itself.
-fn run_with_recovery(
-    src: &str,
-    workers: usize,
-    inputs: &[[i64; 3]],
-    batch: BatchConfig,
-) -> Observed {
-    let (d, t) = deploy_generated(src, workers, 2, batch, true);
+fn run_with_recovery(src: &str, workers: usize, inputs: &[[i64; 3]]) -> Observed {
+    let (d, t) = deploy_generated(src, workers, 2, true);
     let mid = inputs.len() / 2;
     submit_all(&d, &inputs[..mid]);
     assert!(d.quiesce(Duration::from_secs(30)));
@@ -327,44 +320,6 @@ fn run_with_recovery(
     };
     d.shutdown();
     observed
-}
-
-/// Quiesce must observe parked micro-batches: `in_flight` counts them, and
-/// the shared timer heap is what flushes them, so a lost linger wakeup
-/// would show up here as a drain timeout.
-#[test]
-fn pool_quiesce_drains_parked_micro_batches() {
-    let src = "Table t;\n\
-               void main(int n0, int n1, int n2) { v = t.inc(n0, 1); }";
-    let batch = BatchConfig {
-        max_items: 16,
-        linger: Duration::from_millis(1),
-    };
-    let (d, t) = deploy_generated(src, WORKERS, 2, batch, false);
-    // 5 items per burst never fill a 16-item batch: every flush is
-    // timer-driven. Interleave bursts with drains to race slice-end timer
-    // registration against concurrent pool workers repeatedly.
-    for round in 0..20i64 {
-        for n in 0..5i64 {
-            d.submit(
-                "main",
-                record! {
-                    "n0" => Value::Int(round * 5 + n),
-                    "n1" => Value::Int(0),
-                    "n2" => Value::Int(0),
-                },
-            )
-            .unwrap();
-        }
-        assert!(
-            d.quiesce(Duration::from_secs(10)),
-            "round {round}: parked batch never flushed"
-        );
-    }
-    let total: usize = state_of(&d, t).len();
-    assert_eq!(total, 100, "every key must have been applied exactly once");
-    assert_eq!(d.stats().errors, 0);
-    d.shutdown();
 }
 
 /// The scaling monitor must work over pool actors: queue depths come from
@@ -440,14 +395,9 @@ proptest! {
     fn multi_worker_pool_matches_one_worker_on_serial_pipeline(
         src in program(false),
         inputs in prop::collection::vec(prop::array::uniform3(-10i64..10), 1..24),
-        max_items in prop::sample::select(vec![1usize, 4]),
     ) {
-        let batch = BatchConfig {
-            max_items,
-            linger: Duration::from_millis(1),
-        };
-        let reference = run_once(src.as_str(), REFERENCE, &inputs, batch);
-        let pool = run_once(src.as_str(), WORKERS, &inputs, batch);
+        let reference = run_once(src.as_str(), REFERENCE, &inputs);
+        let pool = run_once(src.as_str(), WORKERS, &inputs);
         prop_assert_eq!(&reference, &pool, "pool sizes diverged for:\n{}", src);
     }
 }
@@ -461,14 +411,9 @@ proptest! {
     fn multi_worker_pool_matches_one_worker_across_recovery(
         src in program(true),
         inputs in prop::collection::vec(prop::array::uniform3(-10i64..10), 8..32),
-        max_items in prop::sample::select(vec![1usize, 4]),
     ) {
-        let batch = BatchConfig {
-            max_items,
-            linger: Duration::from_millis(1),
-        };
-        let mut reference = run_with_recovery(src.as_str(), REFERENCE, &inputs, batch);
-        let mut pool = run_with_recovery(src.as_str(), WORKERS, &inputs, batch);
+        let mut reference = run_with_recovery(src.as_str(), REFERENCE, &inputs);
+        let mut pool = run_with_recovery(src.as_str(), WORKERS, &inputs);
         // Two partitions interleave emits nondeterministically (on any
         // pool size): compare as sorted multisets.
         reference.emits.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));

@@ -148,7 +148,7 @@ pub fn translate(program: &Program) -> SdgResult<Sdg> {
     let mut sdg = builder.build()?;
 
     // Run sdg-verify and attach its certificates: the runtime gates
-    // striping, micro-batching and incremental checkpointing on them.
+    // striping, incremental checkpointing and partial scale-in on them.
     // Each task element inherits the certificate of its source method —
     // a TE can only be as deterministic as the pipeline it was cut from.
     let mut report = verify_program(program);

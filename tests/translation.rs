@@ -134,8 +134,8 @@ fn translation_attaches_verify_report_with_task_aliases() {
     let report = program.graph().verify.as_deref().expect("report attached");
 
     // Every state element and every emitted task element can be looked up
-    // in the report — the runtime gates cell layout and edge batching by
-    // exactly these names.
+    // in the report by exactly these names: the runtime gates cell layout
+    // on the state certificates, and `sdgc verify` prints the task ones.
     for state in &program.graph().states {
         assert!(report.se(&state.name).is_some(), "{} missing", state.name);
     }

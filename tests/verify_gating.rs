@@ -4,14 +4,14 @@
 //! runtime consults it before enabling the aggressive state-path
 //! optimizations: lock striping needs the key-locality certificate, delta
 //! checkpointing needs replay safety. A program that fails a check must
-//! still deploy and compute correct answers — it just runs in safe mode —
-//! and `RuntimeConfig::trust_annotations` restores the old behaviour.
+//! still deploy and compute correct answers — it just runs in safe mode. A
+//! graph without an attached report is trusted.
 
 use std::time::Duration;
 
 use sdg::common::record;
 use sdg::common::value::Value;
-use sdg::prelude::{ReconfigRequest, RuntimeConfig};
+use sdg::prelude::{Deployment, ReconfigRequest, RuntimeConfig};
 use sdg::SdgProgram;
 
 /// Deliberately cross-key: the second `put` goes through a reassigned key
@@ -99,14 +99,19 @@ fn certified_program_is_striped() {
     d.shutdown();
 }
 
+/// `program`'s graph with its `sdg-verify` report removed, as a hand-built
+/// graph comes.
+fn without_report(program: &SdgProgram) -> sdg::prelude::Sdg {
+    let mut graph = program.graph().clone();
+    graph.verify = None;
+    graph
+}
+
 #[test]
-fn trust_annotations_overrides_the_gate() {
+fn graph_without_report_is_trusted() {
     let program = SdgProgram::compile(CROSS_KEY).unwrap();
-    let cfg = RuntimeConfig::builder()
-        .state_stripes(8)
-        .trust_annotations(true)
-        .build();
-    let d = program.deploy(cfg).unwrap();
+    let cfg = RuntimeConfig::builder().state_stripes(8).build();
+    let d = Deployment::start(without_report(&program), cfg).unwrap();
     assert_eq!(stripes_of(&d.metrics(), "t"), 8);
     d.shutdown();
 }
@@ -155,7 +160,7 @@ fn uncertified_partial_merge_refuses_scale_in() {
     // survivor — an additive merge applied outside the usual read-all
     // barrier. The runtime must refuse when `sdg-verify` cannot certify
     // the program's merge as sound, and explain itself.
-    let deploy = |source: &str, trust: bool| {
+    let deploy = |source: &str, strip_report: bool| {
         let program = SdgProgram::compile(source).unwrap();
         let sid = program.state("counts").expect("state counts");
         let task = {
@@ -170,8 +175,11 @@ fn uncertified_partial_merge_refuses_scale_in() {
         };
         let mut cfg = RuntimeConfig::default();
         cfg.se_instances.insert(sid, 2);
-        cfg.trust_annotations = trust;
-        let d = program.deploy(cfg).unwrap();
+        let d = if strip_report {
+            Deployment::start(without_report(&program), cfg).unwrap()
+        } else {
+            program.deploy(cfg).unwrap()
+        };
         for n in 0..20 {
             d.submit("add", record! {"w" => Value::str(format!("w{}", n % 6))})
                 .unwrap();
@@ -179,7 +187,7 @@ fn uncertified_partial_merge_refuses_scale_in() {
         assert!(d.quiesce(Duration::from_secs(10)));
         (d, sid, task)
     };
-    let total = |d: &sdg::prelude::Deployment, sid| {
+    let total = |d: &Deployment, sid| {
         let replicas = d
             .metrics()
             .state_by_id(sid)
@@ -203,8 +211,8 @@ fn uncertified_partial_merge_refuses_scale_in() {
         .unwrap_err();
     let msg = err.to_string();
     assert!(
-        msg.contains("not certified sound") && msg.contains("trust_annotations"),
-        "diagnostic must name the gate and the override: {msg}"
+        msg.contains("not certified sound") && msg.contains("Fix the merge."),
+        "diagnostic must name the gate and the fix: {msg}"
     );
     assert_eq!(
         d.metrics().state_by_id(sid).unwrap().instances,
@@ -214,7 +222,7 @@ fn uncertified_partial_merge_refuses_scale_in() {
     assert_eq!(total(&d, sid), 20);
     d.shutdown();
 
-    // The escape hatch overrides the gate.
+    // Without a report there is no certificate to refuse on.
     let (d, sid, task) = deploy(ORDER_SENSITIVE, true);
     d.reconfigure(sdg::prelude::ReconfigRequest::ScaleIn { task })
         .unwrap();
