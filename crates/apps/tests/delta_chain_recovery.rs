@@ -1,6 +1,7 @@
-//! Deployment-level exercise of the PR 4 state path: striped cells with
-//! incremental checkpointing — base, delta generations, compaction, a
-//! node failure, and a base + delta chain restore with exact replay.
+//! Deployment-level exercise of delta-chain recovery under the shipped
+//! checkpoint configuration: striped cells, base and delta generations,
+//! compaction, a node failure, and a base + delta chain restore with exact
+//! replay.
 
 use std::time::Duration;
 
@@ -35,8 +36,6 @@ fn delta_chain_recovery_is_exactly_once() {
     cfg.checkpoint.enabled = true;
     cfg.checkpoint.interval = Duration::from_secs(3600); // Manual below.
     cfg.checkpoint.backup_fanout = 2;
-    cfg.checkpoint.incremental = true;
-    cfg.checkpoint.delta_chunks = 64;
     let app = KvApp::start(2, cfg).expect("deploy KV");
 
     // Touch every key, then take the base generation.

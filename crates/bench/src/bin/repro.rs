@@ -4,7 +4,6 @@
 //! repro <experiment>... [--full] [--metrics json|text]
 //!
 //! experiments: table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 all
-//!              fig11i fig13i (incremental-checkpoint variants)
 //! --full           larger state sizes and longer runs (default: quick)
 //! --metrics json   after each experiment, print one JSON line per engine
 //!                  snapshot: {"experiment":...,"label":...,"metrics":{...}}
@@ -81,10 +80,8 @@ fn main() {
             "fig9" => fig9_lr_scale::print(&fig9_lr_scale::run(scale)),
             "fig10" => fig10_stragglers::print(&fig10_stragglers::run(scale)),
             "fig11" => fig11_recovery::print(&fig11_recovery::run(scale)),
-            "fig11i" => fig11_recovery::print(&fig11_recovery::run_mode(scale, true)),
             "fig12" => fig12_sync_async::print(&fig12_sync_async::run(scale)),
             "fig13" => fig13_overhead::print(&fig13_overhead::run(scale)),
-            "fig13i" => fig13_overhead::print(&fig13_overhead::run_mode(scale, true)),
             other => {
                 eprintln!("unknown experiment `{other}`; see --help in the module docs");
                 std::process::exit(2);

@@ -1,23 +1,19 @@
 //! Fig. 11 — recovery time under different m-to-n strategies.
 //!
-//! A failed SE instance is restored from checkpoints held on `m` backup
-//! stores onto `n` recovering instances. The paper's shape: 1-to-1 is the
-//! slowest (one disk, one rebuilder); adding a second disk (2-to-1) helps
-//! while I/O dominates; adding a second rebuilder (1-to-2) helps when
+//! A failed SE instance is restored from a base checkpoint held on `m`
+//! backup stores onto `n` recovering instances. The paper's shape: 1-to-1
+//! is the slowest (one disk, one rebuilder); adding a second disk (2-to-1)
+//! helps while I/O dominates; adding a second rebuilder (1-to-2) helps when
 //! state reconstruction dominates; 2-to-2 combines both and wins.
-//!
-//! The sweep runs in two checkpoint modes: `full` (one generation holds
-//! the whole state) and `incremental` (a base generation plus a delta of
-//! the chunks dirtied since it; restore composes the chain).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdg_checkpoint::backup::{BackupSet, BackupStore};
+use sdg_checkpoint::backup::BackupStore;
 use sdg_checkpoint::cell::StateCell;
 use sdg_checkpoint::config::CheckpointConfig;
 use sdg_checkpoint::coordinator::{take_checkpoint_with, CheckpointOptions};
-use sdg_checkpoint::recovery::{restore_chain_observed, RestoreOptions};
+use sdg_checkpoint::recovery::{restore_chain_resilient, RestoreOptions};
 use sdg_common::ids::{EdgeId, InstanceId, TaskId};
 use sdg_common::obs::MetricsRegistry;
 use sdg_common::value::{Key, Value};
@@ -27,11 +23,11 @@ use sdg_state::store::StateType;
 use crate::util::fmt_bytes;
 use crate::Scale;
 
-/// Stripe count for the incremental-mode cell (the runtime's default).
+/// Stripe count of the checkpointed cell (the runtime's default).
 const STRIPES: usize = 16;
 
-/// Dirty-chunk space for incremental checkpoints.
-const DELTA_CHUNKS: usize = 64;
+/// Checkpoint chunk space, tracked by the cell's dirty chunks.
+const CHUNKS: usize = 64;
 
 /// Value payload size per key.
 const VALUE: usize = 1024;
@@ -45,25 +41,15 @@ pub struct Fig11Row {
     pub m: usize,
     /// Recovering instances (`n`).
     pub n: usize,
-    /// Whether the restored checkpoint was a base + delta chain.
-    pub incremental: bool,
     /// Time to read chunks and reconstitute the instances.
     pub recovery: Duration,
 }
 
-/// Builds a table cell holding roughly `bytes` of state. Striped cells
-/// route each key to its owning stripe, as the runtime dispatcher does.
-fn build_cell(bytes: usize, striped: bool) -> (StateCell, usize, u64) {
-    let cell = if striped {
-        StateCell::new_striped(
-            StateType::Table,
-            STRIPES,
-            PartitionDim::Row,
-            Some(DELTA_CHUNKS),
-        )
-    } else {
-        StateCell::new(StateType::Table)
-    };
+/// Builds a striped table cell holding roughly `bytes` of state, routing
+/// each key to its owning stripe as the runtime dispatcher does. Returns
+/// the cell, its key count and the last timestamp written.
+fn build_cell(bytes: usize) -> (StateCell, usize, u64) {
+    let cell = StateCell::new_striped(StateType::Table, STRIPES, PartitionDim::Row, Some(CHUNKS));
     let keys = (bytes / VALUE).max(1);
     let payload = "y".repeat(VALUE);
     for k in 0..keys {
@@ -77,28 +63,8 @@ fn build_cell(bytes: usize, striped: bool) -> (StateCell, usize, u64) {
     (cell, keys, keys as u64)
 }
 
-/// Overwrites ~10 % of the keys (the delta between two checkpoints).
-fn dirty_writes(cell: &StateCell, keys: usize, ts: &mut u64) {
-    let payload = "z".repeat(VALUE);
-    for k in 0..(keys / 10).max(1) {
-        *ts += 1;
-        let route = Some(Key::Int(k as i64).stable_hash());
-        cell.apply_routed(EdgeId(0), *ts, route, |s| {
-            s.as_table()
-                .expect("table cell")
-                .put(Key::Int(k as i64), Value::str(&payload));
-        });
-    }
-}
-
-/// Runs the m-to-n sweep with full checkpoints (the paper's setup).
+/// Runs the m-to-n sweep.
 pub fn run(scale: Scale) -> Vec<Fig11Row> {
-    run_mode(scale, false)
-}
-
-/// Runs the m-to-n sweep; `incremental` restores a base + delta chain
-/// instead of a single full generation.
-pub fn run_mode(scale: Scale, incremental: bool) -> Vec<Fig11Row> {
     let sizes_mb: Vec<usize> = scale.pick(vec![4, 16], vec![16, 64, 128]);
     let strategies = [(1usize, 1usize), (2, 1), (1, 2), (2, 2)];
     // Simulated resources: each backup disk streams at `read_bps`; each
@@ -112,7 +78,7 @@ pub fn run_mode(scale: Scale, incremental: bool) -> Vec<Fig11Row> {
     let mut seq = 0u64;
     for mb in sizes_mb {
         let bytes = mb * 1024 * 1024;
-        let (cell, keys, mut ts) = build_cell(bytes, incremental);
+        let (cell, _, _) = build_cell(bytes);
         for (m, n) in strategies {
             let stores: Vec<Arc<BackupStore>> = (0..m)
                 .map(|_| {
@@ -124,43 +90,30 @@ pub fn run_mode(scale: Scale, incremental: bool) -> Vec<Fig11Row> {
             let obs = MetricsRegistry::new();
             let cfg = CheckpointConfig::builder()
                 .backup_fanout(m)
-                .chunks(16.max(m))
+                .chunks(CHUNKS)
                 .serialise_threads(4)
-                .incremental(incremental)
-                .delta_chunks(DELTA_CHUNKS)
                 .build();
-            let take = |seq: u64, force_full: bool| -> BackupSet {
-                take_checkpoint_with(
-                    &cell,
-                    InstanceId::new(TaskId(0), 0),
-                    seq,
-                    Vec::new,
-                    &stores,
-                    &cfg,
-                    Some(obs.checkpoints()),
-                    CheckpointOptions { force_full },
-                )
-                .expect("checkpoint")
-            };
-            // Each strategy re-bases (its stores start empty), then — in
-            // incremental mode — dirties ~10 % of the keys and takes the
-            // delta the restore will compose on top.
+            // Each strategy re-bases: its stores start empty.
             seq += 1;
-            let base = take(seq, true);
-            let chain = if incremental {
-                dirty_writes(&cell, keys, &mut ts);
-                seq += 1;
-                vec![base, take(seq, false)]
-            } else {
-                vec![base]
-            };
+            let base = take_checkpoint_with(
+                &cell,
+                InstanceId::new(TaskId(0), 0),
+                seq,
+                Vec::new,
+                &stores,
+                &cfg,
+                Some(obs.checkpoints()),
+                CheckpointOptions { force_full: true },
+            )
+            .expect("checkpoint");
+            let chain = [base];
 
             // Median of three trials: restore timing shares the host with
             // other processes.
             let mut times: Vec<Duration> = (0..3)
                 .map(|_| {
                     let t0 = Instant::now();
-                    let restored = restore_chain_observed(
+                    let restored = restore_chain_resilient(
                         &chain,
                         &stores,
                         n,
@@ -170,21 +123,16 @@ pub fn run_mode(scale: Scale, incremental: bool) -> Vec<Fig11Row> {
                         Some(obs.checkpoints()),
                     )
                     .expect("restore");
-                    assert_eq!(restored.len(), n);
+                    assert_eq!(restored.parts.len(), n);
                     t0.elapsed()
                 })
                 .collect();
             times.sort();
-            let mode = if incremental { "incr" } else { "full" };
-            crate::util::publish_snapshot(
-                &format!("ckpt {m}-to-{n} {mb}MB {mode}"),
-                obs.snapshot(),
-            );
+            crate::util::publish_snapshot(&format!("ckpt {m}-to-{n} {mb}MB"), obs.snapshot());
             rows.push(Fig11Row {
                 state_bytes: chain[0].state_bytes,
                 m,
                 n,
-                incremental,
                 recovery: times[1],
             });
         }
@@ -195,16 +143,12 @@ pub fn run_mode(scale: Scale, incremental: bool) -> Vec<Fig11Row> {
 /// Prints the figure's series.
 pub fn print(rows: &[Fig11Row]) {
     println!("# Fig 11 — recovery time by m-to-n strategy");
-    println!(
-        "{:<12} {:<10} {:<6} {:>12}",
-        "state", "strategy", "mode", "recovery"
-    );
+    println!("{:<12} {:<10} {:>12}", "state", "strategy", "recovery");
     for row in rows {
         println!(
-            "{:<12} {:<10} {:<6} {:>10.2}s",
+            "{:<12} {:<10} {:>10.2}s",
             fmt_bytes(row.state_bytes),
             format!("{}-to-{}", row.m, row.n),
-            if row.incremental { "incr" } else { "full" },
             row.recovery.as_secs_f64()
         );
     }
@@ -213,8 +157,11 @@ pub fn print(rows: &[Fig11Row]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdg_checkpoint::recovery::restore_chain;
 
-    fn two_to_two_beats_one_to_one_in(rows: &[Fig11Row]) {
+    #[test]
+    fn two_to_two_beats_one_to_one() {
+        let rows = run(Scale::Quick);
         // For the largest size, 2-to-2 must be faster than 1-to-1.
         let largest = rows.iter().map(|r| r.state_bytes).max().unwrap();
         let at = |m: usize, n: usize| {
@@ -226,19 +173,7 @@ mod tests {
         let r11 = at(1, 1);
         let r22 = at(2, 2);
         assert!(r22 < r11, "2-to-2 ({r22:?}) must beat 1-to-1 ({r11:?})");
-        print(rows);
-    }
-
-    #[test]
-    fn two_to_two_beats_one_to_one() {
-        two_to_two_beats_one_to_one_in(&run(Scale::Quick));
-    }
-
-    #[test]
-    fn two_to_two_beats_one_to_one_with_delta_chains() {
-        let rows = run_mode(Scale::Quick, true);
-        assert!(rows.iter().all(|r| r.incremental));
-        two_to_two_beats_one_to_one_in(&rows);
+        print(&rows);
     }
 
     #[test]
@@ -263,16 +198,27 @@ mod tests {
         }
     }
 
+    /// Overwrites ~10 % of the keys (the delta between two checkpoints).
+    fn dirty_writes(cell: &StateCell, keys: usize, ts: &mut u64) {
+        let payload = "z".repeat(VALUE);
+        for k in 0..(keys / 10).max(1) {
+            *ts += 1;
+            let route = Some(Key::Int(k as i64).stable_hash());
+            cell.apply_routed(EdgeId(0), *ts, route, |s| {
+                s.as_table()
+                    .expect("table cell")
+                    .put(Key::Int(k as i64), Value::str(&payload));
+            });
+        }
+    }
+
     /// Composing a base + delta chain restores exactly the live state,
     /// n-ways, on the fig11 workload.
     #[test]
     fn chain_restore_matches_live_state() {
-        let (cell, keys, mut ts) = build_cell(256 * 1024, true);
+        let (cell, keys, mut ts) = build_cell(256 * 1024);
         let stores = vec![Arc::new(BackupStore::in_memory())];
-        let cfg = CheckpointConfig::builder()
-            .incremental(true)
-            .delta_chunks(DELTA_CHUNKS)
-            .build();
+        let cfg = CheckpointConfig::builder().chunks(CHUNKS).build();
         let base = take_checkpoint_with(
             &cell,
             InstanceId::new(TaskId(0), 0),
@@ -300,8 +246,7 @@ mod tests {
         assert!(delta.state_bytes < base.state_bytes / 2, "delta is small");
 
         let restored =
-            restore_chain_observed(&[base, delta], &stores, 2, RestoreOptions::default(), None)
-                .unwrap();
+            restore_chain(&[base, delta], &stores, 2, RestoreOptions::default()).unwrap();
         let mut got: Vec<(Vec<u8>, Vec<u8>)> = restored
             .iter()
             .flat_map(|(s, _)| s.export_entries())

@@ -18,10 +18,9 @@ use crate::Scale;
 pub struct Fig12Row {
     /// Preloaded state bytes.
     pub state_bytes: usize,
-    /// Asynchronous (dirty-state) checkpointing, full generations.
+    /// Asynchronous (dirty-state) checkpointing of base + delta
+    /// generations.
     pub asynchronous: EnginePoint,
-    /// Asynchronous checkpointing with incremental (base + delta) backups.
-    pub incremental: EnginePoint,
     /// Synchronous (stop-the-world) checkpointing.
     pub synchronous: EnginePoint,
 }
@@ -44,17 +43,6 @@ pub fn run(scale: Scale) -> Vec<Fig12Row> {
                     measure,
                     ckpt_interval: Some(interval),
                     synchronous: false,
-                    incremental: false,
-                    per_request: Some(PER_REQUEST),
-                    channel_capacity: 256,
-                }),
-                incremental: measure_sdg_kv(&KvMeasure {
-                    state_bytes: bytes,
-                    value_bytes: 64,
-                    measure,
-                    ckpt_interval: Some(interval),
-                    synchronous: false,
-                    incremental: true,
                     per_request: Some(PER_REQUEST),
                     channel_capacity: 256,
                 }),
@@ -64,7 +52,6 @@ pub fn run(scale: Scale) -> Vec<Fig12Row> {
                     measure,
                     ckpt_interval: Some(interval),
                     synchronous: true,
-                    incremental: false,
                     per_request: Some(PER_REQUEST),
                     channel_capacity: 256,
                 }),
@@ -78,11 +65,7 @@ pub fn print(rows: &[Fig12Row]) {
     println!("# Fig 12 — sync vs async checkpointing");
     for row in rows {
         println!("state = {}", fmt_bytes(row.state_bytes));
-        for (name, p) in [
-            ("async", &row.asynchronous),
-            ("incr", &row.incremental),
-            ("sync", &row.synchronous),
-        ] {
+        for (name, p) in [("async", &row.asynchronous), ("sync", &row.synchronous)] {
             println!(
                 "  {:<6} {:>14}  {}",
                 name,
@@ -107,7 +90,6 @@ mod tests {
             measure: Duration::from_millis(1_500),
             ckpt_interval: Some(Duration::from_millis(300)),
             synchronous: false,
-            incremental: false,
             per_request: Some(PER_REQUEST),
             channel_capacity: 256,
         };

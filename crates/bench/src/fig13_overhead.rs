@@ -33,22 +33,14 @@ pub struct SizeRow {
 /// The two panels of the figure.
 #[derive(Debug, Clone)]
 pub struct Fig13Result {
-    /// Whether the sweeps ran with incremental (delta) checkpoints.
-    pub incremental: bool,
     /// Latency vs checkpoint frequency (fixed state size).
     pub by_frequency: Vec<FreqRow>,
     /// Latency vs state size (fixed frequency).
     pub by_size: Vec<SizeRow>,
 }
 
-/// Runs both sweeps with full checkpoints (the paper's setup).
+/// Runs both sweeps.
 pub fn run(scale: Scale) -> Fig13Result {
-    run_mode(scale, false)
-}
-
-/// Runs both sweeps; `incremental` checkpoints only the chunks dirtied
-/// since the last base (the PR 4 delta path).
-pub fn run_mode(scale: Scale, incremental: bool) -> Fig13Result {
     let measure = Duration::from_millis(scale.pick(1_500, 5_000));
     let fixed_bytes = scale.pick(4, 16) * 1024 * 1024;
     let intervals: Vec<Option<Duration>> = scale
@@ -68,7 +60,6 @@ pub fn run_mode(scale: Scale, incremental: bool) -> Fig13Result {
                     measure,
                     ckpt_interval: interval,
                     synchronous: false,
-                    incremental,
                     per_request: Some(PER_REQUEST),
                     channel_capacity: 256,
                 },
@@ -92,7 +83,6 @@ pub fn run_mode(scale: Scale, incremental: bool) -> Fig13Result {
                         measure,
                         ckpt_interval: Some(fixed_interval),
                         synchronous: false,
-                        incremental,
                         per_request: Some(PER_REQUEST),
                         channel_capacity: 256,
                     },
@@ -103,7 +93,6 @@ pub fn run_mode(scale: Scale, incremental: bool) -> Fig13Result {
         .collect();
 
     Fig13Result {
-        incremental,
         by_frequency,
         by_size,
     }
@@ -111,8 +100,7 @@ pub fn run_mode(scale: Scale, incremental: bool) -> Fig13Result {
 
 /// Prints both panels.
 pub fn print(result: &Fig13Result) {
-    let mode = if result.incremental { "incr" } else { "full" };
-    println!("# Fig 13 (top) — latency vs checkpoint frequency [{mode} ckpt]");
+    println!("# Fig 13 (top) — latency vs checkpoint frequency");
     for row in &result.by_frequency {
         let label = match row.interval {
             Some(d) => format!("every {d:?}"),
@@ -148,7 +136,6 @@ mod tests {
             measure: Duration::from_millis(1_500),
             ckpt_interval: None,
             synchronous: false,
-            incremental: false,
             per_request: Some(PER_REQUEST),
             channel_capacity: 256,
         };

@@ -38,8 +38,6 @@ pub struct KvMeasure {
     pub ckpt_interval: Option<Duration>,
     /// Stop-the-world mode (Fig. 12's baseline).
     pub synchronous: bool,
-    /// Incremental (base + delta chain) checkpointing.
-    pub incremental: bool,
     /// Modelled per-request service time.
     pub per_request: Option<Duration>,
     /// Channel capacity between pipeline stages (bounds queueing latency).
@@ -54,7 +52,6 @@ impl Default for KvMeasure {
             measure: Duration::from_secs(2),
             ckpt_interval: Some(Duration::from_millis(300)),
             synchronous: false,
-            incremental: false,
             per_request: None,
             channel_capacity: 256,
         }
@@ -105,7 +102,6 @@ pub fn measure_sdg_kv(m: &KvMeasure) -> EnginePoint {
                 .enabled(m.ckpt_interval.is_some())
                 .interval(m.ckpt_interval.unwrap_or(Duration::from_secs(3600)))
                 .synchronous(m.synchronous)
-                .incremental(m.incremental)
                 .disk_write_bps(Some(150_000_000))
                 .build(),
         )

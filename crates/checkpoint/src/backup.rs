@@ -456,19 +456,20 @@ impl BackupStore {
     }
 }
 
-/// Generation header for incremental checkpoints.
+/// Generation header of a checkpoint.
 ///
-/// An incremental chain is one *base* generation (every chunk of the delta
-/// chunk-space written) followed by delta generations that re-write only
-/// the chunks dirtied since the previous completed checkpoint. Each chunk
-/// is written whole, so restore composes the chain newest-wins per chunk
-/// id — no tombstones are needed (a key deleted from a chunk is simply
-/// absent from the chunk's newest copy).
+/// A restore chain is one *base* generation (every chunk that holds state
+/// written) followed by delta generations that re-write only the chunks
+/// dirtied since the previous completed checkpoint. Each chunk is written
+/// whole, so restore composes the chain newest-wins per chunk id — no
+/// tombstones are needed (a key deleted from a chunk is simply absent from
+/// the chunk's newest copy, and a delta writes a dirtied chunk even when
+/// it has become empty).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaMeta {
-    /// `true` for a full base generation that starts a chain.
+    /// `true` for a base generation, which starts a chain.
     pub base: bool,
-    /// Size of the dirty-tracking chunk space (constant along a chain).
+    /// Size of the chunk space (constant along a chain).
     pub chunk_space: usize,
 }
 
@@ -506,15 +507,14 @@ pub struct BackupSet {
     /// Serialised state size in bytes (all chunks written by this
     /// generation).
     pub state_bytes: usize,
-    /// Incremental-generation header; `None` for legacy full checkpoints.
-    pub delta: Option<DeltaMeta>,
+    /// Generation header: base or delta, and the chunk space.
+    pub delta: DeltaMeta,
 }
 
 impl BackupSet {
-    /// `true` when this set can start a restore chain on its own (legacy
-    /// full checkpoints and incremental base generations).
+    /// `true` when this set can start a restore chain on its own.
     pub fn is_base(&self) -> bool {
-        self.delta.as_ref().is_none_or(|d| d.base)
+        self.delta.base
     }
 }
 

@@ -42,8 +42,9 @@ pub struct CellInner {
 #[derive(Debug)]
 pub struct StateCell {
     stripes: Vec<Mutex<CellInner>>,
-    /// Dirty-chunk space for incremental checkpoints (`None` = full only).
-    delta_chunks: Option<usize>,
+    /// Dirty-chunk space each stripe tracks (`None`: every checkpoint of
+    /// the cell is a base).
+    tracked_chunks: Option<usize>,
     /// Partition axis used when re-splitting a merged store into stripes.
     dim: PartitionDim,
 }
@@ -58,16 +59,17 @@ impl StateCell {
     pub fn from_store(store: StateStore, vector: VectorTs) -> Self {
         StateCell {
             stripes: vec![Mutex::new(CellInner { store, vector })],
-            delta_chunks: None,
+            tracked_chunks: None,
             dim: PartitionDim::Row,
         }
     }
 
     /// Creates a striped cell of `stripes` empty shards.
     ///
-    /// When `delta_chunks` is `Some(n)` each shard tracks dirty chunks in an
-    /// `n`-chunk space so checkpoints can serialise deltas (tables only;
-    /// other structures silently fall back to full serialisation).
+    /// When `tracked_chunks` is `Some(n)` each shard tracks dirty chunks in
+    /// an `n`-chunk space so checkpoints in that space can write deltas
+    /// (tables only; other structures, and `None`, write a base on every
+    /// take).
     ///
     /// # Panics
     ///
@@ -76,13 +78,13 @@ impl StateCell {
         ty: StateType,
         stripes: usize,
         dim: PartitionDim,
-        delta_chunks: Option<usize>,
+        tracked_chunks: Option<usize>,
     ) -> Self {
         assert!(stripes > 0, "stripe count must be positive");
         let stripes = (0..stripes)
             .map(|_| {
                 let mut store = StateStore::new(ty);
-                if let Some(chunks) = delta_chunks {
+                if let Some(chunks) = tracked_chunks {
                     store.enable_chunk_tracking(chunks);
                 }
                 Mutex::new(CellInner {
@@ -93,7 +95,7 @@ impl StateCell {
             .collect();
         StateCell {
             stripes,
-            delta_chunks,
+            tracked_chunks,
             dim,
         }
     }
@@ -111,14 +113,14 @@ impl StateCell {
         vector: VectorTs,
         stripes: usize,
         dim: PartitionDim,
-        delta_chunks: Option<usize>,
+        tracked_chunks: Option<usize>,
     ) -> SdgResult<Self> {
         assert!(stripes > 0, "stripe count must be positive");
         if stripes == 1 {
             let mut cell = StateCell::from_store(store, vector);
-            cell.delta_chunks = delta_chunks;
+            cell.tracked_chunks = tracked_chunks;
             cell.dim = dim;
-            if let Some(chunks) = delta_chunks {
+            if let Some(chunks) = tracked_chunks {
                 cell.stripes[0].lock().store.enable_chunk_tracking(chunks);
             }
             return Ok(cell);
@@ -127,7 +129,7 @@ impl StateCell {
         Ok(Self::from_parts(
             parts.into_iter().map(|p| (p, vector.clone())).collect(),
             dim,
-            delta_chunks,
+            tracked_chunks,
         ))
     }
 
@@ -140,13 +142,13 @@ impl StateCell {
     pub fn from_parts(
         parts: Vec<(StateStore, VectorTs)>,
         dim: PartitionDim,
-        delta_chunks: Option<usize>,
+        tracked_chunks: Option<usize>,
     ) -> Self {
         assert!(!parts.is_empty(), "cell needs at least one stripe");
         let stripes = parts
             .into_iter()
             .map(|(mut store, vector)| {
-                if let Some(chunks) = delta_chunks {
+                if let Some(chunks) = tracked_chunks {
                     store.enable_chunk_tracking(chunks);
                 }
                 Mutex::new(CellInner { store, vector })
@@ -154,7 +156,7 @@ impl StateCell {
             .collect();
         StateCell {
             stripes,
-            delta_chunks,
+            tracked_chunks,
             dim,
         }
     }
@@ -162,11 +164,6 @@ impl StateCell {
     /// Number of stripes in this cell.
     pub fn stripe_count(&self) -> usize {
         self.stripes.len()
-    }
-
-    /// The dirty-chunk space configured for incremental checkpoints.
-    pub fn delta_chunks(&self) -> Option<usize> {
-        self.delta_chunks
     }
 
     /// Maps a route hash to its stripe index.
@@ -278,7 +275,7 @@ impl StateCell {
     }
 
     /// Number of chunks currently marked dirty across all stripes (0 when
-    /// incremental tracking is off).
+    /// dirty tracking is off).
     pub fn pending_dirty_chunks(&self) -> usize {
         self.stripes
             .iter()
@@ -287,7 +284,7 @@ impl StateCell {
     }
 
     /// Marks every tracked chunk dirty in every stripe (forces the next
-    /// incremental checkpoint to serialise everything).
+    /// checkpoint to serialise everything).
     pub fn mark_all_dirty(&self) {
         for s in &self.stripes {
             s.lock().store.mark_all_dirty();
@@ -317,8 +314,8 @@ impl StateCell {
     ///
     /// Used for bulk access (state preloading, `with_state`). On striped
     /// cells the re-split produces fresh shards, so chunk tracking is
-    /// re-enabled all-dirty — the next incremental checkpoint conservatively
-    /// serialises everything. Stripe vectors are unchanged (bulk access is
+    /// re-enabled all-dirty — the next checkpoint conservatively serialises
+    /// everything. Stripe vectors are unchanged (bulk access is
     /// not dataflow input).
     pub fn with_merged<R>(&self, f: impl FnOnce(&mut StateStore) -> R) -> SdgResult<R> {
         if self.stripes.len() == 1 {
@@ -333,7 +330,7 @@ impl StateCell {
             let r = f(&mut merged);
             let parts = merged.split_by_hash(inners.len(), self.dim)?;
             for (inner, mut part) in inners.iter_mut().zip(parts) {
-                if let Some(chunks) = self.delta_chunks {
+                if let Some(chunks) = self.tracked_chunks {
                     part.enable_chunk_tracking(chunks);
                 }
                 inner.store = part;
@@ -352,7 +349,7 @@ impl StateCell {
     /// right watermark because the group is drained first — anything either
     /// side already applied must be rejected on replay, and fresh items
     /// carry higher timestamps. The merged shards are marked all-dirty so
-    /// the next incremental checkpoint serialises the new contents.
+    /// the next checkpoint serialises the new contents.
     pub fn merge_additive(&self, entries: &[StateEntry], vector: &VectorTs) -> SdgResult<()> {
         self.with_all(|inners| {
             if inners.len() == 1 {
@@ -371,7 +368,7 @@ impl StateCell {
             merged.merge_additive(entries)?;
             let parts = merged.split_by_hash(inners.len(), self.dim)?;
             for (inner, mut part) in inners.iter_mut().zip(parts) {
-                if let Some(chunks) = self.delta_chunks {
+                if let Some(chunks) = self.tracked_chunks {
                     part.enable_chunk_tracking(chunks);
                 }
                 inner.store = part;
@@ -392,7 +389,7 @@ impl StateCell {
                 store.split_by_hash(inners.len(), self.dim)?
             };
             for (inner, mut part) in inners.iter_mut().zip(parts) {
-                if let Some(chunks) = self.delta_chunks {
+                if let Some(chunks) = self.tracked_chunks {
                     part.enable_chunk_tracking(chunks);
                 }
                 inner.store = part;

@@ -20,8 +20,12 @@ pub struct CheckpointConfig {
     /// Number of backup stores a checkpoint is partitioned across (`m` in
     /// the m-to-n pattern).
     pub backup_fanout: usize,
-    /// Number of chunks a checkpoint is split into (must be ≥
-    /// `backup_fanout`; chunks are distributed round-robin).
+    /// Size of the chunk space every checkpoint is written in: a key's
+    /// chunk is `Key::stable_hash() % chunks`, the same id the cells'
+    /// dirty tracking marks, so a delta generation rewrites exactly the
+    /// chunks dirtied since the previous take. Larger spaces give finer
+    /// deltas at slightly more bookkeeping. Must be ≥ `backup_fanout`;
+    /// chunks are distributed round-robin.
     pub chunks: usize,
     /// Serialisation thread-pool size (step B2 of Fig. 4).
     pub serialise_threads: usize,
@@ -30,15 +34,9 @@ pub struct CheckpointConfig {
     pub disk_write_bps: Option<u64>,
     /// Simulated disk read bandwidth per store in bytes/second.
     pub disk_read_bps: Option<u64>,
-    /// Incremental mode: serialise only dirty chunks as delta generations
-    /// on top of a full base checkpoint; restore composes base + deltas.
-    pub incremental: bool,
-    /// Chunk-space size for dirty tracking and delta serialisation. Larger
-    /// spaces give finer deltas at slightly more bookkeeping.
-    pub delta_chunks: usize,
     /// Compaction threshold: when accumulated delta bytes exceed this
     /// fraction of the base checkpoint's bytes, the next checkpoint is
-    /// forced full to bound the restore chain.
+    /// forced to a base to bound the restore chain.
     pub compact_threshold: f64,
 }
 
@@ -53,8 +51,6 @@ impl Default for CheckpointConfig {
             serialise_threads: 2,
             disk_write_bps: None,
             disk_read_bps: None,
-            incremental: false,
-            delta_chunks: 64,
             compact_threshold: 0.5,
         }
     }
@@ -111,15 +107,10 @@ impl CheckpointConfig {
                 "checkpoint interval must be positive".into(),
             ));
         }
-        if self.incremental {
-            if self.delta_chunks == 0 {
-                return Err(SdgError::Config("delta_chunks must be ≥ 1".into()));
-            }
-            if !(self.compact_threshold.is_finite() && self.compact_threshold > 0.0) {
-                return Err(SdgError::Config(
-                    "compact_threshold must be a positive finite fraction".into(),
-                ));
-            }
+        if !(self.compact_threshold.is_finite() && self.compact_threshold > 0.0) {
+            return Err(SdgError::Config(
+                "compact_threshold must be a positive finite fraction".into(),
+            ));
         }
         Ok(())
     }
@@ -157,7 +148,7 @@ impl CheckpointConfigBuilder {
         self
     }
 
-    /// Sets the chunk count per checkpoint.
+    /// Sets the checkpoint chunk space.
     pub fn chunks(mut self, n: usize) -> Self {
         self.cfg.chunks = n;
         self
@@ -180,18 +171,6 @@ impl CheckpointConfigBuilder {
     /// unthrottled).
     pub fn disk_read_bps(mut self, bps: Option<u64>) -> Self {
         self.cfg.disk_read_bps = bps;
-        self
-    }
-
-    /// Turns incremental (delta) checkpointing on or off.
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.cfg.incremental = on;
-        self
-    }
-
-    /// Sets the dirty-tracking chunk-space size for incremental mode.
-    pub fn delta_chunks(mut self, n: usize) -> Self {
-        self.cfg.delta_chunks = n;
         self
     }
 
@@ -223,6 +202,7 @@ mod tests {
             .serialise_threads(4)
             .disk_write_bps(Some(1_000_000))
             .disk_read_bps(Some(2_000_000))
+            .compact_threshold(0.25)
             .build();
         assert!(cfg.enabled && cfg.synchronous);
         assert_eq!(cfg.interval, Duration::from_millis(250));
@@ -231,6 +211,7 @@ mod tests {
         assert_eq!(cfg.serialise_threads, 4);
         assert_eq!(cfg.disk_write_bps, Some(1_000_000));
         assert_eq!(cfg.disk_read_bps, Some(2_000_000));
+        assert_eq!(cfg.compact_threshold, 0.25);
         cfg.validate().unwrap();
     }
 
@@ -275,30 +256,9 @@ mod tests {
         assert!(c.validate().is_err());
 
         let c = CheckpointConfig {
-            incremental: true,
-            delta_chunks: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = CheckpointConfig {
-            incremental: true,
             compact_threshold: 0.0,
             ..Default::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn incremental_builder_knobs() {
-        let cfg = CheckpointConfig::builder()
-            .incremental(true)
-            .delta_chunks(128)
-            .compact_threshold(0.25)
-            .build();
-        assert!(cfg.incremental);
-        assert_eq!(cfg.delta_chunks, 128);
-        assert_eq!(cfg.compact_threshold, 0.25);
-        cfg.validate().unwrap();
     }
 }

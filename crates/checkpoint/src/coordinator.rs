@@ -1,5 +1,11 @@
 //! The checkpoint protocol (§5, "State checkpointing").
 //!
+//! Every take writes one *generation* in the configured chunk space
+//! (`Key::stable_hash() % chunks`): a **base** when it rewrites every chunk
+//! that holds state, otherwise a **delta** of the chunks dirtied since the
+//! previous completed take. A cell that tracks no dirty chunks writes a
+//! base on every take.
+//!
 //! Asynchronous mode follows the paper's five steps:
 //!
 //! 1. under a short lock (all stripes at once, forming one consistent
@@ -10,18 +16,15 @@
 //!    an instance kill and recovery replays from that registry directly;
 //! 2. processing resumes immediately against the dirty overlays;
 //! 3. off the processing path, a serialisation thread pool encodes the
-//!    snapshots into hash-partitioned chunks (Fig. 4 step B1–B2) — in
-//!    incremental mode, only the chunks that went dirty since the last
-//!    completed checkpoint;
+//!    generation's chunks (Fig. 4 step B1–B2);
 //! 4. chunks stream to the `m` backup stores by `chunk_id % m` (step B3),
 //!    keeping a chunk's location stable across generations;
 //! 5. under a short lock: consolidate the dirty overlays into the bases.
 //!
-//! Synchronous mode holds the locks for the entire procedure — the
-//! "stop-the-world" behaviour of Naiad and SEEP that Fig. 12 compares
-//! against. Synchronous checkpoints are always full.
+//! Synchronous mode runs the same steps while holding the locks for the
+//! entire procedure — the "stop-the-world" behaviour of Naiad and SEEP
+//! that Fig. 12 compares against. Synchronous checkpoints are always bases.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,18 +33,18 @@ use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, InstanceId};
 use sdg_common::obs::CheckpointInstruments;
 use sdg_common::time::VectorTs;
-use sdg_state::entry::{partition_entries, StateEntry};
+use sdg_state::entry::StateEntry;
 use sdg_state::store::StateSnapshot;
 
 use crate::backup::{encode_entries, BackupSet, BackupStore, ChunkKey, DeltaMeta};
 use crate::buffer::BufferedItem;
-use crate::cell::StateCell;
+use crate::cell::{CellInner, StateCell};
 use crate::config::CheckpointConfig;
 
 /// Per-checkpoint policy knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckpointOptions {
-    /// Force a full (base) generation even when incremental mode would
+    /// Force a base generation even when the cell's dirty chunks would
     /// produce a delta — used by the runtime's compaction policy when the
     /// accumulated delta chain grows past the configured threshold.
     pub force_full: bool,
@@ -87,7 +90,7 @@ pub fn take_checkpoint(
 /// histograms — `snapshot_ns` (lock-held initiation), `persist_ns`
 /// (off-path serialise + backup), `consolidate_ns` (lock-held overlay
 /// fold), or `sync_ns` (the whole stop-the-world span in synchronous
-/// mode) — and `taken`/`failed`/`bytes` are counted.
+/// mode) — and `taken`/`deltas`/`failed`/`bytes` are counted.
 #[allow(clippy::too_many_arguments)]
 pub fn take_checkpoint_with(
     cell: &StateCell,
@@ -106,7 +109,7 @@ pub fn take_checkpoint_with(
             Ok(set) => {
                 obs.taken.inc();
                 obs.bytes.add(set.state_bytes as u64);
-                if set.delta.as_ref().is_some_and(|d| !d.base) {
+                if !set.is_base() {
                     obs.deltas.inc();
                 }
             }
@@ -121,10 +124,13 @@ struct InitCut {
     /// Per-stripe (snapshot, vector) pairs, in stripe order.
     snapshots: Vec<(StateSnapshot, VectorTs)>,
     out_buffers: Vec<(EdgeId, Vec<BufferedItem>)>,
-    /// Dirty chunk ids unioned across stripes; `Some` only when every
-    /// stripe tracks the configured delta chunk space.
-    dirty: Option<BTreeSet<u32>>,
+    /// The chunks this generation serialises: those dirty in any stripe
+    /// when every stripe tracks the configured chunk space, else all.
+    wanted: Vec<bool>,
 }
+
+/// Where a generation's chunks landed, and their total bytes.
+type Written = (Vec<(usize, ChunkKey)>, usize);
 
 #[allow(clippy::too_many_arguments)]
 fn take_checkpoint_inner(
@@ -142,19 +148,52 @@ fn take_checkpoint_inner(
         return Err(SdgError::Recovery("no backup stores configured".into()));
     }
     let fanout = cfg.backup_fanout.min(stores.len());
-
-    if cfg.synchronous {
-        let t0 = Instant::now();
-        let result = take_sync(
-            cell,
+    // Steps 3–4: serialise the generation, seal any captured output
+    // buffers, and write the chunks.
+    let persist = |cut: &mut InitCut, force_full: bool| {
+        if force_full {
+            cut.wanted.fill(true);
+        }
+        let (payloads, delta) = serialise_generation(cut);
+        let sealed = seal_out_buffers(&mut cut.out_buffers, cfg.serialise_threads);
+        if let Some(obs) = obs {
+            obs.encode_deferred.add(sealed);
+        }
+        let written = write_chunks(
+            &payloads,
             instance,
             seq,
-            capture_outputs,
             stores,
             fanout,
-            cfg,
-            obs,
+            cfg.serialise_threads,
         );
+        (written, delta)
+    };
+    let finish = |cut: InitCut, (chunk_locations, state_bytes): Written, delta| {
+        let stripe_vectors: Vec<VectorTs> = cut.snapshots.iter().map(|(_, v)| v.clone()).collect();
+        BackupSet {
+            instance,
+            seq,
+            state_type: cut.snapshots[0].0.state_type(),
+            vector: min_vector(&stripe_vectors),
+            stripe_vectors,
+            chunk_locations,
+            out_buffers: cut.out_buffers,
+            state_bytes,
+            delta,
+        }
+    };
+
+    if cfg.synchronous {
+        // Every step under the cell locks: every processing thread blocks
+        // for the duration (the Fig. 12 baseline).
+        let t0 = Instant::now();
+        let result = cell.with_all(|inners| {
+            let mut cut = begin_cut(inners, cfg.chunks, capture_outputs)?;
+            let (written, delta) = persist(&mut cut, true);
+            consolidate(inners, written.is_err())?;
+            Ok(finish(cut, written?, delta))
+        });
         if let Some(obs) = obs {
             obs.sync_ns.record_duration(t0.elapsed());
         }
@@ -164,107 +203,85 @@ fn take_checkpoint_inner(
     // Step 1: O(1) snapshots under the all-stripes lock; processing
     // resumes on the dirty overlays as soon as the locks drop.
     let t0 = Instant::now();
-    let mut cut = cell.with_all(|inners| -> SdgResult<InitCut> {
-        let tracking = cfg.incremental
-            && inners
-                .iter()
-                .all(|i| i.store.tracked_chunks() == Some(cfg.delta_chunks));
-        let mut dirty = if tracking {
-            Some(BTreeSet::new())
-        } else {
-            None
-        };
-        let mut snapshots = Vec::with_capacity(inners.len());
-        for k in 0..inners.len() {
-            // The dirty bits are taken *before* the snapshot so overlay
-            // writes landing after the lock drops re-mark their chunks for
-            // the next generation.
-            if let Some(set) = dirty.as_mut() {
-                set.extend(inners[k].store.take_dirty_chunks().unwrap_or_default());
-            }
-            match inners[k].store.begin_checkpoint() {
-                Ok(snap) => {
-                    let vector = inners[k].vector.clone();
-                    snapshots.push((snap, vector));
-                }
-                Err(e) => {
-                    // Roll back: fold the stripes already begun and put the
-                    // consumed dirty bits back (conservatively, all of
-                    // them) so the next checkpoint misses nothing.
-                    for begun in inners.iter_mut().take(k) {
-                        let _ = begun.store.consolidate();
-                    }
-                    for inner in inners.iter_mut() {
-                        inner.store.mark_all_dirty();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(InitCut {
-            snapshots,
-            out_buffers: capture_outputs(),
-            dirty,
-        })
-    })?;
+    let mut cut = cell.with_all(|inners| begin_cut(inners, cfg.chunks, capture_outputs))?;
     if let Some(obs) = obs {
         obs.snapshot_ns.record_duration(t0.elapsed());
     }
-    let state_type = cut.snapshots[0].0.state_type();
-    let stripe_vectors: Vec<VectorTs> = cut.snapshots.iter().map(|(_, v)| v.clone()).collect();
-    let vector = min_vector(&stripe_vectors);
 
-    // Steps 2–4 run off the processing path. Captured output buffers, if
-    // any, are sealed here too, on the persist-phase pool.
+    // Steps 2–4 run off the processing path.
     let t1 = Instant::now();
-    let (payloads, delta) = serialise_generation(&cut, cfg, opts.force_full);
-    let sealed = seal_out_buffers(&mut cut.out_buffers, cfg.serialise_threads);
-    let result = write_chunks(
-        &payloads,
-        instance,
-        seq,
-        stores,
-        fanout,
-        cfg.serialise_threads,
-    );
+    let (written, delta) = persist(&mut cut, opts.force_full);
     if let Some(obs) = obs {
         obs.persist_ns.record_duration(t1.elapsed());
-        obs.encode_deferred.add(sealed);
     }
 
     // Step 5: consolidate even if a write failed, so the cell stays usable.
     let t2 = Instant::now();
-    cell.with_all(|inners| {
-        for inner in inners.iter_mut() {
-            inner.store.consolidate()?;
-        }
-        Ok::<_, SdgError>(())
-    })?;
+    cell.with_all(|inners| consolidate(inners, written.is_err()))?;
     if let Some(obs) = obs {
         obs.consolidate_ns.record_duration(t2.elapsed());
     }
-    let (chunk_locations, state_bytes) = match result {
-        Ok(ok) => ok,
-        Err(e) => {
-            // The dirty bits were consumed but the generation never made
-            // it to the stores: re-mark everything so the next checkpoint
-            // covers the loss.
-            cell.mark_all_dirty();
-            return Err(e);
-        }
-    };
+    Ok(finish(cut, written?, delta))
+}
 
-    Ok(BackupSet {
-        instance,
-        seq,
-        state_type,
-        vector,
-        stripe_vectors,
-        chunk_locations,
-        out_buffers: cut.out_buffers,
-        state_bytes,
-        delta,
+/// Step 1 on locked stripes: snapshots, vectors, dirty chunks and the
+/// caller's output capture.
+fn begin_cut(
+    inners: &mut [&mut CellInner],
+    space: usize,
+    capture_outputs: impl FnOnce() -> Vec<(EdgeId, Vec<BufferedItem>)>,
+) -> SdgResult<InitCut> {
+    let tracking = inners
+        .iter()
+        .all(|i| i.store.tracked_chunks() == Some(space));
+    let mut wanted = vec![!tracking; space];
+    let mut snapshots = Vec::with_capacity(inners.len());
+    for k in 0..inners.len() {
+        // The dirty bits are taken *before* the snapshot so overlay writes
+        // landing after the lock drops re-mark their chunks for the next
+        // generation.
+        if tracking {
+            for id in inners[k].store.take_dirty_chunks().unwrap_or_default() {
+                wanted[id as usize] = true;
+            }
+        }
+        match inners[k].store.begin_checkpoint() {
+            Ok(snap) => {
+                let vector = inners[k].vector.clone();
+                snapshots.push((snap, vector));
+            }
+            Err(e) => {
+                // Roll back: fold the stripes already begun and put the
+                // consumed dirty bits back (conservatively, all of them) so
+                // the next checkpoint misses nothing.
+                for begun in inners.iter_mut().take(k) {
+                    let _ = begun.store.consolidate();
+                }
+                for inner in inners.iter_mut() {
+                    inner.store.mark_all_dirty();
+                }
+                return Err(e);
+            }
+        }
+    }
+    Ok(InitCut {
+        snapshots,
+        out_buffers: capture_outputs(),
+        wanted,
     })
+}
+
+/// Step 5 on locked stripes. When the generation never made it to the
+/// stores (`lost`), every chunk is re-marked dirty, so the next
+/// checkpoint covers the loss.
+fn consolidate(inners: &mut [&mut CellInner], lost: bool) -> SdgResult<()> {
+    for inner in inners.iter_mut() {
+        inner.store.consolidate()?;
+        if lost {
+            inner.store.mark_all_dirty();
+        }
+    }
+    Ok(())
 }
 
 /// Cell-level vector: pointwise minimum across stripes.
@@ -277,121 +294,37 @@ fn min_vector(stripe_vectors: &[VectorTs]) -> VectorTs {
 }
 
 /// Encodes the cut into `(chunk_id, entries)` payloads plus the generation
-/// header. Legacy (non-incremental) checkpoints keep the historical
-/// `partition_entries` layout byte-for-byte.
-fn serialise_generation(
-    cut: &InitCut,
-    cfg: &CheckpointConfig,
-    force_full: bool,
-) -> (Vec<(u32, Vec<StateEntry>)>, Option<DeltaMeta>) {
-    match &cut.dirty {
-        Some(dirty) => {
-            let space = cfg.delta_chunks;
-            // A generation that rewrites every chunk is a base: it can
-            // start a restore chain, so label it as one (this also covers
-            // the first checkpoint, which starts all-dirty).
-            let base = force_full || dirty.len() >= space;
-            let mut wanted = vec![false; space];
-            if base {
-                wanted.iter_mut().for_each(|w| *w = true);
-            } else {
-                for &id in dirty {
-                    wanted[id as usize] = true;
-                }
-            }
-            let mut merged: Vec<Vec<StateEntry>> = (0..space).map(|_| Vec::new()).collect();
-            for (snap, _) in &cut.snapshots {
-                for (id, mut entries) in snap.to_entries_for(space, &wanted).into_iter().enumerate()
-                {
-                    merged[id].append(&mut entries);
-                }
-            }
-            // Every wanted chunk is written even when empty: an empty
-            // chunk overwrites a stale copy whose keys were all deleted.
-            let payloads = (0..space as u32)
-                .filter(|&id| wanted[id as usize])
-                .map(|id| (id, std::mem::take(&mut merged[id as usize])))
-                .collect();
-            (
-                payloads,
-                Some(DeltaMeta {
-                    base,
-                    chunk_space: space,
-                }),
-            )
-        }
-        None => {
-            let mut entries = Vec::new();
-            for (snap, _) in &cut.snapshots {
-                entries.extend(snap.to_entries());
-            }
-            let chunks = partition_entries(entries, cfg.chunks);
-            (
-                chunks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, c)| (i as u32, c))
-                    .collect(),
-                None,
-            )
+/// header.
+///
+/// Only the chunks in `cut.wanted` are serialised. The generation is a base
+/// when they cover every chunk that holds state, however the key space is
+/// partitioned across replicas. A base shadows nothing (it starts a
+/// chain), so it skips empty chunks; a delta writes every wanted chunk,
+/// even an emptied one, whose empty copy shadows the stale one.
+fn serialise_generation(cut: &InitCut) -> (Vec<(u32, Vec<StateEntry>)>, DeltaMeta) {
+    let wanted = &cut.wanted;
+    let space = wanted.len();
+    let mut occupied = vec![false; space];
+    let mut merged: Vec<Vec<StateEntry>> = (0..space).map(|_| Vec::new()).collect();
+    for (snap, _) in &cut.snapshots {
+        let chunks = snap.to_entries_for(wanted, &mut occupied);
+        for (id, mut entries) in chunks.into_iter().enumerate() {
+            merged[id].append(&mut entries);
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn take_sync(
-    cell: &StateCell,
-    instance: InstanceId,
-    seq: u64,
-    capture_outputs: impl FnOnce() -> Vec<(EdgeId, Vec<BufferedItem>)>,
-    stores: &[Arc<BackupStore>],
-    fanout: usize,
-    cfg: &CheckpointConfig,
-    obs: Option<&CheckpointInstruments>,
-) -> SdgResult<BackupSet> {
-    // The entire export + serialise + write happens under the cell locks:
-    // every processing thread blocks for the duration. Sync checkpoints
-    // are always full (the Fig. 12 baseline), and live output-buffer
-    // captures are sealed inside the stop-the-world span.
-    cell.with_all(|inners| {
-        let stripe_vectors: Vec<VectorTs> = inners.iter().map(|i| i.vector.clone()).collect();
-        let vector = min_vector(&stripe_vectors);
-        let mut out_buffers = capture_outputs();
-        let sealed = seal_out_buffers(&mut out_buffers, cfg.serialise_threads);
-        if let Some(obs) = obs {
-            obs.encode_deferred.add(sealed);
-        }
-        let state_type = inners[0].store.state_type();
-        let mut entries = Vec::new();
-        for inner in inners.iter_mut() {
-            entries.extend(inner.store.export_entries());
-        }
-        let chunks = partition_entries(entries, cfg.chunks);
-        let payloads: Vec<(u32, Vec<StateEntry>)> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (i as u32, c))
-            .collect();
-        let (chunk_locations, state_bytes) = write_chunks(
-            &payloads,
-            instance,
-            seq,
-            stores,
-            fanout,
-            cfg.serialise_threads,
-        )?;
-        Ok(BackupSet {
-            instance,
-            seq,
-            state_type,
-            vector,
-            stripe_vectors,
-            chunk_locations,
-            out_buffers,
-            state_bytes,
-            delta: None,
-        })
-    })
+    let base = occupied.iter().zip(wanted).all(|(&o, &w)| w || !o);
+    let written = if base { &occupied } else { wanted };
+    let payloads = (0..space)
+        .filter(|&id| written[id])
+        .map(|id| (id as u32, std::mem::take(&mut merged[id])))
+        .collect();
+    (
+        payloads,
+        DeltaMeta {
+            base,
+            chunk_space: space,
+        },
+    )
 }
 
 /// Serialises and writes `(chunk_id, entries)` payloads in parallel
@@ -520,7 +453,6 @@ mod tests {
         assert_eq!(set.chunk_locations.len(), cfg.chunks);
         assert_eq!(set.vector.get(EdgeId(0)), 100);
         assert!(set.state_bytes > 0);
-        assert!(set.delta.is_none());
         assert!(set.is_base());
         assert_eq!(set.stripe_vectors.len(), 1);
         // Chunks alternate between the two stores.
@@ -727,16 +659,18 @@ mod tests {
         assert!(set.chunk_locations.iter().all(|(s, _)| *s == 0));
     }
 
-    fn striped_cell(keys: i64, stripes: usize, delta_chunks: usize) -> StateCell {
-        let cell = StateCell::new_striped(
-            StateType::Table,
-            stripes,
-            PartitionDim::Row,
-            Some(delta_chunks),
-        );
-        for i in 0..keys {
+    fn striped_cell(keys: i64, stripes: usize, chunks: usize) -> StateCell {
+        striped_cell_of((0..keys).collect(), stripes, chunks)
+    }
+
+    /// A striped cell tracking `chunks` dirty chunks, holding `key → key * 2`
+    /// for every key in `keys`, written at timestamps 1, 2, ….
+    fn striped_cell_of(keys: Vec<i64>, stripes: usize, chunks: usize) -> StateCell {
+        let cell =
+            StateCell::new_striped(StateType::Table, stripes, PartitionDim::Row, Some(chunks));
+        for (ts, &i) in keys.iter().enumerate() {
             let key = Key::Int(i);
-            cell.apply_routed(EdgeId(0), (i + 1) as u64, Some(key.stable_hash()), |s| {
+            cell.apply_routed(EdgeId(0), ts as u64 + 1, Some(key.stable_hash()), |s| {
                 s.as_table().unwrap().put(key.clone(), Value::Int(i * 2));
             });
         }
@@ -744,19 +678,16 @@ mod tests {
     }
 
     #[test]
-    fn first_incremental_checkpoint_is_a_base() {
+    fn first_checkpoint_is_a_base() {
         let cell = striped_cell(200, 4, 16);
         let stores = stores(2);
         let cfg = CheckpointConfig {
-            incremental: true,
-            delta_chunks: 16,
+            chunks: 16,
             ..Default::default()
         };
         let set = take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
-        let meta = set.delta.as_ref().unwrap();
-        assert!(meta.base);
         assert!(set.is_base());
-        assert_eq!(meta.chunk_space, 16);
+        assert_eq!(set.delta.chunk_space, 16);
         assert_eq!(set.chunk_locations.len(), 16);
         assert_eq!(set.stripe_vectors.len(), 4);
         // The cell-level vector is the pointwise min across stripes: it
@@ -777,12 +708,11 @@ mod tests {
         let cell = striped_cell(500, 4, 64);
         let stores = stores(2);
         let cfg = CheckpointConfig {
-            incremental: true,
-            delta_chunks: 64,
+            chunks: 64,
             ..Default::default()
         };
         let base = take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
-        assert!(base.delta.as_ref().unwrap().base);
+        assert!(base.is_base());
 
         // Touch a handful of keys; the delta must cover only their chunks.
         let touched: Vec<i64> = vec![3, 7];
@@ -793,8 +723,7 @@ mod tests {
             });
         }
         let delta = take_checkpoint(&cell, instance(), 2, Vec::new, &stores, &cfg).unwrap();
-        let meta = delta.delta.as_ref().unwrap();
-        assert!(!meta.base);
+        assert!(!delta.is_base());
         let mut expected: Vec<u32> = touched
             .iter()
             .map(|&i| (Key::Int(i).stable_hash() % 64) as u32)
@@ -811,11 +740,7 @@ mod tests {
     fn force_full_produces_a_base_generation() {
         let cell = striped_cell(100, 2, 8);
         let stores = stores(2);
-        let cfg = CheckpointConfig {
-            incremental: true,
-            delta_chunks: 8,
-            ..Default::default()
-        };
+        let cfg = CheckpointConfig::default();
         take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
         let set = take_checkpoint_with(
             &cell,
@@ -828,7 +753,7 @@ mod tests {
             CheckpointOptions { force_full: true },
         )
         .unwrap();
-        assert!(set.delta.as_ref().unwrap().base);
+        assert!(set.is_base());
         assert_eq!(set.chunk_locations.len(), 8);
     }
 
@@ -836,32 +761,74 @@ mod tests {
     fn clean_checkpoint_writes_no_chunks() {
         let cell = striped_cell(100, 2, 8);
         let stores = stores(1);
-        let cfg = CheckpointConfig {
-            incremental: true,
-            delta_chunks: 8,
-            ..Default::default()
-        };
+        let cfg = CheckpointConfig::default();
         take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
         // Nothing changed: the delta generation is empty.
         let set = take_checkpoint(&cell, instance(), 2, Vec::new, &stores, &cfg).unwrap();
-        assert!(!set.delta.as_ref().unwrap().base);
+        assert!(!set.is_base());
         assert!(set.chunk_locations.is_empty());
         assert_eq!(set.state_bytes, 0);
     }
 
     #[test]
-    fn untracked_structures_fall_back_to_full() {
-        // Matrices don't support dirty tracking: incremental mode must
-        // silently produce legacy full checkpoints.
+    fn untracked_cells_write_a_base_on_every_take() {
+        // Matrices track no dirty chunks: every take is a base of the
+        // chunks that hold state.
         let cell = StateCell::new(StateType::Matrix);
         cell.apply(EdgeId(0), 1, |s| s.as_matrix().unwrap().set(1, 2, 3.0));
         let stores = stores(1);
-        let cfg = CheckpointConfig {
-            incremental: true,
-            ..Default::default()
+        let cfg = CheckpointConfig::default();
+        for seq in 1..=2 {
+            let set = take_checkpoint(&cell, instance(), seq, Vec::new, &stores, &cfg).unwrap();
+            assert!(set.is_base());
+            let written: Vec<u32> = set.chunk_locations.iter().map(|(_, k)| k.chunk).collect();
+            assert_eq!(written, vec![(Key::Int(1).stable_hash() % 8) as u32]);
+        }
+    }
+
+    #[test]
+    fn full_churn_on_half_the_key_space_is_a_base_without_empty_chunks() {
+        // Replica 0 of 2 owns only keys with an even hash, so it can only
+        // ever dirty the even half of an 8-chunk space.
+        let keys: Vec<i64> = (0..400)
+            .filter(|i| Key::Int(*i).stable_hash().is_multiple_of(2))
+            .collect();
+        let cell = striped_cell_of(keys.clone(), 4, 8);
+        let stores = stores(2);
+        let cfg = CheckpointConfig::default();
+        let first = take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
+        assert!(first.is_base());
+        let even: Vec<u32> = vec![0, 2, 4, 6];
+        let chunks_of = |set: &BackupSet| -> Vec<u32> {
+            let mut ids: Vec<u32> = set.chunk_locations.iter().map(|(_, k)| k.chunk).collect();
+            ids.sort_unstable();
+            ids
         };
-        let set = take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
-        assert!(set.delta.is_none());
-        assert_eq!(set.chunk_locations.len(), cfg.chunks);
+        assert_eq!(chunks_of(&first), even, "a base writes no empty chunk");
+
+        // Rewrite every key: every chunk that holds state is dirty.
+        for (ts, &i) in keys.iter().enumerate() {
+            let key = Key::Int(i);
+            cell.apply_routed(EdgeId(0), 1_000 + ts as u64, Some(key.stable_hash()), |s| {
+                s.as_table().unwrap().put(key.clone(), Value::Int(-i));
+            });
+        }
+        let second = take_checkpoint(&cell, instance(), 2, Vec::new, &stores, &cfg).unwrap();
+        assert!(second.is_base(), "full churn must start a new chain");
+        assert_eq!(chunks_of(&second), even);
+
+        let restored = crate::recovery::restore_chain(
+            &[second],
+            &stores,
+            1,
+            crate::recovery::RestoreOptions::default(),
+        )
+        .unwrap();
+        let (store, _) = restored.into_iter().next().unwrap();
+        let mut got: Vec<StateEntry> = store.export_entries();
+        let mut want = cell.export_merged().0;
+        got.sort_by(|a, b| a.key.cmp(&b.key));
+        want.sort_by(|a, b| a.key.cmp(&b.key));
+        assert_eq!(got, want);
     }
 }

@@ -11,8 +11,10 @@
 //! 2. checkpoints embed a vector timestamp of the last item applied from
 //!    each input dataflow; upstream nodes trim their output buffers below
 //!    all downstream checkpoints ([`buffer`]);
-//! 3. checkpoints are hash-partitioned into chunks and streamed to `m`
-//!    backup stores round-robin; a failed instance is restored to `n` new
+//! 3. checkpoints are hash-partitioned into chunks by `Key::stable_hash`
+//!    and streamed to `m` backup stores round-robin. Each take is a base
+//!    generation or a delta of the chunks dirtied since the previous take;
+//!    a failed instance is restored from its base + delta chain to `n` new
 //!    instances in parallel, the *m-to-n* pattern of Fig. 4 ([`backup`],
 //!    [`recovery`]);
 //! 4. after restoring state, the node reprocesses items replayed from
@@ -37,4 +39,4 @@ pub use buffer::{BufferedItem, BufferedPayload, OutputBuffer};
 pub use cell::StateCell;
 pub use config::CheckpointConfig;
 pub use coordinator::{take_checkpoint, take_checkpoint_with, CheckpointOptions};
-pub use recovery::{restore_chain, restore_state, restore_state_with, RestoreOptions};
+pub use recovery::{restore_chain, restore_chain_resilient, RestoreOptions};

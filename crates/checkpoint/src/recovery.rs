@@ -9,10 +9,13 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use sdg_common::error::{SdgError, SdgResult};
+use sdg_common::obs::CheckpointInstruments;
 use sdg_common::time::VectorTs;
+use sdg_common::value::Key;
 use sdg_state::entry::StateEntry;
 use sdg_state::store::StateStore;
 
@@ -23,16 +26,18 @@ use crate::backup::{decode_entries, BackupSet, BackupStore};
 /// Uses the stable hash of the *decoded* key so that a key lands on the
 /// same partition the runtime's hash dispatcher would route it to — this
 /// is what lets a partitioned SE be restored directly onto `n` partitioned
-/// instances. Falls back to hashing the encoded bytes for keys that do not
-/// decode (never the case for the built-in structures).
-fn partition_of(entry: &StateEntry, n: usize) -> usize {
-    match sdg_common::codec::decode_from_slice::<sdg_common::value::Key>(&entry.key) {
-        Ok(key) => (key.stable_hash() % n as u64) as usize,
-        Err(_) => entry.chunk_of(n),
+/// instances. Every built-in structure keys its entries by an encoded
+/// [`Key`], so a key that does not decode is a codec error; onto a single
+/// instance nothing needs decoding.
+fn partition_of(entry: &StateEntry, n: usize) -> SdgResult<usize> {
+    if n == 1 {
+        return Ok(0);
     }
+    let key: Key = sdg_common::codec::decode_from_slice(&entry.key)?;
+    Ok((key.stable_hash() % n as u64) as usize)
 }
 
-/// Tuning knobs for [`restore_state_with`].
+/// Tuning knobs for [`restore_chain`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RestoreOptions {
     /// Simulated per-instance reconstitution bandwidth in bytes/second —
@@ -41,56 +46,22 @@ pub struct RestoreOptions {
     pub rebuild_bps: Option<u64>,
 }
 
-/// Restores the state of `set` onto `n` fresh instances.
-///
-/// Returns `n` pairs of (store, vector): instance `i` receives the entries
-/// whose key hashes to `i` modulo `n`, and every instance inherits the
-/// checkpoint's vector timestamp so duplicate replayed items are filtered.
-///
-/// With `n == 1` the single result holds the complete state.
-///
-/// # Errors
-///
-/// Fails when `n` is zero, a chunk is missing or corrupt, or an entry does
-/// not decode into the checkpoint's structure type.
-pub fn restore_state(
-    set: &BackupSet,
-    stores: &[Arc<BackupStore>],
-    n: usize,
-) -> SdgResult<Vec<(StateStore, VectorTs)>> {
-    restore_state_with(set, stores, n, RestoreOptions::default())
-}
-
-/// [`restore_state`] with explicit [`RestoreOptions`].
-pub fn restore_state_with(
-    set: &BackupSet,
-    stores: &[Arc<BackupStore>],
-    n: usize,
-    options: RestoreOptions,
-) -> SdgResult<Vec<(StateStore, VectorTs)>> {
-    restore_chunks(
-        &set.chunk_locations,
-        set.state_type,
-        &set.vector,
-        stores,
-        n,
-        options,
-    )
-}
-
-/// Restores an incremental chain — one base generation followed by its
-/// delta generations, oldest first — onto `n` fresh instances.
+/// Restores a chain — one base generation followed by its delta
+/// generations, oldest first — onto `n` fresh instances.
 ///
 /// Each chunk is written whole by whichever generation last touched it, so
 /// composition is newest-wins per chunk id: later sets shadow earlier
-/// ones. The vector timestamps come from the newest set (the chain's
-/// cut). A single-element chain of a legacy full checkpoint behaves
-/// exactly like [`restore_state_with`].
+/// ones. Instance `i` receives the entries whose key hashes to `i` modulo
+/// `n` (with `n == 1` the single result holds the complete state), and
+/// every instance inherits the newest set's vector timestamp (the chain's
+/// cut) so duplicate replayed items are filtered.
 ///
 /// # Errors
 ///
-/// Fails when the chain is empty, does not start with a base generation,
-/// mixes instances/structure types/chunk spaces, or is out of order.
+/// Fails when `n` is zero, when the chain is empty, does not start with a
+/// base generation, mixes instances/structure types/chunk spaces, or is out
+/// of order, and when a chunk is missing or corrupt or an entry does not
+/// decode into the checkpoint's structure type.
 pub fn restore_chain(
     sets: &[BackupSet],
     stores: &[Arc<BackupStore>],
@@ -114,12 +85,10 @@ pub fn restore_chain(
                 "restore chain mixes instances or structure types".into(),
             ));
         }
-        if let (Some(d), Some(f)) = (&set.delta, &first.delta) {
-            if d.chunk_space != f.chunk_space {
-                return Err(SdgError::Recovery(
-                    "restore chain mixes delta chunk spaces".into(),
-                ));
-            }
+        if set.delta.chunk_space != first.delta.chunk_space {
+            return Err(SdgError::Recovery(
+                "restore chain mixes chunk spaces".into(),
+            ));
         }
         if prev_seq.is_some_and(|p| set.seq <= p) {
             return Err(SdgError::Recovery("restore chain out of order".into()));
@@ -172,6 +141,9 @@ fn is_data_loss(e: &SdgError) -> bool {
 /// restore therefore lands on the newest *intact* generation instead of
 /// erroring, at the cost of replaying a little more upstream buffer.
 ///
+/// When `obs` is given, a successful restore records its whole fetch +
+/// rebuild span (fallbacks included) into `restore_ns`.
+///
 /// # Errors
 ///
 /// Fails when the chain is structurally invalid, or when every prefix —
@@ -181,58 +153,27 @@ pub fn restore_chain_resilient(
     stores: &[Arc<BackupStore>],
     n: usize,
     options: RestoreOptions,
+    obs: Option<&CheckpointInstruments>,
 ) -> SdgResult<ChainRestore> {
+    let t0 = Instant::now();
     let mut fallback_errors = Vec::new();
     for end in (1..=sets.len()).rev() {
         match restore_chain(&sets[..end], stores, n, options) {
             Ok(parts) => {
+                if let Some(obs) = obs {
+                    obs.restore_ns.record_duration(t0.elapsed());
+                }
                 return Ok(ChainRestore {
                     parts,
                     used: end - 1,
                     fallback_errors,
-                })
+                });
             }
             Err(e) if is_data_loss(&e) && end > 1 => fallback_errors.push(e),
             Err(e) => return Err(e),
         }
     }
     Err(SdgError::Recovery("empty restore chain".into()))
-}
-
-/// Runs `restore` and, when it succeeds and a probe is given, records the
-/// whole fetch + rebuild span into `restore_ns`.
-fn observed<T>(
-    obs: Option<&sdg_common::obs::CheckpointInstruments>,
-    restore: impl FnOnce() -> SdgResult<T>,
-) -> SdgResult<T> {
-    let t0 = std::time::Instant::now();
-    let result = restore();
-    if let (Some(obs), Ok(_)) = (obs, &result) {
-        obs.restore_ns.record_duration(t0.elapsed());
-    }
-    result
-}
-
-/// [`restore_chain_resilient`] with an optional observability probe.
-pub fn restore_chain_resilient_observed(
-    sets: &[BackupSet],
-    stores: &[Arc<BackupStore>],
-    n: usize,
-    options: RestoreOptions,
-    obs: Option<&sdg_common::obs::CheckpointInstruments>,
-) -> SdgResult<ChainRestore> {
-    observed(obs, || restore_chain_resilient(sets, stores, n, options))
-}
-
-/// [`restore_chain`] with an optional observability probe.
-pub fn restore_chain_observed(
-    sets: &[BackupSet],
-    stores: &[Arc<BackupStore>],
-    n: usize,
-    options: RestoreOptions,
-    obs: Option<&sdg_common::obs::CheckpointInstruments>,
-) -> SdgResult<Vec<(StateStore, VectorTs)>> {
-    observed(obs, || restore_chain(sets, stores, n, options))
 }
 
 fn restore_chunks(
@@ -274,14 +215,18 @@ fn restore_chunks(
             let errors = &errors;
             scope.spawn(move || {
                 for key in keys {
-                    match store.read_chunk(*key).and_then(|b| decode_entries(&b)) {
-                        Ok(entries) => {
+                    let placed = store
+                        .read_chunk(*key)
+                        .and_then(|b| decode_entries(&b))
+                        .and_then(|entries| {
                             for entry in entries {
-                                let idx = partition_of(&entry, n);
+                                let idx = partition_of(&entry, n)?;
                                 partitions[idx].lock().push(entry);
                             }
-                        }
-                        Err(e) => errors.lock().push(e),
+                            Ok(())
+                        });
+                    if let Err(e) = placed {
+                        errors.lock().push(e);
                     }
                 }
             });
@@ -366,7 +311,7 @@ mod tests {
             &CheckpointConfig::default(),
         )
         .unwrap();
-        let restored = restore_state(&set, &stores, 1).unwrap();
+        let restored = restore_chain(&[set], &stores, 1, RestoreOptions::default()).unwrap();
         assert_eq!(restored.len(), 1);
         let (mut store, vector) = restored.into_iter().next().unwrap();
         let table = store.as_table().unwrap();
@@ -390,7 +335,7 @@ mod tests {
             &CheckpointConfig::default(),
         )
         .unwrap();
-        let restored = restore_state(&set, &stores, 2).unwrap();
+        let restored = restore_chain(&[set], &stores, 2, RestoreOptions::default()).unwrap();
         assert_eq!(restored.len(), 2);
         let mut total = 0;
         for (i, (mut store, _)) in restored.into_iter().enumerate() {
@@ -422,7 +367,7 @@ mod tests {
             &CheckpointConfig::default(),
         )
         .unwrap();
-        let restored = restore_state(&set, &stores, 3).unwrap();
+        let restored = restore_chain(&[set], &stores, 3, RestoreOptions::default()).unwrap();
         let mut nnz = 0;
         for (mut store, _) in restored {
             nnz += store.as_matrix().unwrap().nnz();
@@ -449,7 +394,7 @@ mod tests {
         cell.apply(EdgeId(0), 11, |s| {
             s.as_table().unwrap().put(Key::Int(999), Value::Int(1));
         });
-        let restored = restore_state(&set, &stores, 1).unwrap();
+        let restored = restore_chain(&[set], &stores, 1, RestoreOptions::default()).unwrap();
         let (mut store, vector) = restored.into_iter().next().unwrap();
         assert_eq!(store.as_table().unwrap().get(&Key::Int(999)), None);
         // The vector only covers ts ≤ 10, so item 11 will be replayed and
@@ -476,8 +421,7 @@ mod tests {
         }
         let stores = stores(2);
         let cfg = CheckpointConfig {
-            incremental: true,
-            delta_chunks: 32,
+            chunks: 32,
             ..Default::default()
         };
         let base = take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
@@ -489,7 +433,7 @@ mod tests {
             });
         }
         let d1 = take_checkpoint(&cell, instance(), 2, Vec::new, &stores, &cfg).unwrap();
-        assert!(!d1.delta.as_ref().unwrap().base);
+        assert!(!d1.is_base());
         // Another round, including an overwrite of an already-delta'd key.
         for i in [5i64, 44] {
             let key = Key::Int(i);
@@ -525,8 +469,7 @@ mod tests {
         }
         let stores = stores(1);
         let cfg = CheckpointConfig {
-            incremental: true,
-            delta_chunks: 16,
+            chunks: 16,
             ..Default::default()
         };
         let base = take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
@@ -542,7 +485,7 @@ mod tests {
         assert_eq!(table.get(&Key::Int(13)), None);
     }
 
-    /// Builds a base + two deltas incremental chain over one store,
+    /// Builds a base + two deltas chain over one store,
     /// mirroring `chain_restore_composes_base_and_deltas`.
     fn corruptible_chain(stores: &[Arc<BackupStore>]) -> Vec<BackupSet> {
         use sdg_state::partition::PartitionDim;
@@ -554,8 +497,7 @@ mod tests {
             });
         }
         let cfg = CheckpointConfig {
-            incremental: true,
-            delta_chunks: 32,
+            chunks: 32,
             ..Default::default()
         };
         let base = take_checkpoint(&cell, instance(), 1, Vec::new, stores, &cfg).unwrap();
@@ -594,7 +536,7 @@ mod tests {
         let chain = corruptible_chain(&stores);
         let plain = restore_chain(&chain, &stores, 1, RestoreOptions::default()).unwrap();
         let resilient =
-            restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default()).unwrap();
+            restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default(), None).unwrap();
         assert_eq!(resilient.used, 2);
         assert!(resilient.fallback_errors.is_empty());
         assert_eq!(table_contents(resilient.parts), table_contents(plain));
@@ -607,7 +549,8 @@ mod tests {
         for (_, key) in &chain[2].chunk_locations {
             stores[0].truncate_chunk(*key).unwrap();
         }
-        let r = restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default()).unwrap();
+        let r =
+            restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default(), None).unwrap();
         assert_eq!(r.used, 1, "restore must land on the intact d1 generation");
         assert!(!r.fallback_errors.is_empty());
         let expected = restore_chain(&chain[..2], &stores, 1, RestoreOptions::default()).unwrap();
@@ -620,7 +563,8 @@ mod tests {
         let chain = corruptible_chain(&stores);
         let (_, key) = chain[2].chunk_locations[0];
         stores[0].flip_chunk_bit(key).unwrap();
-        let r = restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default()).unwrap();
+        let r =
+            restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default(), None).unwrap();
         assert!(r.used < 2);
         assert!(r
             .fallback_errors
@@ -638,7 +582,8 @@ mod tests {
         for (_, key) in &chain[2].chunk_locations {
             stores[0].delete_chunk(*key).unwrap();
         }
-        let r = restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default()).unwrap();
+        let r =
+            restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default(), None).unwrap();
         assert_eq!(r.used, 1);
         let expected = restore_chain(&chain[..2], &stores, 1, RestoreOptions::default()).unwrap();
         assert_eq!(table_contents(r.parts), table_contents(expected));
@@ -653,7 +598,9 @@ mod tests {
                 let _ = stores[0].truncate_chunk(*key);
             }
         }
-        assert!(restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default()).is_err());
+        assert!(
+            restore_chain_resilient(&chain, &stores, 1, RestoreOptions::default(), None).is_err()
+        );
     }
 
     #[test]
@@ -675,10 +622,7 @@ mod tests {
         .is_err());
         // A chain starting with a non-base delta.
         let mut fake_delta = s2;
-        fake_delta.delta = Some(crate::backup::DeltaMeta {
-            base: false,
-            chunk_space: 8,
-        });
+        fake_delta.delta.base = false;
         assert!(restore_chain(&[fake_delta], &stores, 1, RestoreOptions::default()).is_err());
     }
 
@@ -695,7 +639,7 @@ mod tests {
             &CheckpointConfig::default(),
         )
         .unwrap();
-        assert!(restore_state(&set, &stores, 0).is_err());
+        assert!(restore_chain(&[set], &stores, 0, RestoreOptions::default()).is_err());
     }
 
     #[test]
@@ -712,7 +656,29 @@ mod tests {
         )
         .unwrap();
         // Present only one of the two stores at restore time.
-        let r = restore_state(&set, &stores2[..1], 1);
+        let r = restore_chain(&[set], &stores2[..1], 1, RestoreOptions::default());
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn undecodable_entry_key_is_a_codec_error() {
+        let cell = table_cell(5);
+        let stores = stores(1);
+        let set = take_checkpoint(
+            &cell,
+            instance(),
+            1,
+            Vec::new,
+            &stores,
+            &CheckpointConfig::default(),
+        )
+        .unwrap();
+        let (_, key) = set.chunk_locations[0];
+        let garbage = vec![StateEntry::new(vec![0xff; 3], vec![1])];
+        stores[0]
+            .write_chunk(key, crate::backup::encode_entries(&garbage))
+            .unwrap();
+        let err = restore_chain(&[set], &stores, 2, RestoreOptions::default()).unwrap_err();
+        assert!(matches!(err, SdgError::Codec(_)), "{err}");
     }
 }

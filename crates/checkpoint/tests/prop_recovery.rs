@@ -14,7 +14,7 @@ use sdg_checkpoint::backup::{BackupSet, BackupStore};
 use sdg_checkpoint::cell::StateCell;
 use sdg_checkpoint::config::CheckpointConfig;
 use sdg_checkpoint::coordinator::{take_checkpoint, take_checkpoint_with, CheckpointOptions};
-use sdg_checkpoint::recovery::{restore_chain, restore_state, RestoreOptions};
+use sdg_checkpoint::recovery::{restore_chain, RestoreOptions};
 use sdg_common::ids::{EdgeId, InstanceId, TaskId};
 use sdg_common::value::{Key, Value};
 use sdg_state::partition::PartitionDim;
@@ -142,7 +142,7 @@ proptest! {
         }
 
         // Failure: restore to n instances and merge them.
-        let restored = restore_state(&set, &stores, n).unwrap();
+        let restored = restore_chain(&[set], &stores, n, RestoreOptions::default()).unwrap();
         prop_assert_eq!(restored.len(), n);
         let mut merged = StateStore::new(StateType::Table);
         let mut vector = sdg_common::time::VectorTs::new();
@@ -172,20 +172,21 @@ proptest! {
         prop_assert_eq!(final_state, reference);
     }
 
-    /// Striping + incremental checkpointing is an implementation detail:
-    /// for any operation sequence, checkpoint positions, stripe count and
-    /// delta-chunk space, a striped cell checkpointed as a base + delta
-    /// chain and restored by composing the chain must hold byte-identical
-    /// state to an unsharded cell checkpointed in one full generation at
-    /// the same position — and replaying the entire input must filter
-    /// exactly the same duplicates in both.
+    /// Striping and delta generations are an implementation detail: for
+    /// any operation sequence, checkpoint positions, stripe count and chunk
+    /// space, a striped cell checkpointed as a base + delta chain and
+    /// restored by composing the chain must hold byte-identical state to an
+    /// unsharded, untracked cell whose every take is a base — and both must
+    /// equal the reference model at the last cut, which shares no code with
+    /// the serialiser. Replaying the entire input must then filter exactly
+    /// the same duplicates in both.
     #[test]
     fn striped_delta_chain_equals_unsharded_full(
         ops in arb_ops(),
         stripes in 1usize..6,
         cut1_frac in 0.0f64..1.0,
         cut2_frac in 0.0f64..1.0,
-        delta_chunks in 1usize..12,
+        chunks in 1usize..12,
         m in 1usize..4,
     ) {
         let edge = EdgeId(7);
@@ -200,44 +201,40 @@ proptest! {
         // Route hash = the key's partition hash, as the dispatcher computes.
         let route = |op: &Op| Some(Key::Int(key_of(op)).stable_hash());
 
+        let chunks = chunks.max(m);
         let cell_striped = StateCell::new_striped(
-            StateType::Table, stripes, PartitionDim::Row, Some(delta_chunks));
+            StateType::Table, stripes, PartitionDim::Row, Some(chunks));
         let cell_flat = StateCell::new(StateType::Table);
         let stores_a: Vec<Arc<BackupStore>> =
             (0..m).map(|_| Arc::new(BackupStore::in_memory())).collect();
         let stores_b: Vec<Arc<BackupStore>> =
             (0..m).map(|_| Arc::new(BackupStore::in_memory())).collect();
-        let cfg_a = CheckpointConfig {
+        let cfg = CheckpointConfig {
             backup_fanout: m,
-            incremental: true,
-            delta_chunks,
-            serialise_threads: 2,
-            ..CheckpointConfig::default()
-        };
-        let cfg_b = CheckpointConfig {
-            backup_fanout: m,
-            chunks: delta_chunks.max(m),
+            chunks,
             serialise_threads: 2,
             ..CheckpointConfig::default()
         };
 
         let mut chain: Vec<BackupSet> = Vec::new();
-        let mut full_set = None;
+        let mut flat_set = None;
         let mut seq = 0u64;
         for i in 0..=ops.len() {
             if cuts.contains(&i) {
                 seq += 1;
                 let set = take_checkpoint_with(
-                    &cell_striped, instance, seq, Vec::new, &stores_a, &cfg_a,
+                    &cell_striped, instance, seq, Vec::new, &stores_a, &cfg,
                     None, CheckpointOptions::default(),
                 ).unwrap();
                 if set.is_base() {
                     chain.clear();
                 }
                 chain.push(set);
-                full_set = Some(take_checkpoint(
-                    &cell_flat, instance, seq, Vec::new, &stores_b, &cfg_b,
-                ).unwrap());
+                let flat = take_checkpoint(
+                    &cell_flat, instance, seq, Vec::new, &stores_b, &cfg,
+                ).unwrap();
+                prop_assert!(flat.is_base(), "an untracked cell takes only bases");
+                flat_set = Some(flat);
             }
             if let Some(op) = ops.get(i) {
                 let ts = (i + 1) as u64;
@@ -251,17 +248,25 @@ proptest! {
         }
         prop_assert!(!chain.is_empty() && chain[0].is_base());
 
-        // Crash: compose the chain (striped path) vs the single full
-        // generation (flat path). State must be byte-identical.
+        // Crash: compose the chain (striped path) vs the one-base chain
+        // (flat path). State must be byte-identical, and both must hold the
+        // reference model's state at the last cut.
+        let last_cut = *cuts.last().unwrap();
         let restored_a = restore_chain(&chain, &stores_a, 1, RestoreOptions::default()).unwrap();
         let (store_a, _vector_a) = restored_a.into_iter().next().unwrap();
-        let restored_b = restore_state(full_set.as_ref().unwrap(), &stores_b, 1).unwrap();
-        let (store_b, vector_b) = restored_b.into_iter().next().unwrap();
+        let flat_chain = [flat_set.unwrap()];
+        let restored_b = restore_chain(&flat_chain, &stores_b, 1, RestoreOptions::default()).unwrap();
+        let (mut store_b, vector_b) = restored_b.into_iter().next().unwrap();
         prop_assert_eq!(sorted_entries(&store_a), sorted_entries(&store_b));
+        let mut reference_at_cut = HashMap::new();
+        for op in &ops[..last_cut] {
+            apply_reference(&mut reference_at_cut, op);
+        }
+        prop_assert_eq!(table_contents(&mut store_b), reference_at_cut);
 
         // Rebuild a striped cell with the exact per-stripe vectors recorded
         // in the newest generation (the runtime's recovery path), and an
-        // unsharded cell from the full checkpoint. Replaying the ENTIRE
+        // unsharded cell from its one-base chain. Replaying the ENTIRE
         // input must filter exactly the same duplicates in both.
         let newest = chain.last().unwrap();
         prop_assert_eq!(newest.stripe_vectors.len(), stripes);
@@ -269,7 +274,7 @@ proptest! {
         let recovered_a = StateCell::from_parts(
             parts.into_iter().zip(newest.stripe_vectors.iter().cloned()).collect(),
             PartitionDim::Row,
-            Some(delta_chunks),
+            Some(chunks),
         );
         let recovered_b = StateCell::from_store(store_b, vector_b);
         let mut applied_a = Vec::new();
@@ -284,7 +289,6 @@ proptest! {
             }
         }
         prop_assert_eq!(&applied_a, &applied_b, "identical duplicate filtering");
-        let last_cut = *cuts.last().unwrap();
         prop_assert_eq!(applied_b.len(), ops.len() - last_cut, "exactly the suffix replays");
 
         // After replay both paths hold the reference final state.
@@ -350,7 +354,7 @@ proptest! {
         for op in prefix.iter().chain(&suffix).take(covered) {
             apply_reference(&mut reference_at_cover, op);
         }
-        let restored = restore_state(&set, &stores, 1).unwrap();
+        let restored = restore_chain(&[set], &stores, 1, RestoreOptions::default()).unwrap();
         let (mut store, _) = restored.into_iter().next().unwrap();
         prop_assert_eq!(table_contents(&mut store), reference_at_cover);
     }

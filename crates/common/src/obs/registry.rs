@@ -84,7 +84,7 @@ pub struct StateInstruments {
     /// Lock stripes per instance (sampled; 1 for unstriped cells).
     pub stripes: Gauge,
     /// Chunks marked dirty since the last completed checkpoint, summed
-    /// across instances (sampled; zero when incremental mode is off).
+    /// across instances (sampled; zero for cells that track none).
     pub dirty_chunks: Gauge,
     /// Checkpoints taken of this SE's instances.
     pub checkpoints: Counter,
@@ -110,7 +110,7 @@ impl StateInstruments {
 pub struct CheckpointInstruments {
     /// Checkpoints completed.
     pub taken: Counter,
-    /// Of those, incremental delta generations (subset of `taken`).
+    /// Of those, delta generations (subset of `taken`).
     pub deltas: Counter,
     /// Checkpoints that failed.
     pub failed: Counter,

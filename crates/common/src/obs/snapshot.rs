@@ -63,7 +63,7 @@ pub struct StateStats {
 pub struct CheckpointStats {
     /// Checkpoints completed.
     pub taken: u64,
-    /// Incremental delta generations among `taken`.
+    /// Delta generations among `taken`.
     pub deltas: u64,
     /// Checkpoints failed.
     pub failed: u64,

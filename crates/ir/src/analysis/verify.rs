@@ -25,7 +25,7 @@
 //!    `@Global` (`SL0304`). Dedupe-watermark recovery replays inputs and
 //!    relies on the replayed TE producing the same state transitions;
 //!    a `NonDet` verdict revokes replay safety for the state elements the
-//!    method touches, which disables their incremental checkpointing. The
+//!    method touches, which disables their delta checkpoints. The
 //!    per-TE `deterministic` certificate is diagnostic: `sdgc verify`
 //!    prints it, and no runtime gate reads it.
 //!
@@ -36,8 +36,9 @@
 //!    over permuted replica pairs (`SL0306` on a witnessed difference).
 //!
 //! All `SL03xx` diagnostics are **warnings**: an uncertified program
-//! still deploys and runs correctly — unsharded, with full checkpoints —
-//! it just runs without the optimizations its annotations promised.
+//! still deploys and runs correctly — unsharded, with a base checkpoint on
+//! every take — it just runs without the optimizations its annotations
+//! promised.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -124,7 +125,7 @@ pub struct SeCertificate {
     /// for lock-striping). Vacuously `true` for non-partitioned SEs.
     pub key_local: bool,
     /// Every task element touching this SE replays deterministically
-    /// (prerequisite for incremental checkpointing's replay recovery).
+    /// (prerequisite for replay recovery from a base + delta chain).
     pub replay_safe: bool,
     /// The `@Partial` merge reads all replicas and commutes. Vacuously
     /// `true` for non-partial SEs.
@@ -184,7 +185,7 @@ impl VerifyReport {
     }
 
     /// `true` when SE `name` is certified safe for replay-based recovery
-    /// of incremental checkpoints.
+    /// from delta checkpoints.
     pub fn replay_safe(&self, name: &str) -> bool {
         self.se(name)
             .is_some_and(|c| c.replay_safe && c.merge_sound)

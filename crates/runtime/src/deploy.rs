@@ -18,7 +18,7 @@ use parking_lot::{Mutex, RwLock};
 use sdg_checkpoint::backup::{BackupSet, BackupStore};
 use sdg_checkpoint::cell::StateCell;
 use sdg_checkpoint::coordinator::{take_checkpoint_with, CheckpointOptions};
-use sdg_checkpoint::recovery::{restore_chain_resilient_observed, RestoreOptions};
+use sdg_checkpoint::recovery::{restore_chain_resilient, RestoreOptions};
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, InstanceId, StateId, TaskId};
 use sdg_common::obs::{
@@ -61,7 +61,8 @@ fn se_instance_id(state: StateId, replica: u32) -> InstanceId {
     InstanceId::new(TaskId(0x4000_0000 | state.raw()), replica)
 }
 
-/// Stripe count, partition axis and delta-chunk space for one SE's cells.
+/// Stripe count, partition axis and tracked dirty-chunk space for one SE's
+/// cells.
 ///
 /// Only partitioned tables and matrices are striped: the partitioned access
 /// contract (a task touches only state belonging to its item's key) is what
@@ -71,10 +72,12 @@ fn se_instance_id(state: StateId, replica: u32) -> InstanceId {
 /// Both optimizations are gated on the `sdg-verify` certificates when a
 /// report is attached: striping requires the SE's key-locality certificate
 /// (an access through a reassigned key would land on the wrong stripe),
-/// and delta checkpointing requires the replay-safety certificate (replay
+/// and delta generations require the replay-safety certificate (replay
 /// recovery of a delta chain re-executes buffered items and needs them to
-/// reproduce the same transitions). A graph without a report — hand-built,
-/// native tasks — is trusted: there is nothing to check it against.
+/// reproduce the same transitions): a cell without it tracks no dirty
+/// chunks, so every checkpoint of it is a base. A graph without a report —
+/// hand-built, native tasks — is trusted: there is nothing to check it
+/// against.
 fn cell_layout(
     cfg: &RuntimeConfig,
     decl: &StateDecl,
@@ -89,12 +92,8 @@ fn cell_layout(
         Distribution::Partitioned { dim } => (1, dim),
         _ => (1, PartitionDim::Row),
     };
-    let delta = if cfg.checkpoint.enabled && cfg.checkpoint.incremental && replay_safe {
-        Some(cfg.checkpoint.delta_chunks)
-    } else {
-        None
-    };
-    (stripes, dim, delta)
+    let tracked = (cfg.checkpoint.enabled && replay_safe).then_some(cfg.checkpoint.chunks);
+    (stripes, dim, tracked)
 }
 
 /// Report of one failure-injection recovery.
@@ -156,8 +155,8 @@ pub(crate) struct Inner {
     /// Checkpoint chains per SE instance: a base generation followed by the
     /// deltas taken since it. Restore composes the whole chain.
     backups: Mutex<HashMap<(StateId, u32), Vec<BackupSet>>>,
-    /// SE instances whose next checkpoint must be a full (non-delta) take:
-    /// a reconfiguration migrated state into them, so a delta on top of the
+    /// SE instances whose next checkpoint must be a base: a
+    /// reconfiguration migrated state into them, so a delta on top of the
     /// pre-migration chain would restore the old key ownership.
     force_full: Mutex<HashSet<(StateId, u32)>>,
     pub events: Mutex<Vec<ScaleEvent>>,
@@ -910,12 +909,12 @@ impl Inner {
                 let seq = self.backup_seq.fetch_add(1, Ordering::Relaxed);
                 let label = self.se_label(state, replica as u32);
                 // A reconfiguration migrated state into this cell since the
-                // last take: the next generation must be a full base, never
-                // a delta chained onto the pre-migration ownership.
+                // last take: the next generation must be a base, never a
+                // delta chained onto the pre-migration ownership.
                 let migrated = self.force_full.lock().contains(&(state, replica as u32));
                 // Compaction: once the deltas accumulated since the base
-                // outweigh `compact_threshold` of its size, force a full
-                // generation so restore chains stay short.
+                // outweigh `compact_threshold` of its size, force a base so
+                // restore chains stay short.
                 let force_full = migrated || {
                     let backups = self.backups.lock();
                     match backups.get(&(state, replica as u32)) {
@@ -1084,7 +1083,7 @@ impl Inner {
         let decl = self.sdg.state(state)?.clone();
         let (store, vector, stripe_vectors) = match &chain {
             Some(chain) => {
-                let restored = restore_chain_resilient_observed(
+                let restored = restore_chain_resilient(
                     chain,
                     &self.stores,
                     1,
@@ -1096,7 +1095,7 @@ impl Inner {
                     // then truncate the recorded chain to the prefix that
                     // actually restored, so later deltas can never compose
                     // across the corrupt boundary, and force the next
-                    // checkpoint to be a full (non-delta) take.
+                    // checkpoint to be a base.
                     for e in &restored.fallback_errors {
                         self.obs.faults().chunks_corrupt.inc();
                         self.obs.record_event(EventKind::ChunkCorrupt {
@@ -1357,7 +1356,7 @@ impl Inner {
     }
 
     /// Drops every recorded checkpoint chain of `state` and marks its
-    /// remaining replicas for a forced full (non-delta) take: a chain
+    /// remaining replicas for a forced base take: a chain
     /// recorded before a repartition describes the old key ownership, so
     /// `restore_chain` must never compose deltas across the migration
     /// boundary. Until the next checkpoint, failure recovery of this state
@@ -1369,6 +1368,19 @@ impl Inner {
         force.retain(|&(s, _)| s != state);
         for replica in 0..replicas as u32 {
             force.insert((state, replica));
+        }
+    }
+
+    /// Deletes every checkpoint chunk of the removed replica `(state,
+    /// replica)` from every backup store. Scale-in calls it once the
+    /// victim is out of the SE group; holding the checkpoint lock, it also
+    /// sweeps whatever a take that was already running wrote for it.
+    pub(crate) fn forget_replica(&self, state: StateId, replica: u32) {
+        let _serial = self.checkpoint_lock.lock();
+        self.backups.lock().remove(&(state, replica));
+        self.force_full.lock().remove(&(state, replica));
+        for store in &self.stores {
+            store.garbage_collect(se_instance_id(state, replica), u64::MAX);
         }
     }
 
@@ -1459,8 +1471,7 @@ mod tests {
             ..RuntimeConfig::default()
         };
         cfg.checkpoint.enabled = true;
-        cfg.checkpoint.incremental = true;
-        cfg.checkpoint.delta_chunks = 32;
+        cfg.checkpoint.chunks = 32;
         cfg
     }
 
@@ -1616,6 +1627,48 @@ mod tests {
             sorted_entries(&d, kv, 0),
             before,
             "recovery is exactly-once"
+        );
+        d.shutdown();
+    }
+
+    #[test]
+    fn scale_in_deletes_the_removed_replicas_checkpoint_chunks() {
+        let prog = sdg_ir::parser::parse_program(
+            "@Partitioned Table kv;\nvoid put(int k, int v) { kv.put(k, v); }",
+        )
+        .unwrap();
+        let sdg = sdg_translate::translate(&prog).unwrap();
+        let kv = sdg.state_by_name("kv").unwrap().id;
+        let mut cfg = RuntimeConfig::default();
+        cfg.se_instances.insert(kv, 2);
+        cfg.checkpoint.enabled = true;
+        cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+        let d = Deployment::start(sdg, cfg).unwrap();
+
+        for k in 0..200 {
+            put(&d, k);
+        }
+        assert!(d.quiesce(Duration::from_secs(30)));
+        d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+        let victim_chunks: Vec<_> = d.inner.backups.lock()[&(kv, 1)]
+            .iter()
+            .flat_map(|set| set.chunk_locations.iter().map(|&(_, key)| key))
+            .collect();
+        assert!(!victim_chunks.is_empty());
+
+        let task = d.inner.find_entry("put").unwrap().id;
+        d.reconfigure(ReconfigRequest::ScaleIn { task }).unwrap();
+        d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+        for store in &d.inner.stores {
+            for &key in &victim_chunks {
+                let err = store.read_chunk(key).unwrap_err();
+                assert!(err.to_string().contains("not found"), "{err}");
+            }
+        }
+        assert_eq!(
+            sorted_entries(&d, kv, 0).len(),
+            200,
+            "survivor holds every key"
         );
         d.shutdown();
     }

@@ -14,7 +14,8 @@
 //! `sdg-verify` merge-soundness certificate), and the removed instance's
 //! workers are stopped. Both directions invalidate the affected state's
 //! checkpoint chains so `restore_chain` never composes deltas across a
-//! repartition boundary.
+//! repartition boundary, and scale-in deletes the removed replica's
+//! checkpoint chunks from every backup store.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -349,6 +350,7 @@ fn scale_in_partial(inner: &Inner, state: StateId, trigger: TaskId) -> SdgResult
     let victim = p as u32 - 1;
     let node = stop_victims(inner, &tasks, &mut guards, victim);
     drop(guards);
+    inner.forget_replica(state, victim);
     inner.record_migration(state, moved_bytes, migrate_t0.elapsed());
     inner.record_scale(trigger, node, ScaleDirection::In);
     Ok(MigrationStats { drain, moved_bytes })
@@ -474,6 +476,7 @@ fn scale_in_partitioned(
     let victim = p as u32 - 1;
     let node = stop_victims(inner, &tasks, &mut guards, victim);
     drop(guards);
+    inner.forget_replica(state, victim);
     inner.record_migration(state, moved_bytes, migrate_t0.elapsed());
     inner.record_scale(trigger, node, ScaleDirection::In);
     Ok(MigrationStats { drain, moved_bytes })

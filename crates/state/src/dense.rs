@@ -15,7 +15,17 @@ use sdg_common::value::{Key, Value};
 use crate::entry::StateEntry;
 
 /// Number of elements exported per checkpoint entry.
-const EXPORT_BLOCK: usize = 256;
+pub(crate) const EXPORT_BLOCK: usize = 256;
+
+/// The checkpoint entry of one block of elements starting at index
+/// `start`: the key is the encoded start index, the value the list of
+/// elements.
+pub(crate) fn block_entry(start: usize, block: impl Iterator<Item = f64>) -> StateEntry {
+    StateEntry::new(
+        encode_to_vec(&Key::Int(start as i64)),
+        encode_to_vec(&Value::List(block.map(Value::Float).collect())),
+    )
+}
 
 /// A mutable dense vector supporting dirty-state checkpoints.
 #[derive(Debug, Clone, Default)]
@@ -187,11 +197,7 @@ impl DenseVector {
         let mut start = 0usize;
         while start < self.len {
             let end = (start + EXPORT_BLOCK).min(self.len);
-            let block = Value::List((start..end).map(|i| Value::Float(self.get(i))).collect());
-            out.push(StateEntry::new(
-                encode_to_vec(&Key::Int(start as i64)),
-                encode_to_vec(&block),
-            ));
+            out.push(block_entry(start, (start..end).map(|i| self.get(i))));
             start = end;
         }
         out

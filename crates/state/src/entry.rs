@@ -1,12 +1,11 @@
 //! Entry-level representation of state for chunked checkpoints.
 //!
 //! Every SE structure can export itself as a flat list of
-//! ([`StateEntry`]) key/value byte pairs and re-import such a list. The
-//! checkpoint subsystem hash-partitions entries into chunks by their encoded
-//! key (so partitioning is deterministic across backup and restore, §5) and
-//! restore can split any chunk n ways for parallel reconstruction.
-
-use sdg_common::value::stable_hash_bytes;
+//! ([`StateEntry`]) key/value byte pairs and re-import such a list. Every
+//! built-in structure keys its entries by an encoded
+//! [`sdg_common::value::Key`], so the checkpoint subsystem places an entry
+//! by the stable hash of its decoded key: the same hash the partitioner,
+//! the stripes and the dirty-chunk tracker use (§5).
 
 /// One key/value pair of serialised state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,102 +26,14 @@ impl StateEntry {
     pub fn size(&self) -> usize {
         self.key.len() + self.value.len()
     }
-
-    /// Returns the chunk index this entry belongs to among `chunks` chunks.
-    ///
-    /// Deterministic across processes: uses the stable FNV-1a hash of the
-    /// key bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks` is zero.
-    pub fn chunk_of(&self, chunks: usize) -> usize {
-        assert!(chunks > 0, "chunk count must be positive");
-        (stable_hash_bytes(&self.key) % chunks as u64) as usize
-    }
-}
-
-/// Splits `entries` into `chunks` deterministic hash partitions.
-///
-/// The same entries always land in the same chunk regardless of input
-/// order, which is what allows a restore path to re-derive placement.
-///
-/// # Panics
-///
-/// Panics if `chunks` is zero.
-pub fn partition_entries(entries: Vec<StateEntry>, chunks: usize) -> Vec<Vec<StateEntry>> {
-    assert!(chunks > 0, "chunk count must be positive");
-    let mut out: Vec<Vec<StateEntry>> = (0..chunks).map(|_| Vec::new()).collect();
-    for entry in entries {
-        let idx = entry.chunk_of(chunks);
-        out[idx].push(entry);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(k: u8, v: u8) -> StateEntry {
-        StateEntry::new(vec![k], vec![v; 4])
-    }
-
     #[test]
     fn size_sums_key_and_value() {
-        assert_eq!(entry(1, 2).size(), 5);
-    }
-
-    #[test]
-    fn chunk_assignment_is_deterministic() {
-        let e = entry(42, 0);
-        assert_eq!(e.chunk_of(4), e.chunk_of(4));
-        // Chunk depends on the key only, not the value.
-        let e2 = StateEntry::new(vec![42], vec![9; 100]);
-        assert_eq!(e.chunk_of(4), e2.chunk_of(4));
-    }
-
-    #[test]
-    fn partitioning_is_total_and_disjoint() {
-        let entries: Vec<StateEntry> = (0..100u8).map(|k| entry(k, k)).collect();
-        let chunks = partition_entries(entries.clone(), 5);
-        assert_eq!(chunks.len(), 5);
-        let total: usize = chunks.iter().map(Vec::len).sum();
-        assert_eq!(total, 100);
-        // Every entry is in the chunk its key hashes to.
-        for (i, chunk) in chunks.iter().enumerate() {
-            for e in chunk {
-                assert_eq!(e.chunk_of(5), i);
-            }
-        }
-    }
-
-    #[test]
-    fn partitioning_is_order_independent() {
-        let entries: Vec<StateEntry> = (0..50u8).map(|k| entry(k, k)).collect();
-        let mut reversed = entries.clone();
-        reversed.reverse();
-        let a = partition_entries(entries, 3);
-        let b = partition_entries(reversed, 3);
-        for (ca, cb) in a.iter().zip(&b) {
-            let mut sa: Vec<_> = ca.iter().map(|e| e.key.clone()).collect();
-            let mut sb: Vec<_> = cb.iter().map(|e| e.key.clone()).collect();
-            sa.sort();
-            sb.sort();
-            assert_eq!(sa, sb);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk count must be positive")]
-    fn zero_chunks_panics() {
-        partition_entries(vec![], 0);
-    }
-
-    #[test]
-    fn single_chunk_gets_everything() {
-        let entries: Vec<StateEntry> = (0..10u8).map(|k| entry(k, k)).collect();
-        let chunks = partition_entries(entries, 1);
-        assert_eq!(chunks[0].len(), 10);
+        assert_eq!(StateEntry::new(vec![1], vec![2; 4]).size(), 5);
     }
 }

@@ -12,7 +12,7 @@ use sdg_common::codec::encode_to_vec;
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::value::{Key, Value};
 
-use crate::dense::DenseVector;
+use crate::dense::{block_entry, DenseVector, EXPORT_BLOCK};
 use crate::entry::StateEntry;
 use crate::matrix::SparseMatrix;
 use crate::partition::PartitionDim;
@@ -97,11 +97,12 @@ impl StateStore {
         }
     }
 
-    /// Enables dirty-chunk tracking for incremental checkpoints.
+    /// Enables dirty-chunk tracking, so checkpoints can write delta
+    /// generations.
     ///
     /// Returns `true` when the structure supports tracking (tables);
-    /// matrices and dense vectors fall back to full checkpoints and
-    /// return `false`.
+    /// matrices and dense vectors track nothing, so every checkpoint of
+    /// them is a base, and return `false`.
     pub fn enable_chunk_tracking(&mut self, chunks: usize) -> bool {
         match self {
             StateStore::Table(t) => {
@@ -357,24 +358,50 @@ impl StateSnapshot {
     ///
     /// This runs on the checkpoint thread, off the processing path.
     pub fn to_entries(&self) -> Vec<StateEntry> {
+        self.to_entries_for(&[true], &mut [false]).swap_remove(0)
+    }
+
+    /// Serialises the snapshot into `wanted.len()` chunk buckets. An
+    /// entry's chunk is `Key::stable_hash() % chunks` of the key it is
+    /// exported under — the identity the dirty-chunk tracker uses — and
+    /// only entries of chunks flagged in `wanted` are encoded, so a delta
+    /// generation's encoding cost scales with its dirty fraction.
+    ///
+    /// Every key is hashed either way: `occupied[c]` is set for each chunk
+    /// `c` holding at least one entry, wanted or not, which is how the
+    /// checkpoint coordinator tells a generation that rewrites all of the
+    /// state (a base) from one that does not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wanted` is empty or `occupied.len() != wanted.len()`.
+    pub fn to_entries_for(&self, wanted: &[bool], occupied: &mut [bool]) -> Vec<Vec<StateEntry>> {
+        let chunks = wanted.len();
+        assert!(chunks > 0, "chunk count must be positive");
+        assert_eq!(occupied.len(), chunks, "chunk mask size mismatch");
+        let mut out: Vec<Vec<StateEntry>> = (0..chunks).map(|_| Vec::new()).collect();
+        // Marks `key`'s chunk occupied and says whether it is wanted.
+        let mut place = |key: &Key| {
+            let idx = (key.stable_hash() % chunks as u64) as usize;
+            occupied[idx] = true;
+            wanted[idx].then_some(idx)
+        };
         match self {
             StateSnapshot::Table(map) => {
-                let mut out = Vec::with_capacity(map.len());
                 for (k, v) in map.iter() {
-                    out.push(StateEntry::new(encode_to_vec(k), encode_to_vec(v)));
+                    if let Some(idx) = place(k) {
+                        out[idx].push(StateEntry::new(encode_to_vec(k), encode_to_vec(v)));
+                    }
                 }
-                out
             }
             StateSnapshot::Matrix(rows) => {
-                let mut out = Vec::with_capacity(rows.len());
-                let mut row_ids: Vec<i64> = rows.keys().copied().collect();
-                row_ids.sort_unstable();
-                for row in row_ids {
-                    let mut cells: Vec<(i64, f64)> =
-                        rows[&row].iter().map(|(&c, &v)| (c, v)).collect();
+                for (&row, cells) in rows.iter() {
                     if cells.is_empty() {
                         continue;
                     }
+                    let key = Key::Int(row);
+                    let Some(idx) = place(&key) else { continue };
+                    let mut cells: Vec<(i64, f64)> = cells.iter().map(|(&c, &v)| (c, v)).collect();
                     cells.sort_by_key(|&(c, _)| c);
                     let value = Value::List(
                         cells
@@ -382,69 +409,14 @@ impl StateSnapshot {
                             .map(|(c, v)| Value::List(vec![Value::Int(c), Value::Float(v)]))
                             .collect(),
                     );
-                    out.push(StateEntry::new(
-                        encode_to_vec(&Key::Int(row)),
-                        encode_to_vec(&value),
-                    ));
-                }
-                out
-            }
-            StateSnapshot::Vector(v) => {
-                // Reuse the vector's own export by wrapping the snapshot.
-                DenseVector::from_vec(v.as_ref().clone()).export_entries()
-            }
-        }
-    }
-
-    /// Serialises the snapshot into `chunks` entry buckets using the same
-    /// chunk identity the dirty-chunk tracker uses (`Key::stable_hash`), so
-    /// a delta checkpoint can serialise exactly the chunks that went dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks` is zero.
-    pub fn to_entries_chunked(&self, chunks: usize) -> Vec<Vec<StateEntry>> {
-        self.to_entries_for(chunks, &vec![true; chunks])
-    }
-
-    /// Like [`StateSnapshot::to_entries_chunked`], but only encodes entries
-    /// belonging to the chunks flagged in `wanted`; the other buckets stay
-    /// empty and their entries are never serialised. This is the delta
-    /// fast path: encoding cost scales with the dirty fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks` is zero or `wanted.len() != chunks`.
-    pub fn to_entries_for(&self, chunks: usize, wanted: &[bool]) -> Vec<Vec<StateEntry>> {
-        assert!(chunks > 0, "chunk count must be positive");
-        assert_eq!(wanted.len(), chunks, "chunk mask size mismatch");
-        let mut out: Vec<Vec<StateEntry>> = (0..chunks).map(|_| Vec::new()).collect();
-        match self {
-            StateSnapshot::Table(map) => {
-                for (k, v) in map.iter() {
-                    let idx = (k.stable_hash() % chunks as u64) as usize;
-                    if wanted[idx] {
-                        out[idx].push(StateEntry::new(encode_to_vec(k), encode_to_vec(v)));
-                    }
+                    out[idx].push(StateEntry::new(encode_to_vec(&key), encode_to_vec(&value)));
                 }
             }
-            StateSnapshot::Matrix(_) => {
-                for entry in self.to_entries() {
-                    // Matrix entries are keyed by the encoded row id; decode
-                    // it back so chunk identity matches the structured hash.
-                    let idx = sdg_common::codec::decode_from_slice::<Key>(&entry.key)
-                        .map(|k| (k.stable_hash() % chunks as u64) as usize)
-                        .unwrap_or_else(|_| entry.chunk_of(chunks));
-                    if wanted[idx] {
-                        out[idx].push(entry);
-                    }
-                }
-            }
-            StateSnapshot::Vector(_) => {
-                for entry in self.to_entries() {
-                    let idx = entry.chunk_of(chunks);
-                    if wanted[idx] {
-                        out[idx].push(entry);
+            StateSnapshot::Vector(values) => {
+                for (b, block) in values.chunks(EXPORT_BLOCK).enumerate() {
+                    let start = b * EXPORT_BLOCK;
+                    if let Some(idx) = place(&Key::Int(start as i64)) {
+                        out[idx].push(block_entry(start, block.iter().copied()));
                     }
                 }
             }
@@ -548,11 +520,13 @@ mod tests {
             s.as_table().unwrap().put(Key::Int(i), Value::Int(i));
         }
         let snap = s.begin_checkpoint().unwrap();
-        let buckets = snap.to_entries_chunked(8);
+        let mut occupied = [false; 8];
+        let buckets = snap.to_entries_for(&[true; 8], &mut occupied);
         s.consolidate().unwrap();
         assert_eq!(buckets.len(), 8);
         assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 60);
         for (idx, bucket) in buckets.iter().enumerate() {
+            assert_eq!(occupied[idx], !bucket.is_empty());
             for e in bucket {
                 let k: Key = sdg_common::codec::decode_from_slice(&e.key).unwrap();
                 assert_eq!((k.stable_hash() % 8) as usize, idx);
@@ -561,24 +535,55 @@ mod tests {
     }
 
     #[test]
-    fn masked_snapshot_only_fills_wanted_chunks() {
+    fn masked_snapshot_only_fills_wanted_chunks_but_reports_every_occupied_one() {
         let mut s = StateStore::new(StateType::Table);
         for i in 0..60 {
             s.as_table().unwrap().put(Key::Int(i), Value::Int(i));
         }
         let snap = s.begin_checkpoint().unwrap();
-        let full = snap.to_entries_chunked(8);
-        let mut wanted = vec![false; 8];
+        let mut all_occupied = [false; 8];
+        let full = snap.to_entries_for(&[true; 8], &mut all_occupied);
+        let mut wanted = [false; 8];
         wanted[2] = true;
         wanted[5] = true;
-        let masked = snap.to_entries_for(8, &wanted);
+        let mut occupied = [false; 8];
+        let masked = snap.to_entries_for(&wanted, &mut occupied);
         s.consolidate().unwrap();
+        assert_eq!(occupied, all_occupied);
         for i in 0..8 {
             if wanted[i] {
                 assert_eq!(masked[i].len(), full[i].len());
             } else {
                 assert!(masked[i].is_empty());
             }
+        }
+    }
+
+    #[test]
+    fn matrix_and_vector_chunks_hash_their_structured_keys() {
+        let mut m = StateStore::new(StateType::Matrix);
+        for r in 0..20 {
+            m.as_matrix().unwrap().set(r, 1, r as f64);
+        }
+        let mut v = StateStore::new(StateType::Vector);
+        v.as_vector().unwrap().set(4 * 256, 1.0);
+        for mut store in [m, v] {
+            let snap = store.begin_checkpoint().unwrap();
+            let mut occupied = [false; 4];
+            let buckets = snap.to_entries_for(&[true; 4], &mut occupied);
+            store.consolidate().unwrap();
+            let mut flat: Vec<StateEntry> = Vec::new();
+            for (idx, bucket) in buckets.into_iter().enumerate() {
+                for e in &bucket {
+                    let k: Key = sdg_common::codec::decode_from_slice(&e.key).unwrap();
+                    assert_eq!((k.stable_hash() % 4) as usize, idx);
+                }
+                flat.extend(bucket);
+            }
+            let mut live = store.export_entries();
+            live.sort_by(|a, b| a.key.cmp(&b.key));
+            flat.sort_by(|a, b| a.key.cmp(&b.key));
+            assert_eq!(flat, live);
         }
     }
 

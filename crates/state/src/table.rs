@@ -21,12 +21,12 @@ use sdg_common::value::{Key, Value};
 use crate::entry::StateEntry;
 
 /// Tracks which hash chunks changed since the last completed checkpoint
-/// generation, enabling incremental (delta) checkpoints: a generation only
+/// generation, enabling delta checkpoints: a delta generation only
 /// re-serialises chunks whose keys were written.
 ///
-/// Chunk identity is `key.stable_hash() % chunks` — the same decoded-key
-/// hash the partitioner and the m-to-n restore use, so a chunk's key
-/// population is stable across generations, processes and restores.
+/// Chunk identity is `key.stable_hash() % chunks` — the backup chunk the
+/// checkpoint writes the key into, so a chunk's key population is stable
+/// across generations, processes and restores.
 #[derive(Debug, Clone)]
 struct ChunkTracker {
     dirty: Vec<bool>,
@@ -63,7 +63,7 @@ pub struct KeyedTable {
     /// the cell lock.
     overlay_bytes: usize,
     /// Chunk-level dirtiness since the last completed checkpoint
-    /// generation; `None` means incremental checkpointing is off.
+    /// generation; `None` means every checkpoint of the table is a base.
     tracker: Option<ChunkTracker>,
 }
 
@@ -109,7 +109,7 @@ impl KeyedTable {
     /// Turns on chunk-level dirtiness tracking over `chunks` hash chunks.
     ///
     /// All chunks start dirty, so the first checkpoint generation after
-    /// enabling is a full (base) one.
+    /// enabling is a base.
     ///
     /// # Panics
     ///

@@ -24,7 +24,7 @@ use sdg::checkpoint::cell::StateCell;
 use sdg::checkpoint::config::CheckpointConfig;
 use sdg::checkpoint::coordinator::take_checkpoint;
 use sdg::common::ids::{EdgeId, InstanceId, TaskId};
-use sdg::common::value::{Record, Value};
+use sdg::common::value::{Key, Record, Value};
 use sdg::prelude::{ReconfigRequest, RuntimeConfig};
 use sdg::runtime::Item;
 use sdg::state::partition::PartitionDim;
@@ -140,22 +140,42 @@ fn arb_program() -> impl Strategy<Value = String> {
     })
 }
 
+/// Generated requests address keys `0..KEYS`.
+const KEYS: i64 = 6;
+
 fn arb_requests() -> impl Strategy<Value = Vec<(i64, i64)>> {
-    prop::collection::vec(((0i64..6), (-20i64..20)), 1..10)
+    prop::collection::vec(((0..KEYS), (-20i64..20)), 1..10)
 }
 
-/// Sorted `(key, value)` byte pairs of `t` after `requests`. With
-/// `kill`, the run takes two mid-stream checkpoints, so restore composes a
-/// base and a delta, and ends with a kill + replay of replica 0.
+/// A key outside `0..KEYS` whose checkpoint chunk no generated key shares.
+/// Written once before the first take and never again, it keeps the
+/// second take from rewriting every chunk that holds state, so that take
+/// is a delta.
+fn sentinel_key(chunks: usize) -> i64 {
+    let chunk = |k: i64| Key::Int(k).stable_hash() % chunks as u64;
+    (KEYS..)
+        .find(|&k| (0..KEYS).all(|g| chunk(g) != chunk(k)))
+        .expect("fewer keys than chunks leave a chunk free")
+}
+
+/// Sorted `(key, value)` byte pairs of `t` after a sentinel write and
+/// `requests`. With `kill`, the run takes two mid-stream checkpoints, so
+/// restore composes a base and a delta, and ends with a kill + replay of
+/// replica 0.
 fn final_state(src: &str, requests: &[(i64, i64)], kill: bool) -> Vec<(Vec<u8>, Vec<u8>)> {
     use sdg::common::record;
     let mut cfg = RuntimeConfig::default();
     cfg.checkpoint.enabled = true;
-    cfg.checkpoint.incremental = true;
     cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+    let sentinel = sentinel_key(cfg.checkpoint.chunks);
     let program = SdgProgram::compile(src).expect("generated program compiles");
     let sid = program.state("t").expect("state t exists");
     let d = program.deploy(cfg).expect("deploys");
+    d.submit(
+        "main",
+        record! {"k" => Value::Int(sentinel), "v" => Value::Int(0)},
+    )
+    .expect("submit");
     let cuts = [
         0,
         requests.len() / 3,

@@ -134,8 +134,6 @@ proptest! {
         let mut cfg = RuntimeConfig::default();
         cfg.checkpoint.enabled = true;
         cfg.checkpoint.interval = Duration::from_secs(3600); // Manual below.
-        cfg.checkpoint.incremental = true;
-        cfg.checkpoint.delta_chunks = 16;
 
         let cut = cut.min(requests.len());
         let d = program.deploy(cfg.clone()).expect("deploys");

@@ -33,7 +33,7 @@ const CLEAN: &str = "@Partitioned Table t;\n\
      int get(int k) { let v = t.get(k); emit v; }";
 
 /// The order-sensitive merge fixture: `SL0303` revokes replay safety for
-/// `counts`, which must disable incremental (delta) checkpointing. The
+/// `counts`, which must disable delta generations for it. The
 /// state is a table — the only structure that can cut deltas at all, so
 /// the gate (and not a serialisation fallback) is what the test observes.
 const ORDER_SENSITIVE: &str = "@Partial Table counts;\n\
@@ -123,8 +123,6 @@ fn unreplayable_merge_disables_delta_checkpointing() {
         let mut cfg = RuntimeConfig::default();
         cfg.checkpoint.enabled = true;
         cfg.checkpoint.interval = Duration::from_secs(3600);
-        cfg.checkpoint.incremental = true;
-        cfg.checkpoint.delta_chunks = 16;
         let d = program.deploy(cfg).unwrap();
         for n in 0..20 {
             d.submit("add", record! {"w" => Value::str(format!("w{n}"))})
@@ -133,7 +131,7 @@ fn unreplayable_merge_disables_delta_checkpointing() {
         assert!(d.quiesce(Duration::from_secs(10)));
         d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
         // A second generation over a dirty cell is where a delta would be
-        // cut; an ungated cell records it as an incremental generation.
+        // cut; an ungated cell records it as one.
         d.submit("add", record! {"w" => Value::str("w0")}).unwrap();
         assert!(d.quiesce(Duration::from_secs(10)));
         d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
