@@ -242,13 +242,6 @@ impl BackupStore {
         self
     }
 
-    /// Sets the transient-error retry policy (default: 3 attempts with
-    /// 1 ms doubling backoff).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Installs a deterministic fault-injection plan.
     pub fn with_faults(mut self, spec: StoreFaultSpec) -> Self {
         self.faults = if spec.is_noop() {

@@ -105,14 +105,6 @@ impl SdgError {
         }
     }
 
-    /// Builds a persistent [`SdgError::Io`] error (retries will not help).
-    pub fn io_persistent(message: impl Into<String>) -> Self {
-        SdgError::Io {
-            transient: false,
-            message: message.into(),
-        }
-    }
-
     /// `true` for errors that a bounded retry with backoff may clear.
     pub fn is_transient(&self) -> bool {
         matches!(

@@ -304,16 +304,6 @@ impl Fnv1a {
     }
 }
 
-/// Stable FNV-1a hash of an arbitrary byte slice.
-///
-/// Exposed for checkpoint chunk assignment, which must partition identically
-/// during backup and restore even across process restarts.
-pub fn stable_hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_bytes(bytes);
-    h.finish()
-}
-
 /// A set of named values: the payload of a dataflow item.
 ///
 /// Records hold the live variables that cross a TE boundary. Field order is

@@ -80,13 +80,6 @@ pub struct StmtAccesses {
     pub accesses: Vec<StateAccess>,
 }
 
-impl StmtAccesses {
-    /// Returns `true` if the statement touches no state.
-    pub fn is_stateless(&self) -> bool {
-        self.accesses.is_empty()
-    }
-}
-
 /// Metadata about one accessor method of a state structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateMethodInfo {

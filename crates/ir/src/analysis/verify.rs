@@ -46,8 +46,8 @@ use sdg_common::value::Value;
 
 use crate::analysis::access::{collect_method_accesses, state_method_info, AccessKind};
 use crate::ast::{BinOp, Expr, ExprKind, FieldAnn, Method, Program, Span, Stmt, StmtKind};
-use crate::builtins::eval_builtin;
 use crate::diag::{Diagnostic, Diagnostics};
+use crate::eval::call_method;
 use crate::te::TeProgram;
 use crate::te_compiled::{CExpr, CStmt, CompiledTe};
 
@@ -873,25 +873,36 @@ fn sample_pairs() -> Vec<(Value, Value)> {
     ]
 }
 
-/// Evaluates `helper` over permuted two-replica collections.
+/// Evaluation steps the smoke-check grants one run of a merge helper.
+const SMOKE_CHECK_STEPS: u64 = 20_000;
+
+/// Runs `helper` through the reference evaluator over permuted
+/// two-replica collections.
 ///
 /// Returns `Some(Ok(()))` when at least one sample shape evaluated on
 /// both orders and every such shape agreed, `Some(Err(witness))` on the
 /// first disagreement, and `None` when no shape evaluated (the check is
-/// inconclusive).
+/// inconclusive). A run that fails (a state access, a type error, the
+/// step budget) or emits leaves its shape unevaluated.
 fn commutativity_smoke_check(program: &Program, helper: &Method) -> Option<Result<(), String>> {
     if helper.params.len() != 1 || !helper.params[0].is_collection {
         return None;
     }
+    let methods: HashMap<String, Method> = program
+        .methods
+        .iter()
+        .map(|m| (m.name.clone(), m.clone()))
+        .collect();
+    let merge = |a: &Value, b: &Value| {
+        let arg = Value::List(vec![a.clone(), b.clone()]);
+        match call_method(&methods, helper, vec![arg], SMOKE_CHECK_STEPS) {
+            Ok((result, emits)) if emits.is_empty() => Some(result),
+            _ => None,
+        }
+    };
     let mut evaluated = false;
     for (a, b) in sample_pairs() {
-        let fwd = eval_helper_call(
-            program,
-            helper,
-            vec![Value::List(vec![a.clone(), b.clone()])],
-        );
-        let rev = eval_helper_call(program, helper, vec![Value::List(vec![b, a])]);
-        if let (Some(x), Some(y)) = (fwd, rev) {
+        if let (Some(x), Some(y)) = (merge(&a, &b), merge(&b, &a)) {
             evaluated = true;
             if x != y {
                 return Some(Err(format!("`{x}` vs `{y}`")));
@@ -902,218 +913,6 @@ fn commutativity_smoke_check(program: &Program, helper: &Method) -> Option<Resul
         Some(Ok(()))
     } else {
         None
-    }
-}
-
-/// A bounded, state-free big-step evaluator over the AST, used only for
-/// the commutativity smoke-check. Any construct it cannot model (state
-/// access, emit, unbound variables) aborts the evaluation.
-struct SymEval<'p> {
-    program: &'p Program,
-    fuel: u32,
-}
-
-enum Flow {
-    Normal,
-    Returned(Value),
-}
-
-fn eval_helper_call(program: &Program, helper: &Method, args: Vec<Value>) -> Option<Value> {
-    let mut ev = SymEval {
-        program,
-        fuel: 20_000,
-    };
-    ev.call(helper, args)
-}
-
-impl SymEval<'_> {
-    fn tick(&mut self) -> Option<()> {
-        self.fuel = self.fuel.checked_sub(1)?;
-        Some(())
-    }
-
-    fn call(&mut self, method: &Method, args: Vec<Value>) -> Option<Value> {
-        if method.params.len() != args.len() {
-            return None;
-        }
-        let mut env: HashMap<String, Value> = method
-            .params
-            .iter()
-            .map(|p| p.name.clone())
-            .zip(args)
-            .collect();
-        match self.run(&method.body, &mut env)? {
-            Flow::Returned(v) => Some(v),
-            Flow::Normal => Some(Value::Null),
-        }
-    }
-
-    fn run(&mut self, stmts: &[Stmt], env: &mut HashMap<String, Value>) -> Option<Flow> {
-        for stmt in stmts {
-            self.tick()?;
-            match &stmt.kind {
-                StmtKind::Let { name, expr, .. } | StmtKind::Assign { name, expr } => {
-                    let v = self.eval(expr, env)?;
-                    env.insert(name.clone(), v);
-                }
-                StmtKind::Expr(e) => {
-                    self.eval(e, env)?;
-                }
-                StmtKind::If {
-                    cond,
-                    then_block,
-                    else_block,
-                } => {
-                    let c = self.eval(cond, env)?.truthy().ok()?;
-                    let block = if c { then_block } else { else_block };
-                    if let Flow::Returned(v) = self.run(block, env)? {
-                        return Some(Flow::Returned(v));
-                    }
-                }
-                StmtKind::While { cond, body } => {
-                    while self.eval(cond, env)?.truthy().ok()? {
-                        self.tick()?;
-                        if let Flow::Returned(v) = self.run(body, env)? {
-                            return Some(Flow::Returned(v));
-                        }
-                    }
-                }
-                StmtKind::Foreach { var, iter, body } => {
-                    let list = self.eval(iter, env)?;
-                    let items = list.as_list().ok()?.to_vec();
-                    for item in items {
-                        env.insert(var.clone(), item);
-                        if let Flow::Returned(v) = self.run(body, env)? {
-                            return Some(Flow::Returned(v));
-                        }
-                    }
-                }
-                StmtKind::Return(expr) => {
-                    let v = match expr {
-                        Some(e) => self.eval(e, env)?,
-                        None => Value::Null,
-                    };
-                    return Some(Flow::Returned(v));
-                }
-                // Emission and state effects are outside the smoke-check's
-                // model.
-                StmtKind::Emit(_) => return None,
-            }
-        }
-        Some(Flow::Normal)
-    }
-
-    fn eval(&mut self, expr: &Expr, env: &mut HashMap<String, Value>) -> Option<Value> {
-        self.tick()?;
-        match &expr.kind {
-            ExprKind::Int(v) => Some(Value::Int(*v)),
-            ExprKind::Float(v) => Some(Value::Float(*v)),
-            ExprKind::Str(s) => Some(Value::Str(s.clone())),
-            ExprKind::Bool(b) => Some(Value::Bool(*b)),
-            ExprKind::Null => Some(Value::Null),
-            ExprKind::Var(name) | ExprKind::Collection(name) => env.get(name).cloned(),
-            ExprKind::Binary { op, lhs, rhs } => {
-                match op {
-                    BinOp::And => {
-                        return if self.eval(lhs, env)?.truthy().ok()? {
-                            self.eval(rhs, env)
-                        } else {
-                            Some(Value::Bool(false))
-                        }
-                    }
-                    BinOp::Or => {
-                        return if self.eval(lhs, env)?.truthy().ok()? {
-                            Some(Value::Bool(true))
-                        } else {
-                            self.eval(rhs, env)
-                        }
-                    }
-                    _ => {}
-                }
-                let l = self.eval(lhs, env)?;
-                let r = self.eval(rhs, env)?;
-                eval_binop_value(*op, &l, &r)
-            }
-            ExprKind::Unary { op, operand } => {
-                let v = self.eval(operand, env)?;
-                match op {
-                    crate::ast::UnOp::Neg => match v {
-                        Value::Int(i) => Some(Value::Int(-i)),
-                        Value::Float(x) => Some(Value::Float(-x)),
-                        _ => None,
-                    },
-                    crate::ast::UnOp::Not => Some(Value::Bool(!v.truthy().ok()?)),
-                }
-            }
-            ExprKind::Index { base, idx } => {
-                let b = self.eval(base, env)?;
-                let i = self.eval(idx, env)?.as_int().ok()?;
-                let list = b.as_list().ok()?;
-                list.get(usize::try_from(i).ok()?).cloned()
-            }
-            ExprKind::ListLit(items) => {
-                let vals: Option<Vec<Value>> = items.iter().map(|e| self.eval(e, env)).collect();
-                Some(Value::List(vals?))
-            }
-            ExprKind::Call { callee, args } => {
-                let vals: Option<Vec<Value>> = args.iter().map(|e| self.eval(e, env)).collect();
-                let vals = vals?;
-                if let Some(method) = self.program.method(callee).cloned() {
-                    self.call(&method, vals)
-                } else {
-                    eval_builtin(callee, &vals).ok()
-                }
-            }
-            ExprKind::StateCall { .. } => None,
-        }
-    }
-}
-
-/// Mirrors the runtime interpreter's binary-operator semantics closely
-/// enough for the smoke-check (wrapping integer arithmetic, float
-/// promotion, string concatenation on `+`).
-fn eval_binop_value(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
-    use BinOp::*;
-    let both_int = matches!((l, r), (Value::Int(_), Value::Int(_)));
-    match op {
-        Add => match (l, r) {
-            (Value::Int(a), Value::Int(b)) => Some(Value::Int(a.wrapping_add(*b))),
-            (Value::Str(a), Value::Str(b)) => Some(Value::str(format!("{a}{b}"))),
-            _ => Some(Value::Float(l.as_float().ok()? + r.as_float().ok()?)),
-        },
-        Sub if both_int => Some(Value::Int(l.as_int().ok()?.wrapping_sub(r.as_int().ok()?))),
-        Sub => Some(Value::Float(l.as_float().ok()? - r.as_float().ok()?)),
-        Mul if both_int => Some(Value::Int(l.as_int().ok()?.wrapping_mul(r.as_int().ok()?))),
-        Mul => Some(Value::Float(l.as_float().ok()? * r.as_float().ok()?)),
-        Div if both_int => {
-            let b = r.as_int().ok()?;
-            (b != 0).then(|| Value::Int(l.as_int().unwrap() / b))
-        }
-        Div => Some(Value::Float(l.as_float().ok()? / r.as_float().ok()?)),
-        Rem => {
-            if !both_int {
-                return None;
-            }
-            let b = r.as_int().ok()?;
-            (b != 0).then(|| Value::Int(l.as_int().unwrap() % b))
-        }
-        Eq => Some(Value::Bool(l == r)),
-        Ne => Some(Value::Bool(l != r)),
-        Lt | Le | Gt | Ge => {
-            let ord = match (l, r) {
-                (Value::Int(a), Value::Int(b)) => a.partial_cmp(b),
-                _ => l.as_float().ok()?.partial_cmp(&r.as_float().ok()?),
-            }?;
-            let b = match op {
-                Lt => ord.is_lt(),
-                Le => ord.is_le(),
-                Gt => ord.is_gt(),
-                Ge => ord.is_ge(),
-                _ => unreachable!("filtered above"),
-            };
-            Some(Value::Bool(b))
-        }
-        And | Or => None,
     }
 }
 

@@ -24,7 +24,10 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
+use sdg_common::value::Value;
+
+use crate::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind};
+use crate::eval::{eval_binop, eval_unop};
 
 /// Index of a basic block inside a [`Cfg`].
 pub type BlockId = usize;
@@ -468,7 +471,8 @@ pub enum DefSite {
     Instr(InstrId),
 }
 
-/// A compile-time constant value.
+/// A compile-time constant value: the scalar [`Value`]s, compared
+/// bitwise for floats so the must-meet never merges `-0.0` with `0.0`.
 #[derive(Debug, Clone)]
 pub enum Lit {
     /// Integer constant.
@@ -507,6 +511,30 @@ impl Lit {
             Lit::Bool(v) => ExprKind::Bool(*v),
             Lit::Str(v) => ExprKind::Str(v.clone()),
             Lit::Null => ExprKind::Null,
+        }
+    }
+
+    /// The runtime value of this constant.
+    fn to_value(&self) -> Value {
+        match self {
+            Lit::Int(v) => Value::Int(*v),
+            Lit::Float(v) => Value::Float(*v),
+            Lit::Bool(v) => Value::Bool(*v),
+            Lit::Str(v) => Value::Str(v.clone()),
+            Lit::Null => Value::Null,
+        }
+    }
+
+    /// The constant holding `value`, unless it is a list (lists have no
+    /// literal form).
+    fn from_value(value: Value) -> Option<Lit> {
+        match value {
+            Value::Int(v) => Some(Lit::Int(v)),
+            Value::Float(v) => Some(Lit::Float(v)),
+            Value::Bool(v) => Some(Lit::Bool(v)),
+            Value::Str(v) => Some(Lit::Str(v)),
+            Value::Null => Some(Lit::Null),
+            Value::List(_) => None,
         }
     }
 }
@@ -585,10 +613,12 @@ fn meet(a: &Env, b: &Env) -> Env {
 
 /// Evaluates `expr` to a constant under `env`, when it provably folds.
 ///
-/// Deliberately conservative: only same-type operands fold (no implicit
-/// int→float promotion guesswork), integer arithmetic uses checked ops
-/// (overflow and division by zero stay runtime errors), and anything
-/// touching state, calls, lists or indexing is left alone.
+/// Operators over constant operands fold through the evaluator's kernels
+/// ([`crate::eval`]), exactly when those succeed, so a folded expression
+/// computes what the engines compute; one that fails at run time
+/// (division by zero, `%` on floats, a type error) stays in place to fail
+/// there. Anything touching state, calls, lists or indexing is left
+/// alone.
 pub fn eval_const(expr: &Expr, env: &Env) -> Option<Lit> {
     match &expr.kind {
         ExprKind::Int(v) => Some(Lit::Int(*v)),
@@ -601,66 +631,25 @@ pub fn eval_const(expr: &Expr, env: &Env) -> Option<Lit> {
             _ => None,
         },
         ExprKind::Unary { op, operand } => {
-            let val = eval_const(operand, env)?;
-            match (op, val) {
-                (UnOp::Neg, Lit::Int(v)) => v.checked_neg().map(Lit::Int),
-                (UnOp::Neg, Lit::Float(v)) => Some(Lit::Float(-v)),
-                (UnOp::Not, Lit::Bool(v)) => Some(Lit::Bool(!v)),
-                _ => None,
-            }
+            let v = eval_const(operand, env)?.to_value();
+            Lit::from_value(eval_unop(*op, &v).ok()?)
         }
         ExprKind::Binary { op, lhs, rhs } => {
             let l = eval_const(lhs, env)?;
             let r = eval_const(rhs, env)?;
-            eval_binop(*op, l, r)
+            match op {
+                // The short-circuit rule of the evaluators: `l && r` is
+                // `r` when `l` holds, `l || r` is `r` when it does not.
+                BinOp::And | BinOp::Or => {
+                    let holds = l.to_value().truthy().ok()?;
+                    Some(match (op, holds) {
+                        (BinOp::And, true) | (BinOp::Or, false) => r,
+                        _ => Lit::Bool(holds),
+                    })
+                }
+                _ => Lit::from_value(eval_binop(*op, &l.to_value(), &r.to_value()).ok()?),
+            }
         }
-        _ => None,
-    }
-}
-
-fn eval_binop(op: BinOp, l: Lit, r: Lit) -> Option<Lit> {
-    use BinOp::*;
-    match (l, r) {
-        (Lit::Int(a), Lit::Int(b)) => match op {
-            Add => a.checked_add(b).map(Lit::Int),
-            Sub => a.checked_sub(b).map(Lit::Int),
-            Mul => a.checked_mul(b).map(Lit::Int),
-            Div => a.checked_div(b).map(Lit::Int),
-            Rem => a.checked_rem(b).map(Lit::Int),
-            Eq => Some(Lit::Bool(a == b)),
-            Ne => Some(Lit::Bool(a != b)),
-            Lt => Some(Lit::Bool(a < b)),
-            Le => Some(Lit::Bool(a <= b)),
-            Gt => Some(Lit::Bool(a > b)),
-            Ge => Some(Lit::Bool(a >= b)),
-            And | Or => None,
-        },
-        (Lit::Float(a), Lit::Float(b)) => match op {
-            Add => Some(Lit::Float(a + b)),
-            Sub => Some(Lit::Float(a - b)),
-            Mul => Some(Lit::Float(a * b)),
-            Div => Some(Lit::Float(a / b)),
-            Rem => Some(Lit::Float(a % b)),
-            Eq => Some(Lit::Bool(a == b)),
-            Ne => Some(Lit::Bool(a != b)),
-            Lt => Some(Lit::Bool(a < b)),
-            Le => Some(Lit::Bool(a <= b)),
-            Gt => Some(Lit::Bool(a > b)),
-            Ge => Some(Lit::Bool(a >= b)),
-            And | Or => None,
-        },
-        (Lit::Bool(a), Lit::Bool(b)) => match op {
-            And => Some(Lit::Bool(a && b)),
-            Or => Some(Lit::Bool(a || b)),
-            Eq => Some(Lit::Bool(a == b)),
-            Ne => Some(Lit::Bool(a != b)),
-            _ => None,
-        },
-        (Lit::Str(a), Lit::Str(b)) => match op {
-            Eq => Some(Lit::Bool(a == b)),
-            Ne => Some(Lit::Bool(a != b)),
-            _ => None,
-        },
         _ => None,
     }
 }
@@ -859,7 +848,7 @@ mod tests {
     }
 
     #[test]
-    fn const_folding_refuses_division_by_zero_and_overflow() {
+    fn const_folding_refuses_division_by_zero_and_wraps_overflow() {
         let env = Env::new();
         let span = crate::ast::Span::default();
         let int = |v: i64| Expr {
@@ -883,7 +872,33 @@ mod tests {
             },
             span,
         };
-        assert_eq!(eval_const(&overflow, &env), None);
+        assert_eq!(eval_const(&overflow, &env), Some(Lit::Int(i64::MIN)));
+    }
+
+    fn fold(src: &str) -> Option<Lit> {
+        let p = body_of(&format!("void f() {{ emit {src}; }}"));
+        let StmtKind::Emit(expr) = &p.methods[0].body[0].kind else {
+            panic!("expected emit");
+        };
+        eval_const(expr, &Env::new())
+    }
+
+    #[test]
+    fn const_folding_follows_the_engines() {
+        // `%` on floats fails at run time, so it must not fold.
+        assert_eq!(fold("5.0 % 2.0"), None);
+        assert_eq!(fold("1 + 0.5"), Some(Lit::Float(1.5)));
+        assert_eq!(fold("\"a\" + \"b\""), Some(Lit::Str("ab".into())));
+        assert_eq!(fold("3 == 3.0"), Some(Lit::Bool(true)));
+        assert_eq!(fold("\"b\" < \"c\""), Some(Lit::Bool(true)));
+        assert_eq!(fold("true && 4"), Some(Lit::Int(4)));
+        assert_eq!(fold("false && 4"), Some(Lit::Bool(false)));
+        assert_eq!(fold("false || false"), Some(Lit::Bool(false)));
+        assert_eq!(fold("1 && true"), None);
+        assert_eq!(
+            fold("-(0 - 9223372036854775807 - 1)"),
+            Some(Lit::Int(i64::MIN))
+        );
     }
 
     #[test]

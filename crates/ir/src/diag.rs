@@ -202,11 +202,6 @@ impl Diagnostics {
         });
         self.items
     }
-
-    /// Consumes the sink, returning diagnostics in insertion order.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.items
-    }
 }
 
 impl Extend<Diagnostic> for Diagnostics {

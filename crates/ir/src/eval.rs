@@ -1,25 +1,36 @@
-//! Reference interpreter for translated TE code.
+//! The reference evaluator of StateLang, and the one definition of what
+//! its operators and state accessors compute.
 //!
-//! Deployments run the slot-compiled form ([`crate::compile`]); this
-//! tree-walking interpreter over the [`TeProgram`] is the oracle the
-//! engine-equivalence tests compare it against, and the home of the
-//! semantic kernels both share. State accesses (`field.method(...)`) are
-//! served by the TE instance's local [`StateStore`]; `@Global` access
-//! needs no special handling at this level because the broadcast dispatch
-//! already delivered the item to every partial instance.
+//! The kernels — [`eval_binop`], [`eval_unop`], [`eval_state_call`],
+//! [`index_list`] — are shared by every component that evaluates the
+//! language: this tree-walking interpreter, the runtime's slot-compiled
+//! engine (`sdg_runtime::compile`), the constant folder
+//! ([`crate::cfg::eval_const`]) and the verifier's merge commutativity
+//! check ([`crate::analysis::verify`]). A value therefore means the same
+//! thing whether it is computed at run time, folded at compile time or
+//! sampled by the verifier.
+//!
+//! [`run_te`] interprets one [`TeProgram`] on one item; deployments run
+//! the slot-compiled form instead, and `run_te` is the oracle the
+//! engine-equivalence tests compare it against. State accesses
+//! (`field.method(...)`) are served by the TE instance's local
+//! [`StateStore`]; `@Global` access needs no special handling at this
+//! level because the broadcast dispatch already delivered the item to
+//! every partial instance.
 
 use std::collections::HashMap;
 
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::value::{compare_values, Record, Value};
-use sdg_ir::ast::{BinOp, Expr, ExprKind, Method, Stmt, StmtKind, UnOp};
-use sdg_ir::builtins::eval_builtin;
-use sdg_ir::te::TeProgram;
 use sdg_state::store::StateStore;
 
-/// Upper bound on interpreter steps per item, guarding against unbounded
+use crate::ast::{BinOp, Expr, ExprKind, Method, Stmt, StmtKind, UnOp};
+use crate::builtins::eval_builtin;
+use crate::te::TeProgram;
+
+/// Upper bound on evaluation steps per item, guarding against unbounded
 /// `while` loops in user programs.
-pub(crate) const STEP_BUDGET: u64 = 50_000_000;
+pub const STEP_BUDGET: u64 = 50_000_000;
 
 /// The observable effects of running a TE block on one item.
 #[derive(Debug, Default, PartialEq)]
@@ -41,6 +52,7 @@ pub fn run_te(
         helpers: &te.helpers,
         emits: Vec::new(),
         steps: 0,
+        budget: STEP_BUDGET,
     };
     let mut env: Env = input
         .iter()
@@ -70,6 +82,26 @@ pub fn run_te(
     Ok(effects)
 }
 
+/// Calls `method` on `args` with no state element, resolving calls to
+/// other methods through `helpers`, within `budget` evaluation steps.
+/// Returns the method's result and the values it emitted.
+pub(crate) fn call_method(
+    helpers: &HashMap<String, Method>,
+    method: &Method,
+    args: Vec<Value>,
+    budget: u64,
+) -> SdgResult<(Value, Vec<Value>)> {
+    let mut interp = Interp {
+        state: None,
+        helpers,
+        emits: Vec::new(),
+        steps: 0,
+        budget,
+    };
+    let result = interp.call_helper(method, args)?;
+    Ok((result, interp.emits))
+}
+
 type Env = HashMap<String, Value>;
 
 enum Flow {
@@ -82,12 +114,13 @@ struct Interp<'a> {
     helpers: &'a HashMap<String, Method>,
     emits: Vec<Value>,
     steps: u64,
+    budget: u64,
 }
 
 impl<'a> Interp<'a> {
     fn tick(&mut self) -> SdgResult<()> {
         self.steps += 1;
-        if self.steps > STEP_BUDGET {
+        if self.steps > self.budget {
             return Err(SdgError::Eval(
                 "step budget exceeded (runaway loop?)".into(),
             ));
@@ -203,26 +236,12 @@ impl<'a> Interp<'a> {
             }
             ExprKind::Unary { op, operand } => {
                 let v = self.eval(operand, env)?;
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(x) => Ok(Value::Float(-x)),
-                        other => Err(SdgError::type_mismatch("Int|Float", other.type_name())),
-                    },
-                    UnOp::Not => Ok(Value::Bool(!v.truthy()?)),
-                }
+                eval_unop(*op, &v)
             }
             ExprKind::Index { base, idx } => {
                 let b = self.eval(base, env)?;
                 let i = self.eval(idx, env)?.as_int()?;
-                let list = b.as_list()?;
-                if i < 0 || i as usize >= list.len() {
-                    return Err(SdgError::Eval(format!(
-                        "index {i} out of bounds for list of length {}",
-                        list.len()
-                    )));
-                }
-                Ok(list[i as usize].clone())
+                index_list(&b, i)
             }
             ExprKind::ListLit(items) => {
                 let vals = items
@@ -288,7 +307,7 @@ impl<'a> Interp<'a> {
 }
 
 /// The error for a state access in a TE with no state element.
-pub(crate) fn missing_state(field: &str) -> SdgError {
+pub fn missing_state(field: &str) -> SdgError {
     SdgError::Eval(format!(
         "state access to `{field}` in a TE without a state element \
          (translation bug or mis-wired native graph)"
@@ -298,7 +317,8 @@ pub(crate) fn missing_state(field: &str) -> SdgError {
 /// Applies one state accessor to a store. Shared by the reference
 /// interpreter and the slot-compiled engine so accessor semantics can
 /// never diverge between them.
-pub(crate) fn eval_state_call(
+#[inline]
+pub fn eval_state_call(
     store: &mut StateStore,
     field: &str,
     method: &str,
@@ -419,9 +439,39 @@ fn value_to_pairs(v: &Value) -> SdgResult<Vec<(i64, f64)>> {
         .collect()
 }
 
-/// Applies a binary operator; `And`/`Or` are short-circuited by callers.
-/// Shared with the slot-compiled engine.
-pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> SdgResult<Value> {
+/// `base[i]`, with the language's type and bounds errors.
+#[inline]
+pub fn index_list(base: &Value, i: i64) -> SdgResult<Value> {
+    let list = base.as_list()?;
+    if i < 0 || i as usize >= list.len() {
+        return Err(SdgError::Eval(format!(
+            "index {i} out of bounds for list of length {}",
+            list.len()
+        )));
+    }
+    Ok(list[i as usize].clone())
+}
+
+/// Applies a unary operator. Integer negation wraps, like the other
+/// integer arithmetic.
+#[inline]
+pub fn eval_unop(op: UnOp, v: &Value) -> SdgResult<Value> {
+    match op {
+        UnOp::Neg => match v {
+            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
+            Value::Float(x) => Ok(Value::Float(-x)),
+            other => Err(SdgError::type_mismatch("Int|Float", other.type_name())),
+        },
+        UnOp::Not => Ok(Value::Bool(!v.truthy()?)),
+    }
+}
+
+/// Applies a binary operator. Integer arithmetic wraps; division and
+/// remainder by zero are errors. `And`/`Or` short-circuit, so evaluators
+/// handle them before evaluating the right operand; here they are an
+/// error.
+#[inline]
+pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> SdgResult<Value> {
     use BinOp::*;
     match op {
         Add => match (l, r) {
@@ -442,7 +492,7 @@ pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> SdgResult<Value> {
                 if *b == 0 {
                     Err(SdgError::Eval("integer division by zero".into()))
                 } else {
-                    Ok(Value::Int(a / b))
+                    Ok(Value::Int(a.wrapping_div(*b)))
                 }
             }
             _ => Ok(Value::Float(l.as_float()? / r.as_float()?)),
@@ -452,7 +502,7 @@ pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> SdgResult<Value> {
                 if *b == 0 {
                     Err(SdgError::Eval("integer remainder by zero".into()))
                 } else {
-                    Ok(Value::Int(a % b))
+                    Ok(Value::Int(a.wrapping_rem(*b)))
                 }
             }
             _ => Err(SdgError::Eval("`%` requires integers".into())),
@@ -476,7 +526,9 @@ pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> SdgResult<Value> {
             };
             Ok(Value::Bool(b))
         }
-        And | Or => unreachable!("short-circuited by the caller"),
+        And | Or => Err(SdgError::Eval(format!(
+            "`{op}` short-circuits and has no value kernel"
+        ))),
     }
 }
 
@@ -490,8 +542,8 @@ fn values_equal(l: &Value, r: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse_program;
     use sdg_common::record;
-    use sdg_ir::parser::parse_program;
     use sdg_state::store::{StateStore, StateType};
     use std::collections::HashMap as Map;
     use std::sync::Arc;
@@ -711,5 +763,85 @@ mod tests {
             Value::List(vec![Value::Int(5), Value::Float(30.0)]),
         ]);
         assert_eq!(fx.emits, vec![expected]);
+    }
+
+    #[test]
+    fn integer_division_and_remainder_wrap_at_the_minimum() {
+        let (min, neg1) = (Value::Int(i64::MIN), Value::Int(-1));
+        assert_eq!(
+            eval_binop(BinOp::Div, &min, &neg1).unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert_eq!(eval_binop(BinOp::Rem, &min, &neg1).unwrap(), Value::Int(0));
+    }
+
+    #[test]
+    fn integer_negation_wraps_at_the_minimum() {
+        assert_eq!(
+            eval_unop(UnOp::Neg, &Value::Int(i64::MIN)).unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert_eq!(
+            eval_unop(UnOp::Neg, &Value::Float(2.5)).unwrap(),
+            Value::Float(-2.5)
+        );
+        assert!(eval_unop(UnOp::Neg, &Value::str("x")).is_err());
+    }
+
+    #[test]
+    fn short_circuit_operators_have_no_value_kernel() {
+        let t = Value::Bool(true);
+        assert!(eval_binop(BinOp::And, &t, &t).is_err());
+        assert!(eval_binop(BinOp::Or, &t, &t).is_err());
+    }
+
+    #[test]
+    fn float_remainder_is_an_error_and_mixed_operands_promote() {
+        let err = eval_binop(BinOp::Rem, &Value::Float(5.0), &Value::Float(2.0)).unwrap_err();
+        assert!(err.to_string().contains("requires integers"), "{err}");
+        assert_eq!(
+            eval_binop(BinOp::Add, &Value::Int(1), &Value::Float(0.5)).unwrap(),
+            Value::Float(1.5)
+        );
+        assert_eq!(
+            eval_binop(BinOp::Eq, &Value::Int(3), &Value::Float(3.0)).unwrap(),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            eval_binop(BinOp::Lt, &Value::str("b"), &Value::str("c")).unwrap(),
+            Value::Bool(true)
+        );
+    }
+
+    #[test]
+    fn call_method_returns_result_and_emits_within_its_budget() {
+        let prog = parse_program(
+            "int twice(int x) { return x + x; }\n\
+             int f(int a) { emit a; return twice(a); }\n\
+             int spin(int a) { while (true) { a = a + 1; } return a; }",
+        )
+        .unwrap();
+        let helpers: Map<String, Method> = prog
+            .methods
+            .iter()
+            .map(|m| (m.name.clone(), m.clone()))
+            .collect();
+        let (result, emits) = call_method(
+            &helpers,
+            prog.method("f").unwrap(),
+            vec![Value::Int(4)],
+            100,
+        )
+        .unwrap();
+        assert_eq!(result, Value::Int(8));
+        assert_eq!(emits, vec![Value::Int(4)]);
+        let err = call_method(
+            &helpers,
+            prog.method("spin").unwrap(),
+            vec![Value::Int(0)],
+            100,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("step budget"), "{err}");
     }
 }

@@ -18,7 +18,11 @@
 //!   variables each dataflow edge must carry ([`analysis::live`]);
 //! - [`te::TeProgram`], the executable code block assigned to one task
 //!   element — the analogue of the paper's generated TE bytecode, executed
-//!   by the runtime's interpreter.
+//!   by the runtime's slot-compiled engine;
+//! - the reference evaluator ([`eval`]), whose operator and accessor
+//!   kernels are the one definition of the language's value semantics:
+//!   the runtime's engine, the constant folder and the verifier all call
+//!   them.
 //!
 //! Grammar sketch (see [`parser`] for the full rules):
 //!
@@ -46,6 +50,7 @@ pub mod ast;
 pub mod builtins;
 pub mod cfg;
 pub mod diag;
+pub mod eval;
 pub mod lexer;
 pub mod opt;
 pub mod parser;

@@ -56,15 +56,6 @@ pub fn print_method(method: &Method) -> String {
     out
 }
 
-/// Renders a statement block (used to show TE code assignments).
-pub fn print_stmts(stmts: &[Stmt]) -> String {
-    let mut out = String::new();
-    for stmt in stmts {
-        print_stmt(stmt, 0, &mut out);
-    }
-    out
-}
-
 fn indent(level: usize, out: &mut String) {
     for _ in 0..level {
         out.push_str("    ");

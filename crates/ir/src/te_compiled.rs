@@ -1,7 +1,7 @@
 //! Slot-lowered form of a [`TeProgram`] (deploy-time compilation, step 1).
 //!
 //! The paper's `java2sdg` specialises each TE into JVM bytecode at build
-//! time (§4.2 step 6); the reference interpreter in `sdg-runtime` instead
+//! time (§4.2 step 6); the reference interpreter ([`crate::eval`]) instead
 //! walks the AST with a `HashMap<String, Value>` environment, paying a map
 //! allocation and per-variable string hashing for *every item*. This module
 //! removes that cost structurally: every variable, helper, field and

@@ -8,20 +8,22 @@
 //! interpreter disappears entirely: each worker owns one [`Scratch`] whose
 //! register file (and helper-frame pool) is reused across items.
 //!
-//! Semantics are defined by the reference interpreter
-//! ([`crate::interp::run_te`]); the property harness in
-//! `tests/engine_equiv.rs` asserts effect-for-effect equivalence across
-//! generated StateLang programs, and the shared accessor/operator kernels
-//! (`eval_state_call`, `eval_binop`) make divergence structurally hard.
+//! Semantics are defined by the language crate's reference evaluator
+//! ([`sdg_ir::eval`]): every operator, accessor and list index goes
+//! through its kernels (`eval_binop`, `eval_unop`, `eval_state_call`,
+//! `index_list`), and the property harness in `tests/engine_equiv.rs`
+//! asserts effect-for-effect equivalence with [`sdg_ir::eval::run_te`]
+//! across generated StateLang programs.
 
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::value::{Record, Value};
-use sdg_ir::ast::{BinOp, UnOp};
+use sdg_ir::ast::BinOp;
 use sdg_ir::builtins::eval_builtin;
+use sdg_ir::eval::{
+    eval_binop, eval_state_call, eval_unop, index_list, missing_state, Effects, STEP_BUDGET,
+};
 use sdg_ir::te_compiled::{CExpr, CStmt, CompiledTe};
 use sdg_state::store::StateStore;
-
-use crate::interp::{eval_binop, eval_state_call, missing_state, Effects, STEP_BUDGET};
 
 /// A register file: one `Option<Value>` per interned name. `None` means
 /// the variable is unbound (distinct from a bound `Value::Null`).
@@ -231,14 +233,7 @@ impl<'a> Exec<'a> {
             }
             CExpr::Unary { op, operand } => {
                 let v = self.eval(operand, regs)?;
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(x) => Ok(Value::Float(-x)),
-                        other => Err(SdgError::type_mismatch("Int|Float", other.type_name())),
-                    },
-                    UnOp::Not => Ok(Value::Bool(!v.truthy()?)),
-                }
+                eval_unop(*op, &v)
             }
             CExpr::Index { base, idx } => {
                 if let CExpr::Slot(slot) = **base {
@@ -319,18 +314,6 @@ impl<'a> Exec<'a> {
             Flow::Normal => Ok(Value::Null),
         }
     }
-}
-
-/// `base[i]`, with the reference interpreter's type and bounds errors.
-fn index_list(base: &Value, i: i64) -> SdgResult<Value> {
-    let list = base.as_list()?;
-    if i < 0 || i as usize >= list.len() {
-        return Err(SdgError::Eval(format!(
-            "index {i} out of bounds for list of length {}",
-            list.len()
-        )));
-    }
-    Ok(list[i as usize].clone())
 }
 
 #[cfg(test)]
@@ -467,6 +450,20 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("live variable `x`"), "{err}");
+    }
+
+    #[test]
+    fn minimum_integer_division_wraps_like_the_reference() {
+        let src = "void f(int a, int b) { emit a / b; emit a % b; emit -a; }";
+        let input = record! {"a" => Value::Int(i64::MIN), "b" => Value::Int(-1)};
+        let fx = run_compiled(&compile_of(src, &[]), &input, None, &mut Scratch::new()).unwrap();
+        assert_eq!(
+            fx.emits,
+            vec![Value::Int(i64::MIN), Value::Int(0), Value::Int(i64::MIN)]
+        );
+        let prog = parse_program(src).unwrap();
+        let te = TeProgram::new("f", prog.methods[0].body.clone(), Arc::default(), vec![]);
+        assert_eq!(sdg_ir::eval::run_te(&te, &input, None).unwrap(), fx);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   ([`compile`], the engine): variable names are interned into
 //!   per-TE symbol tables at deploy time and the per-item environment is a
 //!   reused flat register file — the analogue of the paper's Javassist
-//!   bytecode generation step (§4.2 step 6);
-//! - a **reference tree-walking interpreter** ([`interp`]): not reachable
-//!   from a deployment; its kernels are shared with [`compile`] and
-//!   [`interp::run_te`] is the oracle of the engine-equivalence tests;
+//!   bytecode generation step (§4.2 step 6). Operator and accessor
+//!   semantics are not defined here: the engine calls the kernels of the
+//!   language crate's reference evaluator ([`sdg_ir::eval`]), whose
+//!   `run_te` is the oracle of the engine-equivalence tests;
 //! - a **work-stealing cooperative scheduler** ([`sched`]): every TE
 //!   instance is an actor with a serial mailbox multiplexed onto a fixed
 //!   pool of `sched_threads` workers, so replica counts can exceed core
@@ -50,7 +50,6 @@ pub mod compile;
 pub mod config;
 pub mod deploy;
 pub mod fault;
-pub mod interp;
 pub mod item;
 pub mod reconfig;
 pub mod scaling;

@@ -23,11 +23,11 @@ use sdg_common::obs::TaskInstruments;
 use sdg_common::time::TsGen;
 use sdg_common::value::{Record, Value};
 use sdg_graph::model::{Dispatch, NativeTask, TaskCode, TaskContext};
+use sdg_ir::eval::Effects;
 use sdg_ir::te_compiled::CompiledTe;
 
 use crate::compile::{run_compiled, Scratch};
 use crate::fault::{FailureHub, FaultAction, FaultTrigger, PanicProbe};
-use crate::interp::Effects;
 use crate::item::{lane, Item};
 use crate::sched::PoolSender;
 

@@ -18,11 +18,11 @@ use proptest::prelude::*;
 use sdg_common::record;
 use sdg_common::value::Value;
 use sdg_ir::ast::Method;
+use sdg_ir::eval::run_te;
 use sdg_ir::parser::parse_program;
 use sdg_ir::te::TeProgram;
 use sdg_ir::te_compiled::CompiledTe;
 use sdg_runtime::compile::{run_compiled, Scratch};
-use sdg_runtime::interp::run_te;
 use sdg_state::store::{StateStore, StateType};
 
 /// Variables the generator assigns to (and may forward as live vars).

@@ -7,9 +7,10 @@
 //!    dead branch (fewer TEs) and folds a constant out of the edge
 //!    payloads (smaller live-variable sets), while a deployment of the
 //!    optimized graph produces exactly the outputs of the unoptimized one;
-//! 2. a property test running generated stateless programs through the TE
-//!    interpreter before and after `optimize_body` — emitted values must
-//!    be identical.
+//! 2. a property test running generated stateless numeric programs (int
+//!    and float literals, all arithmetic operators, comparisons) through
+//!    the reference evaluator before and after `optimize_body` — the whole
+//!    result, emitted values or error text, must be identical.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,11 +19,11 @@ use std::time::Duration;
 use proptest::prelude::*;
 use sdg::common::value::Value;
 use sdg::graph::model::Sdg;
+use sdg::ir::eval::run_te;
 use sdg::ir::opt::optimize_body;
 use sdg::ir::parser::parse_program;
 use sdg::ir::te::TeProgram;
 use sdg::prelude::RuntimeConfig;
-use sdg::runtime::interp::run_te;
 use sdg::SdgProgram;
 
 /// A put/get pipeline with a foldable constant (`base` dies once its value
@@ -117,33 +118,84 @@ fn optimized_wordcount_source_is_unchanged_and_still_runs() {
     d.shutdown();
 }
 
-/// One generated statement of a stateless integer program. `usize` fields
+/// A numeric literal of a generated program.
+#[derive(Debug, Clone, Copy)]
+enum Num {
+    Int(i64),
+    Float(f64),
+}
+
+impl std::fmt::Display for Num {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Num::Int(i) => write!(f, "{i}"),
+            // `{:?}` keeps the decimal point, so `3.0` stays a float literal.
+            Num::Float(x) => write!(f, "{x:?}"),
+        }
+    }
+}
+
+/// One generated statement of a stateless numeric program. `usize` fields
 /// index into the already-defined variables (taken modulo their count).
+/// Variables only ever hold numbers: comparisons appear in conditions and
+/// emits, never in a `let`, so the dead-code pass never deletes a
+/// statement that would fail on a type error.
 #[derive(Debug, Clone)]
 enum GenStmt {
     /// `let v{n} = C;`
-    Const(i64),
-    /// `let v{n} = v{a} <op> C;`
-    Derive { src: usize, op: char, c: i64 },
-    /// `if (v{a} > C) { v{a} = v{a} + D; } else { v{a} = v{a} - D; }`
-    Branch { var: usize, c: i64, d: i64 },
-    /// `while (v{a} > 0) { v{a} = v{a} - C; }` with `C >= 1` (terminates).
+    Const(Num),
+    /// `let v{n} = v{a} <op> C;` — `/` and `%` may fail at run time.
+    Derive {
+        src: usize,
+        op: &'static str,
+        c: Num,
+    },
+    /// `if (v{a} <cmp> C) { v{a} = v{a} + D; } else { v{a} = v{a} - D; }`
+    Branch {
+        var: usize,
+        cmp: &'static str,
+        c: Num,
+        d: i64,
+    },
+    /// `while (v{a} > 0 && v{a} < 1000) { v{a} = v{a} - C; }` with `C >= 1`
+    /// (terminates, also on an infinite float).
     Drain { var: usize, c: i64 },
     /// `emit v{a} * C;`
-    Emit { var: usize, c: i64 },
+    Emit { var: usize, c: Num },
+    /// `emit v{a} <cmp> C;`
+    Compare {
+        var: usize,
+        cmp: &'static str,
+        c: Num,
+    },
+}
+
+const ARITH: [&str; 8] = ["+", "-", "*", "+", "-", "*", "/", "%"];
+const CMP: [&str; 6] = ["<", "<=", ">", ">=", "==", "!="];
+
+fn arb_num() -> impl Strategy<Value = Num> {
+    prop_oneof![
+        (-9i64..9).prop_map(Num::Int),
+        (-36i64..36).prop_map(|q| Num::Float(q as f64 / 4.0)),
+    ]
 }
 
 fn arb_stmt() -> impl Strategy<Value = GenStmt> {
     prop_oneof![
-        (-50i64..50).prop_map(GenStmt::Const),
-        (0usize..8, 0usize..3, -9i64..9).prop_map(|(src, op, c)| GenStmt::Derive {
-            src,
-            op: ['+', '-', '*'][op],
-            c
-        }),
-        (0usize..8, -20i64..20, 1i64..9).prop_map(|(var, c, d)| GenStmt::Branch { var, c, d }),
+        arb_num().prop_map(GenStmt::Const),
+        (0usize..8, prop::sample::select(ARITH.to_vec()), arb_num())
+            .prop_map(|(src, op, c)| GenStmt::Derive { src, op, c }),
+        (
+            0usize..8,
+            prop::sample::select(CMP.to_vec()),
+            arb_num(),
+            1i64..9
+        )
+            .prop_map(|(var, cmp, c, d)| GenStmt::Branch { var, cmp, c, d }),
         (0usize..8, 1i64..9).prop_map(|(var, c)| GenStmt::Drain { var, c }),
-        (0usize..8, -5i64..5).prop_map(|(var, c)| GenStmt::Emit { var, c }),
+        (0usize..8, arb_num()).prop_map(|(var, c)| GenStmt::Emit { var, c }),
+        (0usize..8, prop::sample::select(CMP.to_vec()), arb_num())
+            .prop_map(|(var, cmp, c)| GenStmt::Compare { var, cmp, c }),
     ]
 }
 
@@ -164,19 +216,25 @@ fn render(stmts: &[GenStmt]) -> String {
                 body.push_str(&format!("  let v{defined} = v{a} {op} {c};\n"));
                 defined += 1;
             }
-            GenStmt::Branch { var, c, d } => {
+            GenStmt::Branch { var, cmp, c, d } => {
                 let a = var % defined;
                 body.push_str(&format!(
-                    "  if (v{a} > {c}) {{ v{a} = v{a} + {d}; }} else {{ v{a} = v{a} - {d}; }}\n"
+                    "  if (v{a} {cmp} {c}) {{ v{a} = v{a} + {d}; }} else {{ v{a} = v{a} - {d}; }}\n"
                 ));
             }
             GenStmt::Drain { var, c } => {
                 let a = var % defined;
-                body.push_str(&format!("  while (v{a} > 0) {{ v{a} = v{a} - {c}; }}\n"));
+                body.push_str(&format!(
+                    "  while (v{a} > 0 && v{a} < 1000) {{ v{a} = v{a} - {c}; }}\n"
+                ));
             }
             GenStmt::Emit { var, c } => {
                 let a = var % defined;
                 body.push_str(&format!("  emit v{a} * {c};\n"));
+            }
+            GenStmt::Compare { var, cmp, c } => {
+                let a = var % defined;
+                body.push_str(&format!("  emit v{a} {cmp} {c};\n"));
             }
         }
     }
@@ -187,11 +245,30 @@ fn render(stmts: &[GenStmt]) -> String {
     body
 }
 
-fn interpret(stmts: Vec<sdg::ir::ast::Stmt>) -> Vec<Value> {
+/// Runs a body as a TE and renders everything it did: the forwards and
+/// emits on success, the error text on failure. `Debug` keeps `NaN` equal
+/// to itself and `-0.0` distinct from `0.0`.
+fn interpret(stmts: Vec<sdg::ir::ast::Stmt>) -> String {
     let te = TeProgram::new("prop", stmts, Arc::new(HashMap::new()), vec![]);
-    run_te(&te, &sdg::common::record! {}, None)
-        .expect("stateless int programs cannot fail")
-        .emits
+    match run_te(&te, &sdg::common::record! {}, None) {
+        Ok(effects) => format!("{effects:?}"),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// Interprets `source`'s only method before and after `optimize_body`.
+fn before_and_after(source: &str) -> (String, String) {
+    let program = parse_program(source).expect("generated programs parse");
+    let body = program.methods[0].body.clone();
+    let (optimized, _report) = optimize_body(body.clone());
+    (interpret(body), interpret(optimized))
+}
+
+#[test]
+fn float_remainder_fails_the_same_after_optimization() {
+    let (before, after) = before_and_after("void f() { let x = 5.0 % 2.0; emit x; }");
+    assert!(before.contains("`%` requires integers"), "{before}");
+    assert_eq!(before, after);
 }
 
 proptest! {
@@ -200,9 +277,7 @@ proptest! {
     #[test]
     fn optimizer_preserves_interpreter_results(stmts in prop::collection::vec(arb_stmt(), 0..12)) {
         let source = render(&stmts);
-        let program = parse_program(&source).expect("generated programs parse");
-        let body = program.methods[0].body.clone();
-        let (optimized, _report) = optimize_body(body.clone());
-        prop_assert_eq!(interpret(body), interpret(optimized), "source:\n{}", source);
+        let (before, after) = before_and_after(&source);
+        prop_assert_eq!(before, after, "source:\n{}", source);
     }
 }
