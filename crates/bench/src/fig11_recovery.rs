@@ -119,6 +119,7 @@ pub fn run(scale: Scale) -> Vec<Fig11Row> {
                         n,
                         RestoreOptions {
                             rebuild_bps: Some(rebuild_bps),
+                            ..RestoreOptions::default()
                         },
                         Some(obs.checkpoints()),
                     )
@@ -249,6 +250,7 @@ mod tests {
             restore_chain(&[base, delta], &stores, 2, RestoreOptions::default()).unwrap();
         let mut got: Vec<(Vec<u8>, Vec<u8>)> = restored
             .iter()
+            .flatten()
             .flat_map(|(s, _)| s.export_entries())
             .map(|e| (e.key, e.value))
             .collect();

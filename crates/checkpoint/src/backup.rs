@@ -12,22 +12,30 @@
 //! transient I/O errors with bounded backoff. A deterministic
 //! [`StoreFaultSpec`] can inject read/write errors and torn writes for
 //! chaos testing.
+//!
+//! A chunk's payload is `varint count | (varint klen | key | varint vlen |
+//! value)*`. [`ChunkWriter`] encodes it straight from stripe snapshots into
+//! a buffer with the frame header reserved in front, which the store seals
+//! in place and keeps; [`ChunkReader`] decodes a verified payload straight
+//! into the restore shards. Neither builds an intermediate entry list.
 
 use std::collections::HashMap;
 use std::fs;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
-use sdg_common::codec::{write_varint, Reader};
+use sdg_common::codec::{write_varint, Codec, Reader};
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, InstanceId};
 use sdg_common::time::VectorTs;
-use sdg_state::entry::StateEntry;
-use sdg_state::store::StateType;
+use sdg_state::partition::PartitionDim;
+use sdg_state::store::{place_entry, StateSnapshot, StateStore, StateType};
 
 use crate::buffer::BufferedItem;
 
@@ -50,7 +58,8 @@ impl std::fmt::Display for ChunkKey {
 
 #[derive(Debug)]
 enum Medium {
-    Memory(Mutex<HashMap<ChunkKey, Vec<u8>>>),
+    /// Sealed frames, shared with the readers that fetched them.
+    Memory(Mutex<HashMap<ChunkKey, Arc<Vec<u8>>>>),
     Disk(PathBuf),
 }
 
@@ -59,48 +68,98 @@ const FRAME_MAGIC: [u8; 4] = *b"SDGC";
 /// Bytes of frame overhead: 4 magic + 4 CRC32 (little-endian).
 const FRAME_HEADER: usize = 8;
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) of `bytes`, computed with a
-/// compile-time table — no external dependency.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
+/// The eight slicing-by-8 lookup tables of the reflected IEEE 802.3
+/// polynomial: `t[0]` is the classic bytewise table, and `t[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
-        table
-    };
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// CRC32 (IEEE 802.3 polynomial, reflected) of `bytes`, eight bytes per
+/// step with compile-time tables — no external dependency.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
 
-/// Wraps a chunk payload in the persisted frame: magic, CRC32 of the
-/// payload, payload.
-fn frame_chunk(payload: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(FRAME_HEADER + payload.len());
-    framed.extend_from_slice(&FRAME_MAGIC);
-    framed.extend_from_slice(&crc32(payload).to_le_bytes());
-    framed.extend_from_slice(payload);
-    framed
+/// A chunk on its way to a store: the payload behind a reserved frame
+/// header, so [`BackupStore::write_chunk`] seals it in place and the
+/// memory medium keeps the very buffer it was handed.
+#[derive(Debug)]
+pub struct Frame(Vec<u8>);
+
+impl Frame {
+    /// Payload bytes behind the header.
+    pub fn payload_len(&self) -> usize {
+        self.0.len() - FRAME_HEADER
+    }
 }
 
-/// Verifies and strips the frame, classifying truncation, a foreign
-/// prefix, and a checksum mismatch as corruption.
-fn unframe_chunk(key: ChunkKey, framed: &[u8]) -> SdgResult<Vec<u8>> {
+impl From<Vec<u8>> for Frame {
+    /// Frames a bare payload, copying it once behind the header.
+    fn from(payload: Vec<u8>) -> Self {
+        let mut framed = Vec::with_capacity(FRAME_HEADER + payload.len());
+        framed.extend_from_slice(&[0; FRAME_HEADER]);
+        framed.extend_from_slice(&payload);
+        Frame(framed)
+    }
+}
+
+/// Fills in a frame's header: magic, then the CRC32 of the payload.
+fn seal(framed: &mut [u8]) {
+    let crc = crc32(&framed[FRAME_HEADER..]);
+    framed[..4].copy_from_slice(&FRAME_MAGIC);
+    framed[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Verifies a frame in place, classifying truncation, a foreign prefix,
+/// and a checksum mismatch as corruption.
+fn verify_frame(key: ChunkKey, framed: &[u8]) -> SdgResult<()> {
     if framed.len() < FRAME_HEADER {
         return Err(SdgError::Recovery(format!(
             "chunk {key} corrupt: truncated frame ({} bytes)",
@@ -113,14 +172,43 @@ fn unframe_chunk(key: ChunkKey, framed: &[u8]) -> SdgResult<Vec<u8>> {
         )));
     }
     let stored = u32::from_le_bytes([framed[4], framed[5], framed[6], framed[7]]);
-    let payload = &framed[FRAME_HEADER..];
-    let actual = crc32(payload);
+    let actual = crc32(&framed[FRAME_HEADER..]);
     if stored != actual {
         return Err(SdgError::Recovery(format!(
             "chunk {key} corrupt: checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
         )));
     }
-    Ok(payload.to_vec())
+    Ok(())
+}
+
+/// A verified chunk payload read back from a store. On the memory medium
+/// it shares the stored frame, so a read copies nothing.
+#[derive(Clone)]
+pub struct Payload(Arc<Vec<u8>>);
+
+impl Deref for Payload {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0[FRAME_HEADER..]
+    }
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl AsRef<[u8]> for Payload {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
+impl PartialEq<Vec<u8>> for Payload {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == other[..]
+    }
 }
 
 /// Deterministic fault-injection plan for one [`BackupStore`].
@@ -291,20 +379,21 @@ impl BackupStore {
         unreachable!("loop returns on the last attempt")
     }
 
-    /// Persists `framed` bytes for `key`. Disk writes go to a `.tmp`
-    /// sibling first and are renamed into place, so a crash mid write
-    /// leaves either the old generation or the new one — never a partial
-    /// file under the final name.
-    fn persist(&self, key: ChunkKey, framed: Vec<u8>) -> SdgResult<()> {
+    /// Persists the sealed frame for `key`. The memory medium takes the
+    /// buffer (it cannot fail, so no retry needs it again). Disk writes go
+    /// to a `.tmp` sibling first and are renamed into place, so a crash mid
+    /// write leaves either the old generation or the new one — never a
+    /// partial file under the final name.
+    fn persist(&self, key: ChunkKey, framed: &mut Vec<u8>) -> SdgResult<()> {
         match &self.medium {
             Medium::Memory(map) => {
-                map.lock().insert(key, framed);
+                map.lock().insert(key, Arc::new(std::mem::take(framed)));
                 Ok(())
             }
             Medium::Disk(dir) => {
                 let tmp = dir.join(format!("{key}.tmp"));
                 let dst = dir.join(key.to_string());
-                fs::write(&tmp, framed).map_err(|e| {
+                fs::write(&tmp, &framed[..]).map_err(|e| {
                     SdgError::io_transient(format!("chunk {key} write failed: {e}"))
                 })?;
                 fs::rename(&tmp, &dst).map_err(|e| {
@@ -315,12 +404,14 @@ impl BackupStore {
         }
     }
 
-    /// Writes a chunk, applying the simulated write bandwidth. The
-    /// payload is framed with a CRC32 checksum; transient failures
-    /// (injected or real) are retried per the store's [`RetryPolicy`].
-    pub fn write_chunk(&self, key: ChunkKey, bytes: Vec<u8>) -> SdgResult<()> {
-        Self::throttle(self.write_bps, bytes.len());
-        let framed = frame_chunk(&bytes);
+    /// Writes a chunk, applying the simulated write bandwidth. The frame
+    /// is sealed in place with a CRC32 checksum of the payload; transient
+    /// failures (injected or real) are retried per the store's
+    /// [`RetryPolicy`].
+    pub fn write_chunk(&self, key: ChunkKey, chunk: impl Into<Frame>) -> SdgResult<()> {
+        let Frame(mut framed) = chunk.into();
+        Self::throttle(self.write_bps, framed.len() - FRAME_HEADER);
+        seal(&mut framed);
         self.with_retries(|attempt| {
             if let Some(faults) = &self.faults {
                 if FaultState::every(&faults.writes, faults.spec.write_error_every) {
@@ -333,17 +424,17 @@ impl BackupStore {
                     // A torn write persists a truncated frame but still
                     // reports success to the writer.
                     let cut = framed.len() / 2;
-                    return self.persist(key, framed[..cut].to_vec());
+                    return self.persist(key, &mut framed[..cut].to_vec());
                 }
             }
-            self.persist(key, framed.clone())
+            self.persist(key, &mut framed)
         })
     }
 
     /// Reads a chunk back, applying the simulated read bandwidth. The
-    /// frame checksum is verified; a mismatch (torn or bit-flipped
-    /// chunk) surfaces as a non-retryable corruption error.
-    pub fn read_chunk(&self, key: ChunkKey) -> SdgResult<Vec<u8>> {
+    /// frame checksum is verified in place; a mismatch (torn or
+    /// bit-flipped chunk) surfaces as a non-retryable corruption error.
+    pub fn read_chunk(&self, key: ChunkKey) -> SdgResult<Payload> {
         let framed = self.with_retries(|attempt| {
             if let Some(faults) = &self.faults {
                 if FaultState::every(&faults.reads, faults.spec.read_error_every) {
@@ -359,16 +450,21 @@ impl BackupStore {
                     .get(&key)
                     .cloned()
                     .ok_or_else(|| SdgError::Recovery(format!("chunk {key} not found"))),
-                Medium::Disk(dir) => fs::read(dir.join(key.to_string())).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::NotFound {
-                        SdgError::Recovery(format!("chunk {key} not found"))
-                    } else {
-                        SdgError::io_transient(format!("chunk {key} read failed: {e}"))
-                    }
-                }),
+                Medium::Disk(dir) => {
+                    fs::read(dir.join(key.to_string()))
+                        .map(Arc::new)
+                        .map_err(|e| {
+                            if e.kind() == std::io::ErrorKind::NotFound {
+                                SdgError::Recovery(format!("chunk {key} not found"))
+                            } else {
+                                SdgError::io_transient(format!("chunk {key} read failed: {e}"))
+                            }
+                        })
+                }
             }
         })?;
-        let payload = unframe_chunk(key, &framed)?;
+        verify_frame(key, &framed)?;
+        let payload = Payload(framed);
         Self::throttle(self.read_bps, payload.len());
         Ok(payload)
     }
@@ -409,7 +505,7 @@ impl BackupStore {
                 let framed = map
                     .get_mut(&key)
                     .ok_or_else(|| SdgError::Recovery(format!("chunk {key} not found")))?;
-                f(framed);
+                f(Arc::make_mut(framed));
                 Ok(())
             }
             Medium::Disk(dir) => {
@@ -511,46 +607,231 @@ impl BackupSet {
     }
 }
 
-/// Encodes a chunk of state entries.
-pub fn encode_entries(entries: &[StateEntry]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    write_varint(&mut buf, entries.len() as u64);
-    for e in entries {
-        write_varint(&mut buf, e.key.len() as u64);
-        buf.extend_from_slice(&e.key);
-        write_varint(&mut buf, e.value.len() as u64);
-        buf.extend_from_slice(&e.value);
-    }
-    buf.to_vec()
+/// Bytes reserved in front of a chunk under construction: the frame
+/// header, then one byte for the entry count, widened in place at
+/// [`ChunkWriter::finish`] when the count needs a longer varint.
+const CHUNK_PREFIX: usize = FRAME_HEADER + 1;
+
+/// Encodes one generation's chunks straight from stripe snapshots.
+///
+/// Every wanted entry is encoded once, into the buffer of its chunk
+/// (`Key::stable_hash() % chunks` of the key it is exported under — the id
+/// the dirty-chunk tracker marks), behind the reserved frame header. So a
+/// delta generation's encoding cost scales with its dirty fraction, and
+/// [`BackupStore::write_chunk`] seals each finished buffer in place.
+#[derive(Debug)]
+pub struct ChunkWriter {
+    /// Per chunk id: the frame under construction and its entry count,
+    /// `None` when the chunk is not wanted.
+    chunks: Vec<Option<(BytesMut, u64)>>,
+    /// Chunks holding at least one entry, wanted or not.
+    occupied: Vec<bool>,
 }
 
-/// Decodes a chunk of state entries.
-pub fn decode_entries(bytes: &[u8]) -> SdgResult<Vec<StateEntry>> {
-    let mut r = Reader::new(bytes);
-    let count = r.read_varint()? as usize;
-    if count > bytes.len() {
+impl ChunkWriter {
+    /// A writer of the chunks flagged in `wanted`; the chunk space is
+    /// `wanted.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wanted` is empty.
+    pub fn new(wanted: &[bool]) -> Self {
+        assert!(!wanted.is_empty(), "chunk count must be positive");
+        ChunkWriter {
+            chunks: wanted
+                .iter()
+                .map(|&w| w.then(|| (BytesMut::from(vec![0; CHUNK_PREFIX]), 0)))
+                .collect(),
+            occupied: vec![false; wanted.len()],
+        }
+    }
+
+    /// Encodes every wanted entry of `snap` into its chunk. Every key is
+    /// hashed either way, marking its chunk occupied, which is how the
+    /// coordinator tells a generation that rewrites all of the state (a
+    /// base) from one that does not.
+    pub fn write(&mut self, snap: &StateSnapshot) {
+        let space = self.chunks.len() as u64;
+        snap.for_each_entry(|key, encode_value| {
+            let id = (key.stable_hash() % space) as usize;
+            self.occupied[id] = true;
+            if let Some((buf, count)) = &mut self.chunks[id] {
+                put_prefixed(buf, |buf| key.encode(buf));
+                put_prefixed(buf, encode_value);
+                *count += 1;
+            }
+        });
+    }
+
+    /// Appends the entries `other` encoded behind this writer's, chunk by
+    /// chunk (both must cover the same wanted chunks).
+    pub fn absorb(&mut self, other: ChunkWriter) {
+        for (mine, theirs) in self.chunks.iter_mut().zip(other.chunks) {
+            if let (Some((buf, count)), Some((more, n))) = (mine, theirs) {
+                buf.extend_from_slice(&more[CHUNK_PREFIX..]);
+                *count += n;
+            }
+        }
+        for (mine, theirs) in self.occupied.iter_mut().zip(other.occupied) {
+            *mine |= theirs;
+        }
+    }
+
+    /// Chunks holding at least one entry, wanted or not.
+    pub fn occupied(&self) -> &[bool] {
+        &self.occupied
+    }
+
+    /// Finishes every wanted chunk, empty ones included, as `(chunk id,
+    /// frame)` in id order.
+    pub fn finish(self) -> Vec<(u32, Frame)> {
+        self.chunks
+            .into_iter()
+            .enumerate()
+            .filter_map(|(id, chunk)| {
+                let (mut buf, count) = chunk?;
+                set_varint(&mut buf, FRAME_HEADER, count);
+                Some((id as u32, Frame(buf.freeze())))
+            })
+            .collect()
+    }
+}
+
+/// Appends the bytes `body` writes, prefixed by their length: one prefix
+/// byte is reserved up front and widened in place when needed.
+fn put_prefixed(buf: &mut BytesMut, body: impl FnOnce(&mut BytesMut)) {
+    let at = buf.len();
+    buf.put_u8(0);
+    body(buf);
+    let len = buf.len() - at - 1;
+    set_varint(buf, at, len as u64);
+}
+
+/// Writes `v` as a varint into the one byte reserved at `at`, shifting
+/// everything behind it right when the varint is longer.
+fn set_varint(buf: &mut BytesMut, at: usize, v: u64) {
+    if v < 0x80 {
+        buf[at] = v as u8;
+        return;
+    }
+    let mut varint = BytesMut::new();
+    write_varint(&mut varint, v);
+    let extra = varint.len() - 1;
+    let end = buf.len();
+    buf.extend_from_slice(&[0; 9][..extra]);
+    buf.copy_within(at + 1..end, at + 1 + extra);
+    buf[at..=at + extra].copy_from_slice(&varint);
+}
+
+/// The entry count a chunk payload starts with, bounded by its length
+/// (every entry takes at least two bytes).
+fn entry_count(payload: &[u8]) -> SdgResult<usize> {
+    let count = Reader::new(payload).read_varint()? as usize;
+    if count > payload.len() {
         return Err(SdgError::Codec(format!(
             "entry count {count} exceeds input"
         )));
     }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let klen = r.read_varint()? as usize;
-        let key = r.read_bytes(klen)?.to_vec();
-        let vlen = r.read_varint()? as usize;
-        let value = r.read_bytes(vlen)?.to_vec();
-        out.push(StateEntry::new(key, value));
+    Ok(count)
+}
+
+/// Decodes verified chunk payloads straight into the restore shards: `n`
+/// instances of `stripes` stripes each.
+///
+/// Every entry is decoded once and inserted into its final shard by the
+/// owner hash [`place_entry`] defines — instance `hash % n`, then stripe
+/// `hash % stripes`, the rule the stripes route by — so nothing is
+/// re-split afterwards. Tables are pre-sized from the chunks' entry
+/// counts.
+#[derive(Debug)]
+pub struct ChunkReader {
+    /// Instance-major: shard `i * stripes + s` is stripe `s` of instance `i`.
+    shards: Vec<StateStore>,
+    stripes: usize,
+    dim: PartitionDim,
+    bytes: usize,
+}
+
+impl ChunkReader {
+    /// A reader into `n` × `stripes` empty shards of type `ty`, placing
+    /// matrix cells along `dim`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` or `stripes` is zero.
+    pub fn new(ty: StateType, n: usize, stripes: usize, dim: PartitionDim) -> Self {
+        assert!(n > 0 && stripes > 0, "shard counts must be positive");
+        ChunkReader {
+            shards: (0..n * stripes).map(|_| StateStore::new(ty)).collect(),
+            stripes,
+            dim,
+            bytes: 0,
+        }
     }
-    if !r.is_empty() {
-        return Err(SdgError::Codec("trailing bytes after entries".into()));
+
+    /// Decodes chunk payloads into the shards, after pre-sizing the
+    /// tables from the chunks' entry counts.
+    ///
+    /// # Errors
+    ///
+    /// Fails, without panicking, on a truncated or over-long payload and
+    /// on an entry that does not decode into the shards' structure.
+    pub fn read<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> SdgResult<()> {
+        let mut entries = 0;
+        for payload in payloads {
+            entries += entry_count(payload.as_ref())?;
+        }
+        let share = entries / self.shards.len();
+        for shard in &mut self.shards {
+            shard.reserve(share + share / 8);
+        }
+        for payload in payloads {
+            self.read_chunk(payload.as_ref())?;
+        }
+        Ok(())
     }
-    Ok(out)
+
+    /// Decodes one payload whose entry count [`entry_count`] accepted.
+    fn read_chunk(&mut self, payload: &[u8]) -> SdgResult<()> {
+        let mut r = Reader::new(payload);
+        let count = r.read_varint()?;
+        let instances = (self.shards.len() / self.stripes) as u64;
+        let stripes = self.stripes;
+        let shard_of = |h: u64| (h % instances) as usize * stripes + (h % stripes as u64) as usize;
+        for _ in 0..count {
+            let klen = r.read_varint()? as usize;
+            let key = r.read_bytes(klen)?;
+            let vlen = r.read_varint()? as usize;
+            let value = r.read_bytes(vlen)?;
+            place_entry(&mut self.shards, self.dim, key, value, shard_of)?;
+        }
+        if !r.is_empty() {
+            return Err(SdgError::Codec("trailing bytes after entries".into()));
+        }
+        self.bytes += payload.len();
+        Ok(())
+    }
+
+    /// Payload bytes decoded so far.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The shards, one `Vec` of stripes per instance.
+    pub fn finish(self) -> Vec<Vec<StateStore>> {
+        let mut shards = self.shards.into_iter();
+        let instances = shards.len() / self.stripes;
+        (0..instances)
+            .map(|_| shards.by_ref().take(self.stripes).collect())
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdg_common::ids::TaskId;
+    use sdg_common::value::{Key, Value};
     use std::time::Instant;
 
     fn key(seq: u64, chunk: u32) -> ChunkKey {
@@ -615,15 +896,185 @@ mod tests {
         assert!(slow_time > fast_time);
     }
 
+    /// A snapshot of `store` taken and released at once (the store is
+    /// consolidated again before returning).
+    fn snapshot_of(store: &mut StateStore) -> StateSnapshot {
+        let snap = store.begin_checkpoint().unwrap();
+        store.consolidate().unwrap();
+        snap
+    }
+
+    fn table_of(keys: std::ops::Range<i64>) -> StateStore {
+        let mut s = StateStore::new(StateType::Table);
+        for i in keys {
+            s.as_table().unwrap().put(Key::Int(i), Value::Int(i));
+        }
+        s
+    }
+
+    /// The `(key, value)` byte pairs of a chunk payload, parsed
+    /// independently of [`ChunkReader`].
+    fn payload_entries(payload: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut r = Reader::new(payload);
+        let count = r.read_varint().unwrap();
+        let field = |r: &mut Reader<'_>| {
+            let len = r.read_varint().unwrap() as usize;
+            r.read_bytes(len).unwrap().to_vec()
+        };
+        let out = (0..count).map(|_| (field(&mut r), field(&mut r))).collect();
+        assert!(r.is_empty(), "no trailing bytes");
+        out
+    }
+
+    fn frame_entries(frame: &Frame) -> Vec<(Vec<u8>, Vec<u8>)> {
+        payload_entries(&frame.0[FRAME_HEADER..])
+    }
+
     #[test]
     fn entries_encode_decode_roundtrips() {
-        let entries: Vec<StateEntry> = (0..50u8)
-            .map(|i| StateEntry::new(vec![i], vec![i; i as usize % 7]))
-            .collect();
-        let bytes = encode_entries(&entries);
-        let back = decode_entries(&bytes).unwrap();
-        assert_eq!(back, entries);
-        assert_eq!(decode_entries(&encode_entries(&[])).unwrap(), vec![]);
+        // Long keys and values need multi-byte length prefixes, and more
+        // than 127 entries a multi-byte count.
+        let mut store = StateStore::new(StateType::Table);
+        for i in 0..300i64 {
+            let value = Value::str("v".repeat(i as usize % 200));
+            store
+                .as_table()
+                .unwrap()
+                .put(Key::str("k".repeat(i as usize)), value);
+        }
+        let mut writer = ChunkWriter::new(&[true]);
+        writer.write(&snapshot_of(&mut store));
+        let frames = writer.finish();
+        let mut reader = ChunkReader::new(StateType::Table, 1, 1, PartitionDim::Row);
+        reader.read(&[&frames[0].1 .0[FRAME_HEADER..]]).unwrap();
+        let mut back = reader.finish().remove(0).remove(0);
+        let mut got = back.export_entries();
+        let mut want = store.export_entries();
+        got.sort_by(|a, b| a.key.cmp(&b.key));
+        want.sort_by(|a, b| a.key.cmp(&b.key));
+        assert_eq!(got, want);
+        assert_eq!(back.as_table().unwrap().len(), 300);
+        // An empty chunk is a zero count and nothing else.
+        let empty = ChunkWriter::new(&[true]).finish();
+        assert_eq!(&empty[0].1 .0[FRAME_HEADER..], &[0]);
+    }
+
+    #[test]
+    fn chunked_snapshot_uses_structured_key_hash() {
+        let mut s = table_of(0..60);
+        let mut writer = ChunkWriter::new(&[true; 8]);
+        writer.write(&snapshot_of(&mut s));
+        let occupied = writer.occupied().to_vec();
+        let frames = writer.finish();
+        assert_eq!(frames.len(), 8);
+        let mut total = 0;
+        for (id, frame) in &frames {
+            let entries = frame_entries(frame);
+            assert_eq!(occupied[*id as usize], !entries.is_empty());
+            total += entries.len();
+            for (key, _) in entries {
+                let k: Key = sdg_common::codec::decode_from_slice(&key).unwrap();
+                assert_eq!((k.stable_hash() % 8) as u32, *id);
+            }
+        }
+        assert_eq!(total, 60);
+    }
+
+    #[test]
+    fn masked_snapshot_only_fills_wanted_chunks_but_reports_every_occupied_one() {
+        let mut s = table_of(0..60);
+        let snap = snapshot_of(&mut s);
+        let mut full = ChunkWriter::new(&[true; 8]);
+        full.write(&snap);
+        let all_occupied = full.occupied().to_vec();
+        let full = full.finish();
+        let mut wanted = [false; 8];
+        wanted[2] = true;
+        wanted[5] = true;
+        let mut masked = ChunkWriter::new(&wanted);
+        masked.write(&snap);
+        assert_eq!(masked.occupied(), &all_occupied[..]);
+        let masked = masked.finish();
+        let ids: Vec<u32> = masked.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![2, 5]);
+        for (id, frame) in &masked {
+            assert_eq!(frame.0, full[*id as usize].1 .0, "chunk {id} byte-equal");
+        }
+    }
+
+    #[test]
+    fn matrix_and_vector_chunks_hash_their_structured_keys() {
+        let mut m = StateStore::new(StateType::Matrix);
+        for r in 0..20 {
+            m.as_matrix().unwrap().set(r, 1, r as f64);
+        }
+        let mut v = StateStore::new(StateType::Vector);
+        v.as_vector().unwrap().set(4 * 256, 1.0);
+        for mut store in [m, v] {
+            let mut writer = ChunkWriter::new(&[true; 4]);
+            writer.write(&snapshot_of(&mut store));
+            let mut flat = Vec::new();
+            for (id, frame) in writer.finish() {
+                for (key, value) in frame_entries(&frame) {
+                    let k: Key = sdg_common::codec::decode_from_slice(&key).unwrap();
+                    assert_eq!((k.stable_hash() % 4) as u32, id);
+                    flat.push((key, value));
+                }
+            }
+            let mut live: Vec<_> = store
+                .export_entries()
+                .into_iter()
+                .map(|e| (e.key, e.value))
+                .collect();
+            live.sort();
+            flat.sort();
+            assert_eq!(flat, live);
+        }
+    }
+
+    #[test]
+    fn absorbed_writers_concatenate_their_chunks() {
+        let (mut a, mut b) = (table_of(0..40), table_of(40..100));
+        let mut both = ChunkWriter::new(&[true; 4]);
+        both.write(&snapshot_of(&mut a));
+        let mut other = ChunkWriter::new(&[true; 4]);
+        other.write(&snapshot_of(&mut b));
+        both.absorb(other);
+        let total: usize = both
+            .finish()
+            .iter()
+            .map(|(_, f)| frame_entries(f).len())
+            .sum();
+        assert_eq!(total, 100);
+    }
+
+    #[test]
+    fn reader_places_column_partitioned_cells_by_column() {
+        let mut m = StateStore::new(StateType::Matrix);
+        for r in 0..10 {
+            for c in 0..10 {
+                m.as_matrix().unwrap().set(r, c, (r * 10 + c) as f64);
+            }
+        }
+        let mut writer = ChunkWriter::new(&[true; 2]);
+        writer.write(&snapshot_of(&mut m));
+        let mut reader = ChunkReader::new(StateType::Matrix, 2, 3, PartitionDim::Col);
+        let frames = writer.finish();
+        let payloads: Vec<&[u8]> = frames.iter().map(|(_, f)| &f.0[FRAME_HEADER..]).collect();
+        reader.read(&payloads).unwrap();
+        let instances = reader.finish();
+        let want = m.split_by_hash(2, PartitionDim::Col).unwrap();
+        for (mut stripes, want) in instances.into_iter().zip(want) {
+            let want = want.split_by_hash(3, PartitionDim::Col).unwrap();
+            for (got, mut want) in stripes.iter_mut().zip(want) {
+                let got = got.as_matrix().unwrap();
+                let want = want.as_matrix().unwrap();
+                assert_eq!(got.nnz(), want.nnz());
+                for r in want.row_indices() {
+                    assert_eq!(got.row(r), want.row(r));
+                }
+            }
+        }
     }
 
     #[test]
@@ -631,6 +1082,38 @@ mod tests {
         // The canonical IEEE 802.3 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC32 the slicing-by-8 tables must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    mod crc_props {
+        use super::{crc32, crc32_bytewise};
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn crc32_matches_bytewise_reference(
+                bytes in prop::collection::vec(any::<u8>(), 0..200),
+                offset in 0usize..16,
+            ) {
+                let from = offset.min(bytes.len());
+                prop_assert_eq!(crc32(&bytes[from..]), crc32_bytewise(&bytes[from..]));
+            }
+        }
     }
 
     #[test]
@@ -712,13 +1195,23 @@ mod tests {
 
     #[test]
     fn corrupted_chunks_error_not_panic() {
-        let entries = vec![StateEntry::new(vec![1, 2], vec![3])];
-        let bytes = encode_entries(&entries);
+        let mut s = table_of(0..3);
+        let mut writer = ChunkWriter::new(&[true]);
+        writer.write(&snapshot_of(&mut s));
+        let frame = writer.finish().remove(0).1;
+        let bytes = &frame.0[FRAME_HEADER..];
+        let read = |payload: &[u8]| {
+            ChunkReader::new(StateType::Table, 2, 2, PartitionDim::Row).read(&[payload])
+        };
+        assert!(read(bytes).is_ok());
         for cut in 0..bytes.len() {
-            assert!(decode_entries(&bytes[..cut]).is_err());
+            assert!(read(&bytes[..cut]).is_err());
         }
-        let mut extended = bytes;
+        let mut extended = bytes.to_vec();
         extended.push(0);
-        assert!(decode_entries(&extended).is_err());
+        assert!(read(&extended).is_err());
+        // A matrix reader rejects table entries.
+        let mut matrix = ChunkReader::new(StateType::Matrix, 1, 1, PartitionDim::Row);
+        assert!(matrix.read(&[bytes]).is_err());
     }
 }

@@ -16,7 +16,12 @@
 //!    an instance kill and recovery replays from that registry directly;
 //! 2. processing resumes immediately against the dirty overlays;
 //! 3. off the processing path, a serialisation thread pool encodes the
-//!    generation's chunks (Fig. 4 step B1–B2);
+//!    generation's chunks (Fig. 4 step B1–B2): each thread walks a share of
+//!    the stripe snapshots and encodes every wanted entry once, straight
+//!    into its chunk's frame buffer ([`ChunkWriter`]). The snapshots are
+//!    released as soon as they are encoded, so step 5 folds the overlays
+//!    into unshared bases in place, at a cost proportional to the writes
+//!    made during the take;
 //! 4. chunks stream to the `m` backup stores by `chunk_id % m` (step B3),
 //!    keeping a chunk's location stable across generations;
 //! 5. under a short lock: consolidate the dirty overlays into the bases.
@@ -25,7 +30,7 @@
 //! entire procedure — the "stop-the-world" behaviour of Naiad and SEEP
 //! that Fig. 12 compares against. Synchronous checkpoints are always bases.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,10 +38,9 @@ use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, InstanceId};
 use sdg_common::obs::CheckpointInstruments;
 use sdg_common::time::VectorTs;
-use sdg_state::entry::StateEntry;
-use sdg_state::store::StateSnapshot;
+use sdg_state::store::{StateSnapshot, StateType};
 
-use crate::backup::{encode_entries, BackupSet, BackupStore, ChunkKey, DeltaMeta};
+use crate::backup::{BackupSet, BackupStore, ChunkKey, ChunkWriter, DeltaMeta, Frame};
 use crate::buffer::BufferedItem;
 use crate::cell::{CellInner, StateCell};
 use crate::config::CheckpointConfig;
@@ -122,8 +126,11 @@ pub fn take_checkpoint_with(
 
 /// The consistent cut taken in step 1.
 struct InitCut {
-    /// Per-stripe (snapshot, vector) pairs, in stripe order.
-    snapshots: Vec<(StateSnapshot, VectorTs)>,
+    /// Per-stripe snapshots, in stripe order. Step 3 takes and drops them.
+    snapshots: Vec<StateSnapshot>,
+    /// Per-stripe vectors, in stripe order.
+    stripe_vectors: Vec<VectorTs>,
+    state_type: StateType,
     out_buffers: Vec<(EdgeId, Vec<BufferedItem>)>,
     /// The chunks this generation serialises: those dirty in any stripe
     /// when every stripe tracks the configured chunk space, else all.
@@ -155,34 +162,25 @@ fn take_checkpoint_inner(
         if base {
             cut.wanted.fill(true);
         }
-        let (payloads, delta) = serialise_generation(cut);
+        let snapshots = std::mem::take(&mut cut.snapshots);
+        let (frames, delta) = serialise_generation(snapshots, &cut.wanted, cfg.serialise_threads);
         let sealed = seal_out_buffers(&mut cut.out_buffers, cfg.serialise_threads);
         if let Some(obs) = obs {
             obs.encode_deferred.add(sealed);
         }
-        let written = write_chunks(
-            &payloads,
-            instance,
-            seq,
-            stores,
-            fanout,
-            cfg.serialise_threads,
-        );
+        let written = write_chunks(frames, instance, seq, stores, fanout, cfg.serialise_threads);
         (written, delta)
     };
-    let finish = |cut: InitCut, (chunk_locations, state_bytes): Written, delta| {
-        let stripe_vectors: Vec<VectorTs> = cut.snapshots.iter().map(|(_, v)| v.clone()).collect();
-        BackupSet {
-            instance,
-            seq,
-            state_type: cut.snapshots[0].0.state_type(),
-            vector: min_vector(&stripe_vectors),
-            stripe_vectors,
-            chunk_locations,
-            out_buffers: cut.out_buffers,
-            state_bytes,
-            delta,
-        }
+    let finish = |cut: InitCut, (chunk_locations, state_bytes): Written, delta| BackupSet {
+        instance,
+        seq,
+        state_type: cut.state_type,
+        vector: min_vector(&cut.stripe_vectors),
+        stripe_vectors: cut.stripe_vectors,
+        chunk_locations,
+        out_buffers: cut.out_buffers,
+        state_bytes,
+        delta,
     };
 
     if cfg.synchronous {
@@ -237,6 +235,7 @@ fn begin_cut(
         .all(|i| i.store.tracked_chunks() == Some(space));
     let mut wanted = vec![!tracking; space];
     let mut snapshots = Vec::with_capacity(inners.len());
+    let mut stripe_vectors = Vec::with_capacity(inners.len());
     for k in 0..inners.len() {
         // The dirty bits are taken *before* the snapshot so overlay writes
         // landing after the lock drops re-mark their chunks for the next
@@ -248,8 +247,8 @@ fn begin_cut(
         }
         match inners[k].store.begin_checkpoint() {
             Ok(snap) => {
-                let vector = inners[k].vector.clone();
-                snapshots.push((snap, vector));
+                snapshots.push(snap);
+                stripe_vectors.push(inners[k].vector.clone());
             }
             Err(e) => {
                 // Roll back: fold the stripes already begun and put the
@@ -267,6 +266,8 @@ fn begin_cut(
     }
     Ok(InitCut {
         snapshots,
+        stripe_vectors,
+        state_type: inners[0].store.state_type(),
         out_buffers: capture_outputs(),
         wanted,
     })
@@ -294,96 +295,104 @@ fn min_vector(stripe_vectors: &[VectorTs]) -> VectorTs {
     }
 }
 
-/// Encodes the cut into `(chunk_id, entries)` payloads plus the generation
-/// header.
+/// Encodes the snapshots into `(chunk_id, frame)` chunks plus the
+/// generation header, dropping the snapshots once encoded.
 ///
-/// Only the chunks in `cut.wanted` are serialised. The generation is a base
-/// when they cover every chunk that holds state, however the key space is
-/// partitioned across replicas. A base shadows nothing (it starts a
-/// chain), so it skips empty chunks; a delta writes every wanted chunk,
-/// even an emptied one, whose empty copy shadows the stale one.
-fn serialise_generation(cut: &InitCut) -> (Vec<(u32, Vec<StateEntry>)>, DeltaMeta) {
-    let wanted = &cut.wanted;
-    let space = wanted.len();
-    let mut occupied = vec![false; space];
-    let mut merged: Vec<Vec<StateEntry>> = (0..space).map(|_| Vec::new()).collect();
-    for (snap, _) in &cut.snapshots {
-        let chunks = snap.to_entries_for(wanted, &mut occupied);
-        for (id, mut entries) in chunks.into_iter().enumerate() {
-            merged[id].append(&mut entries);
-        }
+/// Only the `wanted` chunks are encoded, by up to `threads` writers over
+/// disjoint shares of the stripes, whose chunks are then concatenated. The
+/// generation is a base when the wanted chunks cover every chunk that
+/// holds state, however the key space is partitioned across replicas. A
+/// base shadows nothing (it starts a chain), so it skips empty chunks; a
+/// delta writes every wanted chunk, even an emptied one, whose empty copy
+/// shadows the stale one.
+fn serialise_generation(
+    snapshots: Vec<StateSnapshot>,
+    wanted: &[bool],
+    threads: usize,
+) -> (Vec<(u32, Frame)>, DeltaMeta) {
+    let share = snapshots.len().div_ceil(threads.max(1)).max(1);
+    let writers: Vec<ChunkWriter> = std::thread::scope(|scope| {
+        let workers: Vec<_> = snapshots
+            .chunks(share)
+            .map(|stripes| {
+                scope.spawn(move || {
+                    let mut writer = ChunkWriter::new(wanted);
+                    for snap in stripes {
+                        writer.write(snap);
+                    }
+                    writer
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("chunk encoder does not panic"))
+            .collect()
+    });
+    drop(snapshots);
+    let mut writers = writers.into_iter();
+    let mut writer = writers.next().expect("a cell has at least one stripe");
+    for more in writers {
+        writer.absorb(more);
     }
+    let occupied = writer.occupied().to_vec();
     let base = occupied.iter().zip(wanted).all(|(&o, &w)| w || !o);
-    let written = if base { &occupied } else { wanted };
-    let payloads = (0..space)
-        .filter(|&id| written[id])
-        .map(|id| (id as u32, std::mem::take(&mut merged[id])))
+    let frames = writer
+        .finish()
+        .into_iter()
+        .filter(|&(id, _)| !base || occupied[id as usize])
         .collect();
     (
-        payloads,
+        frames,
         DeltaMeta {
             base,
-            chunk_space: space,
+            chunk_space: wanted.len(),
         },
     )
 }
 
-/// Serialises and writes `(chunk_id, entries)` payloads in parallel
-/// (Fig. 4 steps B1–B3). A chunk's store is `chunk_id % fanout`, which is
-/// stable across generations so delta chains can be garbage-collected per
-/// store without relocation.
+/// Writes the frames in parallel (Fig. 4 step B3); each store seals a
+/// frame in place. A chunk's store is `chunk_id % fanout`, which is stable
+/// across generations so delta chains can be garbage-collected per store
+/// without relocation.
 fn write_chunks(
-    payloads: &[(u32, Vec<StateEntry>)],
+    frames: Vec<(u32, Frame)>,
     instance: InstanceId,
     seq: u64,
     stores: &[Arc<BackupStore>],
     fanout: usize,
     threads: usize,
 ) -> SdgResult<(Vec<(usize, ChunkKey)>, usize)> {
-    let next = AtomicUsize::new(0);
-    let results: Vec<parking_lot::Mutex<Option<SdgResult<usize>>>> = (0..payloads.len())
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1).min(payloads.len().max(1)) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= payloads.len() {
-                    break;
-                }
-                let (chunk_id, entries) = &payloads[idx];
-                let bytes = encode_entries(entries);
-                let len = bytes.len();
-                let key = ChunkKey {
+    let locations: Vec<(usize, ChunkKey)> = frames
+        .iter()
+        .map(|&(chunk, _)| {
+            (
+                chunk as usize % fanout,
+                ChunkKey {
                     instance,
                     seq,
-                    chunk: *chunk_id,
-                };
-                let store = &stores[*chunk_id as usize % fanout];
-                let r = store.write_chunk(key, bytes).map(|()| len);
-                *results[idx].lock() = Some(r);
-            });
-        }
-    });
-
-    let mut locations = Vec::with_capacity(payloads.len());
-    let mut total = 0usize;
-    for (idx, slot) in results.into_iter().enumerate() {
-        let r = slot
-            .into_inner()
-            .unwrap_or_else(|| Err(SdgError::Recovery("chunk write skipped".into())))?;
-        total += r;
-        let chunk_id = payloads[idx].0;
-        locations.push((
-            chunk_id as usize % fanout,
-            ChunkKey {
-                instance,
-                seq,
-                chunk: chunk_id,
-            },
-        ));
-    }
+                    chunk,
+                },
+            )
+        })
+        .collect();
+    let total = frames.iter().map(|(_, f)| f.payload_len()).sum();
+    let queue = parking_lot::Mutex::new(frames.into_iter().zip(&locations));
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.max(1).min(locations.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let Some(((_, frame), &(store, key))) = queue.lock().next() else {
+                        return Ok(());
+                    };
+                    stores[store].write_chunk(key, frame)?;
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .try_for_each(|w| w.join().expect("chunk writer does not panic"))
+    })?;
     Ok((locations, total))
 }
 
@@ -678,6 +687,54 @@ mod tests {
         cell
     }
 
+    /// Each stripe's base address, read from a snapshot that is released
+    /// before the stripe consolidates again.
+    fn base_addrs(cell: &StateCell) -> Vec<usize> {
+        cell.with_all(|inners| {
+            inners
+                .iter_mut()
+                .map(|inner| {
+                    let snap = inner.store.begin_checkpoint().unwrap();
+                    let addr = match &snap {
+                        StateSnapshot::Table(map) => Arc::as_ptr(map) as usize,
+                        StateSnapshot::Matrix(rows) => Arc::as_ptr(rows) as usize,
+                        StateSnapshot::Vector(values) => Arc::as_ptr(values) as usize,
+                    };
+                    drop(snap);
+                    inner.store.consolidate().unwrap();
+                    addr
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn a_take_without_writes_consolidates_every_stripe_in_place() {
+        let matrix = StateCell::new_striped(StateType::Matrix, 4, PartitionDim::Row, None);
+        for r in 0..40i64 {
+            matrix.apply_routed(
+                EdgeId(0),
+                r as u64 + 1,
+                Some(Key::Int(r).stable_hash()),
+                |s| s.as_matrix().unwrap().set(r, r % 3, 1.0),
+            );
+        }
+        let vector = StateCell::new(StateType::Vector);
+        vector.apply(EdgeId(0), 1, |s| s.as_vector().unwrap().set(700, 2.0));
+        let stores = stores(2);
+        for synchronous in [false, true] {
+            let cfg = CheckpointConfig {
+                synchronous,
+                ..Default::default()
+            };
+            for cell in [&striped_cell(200, 4, 8), &matrix, &vector] {
+                let before = base_addrs(cell);
+                take_checkpoint(cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
+                assert_eq!(base_addrs(cell), before, "synchronous: {synchronous}");
+            }
+        }
+    }
+
     #[test]
     fn first_checkpoint_is_a_base() {
         let cell = striped_cell(200, 4, 16);
@@ -825,8 +882,8 @@ mod tests {
             crate::recovery::RestoreOptions::default(),
         )
         .unwrap();
-        let (store, _) = restored.into_iter().next().unwrap();
-        let mut got: Vec<StateEntry> = store.export_entries();
+        let (store, _) = restored.into_iter().next().unwrap().pop().unwrap();
+        let mut got = store.export_entries();
         let mut want = cell.export_merged().0;
         got.sort_by(|a, b| a.key.cmp(&b.key));
         want.sort_by(|a, b| a.key.cmp(&b.key));

@@ -1,50 +1,57 @@
 //! Parallel m-to-n state restore (§5, "State backup and restore", Fig. 4).
 //!
 //! A failed SE instance is restored to `n` new (possibly partitioned)
-//! instances: each of the `m` stores holding checkpoint chunks streams its
-//! chunks in parallel (step R1), each chunk's entries are split `n` ways by
-//! stable key hash, and `n` builder threads reconstitute the new stores
-//! (step R2). Replaying upstream output buffers (step R3) is the runtime's
-//! job, using the vector timestamp carried in the [`BackupSet`].
+//! instances of `stripes` stripes each. Each of the `m` stores holding
+//! checkpoint chunks streams its chunks on a reader thread of its own and
+//! verifies every frame in place (step R1). Each entry of each chunk is
+//! then decoded once, straight into the stripe of the instance that owns
+//! its key (step R2): instance `hash % n`, stripe `hash % stripes`, the
+//! rules the dispatcher and the stripes route by, so the restored shards
+//! need no re-split. Each stripe carries the vector recorded for it when
+//! the layout matches the checkpoint's. Replaying upstream output buffers
+//! (step R3) is the runtime's job, using those vectors.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::obs::CheckpointInstruments;
 use sdg_common::time::VectorTs;
-use sdg_common::value::Key;
-use sdg_state::entry::StateEntry;
+use sdg_state::partition::PartitionDim;
 use sdg_state::store::StateStore;
 
-use crate::backup::{decode_entries, BackupSet, BackupStore};
+use crate::backup::{BackupSet, BackupStore, ChunkKey, ChunkReader, Payload};
 
-/// Returns the restore partition of an entry among `n` targets.
-///
-/// Uses the stable hash of the *decoded* key so that a key lands on the
-/// same partition the runtime's hash dispatcher would route it to — this
-/// is what lets a partitioned SE be restored directly onto `n` partitioned
-/// instances. Every built-in structure keys its entries by an encoded
-/// [`Key`], so a key that does not decode is a codec error; onto a single
-/// instance nothing needs decoding.
-fn partition_of(entry: &StateEntry, n: usize) -> SdgResult<usize> {
-    if n == 1 {
-        return Ok(0);
-    }
-    let key: Key = sdg_common::codec::decode_from_slice(&entry.key)?;
-    Ok((key.stable_hash() % n as u64) as usize)
-}
-
-/// Tuning knobs for [`restore_chain`].
-#[derive(Debug, Clone, Copy, Default)]
+/// Tuning knobs and target layout for [`restore_chain`].
+#[derive(Debug, Clone, Copy)]
 pub struct RestoreOptions {
     /// Simulated per-instance reconstitution bandwidth in bytes/second —
     /// the network + deserialisation + insert capacity of one recovering
     /// node (step R2 of Fig. 4). `None` runs at host speed.
     pub rebuild_bps: Option<u64>,
+    /// Stripes per restored instance (default 1).
+    pub stripes: usize,
+    /// Axis a matrix is partitioned along, across instances and stripes
+    /// alike (default [`PartitionDim::Row`]).
+    pub dim: PartitionDim,
 }
+
+impl Default for RestoreOptions {
+    fn default() -> Self {
+        RestoreOptions {
+            rebuild_bps: None,
+            stripes: 1,
+            dim: PartitionDim::Row,
+        }
+    }
+}
+
+/// One restored instance: its stripes in stripe order, each a (shard,
+/// vector) pair as [`StateCell::from_parts`] takes them.
+///
+/// [`StateCell::from_parts`]: crate::cell::StateCell::from_parts
+pub type Stripes = Vec<(StateStore, VectorTs)>;
 
 /// Restores a chain — one base generation followed by its delta
 /// generations, oldest first — onto `n` fresh instances.
@@ -52,22 +59,27 @@ pub struct RestoreOptions {
 /// Each chunk is written whole by whichever generation last touched it, so
 /// composition is newest-wins per chunk id: later sets shadow earlier
 /// ones. Instance `i` receives the entries whose key hashes to `i` modulo
-/// `n` (with `n == 1` the single result holds the complete state), and
-/// every instance inherits the newest set's vector timestamp (the chain's
-/// cut) so duplicate replayed items are filtered.
+/// `n` (with `n == 1` the single result holds the complete state), split
+/// into `options.stripes` stripes by the same hash; a matrix is placed
+/// cell by cell along `options.dim`, as [`StateStore::split_by_hash`]
+/// places it. When the stripe count equals the newest set's, stripe `s`
+/// of every instance carries that set's vector of stripe `s`; otherwise
+/// every stripe carries the set's cell-level vector (the chain's cut).
+/// Either way duplicate replayed items are filtered.
 ///
 /// # Errors
 ///
-/// Fails when `n` is zero, when the chain is empty, does not start with a
-/// base generation, mixes instances/structure types/chunk spaces, or is out
-/// of order, and when a chunk is missing or corrupt or an entry does not
-/// decode into the checkpoint's structure type.
+/// Fails when `n` or the stripe count is zero, when the chain is empty,
+/// does not start with a base generation, mixes instances/structure
+/// types/chunk spaces, or is out of order, and when a chunk is missing or
+/// corrupt or an entry does not decode into the checkpoint's structure
+/// type.
 pub fn restore_chain(
     sets: &[BackupSet],
     stores: &[Arc<BackupStore>],
     n: usize,
     options: RestoreOptions,
-) -> SdgResult<Vec<(StateStore, VectorTs)>> {
+) -> SdgResult<Vec<Stripes>> {
     let first = sets
         .first()
         .ok_or_else(|| SdgError::Recovery("empty restore chain".into()))?;
@@ -77,7 +89,7 @@ pub fn restore_chain(
         ));
     }
     let newest = sets.last().expect("non-empty");
-    let mut winner: HashMap<u32, (usize, crate::backup::ChunkKey)> = HashMap::new();
+    let mut winner: HashMap<u32, (usize, ChunkKey)> = HashMap::new();
     let mut prev_seq = None;
     for set in sets {
         if set.instance != first.instance || set.state_type != first.state_type {
@@ -98,23 +110,16 @@ pub fn restore_chain(
             winner.insert(key.chunk, (*store_idx, *key));
         }
     }
-    let chunk_locations: Vec<(usize, crate::backup::ChunkKey)> = winner.into_values().collect();
-    restore_chunks(
-        &chunk_locations,
-        newest.state_type,
-        &newest.vector,
-        stores,
-        n,
-        options,
-    )
+    let chunk_locations: Vec<(usize, ChunkKey)> = winner.into_values().collect();
+    restore_chunks(&chunk_locations, newest, stores, n, options)
 }
 
-/// Result of [`restore_chain_resilient`]: the restored partitions plus
+/// Result of [`restore_chain_resilient`]: the restored instances plus
 /// which generation of the chain actually supplied them.
 #[derive(Debug)]
 pub struct ChainRestore {
-    /// The `n` restored (store, vector) pairs.
-    pub parts: Vec<(StateStore, VectorTs)>,
+    /// The `n` restored instances.
+    pub parts: Vec<Stripes>,
     /// Index into the original chain of the newest generation restored
     /// (`sets.len() - 1` when nothing had to be dropped). Replay must use
     /// `sets[used]`'s vector and output buffers, not the newest set's.
@@ -177,22 +182,58 @@ pub fn restore_chain_resilient(
 }
 
 fn restore_chunks(
-    chunk_locations: &[(usize, crate::backup::ChunkKey)],
-    state_type: sdg_state::store::StateType,
-    vector: &VectorTs,
+    chunk_locations: &[(usize, ChunkKey)],
+    newest: &BackupSet,
     stores: &[Arc<BackupStore>],
     n: usize,
     options: RestoreOptions,
-) -> SdgResult<Vec<(StateStore, VectorTs)>> {
-    if n == 0 {
+) -> SdgResult<Vec<Stripes>> {
+    if n == 0 || options.stripes == 0 {
         return Err(SdgError::Recovery(
-            "cannot restore to zero instances".into(),
+            "cannot restore to zero instances or stripes".into(),
         ));
     }
+    let payloads = fetch_chunks(chunk_locations, stores)?;
 
-    // Group chunk keys by their holding store so each store streams its
-    // chunks independently (one reader thread per disk — step R1).
-    let mut by_store: HashMap<usize, Vec<crate::backup::ChunkKey>> = HashMap::new();
+    // Step R2: decode every entry once, into its instance's stripe.
+    let mut reader = ChunkReader::new(newest.state_type, n, options.stripes, options.dim);
+    reader.read(&payloads)?;
+    drop(payloads);
+    if let Some(bps) = options.rebuild_bps.filter(|&bps| bps > 0) {
+        // The n recovering nodes reconstitute their equal shares in
+        // parallel, each at `bps`.
+        let share = reader.bytes() as f64 / n as f64;
+        std::thread::sleep(std::time::Duration::from_secs_f64(share / bps as f64));
+    }
+
+    let exact = newest.stripe_vectors.len() == options.stripes;
+    let vector_of = |stripe: usize| {
+        if exact {
+            newest.stripe_vectors[stripe].clone()
+        } else {
+            newest.vector.clone()
+        }
+    };
+    Ok(reader
+        .finish()
+        .into_iter()
+        .map(|stripes| {
+            stripes
+                .into_iter()
+                .enumerate()
+                .map(|(s, store)| (store, vector_of(s)))
+                .collect()
+        })
+        .collect())
+}
+
+/// Step R1: every store streams its chunks on a reader thread of its own,
+/// verifying each frame in place.
+fn fetch_chunks(
+    chunk_locations: &[(usize, ChunkKey)],
+    stores: &[Arc<BackupStore>],
+) -> SdgResult<Vec<Payload>> {
+    let mut by_store: HashMap<usize, Vec<ChunkKey>> = HashMap::new();
     for (store_idx, key) in chunk_locations {
         if *store_idx >= stores.len() {
             return Err(SdgError::Recovery(format!(
@@ -202,72 +243,24 @@ fn restore_chunks(
         }
         by_store.entry(*store_idx).or_default().push(*key);
     }
-
-    // Each target partition accumulates its entries behind a mutex; reader
-    // threads push into them as chunks arrive.
-    let partitions: Vec<Mutex<Vec<StateEntry>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let errors: Mutex<Vec<SdgError>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for (store_idx, keys) in &by_store {
-            let store = &stores[*store_idx];
-            let partitions = &partitions;
-            let errors = &errors;
-            scope.spawn(move || {
-                for key in keys {
-                    let placed = store
-                        .read_chunk(*key)
-                        .and_then(|b| decode_entries(&b))
-                        .and_then(|entries| {
-                            for entry in entries {
-                                let idx = partition_of(&entry, n)?;
-                                partitions[idx].lock().push(entry);
-                            }
-                            Ok(())
-                        });
-                    if let Err(e) = placed {
-                        errors.lock().push(e);
-                    }
-                }
-            });
-        }
+    let fetched: Vec<SdgResult<Vec<Payload>>> = std::thread::scope(|scope| {
+        let readers: Vec<_> = by_store
+            .iter()
+            .map(|(store_idx, keys)| {
+                let store = &stores[*store_idx];
+                scope.spawn(move || keys.iter().map(|key| store.read_chunk(*key)).collect())
+            })
+            .collect();
+        readers
+            .into_iter()
+            .map(|r| r.join().expect("chunk reader does not panic"))
+            .collect()
     });
-    if let Some(e) = errors.into_inner().into_iter().next() {
-        return Err(e);
+    let mut payloads = Vec::with_capacity(chunk_locations.len());
+    for chunks in fetched {
+        payloads.extend(chunks?);
     }
-
-    // Step R2: n builders reconstitute the stores in parallel. Each
-    // builder models one recovering node's reconstitution bandwidth.
-    let results: Vec<Mutex<Option<SdgResult<StateStore>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for (idx, part) in partitions.iter().enumerate() {
-            let results = &results;
-            scope.spawn(move || {
-                let entries = std::mem::take(&mut *part.lock());
-                if let Some(bps) = options.rebuild_bps {
-                    if bps > 0 {
-                        let bytes: usize = entries.iter().map(|e| e.size()).sum();
-                        std::thread::sleep(std::time::Duration::from_secs_f64(
-                            bytes as f64 / bps as f64,
-                        ));
-                    }
-                }
-                let mut store = StateStore::new(state_type);
-                let r = store.import_entries(&entries).map(|()| store);
-                *results[idx].lock() = Some(r);
-            });
-        }
-    });
-
-    let mut out = Vec::with_capacity(n);
-    for slot in results {
-        let store = slot
-            .into_inner()
-            .unwrap_or_else(|| Err(SdgError::Recovery("restore builder missing".into())))?;
-        out.push((store, vector.clone()));
-    }
-    Ok(out)
+    Ok(payloads)
 }
 
 #[cfg(test)]
@@ -286,6 +279,17 @@ mod tests {
 
     fn stores(m: usize) -> Vec<Arc<BackupStore>> {
         (0..m).map(|_| Arc::new(BackupStore::in_memory())).collect()
+    }
+
+    /// The one stripe of each restored instance.
+    fn unstriped(parts: Vec<Stripes>) -> Vec<(StateStore, VectorTs)> {
+        parts
+            .into_iter()
+            .map(|mut stripes| {
+                assert_eq!(stripes.len(), 1, "restored unstriped");
+                stripes.pop().unwrap()
+            })
+            .collect()
     }
 
     fn table_cell(n: i64) -> StateCell {
@@ -311,7 +315,8 @@ mod tests {
             &CheckpointConfig::default(),
         )
         .unwrap();
-        let restored = restore_chain(&[set], &stores, 1, RestoreOptions::default()).unwrap();
+        let restored =
+            unstriped(restore_chain(&[set], &stores, 1, RestoreOptions::default()).unwrap());
         assert_eq!(restored.len(), 1);
         let (mut store, vector) = restored.into_iter().next().unwrap();
         let table = store.as_table().unwrap();
@@ -335,7 +340,8 @@ mod tests {
             &CheckpointConfig::default(),
         )
         .unwrap();
-        let restored = restore_chain(&[set], &stores, 2, RestoreOptions::default()).unwrap();
+        let restored =
+            unstriped(restore_chain(&[set], &stores, 2, RestoreOptions::default()).unwrap());
         assert_eq!(restored.len(), 2);
         let mut total = 0;
         for (i, (mut store, _)) in restored.into_iter().enumerate() {
@@ -367,12 +373,41 @@ mod tests {
             &CheckpointConfig::default(),
         )
         .unwrap();
-        let restored = restore_chain(&[set], &stores, 3, RestoreOptions::default()).unwrap();
+        let restored =
+            unstriped(restore_chain(&[set], &stores, 3, RestoreOptions::default()).unwrap());
         let mut nnz = 0;
         for (mut store, _) in restored {
             nnz += store.as_matrix().unwrap().nnz();
         }
         assert_eq!(nnz, 50);
+    }
+
+    #[test]
+    fn column_partitioned_matrix_restores_onto_its_column_owners() {
+        let cell = StateCell::new(StateType::Matrix);
+        for i in 0..60i64 {
+            cell.apply(EdgeId(1), (i + 1) as u64, |s| {
+                s.as_matrix().unwrap().set(i % 7, i, i as f64);
+            });
+        }
+        let stores = stores(2);
+        let cfg = CheckpointConfig::default();
+        let set = take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
+        let options = RestoreOptions {
+            dim: PartitionDim::Col,
+            ..RestoreOptions::default()
+        };
+        let restored = unstriped(restore_chain(&[set], &stores, 2, options).unwrap());
+        let want = cell
+            .with(|inner| inner.store.split_by_hash(2, PartitionDim::Col))
+            .unwrap();
+        for ((mut got, _), mut want) in restored.into_iter().zip(want) {
+            let (got, want) = (got.as_matrix().unwrap(), want.as_matrix().unwrap());
+            assert_eq!(got.nnz(), want.nnz());
+            for r in want.row_indices() {
+                assert_eq!(got.row(r), want.row(r));
+            }
+        }
     }
 
     #[test]
@@ -394,7 +429,8 @@ mod tests {
         cell.apply(EdgeId(0), 11, |s| {
             s.as_table().unwrap().put(Key::Int(999), Value::Int(1));
         });
-        let restored = restore_chain(&[set], &stores, 1, RestoreOptions::default()).unwrap();
+        let restored =
+            unstriped(restore_chain(&[set], &stores, 1, RestoreOptions::default()).unwrap());
         let (mut store, vector) = restored.into_iter().next().unwrap();
         assert_eq!(store.as_table().unwrap().get(&Key::Int(999)), None);
         // The vector only covers ts ≤ 10, so item 11 will be replayed and
@@ -444,7 +480,8 @@ mod tests {
         let d2 = take_checkpoint(&cell, instance(), 3, Vec::new, &stores, &cfg).unwrap();
 
         let chain = vec![base, d1, d2];
-        let restored = restore_chain(&chain, &stores, 1, RestoreOptions::default()).unwrap();
+        let restored =
+            unstriped(restore_chain(&chain, &stores, 1, RestoreOptions::default()).unwrap());
         let (mut store, vector) = restored.into_iter().next().unwrap();
         let table = store.as_table().unwrap();
         assert_eq!(table.len(), 301);
@@ -478,7 +515,8 @@ mod tests {
             s.as_table().unwrap().remove(&key);
         });
         let d1 = take_checkpoint(&cell, instance(), 2, Vec::new, &stores, &cfg).unwrap();
-        let restored = restore_chain(&[base, d1], &stores, 1, RestoreOptions::default()).unwrap();
+        let restored =
+            unstriped(restore_chain(&[base, d1], &stores, 1, RestoreOptions::default()).unwrap());
         let (mut store, _) = restored.into_iter().next().unwrap();
         let table = store.as_table().unwrap();
         assert_eq!(table.len(), 49);
@@ -520,8 +558,8 @@ mod tests {
 
     /// All (key, value) pairs of a restored single-partition table,
     /// sorted, for byte-identity comparisons.
-    fn table_contents(parts: Vec<(StateStore, VectorTs)>) -> Vec<(Key, Value)> {
-        let (mut store, _) = parts.into_iter().next().unwrap();
+    fn table_contents(parts: Vec<Stripes>) -> Vec<(Key, Value)> {
+        let (mut store, _) = unstriped(parts).into_iter().next().unwrap();
         let mut out = Vec::new();
         store.as_table().unwrap().for_each(|k, v| {
             out.push((k.clone(), v.clone()));
@@ -674,10 +712,9 @@ mod tests {
         )
         .unwrap();
         let (_, key) = set.chunk_locations[0];
-        let garbage = vec![StateEntry::new(vec![0xff; 3], vec![1])];
-        stores[0]
-            .write_chunk(key, crate::backup::encode_entries(&garbage))
-            .unwrap();
+        // One entry whose 3-byte key carries no valid tag.
+        let garbage = vec![1, 3, 0xff, 0xff, 0xff, 1, 1];
+        stores[0].write_chunk(key, garbage).unwrap();
         let err = restore_chain(&[set], &stores, 2, RestoreOptions::default()).unwrap_err();
         assert!(matches!(err, SdgError::Codec(_)), "{err}");
     }

@@ -10,15 +10,17 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sdg_checkpoint::backup::{BackupSet, BackupStore};
+use sdg_checkpoint::backup::{BackupSet, BackupStore, ChunkKey, ChunkWriter};
 use sdg_checkpoint::cell::StateCell;
 use sdg_checkpoint::config::CheckpointConfig;
 use sdg_checkpoint::coordinator::{take_checkpoint, take_checkpoint_with, CheckpointOptions};
-use sdg_checkpoint::recovery::{restore_chain, RestoreOptions};
+use sdg_checkpoint::recovery::{restore_chain, RestoreOptions, Stripes};
+use sdg_common::codec::{decode_from_slice, Reader};
 use sdg_common::ids::{EdgeId, InstanceId, TaskId};
+use sdg_common::time::VectorTs;
 use sdg_common::value::{Key, Value};
 use sdg_state::partition::PartitionDim;
-use sdg_state::store::{StateStore, StateType};
+use sdg_state::store::{StateSnapshot, StateStore, StateType};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -87,6 +89,13 @@ fn sorted_entries(store: &StateStore) -> Vec<(Vec<u8>, Vec<u8>)> {
     entries
 }
 
+/// The one stripe of the one instance a restore produced.
+fn sole(mut parts: Vec<Stripes>) -> (StateStore, VectorTs) {
+    assert_eq!(parts.len(), 1, "one instance");
+    assert_eq!(parts[0].len(), 1, "one stripe");
+    parts.remove(0).remove(0)
+}
+
 fn table_contents(store: &mut StateStore) -> HashMap<i64, i64> {
     let mut out = HashMap::new();
     store.as_table().expect("table").for_each(|k, v| {
@@ -146,7 +155,7 @@ proptest! {
         prop_assert_eq!(restored.len(), n);
         let mut merged = StateStore::new(StateType::Table);
         let mut vector = sdg_common::time::VectorTs::new();
-        for (store, v) in restored {
+        for (store, v) in restored.into_iter().flatten() {
             let entries = store.export_entries();
             merged.import_entries(&entries).unwrap();
             vector.merge_max(&v);
@@ -253,10 +262,10 @@ proptest! {
         // reference model's state at the last cut.
         let last_cut = *cuts.last().unwrap();
         let restored_a = restore_chain(&chain, &stores_a, 1, RestoreOptions::default()).unwrap();
-        let (store_a, _vector_a) = restored_a.into_iter().next().unwrap();
+        let (store_a, _) = sole(restored_a);
         let flat_chain = [flat_set.unwrap()];
         let restored_b = restore_chain(&flat_chain, &stores_b, 1, RestoreOptions::default()).unwrap();
-        let (mut store_b, vector_b) = restored_b.into_iter().next().unwrap();
+        let (mut store_b, vector_b) = sole(restored_b);
         prop_assert_eq!(sorted_entries(&store_a), sorted_entries(&store_b));
         let mut reference_at_cut = HashMap::new();
         for op in &ops[..last_cut] {
@@ -264,18 +273,16 @@ proptest! {
         }
         prop_assert_eq!(table_contents(&mut store_b), reference_at_cut);
 
-        // Rebuild a striped cell with the exact per-stripe vectors recorded
-        // in the newest generation (the runtime's recovery path), and an
-        // unsharded cell from its one-base chain. Replaying the ENTIRE
-        // input must filter exactly the same duplicates in both.
+        // Restore a striped cell straight onto its stripes, each with the
+        // exact vector recorded in the newest generation (the runtime's
+        // recovery path), and an unsharded cell from its one-base chain.
+        // Replaying the ENTIRE input must filter exactly the same
+        // duplicates in both.
         let newest = chain.last().unwrap();
         prop_assert_eq!(newest.stripe_vectors.len(), stripes);
-        let parts = store_a.split_by_hash(stripes, PartitionDim::Row).unwrap();
-        let recovered_a = StateCell::from_parts(
-            parts.into_iter().zip(newest.stripe_vectors.iter().cloned()).collect(),
-            PartitionDim::Row,
-            Some(chunks),
-        );
+        let options = RestoreOptions { stripes, ..RestoreOptions::default() };
+        let mut parts = restore_chain(&chain, &stores_a, 1, options).unwrap();
+        let recovered_a = StateCell::from_parts(parts.remove(0), PartitionDim::Row, Some(chunks));
         let recovered_b = StateCell::from_store(store_b, vector_b);
         let mut applied_a = Vec::new();
         let mut applied_b = Vec::new();
@@ -355,7 +362,249 @@ proptest! {
             apply_reference(&mut reference_at_cover, op);
         }
         let restored = restore_chain(&[set], &stores, 1, RestoreOptions::default()).unwrap();
-        let (mut store, _) = restored.into_iter().next().unwrap();
+        let (mut store, _) = sole(restored);
         prop_assert_eq!(table_contents(&mut store), reference_at_cover);
+    }
+}
+
+/// The structures and partition axes the chunk equivalence tests cover.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    Table,
+    RowMatrix,
+    ColMatrix,
+    Vector,
+}
+
+impl Shape {
+    fn ty(self) -> StateType {
+        match self {
+            Shape::Table => StateType::Table,
+            Shape::RowMatrix | Shape::ColMatrix => StateType::Matrix,
+            Shape::Vector => StateType::Vector,
+        }
+    }
+
+    fn dim(self) -> PartitionDim {
+        match self {
+            Shape::ColMatrix => PartitionDim::Col,
+            _ => PartitionDim::Row,
+        }
+    }
+
+    /// A cell of this shape with `stripes` stripes, as the runtime lays
+    /// it out: dense vectors are never striped, only tables track chunks.
+    fn cell(self, stripes: usize, chunks: usize) -> StateCell {
+        let stripes = if self == Shape::Vector { 1 } else { stripes };
+        let tracked = (self == Shape::Table).then_some(chunks);
+        StateCell::new_striped(self.ty(), stripes, self.dim(), tracked)
+    }
+
+    /// Applies write `(a, b, v)` at `ts`, routed to the stripe owning it.
+    fn apply(self, cell: &StateCell, ts: u64, (a, b, v): (i64, i64, i64)) {
+        let (row, col) = (a % 8, b % 8);
+        let route = match self {
+            Shape::Table => Some(Key::Int(a).stable_hash()),
+            Shape::RowMatrix => Some(Key::Int(row).stable_hash()),
+            Shape::ColMatrix => Some(Key::Int(col).stable_hash()),
+            Shape::Vector => None,
+        };
+        let applied = cell.apply_routed(EdgeId(3), ts, route, |s| match self {
+            Shape::Table if v == 0 => {
+                s.as_table().unwrap().remove(&Key::Int(a));
+            }
+            Shape::Table => {
+                s.as_table().unwrap().put(Key::Int(a), Value::Int(v));
+            }
+            Shape::RowMatrix | Shape::ColMatrix => s.as_matrix().unwrap().set(row, col, v as f64),
+            Shape::Vector => s.as_vector().unwrap().set(a as usize * 15, v as f64),
+        });
+        assert!(applied.is_some());
+    }
+}
+
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    prop::sample::select(vec![
+        Shape::Table,
+        Shape::RowMatrix,
+        Shape::ColMatrix,
+        Shape::Vector,
+    ])
+}
+
+fn arb_writes() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
+    prop::collection::vec((0i64..40, 0i64..40, -3i64..6), 0..60)
+}
+
+/// The `(key, value)` byte pairs of a chunk payload, parsed independently
+/// of the restore reader.
+fn payload_entries(payload: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut r = Reader::new(payload);
+    let count = r.read_varint().unwrap();
+    let field = |r: &mut Reader<'_>| {
+        let len = r.read_varint().unwrap() as usize;
+        r.read_bytes(len).unwrap().to_vec()
+    };
+    let out = (0..count).map(|_| (field(&mut r), field(&mut r))).collect();
+    assert!(r.is_empty(), "no trailing bytes");
+    out
+}
+
+fn entry_hash(key: &[u8]) -> u64 {
+    decode_from_slice::<Key>(key).unwrap().stable_hash()
+}
+
+/// The model of a restore onto `n` instances of `stripes` stripes: the
+/// whole state split by instance, then each part by stripe. Tables and
+/// matrices split as the live structures do; dense vectors (which do not
+/// split) place each block by its start index.
+fn model_split(shape: Shape, model: &StateStore, n: usize, stripes: usize) -> Vec<Vec<StateStore>> {
+    if shape == Shape::Vector {
+        let mut shards: Vec<StateStore> = (0..n * stripes)
+            .map(|_| StateStore::new(StateType::Vector))
+            .collect();
+        for e in model.export_entries() {
+            let h = entry_hash(&e.key);
+            let idx = (h % n as u64) as usize * stripes + (h % stripes as u64) as usize;
+            shards[idx].import_entries(&[e]).unwrap();
+        }
+        let mut shards = shards.into_iter();
+        return (0..n)
+            .map(|_| shards.by_ref().take(stripes).collect())
+            .collect();
+    }
+    model
+        .split_by_hash(n, shape.dim())
+        .unwrap()
+        .into_iter()
+        .map(|part| part.split_by_hash(stripes, shape.dim()).unwrap())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// The chunk writer encodes every wanted chunk, and only those, and
+    /// each decodes to exactly the model's entries for that chunk (the
+    /// live export bucketed by key hash), whichever way the stripes are
+    /// shared between writers.
+    #[test]
+    fn every_written_chunk_holds_exactly_the_model_entries_of_its_chunk(
+        shape in arb_shape(),
+        writes in arb_writes(),
+        stripes in 1usize..17,
+        chunks in 1usize..17,
+        wanted_bits in any::<u16>(),
+        split in 0usize..17,
+    ) {
+        let cell = shape.cell(stripes, chunks);
+        for (ts, &w) in writes.iter().enumerate() {
+            shape.apply(&cell, ts as u64 + 1, w);
+        }
+        let wanted: Vec<bool> = (0..chunks).map(|c| wanted_bits >> c & 1 == 1).collect();
+        let snapshots: Vec<StateSnapshot> = cell.with_all(|inners| {
+            inners
+                .iter_mut()
+                .map(|inner| {
+                    let snap = inner.store.begin_checkpoint().unwrap();
+                    inner.store.consolidate().unwrap();
+                    snap
+                })
+                .collect()
+        });
+        let split = split.min(snapshots.len());
+        let mut writer = ChunkWriter::new(&wanted);
+        for snap in &snapshots[..split] {
+            writer.write(snap);
+        }
+        let mut rest = ChunkWriter::new(&wanted);
+        for snap in &snapshots[split..] {
+            rest.write(snap);
+        }
+        writer.absorb(rest);
+
+        let mut model: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); chunks];
+        for e in cell.export_merged().0 {
+            model[(entry_hash(&e.key) % chunks as u64) as usize].push((e.key, e.value));
+        }
+        let occupied: Vec<bool> = model.iter().map(|m| !m.is_empty()).collect();
+        prop_assert_eq!(writer.occupied(), &occupied[..]);
+        let frames = writer.finish();
+        let ids: Vec<u32> = frames.iter().map(|(id, _)| *id).collect();
+        let want_ids: Vec<u32> = (0..chunks as u32).filter(|&c| wanted[c as usize]).collect();
+        prop_assert_eq!(ids, want_ids);
+        let store = BackupStore::in_memory();
+        for (id, frame) in frames {
+            let key = ChunkKey { instance: InstanceId::new(TaskId(4), 0), seq: 1, chunk: id };
+            store.write_chunk(key, frame).unwrap();
+            let mut got = payload_entries(&store.read_chunk(key).unwrap());
+            let mut want = model[id as usize].clone();
+            got.sort();
+            want.sort();
+            prop_assert_eq!(got, want, "chunk {}", id);
+        }
+    }
+
+    /// A base + delta chain restored onto `n` instances of `stripes`
+    /// stripes equals the state at the last cut split by instance and then
+    /// by stripe, and every stripe carries the vector recorded for it (the
+    /// cut's cell-level vector when the stripe layout changed).
+    #[test]
+    fn restored_chain_equals_the_model_split_by_instance_then_stripe(
+        shape in arb_shape(),
+        first in arb_writes(),
+        second in arb_writes(),
+        cell_stripes in 1usize..17,
+        chunks in 1usize..17,
+        m in 1usize..4,
+        n in 1usize..4,
+        stripes in 1usize..17,
+        threads in 1usize..4,
+    ) {
+        let chunks = chunks.max(m);
+        let cell = shape.cell(cell_stripes, chunks);
+        let stores: Vec<Arc<BackupStore>> =
+            (0..m).map(|_| Arc::new(BackupStore::in_memory())).collect();
+        let cfg = CheckpointConfig {
+            backup_fanout: m,
+            chunks,
+            serialise_threads: threads,
+            ..CheckpointConfig::default()
+        };
+        let instance = InstanceId::new(TaskId(5), 0);
+        let mut chain: Vec<BackupSet> = Vec::new();
+        let mut ts = 0u64;
+        for (seq, writes) in [&first, &second].into_iter().enumerate() {
+            for &w in writes {
+                ts += 1;
+                shape.apply(&cell, ts, w);
+            }
+            let set = take_checkpoint(&cell, instance, seq as u64 + 1, Vec::new, &stores, &cfg)
+                .unwrap();
+            if set.is_base() {
+                chain.clear();
+            }
+            chain.push(set);
+        }
+        let mut model = StateStore::new(shape.ty());
+        model.import_entries(&cell.export_merged().0).unwrap();
+
+        let options = RestoreOptions { stripes, dim: shape.dim(), ..RestoreOptions::default() };
+        let restored = restore_chain(&chain, &stores, n, options).unwrap();
+        let want = model_split(shape, &model, n, stripes);
+        prop_assert_eq!(restored.len(), n);
+        let newest = chain.last().unwrap();
+        for (got, want) in restored.into_iter().zip(want) {
+            prop_assert_eq!(got.len(), stripes);
+            for (s, ((got, vector), want)) in got.into_iter().zip(want).enumerate() {
+                prop_assert_eq!(sorted_entries(&got), sorted_entries(&want));
+                let recorded = if newest.stripe_vectors.len() == stripes {
+                    &newest.stripe_vectors[s]
+                } else {
+                    &newest.vector
+                };
+                prop_assert_eq!(&vector, recorded);
+            }
+        }
     }
 }

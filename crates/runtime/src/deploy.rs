@@ -24,7 +24,7 @@ use sdg_common::ids::{EdgeId, StateId, TaskId};
 use sdg_common::obs::{
     DeploymentStats, EventKind, MetricsRegistry, MetricsSnapshot, ObsEvent, TaskInstruments,
 };
-use sdg_common::time::{TsGen, VectorTs};
+use sdg_common::time::TsGen;
 use sdg_common::value::Record;
 use sdg_graph::alloc::allocate;
 use sdg_graph::model::{AccessMode, Dispatch, Distribution, Sdg, StateDecl, TaskKind};
@@ -1018,13 +1018,22 @@ impl Inner {
         // watermark — replay then reconstructs the state from scratch.
         let restore_t0 = Instant::now();
         let decl = self.sdg.state(state)?.clone();
-        let (store, vector, stripe_vectors) = match &chain {
+        let (stripes, dim, delta) = cell_layout(&self.cfg, &decl, self.sdg.verify.as_deref());
+        // The restore decodes every entry straight into the stripe that
+        // owns its key, each stripe with the exact vector recorded at
+        // checkpoint time when the stripe layout is unchanged (else the
+        // merged min vector, which is safe but replays more).
+        let new_cell = match &chain {
             Some(chain) => {
                 let restored = restore_chain_resilient(
                     chain,
                     &self.stores,
                     1,
-                    RestoreOptions::default(),
+                    RestoreOptions {
+                        stripes,
+                        dim,
+                        ..RestoreOptions::default()
+                    },
                     Some(self.obs.checkpoints()),
                 )?;
                 if !restored.fallback_errors.is_empty() {
@@ -1044,37 +1053,13 @@ impl Inner {
                         .add(restored.fallback_errors.len() as u64);
                     ctl.truncate(state, replica, restored.used + 1);
                 }
-                let stripe_vectors = chain[restored.used].stripe_vectors.clone();
-                let (store, vector) = restored.parts.into_iter().next().expect("n=1 restore");
-                (store, vector, stripe_vectors)
+                let parts = restored.parts.into_iter().next().expect("n=1 restore");
+                StateCell::from_parts(parts, dim, delta)
             }
-            None => (StateStore::new(decl.ty), VectorTs::default(), Vec::new()),
+            None => StateCell::new_striped(decl.ty, stripes, dim, delta),
         };
-        let (stripes, dim, delta) = cell_layout(&self.cfg, &decl, self.sdg.verify.as_deref());
-        // Re-split into stripes with the exact per-stripe vectors recorded
-        // at checkpoint time (split_by_hash and stripe routing use the same
-        // key hash, so stripe i gets back exactly the keys — and watermarks
-        // — it owned). Falling back to the merged (min) vector is safe but
-        // replays more.
-        let new_cell = if stripes > 1 && stripe_vectors.len() == stripes {
-            let parts = store.split_by_hash(stripes, dim)?;
-            Arc::new(StateCell::from_parts(
-                parts
-                    .into_iter()
-                    .zip(stripe_vectors.iter().cloned())
-                    .collect(),
-                dim,
-                delta,
-            ))
-        } else {
-            Arc::new(StateCell::from_store_striped(
-                store,
-                vector.clone(),
-                stripes,
-                dim,
-                delta,
-            )?)
-        };
+        let new_cell = Arc::new(new_cell);
+        let vector = new_cell.vector();
         self.cells
             .write()
             .get_mut(&state)

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sdg_common::codec::{decode_from_slice, encode_to_vec};
+use sdg_common::codec::encode_to_vec;
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::value::{Key, Value};
 
@@ -17,14 +17,10 @@ use crate::entry::StateEntry;
 /// Number of elements exported per checkpoint entry.
 pub(crate) const EXPORT_BLOCK: usize = 256;
 
-/// The checkpoint entry of one block of elements starting at index
-/// `start`: the key is the encoded start index, the value the list of
-/// elements.
-pub(crate) fn block_entry(start: usize, block: impl Iterator<Item = f64>) -> StateEntry {
-    StateEntry::new(
-        encode_to_vec(&Key::Int(start as i64)),
-        encode_to_vec(&Value::List(block.map(Value::Float).collect())),
-    )
+/// The entry value of one block of elements: the list of elements. Its
+/// key is the block's start index.
+pub(crate) fn block_value(block: impl Iterator<Item = f64>) -> Value {
+    Value::List(block.map(Value::Float).collect())
 }
 
 /// A mutable dense vector supporting dirty-state checkpoints.
@@ -191,39 +187,29 @@ impl DenseVector {
     /// Exports the visible state in fixed-size index blocks.
     ///
     /// The key of each entry is the encoded block start index; the value is
-    /// the list of elements in that block.
+    /// the list of elements in that block. [`StateStore::import_entries`]
+    /// reads them back.
+    ///
+    /// [`StateStore::import_entries`]: crate::store::StateStore::import_entries
     pub fn export_entries(&self) -> Vec<StateEntry> {
         let mut out = Vec::new();
         let mut start = 0usize;
         while start < self.len {
             let end = (start + EXPORT_BLOCK).min(self.len);
-            out.push(block_entry(start, (start..end).map(|i| self.get(i))));
+            out.push(StateEntry::new(
+                encode_to_vec(&Key::Int(start as i64)),
+                encode_to_vec(&block_value((start..end).map(|i| self.get(i)))),
+            ));
             start = end;
         }
         out
-    }
-
-    /// Imports entries produced by [`DenseVector::export_entries`].
-    pub fn import_entries(&mut self, entries: &[StateEntry]) -> SdgResult<()> {
-        for e in entries {
-            let key: Key = decode_from_slice(&e.key)?;
-            let Key::Int(start) = key else {
-                return Err(SdgError::State("vector entry key must be Int".into()));
-            };
-            let start = usize::try_from(start)
-                .map_err(|_| SdgError::State("vector entry key must be non-negative".into()))?;
-            let value: Value = decode_from_slice(&e.value)?;
-            for (offset, cell) in value.as_list()?.iter().enumerate() {
-                self.set(start + offset, cell.as_float()?);
-            }
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{StateStore, StateType};
 
     #[test]
     fn zeros_and_get_set() {
@@ -297,9 +283,9 @@ mod tests {
         let v = DenseVector::from_vec(data.clone());
         let entries = v.export_entries();
         assert!(entries.len() >= 2, "600 elements must span blocks");
-        let mut v2 = DenseVector::new();
+        let mut v2 = StateStore::new(StateType::Vector);
         v2.import_entries(&entries).unwrap();
-        assert_eq!(v2.to_vec(), data);
+        assert_eq!(v2.as_vector().unwrap().to_vec(), data);
     }
 
     #[test]

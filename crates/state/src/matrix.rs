@@ -20,7 +20,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sdg_common::codec::{decode_from_slice, encode_to_vec};
+use sdg_common::codec::encode_to_vec;
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::value::{Key, Value};
 
@@ -74,13 +74,31 @@ impl RowView<'_> {
     }
 }
 
-/// The partition (of `n`) that cell `(row, col)` belongs to along `dim`.
-fn owner(dim: PartitionDim, row: i64, col: i64, n: usize) -> usize {
+/// The hash that places cell `(row, col)` along `dim`: its row's or its
+/// column's index, hashed as a `Key::Int`.
+pub(crate) fn owner_hash(dim: PartitionDim, row: i64, col: i64) -> u64 {
     let key = match dim {
         PartitionDim::Row => row,
         PartitionDim::Col => col,
     };
-    (Key::Int(key).stable_hash() % n as u64) as usize
+    Key::Int(key).stable_hash()
+}
+
+/// The partition (of `n`) that cell `(row, col)` belongs to along `dim`.
+fn owner(dim: PartitionDim, row: i64, col: i64, n: usize) -> usize {
+    (owner_hash(dim, row, col) % n as u64) as usize
+}
+
+/// The entry value of one row: its `(col, value)` cells as a list of
+/// `[col, value]` pairs in column order. Its key is the row index.
+pub(crate) fn row_value(mut cells: Vec<(i64, f64)>) -> Value {
+    cells.sort_unstable_by_key(|&(c, _)| c);
+    Value::List(
+        cells
+            .into_iter()
+            .map(|(c, v)| Value::List(vec![Value::Int(c), Value::Float(v)]))
+            .collect(),
+    )
 }
 
 fn retain_cells(rows: &mut Rows, keep: impl Fn(i64, i64) -> bool) {
@@ -314,7 +332,10 @@ impl SparseMatrix {
     /// Exports the visible state, one entry per row.
     ///
     /// The key is the encoded row index; the value encodes the row as a list
-    /// of `[col, value]` pairs.
+    /// of `[col, value]` pairs. [`StateStore::import_entries`] reads them
+    /// back.
+    ///
+    /// [`StateStore::import_entries`]: crate::store::StateStore::import_entries
     pub fn export_entries(&self) -> Vec<StateEntry> {
         let mut out = Vec::new();
         for row in self.row_indices() {
@@ -322,39 +343,12 @@ impl SparseMatrix {
             if cells.is_empty() {
                 continue;
             }
-            let value = Value::List(
-                cells
-                    .into_iter()
-                    .map(|(c, v)| Value::List(vec![Value::Int(c), Value::Float(v)]))
-                    .collect(),
-            );
             out.push(StateEntry::new(
                 encode_to_vec(&Key::Int(row)),
-                encode_to_vec(&value),
+                encode_to_vec(&row_value(cells)),
             ));
         }
         out
-    }
-
-    /// Imports entries produced by [`SparseMatrix::export_entries`].
-    pub fn import_entries(&mut self, entries: &[StateEntry]) -> SdgResult<()> {
-        for e in entries {
-            let key: Key = decode_from_slice(&e.key)?;
-            let Key::Int(row) = key else {
-                return Err(SdgError::State("matrix entry key must be Int".into()));
-            };
-            let value: Value = decode_from_slice(&e.value)?;
-            for cell in value.as_list()? {
-                let pair = cell.as_list()?;
-                if pair.len() != 2 {
-                    return Err(SdgError::State("matrix cell must be [col, value]".into()));
-                }
-                let col = pair[0].as_int()?;
-                let v = pair[1].as_float()?;
-                self.set(row, col, v);
-            }
-        }
-        Ok(())
     }
 
     /// Splits the matrix into `n` disjoint partitions along `dim` by stable
@@ -405,6 +399,7 @@ impl SparseMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{StateStore, StateType};
 
     #[test]
     fn get_defaults_to_zero() {
@@ -520,8 +515,9 @@ mod tests {
         }
         let entries = m.export_entries();
         assert_eq!(entries.len(), 10); // One per row.
-        let mut m2 = SparseMatrix::new();
-        m2.import_entries(&entries).unwrap();
+        let mut store = StateStore::new(StateType::Matrix);
+        store.import_entries(&entries).unwrap();
+        let m2 = store.as_matrix().unwrap();
         assert_eq!(m2.nnz(), m.nnz());
         for r in 0..10 {
             assert_eq!(m2.row(r), m.row(r));

@@ -8,13 +8,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sdg_common::codec::encode_to_vec;
+use bytes::BytesMut;
+use sdg_common::codec::{decode_from_slice, Codec};
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::value::{Key, Value};
 
-use crate::dense::{block_entry, DenseVector, EXPORT_BLOCK};
+use crate::dense::{block_value, DenseVector, EXPORT_BLOCK};
 use crate::entry::StateEntry;
-use crate::matrix::SparseMatrix;
+use crate::matrix::{owner_hash, row_value, SparseMatrix};
 use crate::partition::PartitionDim;
 use crate::table::KeyedTable;
 
@@ -207,12 +208,21 @@ impl StateStore {
         }
     }
 
-    /// Imports entries previously produced by the same structure type.
+    /// Imports entries previously produced by the same structure type,
+    /// overwriting what the store holds under their keys.
     pub fn import_entries(&mut self, entries: &[StateEntry]) -> SdgResult<()> {
-        match self {
-            StateStore::Table(t) => t.import_entries(entries),
-            StateStore::Matrix(m) => m.import_entries(entries),
-            StateStore::Vector(v) => v.import_entries(entries),
+        let shard = std::slice::from_mut(self);
+        for e in entries {
+            place_entry(shard, PartitionDim::Row, &e.key, &e.value, |_| 0)?;
+        }
+        Ok(())
+    }
+
+    /// Reserves room for `additional` more entries (tables only; the other
+    /// structures do not pre-size).
+    pub fn reserve(&mut self, additional: usize) {
+        if let StateStore::Table(t) = self {
+            t.reserve(additional);
         }
     }
 
@@ -257,14 +267,15 @@ impl StateStore {
                 Ok(())
             }
             StateStore::Matrix(m) => {
-                let mut other = SparseMatrix::new();
+                let mut other = StateStore::new(StateType::Matrix);
                 other.import_entries(entries)?;
-                m.absorb_add(&other);
+                m.absorb_add(other.as_matrix()?);
                 Ok(())
             }
             StateStore::Vector(v) => {
-                let mut other = DenseVector::new();
+                let mut other = StateStore::new(StateType::Vector);
                 other.import_entries(entries)?;
+                let other = other.as_vector()?;
                 for i in 0..other.len() {
                     let delta = other.get(i);
                     if delta != 0.0 {
@@ -354,44 +365,20 @@ impl StateSnapshot {
         }
     }
 
-    /// Serialises the snapshot into canonical state entries.
+    /// Visits every entry of the snapshot, in unspecified order, as the key
+    /// it is exported under plus an encoder that appends the canonical
+    /// encoding of its value.
     ///
-    /// This runs on the checkpoint thread, off the processing path.
-    pub fn to_entries(&self) -> Vec<StateEntry> {
-        self.to_entries_for(&[true], &mut [false]).swap_remove(0)
-    }
-
-    /// Serialises the snapshot into `wanted.len()` chunk buckets. An
-    /// entry's chunk is `Key::stable_hash() % chunks` of the key it is
-    /// exported under — the identity the dirty-chunk tracker uses — and
-    /// only entries of chunks flagged in `wanted` are encoded, so a delta
-    /// generation's encoding cost scales with its dirty fraction.
-    ///
-    /// Every key is hashed either way: `occupied[c]` is set for each chunk
-    /// `c` holding at least one entry, wanted or not, which is how the
-    /// checkpoint coordinator tells a generation that rewrites all of the
-    /// state (a base) from one that does not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wanted` is empty or `occupied.len() != wanted.len()`.
-    pub fn to_entries_for(&self, wanted: &[bool], occupied: &mut [bool]) -> Vec<Vec<StateEntry>> {
-        let chunks = wanted.len();
-        assert!(chunks > 0, "chunk count must be positive");
-        assert_eq!(occupied.len(), chunks, "chunk mask size mismatch");
-        let mut out: Vec<Vec<StateEntry>> = (0..chunks).map(|_| Vec::new()).collect();
-        // Marks `key`'s chunk occupied and says whether it is wanted.
-        let mut place = |key: &Key| {
-            let idx = (key.stable_hash() % chunks as u64) as usize;
-            occupied[idx] = true;
-            wanted[idx].then_some(idx)
-        };
+    /// The key is the entry's identity everywhere: its chunk is
+    /// `Key::stable_hash() % chunks`, the id the dirty-chunk tracker marks.
+    /// A caller that skips an entry pays for its key only; nothing is
+    /// allocated until the value is encoded. This runs on the checkpoint
+    /// thread, off the processing path.
+    pub fn for_each_entry(&self, mut f: impl FnMut(&Key, &dyn Fn(&mut BytesMut))) {
         match self {
             StateSnapshot::Table(map) => {
                 for (k, v) in map.iter() {
-                    if let Some(idx) = place(k) {
-                        out[idx].push(StateEntry::new(encode_to_vec(k), encode_to_vec(v)));
-                    }
+                    f(k, &|buf| v.encode(buf));
                 }
             }
             StateSnapshot::Matrix(rows) => {
@@ -399,35 +386,104 @@ impl StateSnapshot {
                     if cells.is_empty() {
                         continue;
                     }
-                    let key = Key::Int(row);
-                    let Some(idx) = place(&key) else { continue };
-                    let mut cells: Vec<(i64, f64)> = cells.iter().map(|(&c, &v)| (c, v)).collect();
-                    cells.sort_by_key(|&(c, _)| c);
-                    let value = Value::List(
-                        cells
-                            .into_iter()
-                            .map(|(c, v)| Value::List(vec![Value::Int(c), Value::Float(v)]))
-                            .collect(),
-                    );
-                    out[idx].push(StateEntry::new(encode_to_vec(&key), encode_to_vec(&value)));
+                    f(&Key::Int(row), &|buf| {
+                        row_value(cells.iter().map(|(&c, &v)| (c, v)).collect()).encode(buf)
+                    });
                 }
             }
             StateSnapshot::Vector(values) => {
                 for (b, block) in values.chunks(EXPORT_BLOCK).enumerate() {
-                    let start = b * EXPORT_BLOCK;
-                    if let Some(idx) = place(&Key::Int(start as i64)) {
-                        out[idx].push(block_entry(start, block.iter().copied()));
-                    }
+                    let start = Key::Int((b * EXPORT_BLOCK) as i64);
+                    f(&start, &|buf| {
+                        block_value(block.iter().copied()).encode(buf)
+                    });
                 }
             }
         }
-        out
     }
+}
+
+/// Decodes one exported entry of the structure `shards` hold and inserts
+/// it, piece by piece, into the shard `shard_of` picks from each piece's
+/// owner hash.
+///
+/// The owner hash is the one [`StateStore::split_by_hash`] partitions by:
+/// a table key's stable hash, and a matrix cell's row or column index
+/// (along `dim`) hashed as a `Key::Int`, so a row of a column-partitioned
+/// matrix lands cell by cell. A dense-vector block is placed whole by its
+/// start index. With one shard nothing is hashed. This is the one decoder
+/// of the entry format: [`StateStore::import_entries`] and checkpoint
+/// restore both use it.
+///
+/// # Errors
+///
+/// Fails when the key or value does not decode, or does not describe an
+/// entry of the shards' structure.
+///
+/// # Panics
+///
+/// Panics if `shards` is empty or `shard_of` returns an index out of range.
+pub fn place_entry(
+    shards: &mut [StateStore],
+    dim: PartitionDim,
+    key: &[u8],
+    value: &[u8],
+    shard_of: impl Fn(u64) -> usize,
+) -> SdgResult<()> {
+    let single = shards.len() == 1;
+    let pick = |hash: &dyn Fn() -> u64| if single { 0 } else { shard_of(hash()) };
+    let key: Key = decode_from_slice(key)?;
+    let value: Value = decode_from_slice(value)?;
+    match shards[0].state_type() {
+        StateType::Table => {
+            let idx = pick(&|| key.stable_hash());
+            shards[idx].as_table()?.put(key, value);
+        }
+        StateType::Matrix => {
+            let Key::Int(row) = key else {
+                return Err(SdgError::State("matrix entry key must be Int".into()));
+            };
+            for cell in value.as_list()? {
+                let pair = cell.as_list()?;
+                if pair.len() != 2 {
+                    return Err(SdgError::State("matrix cell must be [col, value]".into()));
+                }
+                let col = pair[0].as_int()?;
+                let idx = pick(&|| owner_hash(dim, row, col));
+                shards[idx].as_matrix()?.set(row, col, pair[1].as_float()?);
+            }
+        }
+        StateType::Vector => {
+            let Key::Int(start) = key else {
+                return Err(SdgError::State("vector entry key must be Int".into()));
+            };
+            let idx = pick(&|| key.stable_hash());
+            let start = usize::try_from(start)
+                .map_err(|_| SdgError::State("vector entry key must be non-negative".into()))?;
+            let vector = shards[idx].as_vector()?;
+            for (offset, cell) in value.as_list()?.iter().enumerate() {
+                vector.set(start + offset, cell.as_float()?);
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdg_common::codec::encode_to_vec;
+
+    /// The snapshot's entries in canonical encoding.
+    fn entries_of(snap: &StateSnapshot) -> Vec<StateEntry> {
+        let mut out = Vec::new();
+        snap.for_each_entry(|key, encode_value| {
+            let mut value = BytesMut::new();
+            encode_value(&mut value);
+            out.push(StateEntry::new(encode_to_vec(key), value.freeze()));
+        });
+        out
+    }
 
     #[test]
     fn new_creates_matching_type() {
@@ -453,7 +509,7 @@ mod tests {
         }
         let mut live = s.export_entries();
         let snap = s.begin_checkpoint().unwrap();
-        let mut from_snap = snap.to_entries();
+        let mut from_snap = entries_of(&snap);
         live.sort_by(|a, b| a.key.cmp(&b.key));
         from_snap.sort_by(|a, b| a.key.cmp(&b.key));
         assert_eq!(live, from_snap);
@@ -467,7 +523,7 @@ mod tests {
         m.set(1, 2, 3.0);
         m.set(4, 5, 6.0);
         let snap = s.begin_checkpoint().unwrap();
-        let entries = snap.to_entries();
+        let entries = entries_of(&snap);
         s.consolidate().unwrap();
         let mut restored = StateStore::new(StateType::Matrix);
         restored.import_entries(&entries).unwrap();
@@ -480,7 +536,7 @@ mod tests {
         let mut s = StateStore::new(StateType::Vector);
         s.as_vector().unwrap().set(300, 1.5);
         let snap = s.begin_checkpoint().unwrap();
-        let entries = snap.to_entries();
+        let entries = entries_of(&snap);
         s.consolidate().unwrap();
         let mut restored = StateStore::new(StateType::Vector);
         restored.import_entries(&entries).unwrap();
@@ -511,80 +567,6 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 40);
-    }
-
-    #[test]
-    fn chunked_snapshot_uses_structured_key_hash() {
-        let mut s = StateStore::new(StateType::Table);
-        for i in 0..60 {
-            s.as_table().unwrap().put(Key::Int(i), Value::Int(i));
-        }
-        let snap = s.begin_checkpoint().unwrap();
-        let mut occupied = [false; 8];
-        let buckets = snap.to_entries_for(&[true; 8], &mut occupied);
-        s.consolidate().unwrap();
-        assert_eq!(buckets.len(), 8);
-        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 60);
-        for (idx, bucket) in buckets.iter().enumerate() {
-            assert_eq!(occupied[idx], !bucket.is_empty());
-            for e in bucket {
-                let k: Key = sdg_common::codec::decode_from_slice(&e.key).unwrap();
-                assert_eq!((k.stable_hash() % 8) as usize, idx);
-            }
-        }
-    }
-
-    #[test]
-    fn masked_snapshot_only_fills_wanted_chunks_but_reports_every_occupied_one() {
-        let mut s = StateStore::new(StateType::Table);
-        for i in 0..60 {
-            s.as_table().unwrap().put(Key::Int(i), Value::Int(i));
-        }
-        let snap = s.begin_checkpoint().unwrap();
-        let mut all_occupied = [false; 8];
-        let full = snap.to_entries_for(&[true; 8], &mut all_occupied);
-        let mut wanted = [false; 8];
-        wanted[2] = true;
-        wanted[5] = true;
-        let mut occupied = [false; 8];
-        let masked = snap.to_entries_for(&wanted, &mut occupied);
-        s.consolidate().unwrap();
-        assert_eq!(occupied, all_occupied);
-        for i in 0..8 {
-            if wanted[i] {
-                assert_eq!(masked[i].len(), full[i].len());
-            } else {
-                assert!(masked[i].is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn matrix_and_vector_chunks_hash_their_structured_keys() {
-        let mut m = StateStore::new(StateType::Matrix);
-        for r in 0..20 {
-            m.as_matrix().unwrap().set(r, 1, r as f64);
-        }
-        let mut v = StateStore::new(StateType::Vector);
-        v.as_vector().unwrap().set(4 * 256, 1.0);
-        for mut store in [m, v] {
-            let snap = store.begin_checkpoint().unwrap();
-            let mut occupied = [false; 4];
-            let buckets = snap.to_entries_for(&[true; 4], &mut occupied);
-            store.consolidate().unwrap();
-            let mut flat: Vec<StateEntry> = Vec::new();
-            for (idx, bucket) in buckets.into_iter().enumerate() {
-                for e in &bucket {
-                    let k: Key = sdg_common::codec::decode_from_slice(&e.key).unwrap();
-                    assert_eq!((k.stable_hash() % 4) as usize, idx);
-                }
-                flat.extend(bucket);
-            }
-            let mut live = store.export_entries();
-            live.sort_by(|a, b| a.key.cmp(&b.key));
-            flat.sort_by(|a, b| a.key.cmp(&b.key));
-            assert_eq!(flat, live);
-        }
     }
 
     #[test]

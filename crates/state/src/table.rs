@@ -11,10 +11,11 @@
 //! 3. once the checkpoint is durable, `consolidate` folds the overlay into
 //!    the base under a short exclusive section.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sdg_common::codec::{decode_from_slice, encode_to_vec};
+use sdg_common::codec::encode_to_vec;
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::value::{Key, Value};
 
@@ -177,10 +178,32 @@ impl KeyedTable {
     }
 
     /// Inserts or replaces `key`, returning the previously visible value.
+    ///
+    /// One probe of the map that takes the write (plus one of the base on
+    /// an overlay miss while a checkpoint is outstanding).
     pub fn put(&mut self, key: Key, value: Value) -> Option<Value> {
-        let prev = self.get(&key);
         let key_size = key.approx_size();
         let entry_size = key_size + value.approx_size();
+        self.mark_chunk(&key);
+        let prev = match &mut self.dirty {
+            Some(dirty) => {
+                self.overlay_bytes += entry_size;
+                match dirty.entry(key) {
+                    Entry::Occupied(mut e) => {
+                        let slot = e.insert(Some(value));
+                        self.overlay_bytes -=
+                            key_size + slot.as_ref().map_or(0, Value::approx_size);
+                        slot
+                    }
+                    Entry::Vacant(e) => {
+                        let below = self.base.get(e.key()).cloned();
+                        e.insert(Some(value));
+                        below
+                    }
+                }
+            }
+            None => Arc::make_mut(&mut self.base).insert(key, value),
+        };
         match prev.as_ref() {
             Some(old) => {
                 self.visible_bytes += entry_size;
@@ -189,19 +212,6 @@ impl KeyedTable {
             None => {
                 self.visible_len += 1;
                 self.visible_bytes += entry_size;
-            }
-        }
-        self.mark_chunk(&key);
-        match &mut self.dirty {
-            Some(dirty) => {
-                let old_slot = dirty.insert(key, Some(value));
-                self.overlay_bytes += entry_size;
-                if let Some(slot) = old_slot {
-                    self.overlay_bytes -= key_size + slot.as_ref().map_or(0, Value::approx_size);
-                }
-            }
-            None => {
-                Arc::make_mut(&mut self.base).insert(key, value);
             }
         }
         prev
@@ -307,7 +317,10 @@ impl KeyedTable {
         Ok(())
     }
 
-    /// Exports every visible entry in canonical encoding.
+    /// Exports every visible entry in canonical encoding;
+    /// [`StateStore::import_entries`] reads them back.
+    ///
+    /// [`StateStore::import_entries`]: crate::store::StateStore::import_entries
     pub fn export_entries(&self) -> Vec<StateEntry> {
         let mut out = Vec::with_capacity(self.len());
         self.for_each(|k, v| {
@@ -316,15 +329,10 @@ impl KeyedTable {
         out
     }
 
-    /// Imports entries produced by [`KeyedTable::export_entries`],
-    /// overwriting existing keys.
-    pub fn import_entries(&mut self, entries: &[StateEntry]) -> SdgResult<()> {
-        for e in entries {
-            let key: Key = decode_from_slice(&e.key)?;
-            let value: Value = decode_from_slice(&e.value)?;
-            self.put(key, value);
-        }
-        Ok(())
+    /// Reserves room for at least `additional` more entries in the base
+    /// map (restore pre-sizes its shards from a chunk's entry count).
+    pub fn reserve(&mut self, additional: usize) {
+        Arc::make_mut(&mut self.base).reserve(additional);
     }
 
     /// Splits the table into `n` disjoint partitions by stable key hash.
@@ -379,6 +387,7 @@ impl KeyedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{StateStore, StateType};
 
     fn k(i: i64) -> Key {
         Key::Int(i)
@@ -472,8 +481,9 @@ mod tests {
             t.put(k(i), Value::str(format!("v{i}")));
         }
         let entries = t.export_entries();
-        let mut t2 = KeyedTable::new();
-        t2.import_entries(&entries).unwrap();
+        let mut store = StateStore::new(StateType::Table);
+        store.import_entries(&entries).unwrap();
+        let t2 = store.as_table().unwrap();
         assert_eq!(t2.len(), 20);
         for i in 0..20 {
             assert_eq!(t2.get(&k(i)), t.get(&k(i)));

@@ -8,9 +8,10 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
+use sdg_common::codec::encode_to_vec;
 use sdg_common::value::{Key, Value};
 use sdg_state::partition::PartitionDim;
-use sdg_state::{DenseVector, KeyedTable, SparseMatrix, StateStore, StateType};
+use sdg_state::{DenseVector, KeyedTable, SparseMatrix, StateEntry, StateStore, StateType};
 
 #[derive(Debug, Clone)]
 enum TableOp {
@@ -214,9 +215,9 @@ proptest! {
         for op in &ops {
             apply_table(&mut t, op);
         }
-        let mut restored = KeyedTable::new();
+        let mut restored = StateStore::new(StateType::Table);
         restored.import_entries(&t.export_entries()).unwrap();
-        prop_assert_eq!(table_contents(&restored), table_contents(&t));
+        prop_assert_eq!(table_contents(restored.as_table().unwrap()), table_contents(&t));
     }
 
     /// Hash-splitting into n parts and absorbing them back must be lossless,
@@ -420,7 +421,12 @@ proptest! {
         for mut store in stores {
             let mut live = store.export_entries();
             let snap = store.begin_checkpoint().unwrap();
-            let mut from_snap = snap.to_entries();
+            let mut from_snap = Vec::new();
+            snap.for_each_entry(|key, encode_value| {
+                let mut value = bytes::BytesMut::new();
+                encode_value(&mut value);
+                from_snap.push(StateEntry::new(encode_to_vec(key), value.freeze()));
+            });
             store.consolidate().unwrap();
             live.sort_by(|a, b| a.key.cmp(&b.key));
             from_snap.sort_by(|a, b| a.key.cmp(&b.key));
