@@ -241,14 +241,13 @@ impl OutputBuffer {
 
     /// Returns the items with `ts > after`, in timestamp order, for replay.
     ///
-    /// Live payloads are shared by refcount — no record is deep-cloned
-    /// under the caller's lock.
+    /// Timestamps strictly increase along the buffer, so a binary search
+    /// finds the first item to replay and only the suffix is copied. Live
+    /// payloads are shared by refcount — no record is deep-cloned under the
+    /// caller's lock.
     pub fn replay_after(&self, after: ScalarTs) -> Vec<BufferedItem> {
-        self.items
-            .iter()
-            .filter(|i| i.ts > after)
-            .cloned()
-            .collect()
+        let start = self.items.partition_point(|i| i.ts <= after);
+        self.items.range(start..).cloned().collect()
     }
 
     /// Returns all buffered items (for inclusion in the producer's own
@@ -434,6 +433,41 @@ mod tests {
             vec![20, 30]
         );
         assert!(b.replay_after(30).is_empty());
+    }
+
+    #[test]
+    fn replay_after_equals_the_filter_after_pushes_trims_and_caps() {
+        // Oracle: the linear filter over every buffered item. Timestamps
+        // advance by gaps of 1–3 so watermarks fall both on and between
+        // buffered items.
+        let filter = |b: &OutputBuffer, after: u64| -> Vec<u64> {
+            b.snapshot()
+                .iter()
+                .filter(|i| i.ts > after)
+                .map(|i| i.ts)
+                .collect()
+        };
+        let mut b = OutputBuffer::new();
+        let mut ts = 0u64;
+        for round in 0..40u64 {
+            for _ in 0..(round % 7) {
+                ts += 1 + (ts % 3);
+                if ts.is_multiple_of(2) {
+                    b.push_live(ts, ts, 1, rec(ts as i64));
+                } else {
+                    b.push_encoded(ts, vec![0; 3]);
+                }
+            }
+            match round % 5 {
+                1 => b.trim(ts.saturating_sub(round % 9)),
+                3 => b.cap((round % 4) as usize),
+                _ => {}
+            }
+            for after in 0..=ts + 1 {
+                let got: Vec<u64> = b.replay_after(after).iter().map(|i| i.ts).collect();
+                assert_eq!(got, filter(&b, after), "round {round}, after {after}");
+            }
+        }
     }
 
     #[test]

@@ -15,11 +15,33 @@
 //! the same stripe — across processing, checkpoint re-splits, and restore.
 //! Per-(edge, src) dedupe watermarks live in the stripe owning the item's
 //! key. Items of one lane arrive in timestamp order, so each stripe
-//! observes an increasing subsequence and `is_duplicate` stays exact. The
-//! cell-level vector used for checkpoint metadata and buffer trimming is
-//! the **pointwise minimum** across stripes: a timestamp is safely trimmed
-//! only once every stripe that could own one of the lane's keys has
-//! progressed past it.
+//! observes an increasing subsequence and `is_duplicate` stays exact.
+//!
+//! A cell has two cell-level watermarks per lane:
+//!
+//! * [`StateCell::vector`], the **pointwise minimum** across stripes, is
+//!   the one checkpoint metadata and buffer trimming use. Trimming frees
+//!   upstream records for good, so it waits until every stripe that could
+//!   own one of the lane's keys has progressed past a timestamp.
+//! * [`StateCell::frontier`], the **pointwise maximum** across stripes, is
+//!   where recovery resumes replay. Every item of a lane at or below the
+//!   highest timestamp any stripe of a restored cut recorded is already in
+//!   that cut, because
+//!   1. the cut ([`StateCell::with_all`]) locks every stripe at once;
+//!   2. a lane's items arrive in timestamp order;
+//!   3. one TE instance applies a lane's items one at a time.
+//!
+//!   So when the cut was taken, the instance had applied exactly the
+//!   lane's prefix up to the timestamp it recorded last, and that
+//!   timestamp is the maximum. Replaying from the minimum would re-send
+//!   everything a sparse stripe never saw — with a stripe hash correlated
+//!   with the partition hash, everything since deploy — only for the
+//!   stripes' dedupe to drop it.
+//!
+//! The exception is a gather (`AllToOne`) edge: the barrier applies an
+//! assembled item when its last fragment arrives, in completion order
+//! rather than timestamp order, so premise 2 fails and replay into a
+//! gather edge keeps the minimum.
 
 use parking_lot::Mutex;
 use sdg_common::error::SdgResult;
@@ -236,7 +258,8 @@ impl StateCell {
     }
 
     /// Returns the cell-level vector timestamp: the pointwise minimum
-    /// across stripes (safe for trimming and replay decisions).
+    /// across stripes (checkpoint metadata and buffer trimming; see the
+    /// module docs for why replay uses [`StateCell::frontier`] instead).
     pub fn vector(&self) -> VectorTs {
         if self.stripes.len() == 1 {
             return self.stripes[0].lock().vector.clone();
@@ -247,6 +270,18 @@ impl StateCell {
             .map(|s| s.lock().vector.clone())
             .collect();
         VectorTs::pointwise_min(&vectors)
+    }
+
+    /// Returns the cell's replay frontier: the pointwise maximum across
+    /// stripes. On a lane whose items one TE instance applies in timestamp
+    /// order, every item at or below it is already in the cell, so
+    /// recovery replays only the items past it (see the module docs).
+    pub fn frontier(&self) -> VectorTs {
+        let mut frontier = VectorTs::new();
+        for s in &self.stripes {
+            frontier.merge_max(&s.lock().vector);
+        }
+        frontier
     }
 
     /// Returns every stripe's vector (checkpoint metadata).
@@ -473,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn cell_vector_is_pointwise_min_of_stripes() {
+    fn cell_vector_is_the_stripes_minimum_and_frontier_their_maximum() {
         let cell = StateCell::new_striped(StateType::Table, 2, PartitionDim::Row, None);
         // Find keys for each stripe.
         let mut key_for = [None, None];
@@ -484,11 +519,15 @@ mod tests {
             }
         }
         let (k0, k1) = (key_for[0].unwrap(), key_for[1].unwrap());
-        // Stripe 0 saw ts 10, stripe 1 only ts 4: the cell-level watermark
-        // must be 4 so replay re-delivers 5..=10 (stripe 0 will dedupe).
+        // Stripe 0 saw ts 10, stripe 1 only ts 4: trimming may free only
+        // what both stripes passed (4), while the lane's prefix up to 10 is
+        // in the cell, so replay resumes past the frontier (10). A lane no
+        // stripe saw reads 0 on both.
         cell.apply_routed(EdgeId(7), 4, Some(Key::Int(k1).stable_hash()), |_| ());
         cell.apply_routed(EdgeId(7), 10, Some(Key::Int(k0).stable_hash()), |_| ());
         assert_eq!(cell.vector().get(EdgeId(7)), 4);
+        assert_eq!(cell.frontier().get(EdgeId(7)), 10);
+        assert_eq!(cell.frontier().get(EdgeId(8)), 0);
         let vs = cell.stripe_vectors();
         assert_eq!(vs.len(), 2);
         assert_eq!(vs[0].get(EdgeId(7)).max(vs[1].get(EdgeId(7))), 10);

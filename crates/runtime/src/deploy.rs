@@ -24,7 +24,7 @@ use sdg_common::ids::{EdgeId, StateId, TaskId};
 use sdg_common::obs::{
     DeploymentStats, EventKind, MetricsRegistry, MetricsSnapshot, ObsEvent, TaskInstruments,
 };
-use sdg_common::time::TsGen;
+use sdg_common::time::{TsGen, VectorTs};
 use sdg_common::value::Record;
 use sdg_graph::alloc::allocate;
 use sdg_graph::model::{AccessMode, Dispatch, Distribution, Sdg, StateDecl, TaskKind};
@@ -89,6 +89,25 @@ fn cell_layout(
     };
     let tracked = (cfg.checkpoint.enabled && replay_safe).then_some(cfg.checkpoint.chunks);
     (stripes, dim, tracked)
+}
+
+/// Picks the vector recovery replays a flow's lanes past: the restored
+/// cell's `frontier` (its stripes' pointwise maximum), or its `floor`
+/// (their minimum) on a gather edge.
+///
+/// The frontier bounds what the cut already holds on a lane whose items
+/// one TE instance applies in timestamp order (see
+/// [`sdg_checkpoint::cell`]). A gather barrier applies its assembled items
+/// in completion order instead.
+fn replay_watermarks<'a>(
+    dispatch: &Dispatch,
+    floor: &'a VectorTs,
+    frontier: &'a VectorTs,
+) -> &'a VectorTs {
+    match dispatch {
+        Dispatch::AllToOne { .. } => floor,
+        _ => frontier,
+    }
 }
 
 /// Report of one failure-injection recovery.
@@ -420,8 +439,12 @@ impl Deployment {
     /// report.
     ///
     /// On `FailAndRecover`, recovery is exact (exactly-once) for the
-    /// failed SE's own state: the checkpoint restores it, upstream buffers
-    /// replay the suffix, and the vector timestamp filters duplicates. A
+    /// failed SE's own state: the checkpoint restores it, and upstream
+    /// buffers replay each lane past the restored cut's frontier — the
+    /// highest timestamp any of its stripes recorded on that lane, below
+    /// which the cut already holds every item — or past the stripes'
+    /// minimum on a gather edge, whose items apply in completion order;
+    /// the stripes' vector timestamps filter what a replay overlaps. A
     /// limitation relative to §5 of the paper: replayed items reprocessed
     /// by the recovered TEs forward downstream with *fresh* timestamps
     /// rather than regenerating their original ones, so when a recovered
@@ -1022,7 +1045,8 @@ impl Inner {
         // The restore decodes every entry straight into the stripe that
         // owns its key, each stripe with the exact vector recorded at
         // checkpoint time when the stripe layout is unchanged (else the
-        // merged min vector, which is safe but replays more).
+        // cut's min vector on every stripe, which is safe but replays
+        // more).
         let new_cell = match &chain {
             Some(chain) => {
                 let restored = restore_chain_resilient(
@@ -1059,7 +1083,7 @@ impl Inner {
             None => StateCell::new_striped(decl.ty, stripes, dim, delta),
         };
         let new_cell = Arc::new(new_cell);
-        let vector = new_cell.vector();
+        let (floor, frontier) = (new_cell.vector(), new_cell.frontier());
         self.cells
             .write()
             .get_mut(&state)
@@ -1087,14 +1111,19 @@ impl Inner {
         let mut replayed = 0usize;
         for (i, &task_id) in affected.iter().enumerate() {
             let task = self.sdg.task(task_id)?;
-            let mut edges: Vec<EdgeId> = self.sdg.flows_to(task_id).iter().map(|f| f.id).collect();
+            let mut edges: Vec<(EdgeId, &VectorTs)> = self
+                .sdg
+                .flows_to(task_id)
+                .iter()
+                .map(|f| (f.id, replay_watermarks(&f.dispatch, &floor, &frontier)))
+                .collect();
             if matches!(task.kind, TaskKind::Entry { .. }) {
-                edges.push(ingest_edge(task_id));
+                edges.push((ingest_edge(task_id), &frontier));
             }
             let sender = guards[i][replica as usize].clone();
-            for edge in edges {
+            for (edge, watermarks) in edges {
                 for (src, buf) in self.buffers.buffers_into(edge, replica) {
-                    let wm = vector.get(lane(edge, src));
+                    let wm = watermarks.get(lane(edge, src));
                     for buffered in buf.lock().replay_after(wm) {
                         // Live entries re-send the buffered `Arc` directly
                         // (zero decode); only `Encoded` entries — restored
@@ -1323,7 +1352,7 @@ impl Inner {
 mod tests {
     use super::*;
     use sdg_common::record;
-    use sdg_common::value::Value;
+    use sdg_common::value::{Key, Value};
     use sdg_ir::analysis::verify::SeCertificate;
 
     fn decl(ty: StateType, dist: Distribution) -> StateDecl {
@@ -1417,6 +1446,37 @@ mod tests {
     }
 
     #[test]
+    fn replay_into_a_gather_edge_starts_past_the_stripes_minimum() {
+        // Two stripes of one restored cell recorded ts 4 and ts 10 on one
+        // lane.
+        let cell = StateCell::new_striped(StateType::Table, 2, PartitionDim::Row, None);
+        let mut route = [None, None];
+        for i in 0..100 {
+            let h = Key::Int(i).stable_hash();
+            route[(h % 2) as usize].get_or_insert(h);
+        }
+        let lane = EdgeId(7);
+        cell.apply_routed(lane, 4, route[1], |_| ());
+        cell.apply_routed(lane, 10, route[0], |_| ());
+        let (floor, frontier) = (cell.vector(), cell.frontier());
+        let gather = Dispatch::AllToOne {
+            collect_var: "c".into(),
+        };
+        assert_eq!(replay_watermarks(&gather, &floor, &frontier).get(lane), 4);
+        for ordered in [
+            Dispatch::Partitioned { key: "k".into() },
+            Dispatch::OneToAny,
+            Dispatch::OneToAll,
+        ] {
+            assert_eq!(
+                replay_watermarks(&ordered, &floor, &frontier).get(lane),
+                10,
+                "{ordered}"
+            );
+        }
+    }
+
+    #[test]
     fn vectors_and_partials_never_stripe() {
         let cfg = cfg_with_delta();
         let vec_decl = decl(
@@ -1482,14 +1542,15 @@ mod tests {
             }
         }
 
-        // Items logged after the checkpoint are above its watermark.
+        // Items logged after the checkpoint are above its frontier: the
+        // highest timestamp any stripe of the cut recorded on the lane.
         for k in 300..450 {
             put(&d, k);
         }
         assert!(d.quiesce(Duration::from_secs(30)));
         let before = sorted_entries(&d, kv, 0);
         let edge = ingest_edge(d.inner.find_entry("put").unwrap().id);
-        let watermark = d
+        let frontier = d
             .inner
             .control
             .lock()
@@ -1498,15 +1559,23 @@ mod tests {
             .generations
             .last()
             .unwrap()
-            .vector
-            .get(lane(edge, 0));
+            .stripe_vectors
+            .iter()
+            .map(|v| v.get(lane(edge, 0)))
+            .max()
+            .unwrap();
         let buffer = d.inner.buffers.get(BufferKey {
             edge,
             src: 0,
             dst: 0,
         });
-        let expected = buffer.lock().replay_after(watermark).len();
-        assert!(expected > 0);
+        let expected = buffer.lock().replay_after(frontier).len();
+        // Exactly the puts routed to replica 0 after the checkpoint.
+        let routed_after = (300..450i64)
+            .filter(|&k| Key::Int(k).stable_hash().is_multiple_of(2))
+            .count();
+        assert_eq!(expected, routed_after);
+        assert_eq!(expected, 75);
 
         let report = d
             .reconfigure(ReconfigRequest::FailAndRecover {
