@@ -583,15 +583,13 @@ pub struct BackupSet {
     /// key (whose `chunk` field is the chunk id).
     pub chunk_locations: Vec<(usize, ChunkKey)>,
     /// Whatever the caller's `capture_outputs` returned at snapshot time,
-    /// always sealed to [`BufferedPayload::Encoded`] wire bytes by the
-    /// coordinator's persist phase.
+    /// held as the captured entries themselves (payloads shared by
+    /// refcount, nothing encoded).
     ///
     /// Empty for every checkpoint the runtime takes: the upstream buffers
     /// that feed an instance live in the deployment's buffer registry,
     /// which survives the instance's failure, so recovery replays from the
     /// registry and never from this copy.
-    ///
-    /// [`BufferedPayload::Encoded`]: crate::buffer::BufferedPayload::Encoded
     pub out_buffers: Vec<(EdgeId, Vec<BufferedItem>)>,
     /// Serialised state size in bytes (all chunks written by this
     /// generation).

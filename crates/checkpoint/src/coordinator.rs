@@ -11,9 +11,10 @@
 //! 1. under a short lock (all stripes at once, forming one consistent
 //!    cut): flag each stripe's shard dirty (O(1) snapshot), copy the
 //!    stripe vectors, and take the dirty-chunk set. The caller's
-//!    output-buffer capture also runs here; the runtime passes an empty
-//!    one, because its upstream buffers live in a registry that survives
-//!    an instance kill and recovery replays from that registry directly;
+//!    output-buffer capture also runs here and its entries pass through to
+//!    the [`BackupSet`] by refcount, unencoded. The runtime passes an
+//!    empty one: its upstream buffers live in a registry that survives an
+//!    instance kill, and recovery replays from that registry directly;
 //! 2. processing resumes immediately against the dirty overlays;
 //! 3. off the processing path, a serialisation thread pool encodes the
 //!    generation's chunks (Fig. 4 step B1–B2): each thread walks a share of
@@ -30,7 +31,6 @@
 //! entire procedure — the "stop-the-world" behaviour of Naiad and SEEP
 //! that Fig. 12 compares against. Synchronous checkpoints are always bases.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -58,9 +58,8 @@ pub struct CheckpointOptions {
 /// Takes one checkpoint of `cell`, writing chunks to `stores`.
 ///
 /// `capture_outputs` is invoked inside the initiation lock; whatever it
-/// returns is sealed to wire bytes and kept in
-/// [`BackupSet::out_buffers`]. Callers whose buffers outlive the instance
-/// (the runtime's) pass `Vec::new` and pay nothing.
+/// returns is kept, as is, in [`BackupSet::out_buffers`]. Callers whose
+/// buffers outlive the instance (the runtime's) pass `Vec::new`.
 ///
 /// Returns the [`BackupSet`] describing where everything landed.
 ///
@@ -156,18 +155,13 @@ fn take_checkpoint_inner(
         return Err(SdgError::Recovery("no backup stores configured".into()));
     }
     let fanout = cfg.backup_fanout.min(stores.len());
-    // Steps 3–4: serialise the generation, seal any captured output
-    // buffers, and write the chunks.
+    // Steps 3–4: serialise the generation and write the chunks.
     let persist = |cut: &mut InitCut, base: bool| {
         if base {
             cut.wanted.fill(true);
         }
         let snapshots = std::mem::take(&mut cut.snapshots);
         let (frames, delta) = serialise_generation(snapshots, &cut.wanted, cfg.serialise_threads);
-        let sealed = seal_out_buffers(&mut cut.out_buffers, cfg.serialise_threads);
-        if let Some(obs) = obs {
-            obs.encode_deferred.add(sealed);
-        }
         let written = write_chunks(frames, instance, seq, stores, fanout, cfg.serialise_threads);
         (written, delta)
     };
@@ -396,37 +390,6 @@ fn write_chunks(
     Ok((locations, total))
 }
 
-/// Seals every captured output-buffer item into its `Encoded` wire form,
-/// splitting the edges across `threads` workers. Items restored from an
-/// earlier checkpoint are already encoded and pass through untouched.
-/// Returns the number of encodes performed (live items sealed).
-fn seal_out_buffers(out_buffers: &mut [(EdgeId, Vec<BufferedItem>)], threads: usize) -> u64 {
-    if out_buffers.is_empty() {
-        return 0;
-    }
-    let sealed = AtomicU64::new(0);
-    let per_worker = out_buffers
-        .len()
-        .div_ceil(threads.max(1).min(out_buffers.len()));
-    std::thread::scope(|scope| {
-        for part in out_buffers.chunks_mut(per_worker) {
-            let sealed = &sealed;
-            scope.spawn(move || {
-                let mut n = 0u64;
-                for (_, items) in part.iter_mut() {
-                    for item in items.iter_mut() {
-                        if item.seal() {
-                            n += 1;
-                        }
-                    }
-                }
-                sealed.fetch_add(n, Ordering::Relaxed);
-            });
-        }
-    });
-    sealed.into_inner()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,72 +454,18 @@ mod tests {
         let cell = populated_cell(1);
         let stores = stores(1);
         let cfg = CheckpointConfig::default();
-        let outs = vec![(EdgeId(7), vec![BufferedItem::encoded(3, vec![1, 2])])];
-        let set = take_checkpoint(&cell, instance(), 1, move || outs, &stores, &cfg).unwrap();
-        assert_eq!(set.out_buffers.len(), 1);
-        assert_eq!(set.out_buffers[0].0, EdgeId(7));
-        assert_eq!(set.out_buffers[0].1[0].ts, 3);
-    }
-
-    fn live_capture() -> (Vec<(EdgeId, Vec<BufferedItem>)>, Vec<u8>) {
-        let payload = std::sync::Arc::new(sdg_common::record! {
-            "k" => Value::Int(7),
-            "v" => Value::Str("deferred".into()),
-        });
-        let live = BufferedItem::live(3, 99, 2, payload);
-        let wire = live.to_bytes();
-        (vec![(EdgeId(7), vec![live])], wire)
-    }
-
-    #[test]
-    fn live_captures_are_sealed_at_persist_time() {
-        let cell = populated_cell(10);
-        let stores = stores(2);
-        let cfg = CheckpointConfig::default();
-        let obs = CheckpointInstruments::default();
-        let (outs, wire) = live_capture();
-        let set = take_checkpoint_with(
-            &cell,
-            instance(),
-            1,
-            move || outs,
-            &stores,
-            &cfg,
-            Some(&obs),
-            CheckpointOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            set.out_buffers[0].1[0],
-            BufferedItem::encoded(3, wire),
-            "persisted out_buffers must hold the wire bytes"
-        );
-        assert_eq!(obs.encode_deferred.get(), 1);
-    }
-
-    #[test]
-    fn sync_mode_seals_live_captures_too() {
-        let cell = populated_cell(10);
-        let stores = stores(2);
-        let cfg = CheckpointConfig {
-            synchronous: true,
-            ..Default::default()
+        let payload = Arc::new(sdg_common::record! { "k" => Value::Int(7) });
+        let item = BufferedItem {
+            ts: 3,
+            corr: 99,
+            expect: 2,
+            payload: Arc::clone(&payload),
         };
-        let obs = CheckpointInstruments::default();
-        let (outs, wire) = live_capture();
-        let set = take_checkpoint_with(
-            &cell,
-            instance(),
-            1,
-            move || outs,
-            &stores,
-            &cfg,
-            Some(&obs),
-            CheckpointOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(set.out_buffers[0].1[0], BufferedItem::encoded(3, wire));
-        assert_eq!(obs.encode_deferred.get(), 1);
+        let outs = vec![(EdgeId(7), vec![item.clone()])];
+        let set = take_checkpoint(&cell, instance(), 1, move || outs, &stores, &cfg).unwrap();
+        assert_eq!(set.out_buffers, vec![(EdgeId(7), vec![item])]);
+        // Captured entries pass through by refcount: nothing is encoded.
+        assert!(Arc::ptr_eq(&set.out_buffers[0].1[0].payload, &payload));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! replay**, avoiding both global checkpoint coordination and global
 //! rollback:
 //!
-//! 1. each node periodically checkpoints its local SE instances and output
-//!    buffers ([`coordinator`]); checkpoint initiation is O(1) thanks to
-//!    the dirty-state support in `sdg-state` — processing continues on the
+//! 1. each node periodically checkpoints its local SE instances
+//!    ([`coordinator`]); checkpoint initiation is O(1) thanks to the
+//!    dirty-state support in `sdg-state` — processing continues on the
 //!    overlay while a background thread serialises the snapshot;
 //! 2. checkpoints embed a vector timestamp of the last item applied from
 //!    each input dataflow; upstream nodes trim their output buffers below
@@ -35,7 +35,7 @@ pub mod coordinator;
 pub mod recovery;
 
 pub use backup::{BackupSet, BackupStore, ChunkKey, DeltaMeta, StoreFaultSpec};
-pub use buffer::{BufferedItem, BufferedPayload, OutputBuffer};
+pub use buffer::{BufferedItem, OutputBuffer};
 pub use cell::StateCell;
 pub use config::CheckpointConfig;
 pub use coordinator::{take_checkpoint, take_checkpoint_with, CheckpointOptions};

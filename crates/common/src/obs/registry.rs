@@ -118,9 +118,6 @@ pub struct CheckpointInstruments {
     pub bytes: Counter,
     /// Items replayed from upstream buffers during recoveries.
     pub replayed: Counter,
-    /// Output-buffer items whose wire encode was deferred off the dispatch
-    /// path and performed at checkpoint-persist time.
-    pub encode_deferred: Counter,
     /// Approximate bytes parked across upstream output buffers, sampled at
     /// snapshot time.
     pub buffered_bytes: Gauge,
@@ -403,7 +400,7 @@ impl MetricsRegistry {
                 failed: c.failed.get(),
                 bytes: c.bytes.get(),
                 replayed: c.replayed.get(),
-                encode_deferred: c.encode_deferred.get(),
+                encode_deferred: 0,
                 buffered_bytes: c.buffered_bytes.get(),
                 snapshot: c.snapshot_ns.summary(),
                 persist: c.persist_ns.summary(),

@@ -71,7 +71,8 @@ pub struct CheckpointStats {
     pub bytes: u64,
     /// Items replayed during recoveries.
     pub replayed: u64,
-    /// Output-buffer wire encodes deferred to checkpoint-persist time.
+    /// Always 0: no checkpoint encodes an output buffer any more. Kept
+    /// for the benchmark harness, which still reads it.
     pub encode_deferred: u64,
     /// Approximate bytes parked across upstream output buffers.
     pub buffered_bytes: u64,

@@ -28,13 +28,6 @@ impl TsGen {
         Self { next: 1 }
     }
 
-    /// Resumes a generator so its next timestamp follows `last_emitted`.
-    pub const fn resume_after(last_emitted: ScalarTs) -> Self {
-        Self {
-            next: last_emitted + 1,
-        }
-    }
-
     /// Returns the next timestamp.
     pub fn tick(&mut self) -> ScalarTs {
         let ts = self.next;
@@ -163,12 +156,6 @@ mod tests {
         let b = gen.tick();
         assert_eq!((a, b), (1, 2));
         assert_eq!(gen.last(), 2);
-    }
-
-    #[test]
-    fn tsgen_resume_continues_after_watermark() {
-        let mut gen = TsGen::resume_after(41);
-        assert_eq!(gen.tick(), 42);
     }
 
     #[test]

@@ -688,18 +688,12 @@ impl Inner {
             .flows_from(task_id)
             .into_iter()
             .map(|flow| {
-                // Resume timestamps past anything already buffered on this
-                // producer lane, so a respawned instance never reuses a ts.
-                let mut last = 0;
-                for (_, buf) in self.buffers_from(flow.id, replica) {
-                    last = last.max(buf.lock().last_ts());
-                }
                 OutEdge::new(
                     flow.id,
+                    replica,
                     flow.dispatch.clone(),
                     flow.live_vars.clone(),
                     Arc::clone(&self.targets[&flow.to]),
-                    TsGen::resume_after(last),
                     replica as usize, // Stagger round-robin start points.
                     Arc::clone(&self.buffers),
                     buffered,
@@ -772,30 +766,6 @@ impl Inner {
             targets.push(tx);
         }
         Ok(())
-    }
-
-    /// All buffers produced by `(edge, src replica)`, regardless of dst.
-    fn buffers_from(
-        &self,
-        edge: EdgeId,
-        src: u32,
-    ) -> Vec<(
-        u32,
-        Arc<parking_lot::Mutex<sdg_checkpoint::buffer::OutputBuffer>>,
-    )> {
-        let mut out = Vec::new();
-        // Probe destination replicas 0..current maximum (bounded by 1024).
-        let max_dst = self
-            .sdg
-            .flow(edge)
-            .ok()
-            .map(|f| self.targets[&f.to].read().len() as u32)
-            .unwrap_or(0);
-        for dst in 0..max_dst {
-            let key = BufferKey { edge, src, dst };
-            out.push((dst, self.buffers.get(key)));
-        }
-        out
     }
 
     fn find_entry(&self, entry: &str) -> SdgResult<&sdg_graph::model::TaskDecl> {
@@ -1125,10 +1095,7 @@ impl Inner {
                 for (src, buf) in self.buffers.buffers_into(edge, replica) {
                     let wm = watermarks.get(lane(edge, src));
                     for buffered in buf.lock().replay_after(wm) {
-                        // Live entries re-send the buffered `Arc` directly
-                        // (zero decode); only `Encoded` entries — restored
-                        // from a checkpoint — go through the wire codec.
-                        let item = Item::from_buffered(edge, src, buffered)?;
+                        let item = Item::from_buffered(edge, src, buffered);
                         // Replay runs while the target write guards are held;
                         // a blocking send could never receive credit (the
                         // producers are paused), so bypass the cap.
@@ -1530,7 +1497,6 @@ mod tests {
         }
         assert!(d.quiesce(Duration::from_secs(30)));
         d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
-        assert_eq!(d.metrics().checkpoints.encode_deferred, 0);
         {
             let ctl = d.inner.control.lock();
             for replica in 0..2 {

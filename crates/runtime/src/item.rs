@@ -3,10 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::BytesMut;
-use sdg_checkpoint::buffer::{BufferedItem, BufferedPayload};
-use sdg_common::codec::{write_varint, Codec, Reader};
-use sdg_common::error::SdgResult;
+use sdg_checkpoint::buffer::BufferedItem;
 use sdg_common::ids::EdgeId;
 use sdg_common::time::ScalarTs;
 use sdg_common::value::Record;
@@ -57,67 +54,17 @@ impl Item {
         lane(self.edge, self.src_replica)
     }
 
-    /// Encodes the replay-relevant parts (corr, expect, payload) for output
-    /// buffering. The timestamp is stored alongside by the buffer itself.
-    pub fn encode_payload(&self) -> Vec<u8> {
-        // Pre-size from the payload's approximate footprint so typical
-        // items encode without growth reallocations.
-        let mut buf = BytesMut::with_capacity(self.payload.approx_size() + 16);
-        write_varint(&mut buf, self.corr);
-        write_varint(&mut buf, u64::from(self.expect));
-        self.payload.encode(&mut buf);
-        buf.to_vec()
-    }
-
-    /// Rebuilds an item from buffered bytes for replay.
-    pub fn decode_payload(
-        edge: EdgeId,
-        src_replica: u32,
-        ts: ScalarTs,
-        bytes: &[u8],
-    ) -> SdgResult<Item> {
-        let mut r = Reader::new(bytes);
-        let corr = r.read_varint()?;
-        let expect = r.read_varint()? as u32;
-        let payload = Record::decode(&mut r)?;
-        Ok(Item {
+    /// Rebuilds an item from a buffered entry for replay: the buffered
+    /// `Arc` is the item's payload, so nothing is decoded or cloned.
+    pub fn from_buffered(edge: EdgeId, src_replica: u32, buffered: BufferedItem) -> Item {
+        Item {
             edge,
             src_replica,
-            ts,
-            corr,
-            expect,
-            payload: Arc::new(payload),
+            ts: buffered.ts,
+            corr: buffered.corr,
+            expect: buffered.expect,
+            payload: buffered.payload,
             submitted_at: None,
-        })
-    }
-
-    /// Rebuilds an item from a buffered (two-state) entry for replay.
-    ///
-    /// `Live` payloads are re-sent with zero decode — the buffered `Arc` is
-    /// the item; only `Encoded` payloads (restored from a checkpoint) go
-    /// through the wire codec.
-    pub fn from_buffered(
-        edge: EdgeId,
-        src_replica: u32,
-        buffered: BufferedItem,
-    ) -> SdgResult<Item> {
-        match buffered.payload {
-            BufferedPayload::Live {
-                corr,
-                expect,
-                payload,
-            } => Ok(Item {
-                edge,
-                src_replica,
-                ts: buffered.ts,
-                corr,
-                expect,
-                payload,
-                submitted_at: None,
-            }),
-            BufferedPayload::Encoded(bytes) => {
-                Item::decode_payload(edge, src_replica, buffered.ts, &bytes)
-            }
         }
     }
 
@@ -131,6 +78,8 @@ impl Item {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
+    use sdg_common::codec::{encode_to_vec, write_varint};
     use sdg_common::record;
     use sdg_common::value::Value;
 
@@ -149,43 +98,22 @@ mod tests {
     }
 
     #[test]
-    fn payload_roundtrips_through_buffering() {
-        let item = Item {
-            edge: EdgeId(3),
-            src_replica: 2,
-            ts: 77,
-            corr: 123,
-            expect: 4,
-            payload: Arc::new(
-                record! {"user" => Value::Int(9), "row" => Value::List(vec![Value::Float(0.5)])},
-            ),
-            submitted_at: Some(Instant::now()),
-        };
-        let bytes = item.encode_payload();
-        let back = Item::decode_payload(EdgeId(3), 2, 77, &bytes).unwrap();
-        assert_eq!(back.corr, 123);
-        assert_eq!(back.expect, 4);
-        assert_eq!(back.payload, item.payload);
-        assert_eq!(back.ts, 77);
-        assert_eq!(back.lane(), item.lane());
-        // Replayed items carry no submission time: their latency is not a
-        // client-visible latency.
-        assert!(back.submitted_at.is_none());
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(Item::decode_payload(EdgeId(0), 0, 1, &[0xff, 0xff]).is_err());
-    }
-
-    #[test]
     fn from_buffered_live_is_zero_decode() {
         let payload = Arc::new(record! {"k" => Value::Int(1)});
-        let buffered = BufferedItem::live(9, 42, 3, Arc::clone(&payload));
-        let item = Item::from_buffered(EdgeId(2), 1, buffered).unwrap();
+        let buffered = BufferedItem {
+            ts: 9,
+            corr: 42,
+            expect: 3,
+            payload: Arc::clone(&payload),
+        };
+        let item = Item::from_buffered(EdgeId(2), 1, buffered);
+        assert_eq!((item.edge, item.src_replica), (EdgeId(2), 1));
         assert_eq!(item.ts, 9);
         assert_eq!(item.corr, 42);
         assert_eq!(item.expect, 3);
+        assert_eq!(item.lane(), lane(EdgeId(2), 1));
+        // Replayed items carry no submission time: their latency is not a
+        // client-visible latency.
         assert!(item.submitted_at.is_none());
         // The replayed item shares the buffered allocation — no decode, no
         // clone.
@@ -193,30 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn from_buffered_encoded_falls_back_to_the_codec() {
-        let original = Item {
-            edge: EdgeId(2),
-            src_replica: 1,
-            ts: 9,
-            corr: 42,
-            expect: 3,
-            payload: Arc::new(record! {"k" => Value::Int(1), "v" => Value::str("x")}),
-            submitted_at: None,
-        };
-        let buffered = BufferedItem::encoded(9, original.encode_payload());
-        let item = Item::from_buffered(EdgeId(2), 1, buffered).unwrap();
-        assert_eq!(item.corr, 42);
-        assert_eq!(item.expect, 3);
-        assert_eq!(item.payload, original.payload);
-
-        let garbage = BufferedItem::encoded(1, vec![0xff, 0xff]);
-        assert!(Item::from_buffered(EdgeId(0), 0, garbage).is_err());
-    }
-
-    #[test]
     fn approx_size_tracks_the_encoded_size_within_tolerance() {
         // The arithmetic estimate replaced a throwaway encode; pin it to
-        // the old (encoded-length) value so accounting never drifts wildly.
+        // the wire length (varint `corr`, varint `expect`, the record) so
+        // accounting never drifts wildly.
         let payloads = [
             record! {"k" => Value::Int(7)},
             record! {"user" => Value::Int(9), "name" => Value::str("a-typical-string-value")},
@@ -236,7 +144,10 @@ mod tests {
                 payload: Arc::new(payload),
                 submitted_at: None,
             };
-            let old = item.encode_payload().len() + 16;
+            let mut header = BytesMut::new();
+            write_varint(&mut header, item.corr);
+            write_varint(&mut header, u64::from(item.expect));
+            let old = header.len() + encode_to_vec(&*item.payload).len() + 16;
             let new = item.approx_size();
             let ratio = new as f64 / old as f64;
             assert!(

@@ -20,7 +20,7 @@ use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, TaskId};
 use sdg_common::metrics::Histogram;
 use sdg_common::obs::TaskInstruments;
-use sdg_common::time::TsGen;
+use sdg_common::time::ScalarTs;
 use sdg_common::value::{Record, Value};
 use sdg_graph::model::{Dispatch, NativeTask, TaskCode, TaskContext};
 use sdg_ir::eval::Effects;
@@ -68,7 +68,7 @@ pub struct BufferKey {
 /// A shared handle to one upstream output buffer.
 type BufferHandle = Arc<Mutex<OutputBuffer>>;
 
-/// Both registry maps live under one lock so they can never disagree.
+/// The registry maps live under one lock so they can never disagree.
 #[derive(Debug, Default)]
 struct RegistryMaps {
     by_key: HashMap<BufferKey, BufferHandle>,
@@ -77,6 +77,8 @@ struct RegistryMaps {
     /// trim paths O(producers of one consumer) instead of a linear scan
     /// over every buffer in the deployment.
     by_consumer: HashMap<(EdgeId, u32), Vec<(u32, BufferHandle)>>,
+    /// The last timestamp emitted on each `(edge, producer replica)` lane.
+    clocks: HashMap<(EdgeId, u32), Arc<AtomicU64>>,
 }
 
 /// Registry of all upstream output buffers in a deployment.
@@ -119,6 +121,18 @@ impl BufferRegistry {
         buf
     }
 
+    /// Returns (creating on demand) the clock of the `(edge, src)` lane:
+    /// the last timestamp any instance of producer replica `src` emitted
+    /// on `edge`, 0 before the first.
+    ///
+    /// Every incarnation of the producer shares the one clock, so a
+    /// respawned instance resumes past its predecessor's last timestamp
+    /// whether or not a buffer still holds it: reusing a timestamp would
+    /// make the consumer's dedupe drop the new item.
+    pub fn lane_clock(&self, edge: EdgeId, src: u32) -> Arc<AtomicU64> {
+        Arc::clone(self.maps.lock().clocks.entry((edge, src)).or_default())
+    }
+
     /// Returns all buffers feeding consumer replica `dst` on `edge`.
     pub fn buffers_into(&self, edge: EdgeId, dst: u32) -> Vec<(u32, Arc<Mutex<OutputBuffer>>)> {
         self.maps
@@ -156,8 +170,10 @@ pub struct OutEdge {
     pub live_vars: Vec<String>,
     /// Consumer instance senders (shared; scaling mutates it).
     pub targets: Targets,
-    /// Timestamp generator per `(this producer instance, edge)`.
-    pub ts: TsGen,
+    /// The clock of `(edge, this producer replica)` in the registry
+    /// ([`BufferRegistry::lane_clock`]), so the next incarnation of this
+    /// replica resumes past its last timestamp.
+    clock: Arc<AtomicU64>,
     /// Round-robin cursor for one-to-any dispatch.
     pub rr: usize,
     /// Buffer registry for upstream backup.
@@ -174,14 +190,15 @@ pub struct OutEdge {
 }
 
 impl OutEdge {
-    /// Builds an edge dispatcher.
+    /// Builds the dispatcher of producer replica `src` on `edge`; its
+    /// timestamps continue the lane's clock.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         edge: EdgeId,
+        src: u32,
         dispatch: Dispatch,
         live_vars: Vec<String>,
         targets: Targets,
-        ts: TsGen,
         rr: usize,
         buffers: Arc<BufferRegistry>,
         buffered: bool,
@@ -191,7 +208,7 @@ impl OutEdge {
             dispatch,
             live_vars,
             targets,
-            ts,
+            clock: buffers.lane_clock(edge, src),
             rr,
             buffers,
             buffered,
@@ -317,7 +334,7 @@ impl OutEdge {
                 )
             }
             Dispatch::OneToAll => {
-                let ts = self.ts.tick();
+                let ts = self.tick();
                 let expect = n as u32;
                 for idx in 0..n {
                     // Broadcast shares one allocation: every destination's
@@ -350,7 +367,7 @@ impl OutEdge {
         expect: u32,
         submitted_at: Option<Instant>,
     ) -> SdgResult<()> {
-        let ts = self.ts.tick();
+        let ts = self.tick();
         let item = Item {
             edge: self.edge,
             src_replica,
@@ -363,11 +380,20 @@ impl OutEdge {
         self.enqueue(targets, idx, item)
     }
 
+    /// Advances the lane's clock. A relaxed load and store, no
+    /// read-modify-write: only this instance writes the clock, and the next
+    /// incarnation reads it after the control path that spawns it has
+    /// synchronised with this one's death.
+    fn tick(&mut self) -> ScalarTs {
+        let ts = self.clock.load(Ordering::Relaxed) + 1;
+        self.clock.store(ts, Ordering::Relaxed);
+        ts
+    }
+
     /// Logs one timestamped item and sends it to destination `idx`.
     fn enqueue(&mut self, targets: &[PoolSender], idx: usize, item: Item) -> SdgResult<()> {
         if self.buffered {
-            // The log entry shares the item's allocation; the wire encode
-            // happens at checkpoint-persist time.
+            // The log entry shares the item's allocation.
             self.buffer_for(item.src_replica, idx).lock().push_live(
                 item.ts,
                 item.corr,
@@ -816,21 +842,24 @@ mod tests {
             src: 0,
             dst: 2,
         };
-        reg.get(key).lock().push_encoded(1, vec![1, 2, 3]);
-        reg.get(key).lock().push_encoded(2, vec![4]);
-        assert_eq!(reg.total_bytes(), 4);
+        let small = Arc::new(record! {"a" => Value::Int(1)});
+        let large = Arc::new(record! {"a" => Value::str("a longer payload")});
+        reg.get(key).lock().push_live(1, 0, 1, Arc::clone(&small));
+        reg.get(key).lock().push_live(2, 0, 1, Arc::clone(&large));
+        let (small, large) = (small.approx_size() + 16, large.approx_size() + 16);
+        assert_eq!(reg.total_bytes(), small + large);
         let into = reg.buffers_into(EdgeId(1), 2);
         assert_eq!(into.len(), 1);
         assert_eq!(into[0].0, 0);
         reg.trim(key, 1);
-        assert_eq!(reg.total_bytes(), 1);
+        assert_eq!(reg.total_bytes(), large);
         assert!(reg.buffers_into(EdgeId(1), 9).is_empty());
     }
 
     #[test]
     fn registry_total_bytes_matches_per_buffer_walk() {
         // The O(1) aggregate must agree with a from-scratch walk over
-        // every buffer after a mix of pushes, trims, caps and restores.
+        // every buffer after a mix of pushes, trims and caps.
         let reg = BufferRegistry::new(1000);
         let keys: Vec<BufferKey> = (0..4)
             .map(|i| BufferKey {
@@ -842,17 +871,13 @@ mod tests {
         for (n, key) in keys.iter().enumerate() {
             let buf = reg.get(*key);
             for t in 1..=(n as u64 + 3) {
-                buf.lock().push_encoded(t, vec![0; (t as usize) * (n + 1)]);
+                let payload =
+                    record! {"a" => Value::List(vec![Value::Int(0); t as usize * (n + 1)])};
+                buf.lock().push_live(t, 0, 1, Arc::new(payload));
             }
         }
         reg.get(keys[0]).lock().trim(2);
         reg.get(keys[1]).lock().cap(1);
-        reg.get(keys[2])
-            .lock()
-            .restore(vec![sdg_checkpoint::buffer::BufferedItem::encoded(
-                9,
-                vec![0; 13],
-            )]);
         let walk: usize = keys
             .iter()
             .map(|k| reg.get(*k).lock().buffered_bytes())

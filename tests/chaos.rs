@@ -2,12 +2,15 @@
 //! the supervisor automatically (no manual `FailAndRecover`), and the
 //! final state must be byte-identical to a fault-free run of the same
 //! workload — exactly-once despite panics, stalls and store I/O errors.
+//! A respawned stateless producer loses at most its in-flight items: its
+//! consumer's dedupe must drop nothing it sends after the respawn.
 
 use std::collections::BTreeMap;
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use sdg::apps::kv::KvApp;
+use sdg::apps::WcApp;
 use sdg::prelude::*;
 
 const ITEMS: i64 = 600;
@@ -92,13 +95,13 @@ fn run_fault_free() -> BTreeMap<Key, Value> {
 
 /// Polls until the supervisor has seen at least one fault and finished at
 /// least one recovery, and health settled back to `Healthy`.
-fn await_recovery(app: &KvApp, timeout: Duration) -> bool {
+fn await_recovery(d: &Deployment, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
     loop {
-        let snap = app.deployment().metrics();
+        let snap = d.metrics();
         if snap.faults.worker_panics + snap.faults.heartbeats_missed >= 1
             && snap.recovery.succeeded >= 1
-            && app.deployment().health() == Health::Healthy
+            && d.health() == Health::Healthy
         {
             return true;
         }
@@ -137,7 +140,7 @@ fn chaos_round(seed: u64) {
         .unwrap();
     feed(&app, ITEMS / 2..ITEMS);
     assert!(
-        await_recovery(&app, Duration::from_secs(20)),
+        await_recovery(app.deployment(), Duration::from_secs(20)),
         "supervisor did not recover (seed {seed}): {:?}",
         app.deployment().metrics()
     );
@@ -199,7 +202,7 @@ fn scaling_between_interval_checkpoints_is_exactly_once() {
     }
     feed(&app, ITEMS / 2..ITEMS);
     assert!(
-        await_recovery(&app, Duration::from_secs(20)),
+        await_recovery(app.deployment(), Duration::from_secs(20)),
         "supervisor did not recover: {:?}",
         app.deployment().metrics()
     );
@@ -243,7 +246,7 @@ fn stalled_worker_is_detected_by_heartbeats_and_recovered() {
     let app = KvApp::start(PARTITIONS, cfg).unwrap();
     feed(&app, 0..ITEMS);
     assert!(
-        await_recovery(&app, Duration::from_secs(20)),
+        await_recovery(app.deployment(), Duration::from_secs(20)),
         "stall was not detected: {:?}",
         app.deployment().metrics()
     );
@@ -262,4 +265,63 @@ fn stalled_worker_is_detected_by_heartbeats_and_recovered() {
         "stall recovery diverged (fault at item {nth} of bump_0#{replica})"
     );
     app.shutdown();
+}
+
+/// One WC run of `LINES` one-word lines whose `split` instance panics on
+/// its 50th line and is respawned by the supervisor. Returns the count of
+/// the word. With `checkpoint`, `count` (one stripe) takes a checkpoint
+/// just before the panic, which trims the whole `split → count` buffer.
+fn respawned_split_count(checkpoint: bool) -> i64 {
+    const LINES: usize = 200;
+    quiet_injected_panics();
+    let plan = FaultPlan::seeded(5).with_worker_panic("split", 0, 50);
+    let mut cfg = RuntimeConfig::builder().faults(plan).build();
+    cfg.supervisor.heartbeat_interval = Duration::from_millis(4);
+    cfg.supervisor.backoff_base = Duration::from_millis(5);
+    if checkpoint {
+        cfg.checkpoint.enabled = true;
+        cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+        cfg.state_stripes = 1;
+    }
+    let app = WcApp::start(1, cfg).unwrap();
+    for _ in 0..49 {
+        app.add_line("a").unwrap();
+    }
+    assert!(app.quiesce(Duration::from_secs(30)));
+    if checkpoint {
+        app.deployment()
+            .reconfigure(ReconfigRequest::Checkpoint)
+            .unwrap();
+    }
+    // The 50th line kills `split` and is lost with it (a stateless
+    // stretch has no replay); every line fed after the respawn must count.
+    app.add_line("a").unwrap();
+    assert!(
+        await_recovery(app.deployment(), Duration::from_secs(20)),
+        "split was not respawned: {:?}",
+        app.deployment().metrics()
+    );
+    for _ in 50..LINES {
+        app.add_line("a").unwrap();
+    }
+    assert!(app.quiesce(Duration::from_secs(30)));
+    let count = app.count("a").unwrap();
+    app.shutdown();
+    count
+}
+
+/// A respawned producer resumes its lane's timestamps where the dead
+/// instance stopped, whether or not its output buffer still holds them:
+/// with checkpointing off nothing is buffered, and a checkpoint covering
+/// the whole buffer trims it empty. Restarting at 1 would make the
+/// consumer's dedupe drop every new item up to the lane's watermark.
+#[test]
+fn a_respawned_producer_never_reuses_its_lanes_timestamps() {
+    for checkpoint in [false, true] {
+        let count = respawned_split_count(checkpoint);
+        assert!(
+            count >= 195,
+            "only {count} of 200 lines counted (checkpoint: {checkpoint})"
+        );
+    }
 }
