@@ -15,32 +15,6 @@ use crate::ids::EdgeId;
 /// A scalar timestamp on one dataflow: strictly increasing per producer.
 pub type ScalarTs = u64;
 
-/// Generator of strictly increasing scalar timestamps for one output
-/// dataflow of one TE instance.
-#[derive(Debug, Default, Clone)]
-pub struct TsGen {
-    next: ScalarTs,
-}
-
-impl TsGen {
-    /// Creates a generator starting at timestamp 1 (0 means "none seen").
-    pub const fn new() -> Self {
-        Self { next: 1 }
-    }
-
-    /// Returns the next timestamp.
-    pub fn tick(&mut self) -> ScalarTs {
-        let ts = self.next;
-        self.next += 1;
-        ts
-    }
-
-    /// Returns the most recently emitted timestamp (0 if none).
-    pub fn last(&self) -> ScalarTs {
-        self.next - 1
-    }
-}
-
 /// A vector timestamp: per input dataflow, the highest scalar timestamp whose
 /// item has been applied to local state.
 ///
@@ -147,16 +121,6 @@ impl fmt::Display for VectorTs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tsgen_is_strictly_increasing_from_one() {
-        let mut gen = TsGen::new();
-        assert_eq!(gen.last(), 0);
-        let a = gen.tick();
-        let b = gen.tick();
-        assert_eq!((a, b), (1, 2));
-        assert_eq!(gen.last(), 2);
-    }
 
     #[test]
     fn observe_never_regresses() {

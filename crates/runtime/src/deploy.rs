@@ -24,10 +24,10 @@ use sdg_common::ids::{EdgeId, StateId, TaskId};
 use sdg_common::obs::{
     DeploymentStats, EventKind, MetricsRegistry, MetricsSnapshot, ObsEvent, TaskInstruments,
 };
-use sdg_common::time::{TsGen, VectorTs};
+use sdg_common::time::VectorTs;
 use sdg_common::value::Record;
 use sdg_graph::alloc::allocate;
-use sdg_graph::model::{AccessMode, Dispatch, Distribution, Sdg, StateDecl, TaskKind};
+use sdg_graph::model::{AccessMode, Dispatch, Distribution, Sdg, StateDecl, TaskDecl, TaskKind};
 use sdg_graph::validate::validate;
 use sdg_ir::analysis::verify::VerifyReport;
 use sdg_ir::te_compiled::CompiledTe;
@@ -54,6 +54,18 @@ const INGEST_BASE: u32 = 2_000_000;
 /// Returns the synthetic ingest edge of an entry task.
 pub fn ingest_edge(task: TaskId) -> EdgeId {
     EdgeId(INGEST_BASE + task.raw())
+}
+
+/// The ingest edge of `task` and how external requests on it are spread
+/// over the task's instances: by key into a partitioned access, to every
+/// instance of a partial-global one, to the shortest queue otherwise.
+fn ingest_flow(task: &TaskDecl) -> (EdgeId, Dispatch) {
+    let dispatch = match task.access.as_ref().map(|a| &a.mode) {
+        Some(AccessMode::Partitioned { key, .. }) => Dispatch::Partitioned { key: key.clone() },
+        Some(AccessMode::PartialGlobal) => Dispatch::OneToAll,
+        _ => Dispatch::OneToAny,
+    };
+    (ingest_edge(task.id), dispatch)
 }
 
 /// Stripe count, partition axis and tracked dirty-chunk space for one SE's
@@ -121,11 +133,6 @@ pub struct RecoveryReport {
     pub total: Duration,
 }
 
-struct IngestLane {
-    ts: TsGen,
-    rr: usize,
-}
-
 pub(crate) struct Inner {
     pub sdg: Arc<Sdg>,
     pub cfg: RuntimeConfig,
@@ -154,7 +161,8 @@ pub(crate) struct Inner {
     pub buffers: Arc<BufferRegistry>,
     sink_tx: Sender<OutputEvent>,
     corr: AtomicU64,
-    ingest: Mutex<HashMap<TaskId, IngestLane>>,
+    /// The shared ingest lane (src 0): one dispatcher per entry task.
+    ingest: Mutex<HashMap<TaskId, OutEdge>>,
     ingest_src: AtomicU32,
     node_cursor: AtomicU32,
     pub(crate) node_of_instance: RwLock<HashMap<(TaskId, u32), u32>>,
@@ -164,7 +172,6 @@ pub(crate) struct Inner {
     /// checkpoint chains. A second take of the same cell, or a re-split
     /// in the middle of one, would fail the cell's checkpoint phases.
     pub(crate) control: Mutex<Control>,
-    pub in_flight: Arc<AtomicU64>,
     /// Deploy-time slot-compilation cache: one [`CompiledTe`] per task,
     /// shared by all replicas (including respawns during recovery and
     /// scale-out).
@@ -183,23 +190,20 @@ pub(crate) struct Inner {
 pub struct IngestHandle {
     inner: Arc<Inner>,
     src: u32,
-    lanes: HashMap<TaskId, (TsGen, usize)>,
+    /// This handle's lane: one dispatcher per entry task.
+    lanes: HashMap<TaskId, OutEdge>,
 }
 
 impl IngestHandle {
     /// Submits a request through this handle's lane; blocks on
     /// backpressure. Returns the correlation id.
     pub fn submit(&mut self, entry: &str, payload: Record) -> SdgResult<u64> {
-        let task = self.inner.find_entry(entry)?.clone();
-        let corr = self.inner.corr.fetch_add(1, Ordering::Relaxed);
-        let (ts_gen, rr) = self
+        let task = self.inner.find_entry(entry)?;
+        let out = self
             .lanes
             .entry(task.id)
-            .or_insert((TsGen::new(), self.src as usize));
-        let ts = ts_gen.tick();
-        let inner = Arc::clone(&self.inner);
-        inner.ingest_dispatch(&task, payload, corr, self.src, ts, rr)?;
-        Ok(corr)
+            .or_insert_with(|| self.inner.ingest_out(task, self.src));
+        self.inner.request(out, self.src, payload)
     }
 }
 
@@ -294,7 +298,6 @@ impl Deployment {
             node_of_instance: RwLock::new(HashMap::new()),
             stores,
             control: Mutex::default(),
-            in_flight: Arc::new(AtomicU64::new(0)),
             compiled: Mutex::new(HashMap::new()),
             pool,
             stop: Arc::new(AtomicBool::new(false)),
@@ -522,11 +525,12 @@ impl Deployment {
         let deadline = Instant::now() + timeout;
         let all = || self.inner.targets.values().map(|t| t.read());
         loop {
-            if self.inner.drained(all()) {
-                // Double-check after a grace period: an actor may be
-                // between its mailbox pop and the in-flight increment.
+            if Inner::drained(all()) {
+                // Double-check after a grace period: one pass reads the
+                // instances one at a time, so an item forwarded into an
+                // instance already read can slip past it.
                 std::thread::sleep(Duration::from_millis(2));
-                if self.inner.drained(all()) {
+                if Inner::drained(all()) {
                     return true;
                 }
             }
@@ -607,18 +611,17 @@ impl Inner {
         }
     }
 
-    /// `true` when no item waits in the mailboxes of `lists` and none is
-    /// mid-processing. The lists are visited one at a time, so a caller
-    /// may pass read guards it takes lazily or write guards it holds.
-    pub(crate) fn drained<L>(&self, lists: impl IntoIterator<Item = L>) -> bool
+    /// `true` when every instance in `lists` is quiet: no item waits in
+    /// its mailbox and none is mid-processing. The lists are visited one
+    /// at a time, so a caller may pass read guards it takes lazily or
+    /// write guards it holds.
+    pub(crate) fn drained<L>(lists: impl IntoIterator<Item = L>) -> bool
     where
         L: std::ops::Deref<Target = Vec<PoolSender>>,
     {
-        let queued: usize = lists
+        lists
             .into_iter()
-            .map(|l| l.iter().map(|s| s.len()).sum::<usize>())
-            .sum();
-        queued == 0 && self.in_flight.load(Ordering::Acquire) == 0
+            .all(|l| l.iter().all(PoolSender::is_quiet))
     }
 
     /// Allocates the next fresh cluster node.
@@ -740,15 +743,13 @@ impl Inner {
             alive,
             obs: Arc::clone(&self.instruments[&task_id]),
             e2e: Arc::clone(self.obs.e2e_latency()),
-            dedupe: true,
-            in_flight: Arc::clone(&self.in_flight),
             work_debt: Duration::ZERO,
             task: task_id,
             heartbeat,
             // A respawned replica shares the original (spent) trigger, so
             // a recovered worker does not re-fail on the replayed item.
             fault: self.injector.trigger_for(task_id, replica),
-            hub: Some(Arc::clone(&self.failure_hub)),
+            hub: Arc::clone(&self.failure_hub),
         };
         let tx = self.pool.spawn_actor(worker, self.cfg.channel_capacity);
 
@@ -768,7 +769,7 @@ impl Inner {
         Ok(())
     }
 
-    fn find_entry(&self, entry: &str) -> SdgResult<&sdg_graph::model::TaskDecl> {
+    fn find_entry(&self, entry: &str) -> SdgResult<&TaskDecl> {
         self.sdg
             .tasks
             .iter()
@@ -778,104 +779,54 @@ impl Inner {
             .ok_or_else(|| SdgError::NotFound(format!("entry point `{entry}`")))
     }
 
-    /// Dispatches one external request into the entry task's instances.
-    ///
-    /// `src` distinguishes ingest lanes: each submitter handle owns one so
-    /// duplicate detection stays per-producer; `ts` must increase per
-    /// `(entry, src)`.
-    fn ingest_dispatch(
-        &self,
-        task: &sdg_graph::model::TaskDecl,
-        payload: Record,
-        corr: u64,
-        src: u32,
-        ts: sdg_common::time::ScalarTs,
-        rr: &mut usize,
-    ) -> SdgResult<()> {
-        let edge = ingest_edge(task.id);
-        let targets = self.targets[&task.id].read();
-        let n = targets.len();
-        if n == 0 {
-            return Err(SdgError::Runtime(format!(
-                "entry `{}` has no running instances",
-                task.name
-            )));
-        }
-        // Broadcast ingestion for global-access entries, keyed dispatch for
-        // partitioned ones, shortest-queue otherwise.
-        let idxs: Vec<usize> = match task.access.as_ref().map(|a| &a.mode) {
-            Some(AccessMode::Partitioned { key, .. }) => {
-                let k = payload.require(key)?.to_key()?;
-                vec![(k.stable_hash() % n as u64) as usize]
-            }
-            Some(AccessMode::PartialGlobal) => (0..n).collect(),
-            _ => {
-                let start = *rr % n;
-                *rr = rr.wrapping_add(1);
-                let mut idx = start;
-                let mut best = usize::MAX;
-                for off in 0..n {
-                    let candidate = (start + off) % n;
-                    let depth = targets[candidate].len();
-                    if depth < best {
-                        best = depth;
-                        idx = candidate;
-                    }
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                vec![idx]
-            }
-        };
-        let expect = idxs.len() as u32;
-        let submitted_at = Some(Instant::now());
-        // One refcounted allocation shared across every broadcast target
-        // and the output-buffer log — fan-out is a refcount bump.
-        let shared = Arc::new(payload);
-        for idx in idxs {
-            let item = Item {
-                edge,
-                src_replica: src,
-                ts,
-                corr,
-                expect,
-                payload: Arc::clone(&shared),
-                submitted_at,
-            };
-            if self.cfg.checkpoint.enabled {
-                let key = BufferKey {
-                    edge,
-                    src,
-                    dst: idx as u32,
-                };
-                self.buffers
-                    .get(key)
-                    .lock()
-                    .push_live(ts, corr, expect, Arc::clone(&shared));
-            }
-            targets[idx]
-                .send(WorkerMsg::Item(item))
-                .map_err(|_| SdgError::Runtime("entry channel closed".into()))?;
-        }
-        Ok(())
+    /// The dispatcher of ingest lane `src` into `task`: its timestamps
+    /// continue the lane's clock, so they outlive the handle.
+    fn ingest_out(&self, task: &TaskDecl, src: u32) -> OutEdge {
+        let (edge, dispatch) = ingest_flow(task);
+        OutEdge::new(
+            edge,
+            src,
+            dispatch,
+            Vec::new(),
+            Arc::clone(&self.targets[&task.id]),
+            src as usize,
+            Arc::clone(&self.buffers),
+            self.cfg.checkpoint.enabled,
+        )
+    }
+
+    /// Sends one external request through lane `src`'s dispatcher `out`;
+    /// returns its correlation id.
+    fn request(&self, out: &mut OutEdge, src: u32, payload: Record) -> SdgResult<u64> {
+        let corr = self.corr.fetch_add(1, Ordering::Relaxed);
+        out.send(src, &Arc::new(payload), corr, 1, Some(Instant::now()))?;
+        Ok(corr)
     }
 
     fn submit(&self, entry: &str, payload: Record) -> SdgResult<u64> {
         let task = self.find_entry(entry)?;
-        let corr = self.corr.fetch_add(1, Ordering::Relaxed);
         // The shared path funnels through one ingest lane (src 0); heavy
         // multi-threaded feeders should use `Deployment::ingest_handle`.
-        // The lane lock is held across the dispatch so concurrent callers
+        // The lane lock is held across the send so concurrent callers
         // deliver and log their timestamps in the order they ticked them.
         let mut ingest = self.ingest.lock();
-        let lane_state = ingest.entry(task.id).or_insert(IngestLane {
-            ts: TsGen::new(),
-            rr: 0,
-        });
-        let ts = lane_state.ts.tick();
-        self.ingest_dispatch(task, payload, corr, 0, ts, &mut lane_state.rr)?;
-        Ok(corr)
+        let out = ingest
+            .entry(task.id)
+            .or_insert_with(|| self.ingest_out(task, 0));
+        self.request(out, 0, payload)
+    }
+
+    /// Every edge into `task` with its dispatch, its ingest edge included:
+    /// the lanes a checkpoint of its state trims and a recovery replays.
+    fn in_edges(&self, task: &TaskDecl) -> Vec<(EdgeId, Dispatch)> {
+        let mut edges: Vec<(EdgeId, Dispatch)> = self
+            .sdg
+            .flows_to(task.id)
+            .iter()
+            .map(|f| (f.id, f.dispatch.clone()))
+            .collect();
+        edges.push(ingest_flow(task));
+        edges
     }
 
     pub(crate) fn checkpoint_all(&self, ctl: &mut Control) -> SdgResult<()> {
@@ -935,11 +886,7 @@ impl Inner {
     /// checkpoint's vector watermarks.
     fn trim_for(&self, state: StateId, replica: u32, set: &BackupSet) {
         for task in self.sdg.tasks_accessing(state) {
-            let mut edges: Vec<EdgeId> = self.sdg.flows_to(task.id).iter().map(|f| f.id).collect();
-            if matches!(task.kind, TaskKind::Entry { .. }) {
-                edges.push(ingest_edge(task.id));
-            }
-            for edge in edges {
+            for (edge, _) in self.in_edges(task) {
                 for (src, _) in self.buffers.buffers_into(edge, replica) {
                     let wm = set.vector.get(lane(edge, src));
                     self.buffers.trim(
@@ -1080,18 +1027,9 @@ impl Inner {
         // in every lane so their (older) timestamps pass the filter.
         let mut replayed = 0usize;
         for (i, &task_id) in affected.iter().enumerate() {
-            let task = self.sdg.task(task_id)?;
-            let mut edges: Vec<(EdgeId, &VectorTs)> = self
-                .sdg
-                .flows_to(task_id)
-                .iter()
-                .map(|f| (f.id, replay_watermarks(&f.dispatch, &floor, &frontier)))
-                .collect();
-            if matches!(task.kind, TaskKind::Entry { .. }) {
-                edges.push((ingest_edge(task_id), &frontier));
-            }
             let sender = guards[i][replica as usize].clone();
-            for (edge, watermarks) in edges {
+            for (edge, dispatch) in self.in_edges(self.sdg.task(task_id)?) {
+                let watermarks = replay_watermarks(&dispatch, &floor, &frontier);
                 for (src, buf) in self.buffers.buffers_into(edge, replica) {
                     let wm = watermarks.get(lane(edge, src));
                     for buffered in buf.lock().replay_after(wm) {
@@ -1557,6 +1495,12 @@ mod tests {
             "recovery is exactly-once"
         );
         d.shutdown();
+    }
+
+    #[test]
+    fn an_ingest_handle_can_move_to_a_feeder_thread() {
+        fn is_send<T: Send>() {}
+        is_send::<IngestHandle>();
     }
 
     #[test]

@@ -274,22 +274,19 @@ pub(crate) struct PanicProbe {
     pub task: TaskId,
     pub replica: u32,
     pub label: String,
-    pub hub: Option<Arc<FailureHub>>,
+    pub hub: Arc<FailureHub>,
 }
 
 impl PanicProbe {
-    /// Reports a caught panic to the hub (no-op without one, e.g. for
-    /// bare workers built by scheduler unit tests).
+    /// Reports a caught panic to the hub.
     pub(crate) fn report(&self, payload: &(dyn std::any::Any + Send)) {
-        if let Some(hub) = &self.hub {
-            hub.report(FailureReport {
-                task: self.task,
-                replica: self.replica,
-                label: self.label.clone(),
-                message: panic_message(payload),
-                at: Instant::now(),
-            });
-        }
+        self.hub.report(FailureReport {
+            task: self.task,
+            replica: self.replica,
+            label: self.label.clone(),
+            message: panic_message(payload),
+            at: Instant::now(),
+        });
     }
 }
 

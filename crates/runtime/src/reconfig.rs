@@ -417,10 +417,13 @@ fn accessing_sorted(inner: &Inner, state: StateId) -> Vec<TaskId> {
 }
 
 /// Pauses the producers into every task accessing `state`: write-locks
-/// their target lists in task-id order, then waits (up to 5 s) until the
-/// held queues are empty and nothing is mid-processing, so a migration
-/// sees a consistent key population. Returns the tasks, their held guards
-/// and the wait, which is also logged as `trigger`'s `RepartitionDrain`.
+/// their target lists in task-id order, then waits (up to 5 s) until each
+/// of those tasks' instances is quiet — mailbox empty, no item
+/// mid-processing — so a migration sees a consistent key population.
+/// Instances of other tasks are not waited on: a producer blocked on a
+/// held guard has nothing in the paused mailboxes. Returns the tasks,
+/// their held guards and the wait, which is also logged as `trigger`'s
+/// `RepartitionDrain`.
 fn pause(
     inner: &Inner,
     state: StateId,
@@ -434,8 +437,12 @@ fn pause(
     let guards: Vec<_> = tasks.iter().map(|t| inner.targets[t].write()).collect();
     let t0 = Instant::now();
     let deadline = t0 + Duration::from_secs(5);
-    // Past the deadline, proceed: duplicate filtering keeps this safe.
-    while !inner.drained(guards.iter().map(|g| &**g)) && Instant::now() < deadline {
+    // Past the deadline, proceed. That is not safe: an item still queued or
+    // mid-handle then lands on a re-split cell whose merged vector may
+    // already cover its timestamp, and dedupe drops it. It happens only
+    // when a paused actor cannot finish: it sends into another paused task,
+    // or every pool thread is blocked on a held guard.
+    while !Inner::drained(guards.iter().map(|g| &**g)) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
     let waited = t0.elapsed();

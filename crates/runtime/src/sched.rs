@@ -162,8 +162,8 @@ impl PoolSender {
         self.actor.push(msg, true)
     }
 
-    /// Messages queued in the mailbox (join-shortest-queue dispatch, drain
-    /// barriers, queue-depth gauges).
+    /// Messages queued in the mailbox (join-shortest-queue dispatch,
+    /// queue-depth gauges, hang detection).
     pub fn len(&self) -> usize {
         self.actor.mb.lock().expect("mailbox lock").queue.len()
     }
@@ -180,6 +180,16 @@ impl PoolSender {
     /// credit, or serving synthetic service time.
     pub(crate) fn is_running(&self) -> bool {
         self.actor.mb.lock().expect("mailbox lock").state == RunState::Running
+    }
+
+    /// Whether the actor is done with every message sent to it so far: its
+    /// mailbox is empty and it does not hold a pool thread. Both are read
+    /// under one mailbox lock, and an actor is `Running` from before its
+    /// pop until its slice ends, so an item mid-`handle` (stalled,
+    /// blocked, or sending) is never quiet. Drain barriers ask this.
+    pub(crate) fn is_quiet(&self) -> bool {
+        let mb = self.actor.mb.lock().expect("mailbox lock");
+        mb.queue.is_empty() && mb.state != RunState::Running
     }
 }
 
@@ -1014,6 +1024,29 @@ mod tests {
             })
             .collect();
         assert_eq!(corrs, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn an_actor_is_quiet_only_with_an_empty_mailbox_and_no_pool_thread() {
+        let (_shared, actor) = shell(1, 4);
+        let tx = PoolSender {
+            actor: Arc::clone(&actor),
+        };
+        assert!(tx.is_quiet());
+        actor.push(marker(0), true).unwrap();
+        assert!(!tx.is_quiet(), "a queued item");
+        // A worker popped the item and is still handling it.
+        actor.mb.lock().unwrap().state = RunState::Running;
+        assert!(actor.pop().0.is_some());
+        assert!(!tx.is_quiet(), "an item mid-handle");
+        for after in [
+            RunState::Idle,
+            RunState::Suspended,
+            RunState::Resting(Instant::now()),
+        ] {
+            actor.mb.lock().unwrap().state = after;
+            assert!(tx.is_quiet(), "{after:?}");
+        }
     }
 
     #[test]

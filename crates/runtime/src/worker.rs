@@ -505,11 +505,6 @@ pub struct Worker {
     pub obs: Arc<TaskInstruments>,
     /// Deployment-wide end-to-end latency histogram.
     pub e2e: Arc<Histogram>,
-    /// Dedupe switch: duplicate filtering needs a cell; stateless tasks
-    /// pass everything through.
-    pub dedupe: bool,
-    /// Global count of in-flight items, used by scale/drain barriers.
-    pub in_flight: Arc<AtomicU64>,
     /// Accumulated synthetic service time not yet rested: the pool rests
     /// the actor on its timer heap once this reaches 1 ms.
     pub work_debt: Duration,
@@ -520,9 +515,8 @@ pub struct Worker {
     pub heartbeat: Arc<AtomicU64>,
     /// Armed injection point from the deployment's fault plan, if any.
     pub fault: Option<Arc<FaultTrigger>>,
-    /// Where the pool's panic boundary reports caught panics. Absent only
-    /// for bare workers built by unit tests.
-    pub hub: Option<Arc<FailureHub>>,
+    /// Where the pool's panic boundary reports caught panics.
+    pub hub: Arc<FailureHub>,
 }
 
 impl Worker {
@@ -562,7 +556,7 @@ impl Worker {
             task: self.task,
             replica: self.replica,
             label: format!("{}#{}", self.name, self.replica),
-            hub: self.hub.clone(),
+            hub: Arc::clone(&self.hub),
         }
     }
 
@@ -603,11 +597,9 @@ impl Worker {
         } else {
             item
         };
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
         let t0 = Instant::now();
         let r = self.process(&item);
         self.obs.service.record(t0.elapsed().as_nanos() as u64);
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
         if r.is_err() {
             self.obs.errors.inc();
         }
@@ -703,8 +695,8 @@ impl Worker {
         let code = &self.code;
         let scratch = &mut self.scratch;
         let replica = self.replica;
-        let effects = match (&self.cell, self.dedupe) {
-            (Some(cell), true) => {
+        let effects = match &self.cell {
+            Some(cell) => {
                 let lane = lane(item.edge, item.src_replica);
                 match cell.apply_routed(lane, item.ts, route, |store| {
                     execute_prepared(code, &item.payload, Some(store), replica, scratch)
@@ -717,16 +709,7 @@ impl Worker {
                     Some(r) => r?,
                 }
             }
-            (Some(cell), false) => cell.with_routed(route, |inner| {
-                execute_prepared(
-                    code,
-                    &item.payload,
-                    Some(&mut inner.store),
-                    replica,
-                    scratch,
-                )
-            })?,
-            (None, _) => execute_prepared(code, &item.payload, None, replica, scratch)?,
+            None => execute_prepared(code, &item.payload, None, replica, scratch)?,
         };
         self.obs.processed.inc();
         self.obs.emits.add(effects.emits.len() as u64);

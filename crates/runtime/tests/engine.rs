@@ -3,17 +3,25 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use sdg_common::error::SdgResult;
 use sdg_common::ids::StateId;
 use sdg_common::obs::EventKind;
 use sdg_common::record;
-use sdg_common::value::{Key, Value};
+use sdg_common::value::{Key, Record, Value};
+use sdg_graph::model::{
+    AccessMode, Dispatch, Distribution, NativeTask, SdgBuilder, StateAccessEdge, TaskCode,
+    TaskContext, TaskKind,
+};
 use sdg_ir::parser::parse_program;
 use sdg_runtime::config::{RuntimeConfig, ScalingConfig};
 use sdg_runtime::deploy::Deployment;
+use sdg_runtime::fault::FaultPlan;
 use sdg_runtime::reconfig::ReconfigRequest;
+use sdg_state::partition::PartitionDim;
+use sdg_state::store::StateType;
 use sdg_translate::translate;
 
 /// Instruments-backed instance count of `task` (0 when absent).
@@ -428,7 +436,9 @@ fn default_configuration_takes_deltas_and_recovers_from_the_chain() {
 /// Recovery replays each lane past the restored cut's frontier, not past
 /// the stripes' minimum: with the stripe hash correlated with the
 /// partition hash, half of a replica's stripes never see a key, so the
-/// minimum reads 0 and would re-send everything since deploy.
+/// minimum reads 0 and would re-send everything since deploy. The shared
+/// lane and two private ingest lanes carry the bumps; one private lane
+/// starts only after the checkpoint.
 #[test]
 fn recovery_replays_only_the_items_after_the_checkpoint() {
     const PRELOAD: i64 = 400;
@@ -445,14 +455,23 @@ fn recovery_replays_only_the_items_after_the_checkpoint() {
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
     };
+    let mut lanes = [d.ingest_handle().unwrap(), d.ingest_handle().unwrap()];
+    let mut bump = |k: i64, lane: i64| {
+        let payload = record! {"k" => Value::Int(k)};
+        match lane {
+            0 => d.submit("bump", payload),
+            n => lanes[n as usize - 1].submit("bump", payload),
+        }
+        .unwrap();
+    };
     for k in 0..PRELOAD {
-        d.submit("bump", record! {"k" => Value::Int(k)}).unwrap();
+        bump(k, k % 2);
     }
     assert!(d.quiesce(Duration::from_secs(30)));
     d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
     // Bump most keys again: a bump applied twice would read one too high.
     for k in 0..AFTER {
-        d.submit("bump", record! {"k" => Value::Int(k)}).unwrap();
+        bump(k, k % 3);
     }
     assert!(d.quiesce(Duration::from_secs(30)));
     let before = (table(0), table(1));
@@ -1061,5 +1080,155 @@ fn quiesce_and_shutdown_are_clean_on_idle_deployment() {
     let (d, _kv) = deploy_kv(1, false);
     assert!(d.quiesce(Duration::from_secs(1)));
     assert_eq!(d.stats().processed, 0);
+    d.shutdown();
+}
+
+/// A scale-out waits for an item stalled inside `handle`: an instance is
+/// busy while it holds a pool thread, whatever counter it has or has not
+/// raised yet. Exported before the stalled bump applied, the group's
+/// merged vector would cover the bump's timestamp, and the re-split cell
+/// would drop it as a duplicate.
+#[test]
+fn scale_out_waits_for_an_item_stalled_mid_handle() {
+    let prog = parse_program(KV_SRC).unwrap();
+    let sdg = translate(&prog).unwrap();
+    let kv = sdg.state_by_name("kv").unwrap().id;
+    let bump = sdg.task_by_name("bump_0").unwrap().id;
+    let mut cfg = RuntimeConfig::default();
+    cfg.se_instances.insert(kv, 2);
+    cfg.faults =
+        Some(FaultPlan::seeded(0).with_worker_stall("bump_0", 0, 1, Duration::from_millis(500)));
+    let d = Deployment::start(sdg, cfg).unwrap();
+
+    let hash = |k: i64| Key::Int(k).stable_hash();
+    // On replica 0 before the scale-out, and off it after.
+    let stalled = (0..)
+        .find(|&k| hash(k) % 2 == 0 && hash(k) % 3 != 0)
+        .unwrap();
+    d.submit("bump", record! {"k" => Value::Int(stalled)})
+        .unwrap();
+    for k in (0..).filter(|&k| hash(k) % 2 == 1).take(20) {
+        d.submit("bump", record! {"k" => Value::Int(k)}).unwrap();
+    }
+    d.reconfigure(ReconfigRequest::ScaleOut { task: bump })
+        .unwrap();
+    assert!(d.quiesce(Duration::from_secs(10)));
+    assert_eq!(total_count(&d, kv), 21, "the stalled bump was lost");
+    let stalled_key = Key::Int(stalled);
+    for replica in 0..3u32 {
+        let held = d
+            .with_state(kv, replica, |s| {
+                s.as_table().unwrap().get(&stalled_key).is_some()
+            })
+            .unwrap();
+        assert_eq!(
+            held,
+            hash(stalled) % 3 == replica as u64,
+            "replica {replica}"
+        );
+    }
+    d.shutdown();
+}
+
+/// Holds its item inside `process` from the first barrier to the second,
+/// then forwards it.
+struct Gate {
+    entered: Arc<Barrier>,
+    release: Arc<Barrier>,
+}
+
+impl NativeTask for Gate {
+    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+        self.entered.wait();
+        self.release.wait();
+        ctx.forward(input);
+        Ok(())
+    }
+}
+
+/// Counts items in its table under the record's `k`.
+struct Count;
+
+impl NativeTask for Count {
+    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+        let key = input.require("k")?.to_key()?;
+        let table = ctx.state().expect("stateful").as_table()?;
+        table.update(key, |v| {
+            Value::Int(v.map(|x| x.as_int().unwrap_or(0)).unwrap_or(0) + 1)
+        });
+        Ok(())
+    }
+}
+
+/// A scale-out's drain barrier waits only on the instances of the tasks
+/// that access the re-split state. A stateless producer holding the only
+/// pool thread mid-item has nothing in their mailboxes, so the barrier
+/// must not wait for it.
+#[test]
+fn scale_out_does_not_wait_for_a_producer_blocked_mid_item() {
+    let mut b = SdgBuilder::new();
+    let counts = b.add_state(
+        "counts",
+        StateType::Table,
+        Distribution::Partitioned {
+            dim: PartitionDim::Row,
+        },
+    );
+    let entered = Arc::new(Barrier::new(2));
+    let release = Arc::new(Barrier::new(2));
+    let gate = b.add_task(
+        "gate",
+        TaskKind::Entry {
+            method: "feed".into(),
+        },
+        TaskCode::Native(Arc::new(Gate {
+            entered: Arc::clone(&entered),
+            release: Arc::clone(&release),
+        })),
+        None,
+    );
+    let count = b.add_task(
+        "count",
+        TaskKind::Compute,
+        TaskCode::Native(Arc::new(Count)),
+        Some(StateAccessEdge {
+            state: counts,
+            mode: AccessMode::Partitioned {
+                key: "k".into(),
+                dim: PartitionDim::Row,
+            },
+            writes: true,
+        }),
+    );
+    b.connect(
+        gate,
+        count,
+        Dispatch::Partitioned { key: "k".into() },
+        vec!["k".into()],
+    );
+    let mut cfg = RuntimeConfig {
+        sched_threads: 1,
+        ..RuntimeConfig::default()
+    };
+    cfg.se_instances.insert(counts, 2);
+    let d = Deployment::start(b.build().unwrap(), cfg).unwrap();
+
+    d.submit("feed", record! {"k" => Value::Int(7)}).unwrap();
+    entered.wait();
+    let report = d.reconfigure(ReconfigRequest::ScaleOut { task: count });
+    release.wait();
+    let report = report.unwrap();
+    assert!(
+        report.drain < Duration::from_secs(1),
+        "drain {:?}",
+        report.drain
+    );
+    assert_eq!(report.se_instances, 3);
+    assert!(d.quiesce(Duration::from_secs(10)));
+    let replica = (Key::Int(7).stable_hash() % 3) as u32;
+    let held = d
+        .with_state(counts, replica, |s| s.as_table().unwrap().get(&Key::Int(7)))
+        .unwrap();
+    assert_eq!(held, Some(Value::Int(1)));
     d.shutdown();
 }
