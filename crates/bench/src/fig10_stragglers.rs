@@ -39,8 +39,9 @@ pub struct Fig10Sample {
 pub struct Fig10Result {
     /// Throughput/instances samples.
     pub timeline: Vec<Fig10Sample>,
-    /// Structured scale-out events (with bottleneck detections) from the
-    /// deployment's event log.
+    /// Structured scale-out and scale-in events (with bottleneck
+    /// detections) from the deployment's event log, recorded while the
+    /// feeder ran.
     pub events: Vec<ObsEvent>,
 }
 
@@ -142,19 +143,23 @@ pub fn run(scale: Scale) -> Fig10Result {
             instances,
         });
     }
-    stop.store(true, Ordering::Release);
-    let _ = feeder.join();
-    let _ = deployment.quiesce(Duration::from_secs(60));
+    // The scale events of the timeline: taken before the feeder stops, so
+    // a scale-in here happened under load.
     let events: Vec<ObsEvent> = deployment
         .events()
         .into_iter()
         .filter(|e| {
             matches!(
                 e.kind,
-                EventKind::ScaleOut { .. } | EventKind::BottleneckDetected { .. }
+                EventKind::ScaleOut { .. }
+                    | EventKind::ScaleIn { .. }
+                    | EventKind::BottleneckDetected { .. }
             )
         })
         .collect();
+    stop.store(true, Ordering::Release);
+    let _ = feeder.join();
+    let _ = deployment.quiesce(Duration::from_secs(60));
     crate::util::publish_snapshot("sdg-cf straggler", deployment.metrics());
     Arc::try_unwrap(deployment)
         .ok()
@@ -184,6 +189,14 @@ pub fn print(result: &Fig10Result) {
                 node,
             } => println!(
                 "  t={:.2}s task {task} -> {instances} instances (node n{node})",
+                e.at.as_secs_f64(),
+            ),
+            EventKind::ScaleIn {
+                task,
+                instances,
+                node,
+            } => println!(
+                "  t={:.2}s task {task} -> {instances} instances (node n{node} released)",
                 e.at.as_secs_f64(),
             ),
             EventKind::BottleneckDetected { task, fill } => println!(
@@ -224,5 +237,11 @@ mod tests {
         );
         let final_instances = result.timeline.last().unwrap().instances;
         assert!(final_instances > 1);
+        // `addRating_1` stays busy, so its `coOcc` group never shrinks under
+        // load, even though the group's `getRec_1` sees no traffic.
+        let scale_ins: Vec<_> = (result.events.iter())
+            .filter(|e| matches!(e.kind, EventKind::ScaleIn { .. }))
+            .collect();
+        assert!(scale_ins.is_empty(), "scale-in under load: {scale_ins:?}");
     }
 }

@@ -56,17 +56,16 @@ pub struct ScalingConfig {
     pub high_watermark: f64,
     /// Consecutive saturated samples before scaling out.
     pub patience: u32,
-    /// Upper bound on instances per task.
+    /// Upper bound on instances per state group. Scale-in stops at the
+    /// group's deploy-time instance count.
     pub max_instances: u32,
-    /// A scaled-out task is idle when its mean queue depth falls below this
+    /// A task is idle when its mean queue depth falls below this
     /// fraction of channel capacity. Must stay below `high_watermark`.
     pub low_watermark: f64,
     /// Consecutive idle samples before scaling in. Deliberately larger than
     /// `patience` by default: scale-in migrates state, so the monitor should
     /// be slower to reclaim than to grow.
     pub idle_patience: u32,
-    /// Lower bound on instances per task — scale-in never goes below this.
-    pub min_instances: u32,
 }
 
 impl Default for ScalingConfig {
@@ -79,7 +78,6 @@ impl Default for ScalingConfig {
             max_instances: 8,
             low_watermark: 0.1,
             idle_patience: 5,
-            min_instances: 1,
         }
     }
 }
@@ -102,13 +100,8 @@ impl ScalingConfig {
                 "scaling.low_watermark must be below high_watermark".into(),
             ));
         }
-        if self.min_instances == 0 {
-            return Err(SdgError::Config("scaling.min_instances must be ≥ 1".into()));
-        }
-        if self.min_instances > self.max_instances {
-            return Err(SdgError::Config(
-                "scaling.min_instances must not exceed max_instances".into(),
-            ));
+        if self.max_instances == 0 {
+            return Err(SdgError::Config("scaling.max_instances must be ≥ 1".into()));
         }
         Ok(())
     }
@@ -488,16 +481,7 @@ mod tests {
 
         let cfg = RuntimeConfig::builder()
             .scaling(ScalingConfig {
-                min_instances: 0,
-                ..Default::default()
-            })
-            .build();
-        assert!(cfg.validate().is_err());
-
-        let cfg = RuntimeConfig::builder()
-            .scaling(ScalingConfig {
-                min_instances: 9,
-                max_instances: 8,
+                max_instances: 0,
                 ..Default::default()
             })
             .build();
@@ -508,7 +492,6 @@ mod tests {
                 enabled: true,
                 low_watermark: 0.05,
                 idle_patience: 2,
-                min_instances: 2,
                 ..Default::default()
             })
             .build();

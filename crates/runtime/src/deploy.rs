@@ -42,7 +42,7 @@ use crate::fault::{
 };
 use crate::item::{lane, Item};
 use crate::reconfig::{self, ReconfigReport, ReconfigRequest};
-use crate::scaling::{run_scaling_monitor, ScaleDirection, StopWait};
+use crate::scaling::{run_scaling_monitor, Groups, Sample, ScaleDirection, StopWait};
 use crate::sched::{Pool, PoolSender};
 use crate::worker::{BufferKey, BufferRegistry, OutEdge, PreparedCode, Targets, Worker, WorkerMsg};
 
@@ -178,8 +178,7 @@ pub(crate) struct Inner {
     compiled: Mutex<HashMap<TaskId, Arc<CompiledTe>>>,
     /// The work-stealing pool running every TE instance as an actor.
     pool: Arc<Pool>,
-    stop: Arc<AtomicBool>,
-    /// Parks the controller threads between ticks; notified at shutdown so
+    /// Parks the controller threads between ticks; stopped at shutdown so
     /// they exit without sleeping out their interval.
     stop_wait: StopWait,
     pub started: Instant,
@@ -300,8 +299,7 @@ impl Deployment {
             control: Mutex::default(),
             compiled: Mutex::new(HashMap::new()),
             pool,
-            stop: Arc::new(AtomicBool::new(false)),
-            stop_wait: StopWait::new(),
+            stop_wait: StopWait::default(),
             started: Instant::now(),
         });
 
@@ -348,29 +346,21 @@ impl Deployment {
         if self.inner.cfg.checkpoint.enabled {
             let inner = Arc::clone(&self.inner);
             control.push(std::thread::spawn(move || {
-                let interval = inner.cfg.checkpoint.interval;
-                // Park in small slices so long intervals stay interruptible;
-                // only checkpoint when a full interval has elapsed. The
-                // stop-aware wait returns immediately when shutdown fires.
+                // A checkpoint every `interval` since start: a slow one does
+                // not shift the ones after it.
+                let (interval, stop) = (inner.cfg.checkpoint.interval, &inner.stop_wait);
                 let mut due = interval;
-                loop {
-                    if inner
-                        .stop_wait
-                        .wait(&inner.stop, interval.min(Duration::from_millis(50)))
-                    {
-                        break;
-                    }
-                    if inner.started.elapsed() >= due {
-                        due += interval;
-                        let _ = reconfig::execute(&inner, ReconfigRequest::Checkpoint);
-                    }
+                while !stop.wait(due.saturating_sub(inner.started.elapsed())) {
+                    due = due.saturating_add(interval);
+                    let _ = reconfig::execute(&inner, ReconfigRequest::Checkpoint);
                 }
             }));
         }
         if self.inner.cfg.scaling.enabled {
             let inner = Arc::clone(&self.inner);
+            let groups = Groups::new(&inner.sdg, &Sample::take(&inner));
             control.push(std::thread::spawn(move || {
-                run_scaling_monitor(&inner);
+                run_scaling_monitor(&inner, groups);
             }));
         }
         if self.inner.cfg.supervisor.enabled {
@@ -543,10 +533,7 @@ impl Deployment {
 
     /// Stops all workers and controllers, joining their threads.
     pub fn shutdown(self) {
-        self.inner.stop.store(true, Ordering::Release);
-        // Wake the parked controllers so they observe the flag now instead
-        // of sleeping out their check interval.
-        self.inner.stop_wait.notify();
+        self.inner.stop_wait.stop();
         for t in self.inner.targets.values() {
             for sender in t.read().iter() {
                 // `force_send` so a full mailbox cannot block shutdown: Stop
@@ -1062,10 +1049,6 @@ impl Inner {
             replayed,
             total,
         })
-    }
-
-    pub(crate) fn stop_flag(&self) -> &Arc<AtomicBool> {
-        &self.stop
     }
 
     pub(crate) fn stop_wait(&self) -> &StopWait {

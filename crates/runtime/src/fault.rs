@@ -411,14 +411,7 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
     let mut pending: VecDeque<PendingRecovery> = VecDeque::new();
     let mut queued: HashSet<RecoveryUnit> = HashSet::new();
 
-    loop {
-        if inner
-            .stop_wait()
-            .wait(inner.stop_flag(), cfg.heartbeat_interval)
-        {
-            break;
-        }
-
+    while !inner.stop_wait().wait(cfg.heartbeat_interval) {
         // 1. Caught panics: precise detection timestamps.
         for report in inner.failure_hub().drain() {
             obs.faults()

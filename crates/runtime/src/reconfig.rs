@@ -29,7 +29,7 @@ use sdg_common::ids::{StateId, TaskId};
 use sdg_common::obs::EventKind;
 use sdg_common::time::VectorTs;
 use sdg_common::value::Key;
-use sdg_graph::model::Distribution;
+use sdg_graph::model::{Distribution, Sdg};
 use sdg_state::entry::StateEntry;
 use sdg_state::partition::{owner_changes, PartitionDim};
 use sdg_state::store::{StateStore, StateType};
@@ -222,7 +222,7 @@ fn scale_in(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<Migr
             )))
         }
         Distribution::Partial => {
-            check_partial_merge(inner, &decl.name)?;
+            check_partial_merge(&inner.sdg, &decl.name)?;
             "replica"
         }
         Distribution::Partitioned { .. } => "partition",
@@ -279,8 +279,8 @@ fn scale_out_partial(inner: &Inner, state: StateId, trigger: TaskId) -> SdgResul
 /// the merge function outside its usual read-all barrier, so an unsound
 /// merge could corrupt the surviving aggregate. A graph without a report
 /// is trusted.
-fn check_partial_merge(inner: &Inner, name: &str) -> SdgResult<()> {
-    match inner.sdg.verify.as_deref().and_then(|r| r.se(name)) {
+pub(crate) fn check_partial_merge(sdg: &Sdg, name: &str) -> SdgResult<()> {
+    match sdg.verify.as_deref().and_then(|r| r.se(name)) {
         Some(cert) if !cert.merge_sound => Err(SdgError::Runtime(format!(
             "scale-in of `{name}` refused: its @Partial merge is not certified sound \
              ({}); folding the removed replica into a survivor could corrupt the \

@@ -997,50 +997,6 @@ fn migration_invalidates_checkpoint_chains() {
 }
 
 #[test]
-fn monitor_releases_idle_instances() {
-    // Scale out under a burst, then watch the monitor shrink the task back
-    // once the queues stay idle.
-    let prog = parse_program("void work(int x) { emit x * 2; }").unwrap();
-    let sdg = translate(&prog).unwrap();
-    let task = sdg.task_by_name("work_0").unwrap().id;
-    let mut cfg = RuntimeConfig {
-        channel_capacity: 8,
-        scaling: ScalingConfig {
-            enabled: true,
-            check_interval: Duration::from_millis(10),
-            high_watermark: 0.5,
-            patience: 2,
-            low_watermark: 0.2,
-            idle_patience: 3,
-            min_instances: 1,
-            max_instances: 4,
-        },
-        ..Default::default()
-    };
-    cfg.work_ns.insert(task, 3_000_000); // 3 ms per item.
-    let d = Deployment::start(sdg, cfg).unwrap();
-    for n in 0..400i64 {
-        d.submit("work", record! {"x" => Value::Int(n)}).unwrap();
-    }
-    assert!(d.quiesce(Duration::from_secs(30)));
-    assert!(d.stats().scale_outs > 0, "burst must trigger scale-out");
-
-    // Idle now: the monitor removes the extra instances one tick at a time.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while task_instances(&d, task) > 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert_eq!(
-        task_instances(&d, task),
-        1,
-        "idle task must shrink back to min_instances"
-    );
-    assert!(d.stats().scale_ins > 0);
-    assert_eq!(d.stats().errors, 0);
-    d.shutdown();
-}
-
-#[test]
 fn reactive_scaling_reacts_to_bottlenecks() {
     // A stateless pipeline with an expensive stage and a tiny channel: the
     // monitor must add instances.
@@ -1072,6 +1028,41 @@ fn reactive_scaling_reacts_to_bottlenecks() {
     assert!(d.stats().scale_outs > 0);
     // All items processed despite scaling.
     assert_eq!(d.metrics().task_by_id(task).unwrap().processed, 400);
+    d.shutdown();
+}
+
+/// A saturated task on `Local` state is not a bottleneck the monitor can
+/// relieve: its group can neither grow nor shrink, so the monitor never
+/// reports it nor asks for a scale-out that the control plane would refuse.
+#[test]
+fn monitor_leaves_a_saturated_local_state_group_alone() {
+    let prog = parse_program("Table t; void work(int x) { t.inc(x, 1); }").unwrap();
+    let sdg = translate(&prog).unwrap();
+    let task = sdg.task_by_name("work_0").unwrap().id;
+    let mut cfg = RuntimeConfig {
+        channel_capacity: 8,
+        scaling: ScalingConfig {
+            enabled: true,
+            check_interval: Duration::from_millis(10),
+            patience: 2,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    cfg.work_ns.insert(task, 3_000_000); // 3 ms per item.
+    let d = Deployment::start(sdg, cfg).unwrap();
+    for n in 0..200i64 {
+        d.submit("work", record! {"x" => Value::Int(n)}).unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(30)));
+    let detections = d
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::BottleneckDetected { .. }))
+        .count();
+    assert_eq!(detections, 0, "a Local group cannot grow");
+    assert_eq!(d.stats().scale_outs, 0);
+    assert_eq!(d.stats().errors, 0);
     d.shutdown();
 }
 

@@ -342,7 +342,6 @@ fn pool_monitor_scales_out_and_back_in() {
             patience: 2,
             low_watermark: 0.2,
             idle_patience: 3,
-            min_instances: 1,
             max_instances: 4,
         },
         ..Default::default()
@@ -378,7 +377,7 @@ fn pool_monitor_scales_out_and_back_in() {
     assert_eq!(
         instances(&d),
         1,
-        "idle task must shrink back to min_instances"
+        "idle task must shrink back to its deploy-time count"
     );
     assert!(d.stats().scale_ins > 0);
     assert_eq!(d.stats().errors, 0);
