@@ -19,6 +19,7 @@
 //! in place and keeps; [`ChunkReader`] decodes a verified payload straight
 //! into the restore shards. Neither builds an intermediate entry list.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fs;
 use std::ops::Deref;
@@ -34,6 +35,7 @@ use sdg_common::codec::{write_varint, Codec, Reader};
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, InstanceId};
 use sdg_common::time::VectorTs;
+use sdg_state::entry::StateEntry;
 use sdg_state::partition::PartitionDim;
 use sdg_state::store::{place_entry, StateSnapshot, StateStore, StateType};
 
@@ -733,14 +735,14 @@ fn entry_count(payload: &[u8]) -> SdgResult<usize> {
     Ok(count)
 }
 
-/// Decodes verified chunk payloads straight into the restore shards: `n`
-/// instances of `stripes` stripes each.
+/// Decodes verified chunk payloads (a restore) or exported entries (a
+/// scale) straight into `n` instances of `stripes` stripes each.
 ///
 /// Every entry is decoded once and inserted into its final shard by the
 /// owner hash [`place_entry`] defines — instance `hash % n`, then stripe
-/// `hash % stripes`, the rule the stripes route by — so nothing is
-/// re-split afterwards. Tables are pre-sized from the chunks' entry
-/// counts.
+/// `hash % stripes`, the rule the dispatchers and the stripes route by —
+/// so nothing is re-split afterwards. [`ChunkReader::read`] pre-sizes the
+/// tables from the chunks' entry counts.
 #[derive(Debug)]
 pub struct ChunkReader {
     /// Instance-major: shard `i * stripes + s` is stripe `s` of instance `i`.
@@ -793,21 +795,58 @@ impl ChunkReader {
     fn read_chunk(&mut self, payload: &[u8]) -> SdgResult<()> {
         let mut r = Reader::new(payload);
         let count = r.read_varint()?;
-        let instances = (self.shards.len() / self.stripes) as u64;
-        let stripes = self.stripes;
-        let shard_of = |h: u64| (h % instances) as usize * stripes + (h % stripes as u64) as usize;
+        let shard_of = self.owner();
         for _ in 0..count {
             let klen = r.read_varint()? as usize;
             let key = r.read_bytes(klen)?;
             let vlen = r.read_varint()? as usize;
             let value = r.read_bytes(vlen)?;
-            place_entry(&mut self.shards, self.dim, key, value, shard_of)?;
+            place_entry(&mut self.shards, self.dim, key, value, &shard_of)?;
         }
         if !r.is_empty() {
             return Err(SdgError::Codec("trailing bytes after entries".into()));
         }
         self.bytes += payload.len();
         Ok(())
+    }
+
+    /// Places the entries instance `from` exported, as [`ChunkReader::read`]
+    /// places decoded ones, and returns the bytes of the entries it put on
+    /// an instance other than `from`.
+    ///
+    /// A scale moves state this way: every instance's entries go straight
+    /// into their final stripes, and what moved is counted where it lands.
+    /// An entry placed in pieces — a row of a column-partitioned matrix,
+    /// cell by cell — counts whole when any piece moves.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an entry that does not decode into the shards' structure.
+    pub fn place(&mut self, from: usize, entries: &[StateEntry]) -> SdgResult<u64> {
+        let (shard_of, stripes) = (self.owner(), self.stripes);
+        let mut moved = 0;
+        for e in entries {
+            // With one shard nothing is hashed: every entry lands on
+            // instance 0.
+            let away = Cell::new(from != 0 && self.shards.len() == 1);
+            place_entry(&mut self.shards, self.dim, &e.key, &e.value, |h| {
+                let shard = shard_of(h);
+                away.set(away.get() || shard / stripes != from);
+                shard
+            })?;
+            if away.get() {
+                moved += e.size() as u64;
+            }
+        }
+        Ok(moved)
+    }
+
+    /// The owner rule: hash `h` lives on instance `h % n`, stripe
+    /// `h % stripes`. Returns the shard index.
+    fn owner(&self) -> impl Fn(u64) -> usize {
+        let stripes = self.stripes as u64;
+        let instances = self.shards.len() as u64 / stripes;
+        move |h| ((h % instances) * stripes + h % stripes) as usize
     }
 
     /// Payload bytes decoded so far.
@@ -1073,6 +1112,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn place_moves_exactly_the_keys_that_change_owner() {
+        for (from, to) in [(2usize, 3usize), (3, 2), (4, 3), (1, 2), (2, 1)] {
+            let mut table = StateStore::new(StateType::Table);
+            for i in 0..300i64 {
+                table.as_table().unwrap().put(Key::Int(i), Value::Int(i));
+            }
+            let owned = table.split_by_hash(from, PartitionDim::Row).unwrap();
+            let mut reader = ChunkReader::new(StateType::Table, to, 4, PartitionDim::Row);
+            let (mut moved, mut want) = (0, 0);
+            for (i, part) in owned.iter().enumerate() {
+                let entries = part.export_entries();
+                moved += reader.place(i, &entries).unwrap();
+                for e in &entries {
+                    let h = sdg_common::codec::decode_from_slice::<Key>(&e.key)
+                        .unwrap()
+                        .stable_hash();
+                    if h % from as u64 != h % to as u64 {
+                        want += e.size() as u64;
+                    }
+                }
+            }
+            assert_eq!(moved, want, "{from} -> {to}");
+            for (instance, mut stripes) in reader.finish().into_iter().enumerate() {
+                for (stripe, shard) in stripes.iter_mut().enumerate() {
+                    shard.as_table().unwrap().for_each(|k, _| {
+                        let h = k.stable_hash();
+                        assert_eq!((h % to as u64, h % 4), (instance as u64, stripe as u64));
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn place_splits_a_column_partitioned_row_cell_by_cell() {
+        let mut m = StateStore::new(StateType::Matrix);
+        for c in 0..20 {
+            m.as_matrix().unwrap().set(7, c, c as f64 + 1.0);
+        }
+        let entries = m.export_entries();
+        assert_eq!(entries.len(), 1, "one row, one entry");
+        let mut reader = ChunkReader::new(StateType::Matrix, 3, 2, PartitionDim::Col);
+        // Some cell of the row leaves instance 0, so the whole row counts.
+        assert_eq!(reader.place(0, &entries).unwrap(), entries[0].size() as u64);
+        let mut cells = 0;
+        for (instance, mut stripes) in reader.finish().into_iter().enumerate() {
+            for (stripe, shard) in stripes.iter_mut().enumerate() {
+                for (col, v) in shard.as_matrix().unwrap().row(7) {
+                    let h = Key::Int(col).stable_hash();
+                    assert_eq!((h % 3, h % 2), (instance as u64, stripe as u64));
+                    assert_eq!(v, col as f64 + 1.0);
+                    cells += 1;
+                }
+            }
+        }
+        assert_eq!(cells, 20);
     }
 
     #[test]

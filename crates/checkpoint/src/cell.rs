@@ -10,9 +10,9 @@
 //!
 //! ## Stripe identity and watermark semantics
 //!
-//! Items are routed to stripes by the same stable key hash the partitioner
-//! uses (`Key::stable_hash() % stripes`), so a given key always lands on
-//! the same stripe — across processing, checkpoint re-splits, and restore.
+//! Items are routed to stripes by the same stable key hash the dispatcher
+//! partitions by (`Key::stable_hash() % stripes`), so a given key always
+//! lands on the same stripe — across processing, scaling and restore.
 //! Per-(edge, src) dedupe watermarks live in the stripe owning the item's
 //! key. Items of one lane arrive in timestamp order, so each stripe
 //! observes an increasing subsequence and `is_duplicate` stays exact.
@@ -103,33 +103,18 @@ impl StateCell {
         tracked_chunks: Option<usize>,
     ) -> Self {
         assert!(stripes > 0, "stripe count must be positive");
-        let stripes = (0..stripes)
-            .map(|_| {
-                let mut store = StateStore::new(ty);
-                if let Some(chunks) = tracked_chunks {
-                    store.enable_chunk_tracking(chunks);
-                }
-                Mutex::new(CellInner {
-                    store,
-                    vector: VectorTs::new(),
-                })
-            })
-            .collect();
-        StateCell {
-            stripes,
-            tracked_chunks,
-            dim,
-        }
+        let empty = (0..stripes).map(|_| (StateStore::new(ty), VectorTs::new()));
+        Self::from_parts(empty.collect(), dim, tracked_chunks)
     }
 
     /// Creates a striped cell by hash-splitting `store` into `stripes`
     /// shards, assigning `vector` to every stripe.
     ///
     /// Assigning the merged vector to all stripes is only exact when the
-    /// caller knows no finer-grained watermarks exist (fresh deployments
-    /// and scale-out, where new items always carry higher timestamps). For
-    /// restore, prefer [`StateCell::from_parts`] with the per-stripe
-    /// vectors recorded in the backup.
+    /// caller knows no finer-grained watermarks exist (fresh deployments,
+    /// where new items always carry higher timestamps). For restore,
+    /// prefer [`StateCell::from_parts`] with the per-stripe vectors
+    /// recorded in the backup.
     pub fn from_store_striped(
         store: StateStore,
         vector: VectorTs,
@@ -353,25 +338,7 @@ impl StateCell {
     /// everything. Stripe vectors are unchanged (bulk access is
     /// not dataflow input).
     pub fn with_merged<R>(&self, f: impl FnOnce(&mut StateStore) -> R) -> SdgResult<R> {
-        if self.stripes.len() == 1 {
-            return Ok(f(&mut self.stripes[0].lock().store));
-        }
-        self.with_all(|inners| {
-            let ty = inners[0].store.state_type();
-            let mut merged = StateStore::new(ty);
-            for inner in inners.iter_mut() {
-                merged.import_entries(&inner.store.export_entries())?;
-            }
-            let r = f(&mut merged);
-            let parts = merged.split_by_hash(inners.len(), self.dim)?;
-            for (inner, mut part) in inners.iter_mut().zip(parts) {
-                if let Some(chunks) = self.tracked_chunks {
-                    part.enable_chunk_tracking(chunks);
-                }
-                inner.store = part;
-            }
-            Ok(r)
-        })
+        self.with_all(|inners| self.merged(inners, f))
     }
 
     /// Additively merges `entries` (another replica's exported partial
@@ -387,50 +354,66 @@ impl StateCell {
     /// the next checkpoint serialises the new contents.
     pub fn merge_additive(&self, entries: &[StateEntry], vector: &VectorTs) -> SdgResult<()> {
         self.with_all(|inners| {
-            if inners.len() == 1 {
-                inners[0].store.merge_additive(entries)?;
-                inners[0].store.mark_all_dirty();
-                inners[0].vector.merge_max(vector);
-                return Ok(());
-            }
-            // Striped cells: merge on the combined view, then re-split so
-            // every key keeps landing on the stripe its hash selects.
-            let ty = inners[0].store.state_type();
-            let mut merged = StateStore::new(ty);
+            self.merged(inners, |store| {
+                store.merge_additive(entries)?;
+                store.mark_all_dirty();
+                SdgResult::Ok(())
+            })??;
             for inner in inners.iter_mut() {
-                merged.import_entries(&inner.store.export_entries())?;
-            }
-            merged.merge_additive(entries)?;
-            let parts = merged.split_by_hash(inners.len(), self.dim)?;
-            for (inner, mut part) in inners.iter_mut().zip(parts) {
-                if let Some(chunks) = self.tracked_chunks {
-                    part.enable_chunk_tracking(chunks);
-                }
-                inner.store = part;
                 inner.vector.merge_max(vector);
             }
             Ok(())
         })
     }
 
-    /// Replaces the cell's entire contents with `store`, re-split across
-    /// the stripes, assigning `vector` to every stripe (used on scale-out,
-    /// where redistributed items always carry fresh timestamps).
-    pub fn replace(&self, store: StateStore, vector: VectorTs) -> SdgResult<()> {
+    /// Runs `f` on one store holding every entry of the locked `inners`,
+    /// then re-splits it by key hash back into the stripes, each tracking
+    /// every chunk as dirty. A single stripe's own store is used in place.
+    fn merged<R>(
+        &self,
+        inners: &mut [&mut CellInner],
+        f: impl FnOnce(&mut StateStore) -> R,
+    ) -> SdgResult<R> {
+        if let [only] = inners {
+            return Ok(f(&mut only.store));
+        }
+        let mut merged = StateStore::new(inners[0].store.state_type());
+        for inner in inners.iter_mut() {
+            merged.import_entries(&inner.store.export_entries())?;
+        }
+        let r = f(&mut merged);
+        let parts = merged.split_by_hash(inners.len(), self.dim)?;
+        for (inner, mut part) in inners.iter_mut().zip(parts) {
+            if let Some(chunks) = self.tracked_chunks {
+                part.enable_chunk_tracking(chunks);
+            }
+            inner.store = part;
+        }
+        Ok(r)
+    }
+
+    /// Installs `stores`, one per stripe as [`crate::backup::ChunkReader`]
+    /// placed them, and `vector` on every stripe.
+    ///
+    /// A scale repartitions into the cells the workers already hold this
+    /// way. Assigning one vector to every stripe is exact there: the group
+    /// was drained, so fresh items carry higher timestamps than anything
+    /// installed. Tracked chunks start all dirty, so the next take is a
+    /// base.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stores` does not hold one store per stripe.
+    pub fn install(&self, stores: Vec<StateStore>, vector: &VectorTs) {
         self.with_all(|inners| {
-            let parts = if inners.len() == 1 {
-                vec![store]
-            } else {
-                store.split_by_hash(inners.len(), self.dim)?
-            };
-            for (inner, mut part) in inners.iter_mut().zip(parts) {
+            assert_eq!(inners.len(), stores.len(), "one store per stripe");
+            for (inner, mut store) in inners.iter_mut().zip(stores) {
                 if let Some(chunks) = self.tracked_chunks {
-                    part.enable_chunk_tracking(chunks);
+                    store.enable_chunk_tracking(chunks);
                 }
-                inner.store = part;
+                inner.store = store;
                 inner.vector = vector.clone();
             }
-            Ok(())
         })
     }
 }
@@ -438,6 +421,7 @@ impl StateCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backup::ChunkReader;
     use sdg_common::value::{Key, Value};
 
     #[test]
@@ -616,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn export_merged_and_replace_roundtrip() {
+    fn export_merged_and_install_roundtrip() {
         let cell = StateCell::new_striped(StateType::Table, 3, PartitionDim::Row, None);
         for i in 0..20i64 {
             let key = Key::Int(i);
@@ -627,11 +611,16 @@ mod tests {
         let (entries, vector) = cell.export_merged();
         assert_eq!(entries.len(), 20);
         assert_eq!(vector.get(EdgeId(2)), 20);
-        let mut rebuilt = StateStore::new(StateType::Table);
-        rebuilt.import_entries(&entries).unwrap();
-        let other = StateCell::new_striped(StateType::Table, 5, PartitionDim::Row, None);
-        other.replace(rebuilt, vector.clone()).unwrap();
+        let mut reader = ChunkReader::new(StateType::Table, 1, 5, PartitionDim::Row);
+        assert_eq!(
+            reader.place(0, &entries).unwrap(),
+            0,
+            "one instance: nothing moves"
+        );
+        let other = StateCell::new_striped(StateType::Table, 5, PartitionDim::Row, Some(8));
+        other.install(reader.finish().remove(0), &vector);
         assert_eq!(other.vector().get(EdgeId(2)), 20);
+        assert_eq!(other.pending_dirty_chunks(), 5 * 8, "installed all dirty");
         for i in 0..20i64 {
             let key = Key::Int(i);
             let found = other.with_routed(Some(key.stable_hash()), |inner| {

@@ -3,17 +3,23 @@
 //! Checkpoints (manual and interval), the five scale paths,
 //! fail-and-recover, the supervisor's respawns and
 //! `Deployment::with_state` all run holding the deployment's one
-//! `Mutex<Control>`. The functions that take checkpoints, move state or
+//! [`Sequencer`]. The functions that take checkpoints, move state or
 //! change the topology take `&mut Control`, so none of them can be called
 //! unsequenced. `Control` owns what those operations share: the checkpoint
 //! seq counter and one chain record per SE instance.
+//!
+//! The sequencer serves callers first come, first served: a thread that
+//! releases it and asks again queues behind the ones already waiting, so
+//! a `with_state` loop cannot starve a checkpoint.
 //!
 //! Lock order: `control` → target write guards (in task-id order) →
 //! `cells`. Workers never take `control`, and dispatch only reads
 //! `targets`, so the per-item path does not see the sequencer.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use sdg_checkpoint::backup::{BackupSet, BackupStore};
 use sdg_common::error::{SdgError, SdgResult};
@@ -25,27 +31,72 @@ pub(crate) fn se_instance_id(state: StateId, replica: u32) -> InstanceId {
     InstanceId::new(TaskId(0x4000_0000 | state.raw()), replica)
 }
 
-/// The checkpoint record of one SE instance.
+/// The checkpoint record of one SE instance: a base generation followed by
+/// the deltas taken since it; restore composes the whole chain.
 ///
 /// An *absent* record means the instance was never checkpointed: recovery
 /// may rebuild it from scratch by replaying every upstream buffer. An
-/// *invalidated* record (no generations) means a migration moved state
-/// into the instance since its last take: the buffers describe the current
-/// key ownership only from that point on, so recovery must wait for the
+/// *empty* record means a migration moved state into the instance and the
+/// take that followed it failed: the buffers describe the current key
+/// ownership only from the migration on, so recovery must wait for the
 /// next take.
+pub(crate) type Chain = Vec<BackupSet>;
+
+/// A first-come-first-served lock around [`Control`]: each caller draws
+/// a ticket and waits until it is served. A plain mutex may hand the lock
+/// back to the thread that just released it, so one busy caller could hold
+/// off another indefinitely.
 #[derive(Debug, Default)]
-pub(crate) struct Chain {
-    /// A base generation followed by the deltas taken since it; restore
-    /// composes the whole chain.
-    pub(crate) generations: Vec<BackupSet>,
-    /// The next take must be a base: a migration or a dropped corrupt
-    /// generation broke the chain.
-    rebase: bool,
+pub(crate) struct Sequencer {
+    next_ticket: AtomicU64,
+    control: Mutex<Control>,
+    turn: Condvar,
+}
+
+impl Sequencer {
+    /// Waits for this caller's turn and returns the held sequencer.
+    ///
+    /// Poison is ignored, as by the `parking_lot` lock this replaces: a
+    /// control operation that panics leaves each record at its last
+    /// completed update, and its guard still serves the next ticket.
+    pub(crate) fn lock(&self) -> ControlGuard<'_> {
+        // Relaxed: a ticket publishes no data; the mutex orders the turns.
+        let mine = self.next_ticket.fetch_add(1, Ordering::Relaxed);
+        let control = self.control.lock().unwrap_or_else(PoisonError::into_inner);
+        let control = self.turn.wait_while(control, |c| c.served != mine);
+        ControlGuard(control.unwrap_or_else(PoisonError::into_inner), &self.turn)
+    }
+}
+
+/// The held sequencer; derefs to [`Control`] and serves the next ticket
+/// when dropped.
+pub(crate) struct ControlGuard<'a>(MutexGuard<'a, Control>, &'a Condvar);
+
+impl Deref for ControlGuard<'_> {
+    type Target = Control;
+    fn deref(&self) -> &Control {
+        &self.0
+    }
+}
+
+impl DerefMut for ControlGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Control {
+        &mut self.0
+    }
+}
+
+impl Drop for ControlGuard<'_> {
+    fn drop(&mut self) {
+        self.0.served += 1;
+        self.1.notify_all();
+    }
 }
 
 /// State shared by the control operations; see the module docs.
 #[derive(Debug, Default)]
 pub(crate) struct Control {
+    /// The sequencer ticket being served.
+    served: u64,
     /// The seq of the last checkpoint generation (0: none yet).
     last_seq: u64,
     chains: HashMap<(StateId, u32), Chain>,
@@ -64,17 +115,17 @@ impl Control {
     }
 
     /// Whether the next take of `(state, replica)` must be a base: the
-    /// chain was broken, or its deltas outweigh `compact_threshold` of the
-    /// base's size (compaction keeps restore chains short).
+    /// record holds no generation, or its deltas outweigh
+    /// `compact_threshold` of the base's size (compaction keeps restore
+    /// chains short).
     pub(crate) fn needs_base(&self, state: StateId, replica: u32, compact_threshold: f64) -> bool {
         match self.chain(state, replica) {
-            Some(chain) if chain.rebase => true,
-            Some(Chain { generations, .. }) if generations.len() > 1 => {
-                let base = generations[0].state_bytes.max(1) as f64;
-                let deltas: usize = generations[1..].iter().map(|s| s.state_bytes).sum();
+            Some(chain) if !chain.is_empty() => {
+                let base = chain[0].state_bytes.max(1) as f64;
+                let deltas: usize = chain[1..].iter().map(|s| s.state_bytes).sum();
                 deltas as f64 > compact_threshold * base
             }
-            _ => false,
+            _ => true,
         }
     }
 
@@ -90,11 +141,10 @@ impl Control {
     ) {
         let chain = self.chains.entry((state, replica)).or_default();
         if set.is_base() {
-            chain.generations.clear();
+            chain.clear();
         }
-        chain.generations.push(set);
-        chain.rebase = false;
-        let keep = chain.generations[0].seq;
+        chain.push(set);
+        let keep = chain[0].seq;
         for store in stores {
             store.garbage_collect(se_instance_id(state, replica), keep);
         }
@@ -105,16 +155,16 @@ impl Control {
     ///
     /// Rebuilding from an empty store, a zero watermark and a full replay is
     /// sound only while the upstream buffers still hold everything ever
-    /// sent to the replica: checkpointing must be on (`buffered`), and the
-    /// record must not be invalidated.
+    /// sent to the replica: checkpointing must be on (`buffered`), and no
+    /// migration may have emptied the record.
     pub(crate) fn recovery_chain(
         &self,
         state: StateId,
         replica: u32,
         buffered: bool,
-    ) -> SdgResult<Option<Vec<BackupSet>>> {
+    ) -> SdgResult<Option<Chain>> {
         match self.chain(state, replica) {
-            Some(chain) if !chain.generations.is_empty() => Ok(Some(chain.generations.clone())),
+            Some(chain) if !chain.is_empty() => Ok(Some(chain.clone())),
             None if buffered => Ok(None),
             _ => Err(SdgError::Recovery(format!(
                 "no checkpoint recorded for {state}#{replica}; enable checkpointing"
@@ -123,31 +173,28 @@ impl Control {
     }
 
     /// Truncates the chain of `(state, replica)` to the `len` generations
-    /// that restored, so later deltas never compose across a corrupt
-    /// boundary, and makes the next take a base.
+    /// that restored. Later deltas never compose across the corrupt
+    /// boundary: the cell a restore builds tracks every chunk as dirty, so
+    /// its next take is a base.
     pub(crate) fn truncate(&mut self, state: StateId, replica: u32, len: usize) {
         if let Some(chain) = self.chains.get_mut(&(state, replica)) {
-            chain.generations.truncate(len);
-            chain.rebase = true;
+            chain.truncate(len);
         }
     }
 
-    /// Invalidates every chain of `state` after a migration and leaves one
-    /// invalidated record per replica in `0..replicas`.
+    /// Empties every record of `state` for a migration, leaving one empty
+    /// record per replica in `0..replicas`.
     ///
     /// A chain recorded before a repartition describes the old key
     /// ownership, so restore must never compose deltas across the
-    /// migration boundary. Until the next take, failure recovery of this
-    /// state reports "no checkpoint recorded" rather than restoring stale
-    /// shards.
+    /// migration boundary. The migration ends with a base take of every
+    /// replica, still under the sequencer; a replica whose take fails
+    /// keeps its empty record, and its recovery reports "no checkpoint
+    /// recorded" until the next take rather than restoring stale shards.
     pub(crate) fn invalidate(&mut self, state: StateId, replicas: usize) {
         self.chains.retain(|&(s, _), _| s != state);
         for replica in 0..replicas as u32 {
-            let invalidated = Chain {
-                rebase: true,
-                ..Chain::default()
-            };
-            self.chains.insert((state, replica), invalidated);
+            self.chains.insert((state, replica), Chain::new());
         }
     }
 

@@ -36,7 +36,7 @@ use sdg_state::store::{StateStore, StateType};
 
 use crate::compile::Scratch;
 use crate::config::RuntimeConfig;
-use crate::control::{se_instance_id, Control};
+use crate::control::{se_instance_id, Control, Sequencer};
 use crate::fault::{
     run_supervisor, FailureHub, FaultInjector, Health, HeartbeatView, RecoveryUnit,
 };
@@ -169,9 +169,9 @@ pub(crate) struct Inner {
     pub stores: Vec<Arc<BackupStore>>,
     /// The control sequencer ([`crate::control`]): every checkpoint,
     /// scale, recovery and `with_state` runs holding it, and it owns the
-    /// checkpoint chains. A second take of the same cell, or a re-split
+    /// checkpoint chains. A second take of the same cell, or a migration
     /// in the middle of one, would fail the cell's checkpoint phases.
-    pub(crate) control: Mutex<Control>,
+    pub(crate) control: Sequencer,
     /// Deploy-time slot-compilation cache: one [`CompiledTe`] per task,
     /// shared by all replicas (including respawns during recovery and
     /// scale-out).
@@ -296,7 +296,7 @@ impl Deployment {
             node_cursor: AtomicU32::new(allocation.num_nodes),
             node_of_instance: RwLock::new(HashMap::new()),
             stores,
-            control: Mutex::default(),
+            control: Sequencer::default(),
             compiled: Mutex::new(HashMap::new()),
             pool,
             stop_wait: StopWait::default(),
@@ -422,14 +422,18 @@ impl Deployment {
     /// requests here too. Every request runs holding the control
     /// sequencer, as do the supervisor's recoveries and
     /// [`Deployment::with_state`], so a checkpoint never overlaps a
-    /// migration or a recovery; a request waits for the one in progress.
+    /// migration or a recovery; a request waits for the ones that asked
+    /// before it, in arrival order.
     ///
-    /// Scale-in live-migrates the removed replica's state: a partitioned
-    /// shard is split by the partitioner's key hash and merged into the
-    /// survivors (with pointwise-max dedupe watermarks), a partial
-    /// aggregate is additively folded into a survivor — refused when the
-    /// SE's `@Partial` merge is uncertified by the attached `sdg-verify`
-    /// report.
+    /// A scale of a partitioned SE re-places every entry onto p ± 1
+    /// instances by its key hash, straight into its final stripe, with
+    /// pointwise-max dedupe watermarks. Scale-in of a partial SE
+    /// additively folds the removed replica's aggregate into a survivor —
+    /// refused when the SE's `@Partial` merge is uncertified by the
+    /// attached `sdg-verify` report. A scale is refused while an instance
+    /// of the task has failed and awaits recovery. With checkpointing on,
+    /// a scale that moved state ends with a base take of every replica,
+    /// so a failure right after it recovers from the new chains.
     ///
     /// On `FailAndRecover`, recovery is exact (exactly-once) for the
     /// failed SE's own state: the checkpoint restores it, and upstream
@@ -449,10 +453,10 @@ impl Deployment {
     /// replay reads them directly.
     /// Pipelines whose stateful stages hang off distinct
     /// upstream-stateless paths, such as the KV store and each SE of CF in
-    /// isolation, recover exactly. A reconfiguration that migrated state
-    /// also invalidates the affected chains, so recovery between a
-    /// migration and the next checkpoint reports "no checkpoint recorded"
-    /// instead of restoring the old key ownership.
+    /// isolation, recover exactly. If the take that ends a migration fails
+    /// for a replica, recovery of that replica reports "no checkpoint
+    /// recorded" until the next take, instead of restoring the old key
+    /// ownership.
     pub fn reconfigure(&self, request: ReconfigRequest) -> SdgResult<ReconfigReport> {
         crate::reconfig::execute(&self.inner, request)
     }
@@ -609,6 +613,14 @@ impl Inner {
         lists
             .into_iter()
             .all(|l| l.iter().all(PoolSender::is_quiet))
+    }
+
+    /// The tasks accessing `state`, sorted by id so nested target locks
+    /// are always taken in one order.
+    pub(crate) fn accessing_sorted(&self, state: StateId) -> Vec<TaskId> {
+        let mut tasks = Vec::from_iter(self.sdg.tasks_accessing(state).iter().map(|t| t.id));
+        tasks.sort();
+        tasks
     }
 
     /// Allocates the next fresh cluster node.
@@ -817,54 +829,56 @@ impl Inner {
     }
 
     pub(crate) fn checkpoint_all(&self, ctl: &mut Control) -> SdgResult<()> {
-        let snapshot: Vec<(StateId, Vec<Arc<StateCell>>)> = self
-            .cells
-            .read()
-            .iter()
-            .map(|(&s, v)| (s, v.clone()))
-            .collect();
-        for (state, group) in snapshot {
-            for (replica, cell) in group.iter().enumerate() {
-                let replica = replica as u32;
-                let seq = ctl.next_seq();
-                let label = self.se_label(state, replica);
-                let base = ctl.needs_base(state, replica, self.cfg.checkpoint.compact_threshold);
-                self.obs.record_event(EventKind::CheckpointBegin {
-                    instance: label.clone(),
-                    seq,
-                });
-                // No upstream buffers are captured: they live in the
-                // deployment's `BufferRegistry`, which survives the kill of
-                // any instance, and recovery replays from it directly.
-                let set = take_checkpoint_with(
-                    cell,
-                    se_instance_id(state, replica),
-                    seq,
-                    Vec::new,
-                    &self.stores,
-                    &self.cfg.checkpoint,
-                    Some(self.obs.checkpoints()),
-                    CheckpointOptions { base },
-                )?;
-                self.obs.record_event(EventKind::CheckpointBackup {
-                    instance: label.clone(),
-                    seq,
-                    bytes: set.state_bytes as u64,
-                });
-                self.obs.record_event(EventKind::CheckpointConsolidate {
-                    instance: label,
-                    seq,
-                });
-                if let Ok(decl) = self.sdg.state(state) {
-                    self.obs
-                        .state_with_id(&decl.name, Some(state))
-                        .checkpoints
-                        .inc();
-                }
-                // Trim upstream buffers covered by this checkpoint.
-                self.trim_for(state, replica, &set);
-                ctl.record(state, replica, set, &self.stores);
+        let states: Vec<StateId> = self.cells.read().keys().copied().collect();
+        states
+            .into_iter()
+            .try_for_each(|state| self.checkpoint_state(ctl, state))
+    }
+
+    /// Takes every replica of `state`, each a delta of its dirty chunks
+    /// unless its record asks for a base.
+    pub(crate) fn checkpoint_state(&self, ctl: &mut Control, state: StateId) -> SdgResult<()> {
+        let group = self.cells.read().get(&state).cloned().unwrap_or_default();
+        for (replica, cell) in group.iter().enumerate() {
+            let replica = replica as u32;
+            let seq = ctl.next_seq();
+            let label = self.se_label(state, replica);
+            let base = ctl.needs_base(state, replica, self.cfg.checkpoint.compact_threshold);
+            self.obs.record_event(EventKind::CheckpointBegin {
+                instance: label.clone(),
+                seq,
+            });
+            // No upstream buffers are captured: they live in the
+            // deployment's `BufferRegistry`, which survives the kill of any
+            // instance, and recovery replays from it directly.
+            let set = take_checkpoint_with(
+                cell,
+                se_instance_id(state, replica),
+                seq,
+                Vec::new,
+                &self.stores,
+                &self.cfg.checkpoint,
+                Some(self.obs.checkpoints()),
+                CheckpointOptions { base },
+            )?;
+            self.obs.record_event(EventKind::CheckpointBackup {
+                instance: label.clone(),
+                seq,
+                bytes: set.state_bytes as u64,
+            });
+            self.obs.record_event(EventKind::CheckpointConsolidate {
+                instance: label,
+                seq,
+            });
+            if let Ok(decl) = self.sdg.state(state) {
+                self.obs
+                    .state_with_id(&decl.name, Some(state))
+                    .checkpoints
+                    .inc();
             }
+            // Trim upstream buffers covered by this checkpoint.
+            self.trim_for(state, replica, &set);
+            ctl.record(state, replica, set, &self.stores);
         }
         Ok(())
     }
@@ -921,13 +935,7 @@ impl Inner {
         // are held through restore, respawn AND replay: if new traffic ran
         // ahead of the replayed (lower-timestamped) items, the duplicate
         // filter would wrongly discard the replay.
-        let mut affected: Vec<TaskId> = self
-            .sdg
-            .tasks_accessing(state)
-            .iter()
-            .map(|t| t.id)
-            .collect();
-        affected.sort();
+        let affected = self.accessing_sorted(state);
         let mut guards: Vec<_> = affected.iter().map(|t| self.targets[t].write()).collect();
 
         // Kill the old instances: their queues drain as discards.
@@ -1422,10 +1430,7 @@ mod tests {
             let ctl = d.inner.control.lock();
             for replica in 0..2 {
                 let chain = ctl.chain(kv, replica).expect("one chain per replica");
-                assert!(chain
-                    .generations
-                    .iter()
-                    .all(|set| set.out_buffers.is_empty()));
+                assert!(chain.iter().all(|set| set.out_buffers.is_empty()));
             }
         }
 
@@ -1443,7 +1448,6 @@ mod tests {
             .lock()
             .chain(kv, 0)
             .unwrap()
-            .generations
             .last()
             .unwrap()
             .stripe_vectors
@@ -1511,7 +1515,6 @@ mod tests {
             .lock()
             .chain(kv, 1)
             .unwrap()
-            .generations
             .iter()
             .flat_map(|set| set.chunk_locations.iter().map(|&(_, key)| key))
             .collect();

@@ -9,30 +9,32 @@
 //! every request runs holding the control sequencer (`Inner::control`),
 //! so checkpoints, migrations and recoveries never interleave.
 //!
-//! Scale-in is the elastic counterpart of §3.3's scale-out: the victim
-//! replica's input lanes are paused behind the same drain barrier used for
-//! repartitioning, its state shard is split by the partitioner's key hash
-//! and merged into the surviving replicas' stripes (partitioned SEs), or
-//! additively folded into a survivor (partial SEs — gated on the
-//! `sdg-verify` merge-soundness certificate), and the removed instance's
-//! workers are stopped. Both directions invalidate the affected state's
-//! checkpoint chains so restore never composes deltas across a
-//! repartition boundary, and scale-in deletes the removed replica's
-//! checkpoint chunks from every backup store.
+//! A scale of a stateful group first pauses the producers into every task
+//! that accesses the state and waits until those tasks are quiet. It
+//! refuses to run over an instance that has failed and awaits recovery.
+//! A partitioned group is then re-placed onto p ± 1 instances by
+//! `repartition`, the way a restore places a checkpoint: every entry
+//! goes once, straight into its final stripe. A partial group grows by an
+//! empty replica, or shrinks by additively folding the victim into a
+//! survivor (gated on the `sdg-verify` merge-soundness certificate). A
+//! migration empties the state's chain records, because a chain cut
+//! before it describes the old key ownership. It ends, after producers
+//! resume and still under the sequencer, with a base take of every
+//! replica, so a failure right after a scale recovers from the new chains.
+//! Scale-in deletes the removed replica's chunks from every backup store.
 
 use std::ops::DerefMut;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdg_common::codec::decode_from_slice;
+use sdg_checkpoint::backup::ChunkReader;
+use sdg_checkpoint::cell::StateCell;
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{StateId, TaskId};
 use sdg_common::obs::EventKind;
 use sdg_common::time::VectorTs;
-use sdg_common::value::Key;
 use sdg_graph::model::{Distribution, Sdg};
-use sdg_state::entry::StateEntry;
-use sdg_state::partition::{owner_changes, PartitionDim};
-use sdg_state::store::{StateStore, StateType};
+use sdg_state::store::StateType;
 
 use crate::control::Control;
 use crate::deploy::Inner;
@@ -189,13 +191,16 @@ fn scale_out(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<Mig
             task.name
         ))),
         Distribution::Partial => scale_out_partial(inner, state, task_id),
-        Distribution::Partitioned { dim } => scale_out_partitioned(inner, ctl, state, dim, task_id),
+        Distribution::Partitioned { .. } => {
+            let p = inner.cells.read().get(&state).map_or(0, Vec::len);
+            migrate(inner, ctl, state, task_id, p + 1)
+        }
     }
 }
 
 /// Removes one instance from `task`, live-migrating the victim replica's
-/// state into the survivors: a partitioned group is merged and re-split
-/// over the survivors, a partial replica is folded into replica 0.
+/// state into the survivors: a partitioned group is re-placed onto the
+/// survivors, a partial replica is folded into replica 0.
 fn scale_in(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<MigrationStats> {
     let task = inner.sdg.task(task_id)?;
     let Some(access) = &task.access else {
@@ -207,6 +212,7 @@ fn scale_in(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<Migr
                 task.name
             )));
         }
+        refuse_failed(inner, task_id, &guard[0])?;
         let node = stop_victims(inner, &[task_id], &mut guard, n - 1);
         drop(guard);
         inner.record_scale(task_id, node, ScaleDirection::In);
@@ -234,19 +240,54 @@ fn scale_in(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<Migr
             decl.name
         )));
     }
-    let (tasks, mut guards, drain) = pause(inner, state, task_id);
+    migrate(inner, ctl, state, task_id, p - 1)
+}
+
+/// Moves the SE group of `state` from its `p` instances to `to = p ± 1`:
+/// pauses the accessing tasks, re-places a partitioned group
+/// ([`repartition`]) or folds a partial group's last replica into replica
+/// 0, spawns or stops the accessing tasks' instance `max(p, to) − 1`, and
+/// ends with a base take of every replica.
+fn migrate(
+    inner: &Inner,
+    ctl: &mut Control,
+    state: StateId,
+    trigger: TaskId,
+    to: usize,
+) -> SdgResult<MigrationStats> {
+    // The guards stay held until the instances are swapped: releasing
+    // earlier would let producers route by the old partition count
+    // against the already-moved state.
+    let (tasks, mut guards, drain) = pause(inner, state, trigger)?;
     let migrate_t0 = Instant::now();
-    let moved_bytes = match decl.dist {
-        Distribution::Partitioned { dim } => merge_partitions(inner, state, dim, p)?,
+    let p = inner.cells.read().get(&state).map_or(0, Vec::len);
+    let moved_bytes = match inner.sdg.state(state)?.dist {
+        Distribution::Partitioned { .. } => repartition(inner, state, to)?,
         _ => fold_partial(inner, state)?,
     };
-    ctl.invalidate(state, p - 1);
-    let victim = p as u32 - 1;
-    let node = stop_victims(inner, &tasks, &mut guards, victim);
+    ctl.invalidate(state, to);
+    let (node, direction) = if to > p {
+        let node = inner.next_node();
+        for (i, &task) in tasks.iter().enumerate() {
+            inner.spawn_instance_in(task, p as u32, node, Some(&mut guards[i]))?;
+        }
+        (node, ScaleDirection::Out)
+    } else {
+        ctl.forget_replica(state, to as u32, &inner.stores);
+        let node = stop_victims(inner, &tasks, &mut guards, to as u32);
+        (node, ScaleDirection::In)
+    };
     drop(guards);
-    ctl.forget_replica(state, victim, &inner.stores);
     inner.record_migration(state, moved_bytes, migrate_t0.elapsed());
-    inner.record_scale(task_id, node, ScaleDirection::In);
+    inner.record_scale(trigger, node, direction);
+    // The migration emptied every record and left every tracked chunk
+    // dirty, so these takes are bases: each chain is recoverable again
+    // before the sequencer is released. A failed take does not fail the
+    // scale; its replica keeps the empty record, and its recovery is
+    // refused until the next take.
+    if inner.cfg.checkpoint.enabled {
+        let _ = inner.checkpoint_state(ctl, state);
+    }
     Ok(MigrationStats { drain, moved_bytes })
 }
 
@@ -260,14 +301,13 @@ fn scale_out_partial(inner: &Inner, state: StateId, trigger: TaskId) -> SdgResul
             .ok_or_else(|| SdgError::NotFound(format!("state {state}")))?;
         let decl = inner.sdg.state(state)?;
         let (stripes, dim, delta) = inner.layout_of(decl);
-        let cell = std::sync::Arc::new(sdg_checkpoint::cell::StateCell::new_striped(
+        group.push(Arc::new(StateCell::new_striped(
             decl.ty, stripes, dim, delta,
-        ));
-        group.push(cell);
+        )));
         group.len() as u32 - 1
     };
     let node = inner.next_node();
-    for task in accessing_sorted(inner, state) {
+    for task in inner.accessing_sorted(state) {
         inner.spawn_instance(task, new_replica, node)?;
     }
     inner.record_scale(trigger, node, ScaleDirection::Out);
@@ -307,113 +347,49 @@ fn fold_partial(inner: &Inner, state: StateId) -> SdgResult<u64> {
     Ok(entries.iter().map(|e| e.size() as u64).sum())
 }
 
-/// Repartitions a partitioned SE group from `p` to `p + 1` instances.
-fn scale_out_partitioned(
-    inner: &Inner,
-    ctl: &mut Control,
-    state: StateId,
-    dim: PartitionDim,
-    trigger: TaskId,
-) -> SdgResult<MigrationStats> {
-    // The guards stay held until the new instances are swapped in:
-    // releasing earlier would let producers route by the old partition
-    // count against the already-repartitioned state.
-    let (tasks, mut guards, drain) = pause(inner, state, trigger);
-
-    // Export all partitions (merging each cell's stripes), merge,
-    // re-split to p + 1. Assigning the merged (max) vector to every new
-    // partition is exact here: the group was drained, so fresh items
-    // always carry higher timestamps than anything merged.
-    let migrate_t0 = Instant::now();
-    let decl = inner.sdg.state(state)?.clone();
-    let (stripes, _, delta) = inner.layout_of(&decl);
-    let (all_entries, merged_vector, _) = export_group(inner, state)?;
-    let (splits, p) = {
-        let cells = inner.cells.read();
-        let group = &cells[&state];
-        let mut all = StateStore::new(decl.ty);
-        all.import_entries(&all_entries)?;
-        (all.split_by_hash(group.len() + 1, dim)?, group.len())
-    };
-    let moved_bytes = {
-        // Bytes that change owner under the p → p + 1 resplit; entries not
-        // keyed by the partition axis fall back to the new shard's size.
-        let new_shard: u64 = splits
-            .last()
-            .map(|s| s.export_entries().iter().map(|e| e.size() as u64).sum())
-            .unwrap_or(0);
-        migrated_bytes(&all_entries, decl.ty, dim, p, p + 1, new_shard)
-    };
-
-    // Swap the new partitions into the existing cells in place (workers
-    // hold Arcs to them) and append the new instance's cell.
-    let new_replica = {
-        let mut cells = inner.cells.write();
-        let group = cells.get_mut(&state).expect("exported above");
-        let mut splits = splits.into_iter();
-        for cell in group.iter() {
-            let store = splits.next().expect("split count = p + 1");
-            cell.replace(store, merged_vector.clone())?;
-        }
-        let cell = std::sync::Arc::new(sdg_checkpoint::cell::StateCell::from_store_striped(
-            splits.next().expect("last split"),
-            merged_vector,
-            stripes,
-            dim,
-            delta,
-        )?);
-        group.push(cell);
-        group.len() as u32 - 1
-    };
-    ctl.invalidate(state, p + 1);
-
-    let node = inner.next_node();
-    for (i, &task) in tasks.iter().enumerate() {
-        inner.spawn_instance_in(task, new_replica, node, Some(&mut guards[i]))?;
+/// Re-places every entry of the partitioned SE `state` onto `to`
+/// instances, the way a restore places a checkpoint.
+///
+/// Each instance exports its entries once, and one [`ChunkReader`] puts
+/// every entry straight into its final stripe: instance `hash % to`,
+/// stripe `hash % stripes`, the rule the dispatchers route by. Survivors
+/// install their new stripes in place, because workers hold their cells;
+/// an added instance gets a new cell, and a removed one (the last) leaves
+/// the group. Every stripe gets the group's pointwise-max vector, which is
+/// exact after the drain: fresh items carry higher timestamps than
+/// anything placed. Returns the bytes placed on an instance other than the
+/// one that exported them.
+fn repartition(inner: &Inner, state: StateId, to: usize) -> SdgResult<u64> {
+    let decl = inner.sdg.state(state)?;
+    if decl.ty == StateType::Vector {
+        return Err(SdgError::State(format!(
+            "dense vector `{}` cannot be partitioned; declare it @Partial",
+            decl.name
+        )));
     }
-    drop(guards);
-    inner.record_migration(state, moved_bytes, migrate_t0.elapsed());
-    inner.record_scale(trigger, node, ScaleDirection::Out);
-    Ok(MigrationStats { drain, moved_bytes })
-}
-
-/// Merges every partition (the victim's shard included), re-splits to
-/// `p − 1` by the same key hash the dispatchers use, and swaps the pieces
-/// into the survivors. The merged-max dedupe vector is exact after the
-/// drain, mirroring scale-out. Returns the bytes that changed owner.
-fn merge_partitions(inner: &Inner, state: StateId, dim: PartitionDim, p: usize) -> SdgResult<u64> {
-    let ty = inner.sdg.state(state)?.ty;
-    let (all_entries, merged_vector, victim_bytes) = export_group(inner, state)?;
-    let mut all = StateStore::new(ty);
-    all.import_entries(&all_entries)?;
-    let splits = all.split_by_hash(p - 1, dim)?;
+    let (stripes, dim, delta) = inner.layout_of(decl);
     let mut cells = inner.cells.write();
-    let group = cells.get_mut(&state).expect("exported above");
-    group.pop().expect("p > 1");
-    for (cell, store) in group.iter().zip(splits) {
-        cell.replace(store, merged_vector.clone())?;
+    let group = cells
+        .get_mut(&state)
+        .ok_or_else(|| SdgError::NotFound(format!("state {state}")))?;
+    let mut reader = ChunkReader::new(decl.ty, to, stripes, dim);
+    let mut vector = VectorTs::new();
+    let mut moved = 0;
+    for (i, cell) in group.iter().enumerate() {
+        let (entries, cell_vector) = cell.export_merged();
+        vector.merge_max(&cell_vector);
+        moved += reader.place(i, &entries)?;
     }
-    Ok(migrated_bytes(
-        &all_entries,
-        ty,
-        dim,
-        p,
-        p - 1,
-        victim_bytes,
-    ))
-}
-
-/// The accessing tasks of `state`, sorted by id so nested target locks are
-/// always taken in a consistent order.
-fn accessing_sorted(inner: &Inner, state: StateId) -> Vec<TaskId> {
-    let mut tasks: Vec<TaskId> = inner
-        .sdg
-        .tasks_accessing(state)
-        .iter()
-        .map(|t| t.id)
-        .collect();
-    tasks.sort();
-    tasks
+    let mut placed = reader.finish().into_iter();
+    group.truncate(to);
+    for (cell, stores) in group.iter().zip(placed.by_ref()) {
+        cell.install(stores, &vector);
+    }
+    for stores in placed {
+        let parts = stores.into_iter().map(|s| (s, vector.clone())).collect();
+        group.push(Arc::new(StateCell::from_parts(parts, dim, delta)));
+    }
+    Ok(moved)
 }
 
 /// Pauses the producers into every task accessing `state`: write-locks
@@ -424,21 +400,26 @@ fn accessing_sorted(inner: &Inner, state: StateId) -> Vec<TaskId> {
 /// held guard has nothing in the paused mailboxes. Returns the tasks,
 /// their held guards and the wait, which is also logged as `trigger`'s
 /// `RepartitionDrain`.
+///
+/// # Errors
+///
+/// Refuses when one of the paused instances has failed: see
+/// [`refuse_failed`].
 fn pause(
     inner: &Inner,
     state: StateId,
     trigger: TaskId,
-) -> (
+) -> SdgResult<(
     Vec<TaskId>,
     Vec<impl DerefMut<Target = Vec<PoolSender>> + '_>,
     Duration,
-) {
-    let tasks = accessing_sorted(inner, state);
+)> {
+    let tasks = inner.accessing_sorted(state);
     let guards: Vec<_> = tasks.iter().map(|t| inner.targets[t].write()).collect();
     let t0 = Instant::now();
     let deadline = t0 + Duration::from_secs(5);
     // Past the deadline, proceed. That is not safe: an item still queued or
-    // mid-handle then lands on a re-split cell whose merged vector may
+    // mid-handle then lands on a re-placed cell whose merged vector may
     // already cover its timestamp, and dedupe drops it. It happens only
     // when a paused actor cannot finish: it sends into another paused task,
     // or every pool thread is blocked on a held guard.
@@ -452,27 +433,29 @@ fn pause(
             waited,
         });
     }
-    (tasks, guards, waited)
+    // Checked after the drain: by then no paused actor can still fail.
+    for (&task, guard) in tasks.iter().zip(&guards) {
+        refuse_failed(inner, task, guard)?;
+    }
+    Ok((tasks, guards, waited))
 }
 
-/// Exports every cell of `state` (merging stripes), returning all entries,
-/// the pointwise-max dedupe vector, and the byte size of the last
-/// (victim-candidate) replica's shard.
-fn export_group(inner: &Inner, state: StateId) -> SdgResult<(Vec<StateEntry>, VectorTs, u64)> {
-    let cells = inner.cells.read();
-    let group = cells
-        .get(&state)
-        .ok_or_else(|| SdgError::NotFound(format!("state {state}")))?;
-    let mut all_entries = Vec::new();
-    let mut merged_vector = VectorTs::new();
-    let mut last_bytes = 0u64;
-    for cell in group.iter() {
-        let (entries, vector) = cell.export_merged();
-        last_bytes = entries.iter().map(|e| e.size() as u64).sum();
-        all_entries.extend(entries);
-        merged_vector.merge_max(&vector);
+/// Refuses to scale `task` while one of its instances has failed and
+/// awaits recovery. A scale would move or retire the dead instance's state
+/// and slot, so the recovery that follows would find neither; the caller
+/// asks again once the supervisor (or a `FailAndRecover`) has recovered
+/// it.
+fn refuse_failed(inner: &Inner, task: TaskId, senders: &[PoolSender]) -> SdgResult<()> {
+    if !senders.iter().any(PoolSender::is_closed) {
+        return Ok(());
     }
-    Ok((all_entries, merged_vector, last_bytes))
+    let name = inner
+        .sdg
+        .task(task)
+        .map_or_else(|_| task.to_string(), |t| t.name.clone());
+    Err(SdgError::Runtime(format!(
+        "a failed instance of `{name}` awaits recovery"
+    )))
 }
 
 /// Stops the `victim` replica of every task (through the held guards) and
@@ -495,32 +478,4 @@ where
         }
     }
     node
-}
-
-/// Bytes whose mod-N owner changes when the group resizes from `from` to
-/// `to` partitions. Tables and row-partitioned matrices are keyed by the
-/// partition axis, so ownership is computed per entry; everything else
-/// (column-partitioned matrices, vectors) falls back to `fallback` — the
-/// size of the shard that demonstrably moves.
-fn migrated_bytes(
-    entries: &[StateEntry],
-    ty: StateType,
-    dim: PartitionDim,
-    from: usize,
-    to: usize,
-    fallback: u64,
-) -> u64 {
-    let keyed_by_entry =
-        ty == StateType::Table || (ty == StateType::Matrix && dim == PartitionDim::Row);
-    if !keyed_by_entry || from == 0 || to == 0 {
-        return fallback;
-    }
-    entries
-        .iter()
-        .map(|e| match decode_from_slice::<Key>(&e.key) {
-            Ok(k) if !owner_changes(k.stable_hash(), from, to) => 0,
-            // Undecodable keys are counted as moved (conservative).
-            _ => e.size() as u64,
-        })
-        .sum()
 }

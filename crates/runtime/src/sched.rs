@@ -191,6 +191,13 @@ impl PoolSender {
         let mb = self.actor.mb.lock().expect("mailbox lock");
         mb.queue.is_empty() && mb.state != RunState::Running
     }
+
+    /// Whether the actor has retired. An instance still in its task's
+    /// target list retires only by failing: a stopped victim leaves the
+    /// list first.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.actor.mb.lock().expect("mailbox lock").closed
+    }
 }
 
 impl Clone for PoolSender {
@@ -968,7 +975,12 @@ mod tests {
     #[test]
     fn closed_mailbox_rejects_sends_like_a_disconnected_channel() {
         let (shared, actor) = shell(1, 16);
+        let tx = PoolSender {
+            actor: Arc::clone(&actor),
+        };
+        assert!(!tx.is_closed());
         retire(&shared, &actor, None);
+        assert!(tx.is_closed() && tx.is_quiet(), "a drain never waits on it");
         assert_eq!(actor.push(WorkerMsg::Stop, false), Err(SendClosed));
         assert_eq!(actor.push(WorkerMsg::Stop, true), Err(SendClosed));
         assert_eq!(*shared.live.lock().unwrap(), 0);

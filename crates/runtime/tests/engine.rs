@@ -18,7 +18,7 @@ use sdg_graph::model::{
 use sdg_ir::parser::parse_program;
 use sdg_runtime::config::{RuntimeConfig, ScalingConfig};
 use sdg_runtime::deploy::Deployment;
-use sdg_runtime::fault::FaultPlan;
+use sdg_runtime::fault::{FaultPlan, Health};
 use sdg_runtime::reconfig::ReconfigRequest;
 use sdg_state::partition::PartitionDim;
 use sdg_state::store::StateType;
@@ -225,6 +225,60 @@ fn cf_partial_instances_sum_to_global_counts() {
     assert_eq!(summed, reference);
     d.shutdown();
     d1.shutdown();
+}
+
+/// A scale re-places CF's row-partitioned `userItem` cell by cell: every
+/// cell survives a scale-out and a scale-in, and each row sits on replica
+/// `hash(row) % n`, where the dispatchers route its user.
+#[test]
+fn cf_partitioned_matrix_keeps_every_cell_across_a_scale_cycle() {
+    let sdg = translate(&parse_program(CF_SRC).unwrap()).unwrap();
+    let user_item = sdg.state_by_name("userItem").unwrap().id;
+    let task = sdg.tasks_accessing(user_item)[0].id;
+    let mut cfg = RuntimeConfig::default();
+    cfg.se_instances.insert(user_item, 2);
+    let d = Deployment::start(sdg, cfg).unwrap();
+    let mut model = CfModel::default();
+    for n in 0..60i64 {
+        let (u, i, r) = (n % 12, 10 + n % 7, 1 + n % 3);
+        model.add_rating(u, i, r);
+        d.submit(
+            "addRating",
+            record! {"user" => Value::Int(u), "item" => Value::Int(i), "rating" => Value::Int(r)},
+        )
+        .unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(10)));
+
+    for (request, n) in [
+        (ReconfigRequest::ScaleOut { task }, 3u64),
+        (ReconfigRequest::ScaleIn { task }, 2),
+    ] {
+        let report = d.reconfigure(request).unwrap();
+        assert_eq!(report.se_instances as u64, n);
+        assert!(report.moved_bytes > 0, "{request:?} moved rows");
+        let mut cells = HashMap::new();
+        for replica in 0..n {
+            d.with_state(user_item, replica as u32, |s| {
+                let m = s.as_matrix().unwrap();
+                for row in m.row_indices() {
+                    assert_eq!(Key::Int(row).stable_hash() % n, replica, "row {row}");
+                    for (col, v) in m.row(row) {
+                        cells.insert((row, col), v);
+                    }
+                }
+            })
+            .unwrap();
+        }
+        assert_eq!(cells, model.user_item, "after {request:?}");
+    }
+
+    d.submit("getRec", record! {"user" => Value::Int(1)})
+        .unwrap();
+    let event = d.outputs().recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(pairs_of(&event.value), model.recommend(1));
+    assert_eq!(d.stats().errors, 0);
+    d.shutdown();
 }
 
 fn deploy_kv(partitions: usize, ft: bool) -> (Deployment, StateId) {
@@ -522,26 +576,35 @@ fn concurrent_checkpoints_and_with_state_do_not_fail_each_other() {
     };
 
     // One thread reads through `with_state` while another checkpoints.
+    // The sequencer serves them in arrival order, so the reader gets about
+    // one turn per checkpoint instead of starving the checkpoints.
     let reading = AtomicBool::new(true);
     let start = Barrier::new(2);
-    let failed = std::thread::scope(|s| {
-        s.spawn(|| {
+    let (failed, reads) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
             start.wait();
+            let mut reads = 0usize;
             while reading.load(Ordering::Acquire) {
                 d.with_state(kv, 0, |s| s.as_table().unwrap().len())
                     .unwrap();
+                reads += 1;
             }
+            reads
         });
         start.wait();
         let failed = checkpoints();
         reading.store(false, Ordering::Release);
-        failed
+        (failed, reader.join().unwrap())
     });
     assert!(
         failed.is_empty(),
         "{} of {ROUNDS} checkpoints failed against with_state: {:?}",
         failed.len(),
         failed.first()
+    );
+    assert!(
+        reads < 10 * ROUNDS,
+        "{reads} with_state calls ran while {ROUNDS} checkpoints waited"
     );
 
     // Two threads checkpoint at once.
@@ -913,19 +976,39 @@ fn partial_scale_in_preserves_the_elementwise_sum() {
     d.shutdown();
 }
 
-#[test]
-fn migration_invalidates_checkpoint_chains() {
-    // Base + delta checkpoints and a repartition in the middle: restore
-    // must never compose deltas cut against the old partitioning.
-    let prog = parse_program(KV_SRC).unwrap();
-    let sdg = translate(&prog).unwrap();
-    let kv = sdg.state_by_name("kv").unwrap().id;
-    let mut cfg = RuntimeConfig::default();
-    cfg.se_instances.insert(kv, 2);
-    cfg.checkpoint.enabled = true;
-    cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
-    let d = Deployment::start(sdg, cfg).unwrap();
+/// The task of a 2-partition KV deployment that accesses `kv` (`bump_0`).
+fn bump_task(d: &Deployment) -> sdg_common::ids::TaskId {
+    d.metrics()
+        .tasks
+        .iter()
+        .find(|t| t.name == "bump_0")
+        .and_then(|t| t.id)
+        .expect("bump_0 is deployed")
+}
 
+/// Polls until the supervisor has finished a recovery and health settled
+/// back to `Healthy` (or degraded for good).
+fn await_supervisor(d: &Deployment) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while std::time::Instant::now() < deadline {
+        let snap = d.metrics();
+        if snap.recovery.succeeded >= 1 && d.health() == Health::Healthy {
+            return;
+        }
+        if d.health() == Health::Degraded {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("no recovery: {:?} {:?}", d.health(), d.metrics().recovery);
+}
+
+#[test]
+fn recovery_right_after_a_scale_is_exact() {
+    // Base + delta checkpoints, then a repartition in each direction, each
+    // followed at once by a recovery: the scale's own base takes make the
+    // chains match the new key ownership.
+    let (d, kv) = deploy_kv(2, true);
     for n in 0..200i64 {
         d.submit("bump", record! {"k" => Value::Int(n % 20)})
             .unwrap();
@@ -939,27 +1022,18 @@ fn migration_invalidates_checkpoint_chains() {
     assert!(d.quiesce(Duration::from_secs(10)));
     d.reconfigure(ReconfigRequest::Checkpoint).unwrap(); // Delta.
 
-    // Repartition 2 -> 3. The old chains describe the old key ownership,
-    // so they are dropped...
-    let snap = d.metrics();
-    let task = snap
-        .tasks
-        .iter()
-        .find(|t| t.instances == 2)
-        .and_then(|t| t.id)
-        .expect("a 2-instance task exists");
+    // Repartition 2 -> 3 and recover at once: no take in between.
+    let task = bump_task(&d);
     d.reconfigure(ReconfigRequest::ScaleOut { task }).unwrap();
+    d.reconfigure(ReconfigRequest::FailAndRecover {
+        state: kv,
+        replica: 0,
+    })
+    .unwrap();
+    assert!(d.quiesce(Duration::from_secs(10)));
+    assert_eq!(total_count(&d, kv), 300, "no loss, no duplication");
 
-    // ...which makes recovery in the migration window an explicit error
-    // rather than a silently wrong restore.
-    assert!(d
-        .reconfigure(ReconfigRequest::FailAndRecover {
-            state: kv,
-            replica: 0,
-        })
-        .is_err());
-
-    // The next checkpoint re-bases every replica; recovery is exact again.
+    // Later traffic and takes compose with the scale's chains.
     for n in 0..100i64 {
         d.submit("bump", record! {"k" => Value::Int(n % 20)})
             .unwrap();
@@ -975,15 +1049,16 @@ fn migration_invalidates_checkpoint_chains() {
     assert_eq!(total_count(&d, kv), 400, "no loss, no duplication");
 
     // Same guarantee across a scale-in boundary: checkpoint, shrink 3 -> 2,
-    // checkpoint again, recover a survivor.
+    // recover a survivor at once, then again after a take.
     d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
     d.reconfigure(ReconfigRequest::ScaleIn { task }).unwrap();
-    assert!(d
-        .reconfigure(ReconfigRequest::FailAndRecover {
-            state: kv,
-            replica: 1,
-        })
-        .is_err());
+    d.reconfigure(ReconfigRequest::FailAndRecover {
+        state: kv,
+        replica: 1,
+    })
+    .unwrap();
+    assert!(d.quiesce(Duration::from_secs(10)));
+    assert_eq!(total_count(&d, kv), 400);
     d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
     d.reconfigure(ReconfigRequest::FailAndRecover {
         state: kv,
@@ -993,6 +1068,87 @@ fn migration_invalidates_checkpoint_chains() {
     assert!(d.quiesce(Duration::from_secs(10)));
     assert_eq!(total_count(&d, kv), 400);
     assert_eq!(d.stats().errors, 0);
+    d.shutdown();
+}
+
+/// The replica a scale-out just added fails before any interval take: the
+/// supervisor recovers it from the base the scale took.
+#[test]
+fn recovery_right_after_a_scale_out_is_exact() {
+    let prog = parse_program(KV_SRC).unwrap();
+    let sdg = translate(&prog).unwrap();
+    let kv = sdg.state_by_name("kv").unwrap().id;
+    let mut cfg = RuntimeConfig::builder()
+        .faults(FaultPlan::seeded(1).with_worker_panic("bump_0", 2, 5))
+        .build();
+    cfg.se_instances.insert(kv, 2);
+    cfg.checkpoint.enabled = true;
+    cfg.checkpoint.interval = Duration::from_secs(3600);
+    let d = Deployment::start(sdg, cfg).unwrap();
+
+    for n in 0..300i64 {
+        d.submit("bump", record! {"k" => Value::Int(n % 30)})
+            .unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(10)));
+    d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+    d.reconfigure(ReconfigRequest::ScaleOut {
+        task: bump_task(&d),
+    })
+    .unwrap();
+    for n in 0..300i64 {
+        // A send to the dead replica fails after the item was logged
+        // upstream; replay delivers it, so a retry would double-apply it.
+        let _ = d.submit("bump", record! {"k" => Value::Int(n % 30)});
+    }
+    await_supervisor(&d);
+    assert!(d.quiesce(Duration::from_secs(10)));
+    assert!(d.metrics().faults.worker_panics >= 1, "the fault fired");
+    assert_eq!(d.health(), Health::Healthy);
+    assert_eq!(total_count(&d, kv), 600, "no loss, no duplication");
+    d.shutdown();
+}
+
+/// A scale-in issued while an instance of the task is dead is refused
+/// until the instance has been recovered; otherwise it would merge the
+/// dead replica's state and leave its lost items behind.
+#[test]
+fn scale_in_waits_for_a_failed_instance_to_be_recovered() {
+    let prog = parse_program(KV_SRC).unwrap();
+    let sdg = translate(&prog).unwrap();
+    let kv = sdg.state_by_name("kv").unwrap().id;
+    let mut cfg = RuntimeConfig::builder()
+        .faults(FaultPlan::seeded(1).with_worker_panic("bump_0", 1, 20))
+        .build();
+    cfg.se_instances.insert(kv, 2);
+    cfg.checkpoint.enabled = true;
+    cfg.checkpoint.interval = Duration::from_secs(3600);
+    cfg.supervisor.enabled = false;
+    let d = Deployment::start(sdg, cfg).unwrap();
+    let task = bump_task(&d);
+
+    for n in 0..400i64 {
+        let _ = d.submit("bump", record! {"k" => Value::Int(n % 20)});
+    }
+    assert!(d.quiesce(Duration::from_secs(10)));
+    assert_eq!(d.metrics().faults.worker_panics, 1, "the fault fired");
+    let refused = d
+        .reconfigure(ReconfigRequest::ScaleIn { task })
+        .expect_err("a scale over a dead instance");
+    assert!(refused.to_string().contains("awaits recovery"), "{refused}");
+    assert_eq!(state_instances(&d, kv), 2, "nothing moved");
+
+    d.reconfigure(ReconfigRequest::FailAndRecover {
+        state: kv,
+        replica: 1,
+    })
+    .unwrap();
+    assert!(d.quiesce(Duration::from_secs(10)));
+    assert_eq!(total_count(&d, kv), 400);
+    d.reconfigure(ReconfigRequest::ScaleIn { task }).unwrap();
+    assert!(d.quiesce(Duration::from_secs(10)));
+    assert_eq!(state_instances(&d, kv), 1);
+    assert_eq!(total_count(&d, kv), 400);
     d.shutdown();
 }
 

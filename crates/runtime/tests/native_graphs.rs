@@ -14,6 +14,8 @@ use sdg_graph::model::{
 };
 use sdg_runtime::config::RuntimeConfig;
 use sdg_runtime::deploy::Deployment;
+use sdg_runtime::fault::FaultPlan;
+use sdg_runtime::reconfig::ReconfigRequest;
 use sdg_state::partition::PartitionDim;
 use sdg_state::store::StateType;
 
@@ -271,5 +273,44 @@ fn stateless_fanout_scales_independently_of_consumers() {
     }
     assert_eq!(total, 400);
     assert_eq!(d.stats().errors, 0);
+    d.shutdown();
+}
+
+/// A stateless scale-in is refused while an instance of the task is dead:
+/// it would retire the last live slot and leave the dead one in place.
+#[test]
+fn stateless_scale_in_waits_for_a_failed_instance() {
+    // parse ×2 ──▶ sink, parse#1 panics on its first item.
+    let mut b = SdgBuilder::new();
+    let parse = b.add_task(
+        "parse",
+        TaskKind::Entry {
+            method: "feed".into(),
+        },
+        TaskCode::Passthrough,
+        None,
+    );
+    let sink = b.add_task("sink", TaskKind::Compute, TaskCode::Passthrough, None);
+    b.connect(parse, sink, Dispatch::OneToAny, vec!["k".into()]);
+    let sdg = b.build().unwrap();
+    let parse_id = sdg.task_by_name("parse").unwrap().id;
+    let mut cfg = RuntimeConfig::builder()
+        .faults(FaultPlan::seeded(1).with_worker_panic("parse", 1, 1))
+        .build();
+    cfg.task_instances.insert(parse_id, 2);
+    cfg.supervisor.enabled = false;
+    let d = Deployment::start(sdg, cfg).unwrap();
+
+    for n in 0..50i64 {
+        // Sends to the dead instance fail; the live one takes the rest.
+        let _ = d.submit("feed", record! {"k" => Value::Int(n)});
+    }
+    assert!(d.quiesce(Duration::from_secs(30)));
+    assert_eq!(d.metrics().faults.worker_panics, 1, "the fault fired");
+    let refused = d
+        .reconfigure(ReconfigRequest::ScaleIn { task: parse_id })
+        .expect_err("a scale-in over a dead instance");
+    assert!(refused.to_string().contains("awaits recovery"), "{refused}");
+    assert_eq!(d.metrics().task_by_id(parse_id).unwrap().instances, 2);
     d.shutdown();
 }

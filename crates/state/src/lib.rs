@@ -7,8 +7,9 @@
 //! - **dirty state** (§5): while a checkpoint of the structure is being
 //!   serialised, updates land in a separate overlay and reads consult the
 //!   overlay first, so processing continues with minimal interruption;
-//! - **dynamic partitioning** for partitioned SEs (split by access key
-//!   across instances, re-split on scale-out and recovery);
+//! - **dynamic partitioning** for partitioned SEs (placed by access-key
+//!   hash across instances, on scaling and recovery alike:
+//!   [`store::place_entry`]);
 //! - **entry-level export/import** so checkpoints can be chunked and
 //!   restored m-to-n (§5, Fig. 4).
 //!
@@ -40,6 +41,5 @@ pub mod table;
 pub use dense::DenseVector;
 pub use entry::StateEntry;
 pub use matrix::SparseMatrix;
-pub use partition::PartitionStrategy;
 pub use store::{StateSnapshot, StateStore, StateType};
 pub use table::KeyedTable;

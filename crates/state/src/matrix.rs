@@ -101,13 +101,6 @@ pub(crate) fn row_value(mut cells: Vec<(i64, f64)>) -> Value {
     )
 }
 
-fn retain_cells(rows: &mut Rows, keep: impl Fn(i64, i64) -> bool) {
-    rows.retain(|&row, cells| {
-        cells.retain(|&col, _| keep(row, col));
-        !cells.is_empty()
-    });
-}
-
 impl SparseMatrix {
     /// Creates an empty matrix.
     pub fn new() -> Self {
@@ -364,29 +357,6 @@ impl SparseMatrix {
         parts
     }
 
-    /// Retains only the elements whose `dim` index hashes to partition
-    /// `idx` of `n`.
-    ///
-    /// During a checkpoint the dirty overlay is filtered too, so
-    /// `consolidate` cannot bring a dropped cell back; the snapshot already
-    /// handed out is unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `idx >= n`.
-    pub fn retain_partition(&mut self, dim: PartitionDim, idx: usize, n: usize) {
-        assert!(n > 0 && idx < n, "invalid partition index");
-        let keep = |row, col| owner(dim, row, col, n) == idx;
-        retain_cells(Arc::make_mut(&mut self.base), keep);
-        if let Some(dirty) = &mut self.dirty {
-            retain_cells(dirty, keep);
-            self.dirty_cells = dirty.values().map(HashMap::len).sum();
-        }
-        let mut nnz = 0;
-        self.for_each_cell(|_, _, _| nnz += 1);
-        self.nnz = nnz;
-    }
-
     /// Adds every element of `other` into `self` (elementwise sum).
     ///
     /// This is one natural reconciliation for partial co-occurrence
@@ -552,43 +522,6 @@ mod tests {
             for (col, _) in p.row(0) {
                 assert_eq!((Key::Int(col).stable_hash() % 4) as usize, idx);
             }
-        }
-    }
-
-    #[test]
-    fn retain_partition_matches_split() {
-        let mut m = SparseMatrix::new();
-        for r in 0..40 {
-            m.set(r, 0, r as f64);
-        }
-        let expected = m.split_by_hash(PartitionDim::Row, 4)[2].nnz();
-        let mut own = m.clone();
-        own.retain_partition(PartitionDim::Row, 2, 4);
-        assert_eq!(own.nnz(), expected);
-    }
-
-    #[test]
-    fn retain_partition_during_a_checkpoint_drops_overlay_writes_too() {
-        let mut m = SparseMatrix::new();
-        for r in 0..40 {
-            m.set(r, 0, r as f64);
-        }
-        let expected = m.split_by_hash(PartitionDim::Row, 4)[2].clone();
-        let snap = m.begin_checkpoint().unwrap();
-        // Overwrite every cell and add a second column: all in the overlay.
-        for r in 0..40 {
-            m.set(r, 0, r as f64);
-            m.set(r, 1, 1.0);
-        }
-        m.retain_partition(PartitionDim::Row, 2, 4);
-        assert_eq!(m.nnz(), 2 * expected.nnz());
-        assert_eq!(m.dirty_bytes(), 2 * expected.nnz() * 32);
-        m.consolidate().unwrap();
-        assert_eq!(snap.len(), 40, "the handed-out snapshot is untouched");
-        assert_eq!(m.nnz(), 2 * expected.nnz());
-        assert_eq!(m.row_indices(), expected.row_indices());
-        for r in m.row_indices() {
-            assert_eq!(m.row(r), vec![(0, r as f64), (1, 1.0)]);
         }
     }
 

@@ -1,13 +1,12 @@
-//! Partitioning strategies for distributed state elements.
+//! The partition axis of a distributed state element.
 //!
 //! §3.2: "Different data structures support different partitioning
 //! strategies: e.g. a map can be hash- or range-partitioned; a matrix can be
-//! partitioned by row or column." The same strategy must be used by the
-//! dataflow dispatcher and by the state splitters, so items always arrive at
-//! the instance holding their keys — this module is that single source of
-//! truth.
-
-use sdg_common::value::Key;
+//! partitioned by row or column." This runtime hash-partitions: a key, or a
+//! matrix cell's row or column index, lives on instance
+//! `stable_hash % n`. The dispatcher routes by that rule, and
+//! `store::place_entry` places restored and migrated state by it.
+//! [`PartitionDim`] picks the matrix axis the hash is taken along.
 
 /// Which axis of a matrix a partitioning applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,150 +26,13 @@ impl std::fmt::Display for PartitionDim {
     }
 }
 
-/// How keys map to partition indices.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PartitionStrategy {
-    /// `partition = stable_hash(key) % n`. Works for any key type and keeps
-    /// placement deterministic across restarts.
-    Hash,
-    /// Range partitioning over integer keys with explicit upper boundaries:
-    /// partition `i` holds keys `< boundaries[i]`; the last partition holds
-    /// the rest. Requires `Key::Int` keys.
-    Range {
-        /// Sorted, strictly increasing upper boundaries; length `n - 1` for
-        /// `n` partitions.
-        boundaries: Vec<i64>,
-    },
-}
-
-impl PartitionStrategy {
-    /// Returns the partition index for `key` among `n` partitions.
-    ///
-    /// For [`PartitionStrategy::Range`], non-integer keys and mismatched
-    /// boundary counts fall back to hash partitioning rather than failing,
-    /// because dispatch happens on the hot path; the graph validator rejects
-    /// such configurations statically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn part_of(&self, key: &Key, n: usize) -> usize {
-        assert!(n > 0, "partition count must be positive");
-        match self {
-            PartitionStrategy::Hash => (key.stable_hash() % n as u64) as usize,
-            PartitionStrategy::Range { boundaries } => {
-                if boundaries.len() + 1 != n {
-                    return (key.stable_hash() % n as u64) as usize;
-                }
-                let Key::Int(v) = key else {
-                    return (key.stable_hash() % n as u64) as usize;
-                };
-                boundaries.partition_point(|b| v >= b)
-            }
-        }
-    }
-
-    /// Builds `n` equal-width range boundaries over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `lo >= hi`.
-    pub fn uniform_ranges(lo: i64, hi: i64, n: usize) -> PartitionStrategy {
-        assert!(n > 0, "partition count must be positive");
-        assert!(lo < hi, "range must be non-empty");
-        let width = ((hi - lo) as u128).div_ceil(n as u128) as i64;
-        let boundaries = (1..n as i64).map(|i| lo + i * width).collect();
-        PartitionStrategy::Range { boundaries }
-    }
-}
-
-/// Whether a key with stable hash `hash` lives on a different instance
-/// after a mod-`N` repartitioning from `from` to `to` instances.
-///
-/// The reconfiguration planner uses this to account moved bytes exactly:
-/// under hash partitioning a resize reshuffles keys between *all*
-/// instances (not just the added/removed one), and an entry migrates
-/// precisely when its owner index changes.
-///
-/// # Panics
-///
-/// Panics if `from` or `to` is zero.
-pub fn owner_changes(hash: u64, from: usize, to: usize) -> bool {
-    assert!(from > 0 && to > 0, "partition counts must be positive");
-    hash % from as u64 != hash % to as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn hash_is_total_and_stable() {
-        let s = PartitionStrategy::Hash;
-        for i in 0..100 {
-            let p = s.part_of(&Key::Int(i), 7);
-            assert!(p < 7);
-            assert_eq!(p, s.part_of(&Key::Int(i), 7));
-        }
-    }
-
-    #[test]
-    fn range_respects_boundaries() {
-        let s = PartitionStrategy::Range {
-            boundaries: vec![10, 20],
-        };
-        assert_eq!(s.part_of(&Key::Int(-5), 3), 0);
-        assert_eq!(s.part_of(&Key::Int(9), 3), 0);
-        assert_eq!(s.part_of(&Key::Int(10), 3), 1);
-        assert_eq!(s.part_of(&Key::Int(19), 3), 1);
-        assert_eq!(s.part_of(&Key::Int(20), 3), 2);
-        assert_eq!(s.part_of(&Key::Int(1_000), 3), 2);
-    }
-
-    #[test]
-    fn range_falls_back_to_hash_on_mismatch() {
-        let s = PartitionStrategy::Range {
-            boundaries: vec![10],
-        };
-        // 3 partitions but 1 boundary: falls back to hash, stays in range.
-        let p = s.part_of(&Key::Int(5), 3);
-        assert!(p < 3);
-        // Non-integer key: falls back to hash.
-        let p = s.part_of(&Key::str("abc"), 2);
-        assert!(p < 2);
-    }
-
-    #[test]
-    fn uniform_ranges_cover_the_domain() {
-        let s = PartitionStrategy::uniform_ranges(0, 100, 4);
-        let PartitionStrategy::Range { boundaries } = &s else {
-            panic!("expected range strategy");
-        };
-        assert_eq!(boundaries, &vec![25, 50, 75]);
-        let mut counts = [0usize; 4];
-        for i in 0..100 {
-            counts[s.part_of(&Key::Int(i), 4)] += 1;
-        }
-        assert_eq!(counts, [25, 25, 25, 25]);
-    }
-
-    #[test]
     fn dim_displays() {
         assert_eq!(PartitionDim::Row.to_string(), "row");
         assert_eq!(PartitionDim::Col.to_string(), "col");
-    }
-
-    #[test]
-    fn owner_changes_matches_mod_n_ownership() {
-        for i in 0..200i64 {
-            let h = Key::Int(i).stable_hash();
-            assert_eq!(owner_changes(h, 4, 3), h % 4 != h % 3);
-            // Same count: nothing moves.
-            assert!(!owner_changes(h, 5, 5));
-        }
-        // From a single instance every key stays (owner 0 both ways) only
-        // when the new count maps it to 0 as well.
-        assert!(!owner_changes(6, 1, 3));
-        assert!(owner_changes(7, 1, 3));
     }
 }

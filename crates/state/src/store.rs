@@ -309,23 +309,6 @@ impl StateStore {
             )),
         }
     }
-
-    /// Drops all entries not belonging to partition `idx` of `n`.
-    pub fn retain_partition(&mut self, idx: usize, n: usize, dim: PartitionDim) -> SdgResult<()> {
-        match self {
-            StateStore::Table(t) => {
-                t.retain_partition(idx, n);
-                Ok(())
-            }
-            StateStore::Matrix(m) => {
-                m.retain_partition(dim, idx, n);
-                Ok(())
-            }
-            StateStore::Vector(_) => Err(SdgError::State(
-                "dense vectors cannot be partitioned; declare them @Partial".into(),
-            )),
-        }
-    }
 }
 
 /// An immutable, consistent snapshot of one SE instance.
@@ -548,8 +531,6 @@ mod tests {
     fn vectors_refuse_partitioning() {
         let s = StateStore::new(StateType::Vector);
         assert!(s.split_by_hash(2, PartitionDim::Row).is_err());
-        let mut s = s;
-        assert!(s.retain_partition(0, 2, PartitionDim::Row).is_err());
     }
 
     #[test]

@@ -352,36 +352,6 @@ impl KeyedTable {
         });
         parts
     }
-
-    /// Merges all entries of `other` into `self`, overwriting duplicates.
-    pub fn absorb(&mut self, other: &KeyedTable) {
-        other.for_each(|k, v| {
-            self.put(k.clone(), v.clone());
-        });
-    }
-
-    /// Retains only keys whose hash maps to `idx` of `n` partitions.
-    ///
-    /// Used when an existing instance sheds keys during scale-out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `idx >= n`.
-    pub fn retain_partition(&mut self, idx: usize, n: usize) {
-        assert!(n > 0 && idx < n, "invalid partition index");
-        let keys: Vec<Key> = {
-            let mut keys = Vec::new();
-            self.for_each(|k, _| {
-                if (k.stable_hash() % n as u64) as usize != idx {
-                    keys.push(k.clone());
-                }
-            });
-            keys
-        };
-        for k in keys {
-            self.remove(&k);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -491,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn split_and_absorb_preserve_contents() {
+    fn split_and_merge_preserve_contents() {
         let mut t = KeyedTable::new();
         for i in 0..100 {
             t.put(k(i), Value::Int(i * 10));
@@ -506,27 +476,14 @@ mod tests {
         }
         let mut merged = KeyedTable::new();
         for p in &parts {
-            merged.absorb(p);
+            p.for_each(|key, v| {
+                merged.put(key.clone(), v.clone());
+            });
         }
         assert_eq!(merged.len(), 100);
         for i in 0..100 {
             assert_eq!(merged.get(&k(i)), Some(Value::Int(i * 10)));
         }
-    }
-
-    #[test]
-    fn retain_partition_drops_foreign_keys() {
-        let mut t = KeyedTable::new();
-        for i in 0..50 {
-            t.put(k(i), Value::Int(i));
-        }
-        let mut own = t.clone();
-        own.retain_partition(1, 3);
-        own.for_each(|key, _| {
-            assert_eq!((key.stable_hash() % 3) as usize, 1);
-        });
-        let expected = t.split_by_hash(3)[1].len();
-        assert_eq!(own.len(), expected);
     }
 
     #[test]

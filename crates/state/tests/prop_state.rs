@@ -220,10 +220,10 @@ proptest! {
         prop_assert_eq!(table_contents(restored.as_table().unwrap()), table_contents(&t));
     }
 
-    /// Hash-splitting into n parts and absorbing them back must be lossless,
+    /// Hash-splitting into n parts and merging them back must be lossless,
     /// and parts must be disjoint.
     #[test]
-    fn table_split_absorb_roundtrips(ops in arb_table_ops(), n in 1usize..6) {
+    fn table_split_merge_roundtrips(ops in arb_table_ops(), n in 1usize..6) {
         let mut t = KeyedTable::new();
         for op in &ops {
             apply_table(&mut t, op);
@@ -232,7 +232,9 @@ proptest! {
         prop_assert_eq!(parts.iter().map(KeyedTable::len).sum::<usize>(), t.len());
         let mut merged = KeyedTable::new();
         for p in &parts {
-            merged.absorb(p);
+            p.for_each(|k, v| {
+                merged.put(k.clone(), v.clone());
+            });
         }
         prop_assert_eq!(table_contents(&merged), table_contents(&t));
     }

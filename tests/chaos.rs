@@ -168,9 +168,9 @@ fn chaos_pool_scheduler_is_exactly_once() {
 
 /// Scaling while interval checkpoints run: the bump task scales out and
 /// back in mid-workload, then a seeded panic kills one of its instances.
-/// Each migration is ordered with the takes around it, so the supervisor
-/// recovers from a chain cut against the current key ownership (or, until
-/// the first post-migration take lands, retries).
+/// Each migration is ordered with the takes around it and ends with a base
+/// take of every replica, so the supervisor recovers from a chain cut
+/// against the current key ownership.
 #[test]
 fn scaling_between_interval_checkpoints_is_exactly_once() {
     quiet_injected_panics();
