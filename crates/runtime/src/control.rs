@@ -12,9 +12,11 @@
 //! releases it and asks again queues behind the ones already waiting, so
 //! a `with_state` loop cannot starve a checkpoint.
 //!
-//! Lock order: `control` → target write guards (in task-id order) →
-//! `cells`. Workers never take `control`, and dispatch only reads
-//! `targets`, so the per-item path does not see the sequencer.
+//! Lock order: `control` → route guards (the paused tasks' in task-id
+//! order, then those upstream of them) → `cells`. A route's stage lock is
+//! only ever taken inside that one route. Workers never take `control`,
+//! and dispatch only reads routes, so the per-item path does not see the
+//! sequencer.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};

@@ -30,7 +30,6 @@ use sdg_graph::alloc::allocate;
 use sdg_graph::model::{AccessMode, Dispatch, Distribution, Sdg, StateDecl, TaskDecl, TaskKind};
 use sdg_graph::validate::validate;
 use sdg_ir::analysis::verify::VerifyReport;
-use sdg_ir::te_compiled::CompiledTe;
 use sdg_state::partition::PartitionDim;
 use sdg_state::store::{StateStore, StateType};
 
@@ -43,8 +42,10 @@ use crate::fault::{
 use crate::item::{lane, Item};
 use crate::reconfig::{self, ReconfigReport, ReconfigRequest};
 use crate::scaling::{run_scaling_monitor, Groups, Sample, ScaleDirection, StopWait};
-use crate::sched::{Pool, PoolSender};
-use crate::worker::{BufferKey, BufferRegistry, OutEdge, PreparedCode, Targets, Worker, WorkerMsg};
+use crate::sched::Pool;
+use crate::worker::{
+    BufferKey, BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Worker, WorkerMsg,
+};
 
 pub use crate::worker::OutputEvent;
 
@@ -136,15 +137,13 @@ pub struct RecoveryReport {
 pub(crate) struct Inner {
     pub sdg: Arc<Sdg>,
     pub cfg: RuntimeConfig,
-    /// Consumer senders per task, replica-indexed.
-    pub targets: HashMap<TaskId, Targets>,
+    /// Each task's instances, replica-indexed, as its producers reach them.
+    pub(crate) routes: HashMap<TaskId, Arc<Route>>,
+    /// Each task's code, prepared once at start and shared by every
+    /// instance, respawns and scale-outs included.
+    code: HashMap<TaskId, PreparedCode>,
     /// SE instance cells, replica-indexed.
     pub cells: RwLock<HashMap<StateId, Vec<Arc<StateCell>>>>,
-    /// Liveness flag per TE instance.
-    pub(crate) alive: RwLock<HashMap<(TaskId, u32), Arc<AtomicBool>>>,
-    /// Heartbeat epoch per TE instance, bumped by the worker once per
-    /// step; the supervisor scans these for hang detection.
-    heartbeats: RwLock<HashMap<(TaskId, u32), Arc<AtomicU64>>>,
     /// Caught worker/actor panics, drained by the supervisor.
     failure_hub: Arc<FailureHub>,
     /// Resolved fault plan (empty when no plan is configured).
@@ -165,17 +164,12 @@ pub(crate) struct Inner {
     ingest: Mutex<HashMap<TaskId, OutEdge>>,
     ingest_src: AtomicU32,
     node_cursor: AtomicU32,
-    pub(crate) node_of_instance: RwLock<HashMap<(TaskId, u32), u32>>,
     pub stores: Vec<Arc<BackupStore>>,
     /// The control sequencer ([`crate::control`]): every checkpoint,
     /// scale, recovery and `with_state` runs holding it, and it owns the
     /// checkpoint chains. A second take of the same cell, or a migration
     /// in the middle of one, would fail the cell's checkpoint phases.
     pub(crate) control: Sequencer,
-    /// Deploy-time slot-compilation cache: one [`CompiledTe`] per task,
-    /// shared by all replicas (including respawns during recovery and
-    /// scale-out).
-    compiled: Mutex<HashMap<TaskId, Arc<CompiledTe>>>,
     /// The work-stealing pool running every TE instance as an actor.
     pool: Arc<Pool>,
     /// Parks the controller threads between ticks; stopped at shutdown so
@@ -202,7 +196,7 @@ impl IngestHandle {
             .lanes
             .entry(task.id)
             .or_insert_with(|| self.inner.ingest_out(task, self.src));
-        self.inner.request(out, self.src, payload)
+        self.inner.request(out, payload)
     }
 }
 
@@ -246,10 +240,12 @@ impl Deployment {
         // are created eagerly so a snapshot always lists every element,
         // even before its first item.
         let obs = Arc::new(MetricsRegistry::with_event_capacity(cfg.event_log_capacity));
-        let mut targets = HashMap::new();
+        let mut routes = HashMap::new();
+        let mut code = HashMap::new();
         let mut instruments = HashMap::new();
         for task in &sdg.tasks {
-            targets.insert(task.id, Arc::new(RwLock::new(Vec::new())) as Targets);
+            routes.insert(task.id, Arc::default());
+            code.insert(task.id, PreparedCode::prepare(&task.code));
             instruments.insert(task.id, obs.task_with_id(&task.name, Some(task.id)));
         }
 
@@ -279,10 +275,9 @@ impl Deployment {
         let inner = Arc::new(Inner {
             sdg: Arc::clone(&sdg),
             cfg: cfg.clone(),
-            targets,
+            routes,
+            code,
             cells: RwLock::new(cells),
-            alive: RwLock::new(HashMap::new()),
-            heartbeats: RwLock::new(HashMap::new()),
             failure_hub,
             injector,
             health: AtomicU8::new(Health::Healthy.as_u8()),
@@ -294,10 +289,8 @@ impl Deployment {
             ingest: Mutex::new(HashMap::new()),
             ingest_src: AtomicU32::new(1),
             node_cursor: AtomicU32::new(allocation.num_nodes),
-            node_of_instance: RwLock::new(HashMap::new()),
             stores,
             control: Sequencer::default(),
-            compiled: Mutex::new(HashMap::new()),
             pool,
             stop_wait: StopWait::default(),
             started: Instant::now(),
@@ -322,13 +315,14 @@ impl Deployment {
                 }
                 None => cfg.task_instances.get(&task.id).copied().unwrap_or(1),
             };
+            let mut slots = inner.routes[&task.id].write();
             for replica in 0..count {
                 let node = if replica == 0 {
                     allocation.node_of_task(task.id).raw()
                 } else {
                     inner.node_cursor.fetch_add(1, Ordering::Relaxed)
                 };
-                inner.spawn_instance(task.id, replica as u32, node)?;
+                inner.spawn_instance(task.id, replica as u32, node, &mut slots)?;
             }
         }
 
@@ -517,7 +511,7 @@ impl Deployment {
     /// mid-processing), up to `timeout`. Returns `true` on success.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let all = || self.inner.targets.values().map(|t| t.read());
+        let all = || self.inner.routes.values().map(|r| r.read());
         loop {
             if Inner::drained(all()) {
                 // Double-check after a grace period: one pass reads the
@@ -538,12 +532,12 @@ impl Deployment {
     /// Stops all workers and controllers, joining their threads.
     pub fn shutdown(self) {
         self.inner.stop_wait.stop();
-        for t in self.inner.targets.values() {
-            for sender in t.read().iter() {
+        for route in self.inner.routes.values() {
+            for instance in route.read().iter() {
                 // `force_send` so a full mailbox cannot block shutdown: Stop
                 // must reach every actor even when its producers are
                 // suspended on it.
-                let _ = sender.force_send(WorkerMsg::Stop);
+                let _ = instance.tx.force_send(WorkerMsg::Stop);
             }
         }
         for handle in self.control.lock().drain(..) {
@@ -559,9 +553,9 @@ impl Inner {
     fn refresh_gauges(&self) {
         let mut mailbox_depth = 0;
         for (task, instruments) in &self.instruments {
-            let targets = self.targets[task].read();
-            let depth: u64 = targets.iter().map(|s| s.len() as u64).sum();
-            instruments.instances.set(targets.len() as u64);
+            let slots = self.routes[task].read();
+            let depth: u64 = slots.iter().map(|i| i.tx.len() as u64).sum();
+            instruments.instances.set(slots.len() as u64);
             instruments.queue_depth.set(depth);
             mailbox_depth += depth;
         }
@@ -608,14 +602,12 @@ impl Inner {
     /// write guards it holds.
     pub(crate) fn drained<L>(lists: impl IntoIterator<Item = L>) -> bool
     where
-        L: std::ops::Deref<Target = Vec<PoolSender>>,
+        L: std::ops::Deref<Target = Vec<Instance>>,
     {
-        lists
-            .into_iter()
-            .all(|l| l.iter().all(PoolSender::is_quiet))
+        lists.into_iter().all(|l| l.iter().all(|i| i.tx.is_quiet()))
     }
 
-    /// The tasks accessing `state`, sorted by id so nested target locks
+    /// The tasks accessing `state`, sorted by id so nested route guards
     /// are always taken in one order.
     pub(crate) fn accessing_sorted(&self, state: StateId) -> Vec<TaskId> {
         let mut tasks = Vec::from_iter(self.sdg.tasks_accessing(state).iter().map(|t| t.id));
@@ -633,26 +625,19 @@ impl Inner {
         cell_layout(&self.cfg, decl, self.sdg.verify.as_deref())
     }
 
-    /// Spawns one TE instance actor; its sender is appended (or swapped in
-    /// at `replica`) in the task's target list.
-    pub(crate) fn spawn_instance(&self, task_id: TaskId, replica: u32, node: u32) -> SdgResult<()> {
-        self.spawn_instance_in(task_id, replica, node, None)
-    }
-
-    /// [`Inner::spawn_instance`] with an optionally pre-held target list.
-    ///
-    /// Recovery and repartitioning hold the task's dispatch lock across the
-    /// whole operation (kill → restore → respawn → replay); passing the
-    /// held guard's vector here avoids re-locking and keeps producers
+    /// Spawns TE instance `(task_id, replica)` on `node` as a pool actor
+    /// and puts it in `slots`, the task's paused route: appended, or in
+    /// place of the instance it replaces. Recovery and scaling pass the
+    /// guard they hold across the whole operation, so producers stay
     /// paused until the swap (and any replay) is complete.
-    pub(crate) fn spawn_instance_in(
+    pub(crate) fn spawn_instance(
         &self,
         task_id: TaskId,
         replica: u32,
         node: u32,
-        slot_override: Option<&mut Vec<PoolSender>>,
+        slots: &mut Vec<Instance>,
     ) -> SdgResult<()> {
-        let task = self.sdg.task(task_id)?.clone();
+        let task = self.sdg.task(task_id)?;
 
         let cell = match &task.access {
             Some(a) => {
@@ -695,8 +680,7 @@ impl Inner {
                     replica,
                     flow.dispatch.clone(),
                     flow.live_vars.clone(),
-                    Arc::clone(&self.targets[&flow.to]),
-                    replica as usize, // Stagger round-robin start points.
+                    Arc::clone(&self.routes[&flow.to]),
                     Arc::clone(&self.buffers),
                     buffered,
                 )
@@ -704,32 +688,11 @@ impl Inner {
             .collect();
 
         let alive = Arc::new(AtomicBool::new(true));
-        self.alive
-            .write()
-            .insert((task_id, replica), Arc::clone(&alive));
         let heartbeat = Arc::new(AtomicU64::new(0));
-        self.heartbeats
-            .write()
-            .insert((task_id, replica), Arc::clone(&heartbeat));
-        self.node_of_instance
-            .write()
-            .insert((task_id, replica), node);
-
-        // The compiled form is built once per task and shared by every
-        // replica.
-        let code = PreparedCode::prepare(&task.code, |te| {
-            Arc::clone(
-                self.compiled
-                    .lock()
-                    .entry(task_id)
-                    .or_insert_with(|| Arc::new(CompiledTe::compile(te))),
-            )
-        });
-
         let worker = Worker {
             name: task.name.clone(),
             replica,
-            code,
+            code: self.code[&task_id].clone(),
             scratch: Scratch::new(),
             cell,
             route_key,
@@ -739,33 +702,48 @@ impl Inner {
             gather_var,
             work_ns: self.cfg.work_ns.get(&task_id).copied().unwrap_or(0),
             speed: self.cfg.cluster.speed_of(node as usize),
-            alive,
+            alive: Arc::clone(&alive),
             obs: Arc::clone(&self.instruments[&task_id]),
             e2e: Arc::clone(self.obs.e2e_latency()),
             work_debt: Duration::ZERO,
             task: task_id,
-            heartbeat,
+            heartbeat: Arc::clone(&heartbeat),
             // A respawned replica shares the original (spent) trigger, so
             // a recovered worker does not re-fail on the replayed item.
             fault: self.injector.trigger_for(task_id, replica),
             hub: Arc::clone(&self.failure_hub),
         };
-        let tx = self.pool.spawn_actor(worker, self.cfg.channel_capacity);
-
-        let mut own_guard;
-        let targets: &mut Vec<PoolSender> = match slot_override {
-            Some(slot) => slot,
-            None => {
-                own_guard = self.targets[&task_id].write();
-                &mut own_guard
-            }
+        let instance = Instance {
+            tx: self.pool.spawn_actor(worker, self.cfg.channel_capacity),
+            alive,
+            heartbeat,
+            node,
         };
-        if (replica as usize) < targets.len() {
-            targets[replica as usize] = tx;
-        } else {
-            targets.push(tx);
+        match slots.get_mut(replica as usize) {
+            Some(slot) => *slot = instance,
+            None => slots.push(instance),
         }
         Ok(())
+    }
+
+    /// Pauses the routes of every task upstream of `tasks`, in task-id
+    /// order, while the caller holds `tasks`' own routes: no request
+    /// enters the pipeline that feeds them, so the sends staged during the
+    /// pause are at most what was in flight when it began.
+    pub(crate) fn pause_upstream(&self, tasks: &[TaskId]) -> Vec<Paused<'_>> {
+        let mut cone = tasks.to_vec();
+        let mut i = 0;
+        while let Some(&t) = cone.get(i) {
+            for flow in self.sdg.flows_to(t) {
+                if !cone.contains(&flow.from) {
+                    cone.push(flow.from);
+                }
+            }
+            i += 1;
+        }
+        let mut upstream = cone.split_off(tasks.len());
+        upstream.sort();
+        upstream.iter().map(|t| self.routes[t].write()).collect()
     }
 
     fn find_entry(&self, entry: &str) -> SdgResult<&TaskDecl> {
@@ -787,18 +765,17 @@ impl Inner {
             src,
             dispatch,
             Vec::new(),
-            Arc::clone(&self.targets[&task.id]),
-            src as usize,
+            Arc::clone(&self.routes[&task.id]),
             Arc::clone(&self.buffers),
             self.cfg.checkpoint.enabled,
         )
     }
 
-    /// Sends one external request through lane `src`'s dispatcher `out`;
-    /// returns its correlation id.
-    fn request(&self, out: &mut OutEdge, src: u32, payload: Record) -> SdgResult<u64> {
+    /// Sends one external request through an ingest lane's dispatcher
+    /// `out`; returns its correlation id.
+    fn request(&self, out: &mut OutEdge, payload: Record) -> SdgResult<u64> {
         let corr = self.corr.fetch_add(1, Ordering::Relaxed);
-        out.send(src, &Arc::new(payload), corr, 1, Some(Instant::now()))?;
+        out.send(&Arc::new(payload), corr, 1, Some(Instant::now()))?;
         Ok(corr)
     }
 
@@ -812,7 +789,7 @@ impl Inner {
         let out = ingest
             .entry(task.id)
             .or_insert_with(|| self.ingest_out(task, 0));
-        self.request(out, 0, payload)
+        self.request(out, payload)
     }
 
     /// Every edge into `task` with its dispatch, its ingest edge included:
@@ -906,7 +883,7 @@ impl Inner {
         for task in &self.sdg.tasks {
             if task.access.is_none() {
                 for flow in self.sdg.flows_to(task.id) {
-                    let n = self.targets[&task.id].read().len() as u32;
+                    let n = self.routes[&task.id].read().len() as u32;
                     for dst in 0..n {
                         for (_, buf) in self.buffers.buffers_into(flow.id, dst) {
                             buf.lock().cap(cap);
@@ -930,18 +907,21 @@ impl Inner {
         });
         let chain = ctl.recovery_chain(state, replica, self.cfg.checkpoint.enabled)?;
 
-        // Pause producers into the affected tasks: take their target locks
-        // in id order (consistent ordering prevents lock cycles). The locks
-        // are held through restore, respawn AND replay: if new traffic ran
-        // ahead of the replayed (lower-timestamped) items, the duplicate
-        // filter would wrongly discard the replay.
+        // Pause the affected tasks, in id order (consistent ordering
+        // prevents lock cycles), and then the tasks upstream of them. The
+        // pause is held through restore, respawn AND replay: if new
+        // traffic ran ahead of the replayed (lower-timestamped) items, the
+        // duplicate filter would wrongly discard the replay. Sends made
+        // meanwhile from inside the pool are staged, and the guards' drop
+        // flushes them after the replay, stamped above it.
         let affected = self.accessing_sorted(state);
-        let mut guards: Vec<_> = affected.iter().map(|t| self.targets[t].write()).collect();
+        let mut guards: Vec<_> = affected.iter().map(|t| self.routes[t].write()).collect();
+        let upstream = self.pause_upstream(&affected);
 
         // Kill the old instances: their queues drain as discards.
-        for &task in &affected {
-            if let Some(flag) = self.alive.read().get(&(task, replica)) {
-                flag.store(false, Ordering::Release);
+        for slots in &guards {
+            if let Some(old) = slots.get(replica as usize) {
+                old.alive.store(false, Ordering::Release);
             }
         }
 
@@ -1010,11 +990,11 @@ impl Inner {
             took: restore,
         });
 
-        // Respawn workers on a fresh node, swapping senders in through the
+        // Respawn workers on a fresh node, swapping them in through the
         // held guards.
         let node = self.next_node();
         for (i, &task) in affected.iter().enumerate() {
-            self.spawn_instance_in(task, replica, node, Some(&mut guards[i]))?;
+            self.spawn_instance(task, replica, node, &mut guards[i])?;
         }
 
         // Replay from upstream output buffers past the restored watermarks,
@@ -1022,16 +1002,15 @@ impl Inner {
         // in every lane so their (older) timestamps pass the filter.
         let mut replayed = 0usize;
         for (i, &task_id) in affected.iter().enumerate() {
-            let sender = guards[i][replica as usize].clone();
+            let sender = &guards[i][replica as usize].tx;
             for (edge, dispatch) in self.in_edges(self.sdg.task(task_id)?) {
                 let watermarks = replay_watermarks(&dispatch, &floor, &frontier);
                 for (src, buf) in self.buffers.buffers_into(edge, replica) {
                     let wm = watermarks.get(lane(edge, src));
                     for buffered in buf.lock().replay_after(wm) {
                         let item = Item::from_buffered(edge, src, buffered);
-                        // Replay runs while the target write guards are held;
-                        // a blocking send could never receive credit (the
-                        // producers are paused), so bypass the cap.
+                        // Replay runs under the pause: bypass the cap (see
+                        // `PoolSender::force_send`).
                         sender
                             .force_send(WorkerMsg::Item(item))
                             .map_err(|_| SdgError::Runtime("replay channel closed".into()))?;
@@ -1041,6 +1020,7 @@ impl Inner {
             }
         }
         drop(guards);
+        drop(upstream);
         self.obs.checkpoints().replayed.add(replayed as u64);
         self.obs.record_event(EventKind::RecoveryReplayed {
             instance: label.clone(),
@@ -1113,28 +1093,20 @@ impl Inner {
     /// a stalled epoch can mean a hang at all (only a `Running` actor
     /// holds a pool thread).
     pub(crate) fn heartbeat_view(&self) -> Vec<HeartbeatView> {
-        let heartbeats = self.heartbeats.read();
-        let alive = self.alive.read();
-        let mut views = Vec::with_capacity(heartbeats.len());
-        for (&(task, replica), epoch) in heartbeats.iter() {
-            let sender = self
-                .targets
-                .get(&task)
-                .and_then(|t| t.read().get(replica as usize).cloned());
-            let Some(sender) = sender else {
-                continue; // instance not wired (mid-spawn or retired)
-            };
-            views.push(HeartbeatView {
-                task,
-                replica,
-                epoch: epoch.load(Ordering::Acquire),
-                alive: alive
-                    .get(&(task, replica))
-                    .is_some_and(|f| f.load(Ordering::Acquire)),
-                queued: sender.len(),
-                hang_candidate: sender.is_running(),
-                label: self.te_label(task, replica),
-            });
+        let mut views = Vec::new();
+        for (&task, route) in &self.routes {
+            for (replica, instance) in route.read().iter().enumerate() {
+                let replica = replica as u32;
+                views.push(HeartbeatView {
+                    task,
+                    replica,
+                    epoch: instance.heartbeat.load(Ordering::Acquire),
+                    alive: instance.alive.load(Ordering::Acquire),
+                    queued: instance.tx.len(),
+                    hang_candidate: instance.tx.is_running(),
+                    label: self.te_label(task, replica),
+                });
+            }
         }
         views
     }
@@ -1189,22 +1161,20 @@ impl Inner {
         task: TaskId,
         replica: u32,
     ) -> SdgResult<()> {
-        if let Some(flag) = self.alive.read().get(&(task, replica)) {
-            flag.store(false, Ordering::Release);
+        let route = self
+            .routes
+            .get(&task)
+            .ok_or_else(|| SdgError::NotFound(format!("task {task}")))?;
+        let mut slots = route.write();
+        if let Some(old) = slots.get(replica as usize) {
+            old.alive.store(false, Ordering::Release);
         }
-        let node = self.next_node();
-        let targets = Arc::clone(
-            self.targets
-                .get(&task)
-                .ok_or_else(|| SdgError::NotFound(format!("task {task}")))?,
-        );
-        let mut guard = targets.write();
-        self.spawn_instance_in(task, replica, node, Some(&mut guard))
+        self.spawn_instance(task, replica, self.next_node(), &mut slots)
     }
 
     /// Records one scale event in the obs log and the reconfig counters.
     pub(crate) fn record_scale(&self, task: TaskId, node: u32, direction: ScaleDirection) {
-        let instances = self.targets[&task].read().len() as u32;
+        let instances = self.routes[&task].read().len() as u32;
         let name = match self.sdg.task(task) {
             Ok(decl) => decl.name.clone(),
             Err(_) => task.to_string(),

@@ -9,9 +9,13 @@
 //! every request runs holding the control sequencer (`Inner::control`),
 //! so checkpoints, migrations and recoveries never interleave.
 //!
-//! A scale of a stateful group first pauses the producers into every task
-//! that accesses the state and waits until those tasks are quiet. It
-//! refuses to run over an instance that has failed and awaits recovery.
+//! A scale of a stateful group first pauses the routes of every task that
+//! accesses the state, and of every task upstream of them, and waits,
+//! with no deadline, until the accessing tasks are quiet: a send from
+//! inside the pool into a paused route is staged, never waited on, so the
+//! wait always ends. Releasing the routes flushes the staged sends by the
+//! new instance count. A scale refuses to run over an instance that has
+//! failed and awaits recovery.
 //! A partitioned group is then re-placed onto p ± 1 instances by
 //! `repartition`, the way a restore places a checkpoint: every entry
 //! goes once, straight into its final stripe. A partial group grows by an
@@ -23,7 +27,6 @@
 //! replica, so a failure right after a scale recovers from the new chains.
 //! Scale-in deletes the removed replica's chunks from every backup store.
 
-use std::ops::DerefMut;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,8 +42,7 @@ use sdg_state::store::StateType;
 use crate::control::Control;
 use crate::deploy::Inner;
 use crate::scaling::ScaleDirection;
-use crate::sched::PoolSender;
-use crate::worker::WorkerMsg;
+use crate::worker::{Instance, Paused, WorkerMsg};
 
 /// A topology-change request for [`crate::deploy::Deployment::reconfigure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,12 +124,7 @@ pub(crate) struct MigrationStats {
 pub(crate) fn execute(inner: &Inner, request: ReconfigRequest) -> SdgResult<ReconfigReport> {
     let t0 = Instant::now();
     let ctl = &mut *inner.control.lock();
-    let instances = |task: TaskId| {
-        inner
-            .targets
-            .get(&task)
-            .map_or(0, |t| t.read().len() as u32)
-    };
+    let instances = |task: TaskId| inner.routes.get(&task).map_or(0, |r| r.read().len() as u32);
     let replicas = |state: StateId| inner.cells.read().get(&state).map_or(0, |g| g.len() as u32);
     let mut report = ReconfigReport {
         request,
@@ -157,7 +154,7 @@ pub(crate) fn execute(inner: &Inner, request: ReconfigRequest) -> SdgResult<Reco
         }
         ReconfigRequest::Checkpoint => {
             inner.checkpoint_all(ctl)?;
-            report.task_instances = inner.targets.keys().map(|&t| instances(t)).sum();
+            report.task_instances = inner.routes.keys().map(|&t| instances(t)).sum();
             report.se_instances = inner.cells.read().values().map(|g| g.len() as u32).sum();
         }
         ReconfigRequest::FailAndRecover { state, replica } => {
@@ -178,9 +175,10 @@ pub(crate) fn execute(inner: &Inner, request: ReconfigRequest) -> SdgResult<Reco
 fn scale_out(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<MigrationStats> {
     let task = inner.sdg.task(task_id)?;
     let Some(access) = &task.access else {
-        let replica = inner.targets[&task_id].read().len() as u32;
+        let mut slots = inner.routes[&task_id].write();
         let node = inner.next_node();
-        inner.spawn_instance(task_id, replica, node)?;
+        inner.spawn_instance(task_id, slots.len() as u32, node, &mut slots)?;
+        drop(slots);
         inner.record_scale(task_id, node, ScaleDirection::Out);
         return Ok(MigrationStats::default());
     };
@@ -204,16 +202,15 @@ fn scale_out(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<Mig
 fn scale_in(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<MigrationStats> {
     let task = inner.sdg.task(task_id)?;
     let Some(access) = &task.access else {
-        let mut guard = [inner.targets[&task_id].write()];
-        let n = guard[0].len() as u32;
-        if n <= 1 {
+        let mut guard = [inner.routes[&task_id].write()];
+        if guard[0].len() <= 1 {
             return Err(SdgError::Runtime(format!(
                 "task `{}` is already at one instance",
                 task.name
             )));
         }
         refuse_failed(inner, task_id, &guard[0])?;
-        let node = stop_victims(inner, &[task_id], &mut guard, n - 1);
+        let node = stop_victims(&mut guard);
         drop(guard);
         inner.record_scale(task_id, node, ScaleDirection::In);
         return Ok(MigrationStats::default());
@@ -257,8 +254,9 @@ fn migrate(
 ) -> SdgResult<MigrationStats> {
     // The guards stay held until the instances are swapped: releasing
     // earlier would let producers route by the old partition count
-    // against the already-moved state.
-    let (tasks, mut guards, drain) = pause(inner, state, trigger)?;
+    // against the already-moved state. Their drop flushes the sends
+    // staged meanwhile by the new count.
+    let (tasks, mut guards, upstream, drain) = pause(inner, state, trigger)?;
     let migrate_t0 = Instant::now();
     let p = inner.cells.read().get(&state).map_or(0, Vec::len);
     let moved_bytes = match inner.sdg.state(state)?.dist {
@@ -269,15 +267,16 @@ fn migrate(
     let (node, direction) = if to > p {
         let node = inner.next_node();
         for (i, &task) in tasks.iter().enumerate() {
-            inner.spawn_instance_in(task, p as u32, node, Some(&mut guards[i]))?;
+            inner.spawn_instance(task, p as u32, node, &mut guards[i])?;
         }
         (node, ScaleDirection::Out)
     } else {
         ctl.forget_replica(state, to as u32, &inner.stores);
-        let node = stop_victims(inner, &tasks, &mut guards, to as u32);
+        let node = stop_victims(&mut guards);
         (node, ScaleDirection::In)
     };
     drop(guards);
+    drop(upstream);
     inner.record_migration(state, moved_bytes, migrate_t0.elapsed());
     inner.record_scale(trigger, node, direction);
     // The migration emptied every record and left every tracked chunk
@@ -308,7 +307,7 @@ fn scale_out_partial(inner: &Inner, state: StateId, trigger: TaskId) -> SdgResul
     };
     let node = inner.next_node();
     for task in inner.accessing_sorted(state) {
-        inner.spawn_instance(task, new_replica, node)?;
+        inner.spawn_instance(task, new_replica, node, &mut inner.routes[&task].write())?;
     }
     inner.record_scale(trigger, node, ScaleDirection::Out);
     Ok(MigrationStats::default())
@@ -392,14 +391,21 @@ fn repartition(inner: &Inner, state: StateId, to: usize) -> SdgResult<u64> {
     Ok(moved)
 }
 
-/// Pauses the producers into every task accessing `state`: write-locks
-/// their target lists in task-id order, then waits (up to 5 s) until each
-/// of those tasks' instances is quiet — mailbox empty, no item
+/// The held pauses of several routes.
+type Guards<'a> = Vec<Paused<'a>>;
+
+/// Pauses every task accessing `state`: takes their routes
+/// ([`crate::worker::Route::write`]) in task-id order, then the routes
+/// upstream of them ([`Inner::pause_upstream`]), and waits until each of
+/// the accessing tasks' instances is quiet — mailbox empty, no item
 /// mid-processing — so a migration sees a consistent key population.
-/// Instances of other tasks are not waited on: a producer blocked on a
-/// held guard has nothing in the paused mailboxes. Returns the tasks,
-/// their held guards and the wait, which is also logged as `trigger`'s
-/// `RepartitionDrain`.
+///
+/// The wait has no deadline, because it always ends: a send into a paused
+/// route from inside the pool is staged rather than waited on, so no pool
+/// thread is held, and a paused instance that forwards into another
+/// paused task still drains its own mailbox. Instances of other tasks are
+/// not waited on. Returns the tasks, their guards, the upstream guards and
+/// the wait, which is also logged as `trigger`'s `RepartitionDrain`.
 ///
 /// # Errors
 ///
@@ -409,21 +415,12 @@ fn pause(
     inner: &Inner,
     state: StateId,
     trigger: TaskId,
-) -> SdgResult<(
-    Vec<TaskId>,
-    Vec<impl DerefMut<Target = Vec<PoolSender>> + '_>,
-    Duration,
-)> {
+) -> SdgResult<(Vec<TaskId>, Guards<'_>, Guards<'_>, Duration)> {
     let tasks = inner.accessing_sorted(state);
-    let guards: Vec<_> = tasks.iter().map(|t| inner.targets[t].write()).collect();
+    let guards: Vec<_> = tasks.iter().map(|t| inner.routes[t].write()).collect();
+    let upstream = inner.pause_upstream(&tasks);
     let t0 = Instant::now();
-    let deadline = t0 + Duration::from_secs(5);
-    // Past the deadline, proceed. That is not safe: an item still queued or
-    // mid-handle then lands on a re-placed cell whose merged vector may
-    // already cover its timestamp, and dedupe drops it. It happens only
-    // when a paused actor cannot finish: it sends into another paused task,
-    // or every pool thread is blocked on a held guard.
-    while !Inner::drained(guards.iter().map(|g| &**g)) && Instant::now() < deadline {
+    while !Inner::drained(guards.iter().map(|g| &**g)) {
         std::thread::sleep(Duration::from_millis(1));
     }
     let waited = t0.elapsed();
@@ -437,7 +434,7 @@ fn pause(
     for (&task, guard) in tasks.iter().zip(&guards) {
         refuse_failed(inner, task, guard)?;
     }
-    Ok((tasks, guards, waited))
+    Ok((tasks, guards, upstream, waited))
 }
 
 /// Refuses to scale `task` while one of its instances has failed and
@@ -445,8 +442,8 @@ fn pause(
 /// and slot, so the recovery that follows would find neither; the caller
 /// asks again once the supervisor (or a `FailAndRecover`) has recovered
 /// it.
-fn refuse_failed(inner: &Inner, task: TaskId, senders: &[PoolSender]) -> SdgResult<()> {
-    if !senders.iter().any(PoolSender::is_closed) {
+fn refuse_failed(inner: &Inner, task: TaskId, slots: &[Instance]) -> SdgResult<()> {
+    if !slots.iter().any(|i| i.tx.is_closed()) {
         return Ok(());
     }
     let name = inner
@@ -458,23 +455,15 @@ fn refuse_failed(inner: &Inner, task: TaskId, senders: &[PoolSender]) -> SdgResu
     )))
 }
 
-/// Stops the `victim` replica of every task (through the held guards) and
-/// unregisters it, returning the node it ran on.
-fn stop_victims<G>(inner: &Inner, tasks: &[TaskId], guards: &mut [G], victim: u32) -> u32
-where
-    G: DerefMut<Target = Vec<PoolSender>>,
-{
+/// Stops the last instance of every paused route and returns the node it
+/// ran on.
+fn stop_victims(guards: &mut [Paused<'_>]) -> u32 {
     let mut node = 0;
-    for (i, &task) in tasks.iter().enumerate() {
-        if let Some(sender) = guards[i].pop() {
-            // `force_send`: the victim's mailbox may be full, and a
-            // blocking send while producers wait on the held guards could
-            // never get credit.
-            let _ = sender.force_send(WorkerMsg::Stop);
-        }
-        inner.alive.write().remove(&(task, victim));
-        if let Some(n) = inner.node_of_instance.write().remove(&(task, victim)) {
-            node = n;
+    for slots in guards {
+        if let Some(victim) = slots.pop() {
+            // `force_send`: `Stop` must land whatever the mailbox holds.
+            let _ = victim.tx.force_send(WorkerMsg::Stop);
+            node = victim.node;
         }
     }
     node

@@ -117,9 +117,9 @@ impl Sample {
     pub(crate) fn take(inner: &Inner) -> Sample {
         let capacity = inner.cfg.channel_capacity as f64;
         let per_task = inner.sdg.tasks.iter().map(|t| {
-            let targets = inner.targets[&t.id].read();
-            let depth: usize = targets.iter().map(|s| s.len()).sum();
-            let n = targets.len();
+            let slots = inner.routes[&t.id].read();
+            let depth: usize = slots.iter().map(|i| i.tx.len()).sum();
+            let n = slots.len();
             (depth as f64 / (capacity * n.max(1) as f64), n as u32)
         });
         Sample(per_task.collect())

@@ -138,6 +138,12 @@ fn ctx_worker() -> Option<usize> {
     CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.me))
 }
 
+/// Whether this thread is running an actor slice: a wait here would hold
+/// a pool thread.
+pub(crate) fn in_actor() -> bool {
+    CURRENT.with(|c| c.borrow().is_some())
+}
+
 /// Sending half of an actor mailbox. Clones are counted: when the last
 /// clone drops, the mailbox disconnects and the actor drains what is
 /// queued, then retires.
@@ -155,9 +161,11 @@ impl PoolSender {
     }
 
     /// Delivers `msg` without waiting for space even from an external
-    /// thread. Used by paths that run under the target-list write guards
-    /// (recovery replay, victim `Stop`, shutdown), where waiting could
-    /// stall every pool worker behind the same guards.
+    /// thread. The flush of a paused route's staged sends needs it: it
+    /// holds the route's stage lock, which a pool thread sending into the
+    /// route may be waiting on, so waiting for credit could wait on
+    /// itself. Recovery replay runs under the same pause, and a victim's
+    /// or shutdown's `Stop` must land whatever the mailbox holds.
     pub fn force_send(&self, msg: WorkerMsg) -> Result<(), SendClosed> {
         self.actor.push(msg, true)
     }
@@ -193,8 +201,8 @@ impl PoolSender {
     }
 
     /// Whether the actor has retired. An instance still in its task's
-    /// target list retires only by failing: a stopped victim leaves the
-    /// list first.
+    /// route retires only by failing: a stopped victim leaves the route
+    /// first.
     pub(crate) fn is_closed(&self) -> bool {
         self.actor.mb.lock().expect("mailbox lock").closed
     }
@@ -238,7 +246,7 @@ impl Drop for PoolSender {
 
 impl Actor {
     fn push(self: &Arc<Self>, msg: WorkerMsg, force: bool) -> Result<(), SendClosed> {
-        let in_ctx = CURRENT.with(|c| c.borrow().is_some());
+        let in_ctx = in_actor();
         let mut mb = self.mb.lock().expect("mailbox lock");
         if !in_ctx && !force {
             while !mb.closed && mb.queue.len() >= self.cap {

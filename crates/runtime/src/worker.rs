@@ -8,8 +8,9 @@
 //! (§3.1).
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
@@ -29,7 +30,7 @@ use sdg_ir::te_compiled::CompiledTe;
 use crate::compile::{run_compiled, Scratch};
 use crate::fault::{FailureHub, FaultAction, FaultTrigger, PanicProbe};
 use crate::item::{lane, Item};
-use crate::sched::PoolSender;
+use crate::sched::{self, PoolSender};
 
 /// Synthetic service time is rested in slices of at least this much: a
 /// shorter timer wait overshoots by the timer slack, which would distort
@@ -44,9 +45,6 @@ pub enum WorkerMsg {
     /// Graceful stop.
     Stop,
 }
-
-/// The shared list of consumer-instance mailboxes for one task.
-pub type Targets = Arc<RwLock<Vec<PoolSender>>>;
 
 /// Error returned by [`PoolSender::send`]: the consumer actor retired,
 /// like a send into a disconnected channel.
@@ -159,59 +157,253 @@ impl BufferRegistry {
     }
 }
 
-/// One outgoing edge of a worker, with its dispatch machinery. Every item
-/// is logged and sent the moment it is produced.
-pub struct OutEdge {
-    /// Edge id.
-    pub edge: EdgeId,
-    /// Dispatch semantics.
-    pub dispatch: Dispatch,
-    /// Live variables to project onto the edge.
-    pub live_vars: Vec<String>,
-    /// Consumer instance senders (shared; scaling mutates it).
-    pub targets: Targets,
-    /// The clock of `(edge, this producer replica)` in the registry
-    /// ([`BufferRegistry::lane_clock`]), so the next incarnation of this
-    /// replica resumes past its last timestamp.
+/// One TE instance in its task's [`Route`]: the mailbox producers send
+/// into, and what the supervisor and the scale paths read about it.
+pub(crate) struct Instance {
+    pub(crate) tx: PoolSender,
+    /// The worker's liveness flag ([`Worker::alive`]).
+    pub(crate) alive: Arc<AtomicBool>,
+    /// The worker's heartbeat epoch ([`Worker::heartbeat`]).
+    pub(crate) heartbeat: Arc<AtomicU64>,
+    /// The cluster node hosting the instance.
+    pub(crate) node: u32,
+}
+
+/// How producers reach one task: its instances in replica order, and the
+/// sends staged while a control operation holds the route paused.
+///
+/// Inside a pool slice a send never waits for a pause: it stages, and the
+/// [`Paused`] guard flushes the stage when it is dropped. External threads
+/// (ingest, `quiesce`, the monitor, the supervisor) wait in
+/// [`Route::read`], as they wait on a full mailbox.
+#[derive(Default)]
+pub(crate) struct Route {
+    slots: RwLock<Vec<Instance>>,
+    /// Sends made into the paused route from inside a pool slice.
+    staged: Mutex<Vec<(Arc<Lane>, Outgoing)>>,
+}
+
+impl Route {
+    /// Shared access to the instances, blocking while the route is paused.
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Vec<Instance>> {
+        self.slots.read()
+    }
+
+    /// Pauses the route: no send reaches an instance until the guard drops.
+    pub(crate) fn write(&self) -> Paused<'_> {
+        Paused {
+            route: self,
+            slots: Some(self.slots.write()),
+        }
+    }
+}
+
+/// A paused [`Route`], dereferencing to its instances.
+///
+/// Dropping it flushes every send staged meanwhile, routed by the
+/// instances as they then stand, so a staged send follows a scale's new
+/// count and is stamped above everything a recovery replayed. The stage
+/// lock is held until the write guard is gone: a sender that failed to
+/// read the route and then takes the stage lock either reads the released
+/// route or stages for the next pause's flush.
+pub(crate) struct Paused<'a> {
+    route: &'a Route,
+    slots: Option<RwLockWriteGuard<'a, Vec<Instance>>>,
+}
+
+impl Deref for Paused<'_> {
+    type Target = Vec<Instance>;
+
+    fn deref(&self) -> &Vec<Instance> {
+        self.slots.as_ref().expect("held until drop")
+    }
+}
+
+impl DerefMut for Paused<'_> {
+    fn deref_mut(&mut self) -> &mut Vec<Instance> {
+        self.slots.as_mut().expect("held until drop")
+    }
+}
+
+impl Drop for Paused<'_> {
+    fn drop(&mut self) {
+        let mut staged = self.route.staged.lock();
+        let slots = self.slots.take().expect("held until drop");
+        for (lane, out) in staged.drain(..) {
+            // An error leaves the item in its lane's log: the consumer
+            // failed, and its recovery replays it.
+            let _ = lane.deliver(&slots, out, &mut Vec::new(), PoolSender::force_send);
+        }
+        drop(slots);
+    }
+}
+
+/// One send of a producer lane, projected and keyed, not yet stamped.
+struct Outgoing {
+    payload: Arc<Record>,
+    /// The partition hash, for partitioned dispatch.
+    key: Option<u64>,
+    corr: u64,
+    /// The fragment count of the item that caused it (gather edges).
+    expect: u32,
+    submitted_at: Option<Instant>,
+}
+
+/// Producer replica `src`'s lane on `edge`: how its sends spread over the
+/// consumer's instances, and the clock and log that stamp and keep them.
+struct Lane {
+    edge: EdgeId,
+    src: u32,
+    dispatch: Dispatch,
+    /// The lane's clock in the registry ([`BufferRegistry::lane_clock`]),
+    /// so the next incarnation of this replica resumes past its last
+    /// timestamp.
     clock: Arc<AtomicU64>,
-    /// Round-robin cursor for one-to-any dispatch.
-    pub rr: usize,
-    /// Buffer registry for upstream backup.
-    pub buffers: Arc<BufferRegistry>,
-    /// Whether to record items in output buffers (fault tolerance on).
-    pub buffered: bool,
+    /// The upstream-backup registry, when fault tolerance is on.
+    buffers: Option<Arc<BufferRegistry>>,
+}
+
+impl Lane {
+    /// Stamps `out` with the lane's next timestamp, routes it over `slots`
+    /// by the dispatch rule — partition hash mod n, the shortest queue
+    /// (ties go round-robin by timestamp), the gather instance, or all n —
+    /// and logs and `push`es it to each destination. `cache` holds this
+    /// lane's buffer handles.
+    fn deliver(
+        &self,
+        slots: &[Instance],
+        out: Outgoing,
+        cache: &mut Vec<Option<BufferHandle>>,
+        push: fn(&PoolSender, WorkerMsg) -> Result<(), SendClosed>,
+    ) -> SdgResult<()> {
+        let n = slots.len();
+        if n == 0 {
+            return Err(SdgError::Runtime(format!(
+                "edge {} has no consumer instances",
+                self.edge
+            )));
+        }
+        let ts = self.tick();
+        let (dsts, expect) = match &self.dispatch {
+            Dispatch::Partitioned { .. } => {
+                let hash = out.key.expect("a partitioned send carries its key");
+                let idx = (hash % n as u64) as usize;
+                (idx..idx + 1, 1)
+            }
+            Dispatch::OneToAny => {
+                let idx = shortest_queue(slots, ts as usize);
+                (idx..idx + 1, 1)
+            }
+            // The gather consumer is a single instance. The fragment count
+            // equals the fan-out of the broadcast that fed this producer,
+            // which travelled on the input item.
+            Dispatch::AllToOne { .. } => (0..1, out.expect),
+            Dispatch::OneToAll => (0..n, n as u32),
+        };
+        for dst in dsts {
+            // A broadcast shares one allocation: every destination's item
+            // and log entry is a refcount bump on the same record.
+            if let Some(buffers) = &self.buffers {
+                if cache.len() <= dst {
+                    cache.resize(dst + 1, None);
+                }
+                let buf = cache[dst].get_or_insert_with(|| {
+                    buffers.get(BufferKey {
+                        edge: self.edge,
+                        src: self.src,
+                        dst: dst as u32,
+                    })
+                });
+                buf.lock()
+                    .push_live(ts, out.corr, expect, Arc::clone(&out.payload));
+            }
+            let item = Item {
+                edge: self.edge,
+                src_replica: self.src,
+                ts,
+                corr: out.corr,
+                expect,
+                payload: Arc::clone(&out.payload),
+                submitted_at: out.submitted_at,
+            };
+            push(&slots[dst].tx, WorkerMsg::Item(item))
+                .map_err(|_| SdgError::Runtime("consumer channel closed".into()))?;
+        }
+        Ok(())
+    }
+
+    /// Advances the lane's clock. A relaxed load and store, no
+    /// read-modify-write: one writer at a time, the producer under the
+    /// route's read guard or a flush under its write guard, and the lock
+    /// orders them. The next incarnation of the producer reads the clock
+    /// after the control path that spawns it has synchronised with this
+    /// one's death.
+    fn tick(&self) -> ScalarTs {
+        let ts = self.clock.load(Ordering::Relaxed) + 1;
+        self.clock.store(ts, Ordering::Relaxed);
+        ts
+    }
+}
+
+/// Join-shortest-queue from `start`: slow (straggler) instances naturally
+/// receive less work; ties fall back to round-robin.
+fn shortest_queue(slots: &[Instance], start: usize) -> usize {
+    let n = slots.len();
+    let (mut idx, mut best) = (start % n, usize::MAX);
+    for off in 0..n {
+        let candidate = (start + off) % n;
+        let depth = slots[candidate].tx.len();
+        if depth < best {
+            best = depth;
+            idx = candidate;
+        }
+        if depth == 0 {
+            break;
+        }
+    }
+    idx
+}
+
+/// One outgoing edge of a worker, with its dispatch machinery. Every item
+/// is logged and sent the moment it is produced, or staged while the
+/// consumer's route is paused.
+pub struct OutEdge {
+    lane: Arc<Lane>,
+    /// Live variables to project onto the edge.
+    live_vars: Vec<String>,
+    route: Arc<Route>,
     /// Cached buffer handles per destination (the registry hands out one
     /// `Arc` per key for the deployment's lifetime, so caching is safe and
     /// removes the registry lock from the steady-state send path).
-    buf_cache: Vec<Option<Arc<Mutex<OutputBuffer>>>>,
+    buf_cache: Vec<Option<BufferHandle>>,
     /// Cached projection: positions of `live_vars` within the last payload
     /// shape seen, revalidated per item by name.
     proj_idx: Option<Vec<usize>>,
 }
 
 impl OutEdge {
-    /// Builds the dispatcher of producer replica `src` on `edge`; its
-    /// timestamps continue the lane's clock.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    /// Builds the dispatcher of producer replica `src` on `edge` into
+    /// `route`; its timestamps continue the lane's clock, and `buffered`
+    /// logs every item in `buffers`.
+    pub(crate) fn new(
         edge: EdgeId,
         src: u32,
         dispatch: Dispatch,
         live_vars: Vec<String>,
-        targets: Targets,
-        rr: usize,
+        route: Arc<Route>,
         buffers: Arc<BufferRegistry>,
         buffered: bool,
     ) -> Self {
         OutEdge {
-            edge,
-            dispatch,
+            lane: Arc::new(Lane {
+                edge,
+                src,
+                dispatch,
+                clock: buffers.lane_clock(edge, src),
+                buffers: buffered.then_some(buffers),
+            }),
             live_vars,
-            targets,
-            clock: buffers.lane_clock(edge, src),
-            rr,
-            buffers,
-            buffered,
+            route,
             buf_cache: Vec::new(),
             proj_idx: None,
         }
@@ -274,152 +466,48 @@ impl OutEdge {
         Arc::new(out)
     }
 
-    /// Dispatches `payload` according to the edge semantics.
+    /// Dispatches `payload` by the edge's rule.
+    ///
+    /// Inside a pool slice a paused route is never waited on: the send is
+    /// staged with the route and flushed when the pause ends. The second
+    /// read under the stage lock closes the race with that flush, which
+    /// holds the stage lock until the route is released.
     pub fn send(
         &mut self,
-        src_replica: u32,
         payload: &Arc<Record>,
         corr: u64,
         upstream_expect: u32,
         submitted_at: Option<Instant>,
     ) -> SdgResult<()> {
-        let projected = self.project(payload);
-        let targets_arc = Arc::clone(&self.targets);
-        let targets = targets_arc.read();
-        let n = targets.len();
-        if n == 0 {
-            return Err(SdgError::Runtime(format!(
-                "edge {} has no consumer instances",
-                self.edge
-            )));
-        }
-        match &self.dispatch {
-            Dispatch::Partitioned { key } => {
-                let key_value = projected.require(key)?.to_key()?;
-                let idx = (key_value.stable_hash() % n as u64) as usize;
-                self.send_one(&targets, idx, src_replica, projected, corr, 1, submitted_at)
-            }
-            Dispatch::OneToAny => {
-                // Join-shortest-queue: slow (straggler) instances naturally
-                // receive less work; ties fall back to round-robin.
-                let start = self.rr % n;
-                self.rr = self.rr.wrapping_add(1);
-                let mut idx = start;
-                let mut best = usize::MAX;
-                for off in 0..n {
-                    let candidate = (start + off) % n;
-                    let depth = targets[candidate].len();
-                    if depth < best {
-                        best = depth;
-                        idx = candidate;
-                    }
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                self.send_one(&targets, idx, src_replica, projected, corr, 1, submitted_at)
-            }
-            Dispatch::AllToOne { .. } => {
-                // The gather consumer is a single instance. The fragment
-                // count equals the fan-out of the broadcast that fed this
-                // producer, which travelled on the input item.
-                self.send_one(
-                    &targets,
-                    0,
-                    src_replica,
-                    projected,
-                    corr,
-                    upstream_expect,
-                    submitted_at,
-                )
-            }
-            Dispatch::OneToAll => {
-                let ts = self.tick();
-                let expect = n as u32;
-                for idx in 0..n {
-                    // Broadcast shares one allocation: every destination's
-                    // item (and its output-buffer log entry) is a refcount
-                    // bump on the same record.
-                    let item = Item {
-                        edge: self.edge,
-                        src_replica,
-                        ts,
-                        corr,
-                        expect,
-                        payload: Arc::clone(&projected),
-                        submitted_at,
-                    };
-                    self.enqueue(&targets, idx, item)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_one(
-        &mut self,
-        targets: &[PoolSender],
-        idx: usize,
-        src_replica: u32,
-        payload: Arc<Record>,
-        corr: u64,
-        expect: u32,
-        submitted_at: Option<Instant>,
-    ) -> SdgResult<()> {
-        let ts = self.tick();
-        let item = Item {
-            edge: self.edge,
-            src_replica,
-            ts,
-            corr,
-            expect,
+        let payload = self.project(payload);
+        let key = match &self.lane.dispatch {
+            Dispatch::Partitioned { key } => Some(payload.require(key)?.to_key()?.stable_hash()),
+            _ => None,
+        };
+        let out = Outgoing {
+            key,
             payload,
+            corr,
+            expect: upstream_expect,
             submitted_at,
         };
-        self.enqueue(targets, idx, item)
-    }
-
-    /// Advances the lane's clock. A relaxed load and store, no
-    /// read-modify-write: only this instance writes the clock, and the next
-    /// incarnation reads it after the control path that spawns it has
-    /// synchronised with this one's death.
-    fn tick(&mut self) -> ScalarTs {
-        let ts = self.clock.load(Ordering::Relaxed) + 1;
-        self.clock.store(ts, Ordering::Relaxed);
-        ts
-    }
-
-    /// Logs one timestamped item and sends it to destination `idx`.
-    fn enqueue(&mut self, targets: &[PoolSender], idx: usize, item: Item) -> SdgResult<()> {
-        if self.buffered {
-            // The log entry shares the item's allocation.
-            self.buffer_for(item.src_replica, idx).lock().push_live(
-                item.ts,
-                item.corr,
-                item.expect,
-                Arc::clone(&item.payload),
-            );
-        }
-        targets[idx]
-            .send(WorkerMsg::Item(item))
-            .map_err(|_| SdgError::Runtime("consumer channel closed".into()))
-    }
-
-    fn buffer_for(&mut self, src: u32, dst: usize) -> Arc<Mutex<OutputBuffer>> {
-        if self.buf_cache.len() <= dst {
-            self.buf_cache.resize(dst + 1, None);
-        }
-        if let Some(buf) = &self.buf_cache[dst] {
-            return Arc::clone(buf);
-        }
-        let buf = self.buffers.get(BufferKey {
-            edge: self.edge,
-            src,
-            dst: dst as u32,
-        });
-        self.buf_cache[dst] = Some(Arc::clone(&buf));
-        buf
+        let route = &*self.route;
+        let slots = match route.slots.try_read() {
+            Some(slots) => slots,
+            None if sched::in_actor() => {
+                let mut staged = route.staged.lock();
+                match route.slots.try_read() {
+                    Some(slots) => slots,
+                    None => {
+                        staged.push((Arc::clone(&self.lane), out));
+                        return Ok(());
+                    }
+                }
+            }
+            None => route.slots.read(),
+        };
+        self.lane
+            .deliver(&slots, out, &mut self.buf_cache, PoolSender::send)
     }
 }
 
@@ -450,19 +538,13 @@ pub enum PreparedCode {
 }
 
 impl PreparedCode {
-    /// Prepares `code` for execution.
-    ///
-    /// `compile` resolves a task's compiled form; deployments pass a
-    /// memoising closure so all replicas of a task share one
-    /// [`CompiledTe`].
-    pub fn prepare(
-        code: &TaskCode,
-        compile: impl FnOnce(&sdg_ir::te::TeProgram) -> Arc<CompiledTe>,
-    ) -> PreparedCode {
+    /// Prepares `code` for execution, compiling translated code; every
+    /// instance of the task shares the result.
+    pub fn prepare(code: &TaskCode) -> PreparedCode {
         match code {
             TaskCode::Passthrough => PreparedCode::Passthrough,
             TaskCode::Native(task) => PreparedCode::Native(Arc::clone(task)),
-            TaskCode::Interpreted(te) => PreparedCode::Compiled(compile(te)),
+            TaskCode::Interpreted(te) => PreparedCode::Compiled(Arc::new(CompiledTe::compile(te))),
         }
     }
 }
@@ -669,13 +751,7 @@ impl Worker {
             self.obs.processed.inc();
             self.obs.items_out.add(self.outs.len() as u64);
             for out in &mut self.outs {
-                out.send(
-                    self.replica,
-                    &item.payload,
-                    item.corr,
-                    item.expect,
-                    item.submitted_at,
-                )?;
+                out.send(&item.payload, item.corr, item.expect, item.submitted_at)?;
             }
             return Ok(());
         }
@@ -735,13 +811,7 @@ impl Worker {
             // every outgoing edge (and its output-buffer log entry).
             let payload = Arc::new(record);
             for out in &mut self.outs {
-                out.send(
-                    self.replica,
-                    &payload,
-                    item.corr,
-                    item.expect,
-                    item.submitted_at,
-                )?;
+                out.send(&payload, item.corr, item.expect, item.submitted_at)?;
             }
         }
         Ok(())

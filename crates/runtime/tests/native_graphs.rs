@@ -2,14 +2,16 @@
 //! emits: fan-out to multiple consumers, flat-map stages, and mixed
 //! native/interpreted graphs.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use sdg_common::error::SdgResult;
+use sdg_common::ids::{StateId, TaskId};
 use sdg_common::record;
 use sdg_common::value::{Key, Record, Value};
 use sdg_graph::model::{
-    AccessMode, Dispatch, Distribution, NativeTask, SdgBuilder, StateAccessEdge, TaskCode,
+    AccessMode, Dispatch, Distribution, NativeTask, Sdg, SdgBuilder, StateAccessEdge, TaskCode,
     TaskContext, TaskKind,
 };
 use sdg_runtime::config::RuntimeConfig;
@@ -313,4 +315,235 @@ fn stateless_scale_in_waits_for_a_failed_instance() {
     assert!(refused.to_string().contains("awaits recovery"), "{refused}");
     assert_eq!(d.metrics().task_by_id(parse_id).unwrap().instances, 2);
     d.shutdown();
+}
+
+/// Counts the item under its `k`, like [`CountTask`], and forwards it.
+struct CountAndForward;
+
+impl NativeTask for CountAndForward {
+    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+        CountTask.process(input.clone(), ctx)?;
+        ctx.forward(input);
+        Ok(())
+    }
+}
+
+/// A task that counts into `state` by `k`, partitioned by `k`.
+fn counter(b: &mut SdgBuilder, name: &str, code: Arc<dyn NativeTask>, state: StateId) -> TaskId {
+    b.add_task(
+        name,
+        TaskKind::Compute,
+        TaskCode::Native(code),
+        Some(StateAccessEdge {
+            state,
+            mode: AccessMode::Partitioned {
+                key: "k".into(),
+                dim: PartitionDim::Row,
+            },
+            writes: true,
+        }),
+    )
+}
+
+/// Whether and how `a` forwards into `b` in [`counting_graph`].
+#[derive(Debug, Clone, Copy)]
+enum Chain {
+    /// `source → a`.
+    No,
+    /// `source → a → b`.
+    Direct,
+    /// `source → a → via → b`, where `via` is stateless.
+    Via,
+}
+
+/// A stateless entry `source` feeding tasks `a` (and `b`) that all count
+/// into one partitioned state `s`, by `k`.
+fn counting_graph(chain: Chain) -> (Sdg, StateId, TaskId) {
+    let mut b = SdgBuilder::new();
+    let s = b.add_state(
+        "s",
+        StateType::Table,
+        Distribution::Partitioned {
+            dim: PartitionDim::Row,
+        },
+    );
+    let source = b.add_task(
+        "source",
+        TaskKind::Entry {
+            method: "feed".into(),
+        },
+        TaskCode::Passthrough,
+        None,
+    );
+    let by_k = || Dispatch::Partitioned { key: "k".into() };
+    let a = match chain {
+        Chain::No => counter(&mut b, "a", Arc::new(CountTask), s),
+        Chain::Direct | Chain::Via => {
+            let a = counter(&mut b, "a", Arc::new(CountAndForward), s);
+            let mut next = counter(&mut b, "b", Arc::new(CountTask), s);
+            if let Chain::Via = chain {
+                let via = b.add_task("via", TaskKind::Compute, TaskCode::Passthrough, None);
+                b.connect(via, next, by_k(), vec!["k".into()]);
+                next = via;
+            }
+            b.connect(a, next, by_k(), vec!["k".into()]);
+            a
+        }
+    };
+    b.connect(source, a, by_k(), vec!["k".into()]);
+    (b.build().unwrap(), s, a)
+}
+
+/// Items a live feeder submits before the control operation starts: enough
+/// to fill the pipeline's mailboxes.
+const WARM_UP: i64 = 4096;
+
+/// Feeds `feed` from a thread of its own: it meets `started` after the
+/// first `WARM_UP` items and stops once `stop` is set. Joins to the count fed.
+fn live_feeder(
+    d: &Deployment,
+    started: Arc<Barrier>,
+    stop: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<i64> {
+    let mut handle = d.ingest_handle().unwrap();
+    std::thread::spawn(move || {
+        let mut fed = 0i64;
+        while fed < WARM_UP || !stop.load(Ordering::Acquire) {
+            handle
+                .submit("feed", record! {"k" => Value::Int(fed % 64)})
+                .unwrap();
+            fed += 1;
+            if fed == WARM_UP {
+                started.wait();
+            }
+        }
+        fed
+    })
+}
+
+/// Runs `control` against `d` while a live feeder submits, then returns
+/// the count fed once every item has drained.
+fn under_live_feed(d: &Deployment, control: impl FnOnce()) -> i64 {
+    let started = Arc::new(Barrier::new(2));
+    let stop = Arc::new(AtomicBool::new(false));
+    let feeder = live_feeder(d, Arc::clone(&started), Arc::clone(&stop));
+    started.wait();
+    control();
+    stop.store(true, Ordering::Release);
+    let fed = feeder.join().unwrap();
+    assert!(d.quiesce(Duration::from_secs(30)));
+    fed
+}
+
+/// The sum of every count in `state`'s instances.
+fn total(d: &Deployment, state: StateId) -> i64 {
+    let instances = d.metrics().state_by_id(state).unwrap().instances;
+    let mut total = 0;
+    for replica in 0..instances as u32 {
+        d.with_state(state, replica, |s| {
+            s.as_table()
+                .unwrap()
+                .for_each(|_, v| total += v.as_int().unwrap());
+        })
+        .unwrap();
+    }
+    total
+}
+
+/// An instance of a paused task forwards into another paused task,
+/// directly or through a stateless task: the sender stages those sends and
+/// drains its own mailbox, so the drain ends and every write lands once.
+#[test]
+fn a_scale_drains_while_a_paused_task_forwards_into_another() {
+    let default = RuntimeConfig::default().sched_threads;
+    for (threads, chain) in [1, default]
+        .into_iter()
+        .flat_map(|t| [(t, Chain::Direct), (t, Chain::Via)])
+    {
+        let (sdg, s, a) = counting_graph(chain);
+        let mut cfg = RuntimeConfig {
+            sched_threads: threads,
+            ..RuntimeConfig::default()
+        };
+        cfg.se_instances.insert(s, 2);
+        cfg.supervisor.enabled = false;
+        let d = Deployment::start(sdg, cfg).unwrap();
+        let fed = under_live_feed(&d, || {
+            let report = d
+                .reconfigure(ReconfigRequest::ScaleOut { task: a })
+                .unwrap();
+            assert!(
+                report.drain < Duration::from_secs(1),
+                "{chain:?} on {threads} threads: drain {:?}",
+                report.drain
+            );
+            assert_eq!(report.se_instances, 3);
+        });
+        assert_eq!(total(&d, s), 2 * fed, "{chain:?} on {threads} threads");
+        d.shutdown();
+    }
+}
+
+/// A stateless producer on the only pool thread sends into the paused
+/// group: it stages, so the group's mailboxes drain on that thread. The
+/// group's service time rests its instances with items still queued, so
+/// the producer often holds the thread while they wait. The feeder waits
+/// on the producer's paused route, so each flush holds at most what was
+/// in flight, and scale cycles in a row stay short.
+#[test]
+fn a_scale_drains_while_a_stateless_producer_feeds_the_group_on_one_thread() {
+    let (sdg, s, a) = counting_graph(Chain::No);
+    let mut cfg = RuntimeConfig {
+        sched_threads: 1,
+        ..RuntimeConfig::default()
+    };
+    cfg.se_instances.insert(s, 2);
+    cfg.work_ns.insert(a, 20_000);
+    cfg.supervisor.enabled = false;
+    let d = Deployment::start(sdg, cfg).unwrap();
+    let fed = under_live_feed(&d, || {
+        for _ in 0..3 {
+            for request in [
+                ReconfigRequest::ScaleOut { task: a },
+                ReconfigRequest::ScaleIn { task: a },
+            ] {
+                let report = d.reconfigure(request).unwrap();
+                assert!(
+                    report.drain < Duration::from_secs(1),
+                    "{request:?}: drain {:?}",
+                    report.drain
+                );
+            }
+        }
+    });
+    assert_eq!(total(&d, s), fed);
+    d.shutdown();
+}
+
+/// Sends staged while recovery holds the route are flushed after the
+/// replay, with timestamps above it: nothing is lost or applied twice.
+#[test]
+fn recovery_under_a_live_feed_is_exact_on_one_thread() {
+    for threads in [1, 4] {
+        let (sdg, s, _) = counting_graph(Chain::No);
+        let mut cfg = RuntimeConfig {
+            sched_threads: threads,
+            ..RuntimeConfig::default()
+        };
+        cfg.se_instances.insert(s, 2);
+        cfg.supervisor.enabled = false;
+        cfg.checkpoint.enabled = true;
+        cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+        let d = Deployment::start(sdg, cfg).unwrap();
+        let fed = under_live_feed(&d, || {
+            d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+            d.reconfigure(ReconfigRequest::FailAndRecover {
+                state: s,
+                replica: 0,
+            })
+            .unwrap();
+        });
+        assert_eq!(total(&d, s), fed, "{threads} threads");
+        d.shutdown();
+    }
 }

@@ -70,6 +70,16 @@ impl<T: ?Sized> RwLock<T> {
         self.0.read().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Attempts to acquire shared read access without blocking: `None`
+    /// when it cannot be had at once, as while a writer holds the lock.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.0.try_read() {
+            Ok(g) => Some(g),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Acquires exclusive write access, blocking until available.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
@@ -111,5 +121,20 @@ mod tests {
         .join();
         // parking_lot semantics: the lock is still usable.
         assert_eq!(*m.lock(), 0);
+    }
+
+    #[test]
+    fn try_read_fails_only_while_a_writer_holds_the_lock() {
+        let l = std::sync::Arc::new(RwLock::new(0));
+        let w = l.write();
+        assert!(l.try_read().is_none());
+        drop(w);
+        let l2 = std::sync::Arc::clone(&l);
+        let _ = std::thread::spawn(move || {
+            let _g = l2.write();
+            panic!("poison attempt");
+        })
+        .join();
+        assert_eq!(l.try_read().map(|g| *g), Some(0));
     }
 }
