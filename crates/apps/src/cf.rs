@@ -141,19 +141,14 @@ impl CfApp {
     }
 }
 
-/// Parses a `[ [item, score], .. ]` value into pairs, dropping zeros.
+/// Parses a `[ [item, score], .. ]` value, in either layout, into pairs
+/// sorted by item, dropping zeros.
 pub fn parse_pairs(value: &Value) -> SdgResult<Vec<(i64, f64)>> {
-    let mut out = Vec::new();
-    for cell in value.as_list()? {
-        let pair = cell.as_list()?;
-        if pair.len() != 2 {
-            return Err(SdgError::Runtime("malformed recommendation pair".into()));
-        }
-        let score = pair[1].as_float()?;
-        if score != 0.0 {
-            out.push((pair[0].as_int()?, score));
-        }
-    }
+    let pairs = value.pairs().map_err(|e| match e {
+        SdgError::Eval(_) => SdgError::Runtime("malformed recommendation pair".into()),
+        e => e,
+    })?;
+    let mut out: Vec<(i64, f64)> = pairs.iter().copied().filter(|&(_, s)| s != 0.0).collect();
     out.sort_by_key(|&(i, _)| i);
     Ok(out)
 }
@@ -207,6 +202,29 @@ impl CfReference {
 mod tests {
     use super::*;
     use crate::workloads::ratings;
+
+    #[test]
+    fn parse_pairs_reads_both_layouts_and_rejects_malformed_cells() {
+        let cells = [(4, 1.5), (1, 0.0), (2, -3.0)];
+        let list = Value::List(
+            cells
+                .iter()
+                .map(|&(i, v)| Value::List(vec![Value::Int(i), Value::Float(v)]))
+                .collect(),
+        );
+        let want = vec![(2, -3.0), (4, 1.5)];
+        assert_eq!(parse_pairs(&list).unwrap(), want);
+        assert_eq!(
+            parse_pairs(&Value::Pairs(cells.as_slice().into())).unwrap(),
+            want
+        );
+        let triple = Value::List(vec![Value::List(vec![Value::Int(1); 3])]);
+        assert_eq!(
+            parse_pairs(&triple).unwrap_err().to_string(),
+            SdgError::Runtime("malformed recommendation pair".into()).to_string()
+        );
+        assert!(parse_pairs(&Value::Int(1)).is_err());
+    }
 
     #[test]
     fn distributed_cf_matches_reference_model() {

@@ -184,6 +184,19 @@ impl Codec for Value {
                     item.encode(buf);
                 }
             }
+            // The bytes of the list form; it decodes as that list.
+            Value::Pairs(pairs) => {
+                buf.put_u8(TAG_LIST);
+                write_varint(buf, pairs.len() as u64);
+                for &(i, v) in pairs.iter() {
+                    buf.put_u8(TAG_LIST);
+                    write_varint(buf, 2);
+                    buf.put_u8(TAG_INT);
+                    write_zigzag(buf, i);
+                    buf.put_u8(TAG_FLOAT);
+                    buf.put_slice(&v.to_le_bytes());
+                }
+            }
         }
     }
 
@@ -399,6 +412,23 @@ mod tests {
             Value::List(vec![Value::str("nested")]),
             Value::Null,
         ]));
+    }
+
+    #[test]
+    fn pairs_encode_as_their_list_form() {
+        for cells in [&[][..], &[(0, -0.0)][..], &[(-3, 1.5), (9, f64::MAX)][..]] {
+            let pairs = Value::Pairs(cells.into());
+            let list = Value::List(
+                cells
+                    .iter()
+                    .map(|&(i, v)| Value::List(vec![Value::Int(i), Value::Float(v)]))
+                    .collect(),
+            );
+            let bytes = encode_to_vec(&pairs);
+            assert_eq!(bytes, encode_to_vec(&list));
+            let back: Value = decode_from_slice(&bytes).unwrap();
+            assert_eq!(back, pairs);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! structures that need hashable, totally ordered keys use the [`Key`]
 //! subset, which excludes floats.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -13,7 +14,11 @@ use std::sync::Arc;
 use crate::error::{SdgError, SdgResult};
 
 /// A dynamically typed value.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A sparse vector has two layouts with one meaning, a `List` of
+/// `[Int, Float]` lists and the flat `Pairs`: equality, keys, `Display`
+/// and the codec cannot tell them apart.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// The absence of a value.
     Null,
@@ -27,6 +32,14 @@ pub enum Value {
     Str(Arc<str>),
     /// A list of values (used for `@Collection` arrays, vectors, rows).
     List(Vec<Value>),
+    /// A sparse vector as one shared slice: the list of `[index, value]`
+    /// lists it stands for, without a heap block per pair. Clones share it.
+    Pairs(Arc<[(i64, f64)]>),
+}
+
+/// The list form of one sparse-vector element.
+fn pair_value((i, v): (i64, f64)) -> Value {
+    Value::List(vec![Value::Int(i), Value::Float(v)])
 }
 
 impl Value {
@@ -43,7 +56,7 @@ impl Value {
             Value::Int(_) => "Int",
             Value::Float(_) => "Float",
             Value::Str(_) => "Str",
-            Value::List(_) => "List",
+            Value::List(_) | Value::Pairs(_) => "List",
         }
     }
 
@@ -80,12 +93,66 @@ impl Value {
         }
     }
 
-    /// Extracts a list, or reports a type error.
-    pub fn as_list(&self) -> SdgResult<&[Value]> {
+    /// Extracts a list, or reports a type error. A `Pairs` is spelled out
+    /// as its list form.
+    pub fn as_list(&self) -> SdgResult<Cow<'_, [Value]>> {
         match self {
-            Value::List(v) => Ok(v),
+            Value::List(v) => Ok(Cow::Borrowed(v)),
+            Value::Pairs(p) => Ok(Cow::Owned(p.iter().copied().map(pair_value).collect())),
             other => Err(SdgError::type_mismatch("List", other.type_name())),
         }
+    }
+
+    /// The items of a list by value: a `List` gives up its own, a `Pairs`
+    /// spells out one `[index, value]` list per step.
+    pub fn into_items(self) -> SdgResult<impl Iterator<Item = Value>> {
+        let (items, pairs) = match self {
+            Value::List(items) => (items, None),
+            Value::Pairs(p) => (Vec::new(), Some(p)),
+            other => return Err(SdgError::type_mismatch("List", other.type_name())),
+        };
+        let spelled = pairs
+            .into_iter()
+            .flat_map(|p| (0..p.len()).map(move |i| pair_value(p[i])));
+        Ok(items.into_iter().chain(spelled))
+    }
+
+    /// The length of a list, or a type error.
+    pub fn list_len(&self) -> SdgResult<usize> {
+        match self {
+            Value::List(v) => Ok(v.len()),
+            Value::Pairs(p) => Ok(p.len()),
+            other => Err(SdgError::type_mismatch("List", other.type_name())),
+        }
+    }
+
+    /// Item `i` of a list (`None` out of bounds), or a type error.
+    pub fn list_get(&self, i: usize) -> SdgResult<Option<Value>> {
+        match self {
+            Value::List(v) => Ok(v.get(i).cloned()),
+            Value::Pairs(p) => Ok(p.get(i).copied().map(pair_value)),
+            other => Err(SdgError::type_mismatch("List", other.type_name())),
+        }
+    }
+
+    /// Reads a sparse vector as `(index, value)` pairs: borrowed from a
+    /// `Pairs`, parsed from a list of `[index, value]` lists (a value may
+    /// be an `Int`). A cell that is not a pair is an [`SdgError::Eval`].
+    pub fn pairs(&self) -> SdgResult<Cow<'_, [(i64, f64)]>> {
+        if let Value::Pairs(p) = self {
+            return Ok(Cow::Borrowed(p));
+        }
+        self.as_list()?
+            .iter()
+            .map(|cell| {
+                let pair = cell.as_list()?;
+                if pair.len() != 2 {
+                    return Err(SdgError::Eval("expected [index, value] pair".into()));
+                }
+                Ok((pair[0].as_int()?, pair[1].as_float()?))
+            })
+            .collect::<SdgResult<Vec<_>>>()
+            .map(Cow::Owned)
     }
 
     /// Returns `true` if the value is considered truthy.
@@ -105,8 +172,12 @@ impl Value {
             Value::Bool(b) => Ok(Key::Bool(*b)),
             Value::Int(i) => Ok(Key::Int(*i)),
             Value::Str(s) => Ok(Key::Str(s.clone())),
-            Value::List(items) => {
-                let keys = items.iter().map(Value::to_key).collect::<SdgResult<_>>()?;
+            Value::List(_) | Value::Pairs(_) => {
+                let keys = self
+                    .as_list()?
+                    .iter()
+                    .map(Value::to_key)
+                    .collect::<SdgResult<_>>()?;
                 Ok(Key::Composite(keys))
             }
             other => Err(SdgError::type_mismatch(
@@ -126,6 +197,31 @@ impl Value {
             Value::Int(_) | Value::Float(_) => 8,
             Value::Str(s) => s.len() + 8,
             Value::List(v) => 8 + v.iter().map(Value::approx_size).sum::<usize>(),
+            // As the list form: 8 per list, 8 per number.
+            Value::Pairs(p) => 8 + 24 * p.len(),
+        }
+    }
+}
+
+impl PartialEq for Value {
+    /// Structural equality in which a `Pairs` equals the list form it
+    /// stands for.
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::List(a), Value::List(b)) => a == b,
+            (Value::Pairs(a), Value::Pairs(b)) => a == b,
+            (Value::Pairs(p), Value::List(l)) | (Value::List(l), Value::Pairs(p)) => {
+                p.len() == l.len()
+                    && p.iter().zip(l).all(|(&(i, v), cell)| {
+                        matches!(cell, Value::List(pair) if *pair == [Value::Int(i), Value::Float(v)])
+                    })
+            }
+            _ => false,
         }
     }
 }
@@ -147,6 +243,10 @@ impl fmt::Display for Value {
                     write!(f, "{item}")?;
                 }
                 write!(f, "]")
+            }
+            Value::Pairs(p) => {
+                let list = p.iter().copied().map(pair_value).collect();
+                write!(f, "{}", Value::List(list))
             }
         }
     }
@@ -561,6 +661,82 @@ mod tests {
     fn display_renders_nested_values() {
         let v = Value::List(vec![Value::Int(1), Value::str("a"), Value::Null]);
         assert_eq!(v.to_string(), "[1, \"a\", null]");
+    }
+
+    /// The list form of `pairs`.
+    fn pair_list(pairs: &[(i64, f64)]) -> Value {
+        Value::List(pairs.iter().copied().map(pair_value).collect())
+    }
+
+    #[test]
+    fn pairs_equal_their_list_form_in_both_directions() {
+        let cells = [(0, 1.5), (3, -0.0), (7, 2.0)];
+        let pairs = Value::Pairs(cells.as_slice().into());
+        let list = pair_list(&cells);
+        assert_eq!(pairs, list);
+        assert_eq!(list, pairs);
+        assert_eq!(pairs, pairs.clone());
+        assert_eq!(Value::Pairs(Arc::from([])), Value::List(vec![]));
+
+        let other_value = pair_list(&[(0, 1.5), (3, 0.5), (7, 2.0)]);
+        let other_index = pair_list(&[(0, 1.5), (4, -0.0), (7, 2.0)]);
+        let shorter = pair_list(&cells[..2]);
+        for differs in [other_value, other_index, shorter] {
+            assert_ne!(pairs, differs);
+            assert_ne!(differs, pairs);
+        }
+        // The index must be an `Int` and the value a `Float`, as in the
+        // list form's own equality.
+        let int_value = Value::List(vec![Value::List(vec![Value::Int(0), Value::Int(1)])]);
+        assert_ne!(Value::Pairs([(0, 1.0)].as_slice().into()), int_value);
+        let triple = Value::List(vec![Value::List(vec![
+            Value::Int(0),
+            Value::Float(1.0),
+            Value::Null,
+        ])]);
+        assert_ne!(Value::Pairs([(0, 1.0)].as_slice().into()), triple);
+        assert_ne!(Value::Pairs([(0, 1.0)].as_slice().into()), Value::Null);
+        assert_eq!(pairs.type_name(), "List");
+    }
+
+    #[test]
+    fn pairs_key_and_display_match_their_list_form() {
+        for cells in [
+            &[][..],
+            &[(2, 0.5)][..],
+            &[(-1, 3.0), (4, f64::INFINITY)][..],
+        ] {
+            let pairs = Value::Pairs(cells.into());
+            let list = pair_list(cells);
+            assert_eq!(pairs.to_string(), list.to_string());
+            match (pairs.to_key(), list.to_key()) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("{cells:?}: {a:?} vs {b:?}"),
+            }
+            assert_eq!(pairs.approx_size(), list.approx_size());
+            assert_eq!(pairs.as_list().unwrap(), list.as_list().unwrap());
+            assert_eq!(pairs.pairs().unwrap(), list.pairs().unwrap().as_ref());
+            assert_eq!(
+                pairs.clone().into_items().unwrap().collect::<Vec<_>>(),
+                list.as_list().unwrap().as_ref()
+            );
+        }
+        assert_eq!(
+            Value::Pairs([(1, 2.5), (3, 0.0)].as_slice().into()).to_string(),
+            "[[1, 2.5], [3, 0]]"
+        );
+    }
+
+    #[test]
+    fn pairs_reads_the_list_form_and_rejects_what_is_not_a_pair() {
+        let ints = Value::List(vec![Value::List(vec![Value::Int(1), Value::Int(2)])]);
+        assert_eq!(ints.pairs().unwrap().as_ref(), &[(1, 2.0)]);
+        let triple = Value::List(vec![Value::List(vec![Value::Int(1); 3])]);
+        assert!(matches!(triple.pairs(), Err(SdgError::Eval(_))));
+        let float_index = Value::List(vec![Value::List(vec![Value::Float(1.0); 2])]);
+        assert!(matches!(float_index.pairs(), Err(SdgError::Type { .. })));
+        assert!(Value::Int(1).pairs().is_err());
     }
 
     #[test]

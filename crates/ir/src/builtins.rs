@@ -5,6 +5,8 @@
 //! "deterministic execution"). Time- or randomness-dependent functions are
 //! deliberately absent.
 
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sdg_common::error::{SdgError, SdgResult};
@@ -38,7 +40,7 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> SdgResult<Value> {
     }
     match name {
         "len" => match &args[0] {
-            Value::List(v) => Ok(Value::Int(v.len() as i64)),
+            Value::List(_) | Value::Pairs(_) => Ok(Value::Int(args[0].list_len()? as i64)),
             Value::Str(s) => Ok(Value::Int(s.chars().count() as i64)),
             other => Err(SdgError::type_mismatch("List|Str", other.type_name())),
         },
@@ -66,18 +68,16 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> SdgResult<Value> {
         },
         "to_float" => Ok(Value::Float(args[0].as_float()?)),
         "lower" => Ok(Value::str(args[0].as_str()?.to_lowercase())),
-        "first" => {
-            let list = args[0].as_list()?;
-            Ok(list.first().cloned().unwrap_or(Value::Null))
-        }
+        "first" => Ok(args[0].list_get(0)?.unwrap_or(Value::Null)),
         "last" => {
-            let list = args[0].as_list()?;
-            Ok(list.last().cloned().unwrap_or(Value::Null))
+            // An empty list wraps to an index past its end: `Null`.
+            let last = args[0].list_len()?.wrapping_sub(1);
+            Ok(args[0].list_get(last)?.unwrap_or(Value::Null))
         }
         "sum" => {
             let list = args[0].as_list()?;
             let mut acc = 0.0;
-            for v in list {
+            for v in list.iter() {
                 acc += v.as_float()?;
             }
             Ok(Value::Float(acc))
@@ -92,7 +92,7 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> SdgResult<Value> {
             Ok(Value::List(vec![Value::Float(0.0); n as usize]))
         }
         "append" => {
-            let mut list = args[0].as_list()?.to_vec();
+            let mut list = args[0].as_list()?.into_owned();
             list.push(args[1].clone());
             Ok(Value::List(list))
         }
@@ -147,31 +147,20 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> SdgResult<Value> {
             // equal keys; the result is sorted by key. This is the natural
             // reconciliation for sparse vectors such as CF recommendation
             // results.
-            let mut acc: std::collections::BTreeMap<i64, f64> = std::collections::BTreeMap::new();
-            for side in [&args[0], &args[1]] {
-                for cell in side.as_list()? {
-                    let pair = cell.as_list()?;
-                    if pair.len() != 2 {
-                        return Err(SdgError::Eval(
-                            "pairs_add expects lists of [key, value] pairs".into(),
-                        ));
-                    }
-                    *acc.entry(pair[0].as_int()?).or_insert(0.0) += pair[1].as_float()?;
+            let malformed = |e| match e {
+                SdgError::Eval(_) => {
+                    SdgError::Eval("pairs_add expects lists of [key, value] pairs".into())
                 }
-            }
-            Ok(Value::List(
-                acc.into_iter()
-                    .map(|(k, v)| Value::List(vec![Value::Int(k), Value::Float(v)]))
-                    .collect(),
-            ))
+                e => e,
+            };
+            let a = args[0].pairs().map_err(malformed)?;
+            let b = args[1].pairs().map_err(malformed)?;
+            Ok(Value::Pairs(pairs_add(&a, &b)))
         }
         "get_at" => {
-            let list = args[0].as_list()?;
-            let i = args[1].as_int()?;
-            if i < 0 || i as usize >= list.len() {
-                return Ok(Value::Null);
-            }
-            Ok(list[i as usize].clone())
+            args[0].list_len()?;
+            let i = usize::try_from(args[1].as_int()?).unwrap_or(usize::MAX);
+            Ok(args[0].list_get(i)?.unwrap_or(Value::Null))
         }
         "concat" => {
             let a = args[0].as_str()?;
@@ -180,6 +169,47 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> SdgResult<Value> {
         }
         _ => unreachable!("arity table and dispatch table must match"),
     }
+}
+
+/// `a + b` for sparse vectors, sorted by key. Every sum starts from
+/// `0.0` and adds `a`'s value before `b`'s, so a one-sided `-0.0` comes out
+/// as `0.0`. Strictly ascending inputs (what `row`, `multiply` and
+/// `pairs_add` produce) merge in one pass; others go through a map.
+fn pairs_add(a: &[(i64, f64)], b: &[(i64, f64)]) -> Arc<[(i64, f64)]> {
+    let ascending = |s: &[(i64, f64)]| s.windows(2).all(|w| w[0].0 < w[1].0);
+    if !(ascending(a) && ascending(b)) {
+        return pairs_add_unsorted(a, b);
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&(ka, va)), Some(&(kb, vb))) = (a.get(i), b.get(j)) {
+        match ka.cmp(&kb) {
+            Ordering::Less => {
+                out.push((ka, 0.0 + va));
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push((kb, 0.0 + vb));
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push((ka, 0.0 + va + vb));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend(a[i..].iter().chain(&b[j..]).map(|&(k, v)| (k, 0.0 + v)));
+    out.into()
+}
+
+/// [`pairs_add`] for any order and repeated keys.
+fn pairs_add_unsorted(a: &[(i64, f64)], b: &[(i64, f64)]) -> Arc<[(i64, f64)]> {
+    let mut acc = BTreeMap::new();
+    for &(k, v) in a.iter().chain(b) {
+        *acc.entry(k).or_insert(0.0) += v;
+    }
+    acc.into_iter().collect()
 }
 
 fn binary_numeric(
@@ -197,6 +227,7 @@ fn binary_numeric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ev(name: &str, args: &[Value]) -> Value {
         eval_builtin(name, args).unwrap()
@@ -333,6 +364,144 @@ mod tests {
         );
         assert_eq!(ev("pairs_add", &[a.clone(), Value::List(vec![])]), a);
         assert!(eval_builtin("pairs_add", &[Value::Int(1), Value::Int(2)]).is_err());
+    }
+
+    /// `pairs` as `(key, value bits)`, so `-0.0` and `0.0` differ.
+    fn bits(pairs: &[(i64, f64)]) -> Vec<(i64, u64)> {
+        pairs.iter().map(|&(k, v)| (k, v.to_bits())).collect()
+    }
+
+    fn list_form(pairs: &[(i64, f64)]) -> Value {
+        Value::List(
+            pairs
+                .iter()
+                .map(|&(k, v)| Value::List(vec![Value::Int(k), Value::Float(v)]))
+                .collect(),
+        )
+    }
+
+    /// A strictly ascending sparse vector with signed zeros among its values.
+    fn ascending() -> impl Strategy<Value = Vec<(i64, f64)>> {
+        let value = prop::sample::select(vec![-0.0, 0.0, 0.1, -2.25, 3.0, 1e300, -1e300]);
+        prop::collection::vec((1i64..4, value), 0..12).prop_map(|cells| {
+            let mut key = -3;
+            cells
+                .into_iter()
+                .map(|(gap, v)| {
+                    key += gap;
+                    (key, v)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn ascending_merge_is_bit_identical_to_the_map(a in ascending(), b in ascending()) {
+            let want = bits(&pairs_add_unsorted(&a, &b));
+            prop_assert_eq!(bits(&pairs_add(&a, &b)), want.clone());
+            // Either layout on either side.
+            let forms = |p: &[(i64, f64)]| [Value::Pairs(p.into()), list_form(p)];
+            for x in forms(&a) {
+                for y in forms(&b) {
+                    let sum = eval_builtin("pairs_add", &[x.clone(), y]).unwrap();
+                    prop_assert!(matches!(sum, Value::Pairs(_)));
+                    prop_assert_eq!(bits(&sum.pairs().unwrap()), want.clone());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unsorted_or_repeated_keys_take_the_map() {
+        let cases = [
+            (vec![(5, 1.0), (1, -0.0)], vec![(2, 4.0)]),
+            (vec![(1, 1.0), (1, 2.0)], vec![(0, 0.5), (1, 0.25)]),
+            (
+                vec![(0, 1.0), (3, 2.0)],
+                vec![(3, 1.0), (3, -0.0), (2, 1.0)],
+            ),
+        ];
+        for (a, b) in cases {
+            let sum = pairs_add(&a, &b);
+            assert_eq!(bits(&sum), bits(&pairs_add_unsorted(&a, &b)));
+            assert!(sum.windows(2).all(|w| w[0].0 < w[1].0), "{sum:?}");
+        }
+        assert_eq!(
+            bits(&pairs_add(&[(5, 1.0), (1, -0.0)], &[(2, 4.0)])),
+            bits(&[(1, 0.0), (2, 4.0), (5, 1.0)])
+        );
+        assert_eq!(
+            bits(&pairs_add(&[(1, 1.0), (1, 2.0)], &[(0, 0.5), (1, 0.25)])),
+            bits(&[(0, 0.5), (1, 3.25)])
+        );
+    }
+
+    #[test]
+    fn pairs_add_mixes_layouts_and_keeps_its_errors() {
+        let a = Value::Pairs([(1, 2.0), (5, 1.0)].as_slice().into());
+        let b = list_form(&[(5, 3.0), (2, 4.0)]);
+        let want = list_form(&[(1, 2.0), (2, 4.0), (5, 4.0)]);
+        assert_eq!(ev("pairs_add", &[a.clone(), b.clone()]), want);
+        assert_eq!(ev("pairs_add", &[b, a.clone()]), want);
+        assert_eq!(ev("pairs_add", &[Value::List(vec![]), a.clone()]), a);
+
+        let err = |x: Value, y: Value| eval_builtin("pairs_add", &[x, y]).unwrap_err().to_string();
+        let triple = Value::List(vec![Value::List(vec![Value::Int(1); 3])]);
+        for (x, y) in [(triple.clone(), a.clone()), (a.clone(), triple)] {
+            assert_eq!(
+                err(x, y),
+                "evaluation error: pairs_add expects lists of [key, value] pairs"
+            );
+        }
+        let float_key = Value::List(vec![Value::List(vec![Value::Float(1.0); 2])]);
+        assert_eq!(
+            err(a.clone(), float_key),
+            SdgError::type_mismatch("Int", "Float").to_string()
+        );
+        assert_eq!(
+            err(Value::Int(1), a),
+            SdgError::type_mismatch("List", "Int").to_string()
+        );
+    }
+
+    #[test]
+    fn list_builtins_read_pairs_as_their_list_form() {
+        let cells = [(2, 0.5), (7, -1.0)];
+        let pairs = Value::Pairs(cells.as_slice().into());
+        let list = list_form(&cells);
+        let empty = Value::Pairs(Arc::from([]));
+        for (name, args) in [
+            ("len", vec![pairs.clone()]),
+            ("len", vec![empty.clone()]),
+            ("first", vec![pairs.clone()]),
+            ("first", vec![empty.clone()]),
+            ("last", vec![pairs.clone()]),
+            ("last", vec![empty.clone()]),
+            ("sum", vec![pairs.clone()]),
+            ("append", vec![pairs.clone(), Value::Int(3)]),
+            ("get_at", vec![pairs.clone(), Value::Int(1)]),
+            ("get_at", vec![pairs.clone(), Value::Int(2)]),
+            ("get_at", vec![pairs.clone(), Value::Int(-1)]),
+            ("get_at", vec![pairs.clone(), Value::str("x")]),
+            ("concat", vec![pairs.clone(), Value::str("x")]),
+            ("vec_add", vec![pairs.clone(), pairs.clone()]),
+            ("dot", vec![pairs.clone(), pairs.clone()]),
+        ] {
+            let as_list: Vec<Value> = args
+                .iter()
+                .map(|v| match v {
+                    Value::Pairs(p) => list_form(p),
+                    v => v.clone(),
+                })
+                .collect();
+            match (eval_builtin(name, &args), eval_builtin(name, &as_list)) {
+                (Ok(x), Ok(y)) => assert_eq!(x, y, "{name}"),
+                (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string(), "{name}"),
+                (x, y) => panic!("{name}: {x:?} vs {y:?}"),
+            }
+        }
+        assert_eq!(ev("last", &[pairs]), list.as_list().unwrap()[1]);
     }
 
     #[test]

@@ -534,7 +534,7 @@ impl Lit {
             Value::Bool(v) => Some(Lit::Bool(v)),
             Value::Str(v) => Some(Lit::Str(v)),
             Value::Null => Some(Lit::Null),
-            Value::List(_) => None,
+            Value::List(_) | Value::Pairs(_) => None,
         }
     }
 }

@@ -172,9 +172,8 @@ impl<'a> Interp<'a> {
                 Ok(Flow::Normal)
             }
             StmtKind::Foreach { var, iter, body } => {
-                let list = self.eval(iter, env)?;
-                let items = list.as_list()?.to_vec();
-                for item in items {
+                // The evaluated list is our own: move its items out.
+                for item in self.eval(iter, env)?.into_items()? {
                     self.tick()?;
                     env.insert(var.clone(), item);
                     match self.exec_block(body, env)? {
@@ -361,11 +360,8 @@ pub fn eval_state_call(
                 matrix.add(args[0].as_int()?, args[1].as_int()?, args[2].as_float()?);
                 Ok(Value::Null)
             }
-            "row" => Ok(pairs_to_value(matrix.row(args[0].as_int()?))),
-            "multiply" => {
-                let x = value_to_pairs(&args[0])?;
-                Ok(pairs_to_value(matrix.multiply(&x)))
-            }
+            "row" => Ok(Value::Pairs(matrix.row(args[0].as_int()?).into())),
+            "multiply" => Ok(Value::Pairs(matrix.multiply(&args[0].pairs()?).into())),
             "nnz" => Ok(Value::Int(matrix.nnz() as i64)),
             _ => Err(unknown_accessor(field, method)),
         },
@@ -415,41 +411,12 @@ fn index_arg(v: &Value) -> SdgResult<usize> {
     usize::try_from(i).map_err(|_| SdgError::Eval(format!("negative index {i}")))
 }
 
-/// Converts a sparse `(index, value)` list into a Value pairs list.
-fn pairs_to_value(pairs: Vec<(i64, f64)>) -> Value {
-    Value::List(
-        pairs
-            .into_iter()
-            .map(|(i, v)| Value::List(vec![Value::Int(i), Value::Float(v)]))
-            .collect(),
-    )
-}
-
-/// Parses a pairs list back into sparse `(index, value)` form.
-fn value_to_pairs(v: &Value) -> SdgResult<Vec<(i64, f64)>> {
-    v.as_list()?
-        .iter()
-        .map(|cell| {
-            let pair = cell.as_list()?;
-            if pair.len() != 2 {
-                return Err(SdgError::Eval("expected [index, value] pair".into()));
-            }
-            Ok((pair[0].as_int()?, pair[1].as_float()?))
-        })
-        .collect()
-}
-
 /// `base[i]`, with the language's type and bounds errors.
 #[inline]
 pub fn index_list(base: &Value, i: i64) -> SdgResult<Value> {
-    let list = base.as_list()?;
-    if i < 0 || i as usize >= list.len() {
-        return Err(SdgError::Eval(format!(
-            "index {i} out of bounds for list of length {}",
-            list.len()
-        )));
-    }
-    Ok(list[i as usize].clone())
+    let len = base.list_len()?;
+    let item = base.list_get(usize::try_from(i).unwrap_or(usize::MAX))?;
+    item.ok_or_else(|| SdgError::Eval(format!("index {i} out of bounds for list of length {len}")))
 }
 
 /// Applies a unary operator. Integer negation wraps, like the other

@@ -175,11 +175,7 @@ impl<'a> Exec<'a> {
             CStmt::Foreach { slot, iter, body } => {
                 // The evaluated list is already our own copy (the body may
                 // reassign its source): move the items out of it.
-                let items = match self.eval(iter, regs)? {
-                    Value::List(items) => items,
-                    other => return Err(SdgError::type_mismatch("List", other.type_name())),
-                };
-                for item in items {
+                for item in self.eval(iter, regs)?.into_items()? {
                     self.tick()?;
                     regs[*slot as usize] = Some(item);
                     match self.exec_block(body, regs)? {

@@ -123,13 +123,10 @@ impl CfModel {
 
 fn pairs_of(value: &Value) -> HashMap<i64, f64> {
     value
-        .as_list()
+        .pairs()
         .unwrap()
         .iter()
-        .map(|cell| {
-            let pair = cell.as_list().unwrap();
-            (pair[0].as_int().unwrap(), pair[1].as_float().unwrap())
-        })
+        .copied()
         .filter(|(_, v)| *v != 0.0)
         .collect()
 }

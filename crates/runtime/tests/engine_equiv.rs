@@ -6,10 +6,12 @@
 //! stores. Two families: `Table` programs (arithmetic, control flow,
 //! bounded loops, helper calls, table accesses) and `Matrix` programs
 //! (matrix rows walked with `foreach` and indexed with `p[i]`, which reach
-//! the compiled engine's list paths). For every generated program and
-//! input, either both engines succeed with identical `Effects` (forwards,
-//! emits) and identical final state, or both fail with the same error
-//! message.
+//! the compiled engine's list paths, and sparse vectors in both layouts —
+//! rows and products, literals — merged with `pairs_add` and read by the
+//! list builtins). For every generated program and input, either both
+//! engines succeed with identical `Effects` (forwards, emits; layouts and
+//! the sign of zero included) and identical final state, or both fail
+//! with the same error message.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -122,7 +124,7 @@ fn program() -> BoxedStrategy<String> {
 }
 
 /// Variables the matrix family may forward as live vars.
-const MATRIX_VARS: [&str; 2] = ["acc", "r"];
+const MATRIX_VARS: [&str; 3] = ["acc", "q", "r"];
 
 /// A row or column index: mostly small constants, so rows collide.
 fn m_int() -> BoxedStrategy<String> {
@@ -186,9 +188,32 @@ fn m_vector() -> BoxedStrategy<String> {
         .boxed()
 }
 
+/// A list builtin applied to the row `r`, to its product `q`, or to a
+/// sparse vector literal; `concat` and an `Int` index on a list fail the
+/// same way in both engines.
+fn m_list_op() -> BoxedStrategy<String> {
+    let list = prop_oneof![
+        3 => Just("r".to_owned()),
+        2 => Just("q".to_owned()),
+        1 => m_vector(),
+    ]
+    .boxed();
+    prop_oneof![
+        2 => list.clone().prop_map(|l| format!("emit len({l});")),
+        2 => list.clone().prop_map(|l| format!("emit first({l});")),
+        1 => list.clone().prop_map(|l| format!("emit last({l});")),
+        2 => (list.clone(), -1i64..4).prop_map(|(l, i)| format!("emit get_at({l}, {i});")),
+        1 => list.clone().prop_map(|l| format!("emit append({l}, 1);")),
+        1 => list.clone().prop_map(|l| format!("emit concat({l}, \"x\");")),
+        2 => (list.clone(), list).prop_map(|(a, b)| format!("q = pairs_add({a}, {b});")),
+    ]
+    .boxed()
+}
+
 /// A whole matrix-family program: fill some cells, read a row, walk it
 /// (reassigning the row list inside its own loop), then `add`, `multiply`
-/// and `nnz`.
+/// and `nnz`; then merge rows, products and literals with `pairs_add`,
+/// walk a product, and apply list builtins to both layouts.
 fn matrix_program() -> BoxedStrategy<String> {
     let fill = prop::collection::vec((m_int(), m_int(), m_float()), 1..8).prop_map(|cells| {
         cells
@@ -209,9 +234,12 @@ fn matrix_program() -> BoxedStrategy<String> {
         iter,
         body,
         (m_int(), m_int(), m_float()),
-        m_vector(),
+        (
+            m_vector(),
+            prop::collection::vec(m_list_op(), 1..4).prop_map(|s| s.join(" ")),
+        ),
     )
-        .prop_map(|(fill, k, iter, body, (ar, ac, av), x)| {
+        .prop_map(|(fill, k, iter, body, (ar, ac, av), (x, ops))| {
             format!(
                 "Matrix m;\n\
                  void main(int n0, int n1, int n2) {{\n\
@@ -223,6 +251,12 @@ fn matrix_program() -> BoxedStrategy<String> {
                    emit m.multiply(r);\n\
                    emit m.multiply({x});\n\
                    emit m.nnz();\n\
+                   let q = m.multiply(r);\n\
+                   emit pairs_add(r, q);\n\
+                   emit pairs_add(m.row({k}), {x});\n\
+                   foreach (e : q) {{ acc = acc + e[1]; emit e[0]; }}\n\
+                   {ops}\n\
+                   emit q;\n\
                  }}"
             )
         })
@@ -284,6 +318,13 @@ fn assert_equivalent(src: &str, ty: StateType, out_vars: Vec<String>, inputs: [i
     match (reference, slotted) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a, b, "effects diverged for:\n{src}");
+            // `==` reads both layouts of a sparse vector, and `0.0` and
+            // `-0.0`, as equal; the debug form tells them apart.
+            assert_eq!(
+                format!("{a:?}"),
+                format!("{b:?}"),
+                "layouts diverged for:\n{src}"
+            );
             assert_eq!(
                 export_sorted(&ref_store),
                 export_sorted(&cmp_store),

@@ -93,12 +93,7 @@ fn owner(dim: PartitionDim, row: i64, col: i64, n: usize) -> usize {
 /// `[col, value]` pairs in column order. Its key is the row index.
 pub(crate) fn row_value(mut cells: Vec<(i64, f64)>) -> Value {
     cells.sort_unstable_by_key(|&(c, _)| c);
-    Value::List(
-        cells
-            .into_iter()
-            .map(|(c, v)| Value::List(vec![Value::Int(c), Value::Float(v)]))
-            .collect(),
-    )
+    Value::Pairs(cells.into())
 }
 
 impl SparseMatrix {

@@ -426,7 +426,7 @@ pub fn place_entry(
             let Key::Int(row) = key else {
                 return Err(SdgError::State("matrix entry key must be Int".into()));
             };
-            for cell in value.as_list()? {
+            for cell in value.as_list()?.iter() {
                 let pair = cell.as_list()?;
                 if pair.len() != 2 {
                     return Err(SdgError::State("matrix cell must be [col, value]".into()));
