@@ -21,7 +21,7 @@ use sdg_graph::model::{
 };
 use sdg_runtime::config::RuntimeConfig;
 use sdg_runtime::deploy::Deployment;
-use sdg_state::partition::PartitionDim;
+use sdg_state::partition::{KeyLayout, PartitionDim};
 use sdg_state::store::StateType;
 
 /// The annotated StateLang source of the counting half of wordcount.
@@ -148,7 +148,7 @@ impl WcApp {
             .metrics()
             .state_by_id(self.counts)
             .map_or(1, |s| s.instances as usize);
-        let replica = (key.stable_hash() % n as u64) as u32;
+        let replica = KeyLayout::instance(key.stable_hash(), n) as u32;
         self.deployment.with_state(self.counts, replica, |s| {
             Ok(match s.as_table()?.get(&key) {
                 Some(v) => v.as_int()?,

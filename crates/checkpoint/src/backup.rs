@@ -36,7 +36,7 @@ use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, InstanceId};
 use sdg_common::time::VectorTs;
 use sdg_state::entry::StateEntry;
-use sdg_state::partition::PartitionDim;
+use sdg_state::partition::{KeyLayout, PartitionDim};
 use sdg_state::store::{place_entry, StateSnapshot, StateStore, StateType};
 
 use crate::buffer::BufferedItem;
@@ -615,10 +615,11 @@ const CHUNK_PREFIX: usize = FRAME_HEADER + 1;
 /// Encodes one generation's chunks straight from stripe snapshots.
 ///
 /// Every wanted entry is encoded once, into the buffer of its chunk
-/// (`Key::stable_hash() % chunks` of the key it is exported under — the id
-/// the dirty-chunk tracker marks), behind the reserved frame header. So a
-/// delta generation's encoding cost scales with its dirty fraction, and
-/// [`BackupStore::write_chunk`] seals each finished buffer in place.
+/// ([`KeyLayout::chunk`] of the stable hash of the key it is exported
+/// under — the id the dirty-chunk tracker marks), behind the reserved frame
+/// header. So a delta generation's encoding cost scales with its dirty
+/// fraction, and [`BackupStore::write_chunk`] seals each finished buffer in
+/// place.
 #[derive(Debug)]
 pub struct ChunkWriter {
     /// Per chunk id: the frame under construction and its entry count,
@@ -651,9 +652,9 @@ impl ChunkWriter {
     /// coordinator tells a generation that rewrites all of the state (a
     /// base) from one that does not.
     pub fn write(&mut self, snap: &StateSnapshot) {
-        let space = self.chunks.len() as u64;
+        let space = self.chunks.len();
         snap.for_each_entry(|key, encode_value| {
-            let id = (key.stable_hash() % space) as usize;
+            let id = KeyLayout::chunk(key.stable_hash(), space);
             self.occupied[id] = true;
             if let Some((buf, count)) = &mut self.chunks[id] {
                 put_prefixed(buf, |buf| key.encode(buf));
@@ -738,11 +739,12 @@ fn entry_count(payload: &[u8]) -> SdgResult<usize> {
 /// Decodes verified chunk payloads (a restore) or exported entries (a
 /// scale) straight into `n` instances of `stripes` stripes each.
 ///
-/// Every entry is decoded once and inserted into its final shard by the
-/// owner hash [`place_entry`] defines — instance `hash % n`, then stripe
-/// `hash % stripes`, the rule the dispatchers and the stripes route by —
-/// so nothing is re-split afterwards. [`ChunkReader::read`] pre-sizes the
-/// tables from the chunks' entry counts.
+/// Every entry is decoded once and inserted into its final shard,
+/// [`KeyLayout::shard`] of the owner hash [`place_entry`] defines — the
+/// instance the dispatchers route its key to, and the stripe there that
+/// the item lands on — so nothing is re-split afterwards.
+/// [`ChunkReader::read`] pre-sizes the tables from the chunks' entry
+/// counts.
 #[derive(Debug)]
 pub struct ChunkReader {
     /// Instance-major: shard `i * stripes + s` is stripe `s` of instance `i`.
@@ -841,12 +843,11 @@ impl ChunkReader {
         Ok(moved)
     }
 
-    /// The owner rule: hash `h` lives on instance `h % n`, stripe
-    /// `h % stripes`. Returns the shard index.
+    /// The owner rule, [`KeyLayout::shard`] over this reader's shards.
     fn owner(&self) -> impl Fn(u64) -> usize {
-        let stripes = self.stripes as u64;
-        let instances = self.shards.len() as u64 / stripes;
-        move |h| ((h % instances) * stripes + h % stripes) as usize
+        let stripes = self.stripes;
+        let instances = self.shards.len() / stripes;
+        move |h| KeyLayout::shard(h, instances, stripes)
     }
 
     /// Payload bytes decoded so far.

@@ -10,8 +10,9 @@
 //!
 //! ## Stripe identity and watermark semantics
 //!
-//! Items are routed to stripes by the same stable key hash the dispatcher
-//! partitions by (`Key::stable_hash() % stripes`), so a given key always
+//! Items are routed to stripes by the hash the dispatcher partitioned them
+//! by, which the item carries, through [`KeyLayout::stripe`]; re-splits,
+//! restore and a scale place state by the same rule, so a given key always
 //! lands on the same stripe — across processing, scaling and restore.
 //! Per-(edge, src) dedupe watermarks live in the stripe owning the item's
 //! key. Items of one lane arrive in timestamp order, so each stripe
@@ -48,7 +49,7 @@ use sdg_common::error::SdgResult;
 use sdg_common::ids::EdgeId;
 use sdg_common::time::{ScalarTs, VectorTs};
 use sdg_state::entry::StateEntry;
-use sdg_state::partition::PartitionDim;
+use sdg_state::partition::{KeyLayout, PartitionDim};
 use sdg_state::store::{StateStore, StateType};
 
 /// The lock-protected contents of one stripe.
@@ -176,7 +177,7 @@ impl StateCell {
     /// Maps a route hash to its stripe index.
     fn stripe_of(&self, route: Option<u64>) -> usize {
         match route {
-            Some(h) if self.stripes.len() > 1 => (h % self.stripes.len() as u64) as usize,
+            Some(h) if self.stripes.len() > 1 => KeyLayout::stripe(h, self.stripes.len()),
             _ => 0,
         }
     }
@@ -225,7 +226,7 @@ impl StateCell {
     /// [`StateCell::apply`] with an explicit route hash selecting the
     /// stripe. `route` must be the stable hash of the item's partition key
     /// (the same hash the dispatcher used), so the item lands on the stripe
-    /// owning its key.
+    /// owning its key. A striped cell needs it.
     pub fn apply_routed<R>(
         &self,
         edge: EdgeId,
@@ -233,6 +234,10 @@ impl StateCell {
         route: Option<u64>,
         f: impl FnOnce(&mut StateStore) -> R,
     ) -> Option<R> {
+        debug_assert!(
+            route.is_some() || self.stripes.len() == 1,
+            "an item applied to a striped cell carries no route hash"
+        );
         let mut inner = self.stripes[self.stripe_of(route)].lock();
         if inner.vector.is_duplicate(edge, ts) {
             return None;
@@ -332,11 +337,13 @@ impl StateCell {
     /// Runs `f` on a merged view of the whole cell, then re-splits the
     /// result back into the stripes.
     ///
-    /// Used for bulk access (state preloading, `with_state`). On striped
-    /// cells the re-split produces fresh shards, so chunk tracking is
-    /// re-enabled all-dirty — the next checkpoint conservatively serialises
-    /// everything. Stripe vectors are unchanged (bulk access is
-    /// not dataflow input).
+    /// Used for bulk access (state preloading, `with_state`). On a striped
+    /// cell this costs a copy of every entry into one store and another
+    /// back into the stripes, under every stripe lock, whatever `f` does.
+    /// The re-split shards keep the chunks the stripes had dirty plus the
+    /// ones `f` dirtied, so a read-only `f` leaves the next checkpoint's
+    /// delta as it was. Stripe vectors are unchanged (bulk access is not
+    /// dataflow input).
     pub fn with_merged<R>(&self, f: impl FnOnce(&mut StateStore) -> R) -> SdgResult<R> {
         self.with_all(|inners| self.merged(inners, f))
     }
@@ -367,8 +374,14 @@ impl StateCell {
     }
 
     /// Runs `f` on one store holding every entry of the locked `inners`,
-    /// then re-splits it by key hash back into the stripes, each tracking
-    /// every chunk as dirty. A single stripe's own store is used in place.
+    /// then re-splits it by key hash back into the stripes. A single
+    /// stripe's own store is used in place.
+    ///
+    /// Each re-split stripe tracks the union of the stripes' dirty chunks
+    /// and the chunks `f` dirtied on the merged store. The checkpoint
+    /// writes the union of its stripes' sets, so that is exactly what the
+    /// next take would have written plus `f`'s writes. Untracked
+    /// structures stay untracked.
     fn merged<R>(
         &self,
         inners: &mut [&mut CellInner],
@@ -378,14 +391,24 @@ impl StateCell {
             return Ok(f(&mut only.store));
         }
         let mut merged = StateStore::new(inners[0].store.state_type());
+        let mut dirty = Vec::new();
         for inner in inners.iter_mut() {
             merged.import_entries(&inner.store.export_entries())?;
+            dirty.extend(inner.store.take_dirty_chunks().unwrap_or_default());
         }
+        let tracked = self
+            .tracked_chunks
+            .filter(|&chunks| merged.enable_chunk_tracking(chunks));
+        // Tracking starts all dirty: clear it, so only `f`'s writes mark.
+        merged.take_dirty_chunks();
         let r = f(&mut merged);
+        dirty.extend(merged.take_dirty_chunks().unwrap_or_default());
         let parts = merged.split_by_hash(inners.len(), self.dim)?;
         for (inner, mut part) in inners.iter_mut().zip(parts) {
-            if let Some(chunks) = self.tracked_chunks {
+            if let Some(chunks) = tracked {
                 part.enable_chunk_tracking(chunks);
+                part.take_dirty_chunks();
+                part.mark_chunks_dirty(&dirty);
             }
             inner.store = part;
         }

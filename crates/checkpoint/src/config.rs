@@ -21,8 +21,8 @@ pub struct CheckpointConfig {
     /// the m-to-n pattern).
     pub backup_fanout: usize,
     /// Size of the chunk space every checkpoint is written in: a key's
-    /// chunk is `Key::stable_hash() % chunks`, the same id the cells'
-    /// dirty tracking marks, so a delta generation rewrites exactly the
+    /// chunk is [`KeyLayout::chunk`](sdg_state::partition::KeyLayout::chunk)
+    /// of its stable hash, the same id the cells' dirty tracking marks, so a delta generation rewrites exactly the
     /// chunks dirtied since the previous take. Larger spaces give finer
     /// deltas at slightly more bookkeeping. Must be ≥ `backup_fanout`;
     /// chunks are distributed round-robin.

@@ -1,7 +1,7 @@
 //! The checkpoint protocol (§5, "State checkpointing").
 //!
 //! Every take writes one *generation* in the configured chunk space
-//! (`Key::stable_hash() % chunks`): a **base** when it rewrites every chunk
+//! ([`sdg_state::partition::KeyLayout::chunk`]): a **base** when it rewrites every chunk
 //! that holds state, otherwise a **delta** of the chunks dirtied since the
 //! previous completed take. A cell that tracks no dirty chunks writes a
 //! base on every take.
@@ -393,9 +393,11 @@ fn write_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdg_common::codec::encode_to_vec;
     use sdg_common::ids::TaskId;
     use sdg_common::value::{Key, Value};
-    use sdg_state::partition::PartitionDim;
+    use sdg_state::entry::StateEntry;
+    use sdg_state::partition::{KeyLayout, PartitionDim};
     use sdg_state::store::StateType;
 
     fn instance() -> InstanceId {
@@ -797,5 +799,66 @@ mod tests {
         got.sort_by(|a, b| a.key.cmp(&b.key));
         want.sort_by(|a, b| a.key.cmp(&b.key));
         assert_eq!(got, want);
+    }
+
+    /// The entries of `cell` and of a one-instance restore of `chain`,
+    /// each sorted by key.
+    fn restored_and_live(
+        chain: &[BackupSet],
+        stores: &[Arc<BackupStore>],
+        cell: &StateCell,
+    ) -> (Vec<StateEntry>, Vec<StateEntry>) {
+        let options = crate::recovery::RestoreOptions {
+            stripes: cell.stripe_count(),
+            ..Default::default()
+        };
+        let restored = crate::recovery::restore_chain(chain, stores, 1, options).unwrap();
+        let mut got: Vec<StateEntry> = restored
+            .into_iter()
+            .flatten()
+            .flat_map(|(store, _)| store.export_entries())
+            .collect();
+        let mut want = cell.export_merged().0;
+        got.sort_by(|a, b| a.key.cmp(&b.key));
+        want.sort_by(|a, b| a.key.cmp(&b.key));
+        (got, want)
+    }
+
+    #[test]
+    fn a_read_only_merged_view_leaves_the_next_take_empty() {
+        let cell = striped_cell(200, 4, 8);
+        let stores = stores(1);
+        let cfg = CheckpointConfig::default();
+        take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
+        let len = cell.with_merged(|s| s.as_table().unwrap().len()).unwrap();
+        assert_eq!(len, 200);
+        assert_eq!(cell.pending_dirty_chunks(), 0);
+        let set = take_checkpoint(&cell, instance(), 2, Vec::new, &stores, &cfg).unwrap();
+        assert!(!set.is_base());
+        assert!(set.chunk_locations.is_empty());
+    }
+
+    #[test]
+    fn a_merged_write_makes_the_next_take_a_delta_of_its_chunk() {
+        let cell = striped_cell(200, 4, 8);
+        let stores = stores(2);
+        let cfg = CheckpointConfig::default();
+        let base = take_checkpoint(&cell, instance(), 1, Vec::new, &stores, &cfg).unwrap();
+        let key = Key::Int(7);
+        cell.with_merged(|s| s.as_table().unwrap().put(key.clone(), Value::Int(-7)))
+            .unwrap();
+        let delta = take_checkpoint(&cell, instance(), 2, Vec::new, &stores, &cfg).unwrap();
+        assert!(!delta.is_base());
+        let written: Vec<u32> = delta.chunk_locations.iter().map(|(_, k)| k.chunk).collect();
+        let chunk = KeyLayout::chunk(key.stable_hash(), cfg.chunks) as u32;
+        assert_eq!(written, vec![chunk]);
+
+        // The chain restores exactly what the cell holds, the write included.
+        let (got, want) = restored_and_live(&[base, delta], &stores, &cell);
+        assert_eq!(got, want);
+        assert!(got.contains(&StateEntry::new(
+            encode_to_vec(&key),
+            encode_to_vec(&Value::Int(-7))
+        )));
     }
 }

@@ -11,8 +11,8 @@
 //! 2. checkpoints embed a vector timestamp of the last item applied from
 //!    each input dataflow; upstream nodes trim their output buffers below
 //!    all downstream checkpoints ([`buffer`]);
-//! 3. checkpoints are hash-partitioned into chunks by `Key::stable_hash`
-//!    and streamed to `m` backup stores round-robin. Each take is a base
+//! 3. checkpoints are hash-partitioned into chunks by the keys' stable
+//!    hashes ([`sdg_state::partition::KeyLayout::chunk`]) and streamed to `m` backup stores round-robin. Each take is a base
 //!    generation or a delta of the chunks dirtied since the previous take;
 //!    a failed instance is restored from its base + delta chain to `n` new
 //!    instances in parallel, the *m-to-n* pattern of Fig. 4 ([`backup`],

@@ -5,9 +5,9 @@
 //! checkpoint chunks streams its chunks on a reader thread of its own and
 //! verifies every frame in place (step R1). Each entry of each chunk is
 //! then decoded once, straight into the stripe of the instance that owns
-//! its key (step R2): instance `hash % n`, stripe `hash % stripes`, the
-//! rules the dispatcher and the stripes route by, so the restored shards
-//! need no re-split. Each stripe carries the vector recorded for it when
+//! its key (step R2): [`sdg_state::partition::KeyLayout::shard`], the rule
+//! the dispatcher and the stripes route by, so the restored shards need no
+//! re-split. Each stripe carries the vector recorded for it when
 //! the layout matches the checkpoint's. Replaying upstream output buffers
 //! (step R3) is the runtime's job, using those vectors.
 
@@ -58,9 +58,10 @@ pub type Stripes = Vec<(StateStore, VectorTs)>;
 ///
 /// Each chunk is written whole by whichever generation last touched it, so
 /// composition is newest-wins per chunk id: later sets shadow earlier
-/// ones. Instance `i` receives the entries whose key hashes to `i` modulo
-/// `n` (with `n == 1` the single result holds the complete state), split
-/// into `options.stripes` stripes by the same hash; a matrix is placed
+/// ones. Every entry goes to the stripe of the instance that owns its key
+/// hash, [`KeyLayout::shard`](sdg_state::partition::KeyLayout::shard) over
+/// `n` instances of `options.stripes` stripes (with `n == 1` the single
+/// result holds the complete state); a matrix is placed
 /// cell by cell along `options.dim`, as [`StateStore::split_by_hash`]
 /// places it. When the stripe count equals the newest set's, stripe `s`
 /// of every instance carries that set's vector of stripe `s`; otherwise

@@ -606,6 +606,29 @@ mod tests {
     }
 
     #[test]
+    fn stable_hash_goldens() {
+        // Every route, stripe and checkpoint chunk id is a function of these
+        // exact values: a change here moves keys and orphans stored chunks.
+        let goldens = [
+            (Key::Bool(false), 0x0832_8807_b4eb_6fed),
+            (Key::Bool(true), 0x0832_8707_b4eb_6e3a),
+            (Key::Int(0), 0x529a_2cdc_8ff5_33ac),
+            (Key::Int(42), 0xb960_a184_f070_32c6),
+            (Key::Int(-1), 0x685c_d83a_d34b_3424),
+            (Key::str(""), 0xaf63_bf4c_8601_bb45),
+            (Key::str("hello"), 0xa465_011c_2cfb_ddab),
+            (Key::Composite(vec![]), 0x796e_d797_b92b_1fd2),
+            (
+                Key::Composite(vec![Key::Int(1), Key::str("a")]),
+                0x434a_1ed8_d3b8_d733,
+            ),
+        ];
+        for (key, hash) in goldens {
+            assert_eq!(key.stable_hash(), hash, "{key:?}");
+        }
+    }
+
+    #[test]
     fn record_set_get_replace() {
         let mut r = Record::new();
         r.set("user", Value::Int(1));

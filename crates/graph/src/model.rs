@@ -13,8 +13,9 @@ use sdg_state::store::{StateStore, StateType};
 /// Dispatching semantics of a dataflow edge (§4.2 step 4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Dispatch {
-    /// Hash-partition items by the named record field; instance `i` of the
-    /// consumer receives keys with `hash(key) % n == i`.
+    /// Hash-partition items by the named record field: a key goes to the
+    /// consumer instance [`sdg_state::partition::KeyLayout::instance`]
+    /// picks from its stable hash.
     Partitioned {
         /// Record field carrying the partition key.
         key: String,

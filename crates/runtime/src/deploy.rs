@@ -39,7 +39,7 @@ use crate::control::{se_instance_id, Control, Sequencer};
 use crate::fault::{
     run_supervisor, FailureHub, FaultInjector, Health, HeartbeatView, RecoveryUnit,
 };
-use crate::item::{lane, Item};
+use crate::item::{lane, route_hash, Item};
 use crate::reconfig::{self, ReconfigReport, ReconfigRequest};
 use crate::scaling::{run_scaling_monitor, Groups, Sample, ScaleDirection, StopWait};
 use crate::sched::Pool;
@@ -76,6 +76,11 @@ fn ingest_flow(task: &TaskDecl) -> (EdgeId, Dispatch) {
 /// contract (a task touches only state belonging to its item's key) is what
 /// makes per-key stripe routing sound, and dense vectors have no meaningful
 /// key space to split. Everything else keeps the single-mutex cell.
+///
+/// A stripe is picked by the hash its item was routed by, which is the
+/// hash of the item's access key because [`validate`] admits no other
+/// edge into a task with partitioned access: every such edge, and the ingest
+/// edge [`ingest_flow`] derives, is partitioned on the task's access key.
 ///
 /// Both optimizations are gated on the `sdg-verify` certificates when a
 /// report is attached: striping requires the SE's key-locality certificate
@@ -487,6 +492,12 @@ impl Deployment {
 
     /// Runs `f` against SE instance `(state, replica)` under its lock.
     ///
+    /// On a striped instance `f` sees one merged store
+    /// ([`StateCell::with_merged`]): every entry is copied into it and back
+    /// into the stripes under all stripe locks, so a call costs time in
+    /// the instance's size, even a read. The stripes keep their dirty
+    /// chunks plus those `f` dirties, so the next checkpoint stays a delta.
+    ///
     /// Runs as a control operation: it waits for any checkpoint, scale or
     /// recovery in progress and holds the next one off until `f` returns,
     /// so `f` must not itself reconfigure the deployment.
@@ -655,11 +666,6 @@ impl Inner {
             None => None,
         };
 
-        let route_key = task.access.as_ref().and_then(|a| match &a.mode {
-            AccessMode::Partitioned { key, .. } => Some(key.clone()),
-            _ => None,
-        });
-
         let gather_var = self
             .sdg
             .flows_to(task_id)
@@ -695,7 +701,6 @@ impl Inner {
             code: self.code[&task_id].clone(),
             scratch: Scratch::new(),
             cell,
-            route_key,
             outs,
             sink: self.sink_tx.clone(),
             pending_gathers: HashMap::new(),
@@ -1008,7 +1013,8 @@ impl Inner {
                 for (src, buf) in self.buffers.buffers_into(edge, replica) {
                     let wm = watermarks.get(lane(edge, src));
                     for buffered in buf.lock().replay_after(wm) {
-                        let item = Item::from_buffered(edge, src, buffered);
+                        let mut item = Item::from_buffered(edge, src, buffered);
+                        item.route = route_hash(&dispatch, &item.payload)?;
                         // Replay runs under the pause: bypass the cap (see
                         // `PoolSender::force_send`).
                         sender

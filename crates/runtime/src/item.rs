@@ -4,9 +4,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sdg_checkpoint::buffer::BufferedItem;
+use sdg_common::error::SdgResult;
 use sdg_common::ids::EdgeId;
 use sdg_common::time::ScalarTs;
 use sdg_common::value::Record;
+use sdg_graph::model::Dispatch;
 
 /// Multiplier for encoding `(edge, source replica)` into a dedupe lane.
 ///
@@ -23,6 +25,23 @@ pub const LANE_STRIDE: u32 = 1024;
 pub fn lane(edge: EdgeId, replica: u32) -> EdgeId {
     assert!(replica < LANE_STRIDE, "replica {replica} out of lane range");
     EdgeId(edge.raw() * LANE_STRIDE + replica)
+}
+
+/// The hash an edge with `dispatch` routes `payload` by: the stable hash
+/// of its key field on a partitioned edge, `None` on any other.
+///
+/// The item carries it to its consumer, whose stripe reuses it, so a key is
+/// hashed once between dispatch and state. Live sends and replay both
+/// derive it here.
+///
+/// # Errors
+///
+/// Fails when a partitioned edge's key field is missing or not a key.
+pub fn route_hash(dispatch: &Dispatch, payload: &Record) -> SdgResult<Option<u64>> {
+    match dispatch {
+        Dispatch::Partitioned { key } => Ok(Some(payload.require(key)?.to_key()?.stable_hash())),
+        _ => Ok(None),
+    }
 }
 
 /// One data item on one dataflow edge.
@@ -43,6 +62,10 @@ pub struct Item {
     /// fan-out and output-buffer logging share one allocation; mutating
     /// paths (gather/assemble) use `Arc::make_mut` for copy-on-write.
     pub payload: Arc<Record>,
+    /// The partition hash the item was routed by ([`route_hash`]), `None`
+    /// off a partitioned edge. A striped cell picks the item's stripe
+    /// from it.
+    pub route: Option<u64>,
     /// Submission time of the originating request, for latency measurement.
     /// `None` for replayed items.
     pub submitted_at: Option<Instant>,
@@ -55,7 +78,9 @@ impl Item {
     }
 
     /// Rebuilds an item from a buffered entry for replay: the buffered
-    /// `Arc` is the item's payload, so nothing is decoded or cloned.
+    /// `Arc` is the item's payload, so nothing is decoded or cloned. Its
+    /// `route` is unset; a replay into a partitioned edge sets it with
+    /// [`route_hash`].
     pub fn from_buffered(edge: EdgeId, src_replica: u32, buffered: BufferedItem) -> Item {
         Item {
             edge,
@@ -64,6 +89,7 @@ impl Item {
             corr: buffered.corr,
             expect: buffered.expect,
             payload: buffered.payload,
+            route: None,
             submitted_at: None,
         }
     }
@@ -142,6 +168,7 @@ mod tests {
                 corr: 1,
                 expect: 1,
                 payload: Arc::new(payload),
+                route: None,
                 submitted_at: None,
             };
             let mut header = BytesMut::new();

@@ -350,8 +350,9 @@ fn fold_partial(inner: &Inner, state: StateId) -> SdgResult<u64> {
 /// instances, the way a restore places a checkpoint.
 ///
 /// Each instance exports its entries once, and one [`ChunkReader`] puts
-/// every entry straight into its final stripe: instance `hash % to`,
-/// stripe `hash % stripes`, the rule the dispatchers route by. Survivors
+/// every entry straight into its final stripe by
+/// [`KeyLayout::shard`](sdg_state::partition::KeyLayout::shard), the rule
+/// the dispatchers route by. Survivors
 /// install their new stripes in place, because workers hold their cells;
 /// an added instance gets a new cell, and a removed one (the last) leaves
 /// the group. Every stripe gets the group's pointwise-max vector, which is

@@ -949,6 +949,7 @@ mod tests {
             corr,
             expect: 1,
             payload: Arc::new(sdg_common::value::Record::with_capacity(0)),
+            route: None,
             submitted_at: None,
         })
     }

@@ -26,10 +26,11 @@ use sdg_common::value::{Record, Value};
 use sdg_graph::model::{Dispatch, NativeTask, TaskCode, TaskContext};
 use sdg_ir::eval::Effects;
 use sdg_ir::te_compiled::CompiledTe;
+use sdg_state::partition::KeyLayout;
 
 use crate::compile::{run_compiled, Scratch};
 use crate::fault::{FailureHub, FaultAction, FaultTrigger, PanicProbe};
-use crate::item::{lane, Item};
+use crate::item::{lane, route_hash, Item};
 use crate::sched::{self, PoolSender};
 
 /// Synthetic service time is rested in slices of at least this much: a
@@ -241,7 +242,7 @@ impl Drop for Paused<'_> {
 /// One send of a producer lane, projected and keyed, not yet stamped.
 struct Outgoing {
     payload: Arc<Record>,
-    /// The partition hash, for partitioned dispatch.
+    /// The partition hash, for partitioned dispatch ([`route_hash`]).
     key: Option<u64>,
     corr: u64,
     /// The fragment count of the item that caused it (gather edges).
@@ -265,7 +266,8 @@ struct Lane {
 
 impl Lane {
     /// Stamps `out` with the lane's next timestamp, routes it over `slots`
-    /// by the dispatch rule — partition hash mod n, the shortest queue
+    /// by the dispatch rule — [`KeyLayout::instance`] of the partition
+    /// hash, which the item carries on to its stripe, the shortest queue
     /// (ties go round-robin by timestamp), the gather instance, or all n —
     /// and logs and `push`es it to each destination. `cache` holds this
     /// lane's buffer handles.
@@ -287,7 +289,7 @@ impl Lane {
         let (dsts, expect) = match &self.dispatch {
             Dispatch::Partitioned { .. } => {
                 let hash = out.key.expect("a partitioned send carries its key");
-                let idx = (hash % n as u64) as usize;
+                let idx = KeyLayout::instance(hash, n);
                 (idx..idx + 1, 1)
             }
             Dispatch::OneToAny => {
@@ -324,6 +326,7 @@ impl Lane {
                 corr: out.corr,
                 expect,
                 payload: Arc::clone(&out.payload),
+                route: out.key,
                 submitted_at: out.submitted_at,
             };
             push(&slots[dst].tx, WorkerMsg::Item(item))
@@ -480,10 +483,7 @@ impl OutEdge {
         submitted_at: Option<Instant>,
     ) -> SdgResult<()> {
         let payload = self.project(payload);
-        let key = match &self.lane.dispatch {
-            Dispatch::Partitioned { key } => Some(payload.require(key)?.to_key()?.stable_hash()),
-            _ => None,
-        };
+        let key = route_hash(&self.lane.dispatch, &payload)?;
         let out = Outgoing {
             key,
             payload,
@@ -562,10 +562,6 @@ pub struct Worker {
     pub scratch: Scratch,
     /// Local SE instance, when the task has an access edge.
     pub cell: Option<Arc<StateCell>>,
-    /// Record field carrying the state access key, for keyed (partitioned)
-    /// access. Used to route each item to the lock stripe owning its key
-    /// when the cell is striped.
-    pub route_key: Option<String>,
     /// Outgoing edges.
     pub outs: Vec<OutEdge>,
     /// External output sink.
@@ -732,6 +728,7 @@ impl Worker {
             corr: base.corr,
             expect: 1,
             payload,
+            route: base.route,
             submitted_at,
         })
     }
@@ -755,17 +752,6 @@ impl Worker {
             }
             return Ok(());
         }
-        // Striped cells route each item to the stripe owning its access
-        // key; the route hash equals the key's partition hash, so an item
-        // lands on the stripe holding exactly the keys it may touch.
-        let route = match (&self.cell, &self.route_key) {
-            (Some(cell), Some(key)) if cell.stripe_count() > 1 => item
-                .payload
-                .get(key)
-                .and_then(|v| v.to_key().ok())
-                .map(|k| k.stable_hash()),
-            _ => None,
-        };
         // Split the borrows up front: the state-cell closures need the code
         // (shared) and the scratch (exclusive) while `self.cell` is held.
         let code = &self.code;
@@ -774,7 +760,11 @@ impl Worker {
         let effects = match &self.cell {
             Some(cell) => {
                 let lane = lane(item.edge, item.src_replica);
-                match cell.apply_routed(lane, item.ts, route, |store| {
+                // A striped cell is fed only by edges partitioned on the
+                // access key (`deploy::cell_layout`), so the hash the item
+                // was routed by picks the stripe holding exactly the keys
+                // it may touch.
+                match cell.apply_routed(lane, item.ts, item.route, |store| {
                     execute_prepared(code, &item.payload, Some(store), replica, scratch)
                 }) {
                     None => {

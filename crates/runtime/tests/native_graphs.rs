@@ -18,7 +18,7 @@ use sdg_runtime::config::RuntimeConfig;
 use sdg_runtime::deploy::Deployment;
 use sdg_runtime::fault::FaultPlan;
 use sdg_runtime::reconfig::ReconfigRequest;
-use sdg_state::partition::PartitionDim;
+use sdg_state::partition::{KeyLayout, PartitionDim};
 use sdg_state::store::StateType;
 
 /// Counts items in its table under the record's `k`.
@@ -546,4 +546,129 @@ fn recovery_under_a_live_feed_is_exact_on_one_thread() {
         assert_eq!(total(&d, s), fed, "{threads} threads");
         d.shutdown();
     }
+}
+
+/// A stripe trusts the hash its item was routed by. That is sound because
+/// a deployment refuses any edge into a partitioned-table task that is not
+/// partitioned on its access key (here a broadcast), while a table fed by
+/// key is striped and ends exact through a checkpoint and a recovery,
+/// whose replayed items carry the hash too.
+#[test]
+fn stripes_take_only_items_routed_by_their_key() {
+    let mut b = SdgBuilder::new();
+    let s = b.add_state(
+        "s",
+        StateType::Table,
+        Distribution::Partitioned {
+            dim: PartitionDim::Row,
+        },
+    );
+    let source = b.add_task(
+        "source",
+        TaskKind::Entry {
+            method: "feed".into(),
+        },
+        TaskCode::Passthrough,
+        None,
+    );
+    let a = counter(&mut b, "a", Arc::new(CountTask), s);
+    b.connect(source, a, Dispatch::OneToAll, vec!["k".into()]);
+    let refused = Deployment::start(b.build_unchecked(), RuntimeConfig::default());
+    let err = refused
+        .err()
+        .expect("a broadcast into a keyed task deploys");
+    assert!(err.to_string().contains("must be partitioned(k)"), "{err}");
+
+    let (sdg, s, _) = counting_graph(Chain::No);
+    let mut cfg = RuntimeConfig::default();
+    let striped = cfg.state_stripes as u64;
+    assert!(striped > 1);
+    cfg.se_instances.insert(s, 2);
+    cfg.supervisor.enabled = false;
+    cfg.checkpoint.enabled = true;
+    cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+    let d = Deployment::start(sdg, cfg).unwrap();
+    assert_eq!(d.metrics().state_by_id(s).unwrap().stripes, striped);
+    let feed = |from: i64, to: i64| {
+        for n in from..to {
+            d.submit("feed", record! {"k" => Value::Int(n % 10)})
+                .unwrap();
+        }
+        assert!(d.quiesce(Duration::from_secs(30)));
+    };
+    feed(0, 100);
+    d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+    feed(100, 200);
+    for replica in 0..2 {
+        d.reconfigure(ReconfigRequest::FailAndRecover { state: s, replica })
+            .unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(30)));
+    for k in 0..10i64 {
+        let key = Key::Int(k);
+        let replica = KeyLayout::instance(key.stable_hash(), 2) as u32;
+        let count = d
+            .with_state(s, replica, |st| st.as_table().unwrap().get(&key))
+            .unwrap();
+        assert_eq!(count, Some(Value::Int(20)), "key {k}");
+    }
+    assert_eq!(total(&d, s), 200);
+    assert_eq!(d.stats().errors, 0);
+    d.shutdown();
+}
+
+/// `with_state` merges the stripes and re-splits them, yet keeps their
+/// dirty chunks: a read-only call leaves the next take nothing to write,
+/// and a write dirties only its key's chunk, which a recovery restores.
+#[test]
+fn with_state_keeps_the_next_take_a_delta_of_what_it_wrote() {
+    let (sdg, s, _) = counting_graph(Chain::No);
+    let mut cfg = RuntimeConfig::default();
+    let stripes = cfg.state_stripes as u64;
+    cfg.se_instances.insert(s, 2);
+    cfg.supervisor.enabled = false;
+    cfg.checkpoint.enabled = true;
+    cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+    let d = Deployment::start(sdg, cfg).unwrap();
+    for n in 0..640i64 {
+        d.submit("feed", record! {"k" => Value::Int(n % 64)})
+            .unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(30)));
+    d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+    let dirty = || d.metrics().state_by_id(s).unwrap().dirty_chunks;
+    assert_eq!(dirty(), 0);
+
+    let len = d
+        .with_state(s, 0, |st| st.as_table().unwrap().len())
+        .unwrap();
+    assert!(len > 0);
+    assert_eq!(dirty(), 0, "a read-only with_state dirties nothing");
+    let bytes = d.metrics().checkpoints.bytes;
+    d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+    assert_eq!(d.metrics().checkpoints.bytes, bytes, "an empty delta");
+
+    // Every stripe of the instance carries the one chunk the write dirtied.
+    let key = (0..64)
+        .map(Key::Int)
+        .find(|k| KeyLayout::instance(k.stable_hash(), 2) == 0)
+        .unwrap();
+    d.with_state(s, 0, |st| {
+        st.as_table().unwrap().put(key.clone(), Value::Int(1_000))
+    })
+    .unwrap();
+    assert_eq!(dirty(), stripes);
+    d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+    assert_eq!(dirty(), 0);
+    d.reconfigure(ReconfigRequest::FailAndRecover {
+        state: s,
+        replica: 0,
+    })
+    .unwrap();
+    let got = d
+        .with_state(s, 0, |st| st.as_table().unwrap().get(&key))
+        .unwrap();
+    assert_eq!(got, Some(Value::Int(1_000)));
+    assert_eq!(total(&d, s), 640 - 10 + 1_000);
+    d.shutdown();
 }

@@ -4,7 +4,8 @@
 //! ([`StateEntry`]) key/value byte pairs and re-import such a list. Every
 //! built-in structure keys its entries by an encoded
 //! [`sdg_common::value::Key`], so the checkpoint subsystem places an entry
-//! by the stable hash of its decoded key: the same hash the partitioner,
+//! by the stable hash of its decoded key through
+//! [`KeyLayout`](crate::partition::KeyLayout), the rule the partitioner,
 //! the stripes and the dirty-chunk tracker use (§5).
 
 /// One key/value pair of serialised state.

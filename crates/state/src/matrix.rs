@@ -25,7 +25,7 @@ use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::value::{Key, Value};
 
 use crate::entry::StateEntry;
-use crate::partition::PartitionDim;
+use crate::partition::{KeyLayout, PartitionDim};
 
 type Rows = HashMap<i64, HashMap<i64, f64>>;
 
@@ -82,11 +82,6 @@ pub(crate) fn owner_hash(dim: PartitionDim, row: i64, col: i64) -> u64 {
         PartitionDim::Col => col,
     };
     Key::Int(key).stable_hash()
-}
-
-/// The partition (of `n`) that cell `(row, col)` belongs to along `dim`.
-fn owner(dim: PartitionDim, row: i64, col: i64, n: usize) -> usize {
-    (owner_hash(dim, row, col) % n as u64) as usize
 }
 
 /// The entry value of one row: its `(col, value)` cells as a list of
@@ -339,8 +334,8 @@ impl SparseMatrix {
         out
     }
 
-    /// Splits the matrix into `n` disjoint partitions along `dim` by stable
-    /// hash of the row (or column) index.
+    /// Splits the matrix into `n` disjoint stripes along `dim`: a cell goes
+    /// to stripe [`KeyLayout::stripe`] of its row's (or column's) hash.
     ///
     /// # Panics
     ///
@@ -348,7 +343,9 @@ impl SparseMatrix {
     pub fn split_by_hash(&self, dim: PartitionDim, n: usize) -> Vec<SparseMatrix> {
         assert!(n > 0, "partition count must be positive");
         let mut parts: Vec<SparseMatrix> = (0..n).map(|_| SparseMatrix::new()).collect();
-        self.for_each_cell(|row, col, v| parts[owner(dim, row, col, n)].set(row, col, v));
+        self.for_each_cell(|row, col, v| {
+            parts[KeyLayout::stripe(owner_hash(dim, row, col), n)].set(row, col, v)
+        });
         parts
     }
 

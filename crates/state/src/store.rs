@@ -148,6 +148,17 @@ impl StateStore {
         }
     }
 
+    /// Marks the tracked chunks `ids` dirty (a no-op when tracking is off).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is outside the tracked chunk space.
+    pub fn mark_chunks_dirty(&mut self, ids: &[u32]) {
+        if let StateStore::Table(t) = self {
+            t.mark_chunks_dirty(ids);
+        }
+    }
+
     /// Accesses the table variant.
     pub fn as_table(&mut self) -> SdgResult<&mut KeyedTable> {
         match self {
@@ -287,7 +298,8 @@ impl StateStore {
         }
     }
 
-    /// Splits a partitioned SE into `n` disjoint instances.
+    /// Splits a partitioned SE into `n` disjoint stripes by
+    /// [`KeyLayout::stripe`](crate::partition::KeyLayout::stripe).
     ///
     /// `dim` selects the matrix axis and is ignored for tables. Dense
     /// vectors do not support partitioning (they are partial-only state) and
@@ -353,7 +365,8 @@ impl StateSnapshot {
     /// encoding of its value.
     ///
     /// The key is the entry's identity everywhere: its chunk is
-    /// `Key::stable_hash() % chunks`, the id the dirty-chunk tracker marks.
+    /// [`KeyLayout::chunk`](crate::partition::KeyLayout::chunk) of its
+    /// stable hash, the id the dirty-chunk tracker marks.
     /// A caller that skips an entry pays for its key only; nothing is
     /// allocated until the value is encoded. This runs on the checkpoint
     /// thread, off the processing path.
@@ -388,7 +401,8 @@ impl StateSnapshot {
 
 /// Decodes one exported entry of the structure `shards` hold and inserts
 /// it, piece by piece, into the shard `shard_of` picks from each piece's
-/// owner hash.
+/// owner hash; callers pass a
+/// [`KeyLayout`](crate::partition::KeyLayout) rule.
 ///
 /// The owner hash is the one [`StateStore::split_by_hash`] partitions by:
 /// a table key's stable hash, and a matrix cell's row or column index

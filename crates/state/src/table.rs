@@ -20,14 +20,15 @@ use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::value::{Key, Value};
 
 use crate::entry::StateEntry;
+use crate::partition::KeyLayout;
 
 /// Tracks which hash chunks changed since the last completed checkpoint
 /// generation, enabling delta checkpoints: a delta generation only
 /// re-serialises chunks whose keys were written.
 ///
-/// Chunk identity is `key.stable_hash() % chunks` — the backup chunk the
-/// checkpoint writes the key into, so a chunk's key population is stable
-/// across generations, processes and restores.
+/// Chunk identity is [`KeyLayout::chunk`] of the key's stable hash — the
+/// backup chunk the checkpoint writes the key into, so a chunk's key
+/// population is stable across generations, processes and restores.
 #[derive(Debug, Clone)]
 struct ChunkTracker {
     dirty: Vec<bool>,
@@ -155,10 +156,22 @@ impl KeyedTable {
         }
     }
 
+    /// Marks the chunks `ids` dirty (a no-op when tracking is off).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is outside the tracked chunk space.
+    pub fn mark_chunks_dirty(&mut self, ids: &[u32]) {
+        if let Some(t) = &mut self.tracker {
+            for &id in ids {
+                t.mark(id as usize);
+            }
+        }
+    }
+
     fn mark_chunk(&mut self, key: &Key) {
         if let Some(t) = &mut self.tracker {
-            let chunk = (key.stable_hash() % t.dirty.len() as u64) as usize;
-            t.mark(chunk);
+            t.mark(KeyLayout::chunk(key.stable_hash(), t.dirty.len()));
         }
     }
 
@@ -335,10 +348,10 @@ impl KeyedTable {
         Arc::make_mut(&mut self.base).reserve(additional);
     }
 
-    /// Splits the table into `n` disjoint partitions by stable key hash.
+    /// Splits the table into `n` disjoint stripes by stable key hash.
     ///
-    /// Entry `k` goes to partition `stable_hash(k) % n`, matching the
-    /// runtime's hash dispatching so items and their state stay colocated.
+    /// Entry `k` goes to stripe [`KeyLayout::stripe`] of its hash, the
+    /// stripe a routed item with that key lands on.
     ///
     /// # Panics
     ///
@@ -347,8 +360,7 @@ impl KeyedTable {
         assert!(n > 0, "partition count must be positive");
         let mut parts: Vec<KeyedTable> = (0..n).map(|_| KeyedTable::new()).collect();
         self.for_each(|k, v| {
-            let idx = (k.stable_hash() % n as u64) as usize;
-            parts[idx].put(k.clone(), v.clone());
+            parts[KeyLayout::stripe(k.stable_hash(), n)].put(k.clone(), v.clone());
         });
         parts
     }
