@@ -1,9 +1,10 @@
 //! Upstream output buffers for message replay (§5).
 //!
-//! Every TE instance keeps, per outgoing dataflow edge, the items it has
-//! sent since the oldest downstream checkpoint. After a downstream failure
-//! the buffer is replayed; once all downstream checkpoints cover a
-//! timestamp, the prefix up to it is trimmed.
+//! A TE instance keeps, per outgoing dataflow edge into a stateful
+//! consumer, the items it has sent since that consumer's last checkpoint.
+//! After the consumer fails the buffer is replayed past its restored
+//! checkpoint; once a checkpoint covers a timestamp, the prefix up to it
+//! is trimmed.
 //!
 //! An entry is the item's header plus a refcounted handle on the very
 //! record the consumer received, so logging costs an `Arc` clone and
@@ -158,18 +159,6 @@ impl OutputBuffer {
         self.items.range(start..).cloned().collect()
     }
 
-    /// Drops the oldest items until at most `max_items` remain.
-    ///
-    /// Used to bound the upstream-backup horizon for consumers that never
-    /// checkpoint (stateless TEs).
-    pub fn cap(&mut self, max_items: usize) {
-        while self.items.len() > max_items {
-            if let Some(front) = self.items.pop_front() {
-                self.account_sub(front.cost());
-            }
-        }
-    }
-
     /// Number of buffered items.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -274,11 +263,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_after_equals_the_filter_after_pushes_trims_and_caps() {
-        // Oracle: a plain list of the buffered timestamps, trimmed and
-        // capped by the same rules, filtered linearly. Timestamps advance
-        // by gaps of 1–3 so watermarks fall both on and between buffered
-        // items.
+    fn replay_after_equals_the_filter_after_pushes_and_trims() {
+        // Oracle: a plain list of the buffered timestamps, trimmed by the
+        // same rule, filtered linearly. Timestamps advance by gaps of 1–3
+        // so watermarks fall both on and between buffered items.
         let mut b = OutputBuffer::new();
         let mut model: Vec<u64> = Vec::new();
         let mut ts = 0u64;
@@ -288,18 +276,10 @@ mod tests {
                 b.push_live(ts, ts, 1, rec(ts as i64));
                 model.push(ts);
             }
-            match round % 5 {
-                1 => {
-                    let wm = ts.saturating_sub(round % 9);
-                    b.trim(wm);
-                    model.retain(|&t| t > wm);
-                }
-                3 => {
-                    let max = (round % 4) as usize;
-                    b.cap(max);
-                    model.drain(..model.len().saturating_sub(max));
-                }
-                _ => {}
+            if round % 5 == 1 {
+                let wm = ts.saturating_sub(round % 9);
+                b.trim(wm);
+                model.retain(|&t| t > wm);
             }
             for after in 0..=ts + 1 {
                 let want: Vec<u64> = model.iter().copied().filter(|&t| t > after).collect();
@@ -319,16 +299,6 @@ mod tests {
         b.push_live(1, 0, 1, Arc::clone(&r));
         let replay = b.replay_after(0);
         assert!(Arc::ptr_eq(&replay[0].payload, &r));
-    }
-
-    #[test]
-    fn cap_bounds_the_buffer() {
-        let mut b = buf_with(&[1, 2, 3, 4, 5]);
-        b.cap(2);
-        assert_eq!(b.len(), 2);
-        assert_eq!(timestamps(&b.replay_after(0)), vec![4, 5]);
-        b.cap(10); // No-op when under the cap.
-        assert_eq!(b.len(), 2);
     }
 
     #[test]
@@ -354,8 +324,6 @@ mod tests {
         };
         assert_eq!(counter.load(Ordering::Relaxed), recompute(&a, &b));
         a.trim(3); // Per-item prefix trim.
-        assert_eq!(counter.load(Ordering::Relaxed), recompute(&a, &b));
-        a.cap(2); // Horizon cap.
         assert_eq!(counter.load(Ordering::Relaxed), recompute(&a, &b));
         a.trim(u64::MAX); // Wholesale drain fast path.
         b.trim(u64::MAX);

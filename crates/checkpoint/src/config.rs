@@ -31,13 +31,8 @@ pub struct CheckpointConfig {
     pub serialise_threads: usize,
     /// Simulated disk write bandwidth per store in bytes/second; `None`
     /// means unthrottled (RAM-disk, the Naiad-NoDisk configuration).
+    /// Reads are unthrottled.
     pub disk_write_bps: Option<u64>,
-    /// Simulated disk read bandwidth per store in bytes/second.
-    pub disk_read_bps: Option<u64>,
-    /// Compaction threshold: when accumulated delta bytes exceed this
-    /// fraction of the base checkpoint's bytes, the next checkpoint is
-    /// forced to a base to bound the restore chain.
-    pub compact_threshold: f64,
 }
 
 impl Default for CheckpointConfig {
@@ -50,8 +45,6 @@ impl Default for CheckpointConfig {
             chunks: 8,
             serialise_threads: 2,
             disk_write_bps: None,
-            disk_read_bps: None,
-            compact_threshold: 0.5,
         }
     }
 }
@@ -105,11 +98,6 @@ impl CheckpointConfig {
         if self.interval.is_zero() {
             return Err(SdgError::Config(
                 "checkpoint interval must be positive".into(),
-            ));
-        }
-        if !(self.compact_threshold.is_finite() && self.compact_threshold > 0.0) {
-            return Err(SdgError::Config(
-                "compact_threshold must be a positive finite fraction".into(),
             ));
         }
         Ok(())
@@ -167,19 +155,6 @@ impl CheckpointConfigBuilder {
         self
     }
 
-    /// Sets the simulated per-store disk read bandwidth (`None` =
-    /// unthrottled).
-    pub fn disk_read_bps(mut self, bps: Option<u64>) -> Self {
-        self.cfg.disk_read_bps = bps;
-        self
-    }
-
-    /// Sets the delta-bytes/base-bytes compaction threshold.
-    pub fn compact_threshold(mut self, frac: f64) -> Self {
-        self.cfg.compact_threshold = frac;
-        self
-    }
-
     /// Finishes the chain. Consistency is still checked by
     /// [`CheckpointConfig::validate`] at deploy time.
     pub fn build(self) -> CheckpointConfig {
@@ -201,8 +176,6 @@ mod tests {
             .chunks(9)
             .serialise_threads(4)
             .disk_write_bps(Some(1_000_000))
-            .disk_read_bps(Some(2_000_000))
-            .compact_threshold(0.25)
             .build();
         assert!(cfg.enabled && cfg.synchronous);
         assert_eq!(cfg.interval, Duration::from_millis(250));
@@ -210,8 +183,6 @@ mod tests {
         assert_eq!(cfg.chunks, 9);
         assert_eq!(cfg.serialise_threads, 4);
         assert_eq!(cfg.disk_write_bps, Some(1_000_000));
-        assert_eq!(cfg.disk_read_bps, Some(2_000_000));
-        assert_eq!(cfg.compact_threshold, 0.25);
         cfg.validate().unwrap();
     }
 
@@ -251,12 +222,6 @@ mod tests {
 
         let c = CheckpointConfig {
             interval: Duration::ZERO,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = CheckpointConfig {
-            compact_threshold: 0.0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

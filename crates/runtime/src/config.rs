@@ -116,25 +116,24 @@ pub struct SupervisorConfig {
     /// supervisor is a parked thread waking `heartbeat_interval`-ly.
     pub enabled: bool,
     /// Heuristic hang detection from stalled heartbeat epochs. Off by
-    /// default: an instance legitimately blocked on downstream
-    /// backpressure for `heartbeat_interval × miss_threshold` is
-    /// indistinguishable from a hung one, so this is opt-in for chaos
-    /// tests and deployments that tune the threshold to their topology.
-    /// Panic detection is precise and always on with the supervisor.
+    /// default. An instance blocked on downstream backpressure is never
+    /// suspected (it is suspended, holding no pool thread), but one that
+    /// runs and waits on a stripe lock is: a synchronous checkpoint holds
+    /// every stripe lock of its cell through serialise and write, and
+    /// `Deployment::with_state` through its merge, so an instance waiting
+    /// `heartbeat_interval × miss_threshold` on one is indistinguishable
+    /// from a hung one. Hence opt-in, for chaos tests and deployments that
+    /// tune the threshold to their checkpoint and state sizes. Panic
+    /// detection is precise and always on with the supervisor.
     pub hang_detection: bool,
     /// Supervisor scan period (and heartbeat staleness unit).
     pub heartbeat_interval: Duration,
     /// Consecutive stalled scans before an instance is declared hung.
     pub miss_threshold: u32,
-    /// Recovery attempts per failed instance before escalating to the
-    /// terminal `Degraded` health state.
-    pub max_attempts: u32,
     /// First retry backoff; doubles per attempt (with jitter).
     pub backoff_base: Duration,
     /// Upper bound on the exponential backoff. Must be ≥ `backoff_base`.
     pub backoff_cap: Duration,
-    /// Storm guard: recoveries driven per scan, at most.
-    pub max_concurrent_recoveries: usize,
 }
 
 impl Default for SupervisorConfig {
@@ -144,10 +143,8 @@ impl Default for SupervisorConfig {
             hang_detection: false,
             heartbeat_interval: Duration::from_millis(20),
             miss_threshold: 10,
-            max_attempts: 5,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(500),
-            max_concurrent_recoveries: 1,
         }
     }
 }
@@ -165,19 +162,9 @@ impl SupervisorConfig {
                 "supervisor.miss_threshold must be ≥ 1".into(),
             ));
         }
-        if self.max_attempts == 0 {
-            return Err(SdgError::Config(
-                "supervisor.max_attempts must be ≥ 1".into(),
-            ));
-        }
         if self.backoff_cap < self.backoff_base {
             return Err(SdgError::Config(
                 "supervisor.backoff_cap must be ≥ backoff_base".into(),
-            ));
-        }
-        if self.max_concurrent_recoveries == 0 {
-            return Err(SdgError::Config(
-                "supervisor.max_concurrent_recoveries must be ≥ 1".into(),
             ));
         }
         Ok(())
@@ -204,9 +191,6 @@ pub struct RuntimeConfig {
     pub scaling: ScalingConfig,
     /// Checkpointing settings.
     pub checkpoint: CheckpointConfig,
-    /// Bound on the deployment's structured observability event log
-    /// (oldest events are evicted past this).
-    pub event_log_capacity: usize,
     /// OS threads of the work-stealing pool that runs every TE instance as
     /// an actor (see [`crate::sched`]). Independent of the instance count:
     /// synthetic service time (`work_ns`) rests an actor on the pool's
@@ -238,7 +222,6 @@ impl Default for RuntimeConfig {
             cluster: ClusterSpec::default(),
             scaling: ScalingConfig::default(),
             checkpoint: CheckpointConfig::disabled(),
-            event_log_capacity: sdg_common::obs::DEFAULT_EVENT_CAPACITY,
             sched_threads: 4,
             state_stripes: 16,
             supervisor: SupervisorConfig::default(),
@@ -271,9 +254,6 @@ impl RuntimeConfig {
     pub fn validate(&self) -> SdgResult<()> {
         if self.channel_capacity == 0 {
             return Err(SdgError::Config("channel_capacity must be ≥ 1".into()));
-        }
-        if self.event_log_capacity == 0 {
-            return Err(SdgError::Config("event_log_capacity must be ≥ 1".into()));
         }
         for (&se, &n) in &self.se_instances {
             if n == 0 {
@@ -359,12 +339,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Bounds the structured observability event log.
-    pub fn event_log_capacity(mut self, n: usize) -> Self {
-        self.cfg.event_log_capacity = n;
-        self
-    }
-
     /// Sets the number of pool worker threads.
     pub fn sched_threads(mut self, n: usize) -> Self {
         self.cfg.sched_threads = n;
@@ -418,7 +392,6 @@ mod tests {
                 ..Default::default()
             })
             .checkpoint(CheckpointConfig::default())
-            .event_log_capacity(64)
             .build();
         assert_eq!(cfg.channel_capacity, 32);
         assert_eq!(cfg.cluster.nodes.len(), 4);
@@ -426,14 +399,7 @@ mod tests {
         assert_eq!(cfg.task_instances[&TaskId(2)], 3);
         assert_eq!(cfg.work_ns[&TaskId(2)], 10_000);
         assert!(cfg.scaling.enabled && cfg.checkpoint.enabled);
-        assert_eq!(cfg.event_log_capacity, 64);
         cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn zero_event_log_capacity_is_rejected() {
-        let cfg = RuntimeConfig::builder().event_log_capacity(0).build();
-        assert!(cfg.validate().is_err());
     }
 
     #[test]
@@ -534,16 +500,8 @@ mod tests {
                 ..Default::default()
             },
             SupervisorConfig {
-                max_attempts: 0,
-                ..Default::default()
-            },
-            SupervisorConfig {
                 backoff_base: Duration::from_millis(100),
                 backoff_cap: Duration::from_millis(50),
-                ..Default::default()
-            },
-            SupervisorConfig {
-                max_concurrent_recoveries: 0,
                 ..Default::default()
             },
         ];

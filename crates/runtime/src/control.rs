@@ -104,6 +104,10 @@ pub(crate) struct Control {
     chains: HashMap<(StateId, u32), Chain>,
 }
 
+/// The fraction of a chain's base bytes its deltas may reach before the
+/// next take is a base again.
+const COMPACT_THRESHOLD: f64 = 0.5;
+
 impl Control {
     /// The seq of the next checkpoint generation.
     pub(crate) fn next_seq(&mut self) -> u64 {
@@ -118,14 +122,14 @@ impl Control {
 
     /// Whether the next take of `(state, replica)` must be a base: the
     /// record holds no generation, or its deltas outweigh
-    /// `compact_threshold` of the base's size (compaction keeps restore
+    /// [`COMPACT_THRESHOLD`] of the base's size (compaction keeps restore
     /// chains short).
-    pub(crate) fn needs_base(&self, state: StateId, replica: u32, compact_threshold: f64) -> bool {
+    pub(crate) fn needs_base(&self, state: StateId, replica: u32) -> bool {
         match self.chain(state, replica) {
             Some(chain) if !chain.is_empty() => {
                 let base = chain[0].state_bytes.max(1) as f64;
                 let deltas: usize = chain[1..].iter().map(|s| s.state_bytes).sum();
-                deltas as f64 > compact_threshold * base
+                deltas as f64 > COMPACT_THRESHOLD * base
             }
             _ => true,
         }

@@ -44,7 +44,7 @@ use crate::reconfig::{self, ReconfigReport, ReconfigRequest};
 use crate::scaling::{run_scaling_monitor, Groups, Sample, ScaleDirection, StopWait};
 use crate::sched::Pool;
 use crate::worker::{
-    BufferKey, BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Worker, WorkerMsg,
+    BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Worker, WorkerMsg,
 };
 
 pub use crate::worker::OutputEvent;
@@ -232,8 +232,8 @@ impl Deployment {
         let store_count = cfg.checkpoint.backup_fanout.max(2);
         let stores: Vec<Arc<BackupStore>> = (0..store_count)
             .map(|_| {
-                let mut store = BackupStore::in_memory()
-                    .with_bandwidth(cfg.checkpoint.disk_write_bps, cfg.checkpoint.disk_read_bps);
+                let mut store =
+                    BackupStore::in_memory().with_bandwidth(cfg.checkpoint.disk_write_bps, None);
                 if let Some(spec) = store_faults {
                     store = store.with_faults(spec);
                 }
@@ -244,7 +244,7 @@ impl Deployment {
         // The deployment's instrument registry. Task and state instruments
         // are created eagerly so a snapshot always lists every element,
         // even before its first item.
-        let obs = Arc::new(MetricsRegistry::with_event_capacity(cfg.event_log_capacity));
+        let obs = Arc::new(MetricsRegistry::new());
         let mut routes = HashMap::new();
         let mut code = HashMap::new();
         let mut instruments = HashMap::new();
@@ -288,7 +288,7 @@ impl Deployment {
             health: AtomicU8::new(Health::Healthy.as_u8()),
             obs,
             instruments,
-            buffers: Arc::new(BufferRegistry::new(100_000)),
+            buffers: Arc::default(),
             sink_tx,
             corr: AtomicU64::new(1),
             ingest: Mutex::new(HashMap::new()),
@@ -472,8 +472,9 @@ impl Deployment {
 
     /// The retained structured events, oldest first.
     ///
-    /// The log is bounded (see `RuntimeConfig::event_log_capacity`); the
-    /// snapshot's `events_dropped` counter reveals eviction.
+    /// The log keeps the newest
+    /// [`DEFAULT_EVENT_CAPACITY`](sdg_common::obs::DEFAULT_EVENT_CAPACITY)
+    /// events; the snapshot's `events_dropped` counter reveals eviction.
     pub fn events(&self) -> Vec<ObsEvent> {
         self.inner.obs.events()
     }
@@ -675,7 +676,6 @@ impl Inner {
                 _ => None,
             });
 
-        let buffered = self.cfg.checkpoint.enabled;
         let outs: Vec<OutEdge> = self
             .sdg
             .flows_from(task_id)
@@ -688,13 +688,12 @@ impl Inner {
                     flow.live_vars.clone(),
                     Arc::clone(&self.routes[&flow.to]),
                     Arc::clone(&self.buffers),
-                    buffered,
+                    self.logs_into(flow.to),
                 )
             })
             .collect();
 
         let alive = Arc::new(AtomicBool::new(true));
-        let heartbeat = Arc::new(AtomicU64::new(0));
         let worker = Worker {
             name: task.name.clone(),
             replica,
@@ -712,7 +711,6 @@ impl Inner {
             e2e: Arc::clone(self.obs.e2e_latency()),
             work_debt: Duration::ZERO,
             task: task_id,
-            heartbeat: Arc::clone(&heartbeat),
             // A respawned replica shares the original (spent) trigger, so
             // a recovered worker does not re-fail on the replayed item.
             fault: self.injector.trigger_for(task_id, replica),
@@ -721,7 +719,6 @@ impl Inner {
         let instance = Instance {
             tx: self.pool.spawn_actor(worker, self.cfg.channel_capacity),
             alive,
-            heartbeat,
             node,
         };
         match slots.get_mut(replica as usize) {
@@ -772,8 +769,19 @@ impl Inner {
             Vec::new(),
             Arc::clone(&self.routes[&task.id]),
             Arc::clone(&self.buffers),
-            self.cfg.checkpoint.enabled,
+            self.logs_into(task.id),
         )
+    }
+
+    /// Whether the lanes into `task` keep an upstream backup: only while
+    /// checkpointing is on, and only into a task that accesses state. Its
+    /// state's recovery is the backup's one reader — it replays the lanes
+    /// of [`Inner::in_edges`] past the restored cut, and the same cut's
+    /// watermarks trim them. A stateless instance is respawned with no
+    /// replay (§5: its in-flight items die with it), so a log into it
+    /// would never be read.
+    fn logs_into(&self, task: TaskId) -> bool {
+        self.cfg.checkpoint.enabled && self.sdg.task(task).is_ok_and(|t| t.access.is_some())
     }
 
     /// Sends one external request through an ingest lane's dispatcher
@@ -825,7 +833,7 @@ impl Inner {
             let replica = replica as u32;
             let seq = ctl.next_seq();
             let label = self.se_label(state, replica);
-            let base = ctl.needs_base(state, replica, self.cfg.checkpoint.compact_threshold);
+            let base = ctl.needs_base(state, replica);
             self.obs.record_event(EventKind::CheckpointBegin {
                 instance: label.clone(),
                 seq,
@@ -870,30 +878,8 @@ impl Inner {
     fn trim_for(&self, state: StateId, replica: u32, set: &BackupSet) {
         for task in self.sdg.tasks_accessing(state) {
             for (edge, _) in self.in_edges(task) {
-                for (src, _) in self.buffers.buffers_into(edge, replica) {
-                    let wm = set.vector.get(lane(edge, src));
-                    self.buffers.trim(
-                        BufferKey {
-                            edge,
-                            src,
-                            dst: replica,
-                        },
-                        wm,
-                    );
-                }
-            }
-        }
-        // Bound buffers into stateless consumers.
-        let cap = self.buffers.stateless_cap;
-        for task in &self.sdg.tasks {
-            if task.access.is_none() {
-                for flow in self.sdg.flows_to(task.id) {
-                    let n = self.routes[&task.id].read().len() as u32;
-                    for dst in 0..n {
-                        for (_, buf) in self.buffers.buffers_into(flow.id, dst) {
-                            buf.lock().cap(cap);
-                        }
-                    }
+                for (src, buf) in self.buffers.buffers_into(edge, replica) {
+                    buf.lock().trim(set.vector.get(lane(edge, src)));
                 }
             }
         }
@@ -1094,22 +1080,24 @@ impl Inner {
             .store(Health::Degraded.as_u8(), Ordering::Release);
     }
 
-    /// Samples every instance's heartbeat epoch together with what the
-    /// supervisor needs to judge it: liveness, queued input, and whether
-    /// a stalled epoch can mean a hang at all (only a `Running` actor
-    /// holds a pool thread).
+    /// Samples every instance's heartbeat epoch — its mailbox's pop count
+    /// — together with what the supervisor needs to judge it: liveness,
+    /// queued input, and whether a stalled epoch can mean a hang at all
+    /// (only a `Running` actor holds a pool thread). The mailbox fields
+    /// are read under one lock.
     pub(crate) fn heartbeat_view(&self) -> Vec<HeartbeatView> {
         let mut views = Vec::new();
         for (&task, route) in &self.routes {
             for (replica, instance) in route.read().iter().enumerate() {
                 let replica = replica as u32;
+                let (epoch, queued, hang_candidate) = instance.tx.progress();
                 views.push(HeartbeatView {
                     task,
                     replica,
-                    epoch: instance.heartbeat.load(Ordering::Acquire),
+                    epoch,
                     alive: instance.alive.load(Ordering::Acquire),
-                    queued: instance.tx.len(),
-                    hang_candidate: instance.tx.is_running(),
+                    queued,
+                    hang_candidate,
                     label: self.te_label(task, replica),
                 });
             }
@@ -1154,13 +1142,11 @@ impl Inner {
 
     /// Replaces a dead stateless instance with a fresh one on a new node.
     ///
-    /// There is no state to restore and no watermark to replay from:
-    /// items that were queued in the dead instance's mailbox are covered
-    /// by upstream buffers only through a downstream stateful consumer's
-    /// recovery; for a purely stateless stretch the respawn restores
-    /// liveness, not the lost items (the §5 model: in-flight data on a
-    /// failed node is lost, durability comes from checkpoints + replay at
-    /// the stateful stages).
+    /// There is no state to restore and nothing to replay: the items in
+    /// flight at the dead instance die with it, and no lane into it logs
+    /// (see [`Inner::logs_into`]). This is §5's model: durability comes
+    /// from the stateful consumers' checkpoints plus replay of the lanes
+    /// into them, so the respawn restores liveness, not the lost items.
     pub(crate) fn respawn_stateless(
         &self,
         _ctl: &mut Control,
@@ -1223,9 +1209,12 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::BufferKey;
     use sdg_common::record;
     use sdg_common::value::{Key, Value};
+    use sdg_graph::model::{NativeTask, SdgBuilder, StateAccessEdge, TaskCode, TaskContext};
     use sdg_ir::analysis::verify::SeCertificate;
+    use sdg_state::partition::KeyLayout;
 
     fn decl(ty: StateType, dist: Distribution) -> StateDecl {
         StateDecl {
@@ -1510,6 +1499,258 @@ mod tests {
             200,
             "survivor holds every key"
         );
+        d.shutdown();
+    }
+
+    /// Counts the item under its `k` and forwards the new count as `c`.
+    struct CountTask;
+
+    impl NativeTask for CountTask {
+        fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+            let key = input.require("k")?.to_key()?;
+            let mut count = 0;
+            ctx.state().expect("stateful").as_table()?.update(key, |v| {
+                count = v.map_or(0, |x| x.as_int().unwrap_or(0)) + 1;
+                Value::Int(count)
+            });
+            ctx.forward(record! {"c" => Value::Int(count)});
+            Ok(())
+        }
+    }
+
+    /// Forwards keys `0..n` for an input `n`.
+    struct ExplodeTask;
+
+    impl NativeTask for ExplodeTask {
+        fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+            for k in 0..input.require("n")?.as_int()? {
+                ctx.forward(record! {"k" => Value::Int(k)});
+            }
+            Ok(())
+        }
+    }
+
+    fn counter(b: &mut SdgBuilder, state: StateId, mode: AccessMode) -> TaskId {
+        b.add_task(
+            "count",
+            TaskKind::Compute,
+            TaskCode::Native(Arc::new(CountTask)),
+            Some(StateAccessEdge {
+                state,
+                mode,
+                writes: true,
+            }),
+        )
+    }
+
+    fn manual_checkpoints(sdg: Sdg, state: StateId) -> Deployment {
+        let mut cfg = RuntimeConfig::default();
+        cfg.se_instances.insert(state, 2);
+        cfg.checkpoint.enabled = true;
+        cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+        cfg.supervisor.enabled = false;
+        Deployment::start(sdg, cfg).unwrap()
+    }
+
+    /// The `k` of every item logged into replica `dst` of `task`, lane by
+    /// lane. Asserts the rule on the way: of all the lanes into every task
+    /// of `d`, only those into a task that accesses state have buffers,
+    /// and those hold every byte the registry counts.
+    fn logged_keys(d: &Deployment, task: TaskId, dst: u32) -> Vec<i64> {
+        let inner = &d.inner;
+        let mut bytes = 0;
+        for decl in &inner.sdg.tasks {
+            let replicas = inner.routes[&decl.id].read().len() as u32;
+            for (edge, _) in inner.in_edges(decl) {
+                for r in 0..replicas {
+                    let into = inner.buffers.buffers_into(edge, r);
+                    assert!(
+                        decl.access.is_some() || into.is_empty(),
+                        "edge {edge} into stateless `{}` logs",
+                        decl.name
+                    );
+                    bytes += into
+                        .iter()
+                        .map(|(_, b)| b.lock().buffered_bytes())
+                        .sum::<usize>();
+                }
+            }
+        }
+        assert_eq!(inner.buffers.total_bytes(), bytes);
+        let decl = inner.sdg.task(task).unwrap();
+        let mut keys = Vec::new();
+        for (edge, _) in inner.in_edges(decl) {
+            for (_, buf) in inner.buffers.buffers_into(edge, dst) {
+                for item in buf.lock().replay_after(0) {
+                    keys.push(item.payload.get("k").unwrap().as_int().unwrap());
+                }
+            }
+        }
+        keys
+    }
+
+    /// The count under every key of `state`'s replica, sorted by key.
+    fn counts(d: &Deployment, state: StateId, replica: u32) -> Vec<(i64, i64)> {
+        let mut counts = d
+            .with_state(state, replica, |s| {
+                let mut counts = Vec::new();
+                s.as_table().unwrap().for_each(|k, v| {
+                    let Key::Int(k) = k else { panic!("{k:?}") };
+                    counts.push((*k, v.as_int().unwrap()));
+                });
+                counts
+            })
+            .unwrap();
+        counts.sort();
+        counts
+    }
+
+    /// A stateless flat map feeding a partitioned count: the ingest lanes
+    /// into the flat map log nothing, the lanes into the count log exactly
+    /// what the flat map forwarded, and a recovery of a count replica
+    /// replays exactly its items after the checkpoint.
+    #[test]
+    fn only_lanes_into_state_log_behind_a_flat_map() {
+        let mut b = SdgBuilder::new();
+        let s = b.add_state(
+            "s",
+            StateType::Table,
+            Distribution::Partitioned {
+                dim: PartitionDim::Row,
+            },
+        );
+        let explode = b.add_task(
+            "explode",
+            TaskKind::Entry {
+                method: "feed".into(),
+            },
+            TaskCode::Native(Arc::new(ExplodeTask)),
+            None,
+        );
+        let key = || "k".to_string();
+        let count = counter(
+            &mut b,
+            s,
+            AccessMode::Partitioned {
+                key: key(),
+                dim: PartitionDim::Row,
+            },
+        );
+        b.connect(
+            explode,
+            count,
+            Dispatch::Partitioned { key: key() },
+            vec![key()],
+        );
+        let d = manual_checkpoints(b.build().unwrap(), s);
+
+        // Request i forwards keys 0..n(i); `owner(k)` counts key k.
+        let n = |i: i64| 1 + i % 5;
+        let owner = |k: i64| KeyLayout::instance(Key::Int(k).stable_hash(), 2) as u32;
+        let feed = |from: i64, to: i64| {
+            for i in from..to {
+                d.submit("feed", record! {"n" => Value::Int(n(i))}).unwrap();
+            }
+            assert!(d.quiesce(Duration::from_secs(30)));
+        };
+        let forwarded = |from: i64, to: i64, dst: u32| -> Vec<i64> {
+            let mut keys: Vec<i64> = (from..to)
+                .flat_map(|i| 0..n(i))
+                .filter(|&k| owner(k) == dst)
+                .collect();
+            keys.sort();
+            keys
+        };
+
+        feed(0, 30);
+        for dst in 0..2 {
+            let mut logged = logged_keys(&d, count, dst);
+            logged.sort();
+            assert_eq!(logged, forwarded(0, 30, dst), "replica {dst}");
+        }
+
+        d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+        feed(30, 60);
+        let report = d
+            .reconfigure(ReconfigRequest::FailAndRecover {
+                state: s,
+                replica: 0,
+            })
+            .unwrap();
+        assert_eq!(report.replayed, forwarded(30, 60, 0).len());
+        assert!(d.quiesce(Duration::from_secs(30)));
+        for replica in 0..2 {
+            let mut want: Vec<(i64, i64)> = Vec::new();
+            for k in forwarded(0, 60, replica) {
+                match want.last_mut() {
+                    Some((last, c)) if *last == k => *c += 1,
+                    _ => want.push((k, 1)),
+                }
+            }
+            assert_eq!(counts(&d, s, replica), want, "replica {replica}");
+        }
+        d.shutdown();
+    }
+
+    /// CF's shape: a broadcast into a task on a partial state, gathered
+    /// into a stateless merge. Only the broadcast logs, every item once
+    /// per replica, and a recovery of one replica replays exactly the
+    /// items after the checkpoint.
+    #[test]
+    fn only_lanes_into_state_log_around_a_gather() {
+        let mut b = SdgBuilder::new();
+        let p = b.add_state("p", StateType::Table, Distribution::Partial);
+        let fan = b.add_task(
+            "fan",
+            TaskKind::Entry {
+                method: "feed".into(),
+            },
+            TaskCode::Passthrough,
+            None,
+        );
+        let part = counter(&mut b, p, AccessMode::PartialGlobal);
+        let merge = b.add_task("merge", TaskKind::Compute, TaskCode::Passthrough, None);
+        b.connect(fan, part, Dispatch::OneToAll, vec!["k".into()]);
+        b.connect(
+            part,
+            merge,
+            Dispatch::AllToOne {
+                collect_var: "c".into(),
+            },
+            vec!["c".into()],
+        );
+        let d = manual_checkpoints(b.build().unwrap(), p);
+
+        let feed = |from: i64, to: i64| {
+            for i in from..to {
+                d.submit("feed", record! {"k" => Value::Int(i % 4)})
+                    .unwrap();
+            }
+            assert!(d.quiesce(Duration::from_secs(30)));
+        };
+        feed(0, 20);
+        let sent: Vec<i64> = (0..20).map(|i| i % 4).collect();
+        for replica in 0..2 {
+            assert_eq!(logged_keys(&d, part, replica), sent, "replica {replica}");
+        }
+
+        d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+        feed(20, 40);
+        let report = d
+            .reconfigure(ReconfigRequest::FailAndRecover {
+                state: p,
+                replica: 0,
+            })
+            .unwrap();
+        assert_eq!(report.replayed, 20);
+        assert!(d.quiesce(Duration::from_secs(30)));
+        for replica in 0..2 {
+            assert_eq!(
+                counts(&d, p, replica),
+                vec![(0, 10), (1, 10), (2, 10), (3, 10)],
+                "replica {replica}"
+            );
+        }
         d.shutdown();
     }
 }

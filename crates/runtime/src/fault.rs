@@ -9,15 +9,16 @@
 //!    item on every run.
 //! 2. **Detection** — every actor step runs inside the pool's
 //!    `catch_unwind` boundary; a caught panic is reported to the deployment's
-//!    [`FailureHub`]. Independently, every worker bumps a heartbeat epoch
-//!    per step, and the supervisor scans the epochs to flag instances
-//!    that sit on a non-empty mailbox without making progress.
+//!    [`FailureHub`]. Independently, every mailbox counts the messages
+//!    popped from it — its heartbeat epoch — and the supervisor scans the
+//!    epochs to flag instances that sit on a non-empty mailbox without
+//!    making progress.
 //! 3. **Recovery** — the supervisor drives the existing §5
 //!    fail-and-recover path (restore from the backup chain, replay
 //!    upstream buffers past the watermark) with bounded exponential
-//!    backoff and jitter, a storm guard bounding concurrent recoveries,
-//!    and escalation to the terminal [`Health::Degraded`] state when
-//!    attempts are exhausted.
+//!    backoff and jitter, at most one recovery per scan (the storm
+//!    guard), and escalation to the terminal [`Health::Degraded`] state
+//!    after `MAX_ATTEMPTS` (5) failed attempts.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,6 +34,10 @@ use sdg_graph::model::Sdg;
 
 use crate::config::SupervisorConfig;
 use crate::deploy::Inner;
+
+/// Recovery attempts per failed instance before the supervisor escalates
+/// to the terminal [`Health::Degraded`] state.
+pub(crate) const MAX_ATTEMPTS: u32 = 5;
 
 /// What an armed injection point does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,9 +327,8 @@ impl Health {
 
 /// What the supervisor recovers: stateful instances go through the §5
 /// fail-and-recover path keyed by state element; stateless instances are
-/// simply respawned (their in-flight items are covered by upstream
-/// buffers only when checkpointing is on — otherwise respawn restores
-/// liveness, not the lost items).
+/// respawned, and their in-flight items are lost (see
+/// `Inner::respawn_stateless`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum RecoveryUnit {
     /// `(state, replica)` — restore + replay.
@@ -338,7 +342,8 @@ pub(crate) enum RecoveryUnit {
 pub(crate) struct HeartbeatView {
     pub task: TaskId,
     pub replica: u32,
-    /// Monotonic epoch bumped once per worker step.
+    /// Messages popped from the instance's mailbox so far: the actor
+    /// steps once per pop.
     pub epoch: u64,
     /// Kill flag state; dead instances are never flagged (they are either
     /// being recovered already or were retired on purpose).
@@ -403,7 +408,7 @@ struct HeartbeatTrack {
 /// The supervisor loop: parked on the deployment's stop-aware condvar at
 /// `heartbeat_interval`, it (1) drains caught panics, (2) scans heartbeat
 /// epochs for hung instances, and (3) drives pending recoveries with
-/// backoff, the storm guard and Degraded escalation.
+/// backoff, one recovery per scan and Degraded escalation.
 pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
     let obs = Arc::clone(inner.metrics_registry());
     let mut rng = XorShift64::new(inner.fault_seed() ^ 0x5de7_ec7e_d5ba_dbed);
@@ -464,16 +469,11 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
             }
         }
 
-        // 3. Drive recoveries: at most `max_concurrent_recoveries` per
-        // scan (the storm guard), skipping entries still backing off.
+        // 3. Drive one recovery per scan (the storm guard), skipping
+        // entries still backing off.
         let now = Instant::now();
-        let mut driven = 0usize;
-        while driven < cfg.max_concurrent_recoveries {
-            let Some(pos) = pending.iter().position(|p| p.eligible_at <= now) else {
-                break;
-            };
+        if let Some(pos) = pending.iter().position(|p| p.eligible_at <= now) {
             let mut p = pending.remove(pos).expect("position is in bounds");
-            driven += 1;
             p.attempts += 1;
             inner.mark_recovering();
             obs.recovery().started.inc();
@@ -503,7 +503,7 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
                         attempt: p.attempts,
                         error: e.to_string(),
                     });
-                    if p.attempts >= cfg.max_attempts {
+                    if p.attempts >= MAX_ATTEMPTS {
                         // Exhausted: escalate and stop retrying this unit.
                         inner.mark_degraded();
                         queued.remove(&p.unit);

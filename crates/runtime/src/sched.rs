@@ -102,6 +102,9 @@ struct MailboxInner {
     /// External senders blocked on `not_full` since the last notify; pops
     /// notify only when one is waiting.
     blocked_senders: usize,
+    /// Messages popped so far. The actor steps once per popped message,
+    /// so this is the supervisor's heartbeat epoch.
+    pops: u64,
 }
 
 /// One TE instance scheduled on the pool: a serial mailbox plus the
@@ -181,13 +184,15 @@ impl PoolSender {
         self.len() == 0
     }
 
-    /// Whether the actor holds a pool thread right now. The supervisor's
-    /// hang detection only suspects `Running` actors: `Idle`, `Scheduled`,
-    /// `Suspended` and `Resting` actors legitimately sit on stalled
-    /// heartbeat epochs while queued behind busy workers, awaiting send
-    /// credit, or serving synthetic service time.
-    pub(crate) fn is_running(&self) -> bool {
-        self.actor.mb.lock().expect("mailbox lock").state == RunState::Running
+    /// The mailbox's progress, read under one lock: messages popped so
+    /// far, messages queued, and whether the actor holds a pool thread
+    /// right now. The supervisor's hang detection only suspects `Running`
+    /// actors: `Idle`, `Scheduled`, `Suspended` and `Resting` actors
+    /// legitimately sit on a stalled pop count while queued behind busy
+    /// workers, awaiting send credit, or serving synthetic service time.
+    pub(crate) fn progress(&self) -> (u64, usize, bool) {
+        let mb = self.actor.mb.lock().expect("mailbox lock");
+        (mb.pops, mb.queue.len(), mb.state == RunState::Running)
     }
 
     /// Whether the actor is done with every message sent to it so far: its
@@ -295,6 +300,9 @@ impl Actor {
     fn pop(&self) -> (Option<WorkerMsg>, Vec<Arc<Actor>>, bool) {
         let mut mb = self.mb.lock().expect("mailbox lock");
         let msg = mb.queue.pop_front();
+        if msg.is_some() {
+            mb.pops += 1;
+        }
         let mut waiters = Vec::new();
         if msg.is_some() && mb.queue.len() + 1 == self.cap {
             // Crossed from at-capacity to under-capacity: hand the credit
@@ -638,6 +646,7 @@ fn new_actor(shared: &Arc<PoolShared>, cap: usize, worker: Option<Worker>) -> Ar
             disconnected: false,
             waiters: Vec::new(),
             blocked_senders: 0,
+            pops: 0,
         }),
         not_full: Condvar::new(),
         cap: cap.max(1),
@@ -969,6 +978,25 @@ mod tests {
         }
         let (none, _, _) = actor.pop();
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn pops_count_each_popped_message_and_no_empty_pop() {
+        let (_shared, actor) = shell(1, 4);
+        let tx = PoolSender {
+            actor: Arc::clone(&actor),
+        };
+        assert_eq!(tx.progress(), (0, 0, false));
+        actor.push(marker(0), true).unwrap();
+        actor.push(marker(1), true).unwrap();
+        assert_eq!(tx.progress(), (0, 2, false));
+        actor.mb.lock().unwrap().state = RunState::Running;
+        assert!(actor.pop().0.is_some());
+        assert_eq!(tx.progress(), (1, 1, true));
+        assert!(actor.pop().0.is_some());
+        assert!(actor.pop().0.is_none());
+        assert!(actor.pop().0.is_none());
+        assert_eq!(tx.progress(), (2, 0, true), "an empty pop is no progress");
     }
 
     #[test]

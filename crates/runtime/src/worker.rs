@@ -80,7 +80,13 @@ struct RegistryMaps {
     clocks: HashMap<(EdgeId, u32), Arc<AtomicU64>>,
 }
 
-/// Registry of all upstream output buffers in a deployment.
+/// Registry of all upstream output buffers in a deployment, and of every
+/// lane's clock.
+///
+/// Only the lanes into a task that accesses state log here (the
+/// deployment decides which, in `Inner::logs_into`): each buffer is read
+/// by its consumer's recovery and trimmed by its consumer's checkpoints,
+/// so every logged item has a reader.
 #[derive(Debug, Default)]
 pub struct BufferRegistry {
     maps: Mutex<RegistryMaps>,
@@ -88,21 +94,9 @@ pub struct BufferRegistry {
     /// buffers themselves (see [`OutputBuffer::with_shared`]): the
     /// backpressure gauge reads one atomic instead of locking every buffer.
     bytes: Arc<AtomicUsize>,
-    /// Maximum items kept per buffer for consumers that never checkpoint
-    /// (stateless tasks); bounds the upstream-backup horizon.
-    pub stateless_cap: usize,
 }
 
 impl BufferRegistry {
-    /// Creates a registry with the given stateless-consumer cap.
-    pub fn new(stateless_cap: usize) -> Self {
-        BufferRegistry {
-            maps: Mutex::new(RegistryMaps::default()),
-            bytes: Arc::new(AtomicUsize::new(0)),
-            stateless_cap,
-        }
-    }
-
     /// Returns (creating on demand) the buffer for `key`.
     pub fn get(&self, key: BufferKey) -> Arc<Mutex<OutputBuffer>> {
         let mut maps = self.maps.lock();
@@ -142,14 +136,6 @@ impl BufferRegistry {
             .unwrap_or_default()
     }
 
-    /// Trims the buffer feeding `(edge, src → dst)` below `watermark`.
-    pub fn trim(&self, key: BufferKey, watermark: u64) {
-        let buf = self.maps.lock().by_key.get(&key).cloned();
-        if let Some(buf) = buf {
-            buf.lock().trim(watermark);
-        }
-    }
-
     /// Total buffered bytes across all buffers. O(1): the buffers mirror
     /// every accounting change into one shared atomic, so the periodic
     /// gauge refresh never contends on per-buffer locks.
@@ -164,8 +150,6 @@ pub(crate) struct Instance {
     pub(crate) tx: PoolSender,
     /// The worker's liveness flag ([`Worker::alive`]).
     pub(crate) alive: Arc<AtomicBool>,
-    /// The worker's heartbeat epoch ([`Worker::heartbeat`]).
-    pub(crate) heartbeat: Arc<AtomicU64>,
     /// The cluster node hosting the instance.
     pub(crate) node: u32,
 }
@@ -260,7 +244,8 @@ struct Lane {
     /// so the next incarnation of this replica resumes past its last
     /// timestamp.
     clock: Arc<AtomicU64>,
-    /// The upstream-backup registry, when fault tolerance is on.
+    /// The upstream-backup registry, when the lane logs: checkpointing is
+    /// on and the consumer accesses state.
     buffers: Option<Arc<BufferRegistry>>,
 }
 
@@ -386,8 +371,10 @@ pub struct OutEdge {
 
 impl OutEdge {
     /// Builds the dispatcher of producer replica `src` on `edge` into
-    /// `route`; its timestamps continue the lane's clock, and `buffered`
-    /// logs every item in `buffers`.
+    /// `route`. Its timestamps continue the lane's clock in `buffers`,
+    /// whether or not it logs; `buffered` logs every item there, which the
+    /// deployment asks only of a lane whose consumer's recovery replays
+    /// it.
     pub(crate) fn new(
         edge: EdgeId,
         src: u32,
@@ -588,9 +575,6 @@ pub struct Worker {
     pub work_debt: Duration,
     /// Owning task id (failure reports name the instance precisely).
     pub task: TaskId,
-    /// Heartbeat epoch, bumped once per step and scanned by the
-    /// supervisor for hang detection.
-    pub heartbeat: Arc<AtomicU64>,
     /// Armed injection point from the deployment's fault plan, if any.
     pub fault: Option<Arc<FaultTrigger>>,
     /// Where the pool's panic boundary reports caught panics.
@@ -603,7 +587,6 @@ impl Worker {
     /// The pool actor ([`crate::sched`]) calls this once per mailbox
     /// message.
     pub(crate) fn step(&mut self, msg: WorkerMsg) -> bool {
-        self.heartbeat.fetch_add(1, Ordering::Release);
         match msg {
             WorkerMsg::Stop => true,
             WorkerMsg::Item(item) => {
@@ -879,7 +862,7 @@ mod tests {
 
     #[test]
     fn buffer_registry_creates_and_trims() {
-        let reg = BufferRegistry::new(1000);
+        let reg = BufferRegistry::default();
         let key = BufferKey {
             edge: EdgeId(1),
             src: 0,
@@ -894,7 +877,7 @@ mod tests {
         let into = reg.buffers_into(EdgeId(1), 2);
         assert_eq!(into.len(), 1);
         assert_eq!(into[0].0, 0);
-        reg.trim(key, 1);
+        into[0].1.lock().trim(1);
         assert_eq!(reg.total_bytes(), large);
         assert!(reg.buffers_into(EdgeId(1), 9).is_empty());
     }
@@ -902,8 +885,8 @@ mod tests {
     #[test]
     fn registry_total_bytes_matches_per_buffer_walk() {
         // The O(1) aggregate must agree with a from-scratch walk over
-        // every buffer after a mix of pushes, trims and caps.
-        let reg = BufferRegistry::new(1000);
+        // every buffer after a mix of pushes and trims.
+        let reg = BufferRegistry::default();
         let keys: Vec<BufferKey> = (0..4)
             .map(|i| BufferKey {
                 edge: EdgeId(1),
@@ -920,7 +903,6 @@ mod tests {
             }
         }
         reg.get(keys[0]).lock().trim(2);
-        reg.get(keys[1]).lock().cap(1);
         let walk: usize = keys
             .iter()
             .map(|k| reg.get(*k).lock().buffered_bytes())
