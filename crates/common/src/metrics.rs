@@ -4,6 +4,14 @@
 //! latency and request rates for throughput. [`Histogram`] is a lock-free,
 //! log-linear sketch (~3% relative error) suitable for per-item latency
 //! recording on the hot path; [`Counter`] and [`Gauge`] are plain atomics.
+//!
+//! Counters and histograms have two ways to be written. The shared one
+//! (`add`, `record`) is a locked read-modify-write per atomic, exact with
+//! any number of concurrent writers. The owner's one (`add_by_owner`,
+//! `record_by_owner`) is a relaxed load and store, which costs no more
+//! than a plain write but is exact only while one thread at a time writes
+//! the instrument: a TE instance's own shard
+//! ([`crate::obs::TaskShard`]). Readers may run concurrently with either.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -18,9 +26,20 @@ impl Counter {
         Counter(AtomicU64::new(0))
     }
 
-    /// Adds `n` to the counter.
+    /// Adds `n` to the counter; adding 0 touches nothing.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        if n != 0 {
+            self.0.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds `n` with a relaxed load and store, no locked read-modify-write.
+    /// Exact only while one thread at a time writes the counter (module
+    /// docs); adding 0 touches nothing.
+    pub fn add_by_owner(&self, n: u64) {
+        if n != 0 {
+            owner_add(&self.0, n);
+        }
     }
 
     /// Increments the counter by one.
@@ -55,6 +74,15 @@ impl Gauge {
     }
 }
 
+/// `cell += n` for a cell only its owner writes.
+#[inline]
+fn owner_add(cell: &AtomicU64, n: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
+
 const SUB_BUCKET_BITS: u32 = 5;
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 const BUCKET_GROUPS: usize = 64;
@@ -64,8 +92,10 @@ const BUCKET_COUNT: usize = BUCKET_GROUPS * SUB_BUCKETS;
 ///
 /// Values are mapped to one of 64 power-of-two groups with 32 linear
 /// sub-buckets each, giving a worst-case relative error of 1/32. Recording
-/// is a single relaxed atomic increment, so many worker threads can share
-/// one histogram without contention on a lock.
+/// takes no lock: [`Histogram::record`] is a relaxed atomic increment per
+/// field, so many threads can share one histogram, and
+/// [`Histogram::record_by_owner`] is the single writer's load and store.
+/// Either writes `min` and `max` only when the sample changes them.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Box<[AtomicU64; BUCKET_COUNT]>,
@@ -123,14 +153,61 @@ impl Histogram {
         ((SUB_BUCKETS as u64 + sub) << shift) + (1u64 << shift) / 2
     }
 
-    /// Records one sample.
+    fn bucket_of(&self, value: u64) -> &AtomicU64 {
+        &self.buckets[Self::index_of(value).min(BUCKET_COUNT - 1)]
+    }
+
+    /// Records one sample; any number of threads may record at once.
     pub fn record(&self, value: u64) {
-        let idx = Self::index_of(value).min(BUCKET_COUNT - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.bucket_of(value).fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one sample with relaxed loads and stores, no locked
+    /// read-modify-write. Exact only while one thread at a time writes
+    /// the histogram (module docs).
+    pub fn record_by_owner(&self, value: u64) {
+        owner_add(self.bucket_of(value), 1);
+        owner_add(&self.count, 1);
+        owner_add(&self.sum, value);
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.store(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds every sample of `other` to this histogram (atomically, so
+    /// `self` may be shared). The count added is the sum of `other`'s
+    /// buckets as read, so the result's count always equals its buckets'
+    /// total even while `other` is being written.
+    pub fn merge_from(&self, other: &Histogram) {
+        if other.count() == 0 {
+            return;
+        }
+        let mut added = 0;
+        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
+            let n = theirs.load(Ordering::Relaxed);
+            if n != 0 {
+                mine.fetch_add(n, Ordering::Relaxed);
+                added += n;
+            }
+        }
+        self.count.fetch_add(added, Ordering::Relaxed);
+        self.sum
+            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.min
+            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max
+            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Records a [`Duration`] in nanoseconds.
@@ -208,6 +285,10 @@ impl Histogram {
     }
 
     /// Resets all buckets to zero.
+    ///
+    /// A reset that races an owner's [`Histogram::record_by_owner`] may
+    /// keep that one sample's pre-reset bucket, count or sum; reset
+    /// between measurement phases.
     pub fn reset(&self) {
         for b in self.buckets.iter() {
             b.store(0, Ordering::Relaxed);
@@ -369,6 +450,43 @@ mod tests {
         h.record(u64::MAX / 2);
         assert_eq!(h.count(), 2);
         assert!(h.percentile(100.0) >= u64::MAX / 2);
+    }
+
+    #[test]
+    fn adding_zero_and_owner_writes() {
+        let c = Counter::new();
+        c.add(0);
+        c.add_by_owner(0);
+        assert_eq!(c.get(), 0);
+        c.add_by_owner(3);
+        c.add(2);
+        assert_eq!(c.get(), 5);
+        let h = Histogram::new();
+        for v in [40, 7, 900, 7] {
+            h.record_by_owner(v);
+        }
+        let s = h.summary();
+        assert_eq!((s.count, s.min, s.max), (4, 7, 900));
+        assert!((s.mean - 238.5).abs() < 1e-9);
+        assert_eq!(h.percentile(50.0), 7);
+    }
+
+    #[test]
+    fn merge_adds_samples_and_extremes() {
+        let (a, b, all) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in 1..=500u64 {
+            a.record(v);
+            all.record(v);
+        }
+        for v in 10_000..=10_300u64 {
+            b.record_by_owner(v);
+            all.record(v);
+        }
+        let merged = Histogram::new();
+        merged.merge_from(&a);
+        merged.merge_from(&Histogram::new());
+        merged.merge_from(&b);
+        assert_eq!(merged.summary(), all.summary());
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //!   CI smoke check to validate the rendered output.
 //!
 //! Recording is lock-free on the hot path (relaxed atomics and the
-//! log-linear [`crate::metrics::Histogram`]); registry maps are only locked
-//! when an instrument is first created or a snapshot is taken.
+//! log-linear [`crate::metrics::Histogram`]). Each TE instance writes its
+//! own [`TaskShard`] with plain loads and stores, never a locked
+//! read-modify-write on a line another instance writes; a snapshot folds
+//! a task's shards. Registry maps are only locked when an instrument is
+//! first created or a snapshot is taken.
 
 mod event;
 pub mod json;
@@ -29,7 +32,7 @@ mod snapshot;
 pub use event::{EventKind, EventLog, ObsEvent, DEFAULT_EVENT_CAPACITY};
 pub use registry::{
     CheckpointInstruments, FaultInstruments, MetricsRegistry, ReconfigInstruments,
-    RecoveryInstruments, SchedInstruments, StateInstruments, TaskInstruments,
+    RecoveryInstruments, SchedInstruments, StateInstruments, TaskInstruments, TaskShard,
 };
 pub use snapshot::{
     CheckpointStats, DeploymentStats, FaultStats, MetricsSnapshot, ReconfigStats, RecoveryStats,

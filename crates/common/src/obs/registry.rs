@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::ids::{StateId, TaskId};
 use crate::metrics::{Counter, Gauge, Histogram};
@@ -15,10 +15,14 @@ use super::snapshot::{
     StateStats, TaskStats,
 };
 
-/// Instruments of one task element (shared by all of its instances).
+/// Instruments of one task element.
 ///
-/// Counters are cumulative; gauges are refreshed by the owner right before
-/// a snapshot; histograms are nanosecond-valued.
+/// Each TE instance writes its own [`TaskShard`], with no locked
+/// read-modify-write; a snapshot folds the task's shards together. The
+/// counter and histogram fields here are for engines that write a task
+/// directly (the baselines, one writer per task, through the shared
+/// `add`/`record`). Counters are cumulative; gauges are refreshed by the
+/// owner right before a snapshot; histograms are nanosecond-valued.
 #[derive(Debug)]
 pub struct TaskInstruments {
     /// Task label (unique within a registry).
@@ -46,6 +50,124 @@ pub struct TaskInstruments {
     pub service: Histogram,
     /// End-to-end request latency in nanoseconds, recorded at emit.
     pub latency: Histogram,
+    /// The shards of the task's instances.
+    shards: Mutex<Shards>,
+}
+
+/// The instruments one TE instance writes: a [`TaskInstruments`]' fields
+/// less the gauges, alone on their cache lines.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Shard {
+    items_in: Counter,
+    items_out: Counter,
+    emits: Counter,
+    processed: Counter,
+    errors: Counter,
+    gather_waits: Counter,
+    service: Histogram,
+    latency: Histogram,
+}
+
+impl Shard {
+    /// Adds every count and sample of `other`.
+    fn absorb(&self, other: &Shard) {
+        self.items_in.add(other.items_in.get());
+        self.items_out.add(other.items_out.get());
+        self.emits.add(other.emits.get());
+        self.processed.add(other.processed.get());
+        self.errors.add(other.errors.get());
+        self.gather_waits.add(other.gather_waits.get());
+        self.service.merge_from(&other.service);
+        self.latency.merge_from(&other.latency);
+    }
+}
+
+/// A task's live shards, and what its retired instances wrote.
+#[derive(Debug, Default)]
+struct Shards {
+    live: Vec<Arc<Shard>>,
+    /// Allocated when the first instance retires.
+    retired: Option<Box<Shard>>,
+}
+
+impl Shards {
+    fn all(&self) -> impl Iterator<Item = &Shard> {
+        self.live
+            .iter()
+            .map(|s| &**s)
+            .chain(self.retired.as_deref())
+    }
+}
+
+/// One TE instance's handle on its own instruments.
+///
+/// Writes take `&mut self`, so one thread at a time writes the shard and
+/// each write is a relaxed load and store (see [`crate::metrics`]). A
+/// scheduler that moves the owner between threads must order the moves:
+/// the runtime's actor takes its worker out of a locked slot for a slice
+/// and puts it back after, so consecutive slices never write at once.
+/// Dropping the handle retires the shard: its counts and samples move
+/// into the task's retired totals, so the task's counters never go
+/// backwards when an instance dies or is scaled away.
+#[derive(Debug)]
+pub struct TaskShard {
+    shard: Arc<Shard>,
+    task: Arc<TaskInstruments>,
+}
+
+impl TaskShard {
+    /// Counts `n` items received.
+    pub fn add_items_in(&mut self, n: u64) {
+        self.shard.items_in.add_by_owner(n);
+    }
+
+    /// Counts `n` items forwarded downstream.
+    pub fn add_items_out(&mut self, n: u64) {
+        self.shard.items_out.add_by_owner(n);
+    }
+
+    /// Counts `n` values emitted on the sink.
+    pub fn add_emits(&mut self, n: u64) {
+        self.shard.emits.add_by_owner(n);
+    }
+
+    /// Counts `n` items processed.
+    pub fn add_processed(&mut self, n: u64) {
+        self.shard.processed.add_by_owner(n);
+    }
+
+    /// Counts `n` task-code errors.
+    pub fn add_errors(&mut self, n: u64) {
+        self.shard.errors.add_by_owner(n);
+    }
+
+    /// Counts `n` fragments parked at a gather barrier.
+    pub fn add_gather_waits(&mut self, n: u64) {
+        self.shard.gather_waits.add_by_owner(n);
+    }
+
+    /// Records one item's service time in nanoseconds.
+    pub fn record_service(&mut self, ns: u64) {
+        self.shard.service.record_by_owner(ns);
+    }
+
+    /// Records one emit's end-to-end latency in nanoseconds; the
+    /// deployment-wide `e2e_latency` is derived from these at snapshot.
+    pub fn record_latency(&mut self, ns: u64) {
+        self.shard.latency.record_by_owner(ns);
+    }
+}
+
+impl Drop for TaskShard {
+    fn drop(&mut self) {
+        let mut shards = self.task.shards.lock();
+        shards.live.retain(|s| !Arc::ptr_eq(s, &self.shard));
+        shards
+            .retired
+            .get_or_insert_with(Box::default)
+            .absorb(&self.shard);
+    }
 }
 
 impl TaskInstruments {
@@ -63,6 +185,64 @@ impl TaskInstruments {
             instances: Gauge::new(),
             service: Histogram::new(),
             latency: Histogram::new(),
+            shards: Mutex::default(),
+        }
+    }
+
+    /// A new instance's own instruments, folded into this task's totals.
+    pub fn shard(self: &Arc<Self>) -> TaskShard {
+        let shard = Arc::new(Shard::default());
+        self.shards.lock().live.push(Arc::clone(&shard));
+        TaskShard {
+            shard,
+            task: Arc::clone(self),
+        }
+    }
+
+    /// Folds the direct fields and every shard, live or retired, into
+    /// the task's row; merges the shards' latency samples into `e2e`.
+    /// One lock covers the fold, so a shard retiring meanwhile is counted
+    /// exactly once.
+    fn stats(&self, e2e: &Histogram) -> TaskStats {
+        let shards = self.shards.lock();
+        let sum = |own: &Counter, field: fn(&Shard) -> &Counter| {
+            own.get() + shards.all().map(|s| field(s).get()).sum::<u64>()
+        };
+        let fold = |own: &Histogram, field: fn(&Shard) -> &Histogram| {
+            let all = Histogram::new();
+            all.merge_from(own);
+            for s in shards.all() {
+                all.merge_from(field(s));
+            }
+            all
+        };
+        let latency = fold(&self.latency, |s| &s.latency);
+        for s in shards.all() {
+            e2e.merge_from(&s.latency);
+        }
+        TaskStats {
+            name: self.name.clone(),
+            id: self.id,
+            instances: self.instances.get(),
+            items_in: sum(&self.items_in, |s| &s.items_in),
+            items_out: sum(&self.items_out, |s| &s.items_out),
+            emits: sum(&self.emits, |s| &s.emits),
+            processed: sum(&self.processed, |s| &s.processed),
+            errors: sum(&self.errors, |s| &s.errors),
+            gather_waits: sum(&self.gather_waits, |s| &s.gather_waits),
+            queue_depth: self.queue_depth.get(),
+            service: fold(&self.service, |s| &s.service).summary(),
+            latency: latency.summary(),
+        }
+    }
+
+    /// Clears the direct histograms and every shard's.
+    fn reset_observations(&self) {
+        self.service.reset();
+        self.latency.reset();
+        for s in self.shards.lock().all() {
+            s.service.reset();
+            s.latency.reset();
         }
     }
 }
@@ -204,9 +384,10 @@ pub struct RecoveryInstruments {
 /// A deployment's registry of instruments and events.
 ///
 /// One registry is owned per engine (SDG deployment or baseline). Hot-path
-/// recording goes straight through the shared [`TaskInstruments`] /
-/// [`StateInstruments`] handles; the registry's own maps are locked only
-/// when an instrument is first created or a snapshot is taken.
+/// recording goes straight through a TE instance's [`TaskShard`] or the
+/// shared [`TaskInstruments`] / [`StateInstruments`] handles; the
+/// registry's own maps are locked only when an instrument is first
+/// created or a snapshot is taken.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     started: Instant,
@@ -315,7 +496,9 @@ impl MetricsRegistry {
         &self.recovery
     }
 
-    /// The deployment-wide end-to-end latency histogram (all tasks merged).
+    /// The deployment-wide end-to-end latency histogram, for engines that
+    /// record it directly. A snapshot's `e2e_latency` is this histogram
+    /// merged with every [`TaskShard`]'s latency samples.
     pub fn e2e_latency(&self) -> &Arc<Histogram> {
         &self.e2e_latency
     }
@@ -330,13 +513,13 @@ impl MetricsRegistry {
         self.events.snapshot()
     }
 
-    /// Resets every histogram (service, latency, checkpoint phases) while
-    /// leaving counters, gauges and the event log untouched. Benches call
-    /// this after warm-up so percentiles cover only the measured window.
+    /// Resets every histogram (service, latency, checkpoint phases), every
+    /// task shard's included, while leaving counters, gauges and the event
+    /// log untouched. Benches call this after warm-up so percentiles cover
+    /// only the measured window.
     pub fn reset_observations(&self) {
         for t in self.tasks.read().values() {
-            t.service.reset();
-            t.latency.reset();
+            t.reset_observations();
         }
         self.e2e_latency.reset();
         let c = &self.checkpoints;
@@ -355,25 +538,9 @@ impl MetricsRegistry {
     /// Gauges report whatever the owner last sampled; engines refresh them
     /// immediately before calling this.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let tasks: Vec<TaskStats> = self
-            .tasks
-            .read()
-            .values()
-            .map(|t| TaskStats {
-                name: t.name.clone(),
-                id: t.id,
-                instances: t.instances.get(),
-                items_in: t.items_in.get(),
-                items_out: t.items_out.get(),
-                emits: t.emits.get(),
-                processed: t.processed.get(),
-                errors: t.errors.get(),
-                gather_waits: t.gather_waits.get(),
-                queue_depth: t.queue_depth.get(),
-                service: t.service.summary(),
-                latency: t.latency.summary(),
-            })
-            .collect();
+        let e2e = Histogram::new();
+        let tasks: Vec<TaskStats> = self.tasks.read().values().map(|t| t.stats(&e2e)).collect();
+        e2e.merge_from(&self.e2e_latency);
         let states: Vec<StateStats> = self
             .states
             .read()
@@ -438,7 +605,7 @@ impl MetricsRegistry {
                 in_flight: self.recovery.in_flight.get(),
                 mttr: self.recovery.mttr_ns.summary(),
             },
-            e2e_latency: self.e2e_latency.summary(),
+            e2e_latency: e2e.summary(),
             events: self.events.snapshot(),
             events_logged: self.events.logged(),
             events_dropped: self.events.dropped(),
@@ -508,6 +675,62 @@ mod tests {
         assert_eq!(t.processed.get(), 7);
         assert_eq!(t.latency.count(), 0);
         assert_eq!(reg.e2e_latency().count(), 0);
+    }
+
+    #[test]
+    fn shards_fold_into_the_task_and_retire_without_going_back() {
+        let reg = MetricsRegistry::new();
+        let t = reg.task("put");
+        t.items_in.add(1); // a direct write counts beside the shards
+        let (mut a, mut b) = (t.shard(), t.shard());
+        for (shard, n) in [(&mut a, 3u64), (&mut b, 4)] {
+            for i in 0..n {
+                shard.add_items_in(1);
+                shard.add_processed(1);
+                shard.add_items_out(0);
+                shard.record_service(100 * (i + 1));
+                shard.add_emits(1);
+                shard.record_latency(1_000);
+            }
+        }
+        let before = reg.snapshot();
+        let row = before.task("put").unwrap();
+        assert_eq!((row.items_in, row.processed, row.items_out), (8, 7, 0));
+        assert_eq!((row.service.count, row.service.max), (7, 400));
+        assert_eq!((row.emits, row.latency.count), (7, 7));
+        assert_eq!(before.e2e_latency.count, 7);
+        drop(a);
+        let after = reg.snapshot();
+        let row = after.task("put").unwrap();
+        assert_eq!((row.items_in, row.processed, row.service.count), (8, 7, 7));
+        assert_eq!(after.e2e_latency.count, 7);
+        // A directly recorded e2e sample (the baselines) is counted once.
+        reg.e2e_latency().record(5);
+        assert_eq!(reg.snapshot().e2e_latency.count, 8);
+        drop(b);
+        reg.reset_observations();
+        let reset = reg.snapshot();
+        let row = reset.task("put").unwrap();
+        assert_eq!((row.items_in, row.processed), (8, 7));
+        assert_eq!((row.service.count, row.latency.count), (0, 0));
+        assert_eq!(reset.e2e_latency.count, 0);
+    }
+
+    #[test]
+    fn reset_observations_clears_live_shards_and_keeps_their_counts() {
+        let reg = MetricsRegistry::new();
+        let t = reg.task("f");
+        let mut s = t.shard();
+        s.add_processed(2);
+        s.record_service(10);
+        s.record_latency(10);
+        reg.reset_observations();
+        let row = reg.snapshot().task("f").unwrap().clone();
+        assert_eq!(row.processed, 2);
+        assert_eq!((row.service.count, row.latency.count), (0, 0));
+        s.record_service(30);
+        let row = reg.snapshot().task("f").unwrap().clone();
+        assert_eq!((row.service.count, row.service.min), (1, 30));
     }
 
     #[test]

@@ -301,7 +301,7 @@ impl<'a> Interp<'a> {
             .state
             .as_deref_mut()
             .ok_or_else(|| missing_state(field))?;
-        eval_state_call(store, field, method, args)
+        eval_state_call(store, field, method, &args)
     }
 }
 
@@ -321,7 +321,7 @@ pub fn eval_state_call(
     store: &mut StateStore,
     field: &str,
     method: &str,
-    args: Vec<Value>,
+    args: &[Value],
 ) -> SdgResult<Value> {
     match store {
         StateStore::Table(table) => match method {

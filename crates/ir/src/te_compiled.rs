@@ -15,6 +15,7 @@
 //! effect equivalence against the reference interpreter.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sdg_common::value::Value;
@@ -184,8 +185,9 @@ pub struct CompiledHelper {
 pub struct CompiledTe {
     /// TE name (diagnostics).
     pub name: String,
-    /// Frame layout of the TE body; input-record fields are bound by
-    /// looking their names up here once per field.
+    /// Frame layout of the TE body; an input record's fields are bound by
+    /// looking their names up here once per record shape (the executor
+    /// caches the positional map).
     pub symbols: SymbolTable,
     /// Lowered statements.
     pub body: Vec<CStmt>,
@@ -196,9 +198,23 @@ pub struct CompiledTe {
     pub output_slots: Vec<u32>,
     /// `true` when the TE forwards nothing downstream.
     pub is_sink: bool,
+    /// Identity of this compilation ([`CompiledTe::key`]).
+    key: u64,
 }
 
+/// Source of [`CompiledTe::key`]s.
+static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
+
 impl CompiledTe {
+    /// A key distinct for every [`CompiledTe::compile`] call in the
+    /// process; a clone shares it (same layout). An executor caching
+    /// something built for one TE (an input binding map) checks it, so a
+    /// cache shared by several TEs never applies one TE's map to another,
+    /// even one later compiled at the same address.
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
     /// Lowers `te` into slot-addressed form.
     pub fn compile(te: &TeProgram) -> CompiledTe {
         // Helper indices are assigned by sorted name so compilation is
@@ -227,6 +243,7 @@ impl CompiledTe {
             helpers,
             output_slots,
             is_sink: te.is_sink(),
+            key: NEXT_KEY.fetch_add(1, Ordering::Relaxed),
         }
     }
 }

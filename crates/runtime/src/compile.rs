@@ -24,18 +24,74 @@ use sdg_ir::eval::{
 };
 use sdg_ir::te_compiled::{CExpr, CStmt, CompiledTe};
 use sdg_state::store::StateStore;
+use std::sync::Arc;
 
 /// A register file: one `Option<Value>` per interned name. `None` means
 /// the variable is unbound (distinct from a bound `Value::Null`).
 type Regs = Vec<Option<Value>>;
 
-/// Per-worker reusable execution state: the main register file and a pool
-/// of helper activation frames. Reusing these across items removes every
-/// per-item environment allocation from the hot path.
+/// Per-worker reusable execution state: the main register file, a pool
+/// of helper activation frames, the argument stack of state and builtin
+/// calls, and the input binding map. Reusing these across items removes
+/// every per-item environment allocation from the hot path.
 #[derive(Debug, Default)]
 pub struct Scratch {
     regs: Regs,
     frame_pool: Vec<Regs>,
+    args: Vec<Value>,
+    binding: Binding,
+}
+
+/// Where each field of an input record goes in the register file, by
+/// position: built by name lookups from one record and reused while later
+/// records have the same field names in the same order. It is checked
+/// for the TE too, since one [`Scratch`] may serve several TEs.
+#[derive(Debug, Default)]
+struct Binding {
+    /// [`CompiledTe::key`] of the TE the map was built for.
+    te: Option<u64>,
+    /// Per input position: the field name, and its slot when the TE
+    /// references it.
+    fields: Vec<(Arc<str>, Option<u32>)>,
+}
+
+impl Binding {
+    /// Binds `input`'s fields into `regs`, revalidating the cached map by
+    /// name per field and rebuilding it by lookup on any mismatch.
+    fn bind(&mut self, te: &CompiledTe, input: &Record, regs: &mut Regs) {
+        if self.te == Some(te.key()) && self.fields.len() == input.len() {
+            // Binds as it checks: on a mismatch the rebuild below binds
+            // every field again.
+            let fits = input
+                .iter()
+                .zip(&self.fields)
+                .all(|((name, value), (want, slot))| {
+                    if !std::ptr::eq(name, &**want) && name != &**want {
+                        return false;
+                    }
+                    if let Some(slot) = slot {
+                        regs[*slot as usize] = Some(value.clone());
+                    }
+                    true
+                });
+            if fits {
+                return;
+            }
+        }
+        // Fields the program never references get no slot (they cannot
+        // appear in `output_slots`: output variables are interned at
+        // compile time).
+        self.te = Some(te.key());
+        self.fields.clear();
+        for i in 0..input.len() {
+            let (name, value) = input.at(i).expect("position in bounds");
+            let slot = te.symbols.lookup(name);
+            if let Some(slot) = slot {
+                regs[slot as usize] = Some(value.clone());
+            }
+            self.fields.push((Arc::clone(name), slot));
+        }
+    }
 }
 
 impl Scratch {
@@ -53,21 +109,21 @@ pub fn run_compiled(
     state: Option<&mut StateStore>,
     scratch: &mut Scratch,
 ) -> SdgResult<Effects> {
-    let Scratch { regs, frame_pool } = scratch;
+    let Scratch {
+        regs,
+        frame_pool,
+        args,
+        binding,
+    } = scratch;
     regs.clear();
     regs.resize(te.symbols.len(), None);
-    // Bind input fields: one symbol lookup per field, ignoring fields the
-    // program never references (they cannot appear in `output_slots`
-    // because output variables are interned at compile time).
-    for (name, value) in input.iter() {
-        if let Some(slot) = te.symbols.lookup(name) {
-            regs[slot as usize] = Some(value.clone());
-        }
-    }
+    binding.bind(te, input, regs);
+    args.clear();
     let mut exec = Exec {
         te,
         state,
         frame_pool,
+        args,
         emits: Vec::new(),
         steps: 0,
     };
@@ -106,6 +162,9 @@ struct Exec<'a> {
     te: &'a CompiledTe,
     state: Option<&'a mut StateStore>,
     frame_pool: &'a mut Vec<Regs>,
+    /// Evaluated arguments of the state and builtin calls in progress,
+    /// innermost last; each call truncates back to its base.
+    args: &'a mut Vec<Value>,
     emits: Vec<Value>,
     steps: u64,
 }
@@ -254,11 +313,10 @@ impl<'a> Exec<'a> {
                 Ok(Value::List(vals))
             }
             CExpr::CallBuiltin { name, args } => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|e| self.eval(e, regs))
-                    .collect::<SdgResult<_>>()?;
-                eval_builtin(name, &vals)
+                let base = self.push_args(args, regs)?;
+                let result = eval_builtin(name, &self.args[base..]);
+                self.args.truncate(base);
+                result
             }
             CExpr::CallHelper { helper, args } => {
                 let vals: Vec<Value> = args
@@ -272,17 +330,27 @@ impl<'a> Exec<'a> {
                 method,
                 args,
             } => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|e| self.eval(e, regs))
-                    .collect::<SdgResult<_>>()?;
-                let store = self
-                    .state
-                    .as_deref_mut()
-                    .ok_or_else(|| missing_state(field))?;
-                eval_state_call(store, field, method, vals)
+                let base = self.push_args(args, regs)?;
+                let result = match self.state.as_deref_mut() {
+                    Some(store) => eval_state_call(store, field, method, &self.args[base..]),
+                    None => Err(missing_state(field)),
+                };
+                self.args.truncate(base);
+                result
             }
         }
+    }
+
+    /// Evaluates `args` in order onto the argument stack; returns where
+    /// they start. An error ends the run, and `run_compiled` clears the
+    /// stack before the next.
+    fn push_args(&mut self, args: &[CExpr], regs: &mut Regs) -> SdgResult<usize> {
+        let base = self.args.len();
+        for arg in args {
+            let value = self.eval(arg, regs)?;
+            self.args.push(value);
+        }
+        Ok(base)
     }
 
     fn call_helper(&mut self, helper: u32, args: Vec<Value>) -> SdgResult<Value> {
@@ -320,7 +388,6 @@ mod tests {
     use sdg_ir::te::TeProgram;
     use sdg_state::store::{StateStore, StateType};
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     fn compile_of(src: &str, out_vars: &[&str]) -> CompiledTe {
         let prog = parse_program(src).unwrap();
@@ -486,6 +553,114 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("without a state element"), "{err}");
+    }
+
+    /// A program whose TE is both compiled and kept as the reference
+    /// evaluator's `TeProgram`.
+    fn both_of(src: &str, out_vars: &[&str]) -> (CompiledTe, TeProgram) {
+        let prog = parse_program(src).unwrap();
+        let te = TeProgram::new(
+            "f",
+            prog.methods[0].body.clone(),
+            Arc::default(),
+            out_vars.iter().map(|s| s.to_string()).collect(),
+        );
+        (CompiledTe::compile(&te), te)
+    }
+
+    #[test]
+    fn cached_binding_matches_the_reference_across_shapes_and_tes() {
+        // TE 0 reads a table; TEs 1 and 2 take the same input names, which
+        // TE 2 interns at other slots (`z` comes first).
+        let tes = [
+            both_of(
+                "Table t;\nvoid f(int k, int v) { t.put(k, v * 2); let x = t.get(k) + k; }",
+                &["x"],
+            ),
+            both_of("void f(int a, int b) { emit a - b; }", &[]),
+            both_of("void f(int a, int b) { let z = 10; emit b - a + z; }", &[]),
+        ];
+        // Names as the upstream TE interned them (shared `Arc`s), and
+        // the same names freshly allocated per record.
+        let (k, v): (Arc<str>, Arc<str>) = (Arc::from("k"), Arc::from("v"));
+        let interned = |a: i64, b: i64| {
+            let mut r = Record::new();
+            r.push_unchecked(Arc::clone(&k), Value::Int(a));
+            r.push_unchecked(Arc::clone(&v), Value::Int(b));
+            r
+        };
+        let inputs: Vec<(usize, Record)> = vec![
+            (0, interned(1, 10)),
+            (0, interned(2, 20)),
+            (0, record! {"v" => Value::Int(30), "k" => Value::Int(3)}),
+            (0, record! {"k" => Value::Int(4), "v" => Value::Int(40)}),
+            (1, record! {"a" => Value::Int(9), "b" => Value::Int(4)}),
+            (0, interned(5, 50)),
+            (1, record! {"b" => Value::Int(1), "a" => Value::Int(7)}),
+            (2, record! {"b" => Value::Int(1), "a" => Value::Int(7)}),
+            (1, record! {"b" => Value::Int(2), "a" => Value::Int(5)}),
+            (0, record! {"k" => Value::Int(6)}),
+            (
+                0,
+                record! {"k" => Value::Int(7), "v" => Value::Int(70), "z" => Value::Int(0)},
+            ),
+            (1, record! {"a" => Value::Int(2)}),
+            (0, interned(8, 80)),
+            (1, record! {"a" => Value::Int(3), "b" => Value::Int(3)}),
+            (2, record! {"a" => Value::Int(3), "b" => Value::Int(3)}),
+        ];
+        let mut scratch = Scratch::new();
+        let (mut store, mut reference) = (
+            StateStore::new(StateType::Table),
+            StateStore::new(StateType::Table),
+        );
+        for (which, input) in &inputs {
+            let (te, te_ref) = &tes[*which];
+            let (got, want) = if *which == 0 {
+                (
+                    run_compiled(te, input, Some(&mut store), &mut scratch),
+                    sdg_ir::eval::run_te(te_ref, input, Some(&mut reference)),
+                )
+            } else {
+                (
+                    run_compiled(te, input, None, &mut scratch),
+                    sdg_ir::eval::run_te(te_ref, input, None),
+                )
+            };
+            match (got, want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{input:?}"),
+                (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                (got, want) => panic!("{input:?}: compiled {got:?}, reference {want:?}"),
+            }
+        }
+        assert_eq!(store.as_table().unwrap().len(), 7);
+        let sorted = |s: &StateStore| {
+            let mut entries = s.export_entries();
+            entries.sort_by(|a, b| a.key.cmp(&b.key));
+            format!("{entries:?}")
+        };
+        assert_eq!(sorted(&store), sorted(&reference));
+    }
+
+    #[test]
+    fn nested_state_calls_share_the_argument_stack() {
+        let (te, reference) = both_of(
+            "Table t;\nvoid f(int k) { t.put(k, 1); t.put(t.get(k) + 1, t.inc(k, max(t.get(k), 2))); emit t.get(2); }",
+            &[],
+        );
+        let input = record! {"k" => Value::Int(1)};
+        let mut scratch = Scratch::new();
+        let (mut a, mut b) = (
+            StateStore::new(StateType::Table),
+            StateStore::new(StateType::Table),
+        );
+        let got = run_compiled(&te, &input, Some(&mut a), &mut scratch).unwrap();
+        assert_eq!(
+            got,
+            sdg_ir::eval::run_te(&reference, &input, Some(&mut b)).unwrap()
+        );
+        assert_eq!(got.emits, vec![Value::Int(3)]);
+        assert!(scratch.args.is_empty());
     }
 
     #[test]

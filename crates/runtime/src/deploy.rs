@@ -707,8 +707,7 @@ impl Inner {
             work_ns: self.cfg.work_ns.get(&task_id).copied().unwrap_or(0),
             speed: self.cfg.cluster.speed_of(node as usize),
             alive: Arc::clone(&alive),
-            obs: Arc::clone(&self.instruments[&task_id]),
-            e2e: Arc::clone(self.obs.e2e_latency()),
+            obs: self.instruments[&task_id].shard(),
             work_debt: Duration::ZERO,
             task: task_id,
             // A respawned replica shares the original (spent) trigger, so

@@ -19,8 +19,7 @@ use sdg_checkpoint::buffer::OutputBuffer;
 use sdg_checkpoint::cell::StateCell;
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, TaskId};
-use sdg_common::metrics::Histogram;
-use sdg_common::obs::TaskInstruments;
+use sdg_common::obs::TaskShard;
 use sdg_common::time::ScalarTs;
 use sdg_common::value::{Record, Value};
 use sdg_graph::model::{Dispatch, NativeTask, TaskCode, TaskContext};
@@ -565,11 +564,10 @@ pub struct Worker {
     /// Cleared when the hosting node "fails": the worker then discards
     /// items, simulating loss of in-flight data.
     pub alive: Arc<AtomicBool>,
-    /// Per-task instruments, shared with the deployment's registry: items
-    /// in/out, processed, errors, gather waits, service time, latency.
-    pub obs: Arc<TaskInstruments>,
-    /// Deployment-wide end-to-end latency histogram.
-    pub e2e: Arc<Histogram>,
+    /// This instance's own instruments, folded into its task's row at
+    /// snapshot: items in/out, processed, errors, gather waits, service
+    /// time, latency.
+    pub obs: TaskShard,
     /// Accumulated synthetic service time not yet rested: the pool rests
     /// the actor on its timer heap once this reaches 1 ms.
     pub work_debt: Duration,
@@ -644,38 +642,42 @@ impl Worker {
                 }
             }
         }
-        self.obs.items_in.inc();
+        self.obs.add_items_in(1);
         // Gather barriers assemble one logical item from `expect` fragments.
-        let item = if let Some(var) = self.gather_var.clone() {
-            match self.assemble(item, &var) {
+        let item = match &self.gather_var {
+            Some(var) => match Self::assemble(&mut self.pending_gathers, item, var) {
                 Some(merged) => merged,
                 None => {
                     // Barrier still waiting on sibling fragments.
-                    self.obs.gather_waits.inc();
+                    self.obs.add_gather_waits(1);
                     return;
                 }
-            }
-        } else {
-            item
+            },
+            None => item,
         };
         let t0 = Instant::now();
         let r = self.process(&item);
-        self.obs.service.record(t0.elapsed().as_nanos() as u64);
+        self.obs.record_service(t0.elapsed().as_nanos() as u64);
         if r.is_err() {
-            self.obs.errors.inc();
+            self.obs.add_errors(1);
         }
     }
 
-    /// Collects fragments; returns the merged item once all arrived.
-    fn assemble(&mut self, item: Item, collect_var: &str) -> Option<Item> {
+    /// Collects a gather fragment into `pending` (the worker's
+    /// `pending_gathers`); returns the merged item once all arrived.
+    fn assemble(
+        pending: &mut HashMap<u64, HashMap<u32, Item>>,
+        item: Item,
+        collect_var: &str,
+    ) -> Option<Item> {
         let corr = item.corr;
         let expect = item.expect.max(1) as usize;
-        let slot = self.pending_gathers.entry(corr).or_default();
+        let slot = pending.entry(corr).or_default();
         slot.insert(item.src_replica, item);
         if slot.len() < expect {
             return None;
         }
-        let mut fragments = self.pending_gathers.remove(&corr)?;
+        let mut fragments = pending.remove(&corr)?;
         // Deterministic order: by producer replica.
         let mut replicas: Vec<u32> = fragments.keys().copied().collect();
         replicas.sort_unstable();
@@ -728,8 +730,8 @@ impl Worker {
         // forward the input record by refcount instead of deep-cloning it
         // through the execution engine.
         if self.cell.is_none() && matches!(self.code, PreparedCode::Passthrough) {
-            self.obs.processed.inc();
-            self.obs.items_out.add(self.outs.len() as u64);
+            self.obs.add_processed(1);
+            self.obs.add_items_out(self.outs.len() as u64);
             for out in &mut self.outs {
                 out.send(&item.payload, item.corr, item.expect, item.submitted_at)?;
             }
@@ -752,7 +754,7 @@ impl Worker {
                 }) {
                     None => {
                         // Duplicate from a replay: already applied.
-                        self.obs.processed.inc();
+                        self.obs.add_processed(1);
                         return Ok(());
                     }
                     Some(r) => r?,
@@ -760,14 +762,12 @@ impl Worker {
             }
             None => execute_prepared(code, &item.payload, None, replica, scratch)?,
         };
-        self.obs.processed.inc();
-        self.obs.emits.add(effects.emits.len() as u64);
+        self.obs.add_processed(1);
+        self.obs.add_emits(effects.emits.len() as u64);
         for value in effects.emits {
             let latency = item.submitted_at.map(|t| t.elapsed());
             if let Some(l) = latency {
-                let ns = l.as_nanos() as u64;
-                self.obs.latency.record(ns);
-                self.e2e.record(ns);
+                self.obs.record_latency(l.as_nanos() as u64);
             }
             let event = OutputEvent {
                 corr: item.corr,
@@ -777,8 +777,7 @@ impl Worker {
             let _ = self.sink.send(event);
         }
         self.obs
-            .items_out
-            .add((effects.forwards.len() * self.outs.len()) as u64);
+            .add_items_out((effects.forwards.len() * self.outs.len()) as u64);
         for record in effects.forwards {
             // One refcounted allocation per forwarded record, shared by
             // every outgoing edge (and its output-buffer log entry).

@@ -1376,3 +1376,167 @@ fn scale_out_does_not_wait_for_a_producer_blocked_mid_item() {
     assert_eq!(held, Some(Value::Int(1)));
     d.shutdown();
 }
+
+/// A task row's counters: items in and out, emits, processed, errors and
+/// gather waits.
+fn counters(t: &sdg_common::obs::TaskStats) -> [u64; 6] {
+    [
+        t.items_in,
+        t.items_out,
+        t.emits,
+        t.processed,
+        t.errors,
+        t.gather_waits,
+    ]
+}
+
+/// Asserts that no task counter of `after` is below `before`'s.
+fn assert_no_counter_went_back(
+    before: &sdg_common::obs::MetricsSnapshot,
+    after: &sdg_common::obs::MetricsSnapshot,
+) {
+    for t in &before.tasks {
+        let now = after.task(&t.name).expect("a task row never disappears");
+        let (was, is) = (counters(t), counters(now));
+        assert!(
+            was.iter().zip(&is).all(|(a, b)| b >= a),
+            "{}: {was:?} -> {is:?}",
+            t.name
+        );
+    }
+}
+
+/// Each TE instance writes its own instrument shard with plain stores,
+/// so two instances of one task fed at once by four threads must still
+/// add up to exactly the items fed.
+#[test]
+fn instruments_are_exact_with_two_instances_fed_concurrently() {
+    let (d, kv) = deploy_kv(2, false);
+    let feeders = 4i64;
+    let per_feeder = 2_000i64;
+    let start = Barrier::new(feeders as usize);
+    std::thread::scope(|s| {
+        for f in 0..feeders {
+            let (d, start) = (&d, &start);
+            s.spawn(move || {
+                let mut lane = d.ingest_handle().unwrap();
+                start.wait();
+                for n in 0..per_feeder {
+                    lane.submit("bump", record! {"k" => Value::Int(f * per_feeder + n)})
+                        .unwrap();
+                }
+            });
+        }
+    });
+    assert!(d.quiesce(Duration::from_secs(30)));
+    let fed = (feeders * per_feeder) as u64;
+    assert_eq!(total_count(&d, kv), fed as i64);
+    let snap = d.metrics();
+    let bump = snap.task_by_id(bump_task(&d)).unwrap();
+    assert_eq!(bump.instances, 2);
+    assert_eq!(
+        (bump.items_in, bump.processed, bump.service.count),
+        (fed, fed, fed)
+    );
+    // Both instances took items: each partition holds keys.
+    for replica in 0..2 {
+        let keys = d
+            .with_state(kv, replica, |s| s.as_table().unwrap().len())
+            .unwrap();
+        assert!(keys > 0, "replica {replica} got no item");
+    }
+    d.shutdown();
+}
+
+/// An instance that dies (`FailAndRecover`) or is scaled away retires its
+/// shard into its task's totals: no task counter goes backwards, and the
+/// retired instance's items are still counted.
+#[test]
+fn instruments_keep_retired_instances_counts_across_recovery_and_scale_in() {
+    let (d, kv) = deploy_kv(2, true);
+    for n in 0..300i64 {
+        d.submit("bump", record! {"k" => Value::Int(n % 30)})
+            .unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(10)));
+    d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+    for n in 0..200i64 {
+        d.submit("bump", record! {"k" => Value::Int(n % 30)})
+            .unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(10)));
+    let task = bump_task(&d);
+    let before = d.metrics();
+    assert_eq!(before.task_by_id(task).unwrap().items_in, 500);
+
+    let report = d
+        .reconfigure(ReconfigRequest::FailAndRecover {
+            state: kv,
+            replica: 0,
+        })
+        .unwrap();
+    assert!(d.quiesce(Duration::from_secs(10)));
+    assert!(report.replayed > 0);
+    let recovered = d.metrics();
+    assert_no_counter_went_back(&before, &recovered);
+    // The dead instance's 500-item share is kept; the replayed items
+    // count again at its replacement.
+    let row = recovered.task_by_id(task).unwrap();
+    assert_eq!(row.items_in, 500 + report.replayed as u64);
+    assert_eq!(row.processed, row.items_in);
+    assert_eq!(row.service.count, row.items_in);
+
+    d.reconfigure(ReconfigRequest::ScaleIn { task }).unwrap();
+    assert!(d.quiesce(Duration::from_secs(10)));
+    let shrunk = d.metrics();
+    assert_eq!(shrunk.task_by_id(task).unwrap().instances, 1);
+    assert_no_counter_went_back(&recovered, &shrunk);
+    assert_eq!(
+        counters(shrunk.task_by_id(task).unwrap()),
+        counters(recovered.task_by_id(task).unwrap()),
+        "a scale-in processes no item"
+    );
+
+    for n in 0..100i64 {
+        d.submit("bump", record! {"k" => Value::Int(n % 30)})
+            .unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(10)));
+    let after = d.metrics();
+    assert_no_counter_went_back(&shrunk, &after);
+    assert_eq!(after.task_by_id(task).unwrap().items_in, row.items_in + 100);
+    assert_eq!(total_count(&d, kv), 600);
+    d.shutdown();
+}
+
+/// `reset_observations` clears the histograms of every instance's shard
+/// and keeps every counter; recording resumes from empty.
+#[test]
+fn instruments_reset_clears_every_shards_histograms_and_keeps_counters() {
+    let (d, _kv) = deploy_kv(2, false);
+    for n in 0..200i64 {
+        d.submit("bump", record! {"k" => Value::Int(n % 40)})
+            .unwrap();
+        d.submit("read", record! {"k" => Value::Int(n % 40)})
+            .unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(10)));
+    let before = d.metrics();
+    assert_eq!(before.e2e_latency.count, 200);
+    d.reset_observations();
+    let reset = d.metrics();
+    for t in &reset.tasks {
+        assert_eq!(counters(t), counters(before.task(&t.name).unwrap()));
+        assert_eq!((t.service.count, t.latency.count), (0, 0), "{}", t.name);
+    }
+    assert_eq!(reset.e2e_latency.count, 0);
+
+    for n in 0..50i64 {
+        d.submit("read", record! {"k" => Value::Int(n)}).unwrap();
+    }
+    assert!(d.quiesce(Duration::from_secs(10)));
+    let after = d.metrics();
+    let emitted: u64 = after.tasks.iter().map(|t| t.latency.count).sum();
+    assert_eq!((emitted, after.e2e_latency.count), (50, 50));
+    d.shutdown();
+}

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sdg_common::record;
-use sdg_common::value::Value;
+use sdg_common::value::{Record, Value};
 use sdg_ir::ast::Method;
 use sdg_ir::eval::run_te;
 use sdg_ir::parser::parse_program;
@@ -290,6 +290,25 @@ fn export_sorted(store: &StateStore) -> Vec<(Vec<u8>, Vec<u8>)> {
     entries
 }
 
+/// The input record `n0..n2 = values`, its fields in the `shape`-th of
+/// the six orders; shape 6 leaves `n2` out.
+fn input_of(values: [i64; 3], shape: usize) -> Record {
+    const SHAPES: [&[usize]; 7] = [
+        &[0, 1, 2],
+        &[0, 2, 1],
+        &[1, 0, 2],
+        &[1, 2, 0],
+        &[2, 0, 1],
+        &[2, 1, 0],
+        &[0, 1],
+    ];
+    let mut input = Record::new();
+    for &i in SHAPES[shape] {
+        input.set(INPUTS[i], Value::Int(values[i]));
+    }
+    input
+}
+
 /// Sorted, deduplicated live set, like the translator produces.
 fn live_set(live: Vec<&str>) -> Vec<String> {
     let mut out_vars: Vec<String> = live.into_iter().map(str::to_owned).collect();
@@ -364,22 +383,20 @@ proptest! {
     #[test]
     fn compiled_engine_matches_reference_with_reused_scratch(
         src in program(),
-        batches in prop::collection::vec(prop::array::uniform3(-10i64..10), 1..4),
+        batches in prop::collection::vec((prop::array::uniform3(-10i64..10), 0usize..7), 1..6),
     ) {
         // One compiled TE + one scratch across several items, mirroring a
         // worker's steady state; the reference interpreter runs fresh each
-        // time. State persists across items on both sides.
+        // time. State persists across items on both sides. The input's
+        // field order changes from item to item, and a field may be
+        // missing, so the scratch's cached binding map is revalidated.
         let te = te_of(src.as_str(), vec!["v0".to_owned()]);
         let compiled = CompiledTe::compile(&te);
         let mut scratch = Scratch::new();
         let mut ref_store = StateStore::new(StateType::Table);
         let mut cmp_store = StateStore::new(StateType::Table);
-        for inputs in batches {
-            let input = record! {
-                "n0" => Value::Int(inputs[0]),
-                "n1" => Value::Int(inputs[1]),
-                "n2" => Value::Int(inputs[2]),
-            };
+        for (inputs, shape) in batches {
+            let input = input_of(inputs, shape);
             let reference = run_te(&te, &input, Some(&mut ref_store));
             let slotted = run_compiled(&compiled, &input, Some(&mut cmp_store), &mut scratch);
             match (reference, slotted) {
