@@ -47,7 +47,7 @@ pub const WC_SOURCE: &str = r#"
 struct SplitTask;
 
 impl NativeTask for SplitTask {
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
         let line = input.require("line")?.as_str()?.to_lowercase();
         for word in line.split_whitespace() {
             let mut out = Record::with_capacity(1);
@@ -62,7 +62,7 @@ impl NativeTask for SplitTask {
 struct CountTask;
 
 impl NativeTask for CountTask {
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
         let word = input.require("w")?.to_key()?;
         let table = ctx
             .state()

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdg_common::obs::{MetricsRegistry, MetricsSnapshot, TaskInstruments};
+use sdg_common::obs::{MetricsRegistry, MetricsSnapshot, TaskShard};
 
 /// Configuration of the micro-batch engine.
 #[derive(Debug, Clone)]
@@ -57,7 +57,7 @@ pub struct MicroBatchWordCount {
     state: Arc<HashMap<String, u64>>,
     versions: u64,
     obs: MetricsRegistry,
-    batch_task: Arc<TaskInstruments>,
+    batch_task: TaskShard,
 }
 
 impl MicroBatchWordCount {
@@ -71,8 +71,8 @@ impl MicroBatchWordCount {
             cfg,
             state: Arc::new(HashMap::new()),
             versions: 0,
+            batch_task: batch_task.shard(),
             obs,
-            batch_task,
         }
     }
 
@@ -122,9 +122,9 @@ impl MicroBatchWordCount {
         self.state = Arc::new(next);
         self.versions += 1;
         let elapsed = start.elapsed();
-        self.batch_task.items_in.add(words.len() as u64);
-        self.batch_task.processed.add(words.len() as u64);
-        self.batch_task.service.record_duration(elapsed);
+        self.batch_task.add_items_in(words.len() as u64);
+        self.batch_task.add_processed(words.len() as u64);
+        self.batch_task.record_service(elapsed.as_nanos() as u64);
         self.obs.state("counts").checkpoints.inc();
         BatchStats {
             items: words.len(),

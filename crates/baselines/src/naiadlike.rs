@@ -9,11 +9,9 @@
 //! disk (`Naiad-Disk`) or memory (`Naiad-NoDisk`).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdg_common::metrics::Histogram;
-use sdg_common::obs::{EventKind, MetricsRegistry, MetricsSnapshot, TaskInstruments};
+use sdg_common::obs::{EventKind, MetricsRegistry, MetricsSnapshot, TaskShard};
 
 /// Where synchronous checkpoints are written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,16 +68,14 @@ pub struct NaiadKvStore {
     /// Instrument registry; reports through the same snapshot schema as
     /// the SDG runtime and the other baselines.
     obs: MetricsRegistry,
-    update_task: Arc<TaskInstruments>,
-    get_task: Arc<TaskInstruments>,
+    update_task: TaskShard,
+    get_task: TaskShard,
 }
 
 impl NaiadKvStore {
     /// Creates a store with the given configuration.
     pub fn new(cfg: NaiadConfig) -> Self {
         let obs = MetricsRegistry::new();
-        let update_task = obs.task("update");
-        let get_task = obs.task("get");
         obs.state("kv").instances.set(1);
         NaiadKvStore {
             cfg,
@@ -87,9 +83,9 @@ impl NaiadKvStore {
             state_bytes: 0,
             last_checkpoint: Instant::now(),
             pending: Vec::new(),
+            update_task: obs.task("update").shard(),
+            get_task: obs.task("get").shard(),
             obs,
-            update_task,
-            get_task,
         }
     }
 
@@ -103,13 +99,6 @@ impl NaiadKvStore {
         self.obs.checkpoints().taken.get()
     }
 
-    /// Per-request latencies (batching delay + processing + checkpoint
-    /// stalls show up here). The same histogram feeds the snapshot's
-    /// `e2e_latency` summary.
-    pub fn latencies(&self) -> &Histogram {
-        self.obs.e2e_latency()
-    }
-
     /// Resets timing histograms after warm-up, keeping counters.
     pub fn reset_observations(&self) {
         self.obs.reset_observations();
@@ -120,21 +109,24 @@ impl NaiadKvStore {
         let s = self.obs.state("kv");
         s.instances.set(1);
         s.bytes.set(self.state_bytes as u64);
-        self.update_task.queue_depth.set(self.pending.len() as u64);
+        self.obs
+            .task("update")
+            .queue_depth
+            .set(self.pending.len() as u64);
         self.obs.snapshot()
     }
 
     /// Reads a key (served from mutable state, no batching).
-    pub fn get(&self, key: i64) -> Option<&[u8]> {
-        self.get_task.items_in.inc();
-        self.get_task.processed.inc();
+    pub fn get(&mut self, key: i64) -> Option<&[u8]> {
+        self.get_task.add_items_in(1);
+        self.get_task.add_processed(1);
         self.state.get(&key).map(Vec::as_slice)
     }
 
     /// Enqueues an update; the batch executes when full. Returns the batch
     /// stats when a batch was flushed.
     pub fn update(&mut self, key: i64, value: Vec<u8>) -> Option<Duration> {
-        self.update_task.items_in.inc();
+        self.update_task.add_items_in(1);
         self.pending.push((key, value));
         if self.pending.len() >= self.cfg.batch_size {
             Some(self.flush())
@@ -169,13 +161,13 @@ impl NaiadKvStore {
             self.synchronous_checkpoint();
         }
         let elapsed = start.elapsed();
-        // All requests in the batch observe the batch's full latency.
-        self.update_task.service.record_duration(elapsed);
-        self.update_task.processed.add(n as u64);
-        let per_request = elapsed;
+        // All requests in the batch observe the batch's full latency;
+        // the snapshot's `e2e_latency` is derived from these samples.
+        let ns = elapsed.as_nanos() as u64;
+        self.update_task.record_service(ns);
+        self.update_task.add_processed(n as u64);
         for _ in 0..n {
-            self.update_task.latency.record_duration(per_request);
-            self.obs.e2e_latency().record_duration(per_request);
+            self.update_task.record_latency(ns);
         }
         elapsed
     }
@@ -230,20 +222,19 @@ pub struct NaiadWordCount {
     cfg: NaiadConfig,
     counts: HashMap<String, u64>,
     obs: MetricsRegistry,
-    count_task: Arc<TaskInstruments>,
+    count_task: TaskShard,
 }
 
 impl NaiadWordCount {
     /// Creates a wordcount with the given configuration.
     pub fn new(cfg: NaiadConfig) -> Self {
         let obs = MetricsRegistry::new();
-        let count_task = obs.task("count");
         obs.state("counts").instances.set(1);
         NaiadWordCount {
             cfg,
             counts: HashMap::new(),
+            count_task: obs.task("count").shard(),
             obs,
-            count_task,
         }
     }
 
@@ -275,9 +266,9 @@ impl NaiadWordCount {
             *self.counts.entry(word.clone()).or_insert(0) += 1;
         }
         let elapsed = start.elapsed();
-        self.count_task.items_in.add(self.cfg.batch_size as u64);
-        self.count_task.processed.add(self.cfg.batch_size as u64);
-        self.count_task.service.record_duration(elapsed);
+        self.count_task.add_items_in(self.cfg.batch_size as u64);
+        self.count_task.add_processed(self.cfg.batch_size as u64);
+        self.count_task.record_service(elapsed.as_nanos() as u64);
         elapsed
     }
 
@@ -325,12 +316,12 @@ mod tests {
         assert!(kv.get(1).is_none(), "not yet flushed");
         assert!(kv.update(3, vec![3]).is_some());
         assert_eq!(kv.get(1), Some(&[1u8][..]));
-        assert_eq!(kv.latencies().count(), 3);
         assert!(kv.state_bytes() > 0);
         let snap = kv.metrics();
         let update = snap.task("update").expect("update task stats");
         assert_eq!(update.items_in, 3);
         assert_eq!(update.processed, 3);
+        assert_eq!((update.latency.count, snap.e2e_latency.count), (3, 3));
         assert_eq!(snap.task("get").expect("get task stats").items_in, 2);
         assert!(snap.state("kv").expect("kv state stats").bytes > 0);
     }

@@ -9,10 +9,9 @@
 //! The SDG counterpart keeps its TEs materialised and pipelined, so it
 //! skips the per-iteration re-instantiation — the gap Fig. 9 shows.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdg_common::obs::{MetricsRegistry, MetricsSnapshot, TaskInstruments};
+use sdg_common::obs::{MetricsRegistry, MetricsSnapshot, TaskShard};
 
 /// One labelled example.
 #[derive(Debug, Clone)]
@@ -67,7 +66,7 @@ pub struct LrRunStats {
 pub struct SparkLikeLogisticRegression {
     cfg: SparkLikeConfig,
     obs: MetricsRegistry,
-    iter_task: Arc<TaskInstruments>,
+    iter_task: TaskShard,
 }
 
 impl SparkLikeLogisticRegression {
@@ -82,8 +81,8 @@ impl SparkLikeLogisticRegression {
         obs.state("weights").instances.set(1);
         SparkLikeLogisticRegression {
             cfg,
+            iter_task: iter_task.shard(),
             obs,
-            iter_task,
         }
     }
 
@@ -97,7 +96,7 @@ impl SparkLikeLogisticRegression {
     /// # Panics
     ///
     /// Panics if there are no partitions or all partitions are empty.
-    pub fn run(&self, partitions: &[Vec<Example>], iterations: usize) -> LrRunStats {
+    pub fn run(&mut self, partitions: &[Vec<Example>], iterations: usize) -> LrRunStats {
         let dims = partitions
             .iter()
             .flat_map(|p| p.first())
@@ -155,9 +154,10 @@ impl SparkLikeLogisticRegression {
                 }
             }
             weights = next;
-            self.iter_task.items_in.add(total_examples as u64);
-            self.iter_task.processed.add(total_examples as u64);
-            self.iter_task.service.record_duration(iter_start.elapsed());
+            self.iter_task.add_items_in(total_examples as u64);
+            self.iter_task.add_processed(total_examples as u64);
+            self.iter_task
+                .record_service(iter_start.elapsed().as_nanos() as u64);
             // Each iteration replaces the broadcast state wholesale — the
             // stateless engine's analogue of a checkpointed version.
             self.obs.state("weights").checkpoints.inc();
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn gradient_descent_learns_the_separator() {
         let data = synthetic_dataset(2_000, 8, 4, 7);
-        let engine = SparkLikeLogisticRegression::new(SparkLikeConfig {
+        let mut engine = SparkLikeLogisticRegression::new(SparkLikeConfig {
             nodes: 2,
             task_launch: Duration::from_micros(10),
             per_example: Duration::ZERO,

@@ -17,8 +17,10 @@ use sdg_apps::workloads::ratings;
 use sdg_common::obs::{EventKind, ObsEvent};
 use sdg_common::record;
 use sdg_common::value::Value;
-use sdg_core::SdgProgram;
+use sdg_ir::parser::parse_program;
 use sdg_runtime::config::{ClusterSpec, NodeSpec, RuntimeConfig, ScalingConfig};
+use sdg_runtime::deploy::Deployment;
+use sdg_translate::translate;
 
 use crate::util::fmt_rate;
 use crate::Scale;
@@ -47,11 +49,10 @@ pub struct Fig10Result {
 
 /// Runs the straggler experiment.
 pub fn run(scale: Scale) -> Fig10Result {
-    let program = SdgProgram::compile(CF_SOURCE).expect("compile CF");
+    let sdg = translate(&parse_program(CF_SOURCE).expect("parse CF")).expect("translate CF");
     // The CPU-intensive TE is updateCoOcc (§3.2): `addRating_1` updates the
     // partial co-occurrence matrix for every rating.
-    let bottleneck = program
-        .graph()
+    let bottleneck = sdg
         .task_by_name("addRating_1")
         .expect("updateCoOcc task")
         .id;
@@ -80,7 +81,7 @@ pub fn run(scale: Scale) -> Fig10Result {
         })
         .work_ns(bottleneck, scale.pick(150_000, 300_000))
         .build();
-    let deployment = Arc::new(program.deploy(cfg).expect("deploy CF"));
+    let deployment = Arc::new(Deployment::start(sdg, cfg).expect("deploy CF"));
 
     // Preload a few ratings so the matrices are non-trivial.
     for r in ratings(500, 100_000, 10_000, 11) {

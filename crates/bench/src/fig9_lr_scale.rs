@@ -95,7 +95,7 @@ pub fn run(scale: Scale) -> Vec<Fig9Row> {
             let dataset = synthetic_dataset(examples, dims, 16, 17);
             // Both engines get the same 40 µs per-example service time; the
             // difference is scheduling per iteration vs pipelining.
-            let engine = SparkLikeLogisticRegression::new(SparkLikeConfig {
+            let mut engine = SparkLikeLogisticRegression::new(SparkLikeConfig {
                 nodes,
                 task_launch: Duration::from_millis(25),
                 per_example: Duration::from_micros(40),

@@ -70,4 +70,24 @@ fn baseline_snapshot_shares_the_schema() {
     ] {
         assert!(parsed.get(key).is_some(), "missing key {key}");
     }
+    // Each request's latency is one sample of its task, and the
+    // deployment-wide candlestick is the merge of those: counted once.
+    let counts = |parsed: &json::Json| {
+        let tasks = parsed.get("tasks").unwrap().as_array().unwrap();
+        let update = tasks
+            .iter()
+            .find(|t| t.get("name").unwrap().as_str() == Some("update"))
+            .expect("update task");
+        let count = |summary: &json::Json| summary.get("count").unwrap().as_u64().unwrap();
+        (
+            count(parsed.get("e2e_latency_ns").unwrap()),
+            count(update.get("latency_ns").unwrap()),
+            update.get("processed").unwrap().as_u64().unwrap(),
+        )
+    };
+    assert_eq!(counts(&parsed), (64, 64, 64));
+    // A reset clears the samples and keeps the counters.
+    kv.reset_observations();
+    let reset = json::parse(&kv.metrics().to_json()).unwrap();
+    assert_eq!(counts(&reset), (0, 0, 64));
 }

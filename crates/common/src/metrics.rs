@@ -10,7 +10,7 @@
 //! any number of concurrent writers. The owner's one (`add_by_owner`,
 //! `record_by_owner`) is a relaxed load and store, which costs no more
 //! than a plain write but is exact only while one thread at a time writes
-//! the instrument: a TE instance's own shard
+//! the instrument: a task writer's own shard
 //! ([`crate::obs::TaskShard`]). Readers may run concurrently with either.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -8,6 +8,7 @@
 //! deployment never grows without bound.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -170,27 +171,148 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable lowercase identifier used by the renderers.
+    /// Stable lowercase identifier: the JSON's `kind`.
     pub fn name(&self) -> &'static str {
+        self.describe().0
+    }
+
+    /// The event's name and its `(key, value)` fields in render order:
+    /// the one description of each kind that both snapshot renderers
+    /// read, so the text and JSON forms share their keys.
+    pub(super) fn describe(&self) -> (&'static str, Vec<(&'static str, EventField<'_>)>) {
+        use EventField::{Fixed, Int, Str};
+        let ms = |d: &Duration| Fixed(d.as_secs_f64() * 1e3);
+        let int = |n: &u32| Int(u64::from(*n));
         match self {
-            EventKind::BottleneckDetected { .. } => "bottleneck_detected",
-            EventKind::ScaleOut { .. } => "scale_out",
-            EventKind::ScaleIn { .. } => "scale_in",
-            EventKind::RepartitionDrain { .. } => "repartition_drain",
-            EventKind::StateMigrated { .. } => "state_migrated",
-            EventKind::CheckpointBegin { .. } => "checkpoint_begin",
-            EventKind::CheckpointBackup { .. } => "checkpoint_backup",
-            EventKind::CheckpointConsolidate { .. } => "checkpoint_consolidate",
-            EventKind::FailureInjected { .. } => "failure_injected",
-            EventKind::RecoveryRestored { .. } => "recovery_restored",
-            EventKind::RecoveryReplayed { .. } => "recovery_replayed",
-            EventKind::RecoveryComplete { .. } => "recovery_complete",
-            EventKind::WorkerPanicked { .. } => "worker_panicked",
-            EventKind::HeartbeatMissed { .. } => "heartbeat_missed",
-            EventKind::RecoveryStarted { .. } => "recovery_started",
-            EventKind::RecoverySucceeded { .. } => "recovery_succeeded",
-            EventKind::RecoveryFailed { .. } => "recovery_failed",
-            EventKind::ChunkCorrupt { .. } => "chunk_corrupt",
+            EventKind::BottleneckDetected { task, fill } => (
+                "bottleneck_detected",
+                vec![("task", Str(task)), ("fill", Fixed(*fill))],
+            ),
+            EventKind::ScaleOut {
+                task,
+                instances,
+                node,
+            } => (
+                "scale_out",
+                vec![
+                    ("task", Str(task)),
+                    ("instances", int(instances)),
+                    ("node", int(node)),
+                ],
+            ),
+            EventKind::ScaleIn {
+                task,
+                instances,
+                node,
+            } => (
+                "scale_in",
+                vec![
+                    ("task", Str(task)),
+                    ("instances", int(instances)),
+                    ("node", int(node)),
+                ],
+            ),
+            EventKind::RepartitionDrain { task, waited } => (
+                "repartition_drain",
+                vec![("task", Str(task)), ("waited_ms", ms(waited))],
+            ),
+            EventKind::StateMigrated { state, bytes, took } => (
+                "state_migrated",
+                vec![
+                    ("state", Str(state)),
+                    ("bytes", Int(*bytes)),
+                    ("took_ms", ms(took)),
+                ],
+            ),
+            EventKind::CheckpointBegin { instance, seq } => (
+                "checkpoint_begin",
+                vec![("instance", Str(instance)), ("ckpt_seq", Int(*seq))],
+            ),
+            EventKind::CheckpointBackup {
+                instance,
+                seq,
+                bytes,
+            } => (
+                "checkpoint_backup",
+                vec![
+                    ("instance", Str(instance)),
+                    ("ckpt_seq", Int(*seq)),
+                    ("bytes", Int(*bytes)),
+                ],
+            ),
+            EventKind::CheckpointConsolidate { instance, seq } => (
+                "checkpoint_consolidate",
+                vec![("instance", Str(instance)), ("ckpt_seq", Int(*seq))],
+            ),
+            EventKind::FailureInjected { instance } => {
+                ("failure_injected", vec![("instance", Str(instance))])
+            }
+            EventKind::RecoveryRestored { instance, took } => (
+                "recovery_restored",
+                vec![("instance", Str(instance)), ("took_ms", ms(took))],
+            ),
+            EventKind::RecoveryReplayed { instance, items } => (
+                "recovery_replayed",
+                vec![("instance", Str(instance)), ("items", Int(*items))],
+            ),
+            EventKind::RecoveryComplete { instance, took } => (
+                "recovery_complete",
+                vec![("instance", Str(instance)), ("took_ms", ms(took))],
+            ),
+            EventKind::WorkerPanicked { instance, message } => (
+                "worker_panicked",
+                vec![("instance", Str(instance)), ("message", Str(message))],
+            ),
+            EventKind::HeartbeatMissed { instance, missed } => (
+                "heartbeat_missed",
+                vec![("instance", Str(instance)), ("missed", int(missed))],
+            ),
+            EventKind::RecoveryStarted { instance, attempt } => (
+                "recovery_started",
+                vec![("instance", Str(instance)), ("attempt", int(attempt))],
+            ),
+            EventKind::RecoverySucceeded { instance, attempt } => (
+                "recovery_succeeded",
+                vec![("instance", Str(instance)), ("attempt", int(attempt))],
+            ),
+            EventKind::RecoveryFailed {
+                instance,
+                attempt,
+                error,
+            } => (
+                "recovery_failed",
+                vec![
+                    ("instance", Str(instance)),
+                    ("attempt", int(attempt)),
+                    ("error", Str(error)),
+                ],
+            ),
+            EventKind::ChunkCorrupt { instance, error } => (
+                "chunk_corrupt",
+                vec![("instance", Str(instance)), ("error", Str(error))],
+            ),
+        }
+    }
+}
+
+/// One field value of an [`EventKind`]. `Display` is the text form: a
+/// string bare, a number as JSON prints it.
+#[derive(Debug)]
+pub(super) enum EventField<'a> {
+    /// A label or message; a quoted, escaped string in JSON.
+    Str(&'a str),
+    /// A count, size or sequence number.
+    Int(u64),
+    /// A ratio, or a duration in milliseconds, with three decimals.
+    Fixed(f64),
+}
+
+impl fmt::Display for EventField<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EventField::Str(s) => f.write_str(s),
+            EventField::Int(n) => write!(f, "{n}"),
+            EventField::Fixed(x) => write!(f, "{x:.3}"),
         }
     }
 }

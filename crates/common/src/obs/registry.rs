@@ -17,45 +17,26 @@ use super::snapshot::{
 
 /// Instruments of one task element.
 ///
-/// Each TE instance writes its own [`TaskShard`], with no locked
-/// read-modify-write; a snapshot folds the task's shards together. The
-/// counter and histogram fields here are for engines that write a task
-/// directly (the baselines, one writer per task, through the shared
-/// `add`/`record`). Counters are cumulative; gauges are refreshed by the
-/// owner right before a snapshot; histograms are nanosecond-valued.
+/// Each writer of the task — a TE instance, or a baseline engine's task —
+/// writes its own [`TaskShard`], with no locked read-modify-write; a
+/// snapshot folds the task's shards together. The gauges are refreshed by
+/// the owner right before a snapshot.
 #[derive(Debug)]
 pub struct TaskInstruments {
     /// Task label (unique within a registry).
     pub name: String,
     /// Graph task id, when the owner is the SDG runtime.
     pub id: Option<TaskId>,
-    /// Items received by the task's instances (gather fragments included).
-    pub items_in: Counter,
-    /// Items forwarded downstream along dataflow edges.
-    pub items_out: Counter,
-    /// Values emitted on the external output sink.
-    pub emits: Counter,
-    /// Items fully processed (duplicates filtered during replay count,
-    /// matching the engine's historical accounting).
-    pub processed: Counter,
-    /// Task-code execution errors.
-    pub errors: Counter,
-    /// Gather-barrier waits: fragments parked until the barrier filled.
-    pub gather_waits: Counter,
     /// Queued items across the task's input channels (sampled).
     pub queue_depth: Gauge,
     /// Running instance count (sampled).
     pub instances: Gauge,
-    /// Per-item service time in nanoseconds.
-    pub service: Histogram,
-    /// End-to-end request latency in nanoseconds, recorded at emit.
-    pub latency: Histogram,
-    /// The shards of the task's instances.
+    /// The shards of the task's writers.
     shards: Mutex<Shards>,
 }
 
-/// The instruments one TE instance writes: a [`TaskInstruments`]' fields
-/// less the gauges, alone on their cache lines.
+/// What one writer of a task writes: the counters and nanosecond
+/// histograms of a [`TaskStats`] row, alone on their cache lines.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct Shard {
@@ -100,7 +81,8 @@ impl Shards {
     }
 }
 
-/// One TE instance's handle on its own instruments.
+/// One writer's handle on its own instruments: a TE instance's, or a
+/// baseline engine task's.
 ///
 /// Writes take `&mut self`, so one thread at a time writes the shard and
 /// each write is a relaxed load and store (see [`crate::metrics`]). A
@@ -152,8 +134,8 @@ impl TaskShard {
         self.shard.service.record_by_owner(ns);
     }
 
-    /// Records one emit's end-to-end latency in nanoseconds; the
-    /// deployment-wide `e2e_latency` is derived from these at snapshot.
+    /// Records one request's end-to-end latency in nanoseconds; the
+    /// deployment-wide `e2e_latency` is the merge of these at snapshot.
     pub fn record_latency(&mut self, ns: u64) {
         self.shard.latency.record_by_owner(ns);
     }
@@ -175,21 +157,13 @@ impl TaskInstruments {
         TaskInstruments {
             name: name.to_string(),
             id,
-            items_in: Counter::new(),
-            items_out: Counter::new(),
-            emits: Counter::new(),
-            processed: Counter::new(),
-            errors: Counter::new(),
-            gather_waits: Counter::new(),
             queue_depth: Gauge::new(),
             instances: Gauge::new(),
-            service: Histogram::new(),
-            latency: Histogram::new(),
             shards: Mutex::default(),
         }
     }
 
-    /// A new instance's own instruments, folded into this task's totals.
+    /// A new writer's own instruments, folded into this task's totals.
     pub fn shard(self: &Arc<Self>) -> TaskShard {
         let shard = Arc::new(Shard::default());
         self.shards.lock().live.push(Arc::clone(&shard));
@@ -199,47 +173,36 @@ impl TaskInstruments {
         }
     }
 
-    /// Folds the direct fields and every shard, live or retired, into
-    /// the task's row; merges the shards' latency samples into `e2e`.
-    /// One lock covers the fold, so a shard retiring meanwhile is counted
-    /// exactly once.
+    /// Folds every shard, live or retired, into the task's row; merges
+    /// the shards' latency samples into `e2e`. One lock covers the fold,
+    /// so a shard retiring meanwhile is counted exactly once.
     fn stats(&self, e2e: &Histogram) -> TaskStats {
         let shards = self.shards.lock();
-        let sum = |own: &Counter, field: fn(&Shard) -> &Counter| {
-            own.get() + shards.all().map(|s| field(s).get()).sum::<u64>()
-        };
-        let fold = |own: &Histogram, field: fn(&Shard) -> &Histogram| {
-            let all = Histogram::new();
-            all.merge_from(own);
-            for s in shards.all() {
-                all.merge_from(field(s));
-            }
-            all
-        };
-        let latency = fold(&self.latency, |s| &s.latency);
+        let sum = |field: fn(&Shard) -> &Counter| shards.all().map(|s| field(s).get()).sum();
+        let (service, latency) = (Histogram::new(), Histogram::new());
         for s in shards.all() {
-            e2e.merge_from(&s.latency);
+            service.merge_from(&s.service);
+            latency.merge_from(&s.latency);
         }
+        e2e.merge_from(&latency);
         TaskStats {
             name: self.name.clone(),
             id: self.id,
             instances: self.instances.get(),
-            items_in: sum(&self.items_in, |s| &s.items_in),
-            items_out: sum(&self.items_out, |s| &s.items_out),
-            emits: sum(&self.emits, |s| &s.emits),
-            processed: sum(&self.processed, |s| &s.processed),
-            errors: sum(&self.errors, |s| &s.errors),
-            gather_waits: sum(&self.gather_waits, |s| &s.gather_waits),
+            items_in: sum(|s| &s.items_in),
+            items_out: sum(|s| &s.items_out),
+            emits: sum(|s| &s.emits),
+            processed: sum(|s| &s.processed),
+            errors: sum(|s| &s.errors),
+            gather_waits: sum(|s| &s.gather_waits),
             queue_depth: self.queue_depth.get(),
-            service: fold(&self.service, |s| &s.service).summary(),
+            service: service.summary(),
             latency: latency.summary(),
         }
     }
 
-    /// Clears the direct histograms and every shard's.
+    /// Clears every shard's histograms.
     fn reset_observations(&self) {
-        self.service.reset();
-        self.latency.reset();
         for s in self.shards.lock().all() {
             s.service.reset();
             s.latency.reset();
@@ -384,8 +347,8 @@ pub struct RecoveryInstruments {
 /// A deployment's registry of instruments and events.
 ///
 /// One registry is owned per engine (SDG deployment or baseline). Hot-path
-/// recording goes straight through a TE instance's [`TaskShard`] or the
-/// shared [`TaskInstruments`] / [`StateInstruments`] handles; the
+/// recording goes straight through a writer's [`TaskShard`] or the shared
+/// [`StateInstruments`] handles; the
 /// registry's own maps are locked only when an instrument is first
 /// created or a snapshot is taken.
 #[derive(Debug)]
@@ -398,7 +361,6 @@ pub struct MetricsRegistry {
     sched: Arc<SchedInstruments>,
     faults: Arc<FaultInstruments>,
     recovery: Arc<RecoveryInstruments>,
-    e2e_latency: Arc<Histogram>,
     events: EventLog,
 }
 
@@ -425,7 +387,6 @@ impl MetricsRegistry {
             sched: Arc::new(SchedInstruments::default()),
             faults: Arc::new(FaultInstruments::default()),
             recovery: Arc::new(RecoveryInstruments::default()),
-            e2e_latency: Arc::new(Histogram::new()),
             events: EventLog::with_capacity(capacity),
         }
     }
@@ -496,13 +457,6 @@ impl MetricsRegistry {
         &self.recovery
     }
 
-    /// The deployment-wide end-to-end latency histogram, for engines that
-    /// record it directly. A snapshot's `e2e_latency` is this histogram
-    /// merged with every [`TaskShard`]'s latency samples.
-    pub fn e2e_latency(&self) -> &Arc<Histogram> {
-        &self.e2e_latency
-    }
-
     /// Logs a structured event stamped with the registry's monotonic clock.
     pub fn record_event(&self, kind: EventKind) {
         self.events.push(self.started.elapsed(), kind);
@@ -521,7 +475,6 @@ impl MetricsRegistry {
         for t in self.tasks.read().values() {
             t.reset_observations();
         }
-        self.e2e_latency.reset();
         let c = &self.checkpoints;
         c.snapshot_ns.reset();
         c.persist_ns.reset();
@@ -540,7 +493,6 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let e2e = Histogram::new();
         let tasks: Vec<TaskStats> = self.tasks.read().values().map(|t| t.stats(&e2e)).collect();
-        e2e.merge_from(&self.e2e_latency);
         let states: Vec<StateStats> = self
             .states
             .read()
@@ -622,8 +574,9 @@ mod tests {
         let reg = MetricsRegistry::new();
         let a = reg.task_with_id("put", Some(TaskId(3)));
         let b = reg.task("put");
-        a.processed.add(5);
-        assert_eq!(b.processed.get(), 5);
+        assert!(Arc::ptr_eq(&a, &b));
+        a.shard().add_processed(5);
+        assert_eq!(reg.snapshot().task("put").unwrap().processed, 5);
         assert_eq!(b.id, Some(TaskId(3)));
         // An id passed after creation does not overwrite the original.
         let c = reg.task_with_id("put", Some(TaskId(9)));
@@ -634,11 +587,12 @@ mod tests {
     fn snapshot_reflects_recordings() {
         let reg = MetricsRegistry::new();
         let t = reg.task("get");
-        t.items_in.add(10);
-        t.processed.add(9);
-        t.errors.inc();
+        let mut w = t.shard();
+        w.add_items_in(10);
+        w.add_processed(9);
+        w.add_errors(1);
         t.instances.set(2);
-        t.service.record(1_000);
+        w.record_service(1_000);
         let s = reg.state_with_id("kv", Some(StateId(0)));
         s.bytes.set(4096);
         s.instances.set(2);
@@ -667,21 +621,27 @@ mod tests {
     #[test]
     fn reset_observations_keeps_counters() {
         let reg = MetricsRegistry::new();
-        let t = reg.task("f");
-        t.processed.add(7);
-        t.latency.record(123);
-        reg.e2e_latency().record(123);
+        let mut w = reg.task("f").shard();
+        w.add_processed(7);
+        w.record_latency(123);
+        drop(w); // a retired shard's histograms are reset too
+        reg.checkpoints().taken.inc();
+        reg.checkpoints().snapshot_ns.record(500);
         reg.reset_observations();
-        assert_eq!(t.processed.get(), 7);
-        assert_eq!(t.latency.count(), 0);
-        assert_eq!(reg.e2e_latency().count(), 0);
+        let snap = reg.snapshot();
+        let row = snap.task("f").unwrap();
+        assert_eq!((row.processed, row.latency.count), (7, 0));
+        assert_eq!(snap.e2e_latency.count, 0);
+        assert_eq!(
+            (snap.checkpoints.taken, snap.checkpoints.snapshot.count),
+            (1, 0)
+        );
     }
 
     #[test]
     fn shards_fold_into_the_task_and_retire_without_going_back() {
         let reg = MetricsRegistry::new();
         let t = reg.task("put");
-        t.items_in.add(1); // a direct write counts beside the shards
         let (mut a, mut b) = (t.shard(), t.shard());
         for (shard, n) in [(&mut a, 3u64), (&mut b, 4)] {
             for i in 0..n {
@@ -695,23 +655,20 @@ mod tests {
         }
         let before = reg.snapshot();
         let row = before.task("put").unwrap();
-        assert_eq!((row.items_in, row.processed, row.items_out), (8, 7, 0));
+        assert_eq!((row.items_in, row.processed, row.items_out), (7, 7, 0));
         assert_eq!((row.service.count, row.service.max), (7, 400));
         assert_eq!((row.emits, row.latency.count), (7, 7));
         assert_eq!(before.e2e_latency.count, 7);
         drop(a);
         let after = reg.snapshot();
         let row = after.task("put").unwrap();
-        assert_eq!((row.items_in, row.processed, row.service.count), (8, 7, 7));
+        assert_eq!((row.items_in, row.processed, row.service.count), (7, 7, 7));
         assert_eq!(after.e2e_latency.count, 7);
-        // A directly recorded e2e sample (the baselines) is counted once.
-        reg.e2e_latency().record(5);
-        assert_eq!(reg.snapshot().e2e_latency.count, 8);
         drop(b);
         reg.reset_observations();
         let reset = reg.snapshot();
         let row = reset.task("put").unwrap();
-        assert_eq!((row.items_in, row.processed), (8, 7));
+        assert_eq!((row.items_in, row.processed), (7, 7));
         assert_eq!((row.service.count, row.latency.count), (0, 0));
         assert_eq!(reset.e2e_latency.count, 0);
     }
@@ -738,19 +695,22 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut handles = Vec::new();
-        // Four writers hammer instruments (two of them creating new ones
-        // by name) while two readers snapshot concurrently.
+        // Four writers hammer their shards (two tasks, created by name on
+        // first use), retiring the shard for a new one every 64 items,
+        // while two readers snapshot concurrently.
         for w in 0..4u64 {
             let reg = Arc::clone(&reg);
             let stop = Arc::clone(&stop);
             handles.push(std::thread::spawn(move || {
+                let name = if w < 2 { "hot" } else { "cold" };
+                let mut shard = reg.task(name).shard();
                 let mut i = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let t = reg.task(if w < 2 { "hot" } else { "cold" });
-                    t.items_in.inc();
-                    t.processed.inc();
-                    t.service.record(i % 10_000);
+                    shard.add_items_in(1);
+                    shard.add_processed(1);
+                    shard.record_service(i % 10_000);
                     if i.is_multiple_of(64) {
+                        shard = reg.task(name).shard();
                         reg.state("s").bytes.set(i);
                         reg.record_event(EventKind::ScaleOut {
                             task: "hot".into(),

@@ -6,7 +6,7 @@ use std::time::Duration;
 use crate::ids::{StateId, TaskId};
 use crate::metrics::Summary;
 
-use super::event::{EventKind, ObsEvent};
+use super::event::{EventField, EventKind, ObsEvent};
 
 /// Frozen per-task statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -425,7 +425,7 @@ impl MetricsSnapshot {
                 "    [{:>10.3}s] #{} {}",
                 e.at.as_secs_f64(),
                 e.seq,
-                render_event_detail(&e.kind)
+                event_text(&e.kind)
             );
         }
         out
@@ -592,223 +592,28 @@ fn summary_json(s: &Summary) -> String {
     )
 }
 
-fn render_event_detail(kind: &EventKind) -> String {
-    match kind {
-        EventKind::BottleneckDetected { task, fill } => {
-            format!("bottleneck_detected task={task} fill={fill:.3}")
-        }
-        EventKind::ScaleOut {
-            task,
-            instances,
-            node,
-        } => format!("scale_out task={task} instances={instances} node={node}"),
-        EventKind::ScaleIn {
-            task,
-            instances,
-            node,
-        } => format!("scale_in task={task} instances={instances} node={node}"),
-        EventKind::RepartitionDrain { task, waited } => {
-            format!("repartition_drain task={task} waited={:.3}ms", ms(*waited))
-        }
-        EventKind::StateMigrated { state, bytes, took } => {
-            format!(
-                "state_migrated state={state} bytes={bytes} took={:.3}ms",
-                ms(*took)
-            )
-        }
-        EventKind::CheckpointBegin { instance, seq } => {
-            format!("checkpoint_begin instance={instance} seq={seq}")
-        }
-        EventKind::CheckpointBackup {
-            instance,
-            seq,
-            bytes,
-        } => format!("checkpoint_backup instance={instance} seq={seq} bytes={bytes}"),
-        EventKind::CheckpointConsolidate { instance, seq } => {
-            format!("checkpoint_consolidate instance={instance} seq={seq}")
-        }
-        EventKind::FailureInjected { instance } => {
-            format!("failure_injected instance={instance}")
-        }
-        EventKind::RecoveryRestored { instance, took } => {
-            format!(
-                "recovery_restored instance={instance} took={:.3}ms",
-                ms(*took)
-            )
-        }
-        EventKind::RecoveryReplayed { instance, items } => {
-            format!("recovery_replayed instance={instance} items={items}")
-        }
-        EventKind::RecoveryComplete { instance, took } => {
-            format!(
-                "recovery_complete instance={instance} took={:.3}ms",
-                ms(*took)
-            )
-        }
-        EventKind::WorkerPanicked { instance, message } => {
-            format!("worker_panicked instance={instance} message={message}")
-        }
-        EventKind::HeartbeatMissed { instance, missed } => {
-            format!("heartbeat_missed instance={instance} missed={missed}")
-        }
-        EventKind::RecoveryStarted { instance, attempt } => {
-            format!("recovery_started instance={instance} attempt={attempt}")
-        }
-        EventKind::RecoverySucceeded { instance, attempt } => {
-            format!("recovery_succeeded instance={instance} attempt={attempt}")
-        }
-        EventKind::RecoveryFailed {
-            instance,
-            attempt,
-            error,
-        } => format!("recovery_failed instance={instance} attempt={attempt} error={error}"),
-        EventKind::ChunkCorrupt { instance, error } => {
-            format!("chunk_corrupt instance={instance} error={error}")
-        }
+/// `name key=value …`, with the JSON's keys.
+fn event_text(kind: &EventKind) -> String {
+    let (name, fields) = kind.describe();
+    let mut out = name.to_string();
+    for (key, value) in fields {
+        let _ = write!(out, " {key}={value}");
     }
+    out
 }
 
 fn event_json(e: &ObsEvent) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"seq\":{},\"at_ms\":{:.3},\"kind\":\"{}\"",
+    let (name, fields) = e.kind.describe();
+    let mut out = format!(
+        "{{\"seq\":{},\"at_ms\":{:.3},\"kind\":\"{name}\"",
         e.seq,
-        ms(e.at),
-        e.kind.name()
+        ms(e.at)
     );
-    match &e.kind {
-        EventKind::BottleneckDetected { task, fill } => {
-            let _ = write!(
-                out,
-                ",\"task\":{},\"fill\":{:.3}",
-                super::json::escape(task),
-                fill
-            );
-        }
-        EventKind::ScaleOut {
-            task,
-            instances,
-            node,
-        }
-        | EventKind::ScaleIn {
-            task,
-            instances,
-            node,
-        } => {
-            let _ = write!(
-                out,
-                ",\"task\":{},\"instances\":{},\"node\":{}",
-                super::json::escape(task),
-                instances,
-                node
-            );
-        }
-        EventKind::StateMigrated { state, bytes, took } => {
-            let _ = write!(
-                out,
-                ",\"state\":{},\"bytes\":{},\"took_ms\":{:.3}",
-                super::json::escape(state),
-                bytes,
-                ms(*took)
-            );
-        }
-        EventKind::RepartitionDrain { task, waited } => {
-            let _ = write!(
-                out,
-                ",\"task\":{},\"waited_ms\":{:.3}",
-                super::json::escape(task),
-                ms(*waited)
-            );
-        }
-        EventKind::CheckpointBegin { instance, seq }
-        | EventKind::CheckpointConsolidate { instance, seq } => {
-            let _ = write!(
-                out,
-                ",\"instance\":{},\"ckpt_seq\":{}",
-                super::json::escape(instance),
-                seq
-            );
-        }
-        EventKind::CheckpointBackup {
-            instance,
-            seq,
-            bytes,
-        } => {
-            let _ = write!(
-                out,
-                ",\"instance\":{},\"ckpt_seq\":{},\"bytes\":{}",
-                super::json::escape(instance),
-                seq,
-                bytes
-            );
-        }
-        EventKind::FailureInjected { instance } => {
-            let _ = write!(out, ",\"instance\":{}", super::json::escape(instance));
-        }
-        EventKind::RecoveryRestored { instance, took }
-        | EventKind::RecoveryComplete { instance, took } => {
-            let _ = write!(
-                out,
-                ",\"instance\":{},\"took_ms\":{:.3}",
-                super::json::escape(instance),
-                ms(*took)
-            );
-        }
-        EventKind::RecoveryReplayed { instance, items } => {
-            let _ = write!(
-                out,
-                ",\"instance\":{},\"items\":{}",
-                super::json::escape(instance),
-                items
-            );
-        }
-        EventKind::WorkerPanicked { instance, message } => {
-            let _ = write!(
-                out,
-                ",\"instance\":{},\"message\":{}",
-                super::json::escape(instance),
-                super::json::escape(message)
-            );
-        }
-        EventKind::HeartbeatMissed { instance, missed } => {
-            let _ = write!(
-                out,
-                ",\"instance\":{},\"missed\":{}",
-                super::json::escape(instance),
-                missed
-            );
-        }
-        EventKind::RecoveryStarted { instance, attempt }
-        | EventKind::RecoverySucceeded { instance, attempt } => {
-            let _ = write!(
-                out,
-                ",\"instance\":{},\"attempt\":{}",
-                super::json::escape(instance),
-                attempt
-            );
-        }
-        EventKind::RecoveryFailed {
-            instance,
-            attempt,
-            error,
-        } => {
-            let _ = write!(
-                out,
-                ",\"instance\":{},\"attempt\":{},\"error\":{}",
-                super::json::escape(instance),
-                attempt,
-                super::json::escape(error)
-            );
-        }
-        EventKind::ChunkCorrupt { instance, error } => {
-            let _ = write!(
-                out,
-                ",\"instance\":{},\"error\":{}",
-                super::json::escape(instance),
-                super::json::escape(error)
-            );
-        }
+    for (key, value) in fields {
+        let _ = match value {
+            EventField::Str(s) => write!(out, ",\"{key}\":{}", super::json::escape(s)),
+            number => write!(out, ",\"{key}\":{number}"),
+        };
     }
     out.push('}');
     out

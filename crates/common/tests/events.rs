@@ -204,3 +204,27 @@ fn json_golden_has_one_event_of_every_kind() {
         .collect();
     assert_eq!(events, format!("{}]}}", expected.join(",")));
 }
+
+#[test]
+fn text_detail_is_the_name_then_the_json_keys() {
+    let text = snapshot_of_every_kind().to_text();
+    for (i, (_, body)) in every_kind().iter().enumerate() {
+        // `"kind":"name","key":value,…}` → `name key=value …`, strings
+        // bare and unescaped.
+        let parsed = sdg_common::obs::json::parse(&format!("{{{body}")).expect("valid json");
+        let mut pairs = body.trim_end_matches('}').split(",\"");
+        let name = parsed.get("kind").and_then(|k| k.as_str()).expect("kind");
+        pairs.next();
+        let mut detail = name.to_string();
+        for pair in pairs {
+            let (key, raw) = pair.split_once("\":").expect("key:value");
+            let value = parsed.get(key).and_then(|v| v.as_str()).unwrap_or(raw);
+            detail += &format!(" {key}={value}");
+        }
+        let line = format!("] #{i} {detail}");
+        assert!(
+            text.lines().any(|l| l.ends_with(&line)),
+            "no line ends with {line:?} in\n{text}"
+        );
+    }
+}

@@ -111,7 +111,7 @@ pub trait TaskContext {
 /// trait; the runtime calls [`NativeTask::process`] once per input item.
 pub trait NativeTask: Send + Sync {
     /// Processes one input record.
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()>;
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()>;
 }
 
 /// The executable payload of a task element.

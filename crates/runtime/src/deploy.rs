@@ -1505,7 +1505,7 @@ mod tests {
     struct CountTask;
 
     impl NativeTask for CountTask {
-        fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+        fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
             let key = input.require("k")?.to_key()?;
             let mut count = 0;
             ctx.state().expect("stateful").as_table()?.update(key, |v| {
@@ -1521,7 +1521,7 @@ mod tests {
     struct ExplodeTask;
 
     impl NativeTask for ExplodeTask {
-        fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+        fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
             for k in 0..input.require("n")?.as_int()? {
                 ctx.forward(record! {"k" => Value::Int(k)});
             }

@@ -820,7 +820,7 @@ fn run_native(
         effects: Effects::default(),
         replica,
     };
-    task.process(input.clone(), &mut ctx)?;
+    task.process(input, &mut ctx)?;
     Ok(ctx.effects)
 }
 
@@ -932,9 +932,9 @@ mod tests {
     fn native_ctx_emit_prefers_value_field() {
         struct Echo;
         impl sdg_graph::model::NativeTask for Echo {
-            fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+            fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
                 ctx.emit(input.clone());
-                ctx.forward(input);
+                ctx.forward(input.clone());
                 assert_eq!(ctx.replica(), 3);
                 Ok(())
             }

@@ -1282,10 +1282,10 @@ struct Gate {
 }
 
 impl NativeTask for Gate {
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
         self.entered.wait();
         self.release.wait();
-        ctx.forward(input);
+        ctx.forward(input.clone());
         Ok(())
     }
 }
@@ -1294,7 +1294,7 @@ impl NativeTask for Gate {
 struct Count;
 
 impl NativeTask for Count {
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
         let key = input.require("k")?.to_key()?;
         let table = ctx.state().expect("stateful").as_table()?;
         table.update(key, |v| {

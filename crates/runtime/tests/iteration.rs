@@ -26,7 +26,7 @@ use sdg_state::store::StateType;
 struct DoubleTask;
 
 impl NativeTask for DoubleTask {
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
         let v = input.require("v")?.as_int()?;
         let limit = input.require("limit")?.as_int()?;
         let table = ctx.state().expect("double task has state").as_table()?;
@@ -45,7 +45,7 @@ impl NativeTask for DoubleTask {
 struct CheckTask;
 
 impl NativeTask for CheckTask {
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
         let v = input.require("v")?.as_int()?;
         let limit = input.require("limit")?.as_int()?;
         if v >= limit {
@@ -53,7 +53,7 @@ impl NativeTask for CheckTask {
             done.set("value", Value::Int(v));
             ctx.emit(done);
         } else {
-            ctx.forward(input);
+            ctx.forward(input.clone());
         }
         Ok(())
     }

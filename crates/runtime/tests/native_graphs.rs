@@ -25,7 +25,7 @@ use sdg_state::store::StateType;
 struct CountTask;
 
 impl NativeTask for CountTask {
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
         let key = input.require("k")?.to_key()?;
         let table = ctx.state().expect("stateful").as_table()?;
         table.update(key, |v| {
@@ -140,7 +140,7 @@ fn one_producer_feeds_two_consumers() {
 struct ExplodeTask;
 
 impl NativeTask for ExplodeTask {
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
         let n = input.require("n")?.as_int()?;
         for i in 0..n {
             let mut out = Record::with_capacity(1);
@@ -321,9 +321,9 @@ fn stateless_scale_in_waits_for_a_failed_instance() {
 struct CountAndForward;
 
 impl NativeTask for CountAndForward {
-    fn process(&self, input: Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
-        CountTask.process(input.clone(), ctx)?;
-        ctx.forward(input);
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+        CountTask.process(input, ctx)?;
+        ctx.forward(input.clone());
         Ok(())
     }
 }
