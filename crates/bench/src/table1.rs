@@ -146,7 +146,7 @@ pub fn print() {
     println!("  explicit state          crates/state (KeyedTable, SparseMatrix, DenseVector)");
     println!("  large state             crates/graph Distribution::{{Partitioned, Partial}}");
     println!("  fine-grained updates    crates/state dirty-state overlays");
-    println!("  pipelined execution     crates/runtime bounded channels, no scheduler");
+    println!("  pipelined execution     crates/runtime actors on a work-stealing pool, bounded mailboxes");
     println!("  low latency             Fig 5/6/8 experiments");
     println!("  iteration               crates/graph cycles + alloc step 1");
     println!("  async local checkpoints crates/checkpoint coordinator + m-to-n restore");

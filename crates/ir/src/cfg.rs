@@ -4,24 +4,24 @@
 //! expressions, live variables) on Soot's control-flow graph of the input
 //! bytecode (§4.2). This module provides the equivalent for StateLang: a
 //! [`Cfg`] of basic blocks over the structured AST, with
-//! successors/predecessors, plus the three analyses the rest of the
+//! successors/predecessors, plus the two analyses the rest of the
 //! pipeline builds on:
 //!
-//! - **reaching definitions / use-def chains** ([`Cfg::use_def_chains`]),
 //! - **live variables** ([`Cfg::live_in_per_stmt`]), which
 //!   [`crate::analysis::live`] re-exports at top-level-statement
 //!   granularity, and
 //! - **constant/copy propagation** ([`Cfg::const_copy_envs`]), a *must*
 //!   analysis whose environments [`crate::analysis::access`] uses to
-//!   resolve partition-access keys and [`crate::opt`] uses to fold
-//!   constants — correctly through branches, which the previous
-//!   flow-insensitive copy tracking could not do.
+//!   resolve partition-access keys — correctly through branches, which
+//!   the previous flow-insensitive copy tracking could not do. Its
+//!   constant folding ([`eval_const`]) folds exactly what the engines
+//!   compute.
 //!
 //! Every AST statement (including nested ones) appears in **exactly one**
 //! instruction of the graph, so analysis results are keyed by statement
 //! identity ([`StmtRef`], the statement's address).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use sdg_common::value::Value;
@@ -31,9 +31,6 @@ use crate::eval::{eval_binop, eval_unop};
 
 /// Index of a basic block inside a [`Cfg`].
 pub type BlockId = usize;
-
-/// Position of an instruction: `(block, index within block)`.
-pub type InstrId = (BlockId, usize);
 
 /// Statement identity: the address of the AST node. Stable for the
 /// lifetime of the borrowed `Program`, and safe to use as a map key
@@ -223,24 +220,6 @@ impl<'a> Cfg<'a> {
         current
     }
 
-    /// Iterates all instructions with their [`InstrId`]s.
-    pub fn instrs(&self) -> impl Iterator<Item = (InstrId, &Instr<'a>)> {
-        self.blocks.iter().enumerate().flat_map(|(b, block)| {
-            block
-                .instrs
-                .iter()
-                .enumerate()
-                .map(move |(i, instr)| ((b, i), instr))
-        })
-    }
-
-    /// Maps each statement to the instruction it was lowered to.
-    pub fn instr_of_stmt(&self) -> HashMap<StmtRef, InstrId> {
-        self.instrs()
-            .map(|(id, instr)| (stmt_ref(instr.stmt()), id))
-            .collect()
-    }
-
     /// Blocks in reverse post-order from the entry (unreachable blocks
     /// appended at the end, in index order).
     fn reverse_postorder(&self) -> Vec<BlockId> {
@@ -268,83 +247,6 @@ impl<'a> Cfg<'a> {
             }
         }
         post
-    }
-
-    // ----------------------------------------------------------------
-    // Reaching definitions → use-def chains
-    // ----------------------------------------------------------------
-
-    /// Computes use-def chains: for every (instruction, used variable)
-    /// pair, the set of definition sites that may reach the use.
-    ///
-    /// [`DefSite::Entry`] marks "defined before the method body" — a
-    /// parameter, or a use of a never-assigned (undefined) variable,
-    /// which the semantic checker reports separately.
-    pub fn use_def_chains(&self) -> HashMap<(InstrId, String), BTreeSet<DefSite>> {
-        // Forward may-analysis; state: var → set of reaching def sites.
-        type Defs = HashMap<String, BTreeSet<DefSite>>;
-        let order = self.reverse_postorder();
-        let mut ins: Vec<Option<Defs>> = vec![None; self.blocks.len()];
-        ins[self.entry] = Some(Defs::new());
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &order {
-                let Some(mut state) = ins[b].clone() else {
-                    continue;
-                };
-                for (i, instr) in self.blocks[b].instrs.iter().enumerate() {
-                    if let Some(var) = instr.def() {
-                        let mut set = BTreeSet::new();
-                        set.insert(DefSite::Instr((b, i)));
-                        state.insert(var.to_string(), set);
-                    }
-                }
-                for &s in &self.blocks[b].succs {
-                    let merged = match &ins[s] {
-                        None => state.clone(),
-                        Some(existing) => {
-                            let mut m = existing.clone();
-                            for (var, defs) in &state {
-                                m.entry(var.clone())
-                                    .or_default()
-                                    .extend(defs.iter().copied());
-                            }
-                            m
-                        }
-                    };
-                    if ins[s].as_ref() != Some(&merged) {
-                        ins[s] = Some(merged);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        let mut chains = HashMap::new();
-        for (id, instr) in self.instrs() {
-            let Some(state) = &ins[id.0] else { continue };
-            // Re-simulate the block prefix to get the per-instruction state.
-            let mut local = state.clone();
-            for (i, prior) in self.blocks[id.0].instrs.iter().enumerate() {
-                if i == id.1 {
-                    break;
-                }
-                if let Some(var) = prior.def() {
-                    let mut set = BTreeSet::new();
-                    set.insert(DefSite::Instr((id.0, i)));
-                    local.insert(var.to_string(), set);
-                }
-            }
-            for used in instr.uses() {
-                let defs = local.get(used).cloned().unwrap_or_else(|| {
-                    let mut s = BTreeSet::new();
-                    s.insert(DefSite::Entry);
-                    s
-                });
-                chains.insert((id, used.to_string()), defs);
-            }
-        }
-        chains
     }
 
     // ----------------------------------------------------------------
@@ -462,15 +364,6 @@ impl<'a> Cfg<'a> {
     }
 }
 
-/// One definition site in a use-def chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DefSite {
-    /// Defined before the body: a method parameter (or an undefined name).
-    Entry,
-    /// Defined by the instruction at this position.
-    Instr(InstrId),
-}
-
 /// A compile-time constant value: the scalar [`Value`]s, compared
 /// bitwise for floats so the must-meet never merges `-0.0` with `0.0`.
 #[derive(Debug, Clone)]
@@ -503,17 +396,6 @@ impl PartialEq for Lit {
 }
 
 impl Lit {
-    /// Converts back to a literal expression kind.
-    pub fn to_expr_kind(&self) -> ExprKind {
-        match self {
-            Lit::Int(v) => ExprKind::Int(*v),
-            Lit::Float(v) => ExprKind::Float(*v),
-            Lit::Bool(v) => ExprKind::Bool(*v),
-            Lit::Str(v) => ExprKind::Str(v.clone()),
-            Lit::Null => ExprKind::Null,
-        }
-    }
-
     /// The runtime value of this constant.
     fn to_value(&self) -> Value {
         match self {
@@ -708,11 +590,16 @@ mod tests {
         let cfg = cfg_of(&p);
         assert!(cfg.blocks[cfg.entry].succs.contains(&cfg.exit));
         // The trailing `emit` lives in an unreachable block.
-        let (id, _) = cfg
-            .instrs()
-            .find(|(_, i)| matches!(i.stmt().kind, StmtKind::Emit(_)))
+        let block = cfg
+            .blocks
+            .iter()
+            .find(|b| {
+                b.instrs
+                    .iter()
+                    .any(|i| matches!(i.stmt().kind, StmtKind::Emit(_)))
+            })
             .expect("emit instruction exists");
-        assert!(cfg.blocks[id.0].preds.is_empty());
+        assert!(block.preds.is_empty());
     }
 
     #[test]
@@ -735,29 +622,13 @@ mod tests {
             }
         }
         count(&p.methods[0].body, &mut stmt_count);
-        assert_eq!(cfg.instrs().count(), stmt_count);
-        assert_eq!(cfg.instr_of_stmt().len(), stmt_count);
-    }
-
-    #[test]
-    fn use_def_chains_span_branches() {
-        let p = body_of("void f(int x) { let a = 1; if (x > 0) { a = 2; } emit a; }");
-        let cfg = cfg_of(&p);
-        let chains = cfg.use_def_chains();
-        let ids = cfg.instr_of_stmt();
-        let emit = p.methods[0]
-            .body
+        let lowered: Vec<StmtRef> = cfg
+            .blocks
             .iter()
-            .find(|s| matches!(s.kind, StmtKind::Emit(_)))
-            .unwrap();
-        let defs = &chains[&(ids[&stmt_ref(emit)], "a".to_string())];
-        // Both `let a = 1` and `a = 2` reach the emit.
-        assert_eq!(defs.len(), 2);
-        assert!(defs.iter().all(|d| matches!(d, DefSite::Instr(_))));
-        // The parameter use resolves to Entry.
-        let cond = &p.methods[0].body[1];
-        let x_defs = &chains[&(ids[&stmt_ref(cond)], "x".to_string())];
-        assert_eq!(x_defs.iter().collect::<Vec<_>>(), vec![&DefSite::Entry]);
+            .flat_map(|b| b.instrs.iter().map(|i| stmt_ref(i.stmt())))
+            .collect();
+        assert_eq!(lowered.len(), stmt_count);
+        assert_eq!(lowered.iter().collect::<HashSet<_>>().len(), stmt_count);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! The kernels — [`eval_binop`], [`eval_unop`], [`eval_state_call`],
 //! [`index_list`] — are shared by every component that evaluates the
 //! language: this tree-walking interpreter, the runtime's slot-compiled
-//! engine (`sdg_runtime::compile`), the constant folder
-//! ([`crate::cfg::eval_const`]) and the verifier's merge commutativity
-//! check ([`crate::analysis::verify`]). A value therefore means the same
-//! thing whether it is computed at run time, folded at compile time or
-//! sampled by the verifier.
+//! engine (`sdg_runtime::compile`), the constant folding of key
+//! resolution's constant/copy analysis ([`crate::cfg::eval_const`]) and
+//! the verifier's merge commutativity check ([`crate::analysis::verify`]).
+//! A value therefore means the same thing whether it is computed at run
+//! time, folded while resolving a key or sampled by the verifier.
 //!
 //! [`run_te`] interprets one [`TeProgram`] on one item; deployments run
 //! the slot-compiled form instead, and `run_te` is the oracle the

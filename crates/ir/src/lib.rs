@@ -21,8 +21,8 @@
 //!   by the runtime's slot-compiled engine;
 //! - the reference evaluator ([`eval`]), whose operator and accessor
 //!   kernels are the one definition of the language's value semantics:
-//!   the runtime's engine, the constant folder and the verifier all call
-//!   them.
+//!   the runtime's engine, key resolution's constant folding and the
+//!   verifier all call them.
 //!
 //! Grammar sketch (see [`parser`] for the full rules):
 //!
@@ -52,9 +52,7 @@ pub mod cfg;
 pub mod diag;
 pub mod eval;
 pub mod lexer;
-pub mod opt;
 pub mod parser;
-pub mod printer;
 pub mod te;
 pub mod te_compiled;
 

@@ -12,7 +12,6 @@ use sdg_ir::analysis::live::live_before_each;
 use sdg_ir::analysis::verify::{verify_program, TeCertificate};
 use sdg_ir::ast::{Expr, ExprKind, FieldAnn, Method, Program, StateTy, Stmt, StmtKind};
 use sdg_ir::diag::Severity;
-use sdg_ir::opt::{optimize_program, OptReport};
 use sdg_ir::te::TeProgram;
 use sdg_state::partition::PartitionDim;
 use sdg_state::store::StateType;
@@ -165,31 +164,6 @@ pub fn translate(program: &Program) -> SdgResult<Sdg> {
     }
     sdg.verify = Some(Arc::new(report));
     Ok(sdg)
-}
-
-/// Optimizes `program` (constant folding/propagation, branch and dead-code
-/// elimination — see [`sdg_ir::opt`]) and translates the result.
-///
-/// The returned [`OptReport`] counts the rewrites applied; the SDG can have
-/// fewer task elements and smaller edge payloads than [`translate`] would
-/// produce for the same source, but computes the same results.
-///
-/// # Errors
-///
-/// The program is checked *before* optimization, against the user's
-/// original source — the rewrites only run on programs with no semantic
-/// errors, so they cannot delete or distort offending code.
-pub fn translate_optimized(program: &Program) -> SdgResult<(Sdg, OptReport)> {
-    let check_diags = check_program_diagnostics(program);
-    if let Some(err) = check_diags
-        .iter()
-        .find(|d| d.severity == Severity::Error && d.code != PARTIAL_NEVER_MERGED)
-    {
-        return Err(err.to_analysis_error());
-    }
-    let (optimized, report) = optimize_program(program);
-    let sdg = translate(&optimized)?;
-    Ok((sdg, report))
 }
 
 fn access_edge(

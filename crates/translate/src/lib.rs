@@ -26,5 +26,5 @@
 mod build;
 mod segment;
 
-pub use build::{translate, translate_optimized};
+pub use build::translate;
 pub use segment::{segment_method, Segment, SegmentCtx};

@@ -240,6 +240,13 @@ fn visit_deep<'a>(stmt: &'a Stmt, on_expr: &mut impl FnMut(&'a Expr)) {
 /// Returns the segments in pipeline order. The first segment is the entry
 /// TE of the method; each later segment is fed by a dataflow edge whose
 /// dispatch is derived from the segment context (see `build`).
+///
+/// Every segment after the first either consumes a `@Collection` (a gather
+/// barrier, which keeps its own TE) or accesses state: a cut that is not a
+/// gather starts at the statement whose state context forced it, and the
+/// new segment adopts that context at once. So two stateless segments are
+/// adjacent only when the later one gathers, and no two consecutive TEs
+/// could run as one.
 pub fn segment_method(program: &Program, method: &Method) -> SdgResult<Vec<Segment>> {
     let accesses = analyze_method_accesses(program, method)?;
     let mut segments: Vec<Segment> = Vec::new();
@@ -342,8 +349,6 @@ pub fn segment_method(program: &Program, method: &Method) -> SdgResult<Vec<Segme
         &defines_partial,
     );
 
-    let segments = fuse_adjacent_stateless(segments);
-
     // Every @Partial variable must be consumed by a @Collection in a later
     // segment; otherwise the global results are silently dropped.
     for (i, seg) in segments.iter().enumerate() {
@@ -361,34 +366,6 @@ pub fn segment_method(program: &Program, method: &Method) -> SdgResult<Vec<Segme
         }
     }
     Ok(segments)
-}
-
-/// Fuses adjacent stateless segments into one TE.
-///
-/// Two stateless segments may only sit next to each other when the later
-/// one consumes a `@Collection` (a gather barrier, which must keep its own
-/// TE). Any other adjacent stateless pair — as can arise when optimization
-/// deletes the state access that originally forced a cut — is merged, so
-/// segmentation never emits two consecutive TEs that a single one could
-/// run.
-fn fuse_adjacent_stateless(segments: Vec<Segment>) -> Vec<Segment> {
-    let mut out: Vec<Segment> = Vec::with_capacity(segments.len());
-    for seg in segments {
-        if let Some(prev) = out.last_mut() {
-            if prev.ctx == SegmentCtx::Stateless
-                && seg.ctx == SegmentCtx::Stateless
-                && seg.collects.is_none()
-                && prev.stmt_range.end == seg.stmt_range.start
-            {
-                prev.stmt_range.end = seg.stmt_range.end;
-                prev.writes |= seg.writes;
-                prev.defines_partial.extend(seg.defines_partial);
-                continue;
-            }
-        }
-        out.push(seg);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -598,31 +575,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("multiple state elements"), "{err}");
-    }
-
-    #[test]
-    fn adjacent_stateless_segments_fuse_unless_gathering() {
-        let stateless = |range: std::ops::Range<usize>, collects: Option<&str>| Segment {
-            stmt_range: range,
-            ctx: SegmentCtx::Stateless,
-            writes: false,
-            collects: collects.map(str::to_owned),
-            defines_partial: Vec::new(),
-        };
-        let fused = fuse_adjacent_stateless(vec![
-            stateless(0..1, None),
-            stateless(1..3, None),
-            stateless(3..4, Some("r")),
-            stateless(4..5, None),
-        ]);
-        // 0..1 and 1..3 merge. The gather at 3..4 starts its own TE (its
-        // input edge is the all-to-one barrier), but the stateless tail at
-        // 4..5 folds into it: only the *later* segment's collects blocks
-        // fusion.
-        assert_eq!(fused.len(), 2);
-        assert_eq!(fused[0].stmt_range, 0..3);
-        assert_eq!(fused[1].stmt_range, 3..5);
-        assert_eq!(fused[1].collects.as_deref(), Some("r"));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use sdg_common::record;
 use sdg_common::value::{Key, Value};
-use sdg_graph::model::TaskCode;
+use sdg_graph::model::{TaskCode, TaskKind};
 use sdg_ir::parser::parse_program;
 use sdg_runtime::config::RuntimeConfig;
 use sdg_runtime::deploy::Deployment;
@@ -192,6 +192,16 @@ proptest! {
         prop_assert_eq!(sdg.entry_tasks().len(), 1);
         // Pipelines are linear: flows = tasks - 1.
         prop_assert_eq!(sdg.flows.len(), sdg.tasks.len() - 1);
+        // The family has no `@Collection`, so every cut is forced by a
+        // state access: no TE but the entry is stateless.
+        for task in &sdg.tasks {
+            prop_assert!(
+                matches!(task.kind, TaskKind::Entry { .. }) || task.access.is_some(),
+                "stateless TE `{}` after a cut in program:\n{}",
+                task.name,
+                src
+            );
+        }
     }
 
     /// The same program with 1 and 3 partitions produces identical state.

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! sdgc check <file.sl>                 # parse + semantic checks
-//! sdgc lint <file.sl>                  # all diagnostics + optimization report
+//! sdgc lint <file.sl>                  # all diagnostics, program and graph
 //! sdgc verify <file.sl> [--dot]        # effect/replay-safety certificates
 //! sdgc dot <file.sl>                   # translated SDG as Graphviz DOT
 //! sdgc explain <file.sl>               # tasks, state, dispatch, allocation
@@ -13,9 +13,9 @@
 //! ```
 //!
 //! `lint` runs the whole static-analysis pipeline without deploying:
-//! program-level `SL01xx` diagnostics (rendered with source spans), the
-//! optimization passes, and the graph-level `SL02xx` lints, plus a
-//! before/after summary of what optimization bought.
+//! program-level `SL01xx` diagnostics (rendered with source spans), then
+//! the graph-level `SL02xx` lints of the graph `check`, `dot` and `run`
+//! translate. A program with neither prints `ok: no diagnostics`.
 //!
 //! `verify` runs the interprocedural effect and replay-safety verifier
 //! (`SL03xx`), prints any violations with source spans, and summarises the
@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use sdg::common::record;
 use sdg::common::value::{Record, Value};
-use sdg::graph::model::{Distribution, Sdg, TaskKind};
+use sdg::graph::model::{Distribution, TaskKind};
 use sdg::ir::ast::Method;
 use sdg::prelude::RuntimeConfig;
 use sdg::SdgProgram;
@@ -167,8 +167,9 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     }
 }
 
-/// The `lint` subcommand: run every analysis layer, render everything it
-/// found, and summarise what the optimization passes changed.
+/// The `lint` subcommand: run every analysis layer and render everything
+/// it found — program-level diagnostics first, then, when those include no
+/// errors, the graph-level lints of the translated graph.
 fn lint_cmd(source: &str, out: &mut impl Write) -> Result<(), Failure> {
     use sdg::ir::diag::{render_diagnostics, Severity};
 
@@ -179,24 +180,9 @@ fn lint_cmd(source: &str, out: &mut impl Write) -> Result<(), Failure> {
         return Err("program has lint errors; skipping translation".into());
     }
 
-    let before = SdgProgram::compile(source).map_err(|e| e.to_string())?;
-    let (after, report) = SdgProgram::compile_optimized(source).map_err(|e| e.to_string())?;
-    let graph_diags = sdg::graph::lint(after.graph());
+    let compiled = SdgProgram::compile(source).map_err(|e| e.to_string())?;
+    let graph_diags = sdg::graph::lint(compiled.graph());
     write!(out, "{}", render_diagnostics(source, &graph_diags))?;
-
-    writeln!(out, "optimization: {report}")?;
-    writeln!(
-        out,
-        "task elements: {} -> {}",
-        before.graph().tasks.len(),
-        after.graph().tasks.len()
-    )?;
-    writeln!(
-        out,
-        "edge payload slots: {} -> {}",
-        payload_slots(before.graph()),
-        payload_slots(after.graph())
-    )?;
     if graph_diags.iter().any(|d| d.severity == Severity::Error) {
         return Err("graph has lint errors".into());
     }
@@ -282,12 +268,6 @@ fn yn(b: bool) -> &'static str {
     } else {
         "no"
     }
-}
-
-/// Total live variables carried across all dataflow edges — the metric
-/// the liveness-driven payload narrowing shrinks.
-fn payload_slots(sdg: &Sdg) -> usize {
-    sdg.flows.iter().map(|f| f.live_vars.len()).sum()
 }
 
 fn explain(program: &SdgProgram, out: &mut impl Write) -> io::Result<()> {

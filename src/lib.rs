@@ -50,7 +50,6 @@ use sdg_common::error::SdgResult;
 use sdg_common::ids::StateId;
 use sdg_graph::model::Sdg;
 use sdg_ir::ast::Program;
-use sdg_ir::opt::OptReport;
 use sdg_runtime::config::RuntimeConfig;
 use sdg_runtime::deploy::Deployment;
 
@@ -94,19 +93,6 @@ impl SdgProgram {
         let program = sdg_ir::parser::parse_program(source)?;
         let sdg = sdg_translate::translate(&program)?;
         Ok(SdgProgram { program, sdg })
-    }
-
-    /// Like [`SdgProgram::compile`], but runs the pre-translation
-    /// optimization passes (constant folding/propagation, dead-code and
-    /// dead-branch elimination) before cutting the program into task
-    /// elements. Returns the per-pass counters alongside the program.
-    ///
-    /// [`SdgProgram::ast`] still returns the original, unoptimized AST;
-    /// only the translated graph reflects the rewrites.
-    pub fn compile_optimized(source: &str) -> SdgResult<(SdgProgram, OptReport)> {
-        let program = sdg_ir::parser::parse_program(source)?;
-        let (sdg, report) = sdg_translate::translate_optimized(&program)?;
-        Ok((SdgProgram { program, sdg }, report))
     }
 
     /// The parsed AST.

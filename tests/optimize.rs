@@ -1,122 +1,24 @@
-//! The pre-translation optimizer must shrink graphs without changing what
-//! programs compute.
+//! Constant folding must not change what programs compute.
 //!
-//! Two angles:
-//!
-//! 1. an end-to-end check on a KV-style pipeline: optimization removes a
-//!    dead branch (fewer TEs) and folds a constant out of the edge
-//!    payloads (smaller live-variable sets), while a deployment of the
-//!    optimized graph produces exactly the outputs of the unoptimized one;
-//! 2. a property test running generated stateless numeric programs (int
-//!    and float literals, all arithmetic operators, comparisons) through
-//!    the reference evaluator before and after `optimize_body` — the whole
-//!    result, emitted values or error text, must be identical.
+//! Key resolution folds constants through its constant/copy analysis
+//! ([`Cfg::const_copy_envs`] with [`eval_const`]), and `eval_const` folds
+//! an expression only when the evaluator's kernels succeed on it. This is
+//! the property that guards that rule: a folding pass built from those two
+//! functions replaces every foldable expression of a generated stateless
+//! numeric program (int and float literals, all arithmetic operators,
+//! comparisons, branches and loops) with its literal, and the reference
+//! evaluator's whole result — emitted values or error text — must be
+//! identical before and after.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
-use sdg::common::value::Value;
-use sdg::graph::model::Sdg;
+use sdg::ir::ast::{Expr, ExprKind, Stmt, StmtKind};
+use sdg::ir::cfg::{eval_const, stmt_ref, Cfg, Env, Lit, StmtRef};
 use sdg::ir::eval::run_te;
-use sdg::ir::opt::optimize_body;
 use sdg::ir::parser::parse_program;
 use sdg::ir::te::TeProgram;
-use sdg::prelude::RuntimeConfig;
-use sdg::SdgProgram;
-
-/// A put/get pipeline with a foldable constant (`base` dies once its value
-/// is folded into the emit) and a dead branch guarding a state write.
-const SHRINKABLE: &str = "@Partitioned Table t;\n\
-     void put(int k, int v) {\n\
-       t.put(k, v);\n\
-     }\n\
-     int sum(int a, int b) {\n\
-       let base = 100;\n\
-       let x = t.get(a);\n\
-       let y = t.get(b);\n\
-       if (1 > 2) {\n\
-         t.put(a, 0);\n\
-       }\n\
-       emit x + y + base;\n\
-     }";
-
-fn payload_slots(sdg: &Sdg) -> usize {
-    sdg.flows.iter().map(|f| f.live_vars.len()).sum()
-}
-
-fn run_pipeline(program: SdgProgram) -> Vec<Value> {
-    let deployment = program.deploy(RuntimeConfig::default()).unwrap();
-    for (entry, payload) in [
-        (
-            "put",
-            sdg::common::record! {"k" => Value::Int(1), "v" => Value::Int(5)},
-        ),
-        (
-            "put",
-            sdg::common::record! {"k" => Value::Int(2), "v" => Value::Int(7)},
-        ),
-        (
-            "sum",
-            sdg::common::record! {"a" => Value::Int(1), "b" => Value::Int(2)},
-        ),
-    ] {
-        deployment.submit(entry, payload).unwrap();
-        assert!(deployment.quiesce(Duration::from_secs(10)));
-    }
-    let mut out = Vec::new();
-    while let Ok(event) = deployment.outputs().try_recv() {
-        out.push(event.value);
-    }
-    assert_eq!(deployment.stats().errors, 0);
-    deployment.shutdown();
-    out
-}
-
-#[test]
-fn optimization_shrinks_tes_and_payloads_with_identical_output() {
-    let before = SdgProgram::compile(SHRINKABLE).unwrap();
-    let (after, report) = SdgProgram::compile_optimized(SHRINKABLE).unwrap();
-    assert!(
-        report.total() > 0,
-        "expected the optimizer to fire: {report}"
-    );
-    assert!(
-        after.graph().tasks.len() < before.graph().tasks.len(),
-        "expected fewer TEs: {} -> {}",
-        before.graph().tasks.len(),
-        after.graph().tasks.len()
-    );
-    assert!(
-        payload_slots(after.graph()) < payload_slots(before.graph()),
-        "expected strictly smaller edge payloads: {} -> {}",
-        payload_slots(before.graph()),
-        payload_slots(after.graph())
-    );
-    assert_eq!(run_pipeline(before), run_pipeline(after));
-}
-
-#[test]
-fn optimized_wordcount_source_is_unchanged_and_still_runs() {
-    // The wordcount program is already minimal; optimization must be a
-    // no-op on it, not a regression.
-    let before = SdgProgram::compile(sdg_apps::wc::WC_SOURCE).unwrap();
-    let (after, _) = SdgProgram::compile_optimized(sdg_apps::wc::WC_SOURCE).unwrap();
-    assert_eq!(before.graph().tasks.len(), after.graph().tasks.len());
-    let d = after.deploy(RuntimeConfig::default()).unwrap();
-    d.submit(
-        "addWord",
-        sdg::common::record! {"w" => Value::str("hi"), "n" => Value::Int(2)},
-    )
-    .unwrap();
-    assert!(d.quiesce(Duration::from_secs(10)));
-    d.submit("getCount", sdg::common::record! {"w" => Value::str("hi")})
-        .unwrap();
-    let out = d.outputs().recv_timeout(Duration::from_secs(10)).unwrap();
-    assert_eq!(out.value, Value::Int(2));
-    d.shutdown();
-}
 
 /// A numeric literal of a generated program.
 #[derive(Debug, Clone, Copy)]
@@ -138,8 +40,7 @@ impl std::fmt::Display for Num {
 /// One generated statement of a stateless numeric program. `usize` fields
 /// index into the already-defined variables (taken modulo their count).
 /// Variables only ever hold numbers: comparisons appear in conditions and
-/// emits, never in a `let`, so the dead-code pass never deletes a
-/// statement that would fail on a type error.
+/// emits, never in a `let`.
 #[derive(Debug, Clone)]
 enum GenStmt {
     /// `let v{n} = C;`
@@ -248,7 +149,7 @@ fn render(stmts: &[GenStmt]) -> String {
 /// Runs a body as a TE and renders everything it did: the forwards and
 /// emits on success, the error text on failure. `Debug` keeps `NaN` equal
 /// to itself and `-0.0` distinct from `0.0`.
-fn interpret(stmts: Vec<sdg::ir::ast::Stmt>) -> String {
+fn interpret(stmts: Vec<Stmt>) -> String {
     let te = TeProgram::new("prop", stmts, Arc::new(HashMap::new()), vec![]);
     match run_te(&te, &sdg::common::record! {}, None) {
         Ok(effects) => format!("{effects:?}"),
@@ -256,19 +157,102 @@ fn interpret(stmts: Vec<sdg::ir::ast::Stmt>) -> String {
     }
 }
 
-/// Interprets `source`'s only method before and after `optimize_body`.
-fn before_and_after(source: &str) -> (String, String) {
-    let program = parse_program(source).expect("generated programs parse");
-    let body = program.methods[0].body.clone();
-    let (optimized, _report) = optimize_body(body.clone());
-    (interpret(body), interpret(optimized))
+/// Replaces `expr`, or else each of its largest sub-expressions, that
+/// [`eval_const`] folds under `env` with the folded literal.
+fn fold_expr(expr: &mut Expr, env: &Env) {
+    if let Some(lit) = eval_const(expr, env) {
+        expr.kind = match lit {
+            Lit::Int(v) => ExprKind::Int(v),
+            Lit::Float(v) => ExprKind::Float(v),
+            Lit::Bool(v) => ExprKind::Bool(v),
+            Lit::Str(v) => ExprKind::Str(v),
+            Lit::Null => ExprKind::Null,
+        };
+        return;
+    }
+    match &mut expr.kind {
+        ExprKind::Binary { lhs, rhs, .. } => {
+            fold_expr(lhs, env);
+            fold_expr(rhs, env);
+        }
+        ExprKind::Unary { operand, .. } => fold_expr(operand, env),
+        ExprKind::Index { base, idx } => {
+            fold_expr(base, env);
+            fold_expr(idx, env);
+        }
+        ExprKind::ListLit(items)
+        | ExprKind::Call { args: items, .. }
+        | ExprKind::StateCall { args: items, .. } => {
+            items.iter_mut().for_each(|e| fold_expr(e, env));
+        }
+        _ => {}
+    }
 }
 
-#[test]
-fn float_remainder_fails_the_same_after_optimization() {
-    let (before, after) = before_and_after("void f() { let x = 5.0 % 2.0; emit x; }");
-    assert!(before.contains("`%` requires integers"), "{before}");
-    assert_eq!(before, after);
+/// Folds every statement of `stmts`, nested ones included, under the
+/// environment the analysis computed for it. Unreachable statements have
+/// no environment and stay as they are.
+fn fold_body(stmts: &[Stmt], envs: &HashMap<StmtRef, Env>) -> Vec<Stmt> {
+    stmts
+        .iter()
+        .map(|stmt| {
+            let mut folded = stmt.clone();
+            if let Some(env) = envs.get(&stmt_ref(stmt)) {
+                match &mut folded.kind {
+                    StmtKind::Let { expr, .. }
+                    | StmtKind::Assign { expr, .. }
+                    | StmtKind::Expr(expr)
+                    | StmtKind::Emit(expr)
+                    | StmtKind::Return(Some(expr))
+                    | StmtKind::If { cond: expr, .. }
+                    | StmtKind::While { cond: expr, .. }
+                    | StmtKind::Foreach { iter: expr, .. } => fold_expr(expr, env),
+                    StmtKind::Return(None) => {}
+                }
+            }
+            match (&stmt.kind, &mut folded.kind) {
+                (
+                    StmtKind::If {
+                        then_block,
+                        else_block,
+                        ..
+                    },
+                    StmtKind::If {
+                        then_block: then_folded,
+                        else_block: else_folded,
+                        ..
+                    },
+                ) => {
+                    *then_folded = fold_body(then_block, envs);
+                    *else_folded = fold_body(else_block, envs);
+                }
+                (
+                    StmtKind::While { body, .. },
+                    StmtKind::While {
+                        body: body_folded, ..
+                    },
+                )
+                | (
+                    StmtKind::Foreach { body, .. },
+                    StmtKind::Foreach {
+                        body: body_folded, ..
+                    },
+                ) => {
+                    *body_folded = fold_body(body, envs);
+                }
+                _ => {}
+            }
+            folded
+        })
+        .collect()
+}
+
+/// Interprets `source`'s only method before and after folding it.
+fn before_and_after(source: &str) -> (String, String) {
+    let program = parse_program(source).expect("generated programs parse");
+    let body = &program.methods[0].body;
+    let folded = fold_body(body, &Cfg::build(body).const_copy_envs());
+    (interpret(body.clone()), interpret(folded))
 }
 
 proptest! {

@@ -58,3 +58,37 @@ fn run_validates_requests_against_the_entry_signature() {
         assert_eq!(String::from_utf8_lossy(&out.stdout), "", "nothing ran");
     }
 }
+
+/// `sdgc lint` prints the diagnostics and nothing else: each bad fixture's
+/// output is its golden byte for byte, and a clean program prints exactly
+/// one line. It exits 1 only on an error-severity finding.
+#[test]
+fn lint_prints_the_goldens_and_nothing_else() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources: Vec<_> = std::fs::read_dir(root.join("tests/fixtures/lint"))
+        .unwrap()
+        .chain(std::fs::read_dir(root.join("examples")).unwrap())
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sl"))
+        .collect();
+    sources.sort();
+    let (mut bad, mut clean) = (0, 0);
+    for path in sources {
+        let out = sdgc().arg("lint").arg(&path).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let name = path.display();
+        if path.to_string_lossy().ends_with("_bad.sl") {
+            let golden = std::fs::read_to_string(path.with_extension("golden")).unwrap();
+            assert_eq!(stdout, golden, "{name}");
+            let has_error = golden.lines().any(|l| l.starts_with("error["));
+            assert_eq!(out.status.success(), !has_error, "{name}");
+            bad += 1;
+        } else {
+            assert_eq!(stdout, "ok: no diagnostics\n", "{name}");
+            assert!(out.status.success(), "{name}");
+            clean += 1;
+        }
+    }
+    // 29 fixtured codes, a bad and a clean file each, plus four examples.
+    assert_eq!((bad, clean), (29, 33));
+}
