@@ -1,7 +1,7 @@
 //! The per-deployment instrument registry.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
@@ -47,7 +47,9 @@ struct Shard {
     errors: Counter,
     gather_waits: Counter,
     service: Histogram,
-    latency: Histogram,
+    /// Allocated with the first latency sample: most writers never emit,
+    /// and a histogram is 16 KB. Readers treat a missing one as empty.
+    latency: OnceLock<Histogram>,
 }
 
 impl Shard {
@@ -60,7 +62,9 @@ impl Shard {
         self.errors.add(other.errors.get());
         self.gather_waits.add(other.gather_waits.get());
         self.service.merge_from(&other.service);
-        self.latency.merge_from(&other.latency);
+        if let Some(latency) = other.latency.get() {
+            self.latency.get_or_init(Histogram::new).merge_from(latency);
+        }
     }
 }
 
@@ -137,7 +141,10 @@ impl TaskShard {
     /// Records one request's end-to-end latency in nanoseconds; the
     /// deployment-wide `e2e_latency` is the merge of these at snapshot.
     pub fn record_latency(&mut self, ns: u64) {
-        self.shard.latency.record_by_owner(ns);
+        self.shard
+            .latency
+            .get_or_init(Histogram::new)
+            .record_by_owner(ns);
     }
 }
 
@@ -182,7 +189,9 @@ impl TaskInstruments {
         let (service, latency) = (Histogram::new(), Histogram::new());
         for s in shards.all() {
             service.merge_from(&s.service);
-            latency.merge_from(&s.latency);
+            if let Some(l) = s.latency.get() {
+                latency.merge_from(l);
+            }
         }
         e2e.merge_from(&latency);
         TaskStats {
@@ -205,7 +214,9 @@ impl TaskInstruments {
     fn reset_observations(&self) {
         for s in self.shards.lock().all() {
             s.service.reset();
-            s.latency.reset();
+            if let Some(l) = s.latency.get() {
+                l.reset();
+            }
         }
     }
 }
@@ -688,6 +699,46 @@ mod tests {
         s.record_service(30);
         let row = reg.snapshot().task("f").unwrap().clone();
         assert_eq!((row.service.count, row.service.min), (1, 30));
+    }
+
+    #[test]
+    fn latency_histogram_is_allocated_on_the_first_sample() {
+        let reg = MetricsRegistry::new();
+        let t = reg.task("f");
+        let (mut quiet, mut emitter) = (t.shard(), t.shard());
+        quiet.add_processed(3);
+        quiet.record_service(10);
+        emitter.record_service(20);
+        assert!(quiet.shard.latency.get().is_none());
+        assert!(emitter.shard.latency.get().is_none());
+        // No shard has a histogram: the row and e2e read as empty, and a
+        // reset or a retirement allocates none.
+        reg.reset_observations();
+        let snap = reg.snapshot();
+        assert_eq!(snap.task("f").unwrap().latency.count, 0);
+        assert_eq!(snap.e2e_latency.count, 0);
+        drop(quiet);
+        let retired = |t: &TaskInstruments| {
+            let shards = t.shards.lock();
+            shards.retired.as_ref().map(|r| r.latency.get().is_some())
+        };
+        assert_eq!(retired(&t), Some(false));
+        emitter.record_latency(500);
+        emitter.record_latency(700);
+        assert_eq!(emitter.shard.latency.get().map(Histogram::count), Some(2));
+        let snap = reg.snapshot();
+        let row = snap.task("f").unwrap();
+        assert_eq!(
+            (row.processed, row.latency.count, row.latency.max),
+            (3, 2, 700)
+        );
+        assert_eq!(snap.e2e_latency.count, 2);
+        // Retiring the emitter moves its samples into the retired totals.
+        drop(emitter);
+        assert_eq!(retired(&t), Some(true));
+        let snap = reg.snapshot();
+        assert_eq!(snap.task("f").unwrap().latency.count, 2);
+        assert_eq!(snap.e2e_latency.count, 2);
     }
 
     #[test]

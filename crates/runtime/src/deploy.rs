@@ -702,6 +702,7 @@ impl Inner {
             cell,
             outs,
             sink: self.sink_tx.clone(),
+            pending_outputs: Vec::new(),
             pending_gathers: HashMap::new(),
             gather_var,
             work_ns: self.cfg.work_ns.get(&task_id).copied().unwrap_or(0),

@@ -155,7 +155,7 @@ pub struct FaultTrigger {
 }
 
 impl FaultTrigger {
-    fn new(spec: &WorkerFault) -> Self {
+    pub(crate) fn new(spec: &WorkerFault) -> Self {
         FaultTrigger {
             action: spec.action,
             remaining: AtomicU64::new(spec.nth.max(1)),

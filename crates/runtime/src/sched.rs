@@ -38,6 +38,9 @@
 //!   thread, so the simulated cluster's capacity grows with its instances,
 //!   not with the pool size. Workers fire due entries before every slice
 //!   and bound their park time by the earliest deadline.
+//! - **Outputs per slice.** A worker keeps what it emits during a slice and
+//!   hands it to the sink in one batch when the slice ends, before the
+//!   actor's run state changes; so a quiet actor has nothing held back.
 //!
 //! `Stop` retires the actor; dropping the last [`PoolSender`] (the
 //! scale-in/recovery slot swap) lets the actor drain what is queued and
@@ -783,10 +786,14 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
                         // worker, and retire the mailbox so producers see
                         // disconnect instead of a wedged queue — the pool
                         // worker itself survives to run other actors.
+                        // The items before the panic applied their state,
+                        // and a replay's dedupe will not emit them again:
+                        // their outputs leave before the worker is dropped.
                         let probe = worker.panic_probe();
                         CURRENT.with(|c| {
                             c.borrow_mut().take();
                         });
+                        worker.flush_outputs();
                         drop(worker);
                         probe.report(payload.as_ref());
                         retire(shared, &actor, Some(me));
@@ -796,6 +803,9 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
             }
         }
     }
+    // The slice's outputs leave before any run-state change: a quiet actor
+    // (`PoolSender::is_quiet`) has put every output it emitted in the sink.
+    worker.flush_outputs();
     let ctx = CURRENT
         .with(|c| c.borrow_mut().take())
         .expect("actor ctx set for the slice");
@@ -902,6 +912,8 @@ fn retire(shared: &Arc<PoolShared>, actor: &Arc<Actor>, me: Option<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FailureHub, FaultAction, FaultTrigger, WorkerFault};
+    use crate::worker::{OutputEvent, PreparedCode};
 
     /// A bare actor shell for mailbox-protocol tests: a pool of `workers`
     /// deques with no threads, and one actor without a worker.
@@ -961,6 +973,132 @@ mod tests {
             route: None,
             submitted_at: None,
         })
+    }
+
+    /// A task that emits every input once.
+    struct EmitInput;
+
+    impl sdg_graph::model::NativeTask for EmitInput {
+        fn process(
+            &self,
+            input: &sdg_common::value::Record,
+            ctx: &mut dyn sdg_graph::model::TaskContext,
+        ) -> sdg_common::error::SdgResult<()> {
+            ctx.emit(input.clone());
+            Ok(())
+        }
+    }
+
+    /// An actor whose worker emits every input, with `fault` armed on its
+    /// `nth` item, and `items` items queued with `submitted_at` stamps:
+    /// the pool shell, the actor and the sink's receiving end.
+    fn emitter(
+        fault: Option<(FaultAction, u64)>,
+        items: u64,
+        submitted_at: Option<Instant>,
+    ) -> (
+        Arc<PoolShared>,
+        Arc<Actor>,
+        crossbeam::channel::Receiver<OutputEvent>,
+    ) {
+        let (shared, actor) = shell(1, 256);
+        let (sink, rx) = crossbeam::channel::unbounded();
+        let obs = Arc::new(sdg_common::obs::MetricsRegistry::new());
+        let worker = Worker {
+            name: "emit".into(),
+            replica: 0,
+            code: PreparedCode::Native(Arc::new(EmitInput)),
+            scratch: crate::compile::Scratch::new(),
+            cell: None,
+            outs: Vec::new(),
+            sink,
+            pending_outputs: Vec::new(),
+            pending_gathers: Default::default(),
+            gather_var: None,
+            work_ns: 0,
+            speed: 1.0,
+            alive: Arc::new(AtomicBool::new(true)),
+            obs: obs.task("emit").shard(),
+            work_debt: Duration::ZERO,
+            task: sdg_common::ids::TaskId(0),
+            fault: fault.map(|(action, nth)| {
+                Arc::new(FaultTrigger::new(&WorkerFault {
+                    task: "emit".into(),
+                    replica: 0,
+                    nth,
+                    action,
+                }))
+            }),
+            hub: Arc::new(FailureHub::new(obs)),
+        };
+        *actor.worker.lock().unwrap() = Some(worker);
+        for corr in 0..items {
+            let mut msg = marker(corr);
+            if let WorkerMsg::Item(item) = &mut msg {
+                item.submitted_at = submitted_at;
+            }
+            actor.push(msg, true).unwrap();
+        }
+        (shared, actor, rx)
+    }
+
+    /// Everything in the sink, as `(corr, latency)`.
+    fn sunk(rx: &crossbeam::channel::Receiver<OutputEvent>) -> Vec<(u64, Option<Duration>)> {
+        std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|e| (e.corr, e.latency))
+            .collect()
+    }
+
+    #[test]
+    fn a_slice_puts_its_outputs_in_the_sink_before_any_state_change() {
+        let n = RUN_SLICE as u64 + 2;
+        let (shared, actor, rx) = emitter(None, n, None);
+        // A full slice reschedules the actor with the rest still queued;
+        // the slice's outputs are in the sink, in order.
+        run_actor(&shared, 0, Arc::clone(&actor));
+        assert_eq!(actor.mb.lock().unwrap().state, RunState::Scheduled);
+        let corrs: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
+        assert_eq!(corrs, (0..RUN_SLICE as u64).collect::<Vec<_>>());
+        // The last slice leaves the actor idle, hence quiet, with nothing
+        // held back.
+        run_actor(&shared, 0, Arc::clone(&actor));
+        let tx = PoolSender { actor };
+        assert!(tx.is_quiet());
+        let corrs: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
+        assert_eq!(corrs, vec![n - 2, n - 1]);
+    }
+
+    #[test]
+    fn a_panic_mid_slice_loses_no_output_of_the_items_before_it() {
+        let (shared, actor, rx) = emitter(Some((FaultAction::Panic, 4)), 6, None);
+        run_actor(&shared, 0, Arc::clone(&actor));
+        assert!(actor.mb.lock().unwrap().closed, "the actor retired");
+        // Items 0–2 applied before the panic on the fourth: their outputs
+        // reached the sink although the worker was dropped.
+        let corrs: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
+        assert_eq!(corrs, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_stall_does_not_hold_back_the_outputs_before_it() {
+        let stall = Duration::from_millis(200);
+        let (shared, actor, rx) = emitter(
+            Some((FaultAction::Stall(stall), 3)),
+            4,
+            Some(Instant::now()),
+        );
+        run_actor(&shared, 0, Arc::clone(&actor));
+        // Latency is stamped when an output reaches the sink: the two items
+        // before the stalled one left before the stall, the rest after it.
+        let out = sunk(&rx);
+        assert_eq!(
+            out.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
+        for (corr, latency) in out {
+            let latency = latency.expect("every item carries its ingest time");
+            assert_eq!(latency < stall, corr < 2, "output {corr} after {latency:?}");
+        }
     }
 
     #[test]

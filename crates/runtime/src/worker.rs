@@ -504,7 +504,9 @@ pub struct OutputEvent {
     pub corr: u64,
     /// Emitted value.
     pub value: Value,
-    /// Client-visible latency (absent for replayed duplicates).
+    /// Client-visible latency: from ingest until the output reached the
+    /// sink, stamped when the emitting instance hands its slice's outputs
+    /// over (absent for replayed duplicates).
     pub latency: Option<Duration>,
 }
 
@@ -552,6 +554,9 @@ pub struct Worker {
     pub outs: Vec<OutEdge>,
     /// External output sink.
     pub sink: Sender<OutputEvent>,
+    /// Outputs emitted since the last [`Worker::flush_outputs`], each with
+    /// its request's ingest time.
+    pub(crate) pending_outputs: Vec<(OutputEvent, Option<Instant>)>,
     /// Gather state for all-to-one input edges: `corr → fragments by
     /// producer replica`.
     pub pending_gathers: HashMap<u64, HashMap<u32, Item>>,
@@ -608,6 +613,34 @@ impl Worker {
             .then(|| std::mem::take(&mut self.work_debt))
     }
 
+    /// Hands every output emitted since the last flush to the sink in one
+    /// batch: one lock on the sink channel and at most one wake of a
+    /// waiting client, where a send per emit would pay both per output.
+    /// One clock read stamps every output's latency and its latency
+    /// sample, so latency runs from ingest until the output reaches the
+    /// sink.
+    ///
+    /// The pool flushes at the end of every slice, before any run-state
+    /// change, so a quiet instance has no output held back; and before it
+    /// drops a worker that panicked, whose earlier items in the slice
+    /// already applied their state and will not emit again on replay.
+    pub(crate) fn flush_outputs(&mut self) {
+        if self.pending_outputs.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        for (event, submitted_at) in &mut self.pending_outputs {
+            event.latency = submitted_at.map(|t| now.saturating_duration_since(t));
+            if let Some(l) = event.latency {
+                self.obs.record_latency(l.as_nanos() as u64);
+            }
+        }
+        // Fails only once the deployment dropped its receiver.
+        let _ = self
+            .sink
+            .send_batch(self.pending_outputs.drain(..).map(|(event, _)| event));
+    }
+
     /// Everything a scheduler boundary needs to report this worker's
     /// death after the unwind consumed it.
     pub(crate) fn panic_probe(&self) -> PanicProbe {
@@ -631,6 +664,9 @@ impl Worker {
                     self.name, self.replica
                 ),
                 FaultAction::Stall(dur) => {
+                    // The items before this one in the slice are done:
+                    // their outputs do not wait out the stall.
+                    self.flush_outputs();
                     std::thread::sleep(dur);
                     if !self.alive.load(Ordering::Acquire) {
                         // The supervisor declared us hung and recovered
@@ -764,18 +800,16 @@ impl Worker {
         };
         self.obs.add_processed(1);
         self.obs.add_emits(effects.emits.len() as u64);
-        for value in effects.emits {
-            let latency = item.submitted_at.map(|t| t.elapsed());
-            if let Some(l) = latency {
-                self.obs.record_latency(l.as_nanos() as u64);
-            }
-            let event = OutputEvent {
-                corr: item.corr,
-                value,
-                latency,
-            };
-            let _ = self.sink.send(event);
-        }
+        // Stamped and sent when the slice ends (`flush_outputs`).
+        self.pending_outputs
+            .extend(effects.emits.into_iter().map(|value| {
+                let event = OutputEvent {
+                    corr: item.corr,
+                    value,
+                    latency: None,
+                };
+                (event, item.submitted_at)
+            }));
         self.obs
             .add_items_out((effects.forwards.len() * self.outs.len()) as u64);
         for record in effects.forwards {

@@ -10,6 +10,32 @@ use sdg::apps::wc::WcApp;
 use sdg::apps::workloads::{kv_requests, lr_examples, ratings, text_lines, KvRequest};
 use sdg::prelude::*;
 
+/// A quiet deployment has put every output in the sink: an instance hands
+/// the outputs of a slice over before it goes idle, so `quiesce` returning
+/// true leaves nothing held back in an instance.
+#[test]
+fn quiesce_implies_every_output_is_in_the_sink() {
+    const KEYS: i64 = 64;
+    let mut cfg = RuntimeConfig::builder().build();
+    cfg.checkpoint.enabled = true;
+    cfg.checkpoint.interval = Duration::from_secs(3600);
+    let kv = KvApp::start(2, cfg).unwrap();
+    for k in 0..KEYS {
+        kv.put(k, &format!("v{k}")).unwrap();
+    }
+    let mut asked: Vec<u64> = (0..1_000)
+        .map(|n| kv.request_get(n % KEYS).unwrap())
+        .collect();
+    assert!(kv.quiesce(Duration::from_secs(30)));
+    let mut answered: Vec<u64> = std::iter::from_fn(|| kv.deployment().outputs().try_recv().ok())
+        .map(|event| event.corr)
+        .collect();
+    asked.sort_unstable();
+    answered.sort_unstable();
+    assert_eq!(answered, asked);
+    kv.shutdown();
+}
+
 #[test]
 fn compile_deploy_and_query_a_custom_program() {
     // A program exercising all four annotations in one pipeline.
