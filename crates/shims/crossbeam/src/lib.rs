@@ -13,8 +13,8 @@
 //! under one lock with at most one wake. A TE instance hands the outputs
 //! of a whole pool slice to the sink that way. Swapping the real crate in
 //! would mean a loop of `send`: on the KV read path such a loop kept about
-//! a third of the saving in client wakes that the one-lock batch makes
-//! (EXPERIMENTS.md, "ISSUE 49").
+//! a third of the batch's saving in CPU per request, and the client woke
+//! nearly as often as with a send per emit (EXPERIMENTS.md, "ISSUE 49").
 
 pub mod channel {
     use std::collections::VecDeque;
