@@ -531,7 +531,7 @@ fn fields_accessed(stmt: &Stmt) -> HashSet<String> {
             }
         })
     };
-    visit_stmt_deep(stmt, &mut on_expr);
+    stmt.visit_exprs_deep(&mut on_expr);
     fields
 }
 
@@ -544,19 +544,10 @@ fn contains_global_in_nested(stmt: &Stmt) -> bool {
                     found = true;
                 }
             };
-            visit_stmt_deep(inner, &mut on_expr);
+            inner.visit_exprs_deep(&mut on_expr);
         }
     }
     found
-}
-
-pub(crate) fn visit_stmt_deep<'a>(stmt: &'a Stmt, on_expr: &mut impl FnMut(&'a Expr)) {
-    stmt.visit_exprs(on_expr);
-    for block in stmt.child_blocks() {
-        for inner in block {
-            visit_stmt_deep(inner, on_expr);
-        }
-    }
 }
 
 fn method_accesses_state(method: &Method) -> bool {
@@ -569,7 +560,7 @@ fn method_accesses_state(method: &Method) -> bool {
                 }
             })
         };
-        visit_stmt_deep(stmt, &mut on_expr);
+        stmt.visit_exprs_deep(&mut on_expr);
     }
     found
 }
@@ -598,7 +589,7 @@ fn check_no_recursion(program: &Program, diags: &mut Diagnostics) {
                     }
                 })
             };
-            visit_stmt_deep(stmt, &mut on_expr);
+            stmt.visit_exprs_deep(&mut on_expr);
         }
         out
     }

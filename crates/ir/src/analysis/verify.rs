@@ -431,14 +431,16 @@ impl<'p> Verifier<'p> {
     fn check_gathers(&mut self, method: &Method) {
         let mut consumptions: Vec<(String, String, Span)> = Vec::new();
         for stmt in &method.body {
-            visit_exprs_deep(stmt, &mut |e| {
-                if let ExprKind::Call { callee, args } = &e.kind {
-                    for arg in args {
-                        if let ExprKind::Collection(var) = &arg.kind {
-                            consumptions.push((callee.clone(), var.clone(), e.span));
+            stmt.visit_exprs_deep(&mut |e| {
+                e.walk(&mut |e| {
+                    if let ExprKind::Call { callee, args } = &e.kind {
+                        for arg in args {
+                            if let ExprKind::Collection(var) = &arg.kind {
+                                consumptions.push((callee.clone(), var.clone(), e.span));
+                            }
                         }
                     }
-                }
+                })
             });
         }
         for (callee, var, call_span) in consumptions {
@@ -559,24 +561,26 @@ impl<'p> Verifier<'p> {
         // A helper that never iterates the collection: find selector uses.
         if !reads_all {
             for stmt in &helper.body {
-                visit_exprs_deep(stmt, &mut |e| {
-                    let selected = match &e.kind {
-                        ExprKind::Call { callee, args }
-                            if matches!(callee.as_str(), "first" | "last" | "get_at") =>
-                        {
-                            args.iter().any(|a| is_var_of(a, &coll))
-                        }
-                        ExprKind::Index { base, .. } => is_var_of(base, &coll),
-                        _ => false,
-                    };
-                    if selected && one_sided.is_none() {
-                        one_sided = Some((
-                            e.span,
-                            "the helper selects a single element instead of folding over \
+                stmt.visit_exprs_deep(&mut |e| {
+                    e.walk(&mut |e| {
+                        let selected = match &e.kind {
+                            ExprKind::Call { callee, args }
+                                if matches!(callee.as_str(), "first" | "last" | "get_at") =>
+                            {
+                                args.iter().any(|a| is_var_of(a, &coll))
+                            }
+                            ExprKind::Index { base, .. } => is_var_of(base, &coll),
+                            _ => false,
+                        };
+                        if selected && one_sided.is_none() {
+                            one_sided = Some((
+                                e.span,
+                                "the helper selects a single element instead of folding over \
                              the whole collection"
-                                .to_owned(),
-                        ));
-                    }
+                                    .to_owned(),
+                            ));
+                        }
+                    })
                 });
             }
             if let Some((span, detail)) = one_sided {
@@ -1146,10 +1150,12 @@ fn cexpr_reads_slot(expr: &CExpr, slot: u32) -> bool {
 fn gathered_vars(method: &Method) -> HashSet<String> {
     let mut out = HashSet::new();
     for stmt in &method.body {
-        visit_exprs_deep(stmt, &mut |e| {
-            if let ExprKind::Collection(var) = &e.kind {
-                out.insert(var.clone());
-            }
+        stmt.visit_exprs_deep(&mut |e| {
+            e.walk(&mut |e| {
+                if let ExprKind::Collection(var) = &e.kind {
+                    out.insert(var.clone());
+                }
+            })
         });
     }
     out
@@ -1157,10 +1163,12 @@ fn gathered_vars(method: &Method) -> HashSet<String> {
 
 fn consumes_collection(stmt: &Stmt) -> bool {
     let mut found = false;
-    visit_exprs_deep(stmt, &mut |e| {
-        if matches!(&e.kind, ExprKind::Collection(_)) {
-            found = true;
-        }
+    stmt.visit_exprs_deep(&mut |e| {
+        e.walk(&mut |e| {
+            if matches!(&e.kind, ExprKind::Collection(_)) {
+                found = true;
+            }
+        })
     });
     found
 }
@@ -1184,29 +1192,20 @@ fn collect_assigned(stmt: &Stmt, out: &mut HashSet<String>) {
     }
 }
 
-/// Visits every expression in `stmt`, including nested blocks, walking
-/// into sub-expressions.
-fn visit_exprs_deep(stmt: &Stmt, f: &mut impl FnMut(&Expr)) {
-    stmt.visit_exprs(&mut |e| e.walk(f));
-    for block in stmt.child_blocks() {
-        for inner in block {
-            visit_exprs_deep(inner, f);
-        }
-    }
-}
-
 /// Visits every state call in `stmt` in (approximate) evaluation order.
 fn visit_state_calls(stmt: &Stmt, f: &mut impl FnMut(&str, &str, bool, Span)) {
-    visit_exprs_deep(stmt, &mut |e| {
-        if let ExprKind::StateCall {
-            field,
-            method,
-            global,
-            ..
-        } = &e.kind
-        {
-            f(field, method, *global, e.span);
-        }
+    stmt.visit_exprs_deep(&mut |e| {
+        e.walk(&mut |e| {
+            if let ExprKind::StateCall {
+                field,
+                method,
+                global,
+                ..
+            } = &e.kind
+            {
+                f(field, method, *global, e.span);
+            }
+        })
     });
 }
 

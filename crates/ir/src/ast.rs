@@ -255,6 +255,18 @@ impl Stmt {
         }
     }
 
+    /// Calls `f` on every expression of this statement and of every
+    /// statement nested in its blocks, outermost first (not descending
+    /// into sub-expressions: pair it with [`Expr::walk`] for that).
+    pub fn visit_exprs_deep<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.visit_exprs(f);
+        for block in self.child_blocks() {
+            for inner in block {
+                inner.visit_exprs_deep(f);
+            }
+        }
+    }
+
     /// Returns the nested statement blocks of this statement.
     pub fn child_blocks(&self) -> Vec<&[Stmt]> {
         match &self.kind {
@@ -474,6 +486,24 @@ mod tests {
         let mut count = 0;
         expr.walk(&mut |_| count += 1);
         assert_eq!(count, 5);
+
+        // Nested blocks: the loop's iterated list, the `if` condition
+        // inside the loop body, and the `emit` in its else block.
+        let stmt = s(StmtKind::Foreach {
+            var: "x".into(),
+            iter: e(ExprKind::Var("xs".into())),
+            body: vec![s(StmtKind::If {
+                cond: e(ExprKind::Bool(true)),
+                then_block: vec![],
+                else_block: vec![s(StmtKind::Emit(expr))],
+            })],
+        });
+        let mut tops = 0;
+        stmt.visit_exprs_deep(&mut |_| tops += 1);
+        assert_eq!(tops, 3);
+        let mut count = 0;
+        stmt.visit_exprs_deep(&mut |e| e.walk(&mut |_| count += 1));
+        assert_eq!(count, 1 + 1 + 5);
     }
 
     #[test]

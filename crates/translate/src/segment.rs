@@ -154,7 +154,7 @@ fn collection_var(stmt: &Stmt) -> Option<String> {
             }
         })
     };
-    visit_deep(stmt, &mut on_expr);
+    stmt.visit_exprs_deep(&mut on_expr);
     found
 }
 
@@ -224,15 +224,6 @@ fn vars_defined_inside(stmt: &Stmt) -> HashSet<String> {
         out.insert(var.clone());
     }
     out
-}
-
-fn visit_deep<'a>(stmt: &'a Stmt, on_expr: &mut impl FnMut(&'a Expr)) {
-    stmt.visit_exprs(on_expr);
-    for block in stmt.child_blocks() {
-        for inner in block {
-            visit_deep(inner, on_expr);
-        }
-    }
 }
 
 /// Cuts `method` into task-element segments.
