@@ -94,23 +94,8 @@ pub fn verify_findings(sdg: &Sdg) -> Vec<LintFinding> {
     findings
 }
 
-/// Returns the tasks reachable from the entry points by following dataflow
-/// edges forward.
-fn reachable_from_entries(sdg: &Sdg) -> HashSet<TaskId> {
-    let mut seen: HashSet<TaskId> = sdg.entry_tasks().iter().map(|t| t.id).collect();
-    let mut stack: Vec<TaskId> = seen.iter().copied().collect();
-    while let Some(t) = stack.pop() {
-        for flow in sdg.flows_from(t) {
-            if seen.insert(flow.to) {
-                stack.push(flow.to);
-            }
-        }
-    }
-    seen
-}
-
 fn unreachable_tasks(sdg: &Sdg, findings: &mut Vec<LintFinding>) {
-    let reachable = reachable_from_entries(sdg);
+    let reachable = sdg.reachable_from_entries();
     for task in &sdg.tasks {
         if !reachable.contains(&task.id) {
             findings.push(LintFinding {

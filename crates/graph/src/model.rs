@@ -1,5 +1,6 @@
 //! Graph structure: task elements, state elements, access and dataflow edges.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -256,6 +257,21 @@ impl Sdg {
             .iter()
             .filter(|t| matches!(t.kind, TaskKind::Entry { .. }))
             .collect()
+    }
+
+    /// Returns the tasks reachable from the entry points by following
+    /// dataflow edges forward, the entries included.
+    pub fn reachable_from_entries(&self) -> HashSet<TaskId> {
+        let mut seen: HashSet<TaskId> = self.entry_tasks().iter().map(|t| t.id).collect();
+        let mut stack: Vec<TaskId> = seen.iter().copied().collect();
+        while let Some(t) = stack.pop() {
+            for flow in self.flows_from(t) {
+                if seen.insert(flow.to) {
+                    stack.push(flow.to);
+                }
+            }
+        }
+        seen
     }
 
     /// Returns the tasks that access `state`.

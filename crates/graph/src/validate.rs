@@ -15,10 +15,7 @@
 //!   and every TE is reachable from some entry;
 //! - dense-vector SEs cannot be partitioned (they are partial-only).
 
-use std::collections::HashSet;
-
 use sdg_common::error::{SdgError, SdgResult};
-use sdg_common::ids::TaskId;
 use sdg_state::store::StateType;
 
 use crate::model::{AccessMode, Dispatch, Distribution, Sdg, TaskKind};
@@ -192,11 +189,10 @@ fn check_dispatch_compatibility(sdg: &Sdg) -> SdgResult<()> {
 }
 
 fn check_entries_and_reachability(sdg: &Sdg) -> SdgResult<()> {
-    let entries: Vec<TaskId> = sdg.entry_tasks().iter().map(|t| t.id).collect();
     if sdg.tasks.is_empty() {
         return Err(err("an SDG must contain at least one task element"));
     }
-    if entries.is_empty() {
+    if sdg.entry_tasks().is_empty() {
         return Err(err("an SDG must contain at least one entry task"));
     }
     for task in &sdg.tasks {
@@ -217,16 +213,7 @@ fn check_entries_and_reachability(sdg: &Sdg) -> SdgResult<()> {
             _ => {}
         }
     }
-    // Breadth-first reachability from the entries.
-    let mut reachable: HashSet<TaskId> = entries.iter().copied().collect();
-    let mut frontier: Vec<TaskId> = entries;
-    while let Some(t) = frontier.pop() {
-        for flow in sdg.flows_from(t) {
-            if reachable.insert(flow.to) {
-                frontier.push(flow.to);
-            }
-        }
-    }
+    let reachable = sdg.reachable_from_entries();
     for task in &sdg.tasks {
         if !reachable.contains(&task.id) {
             return Err(err(format!(
