@@ -4,19 +4,22 @@
 //! fail-and-recover, the supervisor's respawns and
 //! `Deployment::with_state` all run holding the deployment's one
 //! [`Sequencer`]. The functions that take checkpoints, move state or
-//! change the topology take `&mut Control`, so none of them can be called
-//! unsequenced. `Control` owns what those operations share: the checkpoint
-//! seq counter and one chain record per SE instance.
+//! change the topology ([`crate::reconfig`]) take `&mut Control`, so none
+//! of them can be called unsequenced. `Control` owns what those
+//! operations share: the checkpoint seq counter, one chain record per SE
+//! instance, and the cluster node allocator ([`Control::next_node`]),
+//! which needs no atomic since every caller holds the sequencer.
 //!
 //! The sequencer serves callers first come, first served: a thread that
 //! releases it and asks again queues behind the ones already waiting, so
 //! a `with_state` loop cannot starve a checkpoint.
 //!
-//! Lock order: `control` → route guards (the paused tasks' in task-id
-//! order, then those upstream of them) → `cells`. A route's stage lock is
-//! only ever taken inside that one route. Workers never take `control`,
-//! and dispatch only reads routes, so the per-item path does not see the
-//! sequencer.
+//! Lock order: `control` → route guards → `cells`. Only a `Quiesced`
+//! takes route guards (the paused tasks' in task-id order, then those
+//! upstream of them), apart from `Deployment::start`, which holds the
+//! sequencer while it spawns. A route's stage lock is only ever taken
+//! inside that one route. Workers never take `control`, and dispatch only
+//! reads routes, so the per-item path does not see the sequencer.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -56,6 +59,19 @@ pub(crate) struct Sequencer {
 }
 
 impl Sequencer {
+    /// A sequencer whose [`Control::next_node`] hands out `first_node`,
+    /// the first node the start-up allocation left free, and up.
+    pub(crate) fn new(first_node: u32) -> Self {
+        let control = Control {
+            next_node: first_node,
+            ..Control::default()
+        };
+        Sequencer {
+            control: Mutex::new(control),
+            ..Sequencer::default()
+        }
+    }
+
     /// Waits for this caller's turn and returns the held sequencer.
     ///
     /// Poison is ignored, as by the `parking_lot` lock this replaces: a
@@ -102,6 +118,8 @@ pub(crate) struct Control {
     /// The seq of the last checkpoint generation (0: none yet).
     last_seq: u64,
     chains: HashMap<(StateId, u32), Chain>,
+    /// The next fresh cluster node.
+    next_node: u32,
 }
 
 /// The fraction of a chain's base bytes its deltas may reach before the
@@ -113,6 +131,12 @@ impl Control {
     pub(crate) fn next_seq(&mut self) -> u64 {
         self.last_seq += 1;
         self.last_seq
+    }
+
+    /// Allocates the next fresh cluster node.
+    pub(crate) fn next_node(&mut self) -> u32 {
+        self.next_node += 1;
+        self.next_node - 1
     }
 
     /// The recorded chain of SE instance `(state, replica)`.

@@ -15,16 +15,13 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use sdg_checkpoint::backup::{BackupSet, BackupStore};
+use sdg_checkpoint::backup::BackupStore;
 use sdg_checkpoint::cell::StateCell;
-use sdg_checkpoint::coordinator::{take_checkpoint_with, CheckpointOptions};
-use sdg_checkpoint::recovery::{restore_chain_resilient, RestoreOptions};
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{EdgeId, StateId, TaskId};
 use sdg_common::obs::{
-    DeploymentStats, EventKind, MetricsRegistry, MetricsSnapshot, ObsEvent, TaskInstruments,
+    DeploymentStats, MetricsRegistry, MetricsSnapshot, ObsEvent, TaskInstruments,
 };
-use sdg_common::time::VectorTs;
 use sdg_common::value::Record;
 use sdg_graph::alloc::allocate;
 use sdg_graph::model::{AccessMode, Dispatch, Distribution, Sdg, StateDecl, TaskDecl, TaskKind};
@@ -35,17 +32,14 @@ use sdg_state::store::{StateStore, StateType};
 
 use crate::compile::Scratch;
 use crate::config::RuntimeConfig;
-use crate::control::{se_instance_id, Control, Sequencer};
+use crate::control::Sequencer;
 use crate::fault::{
     run_supervisor, FailureHub, FaultInjector, Health, HeartbeatView, RecoveryUnit,
 };
-use crate::item::{lane, route_hash, Item};
 use crate::reconfig::{self, ReconfigReport, ReconfigRequest};
-use crate::scaling::{run_scaling_monitor, Groups, Sample, ScaleDirection, StopWait};
+use crate::scaling::{run_scaling_monitor, Groups, Sample, StopWait};
 use crate::sched::Pool;
-use crate::worker::{
-    BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Worker, WorkerMsg,
-};
+use crate::worker::{BufferRegistry, Instance, OutEdge, PreparedCode, Route, Worker, WorkerMsg};
 
 pub use crate::worker::OutputEvent;
 
@@ -109,36 +103,6 @@ fn cell_layout(
     (stripes, dim, tracked)
 }
 
-/// Picks the vector recovery replays a flow's lanes past: the restored
-/// cell's `frontier` (its stripes' pointwise maximum), or its `floor`
-/// (their minimum) on a gather edge.
-///
-/// The frontier bounds what the cut already holds on a lane whose items
-/// one TE instance applies in timestamp order (see
-/// [`sdg_checkpoint::cell`]). A gather barrier applies its assembled items
-/// in completion order instead.
-fn replay_watermarks<'a>(
-    dispatch: &Dispatch,
-    floor: &'a VectorTs,
-    frontier: &'a VectorTs,
-) -> &'a VectorTs {
-    match dispatch {
-        Dispatch::AllToOne { .. } => floor,
-        _ => frontier,
-    }
-}
-
-/// Report of one failure-injection recovery.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryReport {
-    /// Time to fetch chunks and reconstitute state.
-    pub restore: Duration,
-    /// Items replayed from upstream buffers.
-    pub replayed: usize,
-    /// End-to-end recovery time (pause → resume).
-    pub total: Duration,
-}
-
 pub(crate) struct Inner {
     pub sdg: Arc<Sdg>,
     pub cfg: RuntimeConfig,
@@ -150,7 +114,7 @@ pub(crate) struct Inner {
     /// SE instance cells, replica-indexed.
     pub cells: RwLock<HashMap<StateId, Vec<Arc<StateCell>>>>,
     /// Caught worker/actor panics, drained by the supervisor.
-    failure_hub: Arc<FailureHub>,
+    pub(crate) failure_hub: Arc<FailureHub>,
     /// Resolved fault plan (empty when no plan is configured).
     injector: FaultInjector,
     /// Supervisor-driven health ([`Health`] as `u8`); `Degraded` is
@@ -165,21 +129,20 @@ pub(crate) struct Inner {
     pub buffers: Arc<BufferRegistry>,
     sink_tx: Sender<OutputEvent>,
     corr: AtomicU64,
-    /// The shared ingest lane (src 0): one dispatcher per entry task.
-    ingest: Mutex<HashMap<TaskId, OutEdge>>,
+    /// The next unused ingest lane: 0 is [`Deployment::submit`]'s.
     ingest_src: AtomicU32,
-    node_cursor: AtomicU32,
     pub stores: Vec<Arc<BackupStore>>,
     /// The control sequencer ([`crate::control`]): every checkpoint,
     /// scale, recovery and `with_state` runs holding it, and it owns the
-    /// checkpoint chains. A second take of the same cell, or a migration
-    /// in the middle of one, would fail the cell's checkpoint phases.
+    /// checkpoint chains and the node allocator. A second take of the
+    /// same cell, or a migration in the middle of one, would fail the
+    /// cell's checkpoint phases.
     pub(crate) control: Sequencer,
     /// The work-stealing pool running every TE instance as an actor.
     pool: Arc<Pool>,
     /// Parks the controller threads between ticks; stopped at shutdown so
     /// they exit without sleeping out their interval.
-    stop_wait: StopWait,
+    pub(crate) stop_wait: StopWait,
     pub started: Instant,
 }
 
@@ -193,15 +156,33 @@ pub struct IngestHandle {
 }
 
 impl IngestHandle {
+    /// A handle on the deployment's next unused ingest lane.
+    fn next(inner: &Arc<Inner>) -> SdgResult<IngestHandle> {
+        let src = inner.ingest_src.fetch_add(1, Ordering::Relaxed);
+        if src >= crate::item::LANE_STRIDE {
+            return Err(SdgError::Runtime(
+                "too many ingest handles (max 1023)".into(),
+            ));
+        }
+        Ok(IngestHandle {
+            inner: Arc::clone(inner),
+            src,
+            lanes: HashMap::new(),
+        })
+    }
+
     /// Submits a request through this handle's lane; blocks on
     /// backpressure. Returns the correlation id.
     pub fn submit(&mut self, entry: &str, payload: Record) -> SdgResult<u64> {
-        let task = self.inner.find_entry(entry)?;
+        let inner = &*self.inner;
+        let task = inner.find_entry(entry)?;
         let out = self
             .lanes
             .entry(task.id)
-            .or_insert_with(|| self.inner.ingest_out(task, self.src));
-        self.inner.request(out, payload)
+            .or_insert_with(|| inner.ingest_out(task, self.src));
+        let corr = inner.corr.fetch_add(1, Ordering::Relaxed);
+        out.send(&Arc::new(payload), corr, 1, Some(Instant::now()))?;
+        Ok(corr)
     }
 }
 
@@ -210,6 +191,8 @@ pub struct Deployment {
     inner: Arc<Inner>,
     sink_rx: Receiver<OutputEvent>,
     control: Mutex<Vec<JoinHandle<()>>>,
+    /// The shared ingest lane (src 0) behind [`Deployment::submit`].
+    ingest: Mutex<IngestHandle>,
 }
 
 impl Deployment {
@@ -291,11 +274,9 @@ impl Deployment {
             buffers: Arc::default(),
             sink_tx,
             corr: AtomicU64::new(1),
-            ingest: Mutex::new(HashMap::new()),
-            ingest_src: AtomicU32::new(1),
-            node_cursor: AtomicU32::new(allocation.num_nodes),
+            ingest_src: AtomicU32::new(0),
             stores,
-            control: Sequencer::default(),
+            control: Sequencer::new(allocation.num_nodes),
             pool,
             stop_wait: StopWait::default(),
             started: Instant::now(),
@@ -303,6 +284,7 @@ impl Deployment {
 
         // Spawn instances: stateful tasks get one instance per SE replica,
         // stateless tasks use their configured count.
+        let mut ctl = inner.control.lock();
         for task in &sdg.tasks {
             let count = match &task.access {
                 Some(a) => {
@@ -325,14 +307,16 @@ impl Deployment {
                 let node = if replica == 0 {
                     allocation.node_of_task(task.id).raw()
                 } else {
-                    inner.node_cursor.fetch_add(1, Ordering::Relaxed)
+                    ctl.next_node()
                 };
                 inner.spawn_instance(task.id, replica as u32, node, &mut slots)?;
             }
         }
+        drop(ctl);
 
         let deployment = Deployment {
-            inner: Arc::clone(&inner),
+            ingest: Mutex::new(IngestHandle::next(&inner)?),
+            inner,
             sink_rx,
             control: Mutex::new(Vec::new()),
         };
@@ -382,8 +366,13 @@ impl Deployment {
     ///
     /// Blocks when the entry instance's channel is full (backpressure).
     /// Returns the request's correlation id.
+    ///
+    /// Every caller shares one ingest lane (src 0); heavy multi-threaded
+    /// feeders should use [`Deployment::ingest_handle`]. The lane's lock is
+    /// held across the send, so concurrent callers deliver and log their
+    /// timestamps in the order they ticked them.
     pub fn submit(&self, entry: &str, payload: Record) -> SdgResult<u64> {
-        self.inner.submit(entry, payload)
+        self.ingest.lock().submit(entry, payload)
     }
 
     /// The external output sink.
@@ -398,17 +387,7 @@ impl Deployment {
     ///
     /// At most `LANE_STRIDE - 1` handles can exist per deployment.
     pub fn ingest_handle(&self) -> SdgResult<IngestHandle> {
-        let src = self.inner.ingest_src.fetch_add(1, Ordering::Relaxed);
-        if src >= crate::item::LANE_STRIDE {
-            return Err(SdgError::Runtime(
-                "too many ingest handles (max 1023)".into(),
-            ));
-        }
-        Ok(IngestHandle {
-            inner: Arc::clone(&self.inner),
-            src,
-            lanes: HashMap::new(),
-        })
+        IngestHandle::next(&self.inner)
     }
 
     /// Executes one typed reconfiguration request — scale-out, scale-in,
@@ -424,15 +403,8 @@ impl Deployment {
     /// migration or a recovery; a request waits for the ones that asked
     /// before it, in arrival order.
     ///
-    /// A scale of a partitioned SE re-places every entry onto p ± 1
-    /// instances by its key hash, straight into its final stripe, with
-    /// pointwise-max dedupe watermarks. Scale-in of a partial SE
-    /// additively folds the removed replica's aggregate into a survivor —
-    /// refused when the SE's `@Partial` merge is uncertified by the
-    /// attached `sdg-verify` report. A scale is refused while an instance
-    /// of the task has failed and awaits recovery. With checkpointing on,
-    /// a scale that moved state ends with a base take of every replica,
-    /// so a failure right after it recovers from the new chains.
+    /// The [`crate::reconfig`] module docs describe how a scale pauses,
+    /// moves state and ends with a base take of every replica.
     ///
     /// On `FailAndRecover`, recovery is exact (exactly-once) for the
     /// failed SE's own state: the checkpoint restores it, and upstream
@@ -601,7 +573,7 @@ impl Inner {
     }
 
     /// Label of SE instance `(state, replica)` in event payloads.
-    fn se_label(&self, state: StateId, replica: u32) -> String {
+    pub(crate) fn se_label(&self, state: StateId, replica: u32) -> String {
         match self.sdg.state(state) {
             Ok(decl) => format!("{}#{replica}", decl.name),
             Err(_) => format!("{state}#{replica}"),
@@ -619,19 +591,6 @@ impl Inner {
         lists.into_iter().all(|l| l.iter().all(|i| i.tx.is_quiet()))
     }
 
-    /// The tasks accessing `state`, sorted by id so nested route guards
-    /// are always taken in one order.
-    pub(crate) fn accessing_sorted(&self, state: StateId) -> Vec<TaskId> {
-        let mut tasks = Vec::from_iter(self.sdg.tasks_accessing(state).iter().map(|t| t.id));
-        tasks.sort();
-        tasks
-    }
-
-    /// Allocates the next fresh cluster node.
-    pub(crate) fn next_node(&self) -> u32 {
-        self.node_cursor.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// The certificate-gated stripe/axis/delta layout for `decl`'s cells.
     pub(crate) fn layout_of(&self, decl: &StateDecl) -> (usize, PartitionDim, Option<usize>) {
         cell_layout(&self.cfg, decl, self.sdg.verify.as_deref())
@@ -639,9 +598,10 @@ impl Inner {
 
     /// Spawns TE instance `(task_id, replica)` on `node` as a pool actor
     /// and puts it in `slots`, the task's paused route: appended, or in
-    /// place of the instance it replaces. Recovery and scaling pass the
-    /// guard they hold across the whole operation, so producers stay
-    /// paused until the swap (and any replay) is complete.
+    /// place of the instance it replaces. Recovery and scaling spawn
+    /// through the guards their [`Quiesced`](crate::reconfig::Quiesced)
+    /// holds across the whole operation, so producers stay paused until
+    /// the swap (and any replay) is complete.
     pub(crate) fn spawn_instance(
         &self,
         task_id: TaskId,
@@ -728,26 +688,6 @@ impl Inner {
         Ok(())
     }
 
-    /// Pauses the routes of every task upstream of `tasks`, in task-id
-    /// order, while the caller holds `tasks`' own routes: no request
-    /// enters the pipeline that feeds them, so the sends staged during the
-    /// pause are at most what was in flight when it began.
-    pub(crate) fn pause_upstream(&self, tasks: &[TaskId]) -> Vec<Paused<'_>> {
-        let mut cone = tasks.to_vec();
-        let mut i = 0;
-        while let Some(&t) = cone.get(i) {
-            for flow in self.sdg.flows_to(t) {
-                if !cone.contains(&flow.from) {
-                    cone.push(flow.from);
-                }
-            }
-            i += 1;
-        }
-        let mut upstream = cone.split_off(tasks.len());
-        upstream.sort();
-        upstream.iter().map(|t| self.routes[t].write()).collect()
-    }
-
     fn find_entry(&self, entry: &str) -> SdgResult<&TaskDecl> {
         self.sdg
             .tasks
@@ -784,30 +724,9 @@ impl Inner {
         self.cfg.checkpoint.enabled && self.sdg.task(task).is_ok_and(|t| t.access.is_some())
     }
 
-    /// Sends one external request through an ingest lane's dispatcher
-    /// `out`; returns its correlation id.
-    fn request(&self, out: &mut OutEdge, payload: Record) -> SdgResult<u64> {
-        let corr = self.corr.fetch_add(1, Ordering::Relaxed);
-        out.send(&Arc::new(payload), corr, 1, Some(Instant::now()))?;
-        Ok(corr)
-    }
-
-    fn submit(&self, entry: &str, payload: Record) -> SdgResult<u64> {
-        let task = self.find_entry(entry)?;
-        // The shared path funnels through one ingest lane (src 0); heavy
-        // multi-threaded feeders should use `Deployment::ingest_handle`.
-        // The lane lock is held across the send so concurrent callers
-        // deliver and log their timestamps in the order they ticked them.
-        let mut ingest = self.ingest.lock();
-        let out = ingest
-            .entry(task.id)
-            .or_insert_with(|| self.ingest_out(task, 0));
-        self.request(out, payload)
-    }
-
     /// Every edge into `task` with its dispatch, its ingest edge included:
     /// the lanes a checkpoint of its state trims and a recovery replays.
-    fn in_edges(&self, task: &TaskDecl) -> Vec<(EdgeId, Dispatch)> {
+    pub(crate) fn in_edges(&self, task: &TaskDecl) -> Vec<(EdgeId, Dispatch)> {
         let mut edges: Vec<(EdgeId, Dispatch)> = self
             .sdg
             .flows_to(task.id)
@@ -818,237 +737,7 @@ impl Inner {
         edges
     }
 
-    pub(crate) fn checkpoint_all(&self, ctl: &mut Control) -> SdgResult<()> {
-        let states: Vec<StateId> = self.cells.read().keys().copied().collect();
-        states
-            .into_iter()
-            .try_for_each(|state| self.checkpoint_state(ctl, state))
-    }
-
-    /// Takes every replica of `state`, each a delta of its dirty chunks
-    /// unless its record asks for a base.
-    pub(crate) fn checkpoint_state(&self, ctl: &mut Control, state: StateId) -> SdgResult<()> {
-        let group = self.cells.read().get(&state).cloned().unwrap_or_default();
-        for (replica, cell) in group.iter().enumerate() {
-            let replica = replica as u32;
-            let seq = ctl.next_seq();
-            let label = self.se_label(state, replica);
-            let base = ctl.needs_base(state, replica);
-            self.obs.record_event(EventKind::CheckpointBegin {
-                instance: label.clone(),
-                seq,
-            });
-            // No upstream buffers are captured: they live in the
-            // deployment's `BufferRegistry`, which survives the kill of any
-            // instance, and recovery replays from it directly.
-            let set = take_checkpoint_with(
-                cell,
-                se_instance_id(state, replica),
-                seq,
-                Vec::new,
-                &self.stores,
-                &self.cfg.checkpoint,
-                Some(self.obs.checkpoints()),
-                CheckpointOptions { base },
-            )?;
-            self.obs.record_event(EventKind::CheckpointBackup {
-                instance: label.clone(),
-                seq,
-                bytes: set.state_bytes as u64,
-            });
-            self.obs.record_event(EventKind::CheckpointConsolidate {
-                instance: label,
-                seq,
-            });
-            if let Ok(decl) = self.sdg.state(state) {
-                self.obs
-                    .state_with_id(&decl.name, Some(state))
-                    .checkpoints
-                    .inc();
-            }
-            // Trim upstream buffers covered by this checkpoint.
-            self.trim_for(state, replica, &set);
-            ctl.record(state, replica, set, &self.stores);
-        }
-        Ok(())
-    }
-
-    /// Trims buffers into `(state, replica)`'s consumer tasks using the
-    /// checkpoint's vector watermarks.
-    fn trim_for(&self, state: StateId, replica: u32, set: &BackupSet) {
-        for task in self.sdg.tasks_accessing(state) {
-            for (edge, _) in self.in_edges(task) {
-                for (src, buf) in self.buffers.buffers_into(edge, replica) {
-                    buf.lock().trim(set.vector.get(lane(edge, src)));
-                }
-            }
-        }
-    }
-
-    pub(crate) fn fail_and_recover(
-        &self,
-        ctl: &mut Control,
-        state: StateId,
-        replica: u32,
-    ) -> SdgResult<RecoveryReport> {
-        let t0 = Instant::now();
-        let label = self.se_label(state, replica);
-        self.obs.record_event(EventKind::FailureInjected {
-            instance: label.clone(),
-        });
-        let chain = ctl.recovery_chain(state, replica, self.cfg.checkpoint.enabled)?;
-
-        // Pause the affected tasks, in id order (consistent ordering
-        // prevents lock cycles), and then the tasks upstream of them. The
-        // pause is held through restore, respawn AND replay: if new
-        // traffic ran ahead of the replayed (lower-timestamped) items, the
-        // duplicate filter would wrongly discard the replay. Sends made
-        // meanwhile from inside the pool are staged, and the guards' drop
-        // flushes them after the replay, stamped above it.
-        let affected = self.accessing_sorted(state);
-        let mut guards: Vec<_> = affected.iter().map(|t| self.routes[t].write()).collect();
-        let upstream = self.pause_upstream(&affected);
-
-        // Kill the old instances: their queues drain as discards.
-        for slots in &guards {
-            if let Some(old) = slots.get(replica as usize) {
-                old.alive.store(false, Ordering::Release);
-            }
-        }
-
-        // Restore state from the m backup stores, composing the base
-        // generation with any deltas taken since it. The resilient restore
-        // routes around corrupt or missing chunks by falling back to the
-        // newest intact prefix of the chain; with no chain at all (never
-        // checkpointed), recovery rebuilds from an empty store and a zero
-        // watermark — replay then reconstructs the state from scratch.
-        let restore_t0 = Instant::now();
-        let decl = self.sdg.state(state)?.clone();
-        let (stripes, dim, delta) = cell_layout(&self.cfg, &decl, self.sdg.verify.as_deref());
-        // The restore decodes every entry straight into the stripe that
-        // owns its key, each stripe with the exact vector recorded at
-        // checkpoint time when the stripe layout is unchanged (else the
-        // cut's min vector on every stripe, which is safe but replays
-        // more).
-        let new_cell = match &chain {
-            Some(chain) => {
-                let restored = restore_chain_resilient(
-                    chain,
-                    &self.stores,
-                    1,
-                    RestoreOptions {
-                        stripes,
-                        dim,
-                        ..RestoreOptions::default()
-                    },
-                    Some(self.obs.checkpoints()),
-                )?;
-                if !restored.fallback_errors.is_empty() {
-                    // Corrupt generations were dropped: surface each loss,
-                    // then cut the recorded chain to the prefix that
-                    // actually restored.
-                    for e in &restored.fallback_errors {
-                        self.obs.faults().chunks_corrupt.inc();
-                        self.obs.record_event(EventKind::ChunkCorrupt {
-                            instance: label.clone(),
-                            error: e.to_string(),
-                        });
-                    }
-                    self.obs
-                        .recovery()
-                        .chain_fallbacks
-                        .add(restored.fallback_errors.len() as u64);
-                    ctl.truncate(state, replica, restored.used + 1);
-                }
-                let parts = restored.parts.into_iter().next().expect("n=1 restore");
-                StateCell::from_parts(parts, dim, delta)
-            }
-            None => StateCell::new_striped(decl.ty, stripes, dim, delta),
-        };
-        let new_cell = Arc::new(new_cell);
-        let (floor, frontier) = (new_cell.vector(), new_cell.frontier());
-        self.cells
-            .write()
-            .get_mut(&state)
-            .and_then(|g| {
-                g.get_mut(replica as usize)
-                    .map(|slot| *slot = Arc::clone(&new_cell))
-            })
-            .ok_or_else(|| SdgError::NotFound(format!("state instance {state}#{replica}")))?;
-        let restore = restore_t0.elapsed();
-        self.obs.record_event(EventKind::RecoveryRestored {
-            instance: label.clone(),
-            took: restore,
-        });
-
-        // Respawn workers on a fresh node, swapping them in through the
-        // held guards.
-        let node = self.next_node();
-        for (i, &task) in affected.iter().enumerate() {
-            self.spawn_instance(task, replica, node, &mut guards[i])?;
-        }
-
-        // Replay from upstream output buffers past the restored watermarks,
-        // still before any producer may send: replayed items must be first
-        // in every lane so their (older) timestamps pass the filter.
-        let mut replayed = 0usize;
-        for (i, &task_id) in affected.iter().enumerate() {
-            let sender = &guards[i][replica as usize].tx;
-            for (edge, dispatch) in self.in_edges(self.sdg.task(task_id)?) {
-                let watermarks = replay_watermarks(&dispatch, &floor, &frontier);
-                for (src, buf) in self.buffers.buffers_into(edge, replica) {
-                    let wm = watermarks.get(lane(edge, src));
-                    for buffered in buf.lock().replay_after(wm) {
-                        let mut item = Item::from_buffered(edge, src, buffered);
-                        item.route = route_hash(&dispatch, &item.payload)?;
-                        // Replay runs under the pause: bypass the cap (see
-                        // `PoolSender::force_send`).
-                        sender
-                            .force_send(WorkerMsg::Item(item))
-                            .map_err(|_| SdgError::Runtime("replay channel closed".into()))?;
-                        replayed += 1;
-                    }
-                }
-            }
-        }
-        drop(guards);
-        drop(upstream);
-        self.obs.checkpoints().replayed.add(replayed as u64);
-        self.obs.record_event(EventKind::RecoveryReplayed {
-            instance: label.clone(),
-            items: replayed as u64,
-        });
-        let total = t0.elapsed();
-        self.obs.record_event(EventKind::RecoveryComplete {
-            instance: label,
-            took: total,
-        });
-
-        Ok(RecoveryReport {
-            restore,
-            replayed,
-            total,
-        })
-    }
-
-    pub(crate) fn stop_wait(&self) -> &StopWait {
-        &self.stop_wait
-    }
-
     // ---- supervisor interface (see `crate::fault::run_supervisor`) ----
-
-    pub(crate) fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.obs
-    }
-
-    pub(crate) fn failure_hub(&self) -> &FailureHub {
-        &self.failure_hub
-    }
-
-    /// Seed for the supervisor's backoff jitter (0 without a plan).
-    pub(crate) fn fault_seed(&self) -> u64 {
-        self.cfg.faults.as_ref().map(|p| p.seed).unwrap_or(0)
-    }
 
     pub(crate) fn health_state(&self) -> Health {
         Health::from_u8(self.health.load(Ordering::Acquire))
@@ -1105,12 +794,16 @@ impl Inner {
         views
     }
 
+    /// The name of `task` in event payloads and errors.
+    pub(crate) fn task_name(&self, task: TaskId) -> String {
+        self.sdg
+            .task(task)
+            .map_or_else(|_| task.to_string(), |t| t.name.clone())
+    }
+
     /// Label of TE instance `(task, replica)` in event payloads.
     fn te_label(&self, task: TaskId, replica: u32) -> String {
-        match self.sdg.task(task) {
-            Ok(decl) => format!("{}#{replica}", decl.name),
-            Err(_) => format!("{task}#{replica}"),
-        }
+        format!("{}#{replica}", self.task_name(task))
     }
 
     /// What recovering the failed instance `(task, replica)` means:
@@ -1129,86 +822,12 @@ impl Inner {
             RecoveryUnit::Task(task, replica) => self.te_label(task, replica),
         }
     }
-
-    /// Executes one recovery on behalf of the supervisor.
-    pub(crate) fn recover(&self, ctl: &mut Control, unit: RecoveryUnit) -> SdgResult<()> {
-        match unit {
-            RecoveryUnit::State(state, replica) => {
-                self.fail_and_recover(ctl, state, replica).map(|_| ())
-            }
-            RecoveryUnit::Task(task, replica) => self.respawn_stateless(ctl, task, replica),
-        }
-    }
-
-    /// Replaces a dead stateless instance with a fresh one on a new node.
-    ///
-    /// There is no state to restore and nothing to replay: the items in
-    /// flight at the dead instance die with it, and no lane into it logs
-    /// (see [`Inner::logs_into`]). This is §5's model: durability comes
-    /// from the stateful consumers' checkpoints plus replay of the lanes
-    /// into them, so the respawn restores liveness, not the lost items.
-    pub(crate) fn respawn_stateless(
-        &self,
-        _ctl: &mut Control,
-        task: TaskId,
-        replica: u32,
-    ) -> SdgResult<()> {
-        let route = self
-            .routes
-            .get(&task)
-            .ok_or_else(|| SdgError::NotFound(format!("task {task}")))?;
-        let mut slots = route.write();
-        if let Some(old) = slots.get(replica as usize) {
-            old.alive.store(false, Ordering::Release);
-        }
-        self.spawn_instance(task, replica, self.next_node(), &mut slots)
-    }
-
-    /// Records one scale event in the obs log and the reconfig counters.
-    pub(crate) fn record_scale(&self, task: TaskId, node: u32, direction: ScaleDirection) {
-        let instances = self.routes[&task].read().len() as u32;
-        let name = match self.sdg.task(task) {
-            Ok(decl) => decl.name.clone(),
-            Err(_) => task.to_string(),
-        };
-        match direction {
-            ScaleDirection::Out => {
-                self.obs.record_event(EventKind::ScaleOut {
-                    task: name,
-                    instances,
-                    node,
-                });
-                self.obs.reconfig().scale_outs.inc();
-            }
-            ScaleDirection::In => {
-                self.obs.record_event(EventKind::ScaleIn {
-                    task: name,
-                    instances,
-                    node,
-                });
-                self.obs.reconfig().scale_ins.inc();
-            }
-        }
-    }
-
-    /// Records one state-migration episode (bytes that changed SE owner).
-    pub(crate) fn record_migration(&self, state: StateId, bytes: u64, took: Duration) {
-        let name = match self.sdg.state(state) {
-            Ok(decl) => decl.name.clone(),
-            Err(_) => state.to_string(),
-        };
-        self.obs.record_event(EventKind::StateMigrated {
-            state: name,
-            bytes,
-            took,
-        });
-        self.obs.reconfig().migrated_bytes.record(bytes);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::lane;
     use crate::worker::BufferKey;
     use sdg_common::record;
     use sdg_common::value::{Key, Value};
@@ -1304,37 +923,6 @@ mod tests {
         // Hand-built graphs attach no report: optimizations stay on.
         let (stripes, _, delta) = cell_layout(&cfg, &d, None);
         assert_eq!((stripes, delta), (8, Some(32)));
-    }
-
-    #[test]
-    fn replay_into_a_gather_edge_starts_past_the_stripes_minimum() {
-        // Two stripes of one restored cell recorded ts 4 and ts 10 on one
-        // lane.
-        let cell = StateCell::new_striped(StateType::Table, 2, PartitionDim::Row, None);
-        let mut route = [None, None];
-        for i in 0..100 {
-            let h = Key::Int(i).stable_hash();
-            route[(h % 2) as usize].get_or_insert(h);
-        }
-        let lane = EdgeId(7);
-        cell.apply_routed(lane, 4, route[1], |_| ());
-        cell.apply_routed(lane, 10, route[0], |_| ());
-        let (floor, frontier) = (cell.vector(), cell.frontier());
-        let gather = Dispatch::AllToOne {
-            collect_var: "c".into(),
-        };
-        assert_eq!(replay_watermarks(&gather, &floor, &frontier).get(lane), 4);
-        for ordered in [
-            Dispatch::Partitioned { key: "k".into() },
-            Dispatch::OneToAny,
-            Dispatch::OneToAll,
-        ] {
-            assert_eq!(
-                replay_watermarks(&ordered, &floor, &frontier).get(lane),
-                10,
-                "{ordered}"
-            );
-        }
     }
 
     #[test]

@@ -34,6 +34,7 @@ use sdg_graph::model::Sdg;
 
 use crate::config::SupervisorConfig;
 use crate::deploy::Inner;
+use crate::reconfig;
 
 /// Recovery attempts per failed instance before the supervisor escalates
 /// to the terminal [`Health::Degraded`] state.
@@ -328,7 +329,7 @@ impl Health {
 /// What the supervisor recovers: stateful instances go through the §5
 /// fail-and-recover path keyed by state element; stateless instances are
 /// respawned, and their in-flight items are lost (see
-/// `Inner::respawn_stateless`).
+/// `reconfig::respawn_stateless`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum RecoveryUnit {
     /// `(state, replica)` — restore + replay.
@@ -410,15 +411,16 @@ struct HeartbeatTrack {
 /// epochs for hung instances, and (3) drives pending recoveries with
 /// backoff, one recovery per scan and Degraded escalation.
 pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
-    let obs = Arc::clone(inner.metrics_registry());
-    let mut rng = XorShift64::new(inner.fault_seed() ^ 0x5de7_ec7e_d5ba_dbed);
+    let obs = Arc::clone(&inner.obs);
+    let seed = inner.cfg.faults.as_ref().map_or(0, |p| p.seed);
+    let mut rng = XorShift64::new(seed ^ 0x5de7_ec7e_d5ba_dbed);
     let mut tracks: HashMap<(TaskId, u32), HeartbeatTrack> = HashMap::new();
     let mut pending: VecDeque<PendingRecovery> = VecDeque::new();
     let mut queued: HashSet<RecoveryUnit> = HashSet::new();
 
-    while !inner.stop_wait().wait(cfg.heartbeat_interval) {
+    while !inner.stop_wait.wait(cfg.heartbeat_interval) {
         // 1. Caught panics: precise detection timestamps.
-        for report in inner.failure_hub().drain() {
+        for report in inner.failure_hub.drain() {
             obs.faults()
                 .detection_ns
                 .record_duration(report.at.elapsed());
@@ -482,7 +484,7 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
                 instance: p.label.clone(),
                 attempt: p.attempts,
             });
-            let result = inner.recover(&mut inner.control.lock(), p.unit);
+            let result = reconfig::recover(&inner, &mut inner.control.lock(), p.unit);
             obs.recovery().in_flight.set(0);
             match result {
                 Ok(()) => {

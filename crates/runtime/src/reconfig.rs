@@ -1,21 +1,23 @@
-//! The reconfiguration control plane: one typed entry point for every
-//! runtime topology change.
+//! The control plane: the typed entry point for every topology change,
+//! and the sequenced operations behind it.
 //!
 //! [`crate::deploy::Deployment::reconfigure`] accepts a [`ReconfigRequest`]
 //! — scale-out, scale-in, checkpoint, or failure injection — and returns a
 //! uniform [`ReconfigReport`] carrying timings, migrated bytes and the
 //! resulting instance counts. The checkpoint interval thread and the
-//! scaling monitor submit their requests through the same entry, and
-//! every request runs holding the control sequencer (`Inner::control`),
-//! so checkpoints, migrations and recoveries never interleave.
+//! scaling monitor submit their requests through the same entry, and the
+//! supervisor calls `recover`. Every operation here takes
+//! `&mut Control`, so it runs holding the control sequencer
+//! (`Inner::control`): checkpoints, migrations and recoveries never
+//! interleave.
 //!
-//! A scale of a stateful group first pauses the routes of every task that
-//! accesses the state, and of every task upstream of them, and waits,
-//! with no deadline, until the accessing tasks are quiet: a send from
-//! inside the pool into a paused route is staged, never waited on, so the
-//! wait always ends. Releasing the routes flushes the staged sends by the
-//! new instance count. A scale refuses to run over an instance that has
-//! failed and awaits recovery.
+//! Every scale, recovery and respawn pauses through a `Quiesced`: the
+//! routes of the tasks it changes and of every task upstream of them.
+//! Only a `Quiesced` kills, spawns or stops instances, and dropping it
+//! resumes the routes. A scale of a stateful group waits until the
+//! accessing tasks are quiet and refuses to run over an instance that has
+//! failed and awaits recovery (`Quiesced::drain`); the other operations
+//! move no live state and do not wait (`Quiesced::pause`).
 //! A partitioned group is then re-placed onto p ± 1 instances by
 //! `repartition`, the way a restore places a checkpoint: every entry
 //! goes once, straight into its final stripe. A partial group grows by an
@@ -27,22 +29,27 @@
 //! replica, so a failure right after a scale recovers from the new chains.
 //! Scale-in deletes the removed replica's chunks from every backup store.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdg_checkpoint::backup::ChunkReader;
+use sdg_checkpoint::backup::{BackupSet, ChunkReader};
 use sdg_checkpoint::cell::StateCell;
+use sdg_checkpoint::coordinator::{take_checkpoint_with, CheckpointOptions};
+use sdg_checkpoint::recovery::{restore_chain_resilient, RestoreOptions};
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{StateId, TaskId};
 use sdg_common::obs::EventKind;
 use sdg_common::time::VectorTs;
-use sdg_graph::model::{Distribution, Sdg};
+use sdg_graph::model::{Dispatch, Distribution, Sdg, TaskDecl};
 use sdg_state::store::StateType;
 
-use crate::control::Control;
+use crate::control::{se_instance_id, Control};
 use crate::deploy::Inner;
+use crate::fault::RecoveryUnit;
+use crate::item::{lane, route_hash, Item};
 use crate::scaling::ScaleDirection;
-use crate::worker::{Instance, Paused, WorkerMsg};
+use crate::worker::{Paused, WorkerMsg};
 
 /// A topology-change request for [`crate::deploy::Deployment::reconfigure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,125 +133,507 @@ pub(crate) fn execute(inner: &Inner, request: ReconfigRequest) -> SdgResult<Reco
     let ctl = &mut *inner.control.lock();
     let instances = |task: TaskId| inner.routes.get(&task).map_or(0, |r| r.read().len() as u32);
     let replicas = |state: StateId| inner.cells.read().get(&state).map_or(0, |g| g.len() as u32);
-    let mut report = ReconfigReport {
-        request,
-        total: Duration::ZERO,
-        drain: Duration::ZERO,
-        restore: Duration::ZERO,
-        moved_bytes: 0,
-        replayed: 0,
-        task_instances: 0,
-        se_instances: 0,
-    };
-    match request {
+    let (mut stats, mut restore, mut replayed) = (MigrationStats::default(), Duration::ZERO, 0);
+    let (task_instances, se_instances) = match request {
         ReconfigRequest::ScaleOut { task } | ReconfigRequest::ScaleIn { task } => {
-            let stats = match request {
-                ReconfigRequest::ScaleOut { .. } => scale_out(inner, ctl, task)?,
-                _ => scale_in(inner, ctl, task)?,
+            let direction = match request {
+                ReconfigRequest::ScaleOut { .. } => ScaleDirection::Out,
+                _ => ScaleDirection::In,
             };
-            report.drain = stats.drain;
-            report.moved_bytes = stats.moved_bytes;
-            report.task_instances = instances(task);
-            report.se_instances = inner
-                .sdg
-                .task(task)
-                .ok()
-                .and_then(|t| t.access.as_ref())
-                .map_or(0, |a| replicas(a.state));
+            stats = scale(inner, ctl, task, direction)?;
+            let access = inner.sdg.task(task).ok().and_then(|t| t.access.as_ref());
+            (instances(task), access.map_or(0, |a| replicas(a.state)))
         }
         ReconfigRequest::Checkpoint => {
-            inner.checkpoint_all(ctl)?;
-            report.task_instances = inner.routes.keys().map(|&t| instances(t)).sum();
-            report.se_instances = inner.cells.read().values().map(|g| g.len() as u32).sum();
+            checkpoint_all(inner, ctl)?;
+            let tasks = inner.routes.keys().map(|&t| instances(t)).sum();
+            let states = inner.cells.read().values().map(|g| g.len() as u32).sum();
+            (tasks, states)
         }
         ReconfigRequest::FailAndRecover { state, replica } => {
-            let recovery = inner.fail_and_recover(ctl, state, replica)?;
-            report.restore = recovery.restore;
-            report.replayed = recovery.replayed;
+            (restore, replayed) = fail_and_recover(inner, ctl, state, replica)?;
             let accessing = inner.sdg.tasks_accessing(state);
-            report.task_instances = accessing.iter().map(|t| instances(t.id)).sum();
-            report.se_instances = replicas(state);
+            let tasks = accessing.iter().map(|t| instances(t.id)).sum();
+            (tasks, replicas(state))
         }
-    }
-    report.total = t0.elapsed();
-    Ok(report)
-}
-
-/// Adds one instance to `task`, repartitioning or replicating its SE group
-/// as its distribution requires.
-fn scale_out(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<MigrationStats> {
-    let task = inner.sdg.task(task_id)?;
-    let Some(access) = &task.access else {
-        let mut slots = inner.routes[&task_id].write();
-        let node = inner.next_node();
-        inner.spawn_instance(task_id, slots.len() as u32, node, &mut slots)?;
-        drop(slots);
-        inner.record_scale(task_id, node, ScaleDirection::Out);
-        return Ok(MigrationStats::default());
     };
-    let state = access.state;
-    match inner.sdg.state(state)?.dist {
-        Distribution::Local => Err(SdgError::Runtime(format!(
-            "task `{}` accesses local state and cannot scale out",
-            task.name
-        ))),
-        Distribution::Partial => scale_out_partial(inner, state, task_id),
-        Distribution::Partitioned { .. } => {
-            let p = inner.cells.read().get(&state).map_or(0, Vec::len);
-            migrate(inner, ctl, state, task_id, p + 1)
+    Ok(ReconfigReport {
+        request,
+        total: t0.elapsed(),
+        drain: stats.drain,
+        restore,
+        moved_bytes: stats.moved_bytes,
+        replayed,
+        task_instances,
+        se_instances,
+    })
+}
+
+/// The paused routes of a task set and of every task upstream of it: no
+/// request enters the pipeline that feeds the tasks, and a send into any
+/// of the routes from inside the pool is staged.
+///
+/// Apart from `Deployment::start`, only a `Quiesced` takes route write
+/// guards ([`crate::worker::Route::write`]), so no control operation can
+/// change a task's instances without pausing its producers. Dropping it
+/// resumes the paused tasks, then the upstream ones, each flushing its
+/// staged sends by the instances as they then stand: by a scale's new
+/// count, and stamped above everything a recovery replayed.
+pub(crate) struct Quiesced<'a> {
+    inner: &'a Inner,
+    /// The paused tasks, sorted by id.
+    tasks: Vec<TaskId>,
+    /// Their routes, in `tasks` order.
+    routes: Vec<Paused<'a>>,
+    /// The routes upstream of `tasks`, sorted by task id.
+    upstream: Vec<Paused<'a>>,
+}
+
+impl<'a> Quiesced<'a> {
+    /// Pauses `tasks`, then every task upstream of them, each set in
+    /// task-id order, and returns at once.
+    ///
+    /// Recovery pauses this way. It does not wait for quiet: the instance
+    /// it replaces is killed and its mailbox drains as discards, and the
+    /// restored cut plus replay rebuild its state, so no item in flight
+    /// needs to land first. Respawns, stateless scales and a partial SE's
+    /// scale-out move no live state either.
+    fn pause(inner: &'a Inner, tasks: &[&TaskDecl]) -> Self {
+        let mut tasks: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
+        tasks.sort();
+        let routes = tasks.iter().map(|t| inner.routes[t].write()).collect();
+        let mut cone = tasks.clone();
+        let mut i = 0;
+        while let Some(&t) = cone.get(i) {
+            for flow in inner.sdg.flows_to(t) {
+                if !cone.contains(&flow.from) {
+                    cone.push(flow.from);
+                }
+            }
+            i += 1;
+        }
+        let mut upstream = cone.split_off(tasks.len());
+        upstream.sort();
+        let upstream = upstream.iter().map(|t| inner.routes[t].write()).collect();
+        Quiesced {
+            inner,
+            tasks,
+            routes,
+            upstream,
+        }
+    }
+
+    /// Pauses `tasks` as [`Quiesced::pause`] does, then waits until each
+    /// of their instances is quiet — mailbox empty, no item
+    /// mid-processing — so a migration sees a consistent key population.
+    ///
+    /// The wait has no deadline, because it always ends: a send into a
+    /// paused route from inside the pool is staged rather than waited on,
+    /// so no pool thread is held, and a paused instance that forwards into
+    /// another paused task still drains its own mailbox. Instances of other
+    /// tasks are not waited on. Returns the wait too, which is also logged
+    /// as `trigger`'s `RepartitionDrain`.
+    ///
+    /// # Errors
+    ///
+    /// Refuses when one of the paused instances has failed: see
+    /// [`Quiesced::refuse_failed`].
+    fn drain(
+        inner: &'a Inner,
+        tasks: &[&TaskDecl],
+        trigger: TaskId,
+    ) -> SdgResult<(Self, Duration)> {
+        let paused = Self::pause(inner, tasks);
+        let t0 = Instant::now();
+        while !Inner::drained(paused.routes.iter().map(|g| &**g)) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let waited = t0.elapsed();
+        let task = inner.task_name(trigger);
+        inner
+            .obs
+            .record_event(EventKind::RepartitionDrain { task, waited });
+        // Checked after the drain: by then no paused actor can still fail.
+        paused.refuse_failed()?;
+        Ok((paused, waited))
+    }
+
+    /// Refuses to scale while an instance of a paused task has failed and
+    /// awaits recovery. A scale would move or retire the dead instance's
+    /// state and slot, so the recovery that follows would find neither;
+    /// the caller asks again once the supervisor (or a `FailAndRecover`)
+    /// has recovered it.
+    fn refuse_failed(&self) -> SdgResult<()> {
+        for (&task, slots) in self.tasks.iter().zip(&self.routes) {
+            if slots.iter().any(|i| i.tx.is_closed()) {
+                return Err(SdgError::Runtime(format!(
+                    "a failed instance of `{}` awaits recovery",
+                    self.inner.task_name(task)
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Kills instance `replica` of every paused task: its mailbox drains
+    /// as discards.
+    fn kill(&self, replica: u32) {
+        for slots in &self.routes {
+            if let Some(old) = slots.get(replica as usize) {
+                old.alive.store(false, Ordering::Release);
+            }
+        }
+    }
+
+    /// Spawns instance `replica` of every paused task on `node`, appended
+    /// or in place of the instance it replaces.
+    fn spawn(&mut self, replica: u32, node: u32) -> SdgResult<()> {
+        for (&task, slots) in self.tasks.iter().zip(&mut self.routes) {
+            self.inner.spawn_instance(task, replica, node, slots)?;
+        }
+        Ok(())
+    }
+
+    /// Stops the last instance of every paused task and returns the node
+    /// it ran on.
+    fn stop_last(&mut self) -> u32 {
+        let mut node = 0;
+        for slots in &mut self.routes {
+            if let Some(victim) = slots.pop() {
+                // `force_send`: `Stop` must land whatever the mailbox holds.
+                let _ = victim.tx.force_send(WorkerMsg::Stop);
+                node = victim.node;
+            }
+        }
+        node
+    }
+}
+
+impl Drop for Quiesced<'_> {
+    fn drop(&mut self) {
+        // The paused tasks resume before their producers.
+        self.routes.clear();
+        self.upstream.clear();
+    }
+}
+
+/// Takes every replica of every SE.
+fn checkpoint_all(inner: &Inner, ctl: &mut Control) -> SdgResult<()> {
+    let states: Vec<StateId> = inner.cells.read().keys().copied().collect();
+    states
+        .into_iter()
+        .try_for_each(|state| checkpoint_state(inner, ctl, state))
+}
+
+/// Takes every replica of `state`, each a delta of its dirty chunks
+/// unless its record asks for a base.
+fn checkpoint_state(inner: &Inner, ctl: &mut Control, state: StateId) -> SdgResult<()> {
+    let group = inner.cells.read().get(&state).cloned().unwrap_or_default();
+    for (replica, cell) in group.iter().enumerate() {
+        let replica = replica as u32;
+        let seq = ctl.next_seq();
+        let label = inner.se_label(state, replica);
+        let base = ctl.needs_base(state, replica);
+        inner.obs.record_event(EventKind::CheckpointBegin {
+            instance: label.clone(),
+            seq,
+        });
+        // No upstream buffers are captured: they live in the
+        // deployment's `BufferRegistry`, which survives the kill of any
+        // instance, and recovery replays from it directly.
+        let set = take_checkpoint_with(
+            cell,
+            se_instance_id(state, replica),
+            seq,
+            Vec::new,
+            &inner.stores,
+            &inner.cfg.checkpoint,
+            Some(inner.obs.checkpoints()),
+            CheckpointOptions { base },
+        )?;
+        inner.obs.record_event(EventKind::CheckpointBackup {
+            instance: label.clone(),
+            seq,
+            bytes: set.state_bytes as u64,
+        });
+        inner.obs.record_event(EventKind::CheckpointConsolidate {
+            instance: label,
+            seq,
+        });
+        if let Ok(decl) = inner.sdg.state(state) {
+            inner
+                .obs
+                .state_with_id(&decl.name, Some(state))
+                .checkpoints
+                .inc();
+        }
+        // Trim upstream buffers covered by this checkpoint.
+        trim_for(inner, state, replica, &set);
+        ctl.record(state, replica, set, &inner.stores);
+    }
+    Ok(())
+}
+
+/// Trims buffers into `(state, replica)`'s consumer tasks using the
+/// checkpoint's vector watermarks.
+fn trim_for(inner: &Inner, state: StateId, replica: u32, set: &BackupSet) {
+    for task in inner.sdg.tasks_accessing(state) {
+        for (edge, _) in inner.in_edges(task) {
+            for (src, buf) in inner.buffers.buffers_into(edge, replica) {
+                buf.lock().trim(set.vector.get(lane(edge, src)));
+            }
         }
     }
 }
 
-/// Removes one instance from `task`, live-migrating the victim replica's
-/// state into the survivors: a partitioned group is re-placed onto the
-/// survivors, a partial replica is folded into replica 0.
-fn scale_in(inner: &Inner, ctl: &mut Control, task_id: TaskId) -> SdgResult<MigrationStats> {
+/// Executes one recovery on behalf of the supervisor.
+pub(crate) fn recover(inner: &Inner, ctl: &mut Control, unit: RecoveryUnit) -> SdgResult<()> {
+    match unit {
+        RecoveryUnit::State(state, replica) => {
+            fail_and_recover(inner, ctl, state, replica).map(|_| ())
+        }
+        RecoveryUnit::Task(task, replica) => respawn_stateless(inner, ctl, task, replica),
+    }
+}
+
+/// Kills SE instance `(state, replica)` with its accessing TE instances and
+/// recovers it (§5): restores the latest checkpoint chain and replays the
+/// upstream buffers past it. Returns the restore time and the items
+/// replayed.
+fn fail_and_recover(
+    inner: &Inner,
+    ctl: &mut Control,
+    state: StateId,
+    replica: u32,
+) -> SdgResult<(Duration, usize)> {
+    let t0 = Instant::now();
+    let label = inner.se_label(state, replica);
+    inner.obs.record_event(EventKind::FailureInjected {
+        instance: label.clone(),
+    });
+    let chain = ctl.recovery_chain(state, replica, inner.cfg.checkpoint.enabled)?;
+
+    // Pause the affected tasks and the tasks upstream of them. The pause
+    // is held through restore, respawn AND replay: if new traffic ran
+    // ahead of the replayed (lower-timestamped) items, the duplicate
+    // filter would wrongly discard the replay. Sends made meanwhile from
+    // inside the pool are staged, and the pause's drop flushes them after
+    // the replay, stamped above it. The old instances die first.
+    let mut paused = Quiesced::pause(inner, &inner.sdg.tasks_accessing(state));
+    paused.kill(replica);
+
+    // Restore state from the m backup stores, composing the base
+    // generation with any deltas taken since it. The resilient restore
+    // routes around corrupt or missing chunks by falling back to the
+    // newest intact prefix of the chain; with no chain at all (never
+    // checkpointed), recovery rebuilds from an empty store and a zero
+    // watermark — replay then reconstructs the state from scratch.
+    let restore_t0 = Instant::now();
+    let decl = inner.sdg.state(state)?.clone();
+    let (stripes, dim, delta) = inner.layout_of(&decl);
+    // The restore decodes every entry straight into the stripe that
+    // owns its key, each stripe with the exact vector recorded at
+    // checkpoint time when the stripe layout is unchanged (else the
+    // cut's min vector on every stripe, which is safe but replays
+    // more).
+    let new_cell = match &chain {
+        Some(chain) => {
+            let restored = restore_chain_resilient(
+                chain,
+                &inner.stores,
+                1,
+                RestoreOptions {
+                    stripes,
+                    dim,
+                    ..RestoreOptions::default()
+                },
+                Some(inner.obs.checkpoints()),
+            )?;
+            if !restored.fallback_errors.is_empty() {
+                // Corrupt generations were dropped: surface each loss,
+                // then cut the recorded chain to the prefix that
+                // actually restored.
+                for e in &restored.fallback_errors {
+                    inner.obs.faults().chunks_corrupt.inc();
+                    inner.obs.record_event(EventKind::ChunkCorrupt {
+                        instance: label.clone(),
+                        error: e.to_string(),
+                    });
+                }
+                inner
+                    .obs
+                    .recovery()
+                    .chain_fallbacks
+                    .add(restored.fallback_errors.len() as u64);
+                ctl.truncate(state, replica, restored.used + 1);
+            }
+            let parts = restored.parts.into_iter().next().expect("n=1 restore");
+            StateCell::from_parts(parts, dim, delta)
+        }
+        None => StateCell::new_striped(decl.ty, stripes, dim, delta),
+    };
+    let new_cell = Arc::new(new_cell);
+    let (floor, frontier) = (new_cell.vector(), new_cell.frontier());
+    inner
+        .cells
+        .write()
+        .get_mut(&state)
+        .and_then(|g| {
+            g.get_mut(replica as usize)
+                .map(|slot| *slot = Arc::clone(&new_cell))
+        })
+        .ok_or_else(|| SdgError::NotFound(format!("state instance {state}#{replica}")))?;
+    let restore = restore_t0.elapsed();
+    inner.obs.record_event(EventKind::RecoveryRestored {
+        instance: label.clone(),
+        took: restore,
+    });
+
+    // Respawn workers on a fresh node, swapping them in through the
+    // held pause.
+    paused.spawn(replica, ctl.next_node())?;
+
+    // Replay from upstream output buffers past the restored watermarks,
+    // still before any producer may send: replayed items must be first
+    // in every lane so their (older) timestamps pass the filter.
+    let mut replayed = 0usize;
+    for (&task_id, slots) in paused.tasks.iter().zip(&paused.routes) {
+        let sender = &slots[replica as usize].tx;
+        for (edge, dispatch) in inner.in_edges(inner.sdg.task(task_id)?) {
+            let watermarks = replay_watermarks(&dispatch, &floor, &frontier);
+            for (src, buf) in inner.buffers.buffers_into(edge, replica) {
+                let wm = watermarks.get(lane(edge, src));
+                for buffered in buf.lock().replay_after(wm) {
+                    let mut item = Item::from_buffered(edge, src, buffered);
+                    item.route = route_hash(&dispatch, &item.payload)?;
+                    // Replay runs under the pause: bypass the cap (see
+                    // `PoolSender::force_send`).
+                    sender
+                        .force_send(WorkerMsg::Item(item))
+                        .map_err(|_| SdgError::Runtime("replay channel closed".into()))?;
+                    replayed += 1;
+                }
+            }
+        }
+    }
+    drop(paused);
+    inner.obs.checkpoints().replayed.add(replayed as u64);
+    inner.obs.record_event(EventKind::RecoveryReplayed {
+        instance: label.clone(),
+        items: replayed as u64,
+    });
+    inner.obs.record_event(EventKind::RecoveryComplete {
+        instance: label,
+        took: t0.elapsed(),
+    });
+    Ok((restore, replayed))
+}
+
+/// Picks the vector recovery replays a flow's lanes past: the restored
+/// cell's `frontier` (its stripes' pointwise maximum), or its `floor`
+/// (their minimum) on a gather edge.
+///
+/// The frontier bounds what the cut already holds on a lane whose items
+/// one TE instance applies in timestamp order (see
+/// [`sdg_checkpoint::cell`]). A gather barrier applies its assembled items
+/// in completion order instead.
+fn replay_watermarks<'a>(
+    dispatch: &Dispatch,
+    floor: &'a VectorTs,
+    frontier: &'a VectorTs,
+) -> &'a VectorTs {
+    match dispatch {
+        Dispatch::AllToOne { .. } => floor,
+        _ => frontier,
+    }
+}
+
+/// Replaces a dead stateless instance with a fresh one on a new node.
+///
+/// There is no state to restore and nothing to replay: the items in
+/// flight at the dead instance die with it, and no lane into it logs
+/// (see `Inner::logs_into`). This is §5's model: durability comes
+/// from the stateful consumers' checkpoints plus replay of the lanes
+/// into them, so the respawn restores liveness, not the lost items.
+fn respawn_stateless(
+    inner: &Inner,
+    ctl: &mut Control,
+    task: TaskId,
+    replica: u32,
+) -> SdgResult<()> {
+    let mut paused = Quiesced::pause(inner, &[inner.sdg.task(task)?]);
+    paused.kill(replica);
+    paused.spawn(replica, ctl.next_node())
+}
+
+/// Adds (`Out`) or removes (`In`) one instance of `task`. A stateless
+/// task spawns or stops one instance. A stateful one resizes its SE group
+/// ([`migrate`]): a partitioned group is re-placed onto p ± 1 instances,
+/// a partial group folds its last replica into replica 0, or grows by an
+/// empty one ([`scale_out_partial`]).
+fn scale(
+    inner: &Inner,
+    ctl: &mut Control,
+    task_id: TaskId,
+    direction: ScaleDirection,
+) -> SdgResult<MigrationStats> {
     let task = inner.sdg.task(task_id)?;
+    let out = direction == ScaleDirection::Out;
     let Some(access) = &task.access else {
-        let mut guard = [inner.routes[&task_id].write()];
-        if guard[0].len() <= 1 {
+        let mut paused = Quiesced::pause(inner, &[task]);
+        let n = paused.routes[0].len();
+        let node = if out {
+            let node = ctl.next_node();
+            paused.spawn(n as u32, node)?;
+            node
+        } else if n <= 1 {
             return Err(SdgError::Runtime(format!(
                 "task `{}` is already at one instance",
                 task.name
             )));
-        }
-        refuse_failed(inner, task_id, &guard[0])?;
-        let node = stop_victims(&mut guard);
-        drop(guard);
-        inner.record_scale(task_id, node, ScaleDirection::In);
+        } else {
+            paused.refuse_failed()?;
+            paused.stop_last()
+        };
+        drop(paused);
+        record_scale(inner, task_id, node, direction);
         return Ok(MigrationStats::default());
     };
     let state = access.state;
     let decl = inner.sdg.state(state)?;
     let unit = match decl.dist {
         Distribution::Local => {
+            let way = if out { "out" } else { "in" };
             return Err(SdgError::Runtime(format!(
-                "task `{}` accesses local state and cannot scale in",
+                "task `{}` accesses local state and cannot scale {way}",
                 task.name
-            )))
+            )));
         }
+        Distribution::Partial if out => return scale_out_partial(inner, ctl, state, task_id),
         Distribution::Partial => {
             check_partial_merge(&inner.sdg, &decl.name)?;
             "replica"
         }
         Distribution::Partitioned { .. } => "partition",
     };
-    let p = inner.cells.read().get(&state).map_or(0, |g| g.len());
-    if p <= 1 {
-        return Err(SdgError::Runtime(format!(
+    let p = inner.cells.read().get(&state).map_or(0, Vec::len);
+    if out {
+        migrate(inner, ctl, state, task_id, p + 1)
+    } else if p <= 1 {
+        Err(SdgError::Runtime(format!(
             "state `{}` is already at one {unit}",
             decl.name
-        )));
+        )))
+    } else {
+        migrate(inner, ctl, state, task_id, p - 1)
     }
-    migrate(inner, ctl, state, task_id, p - 1)
 }
 
 /// Moves the SE group of `state` from its `p` instances to `to = p ± 1`:
-/// pauses the accessing tasks, re-places a partitioned group
-/// ([`repartition`]) or folds a partial group's last replica into replica
-/// 0, spawns or stops the accessing tasks' instance `max(p, to) − 1`, and
-/// ends with a base take of every replica.
+/// drains the accessing tasks ([`Quiesced::drain`]), re-places a
+/// partitioned group ([`repartition`]) or folds a partial group's last
+/// replica into replica 0, spawns or stops the accessing tasks' instance
+/// `max(p, to) − 1`, and ends with a base take of every replica.
 fn migrate(
     inner: &Inner,
     ctl: &mut Control,
@@ -252,11 +641,12 @@ fn migrate(
     trigger: TaskId,
     to: usize,
 ) -> SdgResult<MigrationStats> {
-    // The guards stay held until the instances are swapped: releasing
+    // The pause is held until the instances are swapped: releasing
     // earlier would let producers route by the old partition count
-    // against the already-moved state. Their drop flushes the sends
-    // staged meanwhile by the new count.
-    let (tasks, mut guards, upstream, drain) = pause(inner, state, trigger)?;
+    // against the already-moved state. Its drop flushes the sends staged
+    // meanwhile by the new count.
+    let accessing = inner.sdg.tasks_accessing(state);
+    let (mut paused, drain) = Quiesced::drain(inner, &accessing, trigger)?;
     let migrate_t0 = Instant::now();
     let p = inner.cells.read().get(&state).map_or(0, Vec::len);
     let moved_bytes = match inner.sdg.state(state)?.dist {
@@ -265,34 +655,36 @@ fn migrate(
     };
     ctl.invalidate(state, to);
     let (node, direction) = if to > p {
-        let node = inner.next_node();
-        for (i, &task) in tasks.iter().enumerate() {
-            inner.spawn_instance(task, p as u32, node, &mut guards[i])?;
-        }
+        let node = ctl.next_node();
+        paused.spawn(p as u32, node)?;
         (node, ScaleDirection::Out)
     } else {
         ctl.forget_replica(state, to as u32, &inner.stores);
-        let node = stop_victims(&mut guards);
-        (node, ScaleDirection::In)
+        (paused.stop_last(), ScaleDirection::In)
     };
-    drop(guards);
-    drop(upstream);
-    inner.record_migration(state, moved_bytes, migrate_t0.elapsed());
-    inner.record_scale(trigger, node, direction);
+    drop(paused);
+    record_migration(inner, state, moved_bytes, migrate_t0.elapsed());
+    record_scale(inner, trigger, node, direction);
     // The migration emptied every record and left every tracked chunk
     // dirty, so these takes are bases: each chain is recoverable again
     // before the sequencer is released. A failed take does not fail the
     // scale; its replica keeps the empty record, and its recovery is
     // refused until the next take.
     if inner.cfg.checkpoint.enabled {
-        let _ = inner.checkpoint_state(ctl, state);
+        let _ = checkpoint_state(inner, ctl, state);
     }
     Ok(MigrationStats { drain, moved_bytes })
 }
 
 /// Adds one replica to a partial SE group: a fresh (empty) partial
 /// instance plus one new instance of every accessing task.
-fn scale_out_partial(inner: &Inner, state: StateId, trigger: TaskId) -> SdgResult<MigrationStats> {
+fn scale_out_partial(
+    inner: &Inner,
+    ctl: &mut Control,
+    state: StateId,
+    trigger: TaskId,
+) -> SdgResult<MigrationStats> {
+    let mut paused = Quiesced::pause(inner, &inner.sdg.tasks_accessing(state));
     let new_replica = {
         let mut cells = inner.cells.write();
         let group = cells
@@ -305,11 +697,10 @@ fn scale_out_partial(inner: &Inner, state: StateId, trigger: TaskId) -> SdgResul
         )));
         group.len() as u32 - 1
     };
-    let node = inner.next_node();
-    for task in inner.accessing_sorted(state) {
-        inner.spawn_instance(task, new_replica, node, &mut inner.routes[&task].write())?;
-    }
-    inner.record_scale(trigger, node, ScaleDirection::Out);
+    let node = ctl.next_node();
+    paused.spawn(new_replica, node)?;
+    drop(paused);
+    record_scale(inner, trigger, node, ScaleDirection::Out);
     Ok(MigrationStats::default())
 }
 
@@ -392,80 +783,79 @@ fn repartition(inner: &Inner, state: StateId, to: usize) -> SdgResult<u64> {
     Ok(moved)
 }
 
-/// The held pauses of several routes.
-type Guards<'a> = Vec<Paused<'a>>;
-
-/// Pauses every task accessing `state`: takes their routes
-/// ([`crate::worker::Route::write`]) in task-id order, then the routes
-/// upstream of them ([`Inner::pause_upstream`]), and waits until each of
-/// the accessing tasks' instances is quiet — mailbox empty, no item
-/// mid-processing — so a migration sees a consistent key population.
-///
-/// The wait has no deadline, because it always ends: a send into a paused
-/// route from inside the pool is staged rather than waited on, so no pool
-/// thread is held, and a paused instance that forwards into another
-/// paused task still drains its own mailbox. Instances of other tasks are
-/// not waited on. Returns the tasks, their guards, the upstream guards and
-/// the wait, which is also logged as `trigger`'s `RepartitionDrain`.
-///
-/// # Errors
-///
-/// Refuses when one of the paused instances has failed: see
-/// [`refuse_failed`].
-fn pause(
-    inner: &Inner,
-    state: StateId,
-    trigger: TaskId,
-) -> SdgResult<(Vec<TaskId>, Guards<'_>, Guards<'_>, Duration)> {
-    let tasks = inner.accessing_sorted(state);
-    let guards: Vec<_> = tasks.iter().map(|t| inner.routes[t].write()).collect();
-    let upstream = inner.pause_upstream(&tasks);
-    let t0 = Instant::now();
-    while !Inner::drained(guards.iter().map(|g| &**g)) {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let waited = t0.elapsed();
-    if let Ok(task) = inner.sdg.task(trigger) {
-        inner.obs.record_event(EventKind::RepartitionDrain {
-            task: task.name.clone(),
-            waited,
-        });
-    }
-    // Checked after the drain: by then no paused actor can still fail.
-    for (&task, guard) in tasks.iter().zip(&guards) {
-        refuse_failed(inner, task, guard)?;
-    }
-    Ok((tasks, guards, upstream, waited))
+/// Records one scale event in the obs log and the reconfig counters.
+fn record_scale(inner: &Inner, task: TaskId, node: u32, direction: ScaleDirection) {
+    let instances = inner.routes[&task].read().len() as u32;
+    let (task, counters) = (inner.task_name(task), inner.obs.reconfig());
+    let (event, counter) = match direction {
+        ScaleDirection::Out => (
+            EventKind::ScaleOut {
+                task,
+                instances,
+                node,
+            },
+            &counters.scale_outs,
+        ),
+        ScaleDirection::In => (
+            EventKind::ScaleIn {
+                task,
+                instances,
+                node,
+            },
+            &counters.scale_ins,
+        ),
+    };
+    inner.obs.record_event(event);
+    counter.inc();
 }
 
-/// Refuses to scale `task` while one of its instances has failed and
-/// awaits recovery. A scale would move or retire the dead instance's state
-/// and slot, so the recovery that follows would find neither; the caller
-/// asks again once the supervisor (or a `FailAndRecover`) has recovered
-/// it.
-fn refuse_failed(inner: &Inner, task: TaskId, slots: &[Instance]) -> SdgResult<()> {
-    if !slots.iter().any(|i| i.tx.is_closed()) {
-        return Ok(());
-    }
-    let name = inner
+/// Records one state-migration episode (bytes that changed SE owner).
+fn record_migration(inner: &Inner, state: StateId, bytes: u64, took: Duration) {
+    let state = inner
         .sdg
-        .task(task)
-        .map_or_else(|_| task.to_string(), |t| t.name.clone());
-    Err(SdgError::Runtime(format!(
-        "a failed instance of `{name}` awaits recovery"
-    )))
+        .state(state)
+        .map_or_else(|_| state.to_string(), |d| d.name.clone());
+    inner
+        .obs
+        .record_event(EventKind::StateMigrated { state, bytes, took });
+    inner.obs.reconfig().migrated_bytes.record(bytes);
 }
 
-/// Stops the last instance of every paused route and returns the node it
-/// ran on.
-fn stop_victims(guards: &mut [Paused<'_>]) -> u32 {
-    let mut node = 0;
-    for slots in guards {
-        if let Some(victim) = slots.pop() {
-            // `force_send`: `Stop` must land whatever the mailbox holds.
-            let _ = victim.tx.force_send(WorkerMsg::Stop);
-            node = victim.node;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdg_common::ids::EdgeId;
+    use sdg_common::value::Key;
+    use sdg_state::partition::PartitionDim;
+
+    #[test]
+    fn replay_into_a_gather_edge_starts_past_the_stripes_minimum() {
+        // Two stripes of one restored cell recorded ts 4 and ts 10 on one
+        // lane.
+        let cell = StateCell::new_striped(StateType::Table, 2, PartitionDim::Row, None);
+        let mut route = [None, None];
+        for i in 0..100 {
+            let h = Key::Int(i).stable_hash();
+            route[(h % 2) as usize].get_or_insert(h);
+        }
+        let lane = EdgeId(7);
+        cell.apply_routed(lane, 4, route[1], |_| ());
+        cell.apply_routed(lane, 10, route[0], |_| ());
+        let (floor, frontier) = (cell.vector(), cell.frontier());
+        let gather = Dispatch::AllToOne {
+            collect_var: "c".into(),
+        };
+        assert_eq!(replay_watermarks(&gather, &floor, &frontier).get(lane), 4);
+        for ordered in [
+            Dispatch::Partitioned { key: "k".into() },
+            Dispatch::OneToAny,
+            Dispatch::OneToAll,
+        ] {
+            assert_eq!(
+                replay_watermarks(&ordered, &floor, &frontier).get(lane),
+                10,
+                "{ordered}"
+            );
         }
     }
-    node
 }

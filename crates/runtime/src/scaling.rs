@@ -186,7 +186,7 @@ pub(crate) fn decide(
 pub(crate) fn run_scaling_monitor(inner: &Inner, groups: Groups) {
     let cfg = &inner.cfg.scaling;
     let mut state = PolicyState::default();
-    while !inner.stop_wait().wait(cfg.check_interval) {
+    while !inner.stop_wait.wait(cfg.check_interval) {
         let sample = Sample::take(inner);
         let Some(request) = decide(&mut state, &sample, &groups, cfg) else {
             continue;
