@@ -220,6 +220,78 @@ fn scaling_between_interval_checkpoints_is_exactly_once() {
     app.shutdown();
 }
 
+/// The scaling monitor and interval checkpoints both on, with a seeded
+/// panic: every bump costs 5 ms of modelled service time and the
+/// mailboxes hold 8 items, so the feed keeps `bump_0` saturated for about
+/// a second, far past `patience` 5 ms samples, even when the feeder gets
+/// little CPU (it need only send one bump per instance every 5 ms). The
+/// monitor scales out on its own, the supervisor recovers the panicked
+/// instance, and the monitor hands the added instance back once the feed
+/// stops. Whichever order the scales, takes and the recovery fall in, the
+/// sequencer runs them one at a time and the final table is the
+/// fault-free one.
+#[test]
+fn monitor_scaling_interval_checkpoints_and_a_panic_are_exactly_once() {
+    quiet_injected_panics();
+    let baseline = run_fault_free();
+
+    // Each replica handles at least 150 bumps while the group stays at
+    // three or fewer instances, so the drawn item is always reached.
+    let plan = FaultPlan::seeded(55);
+    let nth = plan.draw("monitor.panic.nth", 30, 120);
+    let replica = plan.draw("monitor.panic.replica", 0, PARTITIONS as u64 - 1) as u32;
+    let mut cfg = chaos_config(Some(plan.with_worker_panic("bump_0", replica, nth)));
+    cfg.channel_capacity = 8;
+    cfg.scaling = ScalingConfig {
+        enabled: true,
+        check_interval: Duration::from_millis(5),
+        high_watermark: 0.5,
+        patience: 3,
+        max_instances: 3,
+        idle_patience: 3,
+        ..ScalingConfig::default()
+    };
+
+    let app = KvApp::start_tuned(PARTITIONS, Some(Duration::from_millis(5)), cfg).unwrap();
+    feed(&app, 0..ITEMS);
+    assert!(
+        await_recovery(app.deployment(), Duration::from_secs(20)),
+        "supervisor did not recover: {:?}",
+        app.deployment().metrics()
+    );
+    assert!(app.quiesce(Duration::from_secs(30)));
+    // The idle group shrinks back to its deploy-time count and no further:
+    // read the table only then, so no replica leaves while it is read.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let instances = || {
+        let snap = app.deployment().metrics();
+        snap.state_by_id(app.state()).map_or(0, |s| s.instances)
+    };
+    while instances() != PARTITIONS as u64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        instances(),
+        PARTITIONS as u64,
+        "the monitor did not scale in"
+    );
+
+    let snap = app.deployment().metrics();
+    assert!(
+        snap.reconfig.scale_outs >= 1,
+        "the monitor never scaled out"
+    );
+    assert!(snap.faults.worker_panics >= 1, "panic was never injected");
+    assert!(snap.checkpoints.taken >= 1, "no interval checkpoint ran");
+    assert_eq!(app.deployment().health(), Health::Healthy);
+    assert_eq!(
+        table_contents(&app),
+        baseline,
+        "monitor chaos run diverged (fault at item {nth} of bump_0#{replica})"
+    );
+    app.shutdown();
+}
+
 #[test]
 fn stalled_worker_is_detected_by_heartbeats_and_recovered() {
     quiet_injected_panics();
