@@ -44,7 +44,8 @@ pub enum EventKind {
     /// A TE instance was removed from `task` (scale-in), merging its SE
     /// shard or partial aggregate into the survivors.
     ScaleIn {
-        /// Scaled task.
+        /// What shrank: the SE of a state group (the group's every task
+        /// lost an instance), or a stateless task.
         task: String,
         /// Instance count after scaling.
         instances: u32,

@@ -191,10 +191,11 @@ pub struct RuntimeConfig {
     pub scaling: ScalingConfig,
     /// Checkpointing settings.
     pub checkpoint: CheckpointConfig,
-    /// OS threads of the work-stealing pool that runs every TE instance as
-    /// an actor (see [`crate::sched`]). Independent of the instance count:
-    /// synthetic service time (`work_ns`) rests an actor on the pool's
-    /// timer heap instead of holding one of these threads.
+    /// OS threads of the work-stealing pool that runs every TE instance on
+    /// an actor (see [`crate::sched`]); by default one per core the host
+    /// offers ([`std::thread::available_parallelism`]). Independent of the
+    /// instance count: synthetic service time (`work_ns`) rests an actor on
+    /// the pool's timer heap instead of holding one of these threads.
     pub sched_threads: usize,
     /// Lock stripes per partitioned SE instance. Accessing tasks route each
     /// item to the stripe owning its key, so replicas of one SE group and
@@ -222,12 +223,18 @@ impl Default for RuntimeConfig {
             cluster: ClusterSpec::default(),
             scaling: ScalingConfig::default(),
             checkpoint: CheckpointConfig::disabled(),
-            sched_threads: 4,
+            sched_threads: default_sched_threads(),
             state_stripes: 16,
             supervisor: SupervisorConfig::default(),
             faults: None,
         }
     }
+}
+
+/// One pool thread per core the host offers, within the range `validate`
+/// accepts.
+fn default_sched_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(256))
 }
 
 impl RuntimeConfig {
@@ -467,7 +474,11 @@ mod tests {
 
     #[test]
     fn scheduler_config_validation() {
-        assert_eq!(RuntimeConfig::default().sched_threads, 4);
+        // One pool thread per core: whatever the host, a valid count.
+        let default = RuntimeConfig::default();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(default.sched_threads, cores.min(256));
+        default.validate().unwrap();
         let cfg = RuntimeConfig::builder().sched_threads(2).build();
         assert_eq!(cfg.sched_threads, 2);
         cfg.validate().unwrap();

@@ -1,13 +1,14 @@
 //! Deployment: materialising an SDG onto the simulated cluster.
 //!
 //! `Deployment::start` allocates TE and SE instances to nodes (§3.3),
-//! registers every TE instance as an actor on the deployment's
-//! work-stealing pool, wires the dataflow mailboxes, and starts the
-//! checkpoint and scaling controllers. The handle then accepts external
+//! registers one actor per SE instance on the deployment's work-stealing
+//! pool, hosting every TE instance that accesses it (and one per stateless
+//! TE instance), wires the dataflow mailboxes, and starts the checkpoint
+//! and scaling controllers. The handle then accepts external
 //! requests ([`Deployment::submit`]), exposes the output sink, and
 //! supports failure injection with §5's replay-based recovery.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -39,7 +40,9 @@ use crate::fault::{
 use crate::reconfig::{self, ReconfigReport, ReconfigRequest};
 use crate::scaling::{run_scaling_monitor, Groups, Sample, StopWait};
 use crate::sched::Pool;
-use crate::worker::{BufferRegistry, Instance, OutEdge, PreparedCode, Route, Worker, WorkerMsg};
+use crate::worker::{
+    BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Worker, WorkerMsg,
+};
 
 pub use crate::worker::OutputEvent;
 
@@ -61,6 +64,55 @@ fn ingest_flow(task: &TaskDecl) -> (EdgeId, Dispatch) {
         _ => Dispatch::OneToAny,
     };
     (ingest_edge(task.id), dispatch)
+}
+
+/// The names [`Deployment::submit`] accepts, each with its task: every
+/// entry task's method, and every task's name. The first task in graph
+/// order wins a name two tasks share.
+fn entry_names(sdg: &Sdg) -> HashMap<String, TaskId> {
+    let mut names = HashMap::new();
+    for task in &sdg.tasks {
+        if let TaskKind::Entry { method } = &task.kind {
+            names.entry(method.clone()).or_insert(task.id);
+        }
+        names.entry(task.name.clone()).or_insert(task.id);
+    }
+    names
+}
+
+/// The flows that close a cycle of actors: those whose consumer's actors
+/// reach back to its producer's. The TEs of one SE group share their
+/// actors, so a flow between two of them is one, and so is a flow out of
+/// a group whose consumers feed the group again.
+fn cycle_flows(sdg: &Sdg) -> HashSet<EdgeId> {
+    // Actors of one unit: an SE group, or a stateless task.
+    let unit = |t: TaskId| match sdg.task(t).ok().and_then(|d| d.access.as_ref()) {
+        Some(a) => sdg.tasks.len() + a.state.raw() as usize,
+        None => t.raw() as usize,
+    };
+    let links: Vec<(usize, usize)> = sdg
+        .flows
+        .iter()
+        .map(|f| (unit(f.from), unit(f.to)))
+        .collect();
+    let reaches = |from: usize, to: usize| {
+        let (mut seen, mut stack) = (HashSet::from([from]), vec![from]);
+        while let Some(u) = stack.pop() {
+            if u == to {
+                return true;
+            }
+            for &(a, b) in &links {
+                if a == u && seen.insert(b) {
+                    stack.push(b);
+                }
+            }
+        }
+        false
+    };
+    (sdg.flows.iter())
+        .filter(|f| reaches(unit(f.to), unit(f.from)))
+        .map(|f| f.id)
+        .collect()
 }
 
 /// Stripe count, partition axis and tracked dirty-chunk space for one SE's
@@ -111,6 +163,10 @@ pub(crate) struct Inner {
     /// Each task's code, prepared once at start and shared by every
     /// instance, respawns and scale-outs included.
     code: HashMap<TaskId, PreparedCode>,
+    /// The task each name [`Deployment::submit`] accepts resolves to.
+    entries: HashMap<String, TaskId>,
+    /// The flows that send without credit ([`cycle_flows`]).
+    cycle_flows: HashSet<EdgeId>,
     /// SE instance cells, replica-indexed.
     pub cells: RwLock<HashMap<StateId, Vec<Arc<StateCell>>>>,
     /// Caught worker/actor panics, drained by the supervisor.
@@ -151,8 +207,8 @@ pub(crate) struct Inner {
 pub struct IngestHandle {
     inner: Arc<Inner>,
     src: u32,
-    /// This handle's lane: one dispatcher per entry task.
-    lanes: HashMap<TaskId, OutEdge>,
+    /// This handle's lane into each task it submitted to, indexed by task.
+    lanes: Vec<Option<OutEdge>>,
 }
 
 impl IngestHandle {
@@ -167,19 +223,23 @@ impl IngestHandle {
         Ok(IngestHandle {
             inner: Arc::clone(inner),
             src,
-            lanes: HashMap::new(),
+            lanes: std::iter::repeat_with(|| None)
+                .take(inner.sdg.tasks.len())
+                .collect(),
         })
     }
 
     /// Submits a request through this handle's lane; blocks on
     /// backpressure. Returns the correlation id.
+    ///
+    /// Requests into entries that access one SE instance reach its one
+    /// mailbox in the order they were submitted here: a `get(k)` after a
+    /// `put(k, v)` reads `v`.
     pub fn submit(&mut self, entry: &str, payload: Record) -> SdgResult<u64> {
         let inner = &*self.inner;
-        let task = inner.find_entry(entry)?;
-        let out = self
-            .lanes
-            .entry(task.id)
-            .or_insert_with(|| inner.ingest_out(task, self.src));
+        let task = inner.entry(entry)?;
+        let out =
+            self.lanes[task.raw() as usize].get_or_insert_with(|| inner.ingest_out(task, self.src));
         let corr = inner.corr.fetch_add(1, Ordering::Relaxed);
         out.send(&Arc::new(payload), corr, 1, Some(Instant::now()))?;
         Ok(corr)
@@ -265,6 +325,8 @@ impl Deployment {
             cfg: cfg.clone(),
             routes,
             code,
+            entries: entry_names(&sdg),
+            cycle_flows: cycle_flows(&sdg),
             cells: RwLock::new(cells),
             failure_hub,
             injector,
@@ -282,34 +344,43 @@ impl Deployment {
             started: Instant::now(),
         });
 
-        // Spawn instances: stateful tasks get one instance per SE replica,
-        // stateless tasks use their configured count.
+        // Spawn instances: every SE replica is one actor hosting an
+        // instance of each task that accesses the SE; a stateless task gets
+        // its configured count of actors of its own.
+        let stateful = sdg.states.iter().map(|s| sdg.tasks_accessing(s.id));
+        let stateless = sdg.tasks.iter().filter(|t| t.access.is_none());
         let mut ctl = inner.control.lock();
-        for task in &sdg.tasks {
-            let count = match &task.access {
+        for unit in stateful.chain(stateless.map(|t| vec![t])) {
+            let Some(first) = unit.first() else {
+                continue;
+            };
+            let count = match &first.access {
                 Some(a) => {
                     let se_count = inner.cells.read()[&a.state].len();
-                    if let Some(&configured) = cfg.task_instances.get(&task.id) {
-                        if configured != se_count {
-                            return Err(SdgError::Config(format!(
-                                "task `{}` instance count {configured} conflicts with its \
-                                 state element's {se_count} instances",
-                                task.name
-                            )));
+                    for task in &unit {
+                        if let Some(&configured) = cfg.task_instances.get(&task.id) {
+                            if configured != se_count {
+                                return Err(SdgError::Config(format!(
+                                    "task `{}` instance count {configured} conflicts with \
+                                     its state element's {se_count} instances",
+                                    task.name
+                                )));
+                            }
                         }
                     }
                     se_count
                 }
-                None => cfg.task_instances.get(&task.id).copied().unwrap_or(1),
+                None => cfg.task_instances.get(&first.id).copied().unwrap_or(1),
             };
-            let mut slots = inner.routes[&task.id].write();
+            let tasks: Vec<TaskId> = unit.iter().map(|t| t.id).collect();
+            let mut routes: Vec<Paused> = tasks.iter().map(|t| inner.routes[t].write()).collect();
             for replica in 0..count {
                 let node = if replica == 0 {
-                    allocation.node_of_task(task.id).raw()
+                    allocation.node_of_task(first.id).raw()
                 } else {
                     ctl.next_node()
                 };
-                inner.spawn_instance(task.id, replica as u32, node, &mut slots)?;
+                inner.spawn_instance(&tasks, replica as u32, node, &mut routes)?;
             }
         }
         drop(ctl);
@@ -516,8 +587,19 @@ impl Deployment {
     /// Stops all workers and controllers, joining their threads.
     pub fn shutdown(self) {
         self.inner.stop_wait.stop();
-        for route in self.inner.routes.values() {
-            for instance in route.read().iter() {
+        let sdg = &self.inner.sdg;
+        for task in &sdg.tasks {
+            // One `Stop` per actor: the tasks of an SE group share theirs,
+            // so its first task's route reaches every one.
+            let first = |state| sdg.tasks_accessing(state)[0].id;
+            if task
+                .access
+                .as_ref()
+                .is_some_and(|a| first(a.state) != task.id)
+            {
+                continue;
+            }
+            for instance in self.inner.routes[&task.id].read().iter() {
                 // `force_send` so a full mailbox cannot block shutdown: Stop
                 // must reach every actor even when its producers are
                 // suspended on it.
@@ -538,7 +620,9 @@ impl Inner {
         let mut mailbox_depth = 0;
         for (task, instruments) in &self.instruments {
             let slots = self.routes[task].read();
-            let depth: u64 = slots.iter().map(|i| i.tx.len() as u64).sum();
+            // Each task's share of its actors' mailboxes: the shares of an
+            // SE group's tasks add up to the mailbox.
+            let depth: u64 = slots.iter().map(|i| i.tx.queued() as u64).sum();
             instruments.instances.set(slots.len() as u64);
             instruments.queue_depth.set(depth);
             mailbox_depth += depth;
@@ -596,19 +680,48 @@ impl Inner {
         cell_layout(&self.cfg, decl, self.sdg.verify.as_deref())
     }
 
-    /// Spawns TE instance `(task_id, replica)` on `node` as a pool actor
-    /// and puts it in `slots`, the task's paused route: appended, or in
-    /// place of the instance it replaces. Recovery and scaling spawn
-    /// through the guards their [`Quiesced`](crate::reconfig::Quiesced)
-    /// holds across the whole operation, so producers stay paused until
-    /// the swap (and any replay) is complete.
+    /// Spawns replica `replica` of `tasks` on `node` as one pool actor
+    /// and puts each task's instance in its paused route in `routes` (in
+    /// `tasks` order): appended, or in place of the instance it replaces.
+    /// `tasks` is one recovery unit: every task that accesses an SE, or
+    /// one stateless task. Recovery and scaling spawn through the guards
+    /// their [`Quiesced`](crate::reconfig::Quiesced) holds across the
+    /// whole operation, so producers stay paused until the swap (and any
+    /// replay) is complete.
     pub(crate) fn spawn_instance(
+        &self,
+        tasks: &[TaskId],
+        replica: u32,
+        node: u32,
+        routes: &mut [Paused<'_>],
+    ) -> SdgResult<()> {
+        let alive = Arc::new(AtomicBool::new(true));
+        let workers = (tasks.iter())
+            .map(|&task| self.worker(task, replica, node, &alive))
+            .collect::<SdgResult<Vec<_>>>()?;
+        let senders = self.pool.spawn_actor(workers, self.cfg.channel_capacity);
+        for (slots, tx) in routes.iter_mut().zip(senders) {
+            let instance = Instance {
+                tx,
+                alive: Arc::clone(&alive),
+                node,
+            };
+            match slots.get_mut(replica as usize) {
+                Some(slot) => *slot = instance,
+                None => slots.push(instance),
+            }
+        }
+        Ok(())
+    }
+
+    /// TE instance `(task_id, replica)` on `node`, dying with `alive`.
+    fn worker(
         &self,
         task_id: TaskId,
         replica: u32,
         node: u32,
-        slots: &mut Vec<Instance>,
-    ) -> SdgResult<()> {
+        alive: &Arc<AtomicBool>,
+    ) -> SdgResult<Worker> {
         let task = self.sdg.task(task_id)?;
 
         let cell = match &task.access {
@@ -641,7 +754,7 @@ impl Inner {
             .flows_from(task_id)
             .into_iter()
             .map(|flow| {
-                OutEdge::new(
+                let out = OutEdge::new(
                     flow.id,
                     replica,
                     flow.dispatch.clone(),
@@ -649,12 +762,16 @@ impl Inner {
                     Arc::clone(&self.routes[&flow.to]),
                     Arc::clone(&self.buffers),
                     self.logs_into(flow.to),
-                )
+                );
+                if self.cycle_flows.contains(&flow.id) {
+                    out.without_credit()
+                } else {
+                    out
+                }
             })
             .collect();
 
-        let alive = Arc::new(AtomicBool::new(true));
-        let worker = Worker {
+        Ok(Worker {
             name: task.name.clone(),
             replica,
             code: self.code[&task_id].clone(),
@@ -667,7 +784,7 @@ impl Inner {
             gather_var,
             work_ns: self.cfg.work_ns.get(&task_id).copied().unwrap_or(0),
             speed: self.cfg.cluster.speed_of(node as usize),
-            alive: Arc::clone(&alive),
+            alive: Arc::clone(alive),
             obs: self.instruments[&task_id].shard(),
             work_debt: Duration::ZERO,
             task: task_id,
@@ -675,41 +792,29 @@ impl Inner {
             // a recovered worker does not re-fail on the replayed item.
             fault: self.injector.trigger_for(task_id, replica),
             hub: Arc::clone(&self.failure_hub),
-        };
-        let instance = Instance {
-            tx: self.pool.spawn_actor(worker, self.cfg.channel_capacity),
-            alive,
-            node,
-        };
-        match slots.get_mut(replica as usize) {
-            Some(slot) => *slot = instance,
-            None => slots.push(instance),
-        }
-        Ok(())
+        })
     }
 
-    fn find_entry(&self, entry: &str) -> SdgResult<&TaskDecl> {
-        self.sdg
-            .tasks
-            .iter()
-            .find(|t| {
-                matches!(&t.kind, TaskKind::Entry { method } if method == entry) || t.name == entry
-            })
-            .ok_or_else(|| SdgError::NotFound(format!("entry point `{entry}`")))
+    /// The task `name` resolves to ([`entry_names`]).
+    pub(crate) fn entry(&self, name: &str) -> SdgResult<TaskId> {
+        self.entries
+            .get(name)
+            .copied()
+            .ok_or_else(|| SdgError::NotFound(format!("entry point `{name}`")))
     }
 
     /// The dispatcher of ingest lane `src` into `task`: its timestamps
     /// continue the lane's clock, so they outlive the handle.
-    fn ingest_out(&self, task: &TaskDecl, src: u32) -> OutEdge {
-        let (edge, dispatch) = ingest_flow(task);
+    fn ingest_out(&self, task: TaskId, src: u32) -> OutEdge {
+        let (edge, dispatch) = ingest_flow(&self.sdg.tasks[task.raw() as usize]);
         OutEdge::new(
             edge,
             src,
             dispatch,
             Vec::new(),
-            Arc::clone(&self.routes[&task.id]),
+            Arc::clone(&self.routes[&task]),
             Arc::clone(&self.buffers),
-            self.logs_into(task.id),
+            self.logs_into(task),
         )
     }
 
@@ -769,25 +874,30 @@ impl Inner {
             .store(Health::Degraded.as_u8(), Ordering::Release);
     }
 
-    /// Samples every instance's heartbeat epoch — its mailbox's pop count
-    /// — together with what the supervisor needs to judge it: liveness,
+    /// Samples every actor's heartbeat epoch — its mailbox's pop count —
+    /// together with what the supervisor needs to judge it: liveness,
     /// queued input, and whether a stalled epoch can mean a hang at all
     /// (only a `Running` actor holds a pool thread). The mailbox fields
-    /// are read under one lock.
+    /// are read under one lock. An actor is one recovery unit: an SE
+    /// instance with the TE instances it hosts, or one stateless TE
+    /// instance.
     pub(crate) fn heartbeat_view(&self) -> Vec<HeartbeatView> {
         let mut views = Vec::new();
-        for (&task, route) in &self.routes {
-            for (replica, instance) in route.read().iter().enumerate() {
-                let replica = replica as u32;
+        let mut seen = HashSet::new();
+        for task in &self.sdg.tasks {
+            for (replica, instance) in self.routes[&task.id].read().iter().enumerate() {
+                let unit = self.recovery_unit(task.id, replica as u32);
+                if !seen.insert(unit) {
+                    continue;
+                }
                 let (epoch, queued, hang_candidate) = instance.tx.progress();
                 views.push(HeartbeatView {
-                    task,
-                    replica,
+                    unit,
                     epoch,
                     alive: instance.alive.load(Ordering::Acquire),
                     queued,
                     hang_candidate,
-                    label: self.te_label(task, replica),
+                    label: self.unit_label(unit),
                 });
             }
         }
@@ -994,7 +1104,7 @@ mod tests {
         }
         assert!(d.quiesce(Duration::from_secs(30)));
         let before = sorted_entries(&d, kv, 0);
-        let edge = ingest_edge(d.inner.find_entry("put").unwrap().id);
+        let edge = ingest_edge(d.inner.entry("put").unwrap());
         let frontier = d
             .inner
             .control
@@ -1073,7 +1183,7 @@ mod tests {
             .collect();
         assert!(!victim_chunks.is_empty());
 
-        let task = d.inner.find_entry("put").unwrap().id;
+        let task = d.inner.entry("put").unwrap();
         d.reconfigure(ReconfigRequest::ScaleIn { task }).unwrap();
         d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
         for store in &d.inner.stores {

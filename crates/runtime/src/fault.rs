@@ -11,7 +11,7 @@
 //!    `catch_unwind` boundary; a caught panic is reported to the deployment's
 //!    [`FailureHub`]. Independently, every mailbox counts the messages
 //!    popped from it — its heartbeat epoch — and the supervisor scans the
-//!    epochs to flag instances that sit on a non-empty mailbox without
+//!    epochs to flag actors that sit on a non-empty mailbox without
 //!    making progress.
 //! 3. **Recovery** — the supervisor drives the existing §5
 //!    fail-and-recover path (restore from the backup chain, replay
@@ -338,24 +338,24 @@ pub(crate) enum RecoveryUnit {
     Task(TaskId, u32),
 }
 
-/// One instance's heartbeat as sampled by the supervisor.
+/// One actor's heartbeat as sampled by the supervisor.
 #[derive(Debug)]
 pub(crate) struct HeartbeatView {
-    pub task: TaskId,
-    pub replica: u32,
-    /// Messages popped from the instance's mailbox so far: the actor
-    /// steps once per pop.
+    /// What the actor runs, and what recovering it means.
+    pub unit: RecoveryUnit,
+    /// Messages popped from the actor's mailbox so far: the actor steps
+    /// once per pop.
     pub epoch: u64,
     /// Kill flag state; dead instances are never flagged (they are either
     /// being recovered already or were retired on purpose).
     pub alive: bool,
-    /// Items waiting in the instance's mailbox.
+    /// Items waiting in the actor's mailbox.
     pub queued: usize,
     /// `false` when the instance is provably not hung: only a `Running`
     /// actor holds a pool thread, while idle, queued, credit-suspended and
     /// resting ones legitimately sit on a stalled epoch.
     pub hang_candidate: bool,
-    /// TE instance label for events.
+    /// The unit's label for events.
     pub label: String,
 }
 
@@ -414,7 +414,7 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
     let obs = Arc::clone(&inner.obs);
     let seed = inner.cfg.faults.as_ref().map_or(0, |p| p.seed);
     let mut rng = XorShift64::new(seed ^ 0x5de7_ec7e_d5ba_dbed);
-    let mut tracks: HashMap<(TaskId, u32), HeartbeatTrack> = HashMap::new();
+    let mut tracks: HashMap<RecoveryUnit, HeartbeatTrack> = HashMap::new();
     let mut pending: VecDeque<PendingRecovery> = VecDeque::new();
     let mut queued: HashSet<RecoveryUnit> = HashSet::new();
 
@@ -424,13 +424,8 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
             obs.faults()
                 .detection_ns
                 .record_duration(report.at.elapsed());
-            enqueue(
-                &inner,
-                &mut pending,
-                &mut queued,
-                report.task,
-                report.replica,
-            );
+            let unit = inner.recovery_unit(report.task, report.replica);
+            enqueue(&inner, &mut pending, &mut queued, unit);
         }
 
         // 2. Heartbeat scan: flag instances whose epoch stalls across
@@ -438,9 +433,8 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
         // ones already queued for recovery are skipped.
         if cfg.hang_detection {
             for view in inner.heartbeat_view() {
-                let key = (view.task, view.replica);
-                let unit = inner.recovery_unit(view.task, view.replica);
-                let track = tracks.entry(key).or_insert(HeartbeatTrack {
+                let unit = view.unit;
+                let track = tracks.entry(unit).or_insert(HeartbeatTrack {
                     epoch: view.epoch,
                     stale: 0,
                 });
@@ -466,7 +460,7 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
                         .detection_ns
                         .record_duration(cfg.heartbeat_interval * track.stale);
                     track.stale = 0;
-                    enqueue(&inner, &mut pending, &mut queued, view.task, view.replica);
+                    enqueue(&inner, &mut pending, &mut queued, unit);
                 }
             }
         }
@@ -527,10 +521,8 @@ fn enqueue(
     inner: &Arc<Inner>,
     pending: &mut VecDeque<PendingRecovery>,
     queued: &mut HashSet<RecoveryUnit>,
-    task: TaskId,
-    replica: u32,
+    unit: RecoveryUnit,
 ) {
-    let unit = inner.recovery_unit(task, replica);
     if !queued.insert(unit) {
         return; // already queued or backing off
     }

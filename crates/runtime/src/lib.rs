@@ -1,10 +1,11 @@
 //! Pipelined data-parallel execution engine for stateful dataflow graphs.
 //!
 //! The engine materialises an [`sdg_graph::Sdg`] onto a simulated cluster
-//! (§3.3): every TE instance is an actor with a bounded input mailbox
-//! (pipelining and backpressure, never per-item scheduling), SE instances
-//! are [`sdg_checkpoint::StateCell`]s colocated with the TE instances that
-//! access them, and dataflow edges are implemented by dispatchers on the
+//! (§3.3): every SE instance is an actor with a bounded input mailbox
+//! (pipelining and backpressure, never per-item scheduling) hosting the TE
+//! instances that access it, the SE instance itself is a
+//! [`sdg_checkpoint::StateCell`] those TE instances share, a stateless TE
+//! instance is an actor of its own, and dataflow edges are implemented by dispatchers on the
 //! producer side (hash-partitioned, round-robin, broadcast, or all-to-one
 //! gather with a synchronisation barrier).
 //!
@@ -18,12 +19,15 @@
 //!   semantics are not defined here: the engine calls the kernels of the
 //!   language crate's reference evaluator ([`sdg_ir::eval`]), whose
 //!   `run_te` is the oracle of the engine-equivalence tests;
-//! - a **work-stealing cooperative scheduler** ([`sched`]): every TE
-//!   instance is an actor with a serial mailbox multiplexed onto a fixed
-//!   pool of `sched_threads` workers, so replica counts can exceed core
-//!   counts without one OS thread each; synthetic service time rests an
-//!   actor on the pool's timer heap instead of holding a thread; every
-//!   item is logged and sent the moment it is produced;
+//! - a **work-stealing cooperative scheduler** ([`sched`]): one actor per
+//!   SE instance (and per stateless TE instance), each with a serial
+//!   mailbox, multiplexed onto a fixed pool of `sched_threads` workers (by
+//!   default one per core), so replica counts can exceed core counts
+//!   without one OS thread each. The TEs of one SE instance never run at
+//!   once, and what one producer sends them runs in the order it was
+//!   sent. Synthetic service time rests an actor on the pool's timer heap
+//!   instead of holding a thread; every item is logged and sent the moment
+//!   it is produced;
 //! - **reactive scaling** (§3.3): a monitor watches queue depths and adds
 //!   TE instances (and partial/partitioned SE instances) when a task
 //!   becomes a bottleneck or a node straggles, and removes them again —

@@ -61,6 +61,7 @@ pub enum ReconfigRequest {
     },
     /// Remove one instance from `task` (and from its SE group when
     /// stateful), live-migrating the victim's state into the survivors.
+    /// Any task of a state group names the whole group.
     ScaleIn {
         /// The task to shrink.
         task: TaskId,
@@ -285,27 +286,24 @@ impl<'a> Quiesced<'a> {
         }
     }
 
-    /// Spawns instance `replica` of every paused task on `node`, appended
-    /// or in place of the instance it replaces.
+    /// Spawns instance `replica` of every paused task on `node` as one
+    /// actor, appended or in place of the instance it replaces. The paused
+    /// tasks are one recovery unit (an SE group, or one stateless task), so
+    /// they share the actor.
     fn spawn(&mut self, replica: u32, node: u32) -> SdgResult<()> {
-        for (&task, slots) in self.tasks.iter().zip(&mut self.routes) {
-            self.inner.spawn_instance(task, replica, node, slots)?;
-        }
-        Ok(())
+        (self.inner).spawn_instance(&self.tasks, replica, node, &mut self.routes)
     }
 
-    /// Stops the last instance of every paused task and returns the node
-    /// it ran on.
+    /// Stops the last instance of every paused task — their one actor —
+    /// and returns the node it ran on.
     fn stop_last(&mut self) -> u32 {
-        let mut node = 0;
-        for slots in &mut self.routes {
-            if let Some(victim) = slots.pop() {
-                // `force_send`: `Stop` must land whatever the mailbox holds.
-                let _ = victim.tx.force_send(WorkerMsg::Stop);
-                node = victim.node;
-            }
-        }
-        node
+        let victims: Vec<_> = self.routes.iter_mut().filter_map(|s| s.pop()).collect();
+        let Some(victim) = victims.first() else {
+            return 0;
+        };
+        // `force_send`: `Stop` must land whatever the mailbox holds.
+        let _ = victim.tx.force_send(WorkerMsg::Stop);
+        victim.node
     }
 }
 
@@ -783,10 +781,21 @@ fn repartition(inner: &Inner, state: StateId, to: usize) -> SdgResult<u64> {
     Ok(moved)
 }
 
-/// Records one scale event in the obs log and the reconfig counters.
+/// Records one scale event in the obs log and the reconfig counters. A
+/// scale-out is named after the task asked to grow (the scaling monitor
+/// names the one whose queued items triggered it). A scale-in resizes a
+/// whole recovery unit and no task's load asks for it, so it is named
+/// after the unit: the SE of a state group, or the stateless task.
 fn record_scale(inner: &Inner, task: TaskId, node: u32, direction: ScaleDirection) {
     let instances = inner.routes[&task].read().len() as u32;
-    let (task, counters) = (inner.task_name(task), inner.obs.reconfig());
+    let group = (inner.sdg.task(task).ok())
+        .and_then(|t| t.access.as_ref())
+        .and_then(|a| inner.sdg.state(a.state).ok());
+    let name = match (direction, group) {
+        (ScaleDirection::In, Some(state)) => state.name.clone(),
+        _ => inner.task_name(task),
+    };
+    let (task, counters) = (name, inner.obs.reconfig());
     let (event, counter) = match direction {
         ScaleDirection::Out => (
             EventKind::ScaleOut {

@@ -8,9 +8,11 @@
 //! partitioned or partial SE instances as required.
 //!
 //! A reconfiguration resizes a whole *state group*, every task that
-//! accesses one SE, so the policy (`decide`) rules per group. It is a pure
-//! function of the samples; the monitor thread only samples and submits
-//! its requests to the control plane ([`crate::reconfig`]).
+//! accesses one SE, so the policy (`decide`) rules per group. The tasks of
+//! a group share one mailbox per SE instance, so a group's fill is that
+//! mailbox's, and each task's fill is its share of it. The policy is a
+//! pure function of the samples; the monitor thread only samples and
+//! submits its requests to the control plane ([`crate::reconfig`]).
 
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -69,13 +71,24 @@ struct Group {
     floor: u32,
 }
 
+impl Group {
+    /// The group's fill: the mean fill of its mailboxes, each shared by
+    /// the group's tasks.
+    fn fill(&self, sample: &Sample) -> f64 {
+        self.tasks.iter().map(|&t| sample.fill(t)).sum()
+    }
+}
+
 /// The deployment's state groups: the accessing tasks of each SE, and
 /// each stateless task on its own.
 #[derive(Debug)]
 pub(crate) struct Groups {
     groups: Vec<Group>,
-    /// Each task's downstream consumers, indexed by task.
-    downstream: Vec<Vec<TaskId>>,
+    /// Each task's group, indexed by task.
+    group_of: Vec<usize>,
+    /// The groups each task's consumers belong to, its own excepted (a
+    /// consumer in its group shares its mailbox), indexed by task.
+    downstream: Vec<Vec<usize>>,
 }
 
 impl Groups {
@@ -92,7 +105,7 @@ impl Groups {
             }
         });
         let stateless = sdg.tasks.iter().filter(|t| t.access.is_none());
-        let groups = (stateful.chain(stateless.map(|t| (vec![t.id], true, true))))
+        let groups: Vec<Group> = (stateful.chain(stateless.map(|t| (vec![t.id], true, true))))
             .filter(|(tasks, ..)| !tasks.is_empty())
             .map(|(tasks, can_grow, can_shrink)| Group {
                 floor: deployed.instances(&tasks),
@@ -101,15 +114,40 @@ impl Groups {
                 can_shrink,
             })
             .collect();
+        let mut group_of = vec![0; sdg.tasks.len()];
+        for (i, g) in groups.iter().enumerate() {
+            for t in &g.tasks {
+                group_of[t.raw() as usize] = i;
+            }
+        }
         let downstream = (sdg.tasks.iter())
-            .map(|t| sdg.flows_from(t.id).iter().map(|f| f.to).collect())
+            .map(|t| {
+                let own = group_of[t.id.raw() as usize];
+                let mut consumers: Vec<usize> = (sdg.flows_from(t.id).iter())
+                    .map(|f| group_of[f.to.raw() as usize])
+                    .filter(|&g| g != own)
+                    .collect();
+                consumers.sort_unstable();
+                consumers.dedup();
+                consumers
+            })
             .collect();
-        Groups { groups, downstream }
+        Groups {
+            groups,
+            group_of,
+            downstream,
+        }
+    }
+
+    /// The fill of `task`'s group.
+    fn fill(&self, sample: &Sample, task: TaskId) -> f64 {
+        self.groups[self.group_of[task.raw() as usize]].fill(sample)
     }
 }
 
-/// Each task's queue fill (mean depth over channel capacity) and instance
-/// count, indexed by task and read once per tick.
+/// Each task's queue fill (its items queued in its instances' mailboxes,
+/// over their capacity) and instance count, indexed by task and read once
+/// per tick. The fills of a group's tasks add up to the group's.
 #[derive(Debug)]
 pub(crate) struct Sample(Vec<(f64, u32)>);
 
@@ -118,7 +156,7 @@ impl Sample {
         let capacity = inner.cfg.channel_capacity as f64;
         let per_task = inner.sdg.tasks.iter().map(|t| {
             let slots = inner.routes[&t.id].read();
-            let depth: usize = slots.iter().map(|i| i.tx.len()).sum();
+            let depth: usize = slots.iter().map(|i| i.tx.queued()).sum();
             let n = slots.len();
             (depth as f64 / (capacity * n.max(1) as f64), n as u32)
         });
@@ -139,13 +177,16 @@ impl Sample {
 pub(crate) type PolicyState = Vec<(u32, u32)>;
 
 /// The scaling policy: at most one move per sample, and only one the
-/// group can make. A group grows when one of its tasks has been saturated
-/// and not backpressured (no downstream consumer at half the high
-/// watermark) for `patience` samples. It shrinks when every task in it has
-/// been at or below the low watermark for `idle_patience` samples while
-/// above its floor. The most saturated trigger wins, and any growth beats
-/// any shrink. A move resets both streaks of the group that moved, so the
-/// opposite move waits for fresh samples.
+/// group can make. A group grows when its mailboxes have been saturated
+/// for `patience` samples while its busiest task (the one with the most
+/// items queued; the first on a tie) was not backpressured (no consumer
+/// outside the group at half the high watermark); the scale-out names
+/// that task. It shrinks when its mailboxes have been at or below the low
+/// watermark for `idle_patience` samples while above its floor; any task
+/// of the group names the scale-in, which resizes the whole group. The
+/// most saturated group wins, and any growth beats any shrink. A move
+/// resets both streaks of the group that moved, so the opposite move
+/// waits for fresh samples.
 pub(crate) fn decide(
     state: &mut PolicyState,
     sample: &Sample,
@@ -153,25 +194,34 @@ pub(crate) fn decide(
     cfg: &ScalingConfig,
 ) -> Option<ReconfigRequest> {
     state.resize(groups.groups.len(), (0, 0));
+    let fills: Vec<f64> = groups.groups.iter().map(|g| g.fill(sample)).collect();
     let backpressured = |t: TaskId| {
         let mut downstream = groups.downstream[t.raw() as usize].iter();
-        downstream.any(|&d| sample.fill(d) >= cfg.high_watermark / 2.0)
+        downstream.any(|&g| fills[g] >= cfg.high_watermark / 2.0)
     };
     let mut best: Option<(f64, usize, ReconfigRequest)> = None;
     for (i, (g, (out, idle))) in groups.groups.iter().zip(state.iter_mut()).enumerate() {
         let n = sample.instances(&g.tasks);
-        let hot = (g.tasks.iter().copied())
-            .filter(|&t| sample.fill(t) >= cfg.high_watermark && !backpressured(t))
-            .max_by(|&a, &b| sample.fill(a).total_cmp(&sample.fill(b)));
-        let cold = g.tasks.iter().all(|&t| sample.fill(t) <= cfg.low_watermark);
-        let grows = hot.is_some() && g.can_grow && n < cfg.max_instances;
-        let shrinks = cold && g.can_shrink && n > g.floor;
+        let busiest = (g.tasks.iter().copied())
+            .reduce(|a, b| {
+                if sample.fill(b) > sample.fill(a) {
+                    b
+                } else {
+                    a
+                }
+            })
+            .expect("a group has a task");
+        let hot = fills[i] >= cfg.high_watermark && !backpressured(busiest);
+        let grows = hot && g.can_grow && n < cfg.max_instances;
+        let shrinks = fills[i] <= cfg.low_watermark && g.can_shrink && n > g.floor;
         *out = if grows { *out + 1 } else { 0 };
         *idle = if shrinks { *idle + 1 } else { 0 };
-        let (key, request) = match hot {
-            Some(task) if grows && *out >= cfg.patience => (sample.fill(task), ScaleOut { task }),
-            _ if shrinks && *idle >= cfg.idle_patience => (-1.0, ScaleIn { task: g.tasks[0] }),
-            _ => continue,
+        let (key, request) = if grows && *out >= cfg.patience {
+            (fills[i], ScaleOut { task: busiest })
+        } else if shrinks && *idle >= cfg.idle_patience {
+            (-1.0, ScaleIn { task: g.tasks[0] })
+        } else {
+            continue;
         };
         if best.is_none_or(|(k, ..)| key > k) {
             best = Some((key, i, request));
@@ -194,7 +244,7 @@ pub(crate) fn run_scaling_monitor(inner: &Inner, groups: Groups) {
         if let ScaleOut { task } = request {
             inner.obs.record_event(EventKind::BottleneckDetected {
                 task: inner.sdg.tasks[task.raw() as usize].name.clone(),
-                fill: sample.fill(task),
+                fill: groups.fill(&sample, task),
             });
         }
         let _ = execute(inner, request);
@@ -331,6 +381,89 @@ mod tests {
         assert!(before.iter().all(Option::is_none));
         let task = sdg.task_by_name("addRating_1").unwrap().id;
         assert_eq!(*last, Some(ScaleOut { task }));
+    }
+
+    #[test]
+    fn a_group_grows_on_its_mailbox_fill_and_names_its_busiest_task() {
+        let sdg = cf();
+        let cfg = fig10_cfg();
+        let groups = Groups::new(&sdg, &cf_sample([0.0; 5], 1));
+        let patience = cfg.patience as usize;
+        // `getRec_1` holds most of `coOcc`'s mailbox: the scale-out names
+        // it, not the group's first task.
+        let decisions = replay(
+            &groups,
+            &cfg,
+            (0..patience).map(|_| cf_sample([0.0, 0.1, 0.0, 0.8, 0.0], 1)),
+        );
+        let gr1 = sdg.task_by_name("getRec_1").unwrap().id;
+        assert_eq!(decisions[patience - 1], Some(ScaleOut { task: gr1 }));
+        // Neither task alone reaches the watermark, but the mailbox they
+        // share does: the group grows, named after the first on a tie.
+        let decisions = replay(
+            &groups,
+            &cfg,
+            (0..patience).map(|_| cf_sample([0.0, 0.3, 0.0, 0.3, 0.0], 1)),
+        );
+        let ar1 = sdg.task_by_name("addRating_1").unwrap().id;
+        assert_eq!(decisions[patience - 1], Some(ScaleOut { task: ar1 }));
+    }
+
+    /// Two entry tasks on one partitioned SE: `put` and `get`.
+    fn put_get(b: &mut SdgBuilder) -> (TaskId, TaskId) {
+        let s = b.add_state(
+            "s",
+            StateType::Table,
+            Distribution::Partitioned {
+                dim: PartitionDim::Row,
+            },
+        );
+        let mut entry = |m: &str| {
+            let keyed = AccessMode::Partitioned {
+                key: "k".into(),
+                dim: PartitionDim::Row,
+            };
+            let kind = TaskKind::Entry { method: m.into() };
+            b.add_task(m, kind, TaskCode::Passthrough, access(s, keyed))
+        };
+        (entry("put"), entry("get"))
+    }
+
+    #[test]
+    fn a_scale_in_is_named_after_the_group_that_shrank() {
+        let mut b = SdgBuilder::new();
+        let (put, _) = put_get(&mut b);
+        let sdg = b.build().unwrap();
+        let cfg = ScalingConfig {
+            idle_patience: 2,
+            ..fig10_cfg()
+        };
+        let groups = Groups::new(&sdg, &Sample(vec![(0.0, 1); 2]));
+        let decisions = replay(&groups, &cfg, (0..2).map(|_| Sample(vec![(0.0, 2); 2])));
+        let request = decisions[1].expect("an idle group above its floor shrinks");
+        assert_eq!(request, ScaleIn { task: put });
+
+        let mut b = SdgBuilder::new();
+        put_get(&mut b);
+        let mut runtime = crate::RuntimeConfig::default();
+        runtime.se_instances.insert(StateId(0), 2);
+        runtime.supervisor.enabled = false;
+        let d = crate::Deployment::start(b.build().unwrap(), runtime).unwrap();
+        d.reconfigure(request).unwrap();
+        let names: Vec<String> = (d.events().into_iter())
+            .filter_map(|e| match e.kind {
+                EventKind::ScaleIn {
+                    task, instances, ..
+                } => {
+                    assert_eq!(instances, 1);
+                    Some(task)
+                }
+                _ => None,
+            })
+            .collect();
+        // The group's SE, not the task that happens to name the request.
+        assert_eq!(names, ["s"]);
+        d.shutdown();
     }
 
     fn one_task(fill: f64, instances: u32) -> Sample {

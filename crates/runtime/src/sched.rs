@@ -1,15 +1,24 @@
 //! The work-stealing actor pool: the scheduler that runs every TE instance.
 //!
-//! Every TE instance is an *actor* — a FIFO mailbox plus the instance's
-//! [`Worker`] — multiplexed onto a fixed pool of
-//! `RuntimeConfig::sched_threads` OS threads, so a deployment costs a few
-//! threads however many replicas the reconfiguration plane adds:
+//! An *actor* is a FIFO mailbox plus the [`Worker`]s it hosts: every TE
+//! instance that accesses one SE instance (paper §3.3 colocates them), or
+//! one stateless TE instance alone. Actors are multiplexed onto a fixed
+//! pool of `RuntimeConfig::sched_threads` OS threads (by default one per
+//! available core), so a deployment costs a few threads however many
+//! replicas the reconfiguration plane adds:
 //!
 //! - **Serial mailboxes.** At most one pool worker runs an actor at a
 //!   time, so per-instance ordering and dedupe semantics are those of one
 //!   serial consumer. One mutex guards both the queue and the actor's run
 //!   state, so a push can never race an idle transition into a lost
 //!   wakeup.
+//! - **One mailbox per SE instance.** Each hosted worker is addressed by
+//!   its own [`PoolSender`], which tags what it sends with the worker's
+//!   slot; every task of an SE group holds one in its route. The TEs of
+//!   one SE instance therefore never run at once (no pool thread waits on
+//!   a sibling's state lock), and what one producer sends to any of them
+//!   is processed in the order it was sent: a `put(k)` then a `get(k)`
+//!   from one ingest handle reads the put.
 //! - **Work stealing.** Runnable actors sit in per-worker local deques
 //!   (owner pops newest) or a global injector; an idle worker takes its
 //!   own work first, then the injector, then steals the *oldest* work from
@@ -28,10 +37,14 @@
 //!   its slice, registering itself as a waiter on each over-full mailbox.
 //!   The pop that takes a mailbox back under capacity reschedules its
 //!   waiters. Suspension only ever propagates upstream (consumers never
-//!   wait on producers), so on a DAG the sinks always drain and, by
-//!   induction over reverse topological order, every suspended actor is
-//!   eventually resumed — no deadlock. External threads (ingest, control
-//!   plane) block on the mailbox condvar instead, like a bounded channel.
+//!   wait on producers), so when the actors form a DAG the sinks always
+//!   drain and, by induction over reverse topological order, every
+//!   suspended actor is eventually resumed — no deadlock. A lane that
+//!   closes a cycle of actors (an SE group feeding itself through another
+//!   task, or an iteration) sends without credit
+//!   ([`PoolSender::force_send`]), which keeps the credit graph acyclic.
+//!   External threads (ingest, control plane) block on the mailbox condvar
+//!   instead, like a bounded channel.
 //! - **Timer heap.** One shared min-heap holds the ends of synthetic
 //!   service-time rests: an actor that owes `RuntimeConfig::work_ns`
 //!   service time is `Resting` on the heap instead of sleeping a pool
@@ -42,10 +55,12 @@
 //!   hands it to the sink in one batch when the slice ends, before the
 //!   actor's run state changes; so a quiet actor has nothing held back.
 //!
-//! `Stop` retires the actor; dropping the last [`PoolSender`] (the
-//! scale-in/recovery slot swap) lets the actor drain what is queued and
-//! then retire, like a consumer observing channel disconnect. Sends to a
-//! retired actor fail with [`SendClosed`].
+//! `Stop` retires the actor with every worker it hosts; dropping the last
+//! [`PoolSender`] (the scale-in/recovery slot swap) lets the actor drain
+//! what is queued and then retire, like a consumer observing channel
+//! disconnect. A panic in any hosted worker kills the actor: its SE
+//! instance is the recovery unit anyway. Sends to a retired actor fail
+//! with [`SendClosed`].
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -57,7 +72,7 @@ use std::time::{Duration, Instant};
 
 use sdg_common::obs::SchedInstruments;
 
-use crate::worker::{SendClosed, Worker, WorkerMsg};
+use crate::worker::{self, SendClosed, Worker, WorkerMsg};
 
 /// Messages an actor processes per activation before rescheduling itself:
 /// long enough to amortise wakeup cost over a batch drain, short enough
@@ -91,7 +106,10 @@ enum RunState {
 
 /// Everything guarded by the mailbox lock.
 struct MailboxInner {
-    queue: VecDeque<WorkerMsg>,
+    /// Messages with the slot of the hosted worker they are for.
+    queue: VecDeque<(usize, WorkerMsg)>,
+    /// Messages queued per slot: each hosted task's share of `queue`.
+    queued: Vec<usize>,
     state: RunState,
     /// Live [`PoolSender`] clones. Zero mirrors channel disconnect.
     senders: usize,
@@ -110,8 +128,8 @@ struct MailboxInner {
     pops: u64,
 }
 
-/// One TE instance scheduled on the pool: a serial mailbox plus the
-/// instance's [`Worker`] (present until the actor retires).
+/// One actor scheduled on the pool: a serial mailbox plus the [`Worker`]s
+/// it hosts, indexed by slot (present until the actor retires).
 struct Actor {
     mb: Mutex<MailboxInner>,
     /// Signals external (non-actor) senders blocked on a full mailbox.
@@ -120,7 +138,8 @@ struct Actor {
     /// forced sends may overfill past it; the overfill is repaid through
     /// producer suspension.
     cap: usize,
-    worker: Mutex<Option<Worker>>,
+    /// The hosted workers, taken out by the pool worker running a slice.
+    workers: Mutex<Vec<Worker>>,
     shared: Arc<PoolShared>,
 }
 
@@ -150,11 +169,13 @@ pub(crate) fn in_actor() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// Sending half of an actor mailbox. Clones are counted: when the last
-/// clone drops, the mailbox disconnects and the actor drains what is
-/// queued, then retires.
+/// Sending half of an actor mailbox, addressed to one hosted worker (its
+/// slot). Clones are counted per actor: when the last sender of any slot
+/// drops, the mailbox disconnects and the actor drains what is queued,
+/// then retires.
 pub struct PoolSender {
     actor: Arc<Actor>,
+    slot: usize,
 }
 
 impl PoolSender {
@@ -163,23 +184,32 @@ impl PoolSender {
     /// destination suspends the producer actor after its slice. External
     /// threads block on the mailbox condvar, like a bounded channel send.
     pub fn send(&self, msg: WorkerMsg) -> Result<(), SendClosed> {
-        self.actor.push(msg, false)
+        self.actor.push(self.slot, msg, false)
     }
 
-    /// Delivers `msg` without waiting for space even from an external
-    /// thread. The flush of a paused route's staged sends needs it: it
-    /// holds the route's stage lock, which a pool thread sending into the
-    /// route may be waiting on, so waiting for credit could wait on
-    /// itself. Recovery replay runs under the same pause, and a victim's
-    /// or shutdown's `Stop` must land whatever the mailbox holds.
+    /// Delivers `msg` without waiting for credit: an external thread does
+    /// not wait for space, and a producer actor does not suspend on a full
+    /// destination. The flush of a paused route's staged sends needs it:
+    /// it holds the route's stage lock, which a pool thread sending into
+    /// the route may be waiting on, so waiting for credit could wait on
+    /// itself. Recovery replay runs under the same pause, a victim's or
+    /// shutdown's `Stop` must land whatever the mailbox holds, and a lane
+    /// that closes a cycle of actors must not make two producers wait on
+    /// each other's credit.
     pub fn force_send(&self, msg: WorkerMsg) -> Result<(), SendClosed> {
-        self.actor.push(msg, true)
+        self.actor.push(self.slot, msg, true)
     }
 
-    /// Messages queued in the mailbox (join-shortest-queue dispatch,
-    /// queue-depth gauges, hang detection).
+    /// Messages queued in the mailbox, for every hosted worker
+    /// (join-shortest-queue dispatch: they all wait in one queue).
     pub fn len(&self) -> usize {
         self.actor.mb.lock().expect("mailbox lock").queue.len()
+    }
+
+    /// Messages queued for this sender's worker: its task's share of the
+    /// mailbox (queue-depth gauges, the scaling monitor's fill).
+    pub(crate) fn queued(&self) -> usize {
+        self.actor.mb.lock().expect("mailbox lock").queued[self.slot]
     }
 
     /// Whether the mailbox is empty.
@@ -221,6 +251,7 @@ impl Clone for PoolSender {
         self.actor.mb.lock().expect("mailbox lock").senders += 1;
         PoolSender {
             actor: Arc::clone(&self.actor),
+            slot: self.slot,
         }
     }
 }
@@ -253,7 +284,7 @@ impl Drop for PoolSender {
 }
 
 impl Actor {
-    fn push(self: &Arc<Self>, msg: WorkerMsg, force: bool) -> Result<(), SendClosed> {
+    fn push(self: &Arc<Self>, slot: usize, msg: WorkerMsg, force: bool) -> Result<(), SendClosed> {
         let in_ctx = in_actor();
         let mut mb = self.mb.lock().expect("mailbox lock");
         if !in_ctx && !force {
@@ -265,12 +296,13 @@ impl Actor {
         if mb.closed {
             return Err(SendClosed);
         }
-        mb.queue.push_back(msg);
+        mb.queue.push_back((slot, msg));
+        mb.queued[slot] += 1;
         let schedule = mb.state == RunState::Idle;
         if schedule {
             mb.state = RunState::Scheduled;
         }
-        let over = in_ctx && mb.queue.len() >= self.cap;
+        let over = in_ctx && !force && mb.queue.len() >= self.cap;
         drop(mb);
         if schedule {
             self.shared.schedule(Arc::clone(self), ctx_worker());
@@ -292,18 +324,20 @@ impl Actor {
         Ok(())
     }
 
-    /// Pops one message. Returns the message, the waiters to resume when
-    /// the pop crossed back under capacity, and the disconnect flag.
+    /// Pops one message. Returns the message with its worker's slot, the
+    /// waiters to resume when the pop crossed back under capacity, and the
+    /// disconnect flag.
     ///
     /// Blocked external senders are woken only once the queue has drained
     /// to half its capacity, so a closed-loop feeder refills half a mailbox
     /// per wake instead of trading one context switch per message with the
     /// consumer at the capacity edge. The notify claims every counted
     /// sender; one that has to wait again counts itself again.
-    fn pop(&self) -> (Option<WorkerMsg>, Vec<Arc<Actor>>, bool) {
+    fn pop(&self) -> (Option<(usize, WorkerMsg)>, Vec<Arc<Actor>>, bool) {
         let mut mb = self.mb.lock().expect("mailbox lock");
         let msg = mb.queue.pop_front();
-        if msg.is_some() {
+        if let Some((slot, _)) = &msg {
+            mb.queued[*slot] -= 1;
             mb.pops += 1;
         }
         let mut waiters = Vec::new();
@@ -591,13 +625,18 @@ impl Pool {
         })
     }
 
-    /// Registers `worker` as a pool actor with mailbox capacity `cap` and
-    /// returns its sending half.
-    pub(crate) fn spawn_actor(&self, worker: Worker, cap: usize) -> PoolSender {
+    /// Registers one actor hosting `workers` with mailbox capacity `cap`
+    /// and returns a sender per worker, in order.
+    pub(crate) fn spawn_actor(&self, workers: Vec<Worker>, cap: usize) -> Vec<PoolSender> {
         *self.shared.live.lock().expect("live lock") += 1;
-        PoolSender {
-            actor: new_actor(&self.shared, cap, Some(worker)),
-        }
+        let slots = workers.len();
+        let actor = new_actor(&self.shared, cap, workers);
+        (0..slots)
+            .map(|slot| PoolSender {
+                actor: Arc::clone(&actor),
+                slot,
+            })
+            .collect()
     }
 
     /// Waits until every actor has retired, then stops and joins the pool
@@ -639,12 +678,16 @@ impl Drop for Pool {
     }
 }
 
-fn new_actor(shared: &Arc<PoolShared>, cap: usize, worker: Option<Worker>) -> Arc<Actor> {
+/// An actor hosting `workers`, with one sender per worker counted (at
+/// least one slot, so a test shell without workers has a sender).
+fn new_actor(shared: &Arc<PoolShared>, cap: usize, workers: Vec<Worker>) -> Arc<Actor> {
+    let slots = workers.len().max(1);
     Arc::new(Actor {
         mb: Mutex::new(MailboxInner {
             queue: VecDeque::new(),
+            queued: vec![0; slots],
             state: RunState::Idle,
-            senders: 1,
+            senders: slots,
             closed: false,
             disconnected: false,
             waiters: Vec::new(),
@@ -653,7 +696,7 @@ fn new_actor(shared: &Arc<PoolShared>, cap: usize, worker: Option<Worker>) -> Ar
         }),
         not_full: Condvar::new(),
         cap: cap.max(1),
-        worker: Mutex::new(worker),
+        workers: Mutex::new(workers),
         shared: Arc::clone(shared),
     })
 }
@@ -727,8 +770,9 @@ fn find_task(shared: &PoolShared, me: usize, rng: &mut XorShift) -> Option<Arc<A
     None
 }
 
-/// Runs one actor slice: drain up to [`RUN_SLICE`] messages, then hand the
-/// actor back to the scheduler in the appropriate state.
+/// Runs one actor slice: drain up to [`RUN_SLICE`] messages, each stepped
+/// by the hosted worker of its slot, then hand the actor back to the
+/// scheduler in the appropriate state.
 fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     {
         let mut mb = actor.mb.lock().expect("mailbox lock");
@@ -740,10 +784,11 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         debug_assert_eq!(mb.state, RunState::Scheduled);
         mb.state = RunState::Running;
     }
-    let Some(mut worker) = actor.worker.lock().expect("worker slot").take() else {
+    let mut workers = std::mem::take(&mut *actor.workers.lock().expect("worker slots"));
+    if workers.is_empty() {
         actor.mb.lock().expect("mailbox lock").state = RunState::Idle;
         return;
-    };
+    }
     shared.obs.polls.inc();
     CURRENT.with(|c| {
         *c.borrow_mut() = Some(ActorCtx {
@@ -756,7 +801,7 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     let mut processed = 0usize;
     loop {
         let blocked = CURRENT.with(|c| c.borrow().as_ref().is_some_and(|x| !x.blocked.is_empty()));
-        if blocked || worker.owes_rest() {
+        if blocked || worker::owes_rest(&workers) {
             break;
         }
         let (msg, waiters, disconnected) = actor.pop();
@@ -769,8 +814,9 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
                 stopped = disconnected;
                 break;
             }
-            Some(msg) => {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.step(msg))) {
+            Some((slot, msg)) => {
+                let step = || workers[slot].step(msg);
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
                     Ok(true) => {
                         stopped = true;
                         break;
@@ -782,19 +828,20 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
                         }
                     }
                     Err(payload) => {
-                        // The actor dies: report the caught panic, drop the
-                        // worker, and retire the mailbox so producers see
-                        // disconnect instead of a wedged queue — the pool
-                        // worker itself survives to run other actors.
-                        // The items before the panic applied their state,
-                        // and a replay's dedupe will not emit them again:
-                        // their outputs leave before the worker is dropped.
-                        let probe = worker.panic_probe();
+                        // The actor dies with every worker it hosts: report
+                        // the caught panic, drop the workers, and retire the
+                        // mailbox so producers see disconnect instead of a
+                        // wedged queue — the pool worker itself survives to
+                        // run other actors. The items before the panic
+                        // applied their state, and a replay's dedupe will
+                        // not emit them again: their outputs leave before
+                        // the workers are dropped.
+                        let probe = workers[slot].panic_probe();
                         CURRENT.with(|c| {
                             c.borrow_mut().take();
                         });
-                        worker.flush_outputs();
-                        drop(worker);
+                        workers.iter_mut().for_each(Worker::flush_outputs);
+                        drop(workers);
                         probe.report(payload.as_ref());
                         retire(shared, &actor, Some(me));
                         return;
@@ -805,24 +852,24 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     }
     // The slice's outputs leave before any run-state change: a quiet actor
     // (`PoolSender::is_quiet`) has put every output it emitted in the sink.
-    worker.flush_outputs();
+    workers.iter_mut().for_each(Worker::flush_outputs);
     let ctx = CURRENT
         .with(|c| c.borrow_mut().take())
         .expect("actor ctx set for the slice");
     if stopped {
-        drop(worker);
+        drop(workers);
         retire(shared, &actor, Some(me));
         return;
     }
     // Owed service time is served through the shared timer heap. The
-    // worker goes back before any state transition so whichever pool
-    // thread runs the actor next finds it in place.
+    // workers go back before any state transition so whichever pool
+    // thread runs the actor next finds them in place.
     let rest = if ctx.blocked.is_empty() {
-        worker.take_rest()
+        worker::take_rest(&mut workers)
     } else {
         None
     };
-    *actor.worker.lock().expect("worker slot") = Some(worker);
+    *actor.workers.lock().expect("worker slots") = workers;
     if !ctx.blocked.is_empty() {
         // No rest while suspended: the resumed slice rests any owed
         // service time.
@@ -899,6 +946,7 @@ fn retire(shared: &Arc<PoolShared>, actor: &Arc<Actor>, me: Option<usize>) {
         mb.closed = true;
         mb.state = RunState::Idle;
         mb.queue.clear();
+        mb.queued.fill(0);
         let notify = std::mem::take(&mut mb.blocked_senders) > 0;
         (std::mem::take(&mut mb.waiters), notify)
     };
@@ -923,7 +971,7 @@ mod tests {
             Arc::new(SchedInstruments::default()),
         ));
         *shared.live.lock().unwrap() = 1;
-        let actor = new_actor(&shared, cap, None);
+        let actor = new_actor(&shared, cap, Vec::new());
         (shared, actor)
     }
 
@@ -989,6 +1037,43 @@ mod tests {
         }
     }
 
+    /// A worker of task `name` that emits every input into `sink`, with
+    /// `fault` armed on its `nth` item.
+    fn emit_worker(
+        name: &str,
+        fault: Option<(FaultAction, u64)>,
+        sink: crossbeam::channel::Sender<OutputEvent>,
+        obs: &Arc<sdg_common::obs::MetricsRegistry>,
+    ) -> Worker {
+        Worker {
+            name: name.into(),
+            replica: 0,
+            code: PreparedCode::Native(Arc::new(EmitInput)),
+            scratch: crate::compile::Scratch::new(),
+            cell: None,
+            outs: Vec::new(),
+            sink,
+            pending_outputs: Vec::new(),
+            pending_gathers: Default::default(),
+            gather_var: None,
+            work_ns: 0,
+            speed: 1.0,
+            alive: Arc::new(AtomicBool::new(true)),
+            obs: obs.task(name).shard(),
+            work_debt: Duration::ZERO,
+            task: sdg_common::ids::TaskId(0),
+            fault: fault.map(|(action, nth)| {
+                Arc::new(FaultTrigger::new(&WorkerFault {
+                    task: name.into(),
+                    replica: 0,
+                    nth,
+                    action,
+                }))
+            }),
+            hub: Arc::new(FailureHub::new(Arc::clone(obs))),
+        }
+    }
+
     /// An actor whose worker emits every input, with `fault` armed on its
     /// `nth` item, and `items` items queued with `submitted_at` stamps:
     /// the pool shell, the actor and the sink's receiving end.
@@ -1004,40 +1089,13 @@ mod tests {
         let (shared, actor) = shell(1, 256);
         let (sink, rx) = crossbeam::channel::unbounded();
         let obs = Arc::new(sdg_common::obs::MetricsRegistry::new());
-        let worker = Worker {
-            name: "emit".into(),
-            replica: 0,
-            code: PreparedCode::Native(Arc::new(EmitInput)),
-            scratch: crate::compile::Scratch::new(),
-            cell: None,
-            outs: Vec::new(),
-            sink,
-            pending_outputs: Vec::new(),
-            pending_gathers: Default::default(),
-            gather_var: None,
-            work_ns: 0,
-            speed: 1.0,
-            alive: Arc::new(AtomicBool::new(true)),
-            obs: obs.task("emit").shard(),
-            work_debt: Duration::ZERO,
-            task: sdg_common::ids::TaskId(0),
-            fault: fault.map(|(action, nth)| {
-                Arc::new(FaultTrigger::new(&WorkerFault {
-                    task: "emit".into(),
-                    replica: 0,
-                    nth,
-                    action,
-                }))
-            }),
-            hub: Arc::new(FailureHub::new(obs)),
-        };
-        *actor.worker.lock().unwrap() = Some(worker);
+        *actor.workers.lock().unwrap() = vec![emit_worker("emit", fault, sink, &obs)];
         for corr in 0..items {
             let mut msg = marker(corr);
             if let WorkerMsg::Item(item) = &mut msg {
                 item.submitted_at = submitted_at;
             }
-            actor.push(msg, true).unwrap();
+            actor.push(0, msg, true).unwrap();
         }
         (shared, actor, rx)
     }
@@ -1062,10 +1120,39 @@ mod tests {
         // The last slice leaves the actor idle, hence quiet, with nothing
         // held back.
         run_actor(&shared, 0, Arc::clone(&actor));
-        let tx = PoolSender { actor };
+        let tx = PoolSender { actor, slot: 0 };
         assert!(tx.is_quiet());
         let corrs: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
         assert_eq!(corrs, vec![n - 2, n - 1]);
+    }
+
+    #[test]
+    fn each_message_is_stepped_by_the_worker_its_sender_addresses() {
+        let shared = Arc::new(PoolShared::new(1, Arc::new(SchedInstruments::default())));
+        let (sink, rx) = crossbeam::channel::unbounded();
+        let obs = Arc::new(sdg_common::obs::MetricsRegistry::new());
+        let workers = ["a", "b"].map(|t| emit_worker(t, None, sink.clone(), &obs));
+        let actor = new_actor(&shared, 16, workers.into());
+        let senders: Vec<PoolSender> = (0..2)
+            .map(|slot| PoolSender {
+                actor: Arc::clone(&actor),
+                slot,
+            })
+            .collect();
+        for (corr, slot) in [(0, 0), (1, 1), (2, 0)] {
+            senders[slot].force_send(marker(corr)).unwrap();
+        }
+        let queued: Vec<usize> = senders.iter().map(PoolSender::queued).collect();
+        assert_eq!((senders[0].len(), queued), (3, vec![2, 1]));
+        run_actor(&shared, 0, Arc::clone(&actor));
+        let snap = obs.snapshot();
+        let processed = |t| snap.task(t).unwrap().processed;
+        assert_eq!((processed("a"), processed("b")), (2, 1));
+        assert!(senders.iter().all(|tx| tx.queued() == 0 && tx.is_quiet()));
+        // Each worker's outputs leave in its order; the slice flushes the
+        // workers one after the other.
+        let corrs: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
+        assert_eq!(corrs, vec![0, 2, 1]);
     }
 
     #[test]
@@ -1105,12 +1192,12 @@ mod tests {
     fn mailbox_preserves_fifo_order() {
         let (_shared, actor) = shell(1, 16);
         for i in 0..5u64 {
-            actor.push(marker(i), true).unwrap();
+            actor.push(0, marker(i), true).unwrap();
         }
         for i in 0..5u64 {
             let (msg, _, _) = actor.pop();
             match msg {
-                Some(WorkerMsg::Item(item)) => assert_eq!(item.corr, i),
+                Some((0, WorkerMsg::Item(item))) => assert_eq!(item.corr, i),
                 other => panic!("expected item, got {other:?}"),
             }
         }
@@ -1123,10 +1210,11 @@ mod tests {
         let (_shared, actor) = shell(1, 4);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
+            slot: 0,
         };
         assert_eq!(tx.progress(), (0, 0, false));
-        actor.push(marker(0), true).unwrap();
-        actor.push(marker(1), true).unwrap();
+        actor.push(0, marker(0), true).unwrap();
+        actor.push(0, marker(1), true).unwrap();
         assert_eq!(tx.progress(), (0, 2, false));
         actor.mb.lock().unwrap().state = RunState::Running;
         assert!(actor.pop().0.is_some());
@@ -1140,8 +1228,8 @@ mod tests {
     #[test]
     fn push_schedules_an_idle_actor_exactly_once() {
         let (shared, actor) = shell(1, 16);
-        actor.push(WorkerMsg::Stop, true).unwrap();
-        actor.push(WorkerMsg::Stop, true).unwrap();
+        actor.push(0, WorkerMsg::Stop, true).unwrap();
+        actor.push(0, WorkerMsg::Stop, true).unwrap();
         // One injection for two pushes: the second saw `Scheduled`.
         assert_eq!(shared.injector.lock().unwrap().len(), 1);
         assert_eq!(actor.mb.lock().unwrap().state, RunState::Scheduled);
@@ -1152,12 +1240,13 @@ mod tests {
         let (shared, actor) = shell(1, 16);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
+            slot: 0,
         };
         assert!(!tx.is_closed());
         retire(&shared, &actor, None);
         assert!(tx.is_closed() && tx.is_quiet(), "a drain never waits on it");
-        assert_eq!(actor.push(WorkerMsg::Stop, false), Err(SendClosed));
-        assert_eq!(actor.push(WorkerMsg::Stop, true), Err(SendClosed));
+        assert_eq!(actor.push(0, WorkerMsg::Stop, false), Err(SendClosed));
+        assert_eq!(actor.push(0, WorkerMsg::Stop, true), Err(SendClosed));
         assert_eq!(*shared.live.lock().unwrap(), 0);
     }
 
@@ -1167,7 +1256,7 @@ mod tests {
         let (_, producer) = shell(1, 2);
         producer.mb.lock().unwrap().state = RunState::Suspended;
         for _ in 0..3 {
-            actor.push(WorkerMsg::Stop, true).unwrap();
+            actor.push(0, WorkerMsg::Stop, true).unwrap();
         }
         actor.mb.lock().unwrap().waiters.push(Arc::clone(&producer));
         // len 3 → 2: still at capacity, no credit yet.
@@ -1188,10 +1277,10 @@ mod tests {
     fn blocked_external_sender_wakes_once_the_mailbox_is_half_drained() {
         let (_shared, actor) = shell(1, 4);
         for corr in 0..4 {
-            actor.push(marker(corr), true).unwrap();
+            actor.push(0, marker(corr), true).unwrap();
         }
         let sender = Arc::clone(&actor);
-        let handle = std::thread::spawn(move || sender.push(marker(4), false));
+        let handle = std::thread::spawn(move || sender.push(0, marker(4), false));
         while actor.mb.lock().unwrap().blocked_senders == 0 {
             std::thread::yield_now();
         }
@@ -1205,7 +1294,7 @@ mod tests {
         assert_eq!(handle.join().unwrap(), Ok(()));
         assert_eq!(actor.mb.lock().unwrap().blocked_senders, 0);
         let corrs: Vec<u64> = std::iter::from_fn(|| actor.pop().0)
-            .map(|m| match m {
+            .map(|(_, m)| match m {
                 WorkerMsg::Item(item) => item.corr,
                 other => panic!("expected an item, got {other:?}"),
             })
@@ -1218,9 +1307,10 @@ mod tests {
         let (_shared, actor) = shell(1, 4);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
+            slot: 0,
         };
         assert!(tx.is_quiet());
-        actor.push(marker(0), true).unwrap();
+        actor.push(0, marker(0), true).unwrap();
         assert!(!tx.is_quiet(), "a queued item");
         // A worker popped the item and is still handling it.
         actor.mb.lock().unwrap().state = RunState::Running;
@@ -1252,6 +1342,7 @@ mod tests {
         let (shared, actor) = shell(1, 4);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
+            slot: 0,
         };
         let tx2 = tx.clone();
         drop(tx);
@@ -1267,7 +1358,7 @@ mod tests {
     #[test]
     fn timer_heap_fires_in_deadline_order() {
         let (shared, a) = shell(1, 4);
-        let b = new_actor(&shared, 4, None);
+        let b = new_actor(&shared, 4, Vec::new());
         let now = Instant::now();
         let later = now + Duration::from_millis(200);
         a.mb.lock().unwrap().state = RunState::Resting(now);
@@ -1301,7 +1392,7 @@ mod tests {
         let far = Instant::now() + Duration::from_secs(3600);
         a.mb.lock().unwrap().state = RunState::Resting(far);
         // A push while resting only enqueues.
-        a.push(marker(0), true).unwrap();
+        a.push(0, marker(0), true).unwrap();
         assert_eq!(a.mb.lock().unwrap().state, RunState::Resting(far));
         assert!(shared.injector.lock().unwrap().is_empty());
         // A stale (due) entry must not cut the rest short.

@@ -1,11 +1,12 @@
 //! TE instance workers: the pipelined processing loops.
 //!
-//! Each TE instance is one serial consumer of a bounded mailbox: a
-//! cooperative actor multiplexed onto the deployment's work-stealing pool
-//! (see [`crate::sched`]). Producers dispatch directly into consumer
-//! mailboxes (no central scheduler), so a full mailbox applies
-//! backpressure upstream — this is the paper's fully pipelined execution
-//! (§3.1).
+//! Each TE instance is a [`Worker`] stepped by a cooperative actor on the
+//! deployment's work-stealing pool (see [`crate::sched`]): the TE
+//! instances that access one SE instance share one actor and its bounded
+//! mailbox, and a stateless TE instance has one of its own. Producers
+//! dispatch directly into consumer mailboxes (no central scheduler), so a
+//! full mailbox applies backpressure upstream — this is the paper's fully
+//! pipelined execution (§3.1).
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -144,7 +145,9 @@ impl BufferRegistry {
 }
 
 /// One TE instance in its task's [`Route`]: the mailbox producers send
-/// into, and what the supervisor and the scale paths read about it.
+/// into, and what the supervisor and the scale paths read about it. The
+/// instances of one replica of an SE group share the actor, its liveness
+/// flag and its node.
 pub(crate) struct Instance {
     pub(crate) tx: PoolSender,
     /// The worker's liveness flag ([`Worker::alive`]).
@@ -359,6 +362,10 @@ pub struct OutEdge {
     /// Live variables to project onto the edge.
     live_vars: Vec<String>,
     route: Arc<Route>,
+    /// Whether a full consumer suspends the producer: not on an edge that
+    /// closes a cycle of actors, where two producers could each wait for
+    /// the other's credit (see [`crate::sched`]).
+    credit: bool,
     /// Cached buffer handles per destination (the registry hands out one
     /// `Arc` per key for the deployment's lifetime, so caching is safe and
     /// removes the registry lock from the steady-state send path).
@@ -393,9 +400,17 @@ impl OutEdge {
             }),
             live_vars,
             route,
+            credit: true,
             buf_cache: Vec::new(),
             proj_idx: None,
         }
+    }
+
+    /// Sends without credit ([`PoolSender::force_send`]): the edge closes a
+    /// cycle of actors.
+    pub(crate) fn without_credit(mut self) -> Self {
+        self.credit = false;
+        self
     }
 
     /// Projects `payload` onto the edge's live set.
@@ -492,8 +507,12 @@ impl OutEdge {
             }
             None => route.slots.read(),
         };
-        self.lane
-            .deliver(&slots, out, &mut self.buf_cache, PoolSender::send)
+        let push = if self.credit {
+            PoolSender::send
+        } else {
+            PoolSender::force_send
+        };
+        self.lane.deliver(&slots, out, &mut self.buf_cache, push)
     }
 }
 
@@ -574,7 +593,7 @@ pub struct Worker {
     /// time, latency.
     pub obs: TaskShard,
     /// Accumulated synthetic service time not yet rested: the pool rests
-    /// the actor on its timer heap once this reaches 1 ms.
+    /// the actor on its timer heap once its workers' debts reach 1 ms.
     pub work_debt: Duration,
     /// Owning task id (failure reports name the instance precisely).
     pub task: TaskId,
@@ -600,17 +619,6 @@ impl Worker {
                 false
             }
         }
-    }
-
-    /// Whether enough synthetic service time accrued to rest it.
-    pub(crate) fn owes_rest(&self) -> bool {
-        self.work_debt >= REST_QUANTUM
-    }
-
-    /// Takes the accrued service time once it is worth a rest.
-    pub(crate) fn take_rest(&mut self) -> Option<Duration> {
-        self.owes_rest()
-            .then(|| std::mem::take(&mut self.work_debt))
     }
 
     /// Hands every output emitted since the last flush to the sink in one
@@ -757,7 +765,7 @@ impl Worker {
     fn process(&mut self, item: &Item) -> SdgResult<()> {
         if self.work_ns > 0 {
             // Accrue the modelled service time; the pool rests the actor
-            // on its timer heap once a quantum is owed (see `take_rest`),
+            // on its timer heap once a quantum is owed (see [`take_rest`]),
             // so a slow simulated node never holds a pool thread.
             self.work_debt +=
                 Duration::from_nanos((self.work_ns as f64 / self.speed.max(0.01)) as u64);
@@ -822,6 +830,22 @@ impl Worker {
         }
         Ok(())
     }
+}
+
+/// Whether the workers of one actor accrued enough synthetic service time
+/// to rest it. They run serially, so their debts add up.
+pub(crate) fn owes_rest(workers: &[Worker]) -> bool {
+    workers.iter().map(|w| w.work_debt).sum::<Duration>() >= REST_QUANTUM
+}
+
+/// Takes the service time the workers of one actor accrued, once it is
+/// worth a rest.
+pub(crate) fn take_rest(workers: &mut [Worker]) -> Option<Duration> {
+    owes_rest(workers).then(|| {
+        (workers.iter_mut())
+            .map(|w| std::mem::take(&mut w.work_debt))
+            .sum()
+    })
 }
 
 /// Executes prepared code against one input, reusing `scratch` on the

@@ -1409,6 +1409,50 @@ fn assert_no_counter_went_back(
 /// Each TE instance writes its own instrument shard with plain stores,
 /// so two instances of one task fed at once by four threads must still
 /// add up to exactly the items fed.
+/// One mailbox per SE instance keeps what one ingest handle submits in
+/// order across entries: each `get(k)` submitted right after `put(k, v)`
+/// reads `v`, over ten thousand pairs on a four-thread pool.
+#[test]
+fn a_get_after_a_put_on_one_handle_reads_the_put() {
+    let prog = parse_program(
+        "@Partitioned Table kv;\n\
+         void put(int k, int v) { kv.put(k, v); }\n\
+         int get(int k) { let v = kv.get(k); emit v; }",
+    )
+    .unwrap();
+    let sdg = translate(&prog).unwrap();
+    let kv = sdg.state_by_name("kv").unwrap().id;
+    let cfg = RuntimeConfig::builder()
+        .sched_threads(4)
+        .se_instances(kv, 2)
+        .build();
+    let d = Deployment::start(sdg, cfg).unwrap();
+    let pairs = 10_000i64;
+    let mut lane = d.ingest_handle().unwrap();
+    let mut expect = HashMap::new();
+    for v in 0..pairs {
+        let k = Value::Int(v % 64);
+        lane.submit("put", record! {"k" => k.clone(), "v" => Value::Int(v)})
+            .unwrap();
+        let corr = lane.submit("get", record! {"k" => k}).unwrap();
+        expect.insert(corr, v);
+    }
+    assert!(d.quiesce(Duration::from_secs(30)));
+    let outputs: Vec<_> = std::iter::from_fn(|| d.outputs().try_recv().ok()).collect();
+    assert_eq!(outputs.len(), pairs as usize);
+    let stale: Vec<_> = (outputs.iter())
+        .filter(|e| e.value != Value::Int(expect[&e.corr]))
+        .map(|e| (expect[&e.corr], e.value.clone()))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "{} stale reads (put, read): {:?}",
+        stale.len(),
+        &stale[..stale.len().min(5)]
+    );
+    d.shutdown();
+}
+
 #[test]
 fn instruments_are_exact_with_two_instances_fed_concurrently() {
     let (d, kv) = deploy_kv(2, false);

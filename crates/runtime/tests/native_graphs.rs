@@ -2,9 +2,9 @@
 //! emits: fan-out to multiple consumers, flat-map stages, and mixed
 //! native/interpreted graphs.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sdg_common::error::SdgResult;
 use sdg_common::ids::{StateId, TaskId};
@@ -455,8 +455,9 @@ fn total(d: &Deployment, state: StateId) -> i64 {
 /// drains its own mailbox, so the drain ends and every write lands once.
 #[test]
 fn a_scale_drains_while_a_paused_task_forwards_into_another() {
-    let default = RuntimeConfig::default().sched_threads;
-    for (threads, chain) in [1, default]
+    // One thread, and four as on a 4-vCPU host, whatever this host's
+    // default pool size.
+    for (threads, chain) in [1, 4]
         .into_iter()
         .flat_map(|t| [(t, Chain::Direct), (t, Chain::Via)])
     {
@@ -480,6 +481,42 @@ fn a_scale_drains_while_a_paused_task_forwards_into_another() {
             assert_eq!(report.se_instances, 3);
         });
         assert_eq!(total(&d, s), 2 * fed, "{chain:?} on {threads} threads");
+        d.shutdown();
+    }
+}
+
+/// `a → via → b` with `a` and `b` on one SE: the SE instance's actor feeds
+/// itself through `via`'s, a cycle of actors. With mailboxes of two, each
+/// of the two would suspend on the other's credit; the edge that closes
+/// the cycle sends without credit, so every item lands.
+#[test]
+fn an_se_group_feeding_itself_through_a_stateless_task_never_waits_on_itself() {
+    for threads in [1, 4] {
+        let (sdg, s, _) = counting_graph(Chain::Via);
+        let mut cfg = RuntimeConfig {
+            sched_threads: threads,
+            channel_capacity: 2,
+            ..RuntimeConfig::default()
+        };
+        cfg.se_instances.insert(s, 2);
+        cfg.supervisor.enabled = false;
+        let d = Deployment::start(sdg, cfg).unwrap();
+        let fed = 40_000i64;
+        // A detached feeder: a wedged cycle fails the test, not hangs it.
+        let mut lane = d.ingest_handle().unwrap();
+        let (done, fed_all) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for n in 0..fed {
+                lane.submit("feed", record! {"k" => Value::Int(n % 64)})
+                    .unwrap();
+            }
+            done.send(()).unwrap();
+        });
+        fed_all
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{threads} threads: the feed is stuck"));
+        assert!(d.quiesce(Duration::from_secs(30)), "{threads} threads");
+        assert_eq!(total(&d, s), 2 * fed, "{threads} threads");
         d.shutdown();
     }
 }
@@ -670,5 +707,90 @@ fn with_state_keeps_the_next_take_a_delta_of_what_it_wrote() {
         .unwrap();
     assert_eq!(got, Some(Value::Int(1_000)));
     assert_eq!(total(&d, s), 640 - 10 + 1_000);
+    d.shutdown();
+}
+
+/// Counts like [`CountTask`], after holding its SE instance's in-flight
+/// count raised for a few microseconds; the highest count seen on any
+/// instance lands in `most`.
+struct InFlight {
+    running: Arc<[AtomicUsize; 2]>,
+    most: Arc<AtomicUsize>,
+}
+
+impl NativeTask for InFlight {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+        let running = &self.running[ctx.replica() as usize];
+        self.most
+            .fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+        let until = Instant::now() + Duration::from_micros(20);
+        while Instant::now() < until {
+            std::hint::spin_loop();
+        }
+        running.fetch_sub(1, Ordering::SeqCst);
+        CountTask.process(input, ctx)
+    }
+}
+
+/// Two entry TEs on one partitioned SE, each fed from a thread of its
+/// own on a four-thread pool: the SE instance's actor steps one of them
+/// at a time, so their items never overlap on one instance.
+#[test]
+fn two_tes_on_one_se_instance_never_overlap() {
+    let mut b = SdgBuilder::new();
+    let s = b.add_state(
+        "s",
+        StateType::Table,
+        Distribution::Partitioned {
+            dim: PartitionDim::Row,
+        },
+    );
+    let running = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let most = Arc::new(AtomicUsize::new(0));
+    for name in ["left", "right"] {
+        let code = Arc::new(InFlight {
+            running: Arc::clone(&running),
+            most: Arc::clone(&most),
+        });
+        b.add_task(
+            name,
+            TaskKind::Entry {
+                method: name.into(),
+            },
+            TaskCode::Native(code),
+            Some(StateAccessEdge {
+                state: s,
+                mode: AccessMode::Partitioned {
+                    key: "k".into(),
+                    dim: PartitionDim::Row,
+                },
+                writes: true,
+            }),
+        );
+    }
+    let mut cfg = RuntimeConfig::builder()
+        .sched_threads(4)
+        .se_instances(s, 2)
+        .build();
+    cfg.supervisor.enabled = false;
+    let d = Deployment::start(b.build().unwrap(), cfg).unwrap();
+    let per_entry = 4_000i64;
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for entry in ["left", "right"] {
+            let (d, start) = (&d, &start);
+            scope.spawn(move || {
+                let mut lane = d.ingest_handle().unwrap();
+                start.wait();
+                for n in 0..per_entry {
+                    lane.submit(entry, record! {"k" => Value::Int(n % 64)})
+                        .unwrap();
+                }
+            });
+        }
+    });
+    assert!(d.quiesce(Duration::from_secs(30)));
+    assert_eq!(total(&d, s), 2 * per_entry);
+    assert_eq!(most.load(Ordering::SeqCst), 1, "two TEs overlapped");
     d.shutdown();
 }
