@@ -1,12 +1,13 @@
 //! Deployment: materialising an SDG onto the simulated cluster.
 //!
-//! `Deployment::start` allocates TE and SE instances to nodes (§3.3),
-//! registers one actor per SE instance on the deployment's work-stealing
-//! pool, hosting every TE instance that accesses it (and one per stateless
-//! TE instance), wires the dataflow mailboxes, and starts the checkpoint
-//! and scaling controllers. The handle then accepts external
-//! requests ([`Deployment::submit`]), exposes the output sink, and
-//! supports failure injection with §5's replay-based recovery.
+//! `Deployment::start` works out the recovery units once (`Units`, which
+//! every later reader of the grouping reads): the tasks that access one
+//! SE, or one stateless task. It allocates TE and SE instances to nodes
+//! (§3.3), registers one pool actor per replica of each unit (one worker
+//! hosting the unit's TE instances, behind the unit's one route), wires
+//! the mailboxes, and starts the controllers. The handle then accepts
+//! external requests ([`Deployment::submit`]), exposes the output sink,
+//! and supports §5's replay-based recovery.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -41,7 +42,7 @@ use crate::reconfig::{self, ReconfigReport, ReconfigRequest};
 use crate::scaling::{run_scaling_monitor, Groups, Sample, StopWait};
 use crate::sched::Pool;
 use crate::worker::{
-    BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Worker, WorkerMsg,
+    BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Te, Worker, WorkerMsg,
 };
 
 pub use crate::worker::OutputEvent;
@@ -80,37 +81,117 @@ fn entry_names(sdg: &Sdg) -> HashMap<String, TaskId> {
     names
 }
 
-/// The flows that close a cycle of actors: those whose consumer's actors
-/// reach back to its producer's. The TEs of one SE group share their
-/// actors, so a flow between two of them is one, and so is a flow out of
-/// a group whose consumers feed the group again.
-fn cycle_flows(sdg: &Sdg) -> HashSet<EdgeId> {
-    // Actors of one unit: an SE group, or a stateless task.
-    let unit = |t: TaskId| match sdg.task(t).ok().and_then(|d| d.access.as_ref()) {
-        Some(a) => sdg.tasks.len() + a.state.raw() as usize,
-        None => t.raw() as usize,
-    };
-    let links: Vec<(usize, usize)> = sdg
-        .flows
-        .iter()
-        .map(|f| (unit(f.from), unit(f.to)))
-        .collect();
-    let reaches = |from: usize, to: usize| {
-        let (mut seen, mut stack) = (HashSet::from([from]), vec![from]);
-        while let Some(u) = stack.pop() {
-            if u == to {
-                return true;
-            }
-            for &(a, b) in &links {
-                if a == u && seen.insert(b) {
-                    stack.push(b);
-                }
+/// One recovery unit: every task that accesses one SE, or one stateless
+/// task. Replica `r` of a unit is one pool actor whose worker hosts
+/// replica `r` of each of its tasks, and the tasks share one route.
+pub(crate) struct Unit {
+    /// The SE the tasks access; `None` for a stateless task.
+    pub(crate) state: Option<StateId>,
+    /// The unit's tasks in graph order: a task's index is its slot.
+    pub(crate) tasks: Vec<TaskId>,
+    /// The units whose flows reach this one, in unit order, itself left
+    /// out even when it feeds itself: those a pause of it holds too.
+    pub(crate) upstream: Vec<usize>,
+    /// The unit's instances, replica-indexed, as its producers reach them.
+    pub(crate) route: Arc<Route>,
+}
+
+impl Unit {
+    /// What recovering replica `replica` means.
+    pub(crate) fn recovery(&self, replica: u32) -> RecoveryUnit {
+        match self.state {
+            Some(state) => RecoveryUnit::State(state, replica),
+            None => RecoveryUnit::Task(self.tasks[0], replica),
+        }
+    }
+}
+
+/// A deployment's recovery units, in unit order: each SE's accessing
+/// tasks (an SE no task accesses has no unit), then each stateless task.
+pub(crate) struct Units {
+    units: Vec<Unit>,
+    /// Each task's unit and slot, indexed by task.
+    of: Vec<(usize, usize)>,
+}
+
+impl Units {
+    /// Groups `sdg`'s tasks: the one place the grouping rule lives.
+    pub(crate) fn new(sdg: &Sdg) -> Units {
+        let stateful = (sdg.states.iter()).map(|s| (Some(s.id), sdg.tasks_accessing(s.id)));
+        let stateless = (sdg.tasks.iter())
+            .filter(|t| t.access.is_none())
+            .map(|t| (None, vec![t]));
+        let mut units: Vec<Unit> = (stateful.chain(stateless))
+            .filter(|(_, tasks)| !tasks.is_empty())
+            .map(|(state, tasks)| Unit {
+                state,
+                tasks: tasks.iter().map(|t| t.id).collect(),
+                upstream: Vec::new(),
+                route: Arc::default(),
+            })
+            .collect();
+        let mut of = vec![(0, 0); sdg.tasks.len()];
+        for (u, unit) in units.iter().enumerate() {
+            for (slot, t) in unit.tasks.iter().enumerate() {
+                of[t.raw() as usize] = (u, slot);
             }
         }
-        false
-    };
+        let links: Vec<(usize, usize)> = (sdg.flows.iter())
+            .map(|f| (of[f.from.raw() as usize].0, of[f.to.raw() as usize].0))
+            .collect();
+        for (u, unit) in units.iter_mut().enumerate() {
+            let mut cone = vec![u];
+            let mut i = 0;
+            while let Some(&to) = cone.get(i) {
+                for &(from, _) in links.iter().filter(|l| l.1 == to) {
+                    if !cone.contains(&from) {
+                        cone.push(from);
+                    }
+                }
+                i += 1;
+            }
+            unit.upstream = cone.split_off(1);
+            unit.upstream.sort_unstable();
+        }
+        Units { units, of }
+    }
+
+    /// `task`'s unit index and its slot in the unit.
+    pub(crate) fn of(&self, task: TaskId) -> (usize, usize) {
+        self.of[task.raw() as usize]
+    }
+
+    /// `task`'s unit.
+    pub(crate) fn unit(&self, task: TaskId) -> &Unit {
+        &self.units[self.of(task).0]
+    }
+
+    /// `state`'s unit.
+    pub(crate) fn of_state(&self, state: StateId) -> SdgResult<&Unit> {
+        (self.units.iter())
+            .find(|u| u.state == Some(state))
+            .ok_or_else(|| SdgError::NotFound(format!("a task accessing state {state}")))
+    }
+}
+
+impl std::ops::Deref for Units {
+    type Target = [Unit];
+
+    fn deref(&self) -> &[Unit] {
+        &self.units
+    }
+}
+
+/// The flows that close a cycle of actors: those whose consumer's unit
+/// reaches back to its producer's. The TEs of one SE group share their
+/// actors, so a flow between two of them is one, and so is a flow out of
+/// a group whose consumers feed the group again.
+fn cycle_flows(sdg: &Sdg, units: &Units) -> HashSet<EdgeId> {
     (sdg.flows.iter())
-        .filter(|f| reaches(unit(f.to), unit(f.from)))
+        .filter(|f| {
+            let (from, to) = (units.of(f.from).0, units.of(f.to).0);
+            from == to || units[from].upstream.contains(&to)
+        })
         .map(|f| f.id)
         .collect()
 }
@@ -158,8 +239,8 @@ fn cell_layout(
 pub(crate) struct Inner {
     pub sdg: Arc<Sdg>,
     pub cfg: RuntimeConfig,
-    /// Each task's instances, replica-indexed, as its producers reach them.
-    pub(crate) routes: HashMap<TaskId, Arc<Route>>,
+    /// The recovery units, each with its route.
+    pub(crate) units: Units,
     /// Each task's code, prepared once at start and shared by every
     /// instance, respawns and scale-outs included.
     code: HashMap<TaskId, PreparedCode>,
@@ -288,11 +369,9 @@ impl Deployment {
         // are created eagerly so a snapshot always lists every element,
         // even before its first item.
         let obs = Arc::new(MetricsRegistry::new());
-        let mut routes = HashMap::new();
         let mut code = HashMap::new();
         let mut instruments = HashMap::new();
         for task in &sdg.tasks {
-            routes.insert(task.id, Arc::default());
             code.insert(task.id, PreparedCode::prepare(&task.code));
             instruments.insert(task.id, obs.task_with_id(&task.name, Some(task.id)));
         }
@@ -319,14 +398,15 @@ impl Deployment {
         // unarmed chaos run.
         let injector = FaultInjector::resolve(cfg.faults.as_ref(), &sdg)?;
         let failure_hub = Arc::new(FailureHub::new(Arc::clone(&obs)));
+        let units = Units::new(&sdg);
 
         let inner = Arc::new(Inner {
             sdg: Arc::clone(&sdg),
             cfg: cfg.clone(),
-            routes,
+            cycle_flows: cycle_flows(&sdg, &units),
+            units,
             code,
             entries: entry_names(&sdg),
-            cycle_flows: cycle_flows(&sdg),
             cells: RwLock::new(cells),
             failure_hub,
             injector,
@@ -344,43 +424,36 @@ impl Deployment {
             started: Instant::now(),
         });
 
-        // Spawn instances: every SE replica is one actor hosting an
-        // instance of each task that accesses the SE; a stateless task gets
-        // its configured count of actors of its own.
-        let stateful = sdg.states.iter().map(|s| sdg.tasks_accessing(s.id));
-        let stateless = sdg.tasks.iter().filter(|t| t.access.is_none());
+        // Spawn instances: an SE group has one per SE instance, a stateless
+        // task its configured count.
         let mut ctl = inner.control.lock();
-        for unit in stateful.chain(stateless.map(|t| vec![t])) {
-            let Some(first) = unit.first() else {
-                continue;
-            };
-            let count = match &first.access {
-                Some(a) => {
-                    let se_count = inner.cells.read()[&a.state].len();
-                    for task in &unit {
-                        if let Some(&configured) = cfg.task_instances.get(&task.id) {
-                            if configured != se_count {
-                                return Err(SdgError::Config(format!(
-                                    "task `{}` instance count {configured} conflicts with \
-                                     its state element's {se_count} instances",
-                                    task.name
-                                )));
-                            }
-                        }
+        for unit in inner.units.iter() {
+            let count = match unit.state {
+                Some(state) => {
+                    let se_count = inner.cells.read()[&state].len();
+                    let conflict = (unit.tasks.iter()).find_map(|t| {
+                        let n = *cfg.task_instances.get(t)?;
+                        (n != se_count).then_some((*t, n))
+                    });
+                    if let Some((task, n)) = conflict {
+                        return Err(SdgError::Config(format!(
+                            "task `{}` instance count {n} conflicts with its state \
+                             element's {se_count} instances",
+                            inner.task_name(task)
+                        )));
                     }
                     se_count
                 }
-                None => cfg.task_instances.get(&first.id).copied().unwrap_or(1),
+                None => cfg.task_instances.get(&unit.tasks[0]).copied().unwrap_or(1),
             };
-            let tasks: Vec<TaskId> = unit.iter().map(|t| t.id).collect();
-            let mut routes: Vec<Paused> = tasks.iter().map(|t| inner.routes[t].write()).collect();
+            let mut route = unit.route.write();
             for replica in 0..count {
                 let node = if replica == 0 {
-                    allocation.node_of_task(first.id).raw()
+                    allocation.node_of_task(unit.tasks[0]).raw()
                 } else {
                     ctl.next_node()
                 };
-                inner.spawn_instance(&tasks, replica as u32, node, &mut routes)?;
+                inner.spawn_instance(unit, replica as u32, node, &mut route)?;
             }
         }
         drop(ctl);
@@ -412,7 +485,7 @@ impl Deployment {
         }
         if self.inner.cfg.scaling.enabled {
             let inner = Arc::clone(&self.inner);
-            let groups = Groups::new(&inner.sdg, &Sample::take(&inner));
+            let groups = Groups::new(&inner.units, &inner.sdg, &Sample::take(&inner));
             control.push(std::thread::spawn(move || {
                 run_scaling_monitor(&inner, groups);
             }));
@@ -552,28 +625,21 @@ impl Deployment {
         f: impl FnOnce(&mut StateStore) -> R,
     ) -> SdgResult<R> {
         let _ctl = self.inner.control.lock();
-        let cell = self
-            .inner
-            .cells
-            .read()
-            .get(&state)
-            .and_then(|v| v.get(replica as usize).cloned())
-            .ok_or_else(|| SdgError::NotFound(format!("state instance {state}#{replica}")))?;
-        cell.with_merged(f)
+        self.inner.cell(state, replica)?.with_merged(f)
     }
 
     /// Waits until all submitted work has drained (queues empty and no item
     /// mid-processing), up to `timeout`. Returns `true` on success.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let all = || self.inner.routes.values().map(|r| r.read());
+        let drained = || (self.inner.units.iter()).all(|u| Inner::drained(&u.route.read()));
         loop {
-            if Inner::drained(all()) {
+            if drained() {
                 // Double-check after a grace period: one pass reads the
                 // instances one at a time, so an item forwarded into an
                 // instance already read can slip past it.
                 std::thread::sleep(Duration::from_millis(2));
-                if Inner::drained(all()) {
+                if drained() {
                     return true;
                 }
             }
@@ -587,23 +653,12 @@ impl Deployment {
     /// Stops all workers and controllers, joining their threads.
     pub fn shutdown(self) {
         self.inner.stop_wait.stop();
-        let sdg = &self.inner.sdg;
-        for task in &sdg.tasks {
-            // One `Stop` per actor: the tasks of an SE group share theirs,
-            // so its first task's route reaches every one.
-            let first = |state| sdg.tasks_accessing(state)[0].id;
-            if task
-                .access
-                .as_ref()
-                .is_some_and(|a| first(a.state) != task.id)
-            {
-                continue;
-            }
-            for instance in self.inner.routes[&task.id].read().iter() {
+        for unit in self.inner.units.iter() {
+            for instance in unit.route.read().iter() {
                 // `force_send` so a full mailbox cannot block shutdown: Stop
                 // must reach every actor even when its producers are
                 // suspended on it.
-                let _ = instance.tx.force_send(WorkerMsg::Stop);
+                let _ = instance.tx.force_send(0, WorkerMsg::Stop);
             }
         }
         for handle in self.control.lock().drain(..) {
@@ -618,11 +673,12 @@ impl Inner {
     /// sizes) so a snapshot taken right after reflects current occupancy.
     fn refresh_gauges(&self) {
         let mut mailbox_depth = 0;
-        for (task, instruments) in &self.instruments {
-            let slots = self.routes[task].read();
+        for (&task, instruments) in &self.instruments {
+            let slots = self.units.unit(task).route.read();
+            let slot = self.units.of(task).1;
             // Each task's share of its actors' mailboxes: the shares of an
             // SE group's tasks add up to the mailbox.
-            let depth: u64 = slots.iter().map(|i| i.tx.queued() as u64).sum();
+            let depth: u64 = slots.iter().map(|i| i.tx.queued(slot) as u64).sum();
             instruments.instances.set(slots.len() as u64);
             instruments.queue_depth.set(depth);
             mailbox_depth += depth;
@@ -664,15 +720,10 @@ impl Inner {
         }
     }
 
-    /// `true` when every instance in `lists` is quiet: no item waits in
-    /// its mailbox and none is mid-processing. The lists are visited one
-    /// at a time, so a caller may pass read guards it takes lazily or
-    /// write guards it holds.
-    pub(crate) fn drained<L>(lists: impl IntoIterator<Item = L>) -> bool
-    where
-        L: std::ops::Deref<Target = Vec<Instance>>,
-    {
-        lists.into_iter().all(|l| l.iter().all(|i| i.tx.is_quiet()))
+    /// `true` when every instance of a route is quiet: no item waits in
+    /// its mailbox and none is mid-processing.
+    pub(crate) fn drained(route: &[Instance]) -> bool {
+        route.iter().all(|i| i.tx.is_quiet())
     }
 
     /// The certificate-gated stripe/axis/delta layout for `decl`'s cells.
@@ -680,118 +731,86 @@ impl Inner {
         cell_layout(&self.cfg, decl, self.sdg.verify.as_deref())
     }
 
-    /// Spawns replica `replica` of `tasks` on `node` as one pool actor
-    /// and puts each task's instance in its paused route in `routes` (in
-    /// `tasks` order): appended, or in place of the instance it replaces.
-    /// `tasks` is one recovery unit: every task that accesses an SE, or
-    /// one stateless task. Recovery and scaling spawn through the guards
+    /// Spawns replica `replica` of `unit` on `node` as one pool actor and
+    /// puts it in the unit's paused `route`: appended, or in place of the
+    /// instance it replaces. Recovery and scaling spawn through the guard
     /// their [`Quiesced`](crate::reconfig::Quiesced) holds across the
     /// whole operation, so producers stay paused until the swap (and any
     /// replay) is complete.
     pub(crate) fn spawn_instance(
         &self,
-        tasks: &[TaskId],
+        unit: &Unit,
         replica: u32,
         node: u32,
-        routes: &mut [Paused<'_>],
+        route: &mut Paused<'_>,
     ) -> SdgResult<()> {
-        let alive = Arc::new(AtomicBool::new(true));
-        let workers = (tasks.iter())
-            .map(|&task| self.worker(task, replica, node, &alive))
-            .collect::<SdgResult<Vec<_>>>()?;
-        let senders = self.pool.spawn_actor(workers, self.cfg.channel_capacity);
-        for (slots, tx) in routes.iter_mut().zip(senders) {
-            let instance = Instance {
-                tx,
-                alive: Arc::clone(&alive),
-                node,
-            };
-            match slots.get_mut(replica as usize) {
-                Some(slot) => *slot = instance,
-                None => slots.push(instance),
-            }
+        let worker = self.worker(unit, replica, node)?;
+        let instance = Instance {
+            alive: Arc::clone(&worker.alive),
+            tx: self.pool.spawn_actor(worker, self.cfg.channel_capacity),
+            node,
+        };
+        match route.get_mut(replica as usize) {
+            Some(slot) => *slot = instance,
+            None => route.push(instance),
         }
         Ok(())
     }
 
-    /// TE instance `(task_id, replica)` on `node`, dying with `alive`.
-    fn worker(
-        &self,
-        task_id: TaskId,
-        replica: u32,
-        node: u32,
-        alive: &Arc<AtomicBool>,
-    ) -> SdgResult<Worker> {
-        let task = self.sdg.task(task_id)?;
+    /// SE instance `(state, replica)`.
+    fn cell(&self, state: StateId, replica: u32) -> SdgResult<Arc<StateCell>> {
+        (self.cells.read().get(&state))
+            .and_then(|g| g.get(replica as usize).cloned())
+            .ok_or_else(|| SdgError::NotFound(format!("state instance {state}#{replica}")))
+    }
 
-        let cell = match &task.access {
-            Some(a) => {
-                let cells = self.cells.read();
-                let group = cells
-                    .get(&a.state)
-                    .ok_or_else(|| SdgError::NotFound(format!("state {}", a.state)))?;
-                Some(group.get(replica as usize).cloned().ok_or_else(|| {
-                    SdgError::Runtime(format!(
-                        "task `{}` replica {replica} has no SE instance",
-                        task.name
-                    ))
-                })?)
-            }
-            None => None,
-        };
-
-        let gather_var = self
-            .sdg
-            .flows_to(task_id)
-            .iter()
-            .find_map(|f| match &f.dispatch {
-                Dispatch::AllToOne { collect_var } => Some(collect_var.clone()),
-                _ => None,
-            });
-
-        let outs: Vec<OutEdge> = self
-            .sdg
-            .flows_from(task_id)
-            .into_iter()
-            .map(|flow| {
-                let out = OutEdge::new(
-                    flow.id,
-                    replica,
-                    flow.dispatch.clone(),
-                    flow.live_vars.clone(),
-                    Arc::clone(&self.routes[&flow.to]),
-                    Arc::clone(&self.buffers),
-                    self.logs_into(flow.to),
-                );
-                if self.cycle_flows.contains(&flow.id) {
-                    out.without_credit()
-                } else {
-                    out
-                }
-            })
-            .collect();
-
+    /// Replica `replica` of `unit` on `node`: its SE instance, and an
+    /// instance of each of its tasks.
+    fn worker(&self, unit: &Unit, replica: u32, node: u32) -> SdgResult<Worker> {
+        let cell = unit.state.map(|s| self.cell(s, replica)).transpose()?;
         Ok(Worker {
-            name: task.name.clone(),
+            tes: (unit.tasks.iter())
+                .map(|&task| self.te(task, replica))
+                .collect::<SdgResult<_>>()?,
             replica,
-            code: self.code[&task_id].clone(),
-            scratch: Scratch::new(),
+            unit: unit.recovery(replica),
             cell,
-            outs,
             sink: self.sink_tx.clone(),
             pending_outputs: Vec::new(),
+            held_since: None,
+            speed: self.cfg.cluster.speed_of(node as usize),
+            alive: Arc::new(AtomicBool::new(true)),
+            work_debt: Duration::ZERO,
+            hub: Arc::clone(&self.failure_hub),
+        })
+    }
+
+    /// TE instance `(task_id, replica)`.
+    fn te(&self, task_id: TaskId, replica: u32) -> SdgResult<Te> {
+        let task = self.sdg.task(task_id)?;
+        let flows_in = self.sdg.flows_to(task_id);
+        let gather_var = flows_in.iter().find_map(|f| match &f.dispatch {
+            Dispatch::AllToOne { collect_var } => Some(collect_var.clone()),
+            _ => None,
+        });
+
+        let outs = (self.sdg.flows_from(task_id).into_iter())
+            .map(|f| self.out_edge(f.id, replica, f.dispatch.clone(), f.live_vars.clone(), f.to))
+            .collect();
+
+        Ok(Te {
+            task: task_id,
+            name: task.name.clone(),
+            code: self.code[&task_id].clone(),
+            scratch: Scratch::new(),
+            outs,
             pending_gathers: HashMap::new(),
             gather_var,
             work_ns: self.cfg.work_ns.get(&task_id).copied().unwrap_or(0),
-            speed: self.cfg.cluster.speed_of(node as usize),
-            alive: Arc::clone(alive),
             obs: self.instruments[&task_id].shard(),
-            work_debt: Duration::ZERO,
-            task: task_id,
             // A respawned replica shares the original (spent) trigger, so
             // a recovered worker does not re-fail on the replayed item.
             fault: self.injector.trigger_for(task_id, replica),
-            hub: Arc::clone(&self.failure_hub),
         })
     }
 
@@ -803,19 +822,40 @@ impl Inner {
             .ok_or_else(|| SdgError::NotFound(format!("entry point `{name}`")))
     }
 
-    /// The dispatcher of ingest lane `src` into `task`: its timestamps
-    /// continue the lane's clock, so they outlive the handle.
+    /// The dispatcher of ingest lane `src` into `task`.
     fn ingest_out(&self, task: TaskId, src: u32) -> OutEdge {
         let (edge, dispatch) = ingest_flow(&self.sdg.tasks[task.raw() as usize]);
-        OutEdge::new(
+        self.out_edge(edge, src, dispatch, Vec::new(), task)
+    }
+
+    /// The dispatcher of producer replica `src` on `edge` into `to`, by
+    /// `to`'s slot in its unit's route. Its timestamps continue the lane's
+    /// clock, so they outlive the producer; a flow that closes a cycle of
+    /// actors sends without credit.
+    fn out_edge(
+        &self,
+        edge: EdgeId,
+        src: u32,
+        dispatch: Dispatch,
+        live_vars: Vec<String>,
+        to: TaskId,
+    ) -> OutEdge {
+        let (unit, slot) = self.units.of(to);
+        let route = (Arc::clone(&self.units[unit].route), slot);
+        let out = OutEdge::new(
             edge,
             src,
             dispatch,
-            Vec::new(),
-            Arc::clone(&self.routes[&task]),
+            live_vars,
+            route,
             Arc::clone(&self.buffers),
-            self.logs_into(task),
-        )
+            self.logs_into(to),
+        );
+        if self.cycle_flows.contains(&edge) {
+            out.without_credit()
+        } else {
+            out
+        }
     }
 
     /// Whether the lanes into `task` keep an upstream backup: only while
@@ -831,14 +871,14 @@ impl Inner {
 
     /// Every edge into `task` with its dispatch, its ingest edge included:
     /// the lanes a checkpoint of its state trims and a recovery replays.
-    pub(crate) fn in_edges(&self, task: &TaskDecl) -> Vec<(EdgeId, Dispatch)> {
+    pub(crate) fn in_edges(&self, task: TaskId) -> Vec<(EdgeId, Dispatch)> {
         let mut edges: Vec<(EdgeId, Dispatch)> = self
             .sdg
-            .flows_to(task.id)
+            .flows_to(task)
             .iter()
             .map(|f| (f.id, f.dispatch.clone()))
             .collect();
-        edges.push(ingest_flow(task));
+        edges.push(ingest_flow(&self.sdg.tasks[task.raw() as usize]));
         edges
     }
 
@@ -878,19 +918,14 @@ impl Inner {
     /// together with what the supervisor needs to judge it: liveness,
     /// queued input, and whether a stalled epoch can mean a hang at all
     /// (only a `Running` actor holds a pool thread). The mailbox fields
-    /// are read under one lock. An actor is one recovery unit: an SE
-    /// instance with the TE instances it hosts, or one stateless TE
-    /// instance.
+    /// are read under one lock. An actor is one replica of a recovery
+    /// unit.
     pub(crate) fn heartbeat_view(&self) -> Vec<HeartbeatView> {
         let mut views = Vec::new();
-        let mut seen = HashSet::new();
-        for task in &self.sdg.tasks {
-            for (replica, instance) in self.routes[&task.id].read().iter().enumerate() {
-                let unit = self.recovery_unit(task.id, replica as u32);
-                if !seen.insert(unit) {
-                    continue;
-                }
+        for unit in self.units.iter() {
+            for (replica, instance) in unit.route.read().iter().enumerate() {
                 let (epoch, queued, hang_candidate) = instance.tx.progress();
+                let unit = unit.recovery(replica as u32);
                 views.push(HeartbeatView {
                     unit,
                     epoch,
@@ -914,16 +949,6 @@ impl Inner {
     /// Label of TE instance `(task, replica)` in event payloads.
     fn te_label(&self, task: TaskId, replica: u32) -> String {
         format!("{}#{replica}", self.task_name(task))
-    }
-
-    /// What recovering the failed instance `(task, replica)` means:
-    /// stateful tasks go through fail-and-recover keyed by their SE,
-    /// stateless ones are respawned.
-    pub(crate) fn recovery_unit(&self, task: TaskId, replica: u32) -> RecoveryUnit {
-        match self.sdg.task(task).ok().and_then(|t| t.access.as_ref()) {
-            Some(a) => RecoveryUnit::State(a.state, replica),
-            None => RecoveryUnit::Task(task, replica),
-        }
     }
 
     pub(crate) fn unit_label(&self, unit: RecoveryUnit) -> String {
@@ -1148,6 +1173,29 @@ mod tests {
     }
 
     #[test]
+    fn the_tasks_of_one_se_group_share_one_route() {
+        let prog = sdg_ir::parser::parse_program(
+            "@Partitioned Table kv;\n\
+             void put(int k, int v) { kv.put(k, v); }\n\
+             int get(int k) { let v = kv.get(k); emit v; }",
+        )
+        .unwrap();
+        let sdg = sdg_translate::translate(&prog).unwrap();
+        let kv = sdg.state_by_name("kv").unwrap().id;
+        let mut cfg = RuntimeConfig::default();
+        cfg.se_instances.insert(kv, 2);
+        let d = Deployment::start(sdg, cfg).unwrap();
+        let units = &d.inner.units;
+        let [put, get] = ["put", "get"].map(|e| d.inner.entry(e).unwrap());
+        let route = &units.unit(put).route;
+        assert!(Arc::ptr_eq(route, &units.unit(get).route), "one route");
+        assert_eq!((units.of(put).1, units.of(get).1), (0, 1));
+        assert_eq!(route.read().len(), 2, "one instance per SE instance");
+        assert_eq!(units.len(), 1);
+        d.shutdown();
+    }
+
+    #[test]
     fn an_ingest_handle_can_move_to_a_feeder_thread() {
         fn is_send<T: Send>() {}
         is_send::<IngestHandle>();
@@ -1258,8 +1306,8 @@ mod tests {
         let inner = &d.inner;
         let mut bytes = 0;
         for decl in &inner.sdg.tasks {
-            let replicas = inner.routes[&decl.id].read().len() as u32;
-            for (edge, _) in inner.in_edges(decl) {
+            let replicas = inner.units.unit(decl.id).route.read().len() as u32;
+            for (edge, _) in inner.in_edges(decl.id) {
                 for r in 0..replicas {
                     let into = inner.buffers.buffers_into(edge, r);
                     assert!(
@@ -1275,9 +1323,8 @@ mod tests {
             }
         }
         assert_eq!(inner.buffers.total_bytes(), bytes);
-        let decl = inner.sdg.task(task).unwrap();
         let mut keys = Vec::new();
-        for (edge, _) in inner.in_edges(decl) {
+        for (edge, _) in inner.in_edges(task) {
             for (_, buf) in inner.buffers.buffers_into(edge, dst) {
                 for item in buf.lock().replay_after(0) {
                     keys.push(item.payload.get("k").unwrap().as_int().unwrap());

@@ -219,8 +219,8 @@ impl FaultInjector {
 /// One caught worker/actor panic.
 #[derive(Debug, Clone)]
 pub(crate) struct FailureReport {
-    pub task: TaskId,
-    pub replica: u32,
+    /// The actor's recovery unit.
+    pub unit: RecoveryUnit,
     /// TE instance label, e.g. `bump_0#1`.
     pub label: String,
     /// Best-effort rendering of the panic payload.
@@ -277,8 +277,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// worker itself was consumed by the unwind.
 #[derive(Debug, Clone)]
 pub(crate) struct PanicProbe {
-    pub task: TaskId,
-    pub replica: u32,
+    pub unit: RecoveryUnit,
     pub label: String,
     pub hub: Arc<FailureHub>,
 }
@@ -287,8 +286,7 @@ impl PanicProbe {
     /// Reports a caught panic to the hub.
     pub(crate) fn report(&self, payload: &(dyn std::any::Any + Send)) {
         self.hub.report(FailureReport {
-            task: self.task,
-            replica: self.replica,
+            unit: self.unit,
             label: self.label.clone(),
             message: panic_message(payload),
             at: Instant::now(),
@@ -424,8 +422,7 @@ pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
             obs.faults()
                 .detection_ns
                 .record_duration(report.at.elapsed());
-            let unit = inner.recovery_unit(report.task, report.replica);
-            enqueue(&inner, &mut pending, &mut queued, unit);
+            enqueue(&inner, &mut pending, &mut queued, report.unit);
         }
 
         // 2. Heartbeat scan: flag instances whose epoch stalls across

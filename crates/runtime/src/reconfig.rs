@@ -12,12 +12,13 @@
 //! interleave.
 //!
 //! Every scale, recovery and respawn pauses through a `Quiesced`: the
-//! routes of the tasks it changes and of every task upstream of them.
-//! Only a `Quiesced` kills, spawns or stops instances, and dropping it
-//! resumes the routes. A scale of a stateful group waits until the
-//! accessing tasks are quiet and refuses to run over an instance that has
-//! failed and awaits recovery (`Quiesced::drain`); the other operations
-//! move no live state and do not wait (`Quiesced::pause`).
+//! route of the recovery unit it changes (an SE group, or a stateless
+//! task) and of every unit upstream of it. Only a `Quiesced` kills, spawns
+//! or stops instances, and dropping it resumes the routes. A scale of a
+//! stateful group waits until the unit's instances are quiet and refuses
+//! to run over an instance that has failed and awaits recovery
+//! (`Quiesced::drain`); the other operations move no live state and do not
+//! wait (`Quiesced::pause`).
 //! A partitioned group is then re-placed onto p ± 1 instances by
 //! `repartition`, the way a restore places a checkpoint: every entry
 //! goes once, straight into its final stripe. A partial group grows by an
@@ -41,11 +42,11 @@ use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{StateId, TaskId};
 use sdg_common::obs::EventKind;
 use sdg_common::time::VectorTs;
-use sdg_graph::model::{Dispatch, Distribution, Sdg, TaskDecl};
+use sdg_graph::model::{Dispatch, Distribution, Sdg};
 use sdg_state::store::StateType;
 
 use crate::control::{se_instance_id, Control};
-use crate::deploy::Inner;
+use crate::deploy::{Inner, Unit};
 use crate::fault::RecoveryUnit;
 use crate::item::{lane, route_hash, Item};
 use crate::scaling::ScaleDirection;
@@ -132,7 +133,8 @@ pub(crate) struct MigrationStats {
 pub(crate) fn execute(inner: &Inner, request: ReconfigRequest) -> SdgResult<ReconfigReport> {
     let t0 = Instant::now();
     let ctl = &mut *inner.control.lock();
-    let instances = |task: TaskId| inner.routes.get(&task).map_or(0, |r| r.read().len() as u32);
+    let instances = |unit: &Unit| unit.route.read().len() as u32;
+    let te_instances = |unit: &Unit| unit.tasks.len() as u32 * instances(unit);
     let replicas = |state: StateId| inner.cells.read().get(&state).map_or(0, |g| g.len() as u32);
     let (mut stats, mut restore, mut replayed) = (MigrationStats::default(), Duration::ZERO, 0);
     let (task_instances, se_instances) = match request {
@@ -142,20 +144,18 @@ pub(crate) fn execute(inner: &Inner, request: ReconfigRequest) -> SdgResult<Reco
                 _ => ScaleDirection::In,
             };
             stats = scale(inner, ctl, task, direction)?;
-            let access = inner.sdg.task(task).ok().and_then(|t| t.access.as_ref());
-            (instances(task), access.map_or(0, |a| replicas(a.state)))
+            let unit = inner.units.unit(task);
+            (instances(unit), unit.state.map_or(0, replicas))
         }
         ReconfigRequest::Checkpoint => {
             checkpoint_all(inner, ctl)?;
-            let tasks = inner.routes.keys().map(|&t| instances(t)).sum();
+            let tasks = inner.units.iter().map(te_instances).sum();
             let states = inner.cells.read().values().map(|g| g.len() as u32).sum();
             (tasks, states)
         }
         ReconfigRequest::FailAndRecover { state, replica } => {
             (restore, replayed) = fail_and_recover(inner, ctl, state, replica)?;
-            let accessing = inner.sdg.tasks_accessing(state);
-            let tasks = accessing.iter().map(|t| instances(t.id)).sum();
-            (tasks, replicas(state))
+            (te_instances(inner.units.of_state(state)?), replicas(state))
         }
     };
     Ok(ReconfigReport {
@@ -170,83 +170,68 @@ pub(crate) fn execute(inner: &Inner, request: ReconfigRequest) -> SdgResult<Reco
     })
 }
 
-/// The paused routes of a task set and of every task upstream of it: no
-/// request enters the pipeline that feeds the tasks, and a send into any
-/// of the routes from inside the pool is staged.
+/// The paused route of one recovery unit and of every unit upstream of
+/// it: no request enters the pipeline that feeds the unit, and a send into
+/// any of the routes from inside the pool is staged.
 ///
 /// Apart from `Deployment::start`, only a `Quiesced` takes route write
 /// guards ([`crate::worker::Route::write`]), so no control operation can
-/// change a task's instances without pausing its producers. Dropping it
-/// resumes the paused tasks, then the upstream ones, each flushing its
-/// staged sends by the instances as they then stand: by a scale's new
-/// count, and stamped above everything a recovery replayed.
+/// change a unit's instances without pausing its producers. Each route is
+/// taken once: [`Unit::upstream`] leaves out the unit itself, which the
+/// upstream cone of a self-feeding SE group reaches. Dropping it resumes
+/// the unit, then the upstream units (fields drop in declaration order),
+/// each flushing its staged sends by the instances as they then stand: by
+/// a scale's new count, and stamped above everything a recovery replayed.
 pub(crate) struct Quiesced<'a> {
     inner: &'a Inner,
-    /// The paused tasks, sorted by id.
-    tasks: Vec<TaskId>,
-    /// Their routes, in `tasks` order.
-    routes: Vec<Paused<'a>>,
-    /// The routes upstream of `tasks`, sorted by task id.
-    upstream: Vec<Paused<'a>>,
+    unit: &'a Unit,
+    /// The unit's instances.
+    route: Paused<'a>,
+    /// The routes of the units upstream of it, in unit order, held until
+    /// the drop.
+    _upstream: Vec<Paused<'a>>,
 }
 
 impl<'a> Quiesced<'a> {
-    /// Pauses `tasks`, then every task upstream of them, each set in
-    /// task-id order, and returns at once.
+    /// Pauses the unit of `task`, then every unit upstream of it in unit
+    /// order, and returns at once.
     ///
     /// Recovery pauses this way. It does not wait for quiet: the instance
     /// it replaces is killed and its mailbox drains as discards, and the
     /// restored cut plus replay rebuild its state, so no item in flight
     /// needs to land first. Respawns, stateless scales and a partial SE's
     /// scale-out move no live state either.
-    fn pause(inner: &'a Inner, tasks: &[&TaskDecl]) -> Self {
-        let mut tasks: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
-        tasks.sort();
-        let routes = tasks.iter().map(|t| inner.routes[t].write()).collect();
-        let mut cone = tasks.clone();
-        let mut i = 0;
-        while let Some(&t) = cone.get(i) {
-            for flow in inner.sdg.flows_to(t) {
-                if !cone.contains(&flow.from) {
-                    cone.push(flow.from);
-                }
-            }
-            i += 1;
-        }
-        let mut upstream = cone.split_off(tasks.len());
-        upstream.sort();
-        let upstream = upstream.iter().map(|t| inner.routes[t].write()).collect();
+    fn pause(inner: &'a Inner, task: TaskId) -> Self {
+        let unit = inner.units.unit(task);
+        let route = unit.route.write();
+        let upstream = unit.upstream.iter();
         Quiesced {
             inner,
-            tasks,
-            routes,
-            upstream,
+            unit,
+            route,
+            _upstream: upstream.map(|&u| inner.units[u].route.write()).collect(),
         }
     }
 
-    /// Pauses `tasks` as [`Quiesced::pause`] does, then waits until each
-    /// of their instances is quiet — mailbox empty, no item
+    /// Pauses `trigger`'s unit as [`Quiesced::pause`] does, then waits
+    /// until each of its instances is quiet — mailbox empty, no item
     /// mid-processing — so a migration sees a consistent key population.
     ///
     /// The wait has no deadline, because it always ends: a send into a
     /// paused route from inside the pool is staged rather than waited on,
     /// so no pool thread is held, and a paused instance that forwards into
-    /// another paused task still drains its own mailbox. Instances of other
-    /// tasks are not waited on. Returns the wait too, which is also logged
+    /// another paused unit still drains its own mailbox. Instances of other
+    /// units are not waited on. Returns the wait too, which is also logged
     /// as `trigger`'s `RepartitionDrain`.
     ///
     /// # Errors
     ///
     /// Refuses when one of the paused instances has failed: see
     /// [`Quiesced::refuse_failed`].
-    fn drain(
-        inner: &'a Inner,
-        tasks: &[&TaskDecl],
-        trigger: TaskId,
-    ) -> SdgResult<(Self, Duration)> {
-        let paused = Self::pause(inner, tasks);
+    fn drain(inner: &'a Inner, trigger: TaskId) -> SdgResult<(Self, Duration)> {
+        let paused = Self::pause(inner, trigger);
         let t0 = Instant::now();
-        while !Inner::drained(paused.routes.iter().map(|g| &**g)) {
+        while !Inner::drained(&paused.route) {
             std::thread::sleep(Duration::from_millis(1));
         }
         let waited = t0.elapsed();
@@ -259,59 +244,43 @@ impl<'a> Quiesced<'a> {
         Ok((paused, waited))
     }
 
-    /// Refuses to scale while an instance of a paused task has failed and
+    /// Refuses to scale while an instance of the unit has failed and
     /// awaits recovery. A scale would move or retire the dead instance's
     /// state and slot, so the recovery that follows would find neither;
     /// the caller asks again once the supervisor (or a `FailAndRecover`)
     /// has recovered it.
     fn refuse_failed(&self) -> SdgResult<()> {
-        for (&task, slots) in self.tasks.iter().zip(&self.routes) {
-            if slots.iter().any(|i| i.tx.is_closed()) {
-                return Err(SdgError::Runtime(format!(
-                    "a failed instance of `{}` awaits recovery",
-                    self.inner.task_name(task)
-                )));
-            }
+        if self.route.iter().any(|i| i.tx.is_closed()) {
+            return Err(SdgError::Runtime(format!(
+                "a failed instance of `{}` awaits recovery",
+                self.inner.task_name(self.unit.tasks[0])
+            )));
         }
         Ok(())
     }
 
-    /// Kills instance `replica` of every paused task: its mailbox drains
-    /// as discards.
+    /// Kills instance `replica` of the unit: its mailbox drains as
+    /// discards.
     fn kill(&self, replica: u32) {
-        for slots in &self.routes {
-            if let Some(old) = slots.get(replica as usize) {
-                old.alive.store(false, Ordering::Release);
-            }
+        if let Some(old) = self.route.get(replica as usize) {
+            old.alive.store(false, Ordering::Release);
         }
     }
 
-    /// Spawns instance `replica` of every paused task on `node` as one
-    /// actor, appended or in place of the instance it replaces. The paused
-    /// tasks are one recovery unit (an SE group, or one stateless task), so
-    /// they share the actor.
+    /// Spawns instance `replica` of the unit on `node`, appended or in
+    /// place of the instance it replaces.
     fn spawn(&mut self, replica: u32, node: u32) -> SdgResult<()> {
-        (self.inner).spawn_instance(&self.tasks, replica, node, &mut self.routes)
+        (self.inner).spawn_instance(self.unit, replica, node, &mut self.route)
     }
 
-    /// Stops the last instance of every paused task — their one actor —
-    /// and returns the node it ran on.
+    /// Stops the unit's last instance and returns the node it ran on.
     fn stop_last(&mut self) -> u32 {
-        let victims: Vec<_> = self.routes.iter_mut().filter_map(|s| s.pop()).collect();
-        let Some(victim) = victims.first() else {
+        let Some(victim) = self.route.pop() else {
             return 0;
         };
         // `force_send`: `Stop` must land whatever the mailbox holds.
-        let _ = victim.tx.force_send(WorkerMsg::Stop);
+        let _ = victim.tx.force_send(0, WorkerMsg::Stop);
         victim.node
-    }
-}
-
-impl Drop for Quiesced<'_> {
-    fn drop(&mut self) {
-        // The paused tasks resume before their producers.
-        self.routes.clear();
-        self.upstream.clear();
     }
 }
 
@@ -375,7 +344,8 @@ fn checkpoint_state(inner: &Inner, ctl: &mut Control, state: StateId) -> SdgResu
 /// Trims buffers into `(state, replica)`'s consumer tasks using the
 /// checkpoint's vector watermarks.
 fn trim_for(inner: &Inner, state: StateId, replica: u32, set: &BackupSet) {
-    for task in inner.sdg.tasks_accessing(state) {
+    let tasks = inner.units.of_state(state).map_or(&[][..], |u| &u.tasks);
+    for &task in tasks {
         for (edge, _) in inner.in_edges(task) {
             for (src, buf) in inner.buffers.buffers_into(edge, replica) {
                 buf.lock().trim(set.vector.get(lane(edge, src)));
@@ -417,7 +387,7 @@ fn fail_and_recover(
     // filter would wrongly discard the replay. Sends made meanwhile from
     // inside the pool are staged, and the pause's drop flushes them after
     // the replay, stamped above it. The old instances die first.
-    let mut paused = Quiesced::pause(inner, &inner.sdg.tasks_accessing(state));
+    let mut paused = Quiesced::pause(inner, inner.units.of_state(state)?.tasks[0]);
     paused.kill(replica);
 
     // Restore state from the m backup stores, composing the base
@@ -495,9 +465,9 @@ fn fail_and_recover(
     // still before any producer may send: replayed items must be first
     // in every lane so their (older) timestamps pass the filter.
     let mut replayed = 0usize;
-    for (&task_id, slots) in paused.tasks.iter().zip(&paused.routes) {
-        let sender = &slots[replica as usize].tx;
-        for (edge, dispatch) in inner.in_edges(inner.sdg.task(task_id)?) {
+    let sender = &paused.route[replica as usize].tx;
+    for (slot, &task) in paused.unit.tasks.iter().enumerate() {
+        for (edge, dispatch) in inner.in_edges(task) {
             let watermarks = replay_watermarks(&dispatch, &floor, &frontier);
             for (src, buf) in inner.buffers.buffers_into(edge, replica) {
                 let wm = watermarks.get(lane(edge, src));
@@ -507,7 +477,7 @@ fn fail_and_recover(
                     // Replay runs under the pause: bypass the cap (see
                     // `PoolSender::force_send`).
                     sender
-                        .force_send(WorkerMsg::Item(item))
+                        .force_send(slot, WorkerMsg::Item(item))
                         .map_err(|_| SdgError::Runtime("replay channel closed".into()))?;
                     replayed += 1;
                 }
@@ -559,7 +529,7 @@ fn respawn_stateless(
     task: TaskId,
     replica: u32,
 ) -> SdgResult<()> {
-    let mut paused = Quiesced::pause(inner, &[inner.sdg.task(task)?]);
+    let mut paused = Quiesced::pause(inner, task);
     paused.kill(replica);
     paused.spawn(replica, ctl.next_node())
 }
@@ -577,9 +547,9 @@ fn scale(
 ) -> SdgResult<MigrationStats> {
     let task = inner.sdg.task(task_id)?;
     let out = direction == ScaleDirection::Out;
-    let Some(access) = &task.access else {
-        let mut paused = Quiesced::pause(inner, &[task]);
-        let n = paused.routes[0].len();
+    let Some(state) = inner.units.unit(task_id).state else {
+        let mut paused = Quiesced::pause(inner, task_id);
+        let n = paused.route.len();
         let node = if out {
             let node = ctl.next_node();
             paused.spawn(n as u32, node)?;
@@ -597,7 +567,6 @@ fn scale(
         record_scale(inner, task_id, node, direction);
         return Ok(MigrationStats::default());
     };
-    let state = access.state;
     let decl = inner.sdg.state(state)?;
     let unit = match decl.dist {
         Distribution::Local => {
@@ -643,8 +612,7 @@ fn migrate(
     // earlier would let producers route by the old partition count
     // against the already-moved state. Its drop flushes the sends staged
     // meanwhile by the new count.
-    let accessing = inner.sdg.tasks_accessing(state);
-    let (mut paused, drain) = Quiesced::drain(inner, &accessing, trigger)?;
+    let (mut paused, drain) = Quiesced::drain(inner, trigger)?;
     let migrate_t0 = Instant::now();
     let p = inner.cells.read().get(&state).map_or(0, Vec::len);
     let moved_bytes = match inner.sdg.state(state)?.dist {
@@ -682,7 +650,7 @@ fn scale_out_partial(
     state: StateId,
     trigger: TaskId,
 ) -> SdgResult<MigrationStats> {
-    let mut paused = Quiesced::pause(inner, &inner.sdg.tasks_accessing(state));
+    let mut paused = Quiesced::pause(inner, trigger);
     let new_replica = {
         let mut cells = inner.cells.write();
         let group = cells
@@ -787,10 +755,9 @@ fn repartition(inner: &Inner, state: StateId, to: usize) -> SdgResult<u64> {
 /// whole recovery unit and no task's load asks for it, so it is named
 /// after the unit: the SE of a state group, or the stateless task.
 fn record_scale(inner: &Inner, task: TaskId, node: u32, direction: ScaleDirection) {
-    let instances = inner.routes[&task].read().len() as u32;
-    let group = (inner.sdg.task(task).ok())
-        .and_then(|t| t.access.as_ref())
-        .and_then(|a| inner.sdg.state(a.state).ok());
+    let unit = inner.units.unit(task);
+    let instances = unit.route.read().len() as u32;
+    let group = unit.state.and_then(|s| inner.sdg.state(s).ok());
     let name = match (direction, group) {
         (ScaleDirection::In, Some(state)) => state.name.clone(),
         _ => inner.task_name(task),

@@ -22,7 +22,7 @@ use sdg_common::obs::EventKind;
 use sdg_graph::model::{Distribution, Sdg};
 
 use crate::config::ScalingConfig;
-use crate::deploy::Inner;
+use crate::deploy::{Inner, Units};
 use crate::reconfig::ReconfigRequest::{self, ScaleIn, ScaleOut};
 use crate::reconfig::{check_partial_merge, execute};
 
@@ -79,8 +79,8 @@ impl Group {
     }
 }
 
-/// The deployment's state groups: the accessing tasks of each SE, and
-/// each stateless task on its own.
+/// The deployment's state groups: its recovery units ([`Units`]), each
+/// with what the policy may do to it.
 #[derive(Debug)]
 pub(crate) struct Groups {
     groups: Vec<Group>,
@@ -92,34 +92,29 @@ pub(crate) struct Groups {
 }
 
 impl Groups {
-    /// Groups `sdg`'s tasks, taking each group's floor from `deployed`.
-    /// `Local` SEs cannot resize, and a `Partial` SE whose merge is not
-    /// certified sound cannot shrink.
-    pub(crate) fn new(sdg: &Sdg, deployed: &Sample) -> Groups {
-        let stateful = sdg.states.iter().map(|s| {
-            let tasks = sdg.tasks_accessing(s.id).iter().map(|t| t.id).collect();
-            match s.dist {
-                Distribution::Local => (tasks, false, false),
-                Distribution::Partial => (tasks, true, check_partial_merge(sdg, &s.name).is_ok()),
-                Distribution::Partitioned { .. } => (tasks, true, true),
-            }
-        });
-        let stateless = sdg.tasks.iter().filter(|t| t.access.is_none());
-        let groups: Vec<Group> = (stateful.chain(stateless.map(|t| (vec![t.id], true, true))))
-            .filter(|(tasks, ..)| !tasks.is_empty())
-            .map(|(tasks, can_grow, can_shrink)| Group {
-                floor: deployed.instances(&tasks),
-                tasks,
-                can_grow,
-                can_shrink,
+    /// One group per unit of `sdg`, taking each group's floor from
+    /// `deployed`. `Local` SEs cannot resize, and a `Partial` SE whose
+    /// merge is not certified sound cannot shrink.
+    pub(crate) fn new(units: &Units, sdg: &Sdg, deployed: &Sample) -> Groups {
+        let groups: Vec<Group> = (units.iter())
+            .map(|unit| {
+                let decl = unit.state.and_then(|s| sdg.state(s).ok());
+                let (can_grow, can_shrink) = match decl.map(|d| (&d.dist, &d.name)) {
+                    Some((Distribution::Local, _)) => (false, false),
+                    Some((Distribution::Partial, name)) => {
+                        (true, check_partial_merge(sdg, name).is_ok())
+                    }
+                    _ => (true, true),
+                };
+                Group {
+                    floor: deployed.instances(&unit.tasks),
+                    tasks: unit.tasks.clone(),
+                    can_grow,
+                    can_shrink,
+                }
             })
             .collect();
-        let mut group_of = vec![0; sdg.tasks.len()];
-        for (i, g) in groups.iter().enumerate() {
-            for t in &g.tasks {
-                group_of[t.raw() as usize] = i;
-            }
-        }
+        let group_of: Vec<usize> = sdg.tasks.iter().map(|t| units.of(t.id).0).collect();
         let downstream = (sdg.tasks.iter())
             .map(|t| {
                 let own = group_of[t.id.raw() as usize];
@@ -155,8 +150,8 @@ impl Sample {
     pub(crate) fn take(inner: &Inner) -> Sample {
         let capacity = inner.cfg.channel_capacity as f64;
         let per_task = inner.sdg.tasks.iter().map(|t| {
-            let slots = inner.routes[&t.id].read();
-            let depth: usize = slots.iter().map(|i| i.tx.queued()).sum();
+            let (slots, slot) = (inner.units.unit(t.id).route.read(), inner.units.of(t.id).1);
+            let depth: usize = slots.iter().map(|i| i.tx.queued(slot)).sum();
             let n = slots.len();
             (depth as f64 / (capacity * n.max(1) as f64), n as u32)
         });
@@ -362,7 +357,7 @@ mod tests {
     #[test]
     fn a_busy_group_at_its_ceiling_never_sheds_its_idle_member() {
         let sdg = cf();
-        let groups = Groups::new(&sdg, &cf_sample([0.0; 5], 1));
+        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
         let decisions = replay(&groups, &fig10_cfg(), (0..100).map(|i| fig10_trace(i, 4)));
         assert!(decisions.iter().all(Option::is_none), "{decisions:?}");
     }
@@ -371,7 +366,7 @@ mod tests {
     fn a_busy_group_below_its_ceiling_grows_after_patience_samples() {
         let sdg = cf();
         let cfg = fig10_cfg();
-        let groups = Groups::new(&sdg, &cf_sample([0.0; 5], 1));
+        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
         let decisions = replay(
             &groups,
             &cfg,
@@ -387,7 +382,7 @@ mod tests {
     fn a_group_grows_on_its_mailbox_fill_and_names_its_busiest_task() {
         let sdg = cf();
         let cfg = fig10_cfg();
-        let groups = Groups::new(&sdg, &cf_sample([0.0; 5], 1));
+        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
         let patience = cfg.patience as usize;
         // `getRec_1` holds most of `coOcc`'s mailbox: the scale-out names
         // it, not the group's first task.
@@ -438,7 +433,7 @@ mod tests {
             idle_patience: 2,
             ..fig10_cfg()
         };
-        let groups = Groups::new(&sdg, &Sample(vec![(0.0, 1); 2]));
+        let groups = Groups::new(&Units::new(&sdg), &sdg, &Sample(vec![(0.0, 1); 2]));
         let decisions = replay(&groups, &cfg, (0..2).map(|_| Sample(vec![(0.0, 2); 2])));
         let request = decisions[1].expect("an idle group above its floor shrinks");
         assert_eq!(request, ScaleIn { task: put });
@@ -483,7 +478,7 @@ mod tests {
             ..fig10_cfg()
         };
         for floor in [1, 2] {
-            let groups = Groups::new(&sdg, &one_task(0.0, floor));
+            let groups = Groups::new(&Units::new(&sdg), &sdg, &one_task(0.0, floor));
             let mut state = PolicyState::default();
             let mut n = floor;
             let mut tick =
@@ -524,7 +519,7 @@ mod tests {
             access(t, AccessMode::Local),
         );
         let sdg = b.build_unchecked();
-        let groups = Groups::new(&sdg, &one_task(0.0, 1));
+        let groups = Groups::new(&Units::new(&sdg), &sdg, &one_task(0.0, 1));
         let decisions = replay(&groups, &fig10_cfg(), (0..100).map(|_| one_task(1.0, 1)));
         assert!(decisions.iter().all(Option::is_none), "{decisions:?}");
     }
@@ -549,13 +544,13 @@ mod tests {
         let cfg = fig10_cfg();
         let idle = (0..100).map(|_| cf_sample([0.0; 5], 2));
         let sdg = certified(false);
-        let groups = Groups::new(&sdg, &cf_sample([0.0; 5], 1));
+        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
         let decisions = replay(&groups, &cfg, idle.clone());
         assert!(decisions.iter().all(Option::is_none), "{decisions:?}");
 
         // A certified merge lets the same group shrink.
         let sdg = certified(true);
-        let groups = Groups::new(&sdg, &cf_sample([0.0; 5], 1));
+        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
         let ar1 = sdg.task_by_name("addRating_1").unwrap().id;
         let decisions = replay(&groups, &cfg, idle);
         let shrink = Some(ScaleIn { task: ar1 });
@@ -581,7 +576,7 @@ mod tests {
         b.connect(src, dst, Dispatch::OneToAny, vec![]);
         let sdg = b.build_unchecked();
         let both = |fill| Sample(vec![(fill, 1), (fill, 1)]);
-        let groups = Groups::new(&sdg, &both(0.0));
+        let groups = Groups::new(&Units::new(&sdg), &sdg, &both(0.0));
         let decisions = replay(&groups, &fig10_cfg(), (0..100).map(|_| both(1.0)));
         assert!(decisions.iter().all(Option::is_none), "{decisions:?}");
     }

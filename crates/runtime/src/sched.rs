@@ -1,8 +1,9 @@
 //! The work-stealing actor pool: the scheduler that runs every TE instance.
 //!
-//! An *actor* is a FIFO mailbox plus the [`Worker`]s it hosts: every TE
-//! instance that accesses one SE instance (paper §3.3 colocates them), or
-//! one stateless TE instance alone. Actors are multiplexed onto a fixed
+//! An *actor* is a FIFO mailbox plus the one [`Worker`] it runs, which
+//! hosts a recovery unit's TE instances: every TE instance that accesses
+//! one SE instance (paper §3.3 colocates them), or one stateless TE
+//! instance alone. Actors are multiplexed onto a fixed
 //! pool of `RuntimeConfig::sched_threads` OS threads (by default one per
 //! available core), so a deployment costs a few threads however many
 //! replicas the reconfiguration plane adds:
@@ -12,13 +13,14 @@
 //!   serial consumer. One mutex guards both the queue and the actor's run
 //!   state, so a push can never race an idle transition into a lost
 //!   wakeup.
-//! - **One mailbox per SE instance.** Each hosted worker is addressed by
-//!   its own [`PoolSender`], which tags what it sends with the worker's
-//!   slot; every task of an SE group holds one in its route. The TEs of
-//!   one SE instance therefore never run at once (no pool thread waits on
-//!   a sibling's state lock), and what one producer sends to any of them
-//!   is processed in the order it was sent: a `put(k)` then a `get(k)`
-//!   from one ingest handle reads the put.
+//! - **One mailbox per SE instance.** An SE group's tasks share one route,
+//!   whose instances hold one [`PoolSender`] per actor; a producer's lane
+//!   names the TE it feeds by its slot in the worker, and the mailbox
+//!   keeps every message with that slot. The TEs of one SE instance
+//!   therefore never run at once (no pool thread waits on a sibling's
+//!   state lock), and what one producer sends to any of them is processed
+//!   in the order it was sent: a `put(k)` then a `get(k)` from one ingest
+//!   handle reads the put.
 //! - **Work stealing.** Runnable actors sit in per-worker local deques
 //!   (owner pops newest) or a global injector; an idle worker takes its
 //!   own work first, then the injector, then steals the *oldest* work from
@@ -51,16 +53,18 @@
 //!   thread, so the simulated cluster's capacity grows with its instances,
 //!   not with the pool size. Workers fire due entries before every slice
 //!   and bound their park time by the earliest deadline.
-//! - **Outputs per slice.** A worker keeps what it emits during a slice and
-//!   hands it to the sink in one batch when the slice ends, before the
-//!   actor's run state changes; so a quiet actor has nothing held back.
+//! - **Outputs per slice.** The worker keeps what its TEs emit, in the
+//!   order they ran, and hands it to the sink in one batch when the slice
+//!   ends, before the actor's run state changes, so a quiet actor has
+//!   nothing held back; a slice that has held an output for 1 ms hands
+//!   the batch over early (see [`Worker`]).
 //!
-//! `Stop` retires the actor with every worker it hosts; dropping the last
+//! `Stop` retires the actor with its worker; dropping the last
 //! [`PoolSender`] (the scale-in/recovery slot swap) lets the actor drain
 //! what is queued and then retire, like a consumer observing channel
-//! disconnect. A panic in any hosted worker kills the actor: its SE
-//! instance is the recovery unit anyway. Sends to a retired actor fail
-//! with [`SendClosed`].
+//! disconnect. A panic in any hosted TE kills the actor: its recovery
+//! unit is the actor anyway. Sends to a retired actor fail with
+//! [`SendClosed`].
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -72,7 +76,7 @@ use std::time::{Duration, Instant};
 
 use sdg_common::obs::SchedInstruments;
 
-use crate::worker::{self, SendClosed, Worker, WorkerMsg};
+use crate::worker::{SendClosed, Worker, WorkerMsg};
 
 /// Messages an actor processes per activation before rescheduling itself:
 /// long enough to amortise wakeup cost over a batch drain, short enough
@@ -83,6 +87,11 @@ const RUN_SLICE: usize = 128;
 /// a backstop only: every runnable push and every timer registration
 /// wakes a parked worker.
 const MAX_PARK: Duration = Duration::from_millis(50);
+
+/// Synthetic service time is rested in slices of at least this much: a
+/// shorter timer wait overshoots by the timer slack, which would distort
+/// the modelled service rate.
+const REST_QUANTUM: Duration = Duration::from_millis(1);
 
 /// [`PoolShared::next_due`] when the timer heap is empty.
 const NO_TIMER: u64 = u64::MAX;
@@ -106,7 +115,7 @@ enum RunState {
 
 /// Everything guarded by the mailbox lock.
 struct MailboxInner {
-    /// Messages with the slot of the hosted worker they are for.
+    /// Messages with the slot of the hosted TE they are for.
     queue: VecDeque<(usize, WorkerMsg)>,
     /// Messages queued per slot: each hosted task's share of `queue`.
     queued: Vec<usize>,
@@ -128,8 +137,8 @@ struct MailboxInner {
     pops: u64,
 }
 
-/// One actor scheduled on the pool: a serial mailbox plus the [`Worker`]s
-/// it hosts, indexed by slot (present until the actor retires).
+/// One actor scheduled on the pool: a serial mailbox plus the [`Worker`]
+/// it runs (present until the actor retires).
 struct Actor {
     mb: Mutex<MailboxInner>,
     /// Signals external (non-actor) senders blocked on a full mailbox.
@@ -138,8 +147,8 @@ struct Actor {
     /// forced sends may overfill past it; the overfill is repaid through
     /// producer suspension.
     cap: usize,
-    /// The hosted workers, taken out by the pool worker running a slice.
-    workers: Mutex<Vec<Worker>>,
+    /// The worker, taken out by the pool thread running a slice.
+    worker: Mutex<Option<Worker>>,
     shared: Arc<PoolShared>,
 }
 
@@ -169,22 +178,21 @@ pub(crate) fn in_actor() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// Sending half of an actor mailbox, addressed to one hosted worker (its
-/// slot). Clones are counted per actor: when the last sender of any slot
-/// drops, the mailbox disconnects and the actor drains what is queued,
-/// then retires.
+/// Sending half of an actor mailbox. Each message names the hosted TE it
+/// is for by its slot. When the last clone drops, the mailbox disconnects
+/// and the actor drains what is queued, then retires.
 pub struct PoolSender {
     actor: Arc<Actor>,
-    slot: usize,
 }
 
 impl PoolSender {
-    /// Delivers `msg`. From inside a pool slice this never blocks the pool
-    /// thread: the message is pushed unconditionally and an over-full
-    /// destination suspends the producer actor after its slice. External
-    /// threads block on the mailbox condvar, like a bounded channel send.
-    pub fn send(&self, msg: WorkerMsg) -> Result<(), SendClosed> {
-        self.actor.push(self.slot, msg, false)
+    /// Delivers `msg` to the TE in `slot`. From inside a pool slice this
+    /// never blocks the pool thread: the message is pushed unconditionally
+    /// and an over-full destination suspends the producer actor after its
+    /// slice. External threads block on the mailbox condvar, like a bounded
+    /// channel send.
+    pub fn send(&self, slot: usize, msg: WorkerMsg) -> Result<(), SendClosed> {
+        self.actor.push(slot, msg, false)
     }
 
     /// Delivers `msg` without waiting for credit: an external thread does
@@ -196,20 +204,20 @@ impl PoolSender {
     /// shutdown's `Stop` must land whatever the mailbox holds, and a lane
     /// that closes a cycle of actors must not make two producers wait on
     /// each other's credit.
-    pub fn force_send(&self, msg: WorkerMsg) -> Result<(), SendClosed> {
-        self.actor.push(self.slot, msg, true)
+    pub fn force_send(&self, slot: usize, msg: WorkerMsg) -> Result<(), SendClosed> {
+        self.actor.push(slot, msg, true)
     }
 
-    /// Messages queued in the mailbox, for every hosted worker
+    /// Messages queued in the mailbox, for every hosted TE
     /// (join-shortest-queue dispatch: they all wait in one queue).
     pub fn len(&self) -> usize {
         self.actor.mb.lock().expect("mailbox lock").queue.len()
     }
 
-    /// Messages queued for this sender's worker: its task's share of the
+    /// Messages queued for the TE in `slot`: its task's share of the
     /// mailbox (queue-depth gauges, the scaling monitor's fill).
-    pub(crate) fn queued(&self) -> usize {
-        self.actor.mb.lock().expect("mailbox lock").queued[self.slot]
+    pub(crate) fn queued(&self, slot: usize) -> usize {
+        self.actor.mb.lock().expect("mailbox lock").queued[slot]
     }
 
     /// Whether the mailbox is empty.
@@ -251,7 +259,6 @@ impl Clone for PoolSender {
         self.actor.mb.lock().expect("mailbox lock").senders += 1;
         PoolSender {
             actor: Arc::clone(&self.actor),
-            slot: self.slot,
         }
     }
 }
@@ -324,7 +331,7 @@ impl Actor {
         Ok(())
     }
 
-    /// Pops one message. Returns the message with its worker's slot, the
+    /// Pops one message. Returns the message with its TE's slot, the
     /// waiters to resume when the pop crossed back under capacity, and the
     /// disconnect flag.
     ///
@@ -625,18 +632,13 @@ impl Pool {
         })
     }
 
-    /// Registers one actor hosting `workers` with mailbox capacity `cap`
-    /// and returns a sender per worker, in order.
-    pub(crate) fn spawn_actor(&self, workers: Vec<Worker>, cap: usize) -> Vec<PoolSender> {
+    /// Registers one actor running `worker` with mailbox capacity `cap`
+    /// and returns its sender.
+    pub(crate) fn spawn_actor(&self, worker: Worker, cap: usize) -> PoolSender {
         *self.shared.live.lock().expect("live lock") += 1;
-        let slots = workers.len();
-        let actor = new_actor(&self.shared, cap, workers);
-        (0..slots)
-            .map(|slot| PoolSender {
-                actor: Arc::clone(&actor),
-                slot,
-            })
-            .collect()
+        PoolSender {
+            actor: new_actor(&self.shared, cap, Some(worker)),
+        }
     }
 
     /// Waits until every actor has retired, then stops and joins the pool
@@ -678,16 +680,16 @@ impl Drop for Pool {
     }
 }
 
-/// An actor hosting `workers`, with one sender per worker counted (at
-/// least one slot, so a test shell without workers has a sender).
-fn new_actor(shared: &Arc<PoolShared>, cap: usize, workers: Vec<Worker>) -> Arc<Actor> {
-    let slots = workers.len().max(1);
+/// An actor running `worker`, with its one sender counted (one slot for a
+/// test shell without a worker).
+fn new_actor(shared: &Arc<PoolShared>, cap: usize, worker: Option<Worker>) -> Arc<Actor> {
+    let slots = worker.as_ref().map_or(1, |w| w.tes.len());
     Arc::new(Actor {
         mb: Mutex::new(MailboxInner {
             queue: VecDeque::new(),
             queued: vec![0; slots],
             state: RunState::Idle,
-            senders: slots,
+            senders: 1,
             closed: false,
             disconnected: false,
             waiters: Vec::new(),
@@ -696,7 +698,7 @@ fn new_actor(shared: &Arc<PoolShared>, cap: usize, workers: Vec<Worker>) -> Arc<
         }),
         not_full: Condvar::new(),
         cap: cap.max(1),
-        workers: Mutex::new(workers),
+        worker: Mutex::new(worker),
         shared: Arc::clone(shared),
     })
 }
@@ -771,7 +773,7 @@ fn find_task(shared: &PoolShared, me: usize, rng: &mut XorShift) -> Option<Arc<A
 }
 
 /// Runs one actor slice: drain up to [`RUN_SLICE`] messages, each stepped
-/// by the hosted worker of its slot, then hand the actor back to the
+/// by the worker's TE of its slot, then hand the actor back to the
 /// scheduler in the appropriate state.
 fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     {
@@ -784,11 +786,10 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         debug_assert_eq!(mb.state, RunState::Scheduled);
         mb.state = RunState::Running;
     }
-    let mut workers = std::mem::take(&mut *actor.workers.lock().expect("worker slots"));
-    if workers.is_empty() {
+    let Some(mut worker) = actor.worker.lock().expect("worker slot").take() else {
         actor.mb.lock().expect("mailbox lock").state = RunState::Idle;
         return;
-    }
+    };
     shared.obs.polls.inc();
     CURRENT.with(|c| {
         *c.borrow_mut() = Some(ActorCtx {
@@ -801,7 +802,7 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     let mut processed = 0usize;
     loop {
         let blocked = CURRENT.with(|c| c.borrow().as_ref().is_some_and(|x| !x.blocked.is_empty()));
-        if blocked || worker::owes_rest(&workers) {
+        if blocked || worker.work_debt >= REST_QUANTUM {
             break;
         }
         let (msg, waiters, disconnected) = actor.pop();
@@ -815,7 +816,7 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
                 break;
             }
             Some((slot, msg)) => {
-                let step = || workers[slot].step(msg);
+                let step = || worker.step(slot, msg);
                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
                     Ok(true) => {
                         stopped = true;
@@ -828,20 +829,20 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
                         }
                     }
                     Err(payload) => {
-                        // The actor dies with every worker it hosts: report
-                        // the caught panic, drop the workers, and retire the
-                        // mailbox so producers see disconnect instead of a
-                        // wedged queue — the pool worker itself survives to
-                        // run other actors. The items before the panic
-                        // applied their state, and a replay's dedupe will
-                        // not emit them again: their outputs leave before
-                        // the workers are dropped.
-                        let probe = workers[slot].panic_probe();
+                        // The actor dies with its worker: report the caught
+                        // panic, drop the worker, and retire the mailbox so
+                        // producers see disconnect instead of a wedged
+                        // queue — the pool thread itself survives to run
+                        // other actors. The items before the panic applied
+                        // their state, and a replay's dedupe will not emit
+                        // them again: their outputs leave before the worker
+                        // is dropped.
+                        let probe = worker.panic_probe(slot);
                         CURRENT.with(|c| {
                             c.borrow_mut().take();
                         });
-                        workers.iter_mut().for_each(Worker::flush_outputs);
-                        drop(workers);
+                        worker.flush_outputs();
+                        drop(worker);
                         probe.report(payload.as_ref());
                         retire(shared, &actor, Some(me));
                         return;
@@ -852,27 +853,23 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     }
     // The slice's outputs leave before any run-state change: a quiet actor
     // (`PoolSender::is_quiet`) has put every output it emitted in the sink.
-    workers.iter_mut().for_each(Worker::flush_outputs);
+    worker.flush_outputs();
     let ctx = CURRENT
         .with(|c| c.borrow_mut().take())
         .expect("actor ctx set for the slice");
     if stopped {
-        drop(workers);
+        drop(worker);
         retire(shared, &actor, Some(me));
         return;
     }
-    // Owed service time is served through the shared timer heap. The
-    // workers go back before any state transition so whichever pool
-    // thread runs the actor next finds them in place.
-    let rest = if ctx.blocked.is_empty() {
-        worker::take_rest(&mut workers)
-    } else {
-        None
-    };
-    *actor.workers.lock().expect("worker slots") = workers;
+    // Owed service time is served through the shared timer heap; none
+    // while suspended (the resumed slice rests it). The worker goes back
+    // before any state transition so whichever pool thread runs the actor
+    // next finds it in place.
+    let rest = (ctx.blocked.is_empty() && worker.work_debt >= REST_QUANTUM)
+        .then(|| std::mem::take(&mut worker.work_debt));
+    *actor.worker.lock().expect("worker slot") = Some(worker);
     if !ctx.blocked.is_empty() {
-        // No rest while suspended: the resumed slice rests any owed
-        // service time.
         suspend(shared, me, actor, ctx.blocked);
         return;
     }
@@ -960,8 +957,8 @@ fn retire(shared: &Arc<PoolShared>, actor: &Arc<Actor>, me: Option<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FailureHub, FaultAction, FaultTrigger, WorkerFault};
-    use crate::worker::{OutputEvent, PreparedCode};
+    use crate::fault::{FailureHub, FaultAction, FaultTrigger, RecoveryUnit, WorkerFault};
+    use crate::worker::{OutputEvent, PreparedCode, Te};
 
     /// A bare actor shell for mailbox-protocol tests: a pool of `workers`
     /// deques with no threads, and one actor without a worker.
@@ -971,7 +968,7 @@ mod tests {
             Arc::new(SchedInstruments::default()),
         ));
         *shared.live.lock().unwrap() = 1;
-        let actor = new_actor(&shared, cap, Vec::new());
+        let actor = new_actor(&shared, cap, None);
         (shared, actor)
     }
 
@@ -1037,32 +1034,25 @@ mod tests {
         }
     }
 
-    /// A worker of task `name` that emits every input into `sink`, with
-    /// `fault` armed on its `nth` item.
+    /// A worker hosting a TE per name in `names`, each emitting every
+    /// input into `sink`, with `fault` armed on the first one's `nth` item.
     fn emit_worker(
-        name: &str,
+        names: &[&str],
         fault: Option<(FaultAction, u64)>,
         sink: crossbeam::channel::Sender<OutputEvent>,
         obs: &Arc<sdg_common::obs::MetricsRegistry>,
     ) -> Worker {
-        Worker {
+        let te = |(slot, &name): (usize, &&str)| Te {
+            task: sdg_common::ids::TaskId(slot as u32),
             name: name.into(),
-            replica: 0,
             code: PreparedCode::Native(Arc::new(EmitInput)),
             scratch: crate::compile::Scratch::new(),
-            cell: None,
             outs: Vec::new(),
-            sink,
-            pending_outputs: Vec::new(),
             pending_gathers: Default::default(),
             gather_var: None,
             work_ns: 0,
-            speed: 1.0,
-            alive: Arc::new(AtomicBool::new(true)),
             obs: obs.task(name).shard(),
-            work_debt: Duration::ZERO,
-            task: sdg_common::ids::TaskId(0),
-            fault: fault.map(|(action, nth)| {
+            fault: fault.filter(|_| slot == 0).map(|(action, nth)| {
                 Arc::new(FaultTrigger::new(&WorkerFault {
                     task: name.into(),
                     replica: 0,
@@ -1070,6 +1060,18 @@ mod tests {
                     action,
                 }))
             }),
+        };
+        Worker {
+            tes: names.iter().enumerate().map(te).collect(),
+            replica: 0,
+            unit: RecoveryUnit::Task(sdg_common::ids::TaskId(0), 0),
+            cell: None,
+            sink,
+            pending_outputs: Vec::new(),
+            held_since: None,
+            speed: 1.0,
+            alive: Arc::new(AtomicBool::new(true)),
+            work_debt: Duration::ZERO,
             hub: Arc::new(FailureHub::new(Arc::clone(obs))),
         }
     }
@@ -1089,7 +1091,7 @@ mod tests {
         let (shared, actor) = shell(1, 256);
         let (sink, rx) = crossbeam::channel::unbounded();
         let obs = Arc::new(sdg_common::obs::MetricsRegistry::new());
-        *actor.workers.lock().unwrap() = vec![emit_worker("emit", fault, sink, &obs)];
+        *actor.worker.lock().unwrap() = Some(emit_worker(&["emit"], fault, sink, &obs));
         for corr in 0..items {
             let mut msg = marker(corr);
             if let WorkerMsg::Item(item) = &mut msg {
@@ -1120,39 +1122,33 @@ mod tests {
         // The last slice leaves the actor idle, hence quiet, with nothing
         // held back.
         run_actor(&shared, 0, Arc::clone(&actor));
-        let tx = PoolSender { actor, slot: 0 };
+        let tx = PoolSender { actor };
         assert!(tx.is_quiet());
         let corrs: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
         assert_eq!(corrs, vec![n - 2, n - 1]);
     }
 
     #[test]
-    fn each_message_is_stepped_by_the_worker_its_sender_addresses() {
+    fn each_message_is_stepped_by_the_te_of_its_slot_and_outputs_leave_in_order() {
         let shared = Arc::new(PoolShared::new(1, Arc::new(SchedInstruments::default())));
         let (sink, rx) = crossbeam::channel::unbounded();
         let obs = Arc::new(sdg_common::obs::MetricsRegistry::new());
-        let workers = ["a", "b"].map(|t| emit_worker(t, None, sink.clone(), &obs));
-        let actor = new_actor(&shared, 16, workers.into());
-        let senders: Vec<PoolSender> = (0..2)
-            .map(|slot| PoolSender {
-                actor: Arc::clone(&actor),
-                slot,
-            })
-            .collect();
+        let worker = emit_worker(&["a", "b"], None, sink, &obs);
+        let tx = PoolSender {
+            actor: new_actor(&shared, 16, Some(worker)),
+        };
         for (corr, slot) in [(0, 0), (1, 1), (2, 0)] {
-            senders[slot].force_send(marker(corr)).unwrap();
+            tx.force_send(slot, marker(corr)).unwrap();
         }
-        let queued: Vec<usize> = senders.iter().map(PoolSender::queued).collect();
-        assert_eq!((senders[0].len(), queued), (3, vec![2, 1]));
-        run_actor(&shared, 0, Arc::clone(&actor));
+        assert_eq!((tx.len(), tx.queued(0), tx.queued(1)), (3, 2, 1));
+        run_actor(&shared, 0, Arc::clone(&tx.actor));
         let snap = obs.snapshot();
         let processed = |t| snap.task(t).unwrap().processed;
         assert_eq!((processed("a"), processed("b")), (2, 1));
-        assert!(senders.iter().all(|tx| tx.queued() == 0 && tx.is_quiet()));
-        // Each worker's outputs leave in its order; the slice flushes the
-        // workers one after the other.
+        assert!(tx.queued(0) == 0 && tx.queued(1) == 0 && tx.is_quiet());
+        // The outputs of both TEs leave in the order their items ran.
         let corrs: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
-        assert_eq!(corrs, vec![0, 2, 1]);
+        assert_eq!(corrs, vec![0, 1, 2]);
     }
 
     #[test]
@@ -1188,6 +1184,50 @@ mod tests {
         }
     }
 
+    /// Emits every input after sleeping twice the output hold, and on its
+    /// third item takes what the sink already holds.
+    struct SlowEmit {
+        sink: crossbeam::channel::Receiver<OutputEvent>,
+        items: AtomicUsize,
+        seen_at_third: Mutex<Vec<u64>>,
+    }
+
+    impl sdg_graph::model::NativeTask for SlowEmit {
+        fn process(
+            &self,
+            input: &sdg_common::value::Record,
+            ctx: &mut dyn sdg_graph::model::TaskContext,
+        ) -> sdg_common::error::SdgResult<()> {
+            if self.items.fetch_add(1, Ordering::SeqCst) == 2 {
+                let seen = std::iter::from_fn(|| self.sink.try_recv().ok()).map(|e| e.corr);
+                self.seen_at_third.lock().unwrap().extend(seen);
+            }
+            std::thread::sleep(2 * crate::worker::OUTPUT_HOLD);
+            ctx.emit(input.clone());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_slice_hands_its_outputs_over_once_it_has_held_one_for_the_budget() {
+        let (shared, actor, rx) = emitter(None, 4, None);
+        let task = Arc::new(SlowEmit {
+            sink: rx.clone(),
+            items: AtomicUsize::new(0),
+            seen_at_third: Mutex::new(Vec::new()),
+        });
+        let mut worker = actor.worker.lock().unwrap().take().unwrap();
+        worker.tes[0].code = PreparedCode::Native(Arc::clone(&task) as _);
+        *actor.worker.lock().unwrap() = Some(worker);
+        run_actor(&shared, 0, Arc::clone(&actor));
+        // Each item outlasts the hold, so its output left before the next
+        // item ran: the third item found the first two in the sink.
+        let seen = task.seen_at_third.lock().unwrap().clone();
+        assert_eq!(seen, vec![0, 1]);
+        let rest: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
+        assert_eq!(rest, vec![2, 3]);
+    }
+
     #[test]
     fn mailbox_preserves_fifo_order() {
         let (_shared, actor) = shell(1, 16);
@@ -1210,7 +1250,6 @@ mod tests {
         let (_shared, actor) = shell(1, 4);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
-            slot: 0,
         };
         assert_eq!(tx.progress(), (0, 0, false));
         actor.push(0, marker(0), true).unwrap();
@@ -1240,7 +1279,6 @@ mod tests {
         let (shared, actor) = shell(1, 16);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
-            slot: 0,
         };
         assert!(!tx.is_closed());
         retire(&shared, &actor, None);
@@ -1307,7 +1345,6 @@ mod tests {
         let (_shared, actor) = shell(1, 4);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
-            slot: 0,
         };
         assert!(tx.is_quiet());
         actor.push(0, marker(0), true).unwrap();
@@ -1342,7 +1379,6 @@ mod tests {
         let (shared, actor) = shell(1, 4);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
-            slot: 0,
         };
         let tx2 = tx.clone();
         drop(tx);
@@ -1358,7 +1394,7 @@ mod tests {
     #[test]
     fn timer_heap_fires_in_deadline_order() {
         let (shared, a) = shell(1, 4);
-        let b = new_actor(&shared, 4, Vec::new());
+        let b = new_actor(&shared, 4, None);
         let now = Instant::now();
         let later = now + Duration::from_millis(200);
         a.mb.lock().unwrap().state = RunState::Resting(now);

@@ -1,12 +1,13 @@
 //! TE instance workers: the pipelined processing loops.
 //!
-//! Each TE instance is a [`Worker`] stepped by a cooperative actor on the
-//! deployment's work-stealing pool (see [`crate::sched`]): the TE
-//! instances that access one SE instance share one actor and its bounded
-//! mailbox, and a stateless TE instance has one of its own. Producers
-//! dispatch directly into consumer mailboxes (no central scheduler), so a
-//! full mailbox applies backpressure upstream — this is the paper's fully
-//! pipelined execution (§3.1).
+//! Each pool actor (see [`crate::sched`]) runs one [`Worker`], which hosts
+//! replica `r` of every TE of one recovery unit, each a [`Te`] in its own
+//! slot: every TE that accesses one SE instance, or one stateless TE. The
+//! unit's tasks share one `Route`, and a producer's lane into a task
+//! carries the task's slot. Producers dispatch directly into consumer
+//! mailboxes (no central scheduler), so a full mailbox applies
+//! backpressure upstream — this is the paper's fully pipelined execution
+//! (§3.1).
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -29,14 +30,14 @@ use sdg_ir::te_compiled::CompiledTe;
 use sdg_state::partition::KeyLayout;
 
 use crate::compile::{run_compiled, Scratch};
-use crate::fault::{FailureHub, FaultAction, FaultTrigger, PanicProbe};
+use crate::fault::{FailureHub, FaultAction, FaultTrigger, PanicProbe, RecoveryUnit};
 use crate::item::{lane, route_hash, Item};
 use crate::sched::{self, PoolSender};
 
-/// Synthetic service time is rested in slices of at least this much: a
-/// shorter timer wait overshoots by the timer slack, which would distort
-/// the modelled service rate.
-const REST_QUANTUM: Duration = Duration::from_millis(1);
+/// Longest a worker holds an output back for its slice's batch: once the
+/// oldest held output is this old, the batch leaves after the current
+/// item.
+pub(crate) const OUTPUT_HOLD: Duration = Duration::from_millis(1);
 
 /// Messages delivered to a worker.
 #[derive(Debug)]
@@ -144,10 +145,9 @@ impl BufferRegistry {
     }
 }
 
-/// One TE instance in its task's [`Route`]: the mailbox producers send
-/// into, and what the supervisor and the scale paths read about it. The
-/// instances of one replica of an SE group share the actor, its liveness
-/// flag and its node.
+/// One replica of a recovery unit in its [`Route`]: the actor's mailbox
+/// producers send into, and what the supervisor and the scale paths read
+/// about it.
 pub(crate) struct Instance {
     pub(crate) tx: PoolSender,
     /// The worker's liveness flag ([`Worker::alive`]).
@@ -156,8 +156,9 @@ pub(crate) struct Instance {
     pub(crate) node: u32,
 }
 
-/// How producers reach one task: its instances in replica order, and the
-/// sends staged while a control operation holds the route paused.
+/// How producers reach one recovery unit — every task of an SE group, or
+/// one stateless task: its instances in replica order, and the sends
+/// staged while a control operation holds the route paused.
 ///
 /// Inside a pool slice a send never waits for a pause: it stages, and the
 /// [`Paused`] guard flushes the stage when it is dropped. External threads
@@ -237,11 +238,14 @@ struct Outgoing {
 }
 
 /// Producer replica `src`'s lane on `edge`: how its sends spread over the
-/// consumer's instances, and the clock and log that stamp and keep them.
+/// consumer's instances, the consumer's slot in them, and the clock and
+/// log that stamp and keep them.
 struct Lane {
     edge: EdgeId,
     src: u32,
     dispatch: Dispatch,
+    /// The consumer task's slot in its unit's workers.
+    slot: usize,
     /// The lane's clock in the registry ([`BufferRegistry::lane_clock`]),
     /// so the next incarnation of this replica resumes past its last
     /// timestamp.
@@ -263,7 +267,7 @@ impl Lane {
         slots: &[Instance],
         out: Outgoing,
         cache: &mut Vec<Option<BufferHandle>>,
-        push: fn(&PoolSender, WorkerMsg) -> Result<(), SendClosed>,
+        push: fn(&PoolSender, usize, WorkerMsg) -> Result<(), SendClosed>,
     ) -> SdgResult<()> {
         let n = slots.len();
         if n == 0 {
@@ -316,7 +320,7 @@ impl Lane {
                 route: out.key,
                 submitted_at: out.submitted_at,
             };
-            push(&slots[dst].tx, WorkerMsg::Item(item))
+            push(&slots[dst].tx, self.slot, WorkerMsg::Item(item))
                 .map_err(|_| SdgError::Runtime("consumer channel closed".into()))?;
         }
         Ok(())
@@ -376,17 +380,17 @@ pub struct OutEdge {
 }
 
 impl OutEdge {
-    /// Builds the dispatcher of producer replica `src` on `edge` into
-    /// `route`. Its timestamps continue the lane's clock in `buffers`,
-    /// whether or not it logs; `buffered` logs every item there, which the
-    /// deployment asks only of a lane whose consumer's recovery replays
-    /// it.
+    /// Builds the dispatcher of producer replica `src` on `edge` into the
+    /// task in `slot` of `route`'s unit. Its timestamps continue the lane's
+    /// clock in `buffers`, whether or not it logs; `buffered` logs every
+    /// item there, which the deployment asks only of a lane whose
+    /// consumer's recovery replays it.
     pub(crate) fn new(
         edge: EdgeId,
         src: u32,
         dispatch: Dispatch,
         live_vars: Vec<String>,
-        route: Arc<Route>,
+        (route, slot): (Arc<Route>, usize),
         buffers: Arc<BufferRegistry>,
         buffered: bool,
     ) -> Self {
@@ -395,6 +399,7 @@ impl OutEdge {
                 edge,
                 src,
                 dispatch,
+                slot,
                 clock: buffers.lane_clock(edge, src),
                 buffers: buffered.then_some(buffers),
             }),
@@ -524,8 +529,8 @@ pub struct OutputEvent {
     /// Emitted value.
     pub value: Value,
     /// Client-visible latency: from ingest until the output reached the
-    /// sink, stamped when the emitting instance hands its slice's outputs
-    /// over (absent for replayed duplicates).
+    /// sink, stamped when the emitting worker hands its batch over (absent
+    /// for replayed duplicates).
     pub latency: Option<Duration>,
 }
 
@@ -556,26 +561,21 @@ impl PreparedCode {
     }
 }
 
-/// One TE instance: its code, state, edges and instruments. The pool
-/// scheduler drives it one mailbox message at a time.
-pub struct Worker {
+/// One TE instance hosted by a [`Worker`], in its slot: its code, edges,
+/// gather barrier and instruments.
+pub struct Te {
+    /// Owning task id.
+    pub task: TaskId,
     /// Task name (diagnostics).
     pub name: String,
-    /// Replica index of this instance.
-    pub replica: u32,
     /// Executable payload, prepared at deploy time.
     pub code: PreparedCode,
     /// Reused register file + helper-frame pool for the compiled engine.
+    /// One per TE: a compiled TE's binding caches its own field map, so a
+    /// shared one would rebind on every switch between TEs.
     pub scratch: Scratch,
-    /// Local SE instance, when the task has an access edge.
-    pub cell: Option<Arc<StateCell>>,
     /// Outgoing edges.
     pub outs: Vec<OutEdge>,
-    /// External output sink.
-    pub sink: Sender<OutputEvent>,
-    /// Outputs emitted since the last [`Worker::flush_outputs`], each with
-    /// its request's ingest time.
-    pub(crate) pending_outputs: Vec<(OutputEvent, Option<Instant>)>,
     /// Gather state for all-to-one input edges: `corr → fragments by
     /// producer replica`.
     pub pending_gathers: HashMap<u64, HashMap<u32, Item>>,
@@ -583,50 +583,70 @@ pub struct Worker {
     pub gather_var: Option<String>,
     /// Synthetic per-item CPU cost in nanoseconds (scaled by node speed).
     pub work_ns: u64,
+    /// This instance's own instruments, folded into its task's row at
+    /// snapshot: items in/out, processed, errors, gather waits, service
+    /// time, latency.
+    pub obs: TaskShard,
+    /// Armed injection point from the deployment's fault plan, if any.
+    pub fault: Option<Arc<FaultTrigger>>,
+}
+
+/// Replica `replica` of one recovery unit: its TE instances, indexed by
+/// slot, and what they share — the SE instance, the node, the sink and the
+/// outputs they hold, in the order their items ran. The pool scheduler
+/// steps it one mailbox message at a time.
+pub struct Worker {
+    /// The hosted TE instances, by slot.
+    pub tes: Vec<Te>,
+    /// Replica index of this instance.
+    pub replica: u32,
+    /// What recovering this actor means; its panic reports name it.
+    pub(crate) unit: RecoveryUnit,
+    /// Local SE instance, when the unit is an SE group.
+    pub cell: Option<Arc<StateCell>>,
+    /// External output sink.
+    pub sink: Sender<OutputEvent>,
+    /// Outputs emitted since the last flush, in execution order, each with
+    /// its TE's slot and its request's ingest time.
+    pub(crate) pending_outputs: Vec<(usize, OutputEvent, Option<Instant>)>,
+    /// When the item that emitted the oldest held output started.
+    pub(crate) held_since: Option<Instant>,
     /// Hosting node's speed factor.
     pub speed: f64,
     /// Cleared when the hosting node "fails": the worker then discards
     /// items, simulating loss of in-flight data.
     pub alive: Arc<AtomicBool>,
-    /// This instance's own instruments, folded into its task's row at
-    /// snapshot: items in/out, processed, errors, gather waits, service
-    /// time, latency.
-    pub obs: TaskShard,
     /// Accumulated synthetic service time not yet rested: the pool rests
-    /// the actor on its timer heap once its workers' debts reach 1 ms.
+    /// the actor on its timer heap once it reaches 1 ms.
     pub work_debt: Duration,
-    /// Owning task id (failure reports name the instance precisely).
-    pub task: TaskId,
-    /// Armed injection point from the deployment's fault plan, if any.
-    pub fault: Option<Arc<FaultTrigger>>,
     /// Where the pool's panic boundary reports caught panics.
     pub hub: Arc<FailureHub>,
 }
 
 impl Worker {
-    /// Processes one message; returns `true` when the instance must stop.
+    /// Processes one message for the TE in `slot`; returns `true` when the
+    /// actor must stop.
     ///
     /// The pool actor ([`crate::sched`]) calls this once per mailbox
     /// message.
-    pub(crate) fn step(&mut self, msg: WorkerMsg) -> bool {
+    pub(crate) fn step(&mut self, slot: usize, msg: WorkerMsg) -> bool {
         match msg {
             WorkerMsg::Stop => true,
             WorkerMsg::Item(item) => {
                 // On a simulated dead node, in-flight items are lost.
                 if self.alive.load(Ordering::Acquire) {
-                    self.handle(item);
+                    self.handle(slot, item);
                 }
                 false
             }
         }
     }
 
-    /// Hands every output emitted since the last flush to the sink in one
-    /// batch: one lock on the sink channel and at most one wake of a
-    /// waiting client, where a send per emit would pay both per output.
-    /// One clock read stamps every output's latency and its latency
-    /// sample, so latency runs from ingest until the output reaches the
-    /// sink.
+    /// Hands every held output to the sink in one batch: one lock on the
+    /// sink channel and at most one wake of a waiting client, where a send
+    /// per emit would pay both per output. One clock read stamps every
+    /// output's latency and its TE's latency sample, so latency runs from
+    /// ingest until the output reaches the sink.
     ///
     /// The pool flushes at the end of every slice, before any run-state
     /// change, so a quiet instance has no output held back; and before it
@@ -637,39 +657,38 @@ impl Worker {
             return;
         }
         let now = Instant::now();
-        for (event, submitted_at) in &mut self.pending_outputs {
+        self.held_since = None;
+        for (slot, event, submitted_at) in &mut self.pending_outputs {
             event.latency = submitted_at.map(|t| now.saturating_duration_since(t));
             if let Some(l) = event.latency {
-                self.obs.record_latency(l.as_nanos() as u64);
+                self.tes[*slot].obs.record_latency(l.as_nanos() as u64);
             }
         }
         // Fails only once the deployment dropped its receiver.
-        let _ = self
-            .sink
-            .send_batch(self.pending_outputs.drain(..).map(|(event, _)| event));
+        let held = self.pending_outputs.drain(..).map(|(_, event, _)| event);
+        let _ = self.sink.send_batch(held);
     }
 
-    /// Everything a scheduler boundary needs to report this worker's
-    /// death after the unwind consumed it.
-    pub(crate) fn panic_probe(&self) -> PanicProbe {
+    /// Everything a scheduler boundary needs to report the death of the
+    /// TE in `slot` after the unwind consumed it.
+    pub(crate) fn panic_probe(&self, slot: usize) -> PanicProbe {
         PanicProbe {
-            task: self.task,
-            replica: self.replica,
-            label: format!("{}#{}", self.name, self.replica),
+            unit: self.unit,
+            label: format!("{}#{}", self.tes[slot].name, self.replica),
             hub: Arc::clone(&self.hub),
         }
     }
 
-    fn handle(&mut self, item: Item) {
+    fn handle(&mut self, slot: usize, item: Item) {
         // Injected faults fire before the item is touched: nothing is
         // half-processed, no gauge is incremented, and the item itself is
         // already in its upstream output buffer, so recovery replays it
         // to the replacement instance.
-        if let Some(action) = self.fault.as_ref().and_then(|t| t.poll()) {
+        if let Some(action) = self.tes[slot].fault.as_ref().and_then(|t| t.poll()) {
             match action {
                 FaultAction::Panic => panic!(
                     "injected fault: {}#{} fails on this item",
-                    self.name, self.replica
+                    self.tes[slot].name, self.replica
                 ),
                 FaultAction::Stall(dur) => {
                     // The items before this one in the slice are done:
@@ -686,28 +705,37 @@ impl Worker {
                 }
             }
         }
-        self.obs.add_items_in(1);
+        let te = &mut self.tes[slot];
+        te.obs.add_items_in(1);
         // Gather barriers assemble one logical item from `expect` fragments.
-        let item = match &self.gather_var {
-            Some(var) => match Self::assemble(&mut self.pending_gathers, item, var) {
+        let item = match &te.gather_var {
+            Some(var) => match Self::assemble(&mut te.pending_gathers, item, var) {
                 Some(merged) => merged,
                 None => {
                     // Barrier still waiting on sibling fragments.
-                    self.obs.add_gather_waits(1);
+                    te.obs.add_gather_waits(1);
                     return;
                 }
             },
             None => item,
         };
         let t0 = Instant::now();
-        let r = self.process(&item);
-        self.obs.record_service(t0.elapsed().as_nanos() as u64);
+        let r = self.process(slot, &item);
+        let done = Instant::now();
+        let obs = &mut self.tes[slot].obs;
+        obs.record_service(done.saturating_duration_since(t0).as_nanos() as u64);
         if r.is_err() {
-            self.obs.add_errors(1);
+            obs.add_errors(1);
+        }
+        // The reading that timed the item also bounds the hold.
+        if !self.pending_outputs.is_empty()
+            && done.saturating_duration_since(*self.held_since.get_or_insert(t0)) >= OUTPUT_HOLD
+        {
+            self.flush_outputs();
         }
     }
 
-    /// Collects a gather fragment into `pending` (the worker's
+    /// Collects a gather fragment into `pending` (the TE's
     /// `pending_gathers`); returns the merged item once all arrived.
     fn assemble(
         pending: &mut HashMap<u64, HashMap<u32, Item>>,
@@ -762,31 +790,36 @@ impl Worker {
         })
     }
 
-    fn process(&mut self, item: &Item) -> SdgResult<()> {
-        if self.work_ns > 0 {
+    fn process(&mut self, slot: usize, item: &Item) -> SdgResult<()> {
+        let Worker {
+            tes,
+            replica,
+            cell,
+            pending_outputs,
+            speed,
+            work_debt,
+            ..
+        } = self;
+        let te = &mut tes[slot];
+        if te.work_ns > 0 {
             // Accrue the modelled service time; the pool rests the actor
-            // on its timer heap once a quantum is owed (see [`take_rest`]),
-            // so a slow simulated node never holds a pool thread.
-            self.work_debt +=
-                Duration::from_nanos((self.work_ns as f64 / self.speed.max(0.01)) as u64);
+            // on its timer heap once a quantum is owed, so a slow simulated
+            // node never holds a pool thread.
+            *work_debt += Duration::from_nanos((te.work_ns as f64 / speed.max(0.01)) as u64);
         }
         // Stateless passthrough: no state to read, no duplicates to filter —
         // forward the input record by refcount instead of deep-cloning it
         // through the execution engine.
-        if self.cell.is_none() && matches!(self.code, PreparedCode::Passthrough) {
-            self.obs.add_processed(1);
-            self.obs.add_items_out(self.outs.len() as u64);
-            for out in &mut self.outs {
+        if cell.is_none() && matches!(te.code, PreparedCode::Passthrough) {
+            te.obs.add_processed(1);
+            te.obs.add_items_out(te.outs.len() as u64);
+            for out in &mut te.outs {
                 out.send(&item.payload, item.corr, item.expect, item.submitted_at)?;
             }
             return Ok(());
         }
-        // Split the borrows up front: the state-cell closures need the code
-        // (shared) and the scratch (exclusive) while `self.cell` is held.
-        let code = &self.code;
-        let scratch = &mut self.scratch;
-        let replica = self.replica;
-        let effects = match &self.cell {
+        let (code, scratch, replica) = (&te.code, &mut te.scratch, *replica);
+        let effects = match cell {
             Some(cell) => {
                 let lane = lane(item.edge, item.src_replica);
                 // A striped cell is fed only by edges partitioned on the
@@ -798,7 +831,7 @@ impl Worker {
                 }) {
                     None => {
                         // Duplicate from a replay: already applied.
-                        self.obs.add_processed(1);
+                        te.obs.add_processed(1);
                         return Ok(());
                     }
                     Some(r) => r?,
@@ -806,46 +839,29 @@ impl Worker {
             }
             None => execute_prepared(code, &item.payload, None, replica, scratch)?,
         };
-        self.obs.add_processed(1);
-        self.obs.add_emits(effects.emits.len() as u64);
-        // Stamped and sent when the slice ends (`flush_outputs`).
-        self.pending_outputs
-            .extend(effects.emits.into_iter().map(|value| {
-                let event = OutputEvent {
-                    corr: item.corr,
-                    value,
-                    latency: None,
-                };
-                (event, item.submitted_at)
-            }));
-        self.obs
-            .add_items_out((effects.forwards.len() * self.outs.len()) as u64);
+        te.obs.add_processed(1);
+        te.obs.add_emits(effects.emits.len() as u64);
+        // Stamped and sent with the batch (`flush_outputs`).
+        pending_outputs.extend(effects.emits.into_iter().map(|value| {
+            let event = OutputEvent {
+                corr: item.corr,
+                value,
+                latency: None,
+            };
+            (slot, event, item.submitted_at)
+        }));
+        te.obs
+            .add_items_out((effects.forwards.len() * te.outs.len()) as u64);
         for record in effects.forwards {
             // One refcounted allocation per forwarded record, shared by
             // every outgoing edge (and its output-buffer log entry).
             let payload = Arc::new(record);
-            for out in &mut self.outs {
+            for out in &mut te.outs {
                 out.send(&payload, item.corr, item.expect, item.submitted_at)?;
             }
         }
         Ok(())
     }
-}
-
-/// Whether the workers of one actor accrued enough synthetic service time
-/// to rest it. They run serially, so their debts add up.
-pub(crate) fn owes_rest(workers: &[Worker]) -> bool {
-    workers.iter().map(|w| w.work_debt).sum::<Duration>() >= REST_QUANTUM
-}
-
-/// Takes the service time the workers of one actor accrued, once it is
-/// worth a rest.
-pub(crate) fn take_rest(workers: &mut [Worker]) -> Option<Duration> {
-    owes_rest(workers).then(|| {
-        (workers.iter_mut())
-            .map(|w| std::mem::take(&mut w.work_debt))
-            .sum()
-    })
 }
 
 /// Executes prepared code against one input, reusing `scratch` on the

@@ -1,7 +1,7 @@
 //! End-to-end engine tests: translated programs running on the simulated
 //! cluster, with failure injection, recovery and scaling.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -1450,6 +1450,54 @@ fn a_get_after_a_put_on_one_handle_reads_the_put() {
         stale.len(),
         &stale[..stale.len().min(5)]
     );
+    d.shutdown();
+}
+
+/// Two TEs of one SE instance emit: a `putAck(k)` then a `get(k)` on one
+/// handle reach the sink in that order, although `get` is the TE with the
+/// lower slot and both run in one slice.
+#[test]
+fn an_ack_reaches_the_sink_before_the_get_submitted_after_it() {
+    let prog = parse_program(
+        "@Partitioned Table kv;\n\
+         int get(int k) { let v = kv.get(k); emit v; }\n\
+         int putAck(int k, int v) { kv.put(k, v); emit k; }",
+    )
+    .unwrap();
+    let sdg = translate(&prog).unwrap();
+    let kv = sdg.state_by_name("kv").unwrap().id;
+    let cfg = RuntimeConfig::builder()
+        .sched_threads(4)
+        .se_instances(kv, 2)
+        .build();
+    let d = Deployment::start(sdg, cfg).unwrap();
+    let pairs = 10_000i64;
+    let mut lane = d.ingest_handle().unwrap();
+    // The ack each get's output must follow.
+    let mut ack_of = HashMap::new();
+    for v in 0..pairs {
+        let k = Value::Int(v % 64);
+        let ack = lane
+            .submit("putAck", record! {"k" => k.clone(), "v" => Value::Int(v)})
+            .unwrap();
+        let get = lane.submit("get", record! {"k" => k}).unwrap();
+        ack_of.insert(get, ack);
+    }
+    assert!(d.quiesce(Duration::from_secs(30)));
+    let outputs: Vec<_> = std::iter::from_fn(|| d.outputs().try_recv().ok()).collect();
+    assert_eq!(outputs.len(), 2 * pairs as usize);
+    let mut acked = HashSet::new();
+    let mut early = 0;
+    for e in &outputs {
+        match ack_of.get(&e.corr) {
+            Some(ack) if !acked.contains(ack) => early += 1,
+            Some(_) => {}
+            None => {
+                acked.insert(e.corr);
+            }
+        }
+    }
+    assert_eq!(early, 0, "gets that reached the sink before their ack");
     d.shutdown();
 }
 

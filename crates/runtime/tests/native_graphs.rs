@@ -345,6 +345,17 @@ fn counter(b: &mut SdgBuilder, name: &str, code: Arc<dyn NativeTask>, state: Sta
     )
 }
 
+/// Reads the count under the record's `k`.
+struct ReadTask;
+
+impl NativeTask for ReadTask {
+    fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
+        let key = input.require("k")?.to_key()?;
+        ctx.state().expect("stateful").as_table()?.get(&key);
+        Ok(())
+    }
+}
+
 /// Whether and how `a` forwards into `b` in [`counting_graph`].
 #[derive(Debug, Clone, Copy)]
 enum Chain {
@@ -354,10 +365,12 @@ enum Chain {
     Direct,
     /// `source → a → via → b`, where `via` is stateless.
     Via,
+    /// `source → a → via → b`, where `b` only reads `s`.
+    ViaReader,
 }
 
 /// A stateless entry `source` feeding tasks `a` (and `b`) that all count
-/// into one partitioned state `s`, by `k`.
+/// into one partitioned state `s`, by `k` (a reading `b` only looks).
 fn counting_graph(chain: Chain) -> (Sdg, StateId, TaskId) {
     let mut b = SdgBuilder::new();
     let s = b.add_state(
@@ -378,10 +391,14 @@ fn counting_graph(chain: Chain) -> (Sdg, StateId, TaskId) {
     let by_k = || Dispatch::Partitioned { key: "k".into() };
     let a = match chain {
         Chain::No => counter(&mut b, "a", Arc::new(CountTask), s),
-        Chain::Direct | Chain::Via => {
+        Chain::Direct | Chain::Via | Chain::ViaReader => {
             let a = counter(&mut b, "a", Arc::new(CountAndForward), s);
-            let mut next = counter(&mut b, "b", Arc::new(CountTask), s);
-            if let Chain::Via = chain {
+            let code: Arc<dyn NativeTask> = match chain {
+                Chain::ViaReader => Arc::new(ReadTask),
+                _ => Arc::new(CountTask),
+            };
+            let mut next = counter(&mut b, "b", code, s);
+            if let Chain::Via | Chain::ViaReader = chain {
                 let via = b.add_task("via", TaskKind::Compute, TaskCode::Passthrough, None);
                 b.connect(via, next, by_k(), vec!["k".into()]);
                 next = via;
@@ -518,6 +535,74 @@ fn an_se_group_feeding_itself_through_a_stateless_task_never_waits_on_itself() {
         assert!(d.quiesce(Duration::from_secs(30)), "{threads} threads");
         assert_eq!(total(&d, s), 2 * fed, "{threads} threads");
         d.shutdown();
+    }
+}
+
+/// The pause of an SE group takes each route once, although the upstream
+/// cone of `a → via → b` (both on `s`) reaches the group again. Under a
+/// live feed, a recovery, a scale-out and a scale-in of the group each
+/// finish (a detached driver, so a wedge fails the test), and every key
+/// ends with the count a run without reconfiguration ends with. `b` only
+/// reads: a recovered `a` forwards its replayed items again with fresh
+/// timestamps, which a writing `b` would apply twice (the limitation
+/// `Deployment::reconfigure` documents).
+#[test]
+fn a_self_feeding_group_recovers_and_scales_under_load() {
+    for threads in [1, 4] {
+        let (sdg, s, a) = counting_graph(Chain::ViaReader);
+        let mut cfg = RuntimeConfig {
+            sched_threads: threads,
+            ..RuntimeConfig::default()
+        };
+        cfg.se_instances.insert(s, 2);
+        cfg.supervisor.enabled = false;
+        cfg.checkpoint.enabled = true;
+        cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+        let d = Arc::new(Deployment::start(sdg, cfg).unwrap());
+        let (step, steps) = std::sync::mpsc::channel();
+        let driver = Arc::clone(&d);
+        std::thread::spawn(move || {
+            let fed = under_live_feed(&driver, || {
+                for request in [
+                    ReconfigRequest::Checkpoint,
+                    ReconfigRequest::FailAndRecover {
+                        state: s,
+                        replica: 0,
+                    },
+                    ReconfigRequest::ScaleOut { task: a },
+                    ReconfigRequest::ScaleIn { task: a },
+                ] {
+                    driver.reconfigure(request).unwrap();
+                    step.send(None).unwrap();
+                }
+            });
+            step.send(Some(fed)).unwrap();
+        });
+        let fed = loop {
+            let next = steps.recv_timeout(Duration::from_secs(30));
+            match next.unwrap_or_else(|_| panic!("{threads} threads: a step is stuck")) {
+                Some(fed) => break fed,
+                None => continue,
+            }
+        };
+        let mut counts = std::collections::BTreeMap::new();
+        for replica in 0..2 {
+            d.with_state(s, replica, |st| {
+                st.as_table().unwrap().for_each(|k, v| {
+                    counts.insert(k.clone(), v.as_int().unwrap());
+                })
+            })
+            .unwrap();
+        }
+        let want: std::collections::BTreeMap<Key, i64> = (0..64)
+            .map(|k| (Key::Int(k), (fed - k + 63) / 64))
+            .collect();
+        assert_eq!(counts, want, "{threads} threads");
+        // The driver thread dropped its handle once it sent the count.
+        while Arc::strong_count(&d) > 1 {
+            std::thread::yield_now();
+        }
+        Arc::into_inner(d).unwrap().shutdown();
     }
 }
 
