@@ -772,12 +772,10 @@ impl Inner {
             tes: (unit.tasks.iter())
                 .map(|&task| self.te(task, replica))
                 .collect::<SdgResult<_>>()?,
-            replica,
             unit: unit.recovery(replica),
             cell,
             sink: self.sink_tx.clone(),
             pending_outputs: Vec::new(),
-            held_since: None,
             speed: self.cfg.cluster.speed_of(node as usize),
             alive: Arc::new(AtomicBool::new(true)),
             work_debt: Duration::ZERO,

@@ -336,6 +336,15 @@ pub(crate) enum RecoveryUnit {
     Task(TaskId, u32),
 }
 
+impl RecoveryUnit {
+    /// The replica this names.
+    pub(crate) fn replica(self) -> u32 {
+        match self {
+            RecoveryUnit::State(_, r) | RecoveryUnit::Task(_, r) => r,
+        }
+    }
+}
+
 /// One actor's heartbeat as sampled by the supervisor.
 #[derive(Debug)]
 pub(crate) struct HeartbeatView {

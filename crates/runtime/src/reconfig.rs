@@ -193,16 +193,15 @@ pub(crate) struct Quiesced<'a> {
 }
 
 impl<'a> Quiesced<'a> {
-    /// Pauses the unit of `task`, then every unit upstream of it in unit
-    /// order, and returns at once.
+    /// Pauses `unit`, then every unit upstream of it in unit order, and
+    /// returns at once.
     ///
     /// Recovery pauses this way. It does not wait for quiet: the instance
     /// it replaces is killed and its mailbox drains as discards, and the
     /// restored cut plus replay rebuild its state, so no item in flight
     /// needs to land first. Respawns, stateless scales and a partial SE's
     /// scale-out move no live state either.
-    fn pause(inner: &'a Inner, task: TaskId) -> Self {
-        let unit = inner.units.unit(task);
+    fn pause(inner: &'a Inner, unit: &'a Unit) -> Self {
         let route = unit.route.write();
         let upstream = unit.upstream.iter();
         Quiesced {
@@ -213,7 +212,7 @@ impl<'a> Quiesced<'a> {
         }
     }
 
-    /// Pauses `trigger`'s unit as [`Quiesced::pause`] does, then waits
+    /// Pauses `unit` as [`Quiesced::pause`] does, then waits
     /// until each of its instances is quiet — mailbox empty, no item
     /// mid-processing — so a migration sees a consistent key population.
     ///
@@ -228,8 +227,8 @@ impl<'a> Quiesced<'a> {
     ///
     /// Refuses when one of the paused instances has failed: see
     /// [`Quiesced::refuse_failed`].
-    fn drain(inner: &'a Inner, trigger: TaskId) -> SdgResult<(Self, Duration)> {
-        let paused = Self::pause(inner, trigger);
+    fn drain(inner: &'a Inner, unit: &'a Unit, trigger: TaskId) -> SdgResult<(Self, Duration)> {
+        let paused = Self::pause(inner, unit);
         let t0 = Instant::now();
         while !Inner::drained(&paused.route) {
             std::thread::sleep(Duration::from_millis(1));
@@ -387,7 +386,7 @@ fn fail_and_recover(
     // filter would wrongly discard the replay. Sends made meanwhile from
     // inside the pool are staged, and the pause's drop flushes them after
     // the replay, stamped above it. The old instances die first.
-    let mut paused = Quiesced::pause(inner, inner.units.of_state(state)?.tasks[0]);
+    let mut paused = Quiesced::pause(inner, inner.units.of_state(state)?);
     paused.kill(replica);
 
     // Restore state from the m backup stores, composing the base
@@ -529,7 +528,7 @@ fn respawn_stateless(
     task: TaskId,
     replica: u32,
 ) -> SdgResult<()> {
-    let mut paused = Quiesced::pause(inner, task);
+    let mut paused = Quiesced::pause(inner, inner.units.unit(task));
     paused.kill(replica);
     paused.spawn(replica, ctl.next_node())
 }
@@ -547,8 +546,9 @@ fn scale(
 ) -> SdgResult<MigrationStats> {
     let task = inner.sdg.task(task_id)?;
     let out = direction == ScaleDirection::Out;
-    let Some(state) = inner.units.unit(task_id).state else {
-        let mut paused = Quiesced::pause(inner, task_id);
+    let unit = inner.units.unit(task_id);
+    let Some(state) = unit.state else {
+        let mut paused = Quiesced::pause(inner, unit);
         let n = paused.route.len();
         let node = if out {
             let node = ctl.next_node();
@@ -612,7 +612,7 @@ fn migrate(
     // earlier would let producers route by the old partition count
     // against the already-moved state. Its drop flushes the sends staged
     // meanwhile by the new count.
-    let (mut paused, drain) = Quiesced::drain(inner, trigger)?;
+    let (mut paused, drain) = Quiesced::drain(inner, inner.units.of_state(state)?, trigger)?;
     let migrate_t0 = Instant::now();
     let p = inner.cells.read().get(&state).map_or(0, Vec::len);
     let moved_bytes = match inner.sdg.state(state)?.dist {
@@ -650,7 +650,7 @@ fn scale_out_partial(
     state: StateId,
     trigger: TaskId,
 ) -> SdgResult<MigrationStats> {
-    let mut paused = Quiesced::pause(inner, trigger);
+    let mut paused = Quiesced::pause(inner, inner.units.of_state(state)?);
     let new_replica = {
         let mut cells = inner.cells.write();
         let group = cells

@@ -56,8 +56,7 @@
 //! - **Outputs per slice.** The worker keeps what its TEs emit, in the
 //!   order they ran, and hands it to the sink in one batch when the slice
 //!   ends, before the actor's run state changes, so a quiet actor has
-//!   nothing held back; a slice that has held an output for 1 ms hands
-//!   the batch over early (see [`Worker`]).
+//!   nothing held back (see [`Worker`]).
 //!
 //! `Stop` retires the actor with its worker; dropping the last
 //! [`PoolSender`] (the scale-in/recovery slot swap) lets the actor drain
@@ -1063,12 +1062,10 @@ mod tests {
         };
         Worker {
             tes: names.iter().enumerate().map(te).collect(),
-            replica: 0,
             unit: RecoveryUnit::Task(sdg_common::ids::TaskId(0), 0),
             cell: None,
             sink,
             pending_outputs: Vec::new(),
-            held_since: None,
             speed: 1.0,
             alive: Arc::new(AtomicBool::new(true)),
             work_debt: Duration::ZERO,
@@ -1182,50 +1179,6 @@ mod tests {
             let latency = latency.expect("every item carries its ingest time");
             assert_eq!(latency < stall, corr < 2, "output {corr} after {latency:?}");
         }
-    }
-
-    /// Emits every input after sleeping twice the output hold, and on its
-    /// third item takes what the sink already holds.
-    struct SlowEmit {
-        sink: crossbeam::channel::Receiver<OutputEvent>,
-        items: AtomicUsize,
-        seen_at_third: Mutex<Vec<u64>>,
-    }
-
-    impl sdg_graph::model::NativeTask for SlowEmit {
-        fn process(
-            &self,
-            input: &sdg_common::value::Record,
-            ctx: &mut dyn sdg_graph::model::TaskContext,
-        ) -> sdg_common::error::SdgResult<()> {
-            if self.items.fetch_add(1, Ordering::SeqCst) == 2 {
-                let seen = std::iter::from_fn(|| self.sink.try_recv().ok()).map(|e| e.corr);
-                self.seen_at_third.lock().unwrap().extend(seen);
-            }
-            std::thread::sleep(2 * crate::worker::OUTPUT_HOLD);
-            ctx.emit(input.clone());
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn a_slice_hands_its_outputs_over_once_it_has_held_one_for_the_budget() {
-        let (shared, actor, rx) = emitter(None, 4, None);
-        let task = Arc::new(SlowEmit {
-            sink: rx.clone(),
-            items: AtomicUsize::new(0),
-            seen_at_third: Mutex::new(Vec::new()),
-        });
-        let mut worker = actor.worker.lock().unwrap().take().unwrap();
-        worker.tes[0].code = PreparedCode::Native(Arc::clone(&task) as _);
-        *actor.worker.lock().unwrap() = Some(worker);
-        run_actor(&shared, 0, Arc::clone(&actor));
-        // Each item outlasts the hold, so its output left before the next
-        // item ran: the third item found the first two in the sink.
-        let seen = task.seen_at_third.lock().unwrap().clone();
-        assert_eq!(seen, vec![0, 1]);
-        let rest: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
-        assert_eq!(rest, vec![2, 3]);
     }
 
     #[test]

@@ -34,11 +34,6 @@ use crate::fault::{FailureHub, FaultAction, FaultTrigger, PanicProbe, RecoveryUn
 use crate::item::{lane, route_hash, Item};
 use crate::sched::{self, PoolSender};
 
-/// Longest a worker holds an output back for its slice's batch: once the
-/// oldest held output is this old, the batch leaves after the current
-/// item.
-pub(crate) const OUTPUT_HOLD: Duration = Duration::from_millis(1);
-
 /// Messages delivered to a worker.
 #[derive(Debug)]
 pub enum WorkerMsg {
@@ -591,16 +586,15 @@ pub struct Te {
     pub fault: Option<Arc<FaultTrigger>>,
 }
 
-/// Replica `replica` of one recovery unit: its TE instances, indexed by
+/// One replica of one recovery unit: its TE instances, indexed by
 /// slot, and what they share — the SE instance, the node, the sink and the
 /// outputs they hold, in the order their items ran. The pool scheduler
 /// steps it one mailbox message at a time.
 pub struct Worker {
     /// The hosted TE instances, by slot.
     pub tes: Vec<Te>,
-    /// Replica index of this instance.
-    pub replica: u32,
-    /// What recovering this actor means; its panic reports name it.
+    /// What recovering this actor means, its replica included; its panic
+    /// reports name it.
     pub(crate) unit: RecoveryUnit,
     /// Local SE instance, when the unit is an SE group.
     pub cell: Option<Arc<StateCell>>,
@@ -609,8 +603,6 @@ pub struct Worker {
     /// Outputs emitted since the last flush, in execution order, each with
     /// its TE's slot and its request's ingest time.
     pub(crate) pending_outputs: Vec<(usize, OutputEvent, Option<Instant>)>,
-    /// When the item that emitted the oldest held output started.
-    pub(crate) held_since: Option<Instant>,
     /// Hosting node's speed factor.
     pub speed: f64,
     /// Cleared when the hosting node "fails": the worker then discards
@@ -657,7 +649,6 @@ impl Worker {
             return;
         }
         let now = Instant::now();
-        self.held_since = None;
         for (slot, event, submitted_at) in &mut self.pending_outputs {
             event.latency = submitted_at.map(|t| now.saturating_duration_since(t));
             if let Some(l) = event.latency {
@@ -674,7 +665,7 @@ impl Worker {
     pub(crate) fn panic_probe(&self, slot: usize) -> PanicProbe {
         PanicProbe {
             unit: self.unit,
-            label: format!("{}#{}", self.tes[slot].name, self.replica),
+            label: format!("{}#{}", self.tes[slot].name, self.unit.replica()),
             hub: Arc::clone(&self.hub),
         }
     }
@@ -688,7 +679,8 @@ impl Worker {
             match action {
                 FaultAction::Panic => panic!(
                     "injected fault: {}#{} fails on this item",
-                    self.tes[slot].name, self.replica
+                    self.tes[slot].name,
+                    self.unit.replica()
                 ),
                 FaultAction::Stall(dur) => {
                     // The items before this one in the slice are done:
@@ -721,17 +713,10 @@ impl Worker {
         };
         let t0 = Instant::now();
         let r = self.process(slot, &item);
-        let done = Instant::now();
         let obs = &mut self.tes[slot].obs;
-        obs.record_service(done.saturating_duration_since(t0).as_nanos() as u64);
+        obs.record_service(t0.elapsed().as_nanos() as u64);
         if r.is_err() {
             obs.add_errors(1);
-        }
-        // The reading that timed the item also bounds the hold.
-        if !self.pending_outputs.is_empty()
-            && done.saturating_duration_since(*self.held_since.get_or_insert(t0)) >= OUTPUT_HOLD
-        {
-            self.flush_outputs();
         }
     }
 
@@ -793,7 +778,7 @@ impl Worker {
     fn process(&mut self, slot: usize, item: &Item) -> SdgResult<()> {
         let Worker {
             tes,
-            replica,
+            unit,
             cell,
             pending_outputs,
             speed,
@@ -818,7 +803,7 @@ impl Worker {
             }
             return Ok(());
         }
-        let (code, scratch, replica) = (&te.code, &mut te.scratch, *replica);
+        let (code, scratch, replica) = (&te.code, &mut te.scratch, unit.replica());
         let effects = match cell {
             Some(cell) => {
                 let lane = lane(item.edge, item.src_replica);

@@ -545,11 +545,31 @@ fn an_se_group_feeding_itself_through_a_stateless_task_never_waits_on_itself() {
 /// ends with the count a run without reconfiguration ends with. `b` only
 /// reads: a recovered `a` forwards its replayed items again with fresh
 /// timestamps, which a writing `b` would apply twice (the limitation
-/// `Deployment::reconfigure` documents).
+/// `Deployment::reconfigure` documents; see the ignored test below).
 #[test]
 fn a_self_feeding_group_recovers_and_scales_under_load() {
+    self_feeding_group_recovers_and_scales(Chain::ViaReader);
+}
+
+/// As above with a `b` that counts too, so every key must end with twice
+/// the count fed. It fails: the recovered `a` forwards its replayed items
+/// to `b` again with fresh timestamps, and `b` applies each of them twice.
+#[test]
+#[ignore = "recovery is not exact for a group that feeds itself: see the FOUND line on fail_and_recover in CHANGES.md"]
+fn a_self_feeding_counting_group_recovers_and_scales_exactly_under_load() {
+    self_feeding_group_recovers_and_scales(Chain::Via);
+}
+
+/// Recovers, scales out and scales in the group of `a → via → b` under a
+/// live feed, then checks each key's count: once per item fed, twice when
+/// `b` counts too (`Chain::Via`).
+fn self_feeding_group_recovers_and_scales(chain: Chain) {
+    let per_item = match chain {
+        Chain::Via => 2,
+        _ => 1,
+    };
     for threads in [1, 4] {
-        let (sdg, s, a) = counting_graph(Chain::ViaReader);
+        let (sdg, s, a) = counting_graph(chain);
         let mut cfg = RuntimeConfig {
             sched_threads: threads,
             ..RuntimeConfig::default()
@@ -595,7 +615,7 @@ fn a_self_feeding_group_recovers_and_scales_under_load() {
             .unwrap();
         }
         let want: std::collections::BTreeMap<Key, i64> = (0..64)
-            .map(|k| (Key::Int(k), (fed - k + 63) / 64))
+            .map(|k| (Key::Int(k), per_item * ((fed - k + 63) / 64)))
             .collect();
         assert_eq!(counts, want, "{threads} threads");
         // The driver thread dropped its handle once it sent the count.
