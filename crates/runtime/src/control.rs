@@ -14,12 +14,15 @@
 //! releases it and asks again queues behind the ones already waiting, so
 //! a `with_state` loop cannot starve a checkpoint.
 //!
-//! Lock order: `control` → route guards → `cells`. Only a `Quiesced`
-//! takes route guards (the paused tasks' in task-id order, then those
-//! upstream of them), apart from `Deployment::start`, which holds the
-//! sequencer while it spawns. A route's stage lock is only ever taken
-//! inside that one route. Workers never take `control`, and dispatch only
-//! reads routes, so the per-item path does not see the sequencer.
+//! Lock order: `control` → route guards. Only a `Quiesced` takes route
+//! write guards (the paused unit's, then those of the units upstream of
+//! it, in unit order), apart from `Deployment::start`, which holds the
+//! sequencer while it spawns. An SE instance lives in its replica's
+//! route entry, so there is no third lock: a reader clones the cells out
+//! of a route guard and releases it before a take or a `with_state`
+//! closure runs. A route's stage lock is only ever taken inside that one
+//! route. Workers never take `control`, and dispatch only reads routes,
+//! so the per-item path does not see the sequencer.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};

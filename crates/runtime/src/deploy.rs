@@ -4,10 +4,13 @@
 //! every later reader of the grouping reads): the tasks that access one
 //! SE, or one stateless task. It allocates TE and SE instances to nodes
 //! (§3.3), registers one pool actor per replica of each unit (one worker
-//! hosting the unit's TE instances, behind the unit's one route), wires
-//! the mailboxes, and starts the controllers. The handle then accepts
-//! external requests ([`Deployment::submit`]), exposes the output sink,
-//! and supports §5's replay-based recovery.
+//! hosting the unit's TE instances on the replica's SE instance, behind
+//! the unit's one route), wires the mailboxes, and starts the
+//! controllers. The route is the only index of an SE's instances: each
+//! entry carries its replica's cell, so an SE group's replica count is
+//! its route's length, and an SE no task accesses has no instance. The
+//! handle then accepts external requests ([`Deployment::submit`]),
+//! exposes the output sink, and supports §5's replay-based recovery.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -16,7 +19,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use sdg_checkpoint::backup::BackupStore;
 use sdg_checkpoint::cell::StateCell;
 use sdg_common::error::{SdgError, SdgResult};
@@ -42,7 +45,8 @@ use crate::reconfig::{self, ReconfigReport, ReconfigRequest};
 use crate::scaling::{run_scaling_monitor, Groups, Sample, StopWait};
 use crate::sched::Pool;
 use crate::worker::{
-    BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Te, Worker, WorkerMsg,
+    state_cells, BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Te, Worker,
+    WorkerMsg,
 };
 
 pub use crate::worker::OutputEvent;
@@ -83,26 +87,27 @@ fn entry_names(sdg: &Sdg) -> HashMap<String, TaskId> {
 
 /// One recovery unit: every task that accesses one SE, or one stateless
 /// task. Replica `r` of a unit is one pool actor whose worker hosts
-/// replica `r` of each of its tasks, and the tasks share one route.
+/// replica `r` of each of its tasks and runs on replica `r` of the SE,
+/// and the tasks share one route.
 pub(crate) struct Unit {
     /// The SE the tasks access; `None` for a stateless task.
     pub(crate) state: Option<StateId>,
+    /// The SE's name, or the stateless task's: what labels name the unit.
+    pub(crate) name: String,
     /// The unit's tasks in graph order: a task's index is its slot.
     pub(crate) tasks: Vec<TaskId>,
     /// The units whose flows reach this one, in unit order, itself left
     /// out even when it feeds itself: those a pause of it holds too.
     pub(crate) upstream: Vec<usize>,
-    /// The unit's instances, replica-indexed, as its producers reach them.
+    /// The unit's instances, replica-indexed, as its producers reach them:
+    /// the one index of the SE's instances, each carrying its cell.
     pub(crate) route: Arc<Route>,
 }
 
 impl Unit {
-    /// What recovering replica `replica` means.
-    pub(crate) fn recovery(&self, replica: u32) -> RecoveryUnit {
-        match self.state {
-            Some(state) => RecoveryUnit::State(state, replica),
-            None => RecoveryUnit::Task(self.tasks[0], replica),
-        }
+    /// Label of replica `replica` in event payloads, e.g. `kv#0`.
+    pub(crate) fn label(&self, replica: u32) -> String {
+        format!("{}#{replica}", self.name)
     }
 }
 
@@ -117,14 +122,16 @@ pub(crate) struct Units {
 impl Units {
     /// Groups `sdg`'s tasks: the one place the grouping rule lives.
     pub(crate) fn new(sdg: &Sdg) -> Units {
-        let stateful = (sdg.states.iter()).map(|s| (Some(s.id), sdg.tasks_accessing(s.id)));
+        let stateful =
+            (sdg.states.iter()).map(|s| (Some(s.id), &s.name, sdg.tasks_accessing(s.id)));
         let stateless = (sdg.tasks.iter())
             .filter(|t| t.access.is_none())
-            .map(|t| (None, vec![t]));
+            .map(|t| (None, &t.name, vec![t]));
         let mut units: Vec<Unit> = (stateful.chain(stateless))
-            .filter(|(_, tasks)| !tasks.is_empty())
-            .map(|(state, tasks)| Unit {
+            .filter(|(_, _, tasks)| !tasks.is_empty())
+            .map(|(state, name, tasks)| Unit {
                 state,
+                name: name.clone(),
                 tasks: tasks.iter().map(|t| t.id).collect(),
                 upstream: Vec::new(),
                 route: Arc::default(),
@@ -164,6 +171,15 @@ impl Units {
     /// `task`'s unit.
     pub(crate) fn unit(&self, task: TaskId) -> &Unit {
         &self.units[self.of(task).0]
+    }
+
+    /// `task`'s load: its items queued in its unit's mailboxes (the
+    /// shares of a group's tasks add up to the mailboxes), and the unit's
+    /// instance count.
+    pub(crate) fn load(&self, task: TaskId) -> (usize, usize) {
+        let (unit, slot) = self.of(task);
+        let route = self.units[unit].route.read();
+        (route.iter().map(|i| i.tx.queued(slot)).sum(), route.len())
     }
 
     /// `state`'s unit.
@@ -248,8 +264,6 @@ pub(crate) struct Inner {
     entries: HashMap<String, TaskId>,
     /// The flows that send without credit ([`cycle_flows`]).
     cycle_flows: HashSet<EdgeId>,
-    /// SE instance cells, replica-indexed.
-    pub cells: RwLock<HashMap<StateId, Vec<Arc<StateCell>>>>,
     /// Caught worker/actor panics, drained by the supervisor.
     pub(crate) failure_hub: Arc<FailureHub>,
     /// Resolved fault plan (empty when no plan is configured).
@@ -375,19 +389,8 @@ impl Deployment {
             code.insert(task.id, PreparedCode::prepare(&task.code));
             instruments.insert(task.id, obs.task_with_id(&task.name, Some(task.id)));
         }
-
-        // SE instances.
-        let mut cells: HashMap<StateId, Vec<Arc<StateCell>>> = HashMap::new();
         for state in &sdg.states {
             let _ = obs.state_with_id(&state.name, Some(state.id));
-            let n = cfg.se_instances.get(&state.id).copied().unwrap_or(1);
-            let (stripes, dim, delta) = cell_layout(&cfg, state, sdg.verify.as_deref());
-            cells.insert(
-                state.id,
-                (0..n)
-                    .map(|_| Arc::new(StateCell::new_striped(state.ty, stripes, dim, delta)))
-                    .collect(),
-            );
         }
 
         // TE instances become actors on a fixed worker pool.
@@ -407,7 +410,6 @@ impl Deployment {
             units,
             code,
             entries: entry_names(&sdg),
-            cells: RwLock::new(cells),
             failure_hub,
             injector,
             health: AtomicU8::new(Health::Healthy.as_u8()),
@@ -424,13 +426,14 @@ impl Deployment {
             started: Instant::now(),
         });
 
-        // Spawn instances: an SE group has one per SE instance, a stateless
-        // task its configured count.
+        // Spawn instances: an SE group has one per SE instance, each on an
+        // empty cell, a stateless task its configured count. An SE no task
+        // accesses has no unit, so it has no instance.
         let mut ctl = inner.control.lock();
         for unit in inner.units.iter() {
             let count = match unit.state {
                 Some(state) => {
-                    let se_count = inner.cells.read()[&state].len();
+                    let se_count = cfg.se_instances.get(&state).copied().unwrap_or(1);
                     let conflict = (unit.tasks.iter()).find_map(|t| {
                         let n = *cfg.task_instances.get(t)?;
                         (n != se_count).then_some((*t, n))
@@ -453,7 +456,8 @@ impl Deployment {
                 } else {
                     ctl.next_node()
                 };
-                inner.spawn_instance(unit, replica as u32, node, &mut route)?;
+                let cell = unit.state.map(|s| inner.empty_cell(s)).transpose()?;
+                inner.spawn_instance(unit, replica as u32, node, cell, &mut route)?;
             }
         }
         drop(ctl);
@@ -550,28 +554,27 @@ impl Deployment {
     /// The [`crate::reconfig`] module docs describe how a scale pauses,
     /// moves state and ends with a base take of every replica.
     ///
-    /// On `FailAndRecover`, recovery is exact (exactly-once) for the
-    /// failed SE's own state: the checkpoint restores it, and upstream
-    /// buffers replay each lane past the restored cut's frontier — the
-    /// highest timestamp any of its stripes recorded on that lane, below
-    /// which the cut already holds every item — or past the stripes'
-    /// minimum on a gather edge, whose items apply in completion order;
-    /// the stripes' vector timestamps filter what a replay overlaps. A
-    /// limitation relative to §5 of the paper: replayed items reprocessed
-    /// by the recovered TEs forward downstream with *fresh* timestamps
-    /// rather than regenerating their original ones, so when a recovered
-    /// stage feeds a different stateful stage, that downstream stage may
-    /// re-apply effects it already holds. (The paper avoids this with
-    /// deterministic timestamp regeneration, which the engine does not yet
-    /// do.) Checkpoints do not copy the upstream buffers: those live in
-    /// the deployment's buffer registry, which survives the kill, and
-    /// replay reads them directly.
-    /// Pipelines whose stateful stages hang off distinct
-    /// upstream-stateless paths, such as the KV store and each SE of CF in
-    /// isolation, recover exactly. If the take that ends a migration fails
-    /// for a replica, recovery of that replica reports "no checkpoint
-    /// recorded" until the next take, instead of restoring the old key
-    /// ownership.
+    /// On `FailAndRecover`, the checkpoint restores the failed SE, and
+    /// upstream buffers replay each lane past the restored cut's frontier
+    /// — the highest timestamp any of its stripes recorded on that lane,
+    /// below which the cut already holds every item — or past the
+    /// stripes' minimum on a gather edge, whose items apply in completion
+    /// order; the stripes' vector timestamps filter what a replay
+    /// overlaps. A limitation relative to §5 of the paper: replayed items
+    /// reprocessed by the recovered TEs forward downstream with *fresh*
+    /// timestamps rather than regenerating their original ones, so any
+    /// stateful stage they reach may re-apply effects it already holds: a
+    /// different SE downstream, or the failed SE itself when its group
+    /// feeds itself through another task. (The paper avoids this with
+    /// deterministic timestamp regeneration, ROADMAP item 6 (a).)
+    /// Checkpoints do not copy the upstream buffers: those live in the
+    /// deployment's buffer registry, which survives the kill, and replay
+    /// reads them directly. The failed SE's own state recovers exactly
+    /// (exactly-once) unless its group feeds itself; a pipeline whose
+    /// recovered stage reaches no other state, such as the KV store,
+    /// recovers exactly. If the take that ends a migration fails for a
+    /// replica, recovery of that replica reports "no checkpoint recorded"
+    /// until the next take, instead of restoring the old key ownership.
     pub fn reconfigure(&self, request: ReconfigRequest) -> SdgResult<ReconfigReport> {
         crate::reconfig::execute(&self.inner, request)
     }
@@ -625,7 +628,12 @@ impl Deployment {
         f: impl FnOnce(&mut StateStore) -> R,
     ) -> SdgResult<R> {
         let _ctl = self.inner.control.lock();
-        self.inner.cell(state, replica)?.with_merged(f)
+        let unit = self.inner.units.of_state(state)?;
+        let cell = state_cells(&unit.route.read())
+            .into_iter()
+            .nth(replica as usize);
+        cell.ok_or_else(|| SdgError::NotFound(format!("state instance {state}#{replica}")))?
+            .with_merged(f)
     }
 
     /// Waits until all submitted work has drained (queues empty and no item
@@ -674,21 +682,18 @@ impl Inner {
     fn refresh_gauges(&self) {
         let mut mailbox_depth = 0;
         for (&task, instruments) in &self.instruments {
-            let slots = self.units.unit(task).route.read();
-            let slot = self.units.of(task).1;
-            // Each task's share of its actors' mailboxes: the shares of an
-            // SE group's tasks add up to the mailbox.
-            let depth: u64 = slots.iter().map(|i| i.tx.queued(slot) as u64).sum();
-            instruments.instances.set(slots.len() as u64);
-            instruments.queue_depth.set(depth);
-            mailbox_depth += depth;
+            let (depth, instances) = self.units.load(task);
+            instruments.instances.set(instances as u64);
+            instruments.queue_depth.set(depth as u64);
+            mailbox_depth += depth as u64;
         }
         self.obs.sched().mailbox_depth.set(mailbox_depth);
-        for (&state, group) in self.cells.read().iter() {
-            let Ok(decl) = self.sdg.state(state) else {
+        for unit in self.units.iter() {
+            let Some(state) = unit.state else {
                 continue;
             };
-            let s = self.obs.state_with_id(&decl.name, Some(state));
+            let group = state_cells(&unit.route.read());
+            let s = self.obs.state_with_id(&unit.name, Some(state));
             s.instances.set(group.len() as u64);
             s.bytes
                 .set(group.iter().map(|c| c.approx_bytes() as u64).sum());
@@ -712,14 +717,6 @@ impl Inner {
         }
     }
 
-    /// Label of SE instance `(state, replica)` in event payloads.
-    pub(crate) fn se_label(&self, state: StateId, replica: u32) -> String {
-        match self.sdg.state(state) {
-            Ok(decl) => format!("{}#{replica}", decl.name),
-            Err(_) => format!("{state}#{replica}"),
-        }
-    }
-
     /// `true` when every instance of a route is quiet: no item waits in
     /// its mailbox and none is mid-processing.
     pub(crate) fn drained(route: &[Instance]) -> bool {
@@ -731,56 +728,58 @@ impl Inner {
         cell_layout(&self.cfg, decl, self.sdg.verify.as_deref())
     }
 
-    /// Spawns replica `replica` of `unit` on `node` as one pool actor and
-    /// puts it in the unit's paused `route`: appended, or in place of the
-    /// instance it replaces. Recovery and scaling spawn through the guard
-    /// their [`Quiesced`](crate::reconfig::Quiesced) holds across the
-    /// whole operation, so producers stay paused until the swap (and any
-    /// replay) is complete.
+    /// A new empty SE instance of `state`, laid out by [`cell_layout`]:
+    /// what start-up, a partial scale-out and a restore with no chain
+    /// spawn a replica on.
+    pub(crate) fn empty_cell(&self, state: StateId) -> SdgResult<Arc<StateCell>> {
+        let decl = self.sdg.state(state)?;
+        let (stripes, dim, delta) = self.layout_of(decl);
+        let cell = StateCell::new_striped(decl.ty, stripes, dim, delta);
+        Ok(Arc::new(cell))
+    }
+
+    /// Spawns replica `replica` of `unit` on `node` as one pool actor —
+    /// an instance of each of the unit's tasks, on the SE instance `cell`
+    /// (`None` in a stateless unit) — and puts it in the unit's paused
+    /// `route`: appended, or in place of the instance it replaces. Recovery and scaling spawn through the guard their
+    /// [`Quiesced`](crate::reconfig::Quiesced) holds across the whole
+    /// operation, so producers stay paused until the swap (and any replay)
+    /// is complete.
     pub(crate) fn spawn_instance(
         &self,
         unit: &Unit,
         replica: u32,
         node: u32,
+        cell: Option<Arc<StateCell>>,
         route: &mut Paused<'_>,
     ) -> SdgResult<()> {
-        let worker = self.worker(unit, replica, node)?;
-        let instance = Instance {
-            alive: Arc::clone(&worker.alive),
-            tx: self.pool.spawn_actor(worker, self.cfg.channel_capacity),
-            node,
-        };
-        match route.get_mut(replica as usize) {
-            Some(slot) => *slot = instance,
-            None => route.push(instance),
-        }
-        Ok(())
-    }
-
-    /// SE instance `(state, replica)`.
-    fn cell(&self, state: StateId, replica: u32) -> SdgResult<Arc<StateCell>> {
-        (self.cells.read().get(&state))
-            .and_then(|g| g.get(replica as usize).cloned())
-            .ok_or_else(|| SdgError::NotFound(format!("state instance {state}#{replica}")))
-    }
-
-    /// Replica `replica` of `unit` on `node`: its SE instance, and an
-    /// instance of each of its tasks.
-    fn worker(&self, unit: &Unit, replica: u32, node: u32) -> SdgResult<Worker> {
-        let cell = unit.state.map(|s| self.cell(s, replica)).transpose()?;
-        Ok(Worker {
+        let worker = Worker {
             tes: (unit.tasks.iter())
                 .map(|&task| self.te(task, replica))
                 .collect::<SdgResult<_>>()?,
-            unit: unit.recovery(replica),
-            cell,
+            unit: RecoveryUnit {
+                unit: self.units.of(unit.tasks[0]).0,
+                replica,
+            },
+            cell: cell.clone(),
             sink: self.sink_tx.clone(),
             pending_outputs: Vec::new(),
             speed: self.cfg.cluster.speed_of(node as usize),
             alive: Arc::new(AtomicBool::new(true)),
             work_debt: Duration::ZERO,
             hub: Arc::clone(&self.failure_hub),
-        })
+        };
+        let instance = Instance {
+            alive: Arc::clone(&worker.alive),
+            tx: self.pool.spawn_actor(worker, self.cfg.channel_capacity),
+            node,
+            cell,
+        };
+        match route.get_mut(replica as usize) {
+            Some(slot) => *slot = instance,
+            None => route.push(instance),
+        }
+        Ok(())
     }
 
     /// TE instance `(task_id, replica)`.
@@ -920,17 +919,17 @@ impl Inner {
     /// unit.
     pub(crate) fn heartbeat_view(&self) -> Vec<HeartbeatView> {
         let mut views = Vec::new();
-        for unit in self.units.iter() {
+        for (u, unit) in self.units.iter().enumerate() {
             for (replica, instance) in unit.route.read().iter().enumerate() {
                 let (epoch, queued, hang_candidate) = instance.tx.progress();
-                let unit = unit.recovery(replica as u32);
+                let replica = replica as u32;
                 views.push(HeartbeatView {
-                    unit,
+                    unit: RecoveryUnit { unit: u, replica },
                     epoch,
                     alive: instance.alive.load(Ordering::Acquire),
                     queued,
                     hang_candidate,
-                    label: self.unit_label(unit),
+                    label: unit.label(replica),
                 });
             }
         }
@@ -942,18 +941,6 @@ impl Inner {
         self.sdg
             .task(task)
             .map_or_else(|_| task.to_string(), |t| t.name.clone())
-    }
-
-    /// Label of TE instance `(task, replica)` in event payloads.
-    fn te_label(&self, task: TaskId, replica: u32) -> String {
-        format!("{}#{replica}", self.task_name(task))
-    }
-
-    pub(crate) fn unit_label(&self, unit: RecoveryUnit) -> String {
-        match unit {
-            RecoveryUnit::State(state, replica) => self.se_label(state, replica),
-            RecoveryUnit::Task(task, replica) => self.te_label(task, replica),
-        }
     }
 }
 
@@ -1190,6 +1177,43 @@ mod tests {
         assert_eq!((units.of(put).1, units.of(get).1), (0, 1));
         assert_eq!(route.read().len(), 2, "one instance per SE instance");
         assert_eq!(units.len(), 1);
+        d.shutdown();
+    }
+
+    /// An SE that no task accesses has no unit, so it has no instance: it
+    /// has no cell to read, its instance gauge reads 0, and a checkpoint
+    /// takes nothing of it. A replica an SE group does not have is not
+    /// found either.
+    #[test]
+    fn an_se_no_task_accesses_has_no_instance() {
+        let prog = sdg_ir::parser::parse_program(
+            "@Partitioned Table kv;\n@Partitioned Table idle;\n\
+             void put(int k, int v) { kv.put(k, v); }",
+        )
+        .unwrap();
+        let sdg = sdg_translate::translate(&prog).unwrap();
+        let [kv, idle] = ["kv", "idle"].map(|n| sdg.state_by_name(n).unwrap().id);
+        let mut cfg = RuntimeConfig::default();
+        cfg.se_instances.insert(kv, 2);
+        cfg.se_instances.insert(idle, 2);
+        cfg.checkpoint.enabled = true;
+        cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+        let d = Deployment::start(sdg, cfg).unwrap();
+        put(&d, 1);
+        assert!(d.quiesce(Duration::from_secs(30)));
+
+        let report = d.reconfigure(ReconfigRequest::Checkpoint).unwrap();
+        assert_eq!(report.se_instances, 2, "only kv's replicas");
+        assert!(d.inner.control.lock().chain(idle, 0).is_none());
+        let not_found = |r: SdgResult<_>| matches!(r, Err(SdgError::NotFound(_)));
+        assert!(not_found(d.with_state(idle, 0, |_| ())));
+        assert!(not_found(d.with_state(kv, 2, |_| ())));
+        let fail = |state, replica| ReconfigRequest::FailAndRecover { state, replica };
+        assert!(not_found(d.reconfigure(fail(kv, 2)).map(|_| ())));
+        let stats = d.metrics().states;
+        let stat = |name: &str| stats.iter().find(|s| s.name == name).unwrap();
+        assert_eq!((stat("kv").instances, stat("idle").instances), (2, 0));
+        assert_eq!((stat("kv").checkpoints, stat("idle").checkpoints), (2, 0));
         d.shutdown();
     }
 

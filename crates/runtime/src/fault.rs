@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use sdg_checkpoint::backup::StoreFaultSpec;
 use sdg_common::error::{SdgError, SdgResult};
-use sdg_common::ids::{StateId, TaskId};
+use sdg_common::ids::TaskId;
 use sdg_common::obs::{EventKind, MetricsRegistry};
 use sdg_graph::model::Sdg;
 
@@ -324,25 +324,14 @@ impl Health {
     }
 }
 
-/// What the supervisor recovers: stateful instances go through the §5
-/// fail-and-recover path keyed by state element; stateless instances are
-/// respawned, and their in-flight items are lost (see
-/// `reconfig::respawn_stateless`).
+/// What the supervisor recovers: replica `replica` of recovery unit
+/// `unit` (an index into `deploy::Units`). An SE group's replica goes
+/// through the §5 fail-and-recover path; a stateless one is respawned,
+/// and its in-flight items are lost (see `reconfig::respawn_stateless`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum RecoveryUnit {
-    /// `(state, replica)` — restore + replay.
-    State(StateId, u32),
-    /// `(task, replica)` — respawn only.
-    Task(TaskId, u32),
-}
-
-impl RecoveryUnit {
-    /// The replica this names.
-    pub(crate) fn replica(self) -> u32 {
-        match self {
-            RecoveryUnit::State(_, r) | RecoveryUnit::Task(_, r) => r,
-        }
-    }
+pub(crate) struct RecoveryUnit {
+    pub(crate) unit: usize,
+    pub(crate) replica: u32,
 }
 
 /// One actor's heartbeat as sampled by the supervisor.
@@ -366,8 +355,9 @@ pub(crate) struct HeartbeatView {
     pub label: String,
 }
 
-/// xorshift64* — tiny deterministic generator for backoff jitter and
-/// [`FaultPlan::draw`]; good enough for scattering, not for statistics.
+/// xorshift64* — the runtime's one tiny deterministic generator: backoff
+/// jitter, [`FaultPlan::draw`] and the pool's steal-victim probe; good
+/// enough for scattering, not for statistics.
 #[derive(Debug)]
 pub(crate) struct XorShift64 {
     state: u64,
@@ -532,7 +522,7 @@ fn enqueue(
     if !queued.insert(unit) {
         return; // already queued or backing off
     }
-    let label = inner.unit_label(unit);
+    let label = inner.units[unit.unit].label(unit.replica);
     let now = Instant::now();
     pending.push_back(PendingRecovery {
         unit,
@@ -633,6 +623,19 @@ mod tests {
             assert!(b <= exp, "attempt {attempt}: {b:?} > {exp:?}");
             assert!(b >= exp / 2, "attempt {attempt}: {b:?} < half of {exp:?}");
         }
+    }
+
+    #[test]
+    fn xorshift_is_deterministic_and_covers_victims() {
+        let mut a = XorShift64::new(3);
+        let mut b = XorShift64::new(3);
+        let mut seen = [false; 4];
+        for _ in 0..64 {
+            let v = a.next();
+            assert_eq!(v, b.next());
+            seen[(v % 4) as usize] = true;
+        }
+        assert!(seen.iter().all(|s| *s), "all victims probed: {seen:?}");
     }
 
     #[test]

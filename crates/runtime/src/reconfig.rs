@@ -14,7 +14,11 @@
 //! Every scale, recovery and respawn pauses through a `Quiesced`: the
 //! route of the recovery unit it changes (an SE group, or a stateless
 //! task) and of every unit upstream of it. Only a `Quiesced` kills, spawns
-//! or stops instances, and dropping it resumes the routes. A scale of a
+//! or stops instances, and dropping it resumes the routes. The route is
+//! the only index of an SE's instances, so a spawn carries the replica's
+//! cell: an empty one (partial scale-out, or a restore with no chain),
+//! the restored one, or the one a repartition added; a stop takes the
+//! last replica's cell with it. A scale of a
 //! stateful group waits until the unit's instances are quiet and refuses
 //! to run over an instance that has failed and awaits recovery
 //! (`Quiesced::drain`); the other operations move no live state and do not
@@ -50,7 +54,7 @@ use crate::deploy::{Inner, Unit};
 use crate::fault::RecoveryUnit;
 use crate::item::{lane, route_hash, Item};
 use crate::scaling::ScaleDirection;
-use crate::worker::{Paused, WorkerMsg};
+use crate::worker::{state_cells, Paused, WorkerMsg};
 
 /// A topology-change request for [`crate::deploy::Deployment::reconfigure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +139,7 @@ pub(crate) fn execute(inner: &Inner, request: ReconfigRequest) -> SdgResult<Reco
     let ctl = &mut *inner.control.lock();
     let instances = |unit: &Unit| unit.route.read().len() as u32;
     let te_instances = |unit: &Unit| unit.tasks.len() as u32 * instances(unit);
-    let replicas = |state: StateId| inner.cells.read().get(&state).map_or(0, |g| g.len() as u32);
+    let replicas = |unit: &Unit| unit.state.map_or(0, |_| instances(unit));
     let (mut stats, mut restore, mut replayed) = (MigrationStats::default(), Duration::ZERO, 0);
     let (task_instances, se_instances) = match request {
         ReconfigRequest::ScaleOut { task } | ReconfigRequest::ScaleIn { task } => {
@@ -145,17 +149,17 @@ pub(crate) fn execute(inner: &Inner, request: ReconfigRequest) -> SdgResult<Reco
             };
             stats = scale(inner, ctl, task, direction)?;
             let unit = inner.units.unit(task);
-            (instances(unit), unit.state.map_or(0, replicas))
+            (instances(unit), replicas(unit))
         }
         ReconfigRequest::Checkpoint => {
             checkpoint_all(inner, ctl)?;
             let tasks = inner.units.iter().map(te_instances).sum();
-            let states = inner.cells.read().values().map(|g| g.len() as u32).sum();
-            (tasks, states)
+            (tasks, inner.units.iter().map(replicas).sum())
         }
         ReconfigRequest::FailAndRecover { state, replica } => {
             (restore, replayed) = fail_and_recover(inner, ctl, state, replica)?;
-            (te_instances(inner.units.of_state(state)?), replicas(state))
+            let unit = inner.units.of_state(state)?;
+            (te_instances(unit), replicas(unit))
         }
     };
     Ok(ReconfigReport {
@@ -260,16 +264,22 @@ impl<'a> Quiesced<'a> {
 
     /// Kills instance `replica` of the unit: its mailbox drains as
     /// discards.
-    fn kill(&self, replica: u32) {
-        if let Some(old) = self.route.get(replica as usize) {
-            old.alive.store(false, Ordering::Release);
-        }
+    ///
+    /// # Errors
+    ///
+    /// `NotFound` when the unit has no such instance.
+    fn kill(&self, replica: u32) -> SdgResult<()> {
+        let old = (self.route.get(replica as usize))
+            .ok_or_else(|| SdgError::NotFound(format!("instance {}", self.unit.label(replica))))?;
+        old.alive.store(false, Ordering::Release);
+        Ok(())
     }
 
-    /// Spawns instance `replica` of the unit on `node`, appended or in
+    /// Spawns instance `replica` of the unit on `node` and on `cell` (the
+    /// replica's SE instance; `None` in a stateless unit), appended or in
     /// place of the instance it replaces.
-    fn spawn(&mut self, replica: u32, node: u32) -> SdgResult<()> {
-        (self.inner).spawn_instance(self.unit, replica, node, &mut self.route)
+    fn spawn(&mut self, replica: u32, node: u32, cell: Option<Arc<StateCell>>) -> SdgResult<()> {
+        (self.inner).spawn_instance(self.unit, replica, node, cell, &mut self.route)
     }
 
     /// Stops the unit's last instance and returns the node it ran on.
@@ -283,22 +293,21 @@ impl<'a> Quiesced<'a> {
     }
 }
 
-/// Takes every replica of every SE.
+/// Takes every replica of every SE that has a unit.
 fn checkpoint_all(inner: &Inner, ctl: &mut Control) -> SdgResult<()> {
-    let states: Vec<StateId> = inner.cells.read().keys().copied().collect();
-    states
-        .into_iter()
-        .try_for_each(|state| checkpoint_state(inner, ctl, state))
+    (inner.units.iter()).try_for_each(|unit| checkpoint_state(inner, ctl, unit))
 }
 
-/// Takes every replica of `state`, each a delta of its dirty chunks
-/// unless its record asks for a base.
-fn checkpoint_state(inner: &Inner, ctl: &mut Control, state: StateId) -> SdgResult<()> {
-    let group = inner.cells.read().get(&state).cloned().unwrap_or_default();
-    for (replica, cell) in group.iter().enumerate() {
+/// Takes every replica of `unit`'s SE (none in a stateless unit), each a
+/// delta of its dirty chunks unless its record asks for a base.
+fn checkpoint_state(inner: &Inner, ctl: &mut Control, unit: &Unit) -> SdgResult<()> {
+    let Some(state) = unit.state else {
+        return Ok(());
+    };
+    for (replica, cell) in state_cells(&unit.route.read()).iter().enumerate() {
         let replica = replica as u32;
         let seq = ctl.next_seq();
-        let label = inner.se_label(state, replica);
+        let label = unit.label(replica);
         let base = ctl.needs_base(state, replica);
         inner.obs.record_event(EventKind::CheckpointBegin {
             instance: label.clone(),
@@ -326,25 +335,20 @@ fn checkpoint_state(inner: &Inner, ctl: &mut Control, state: StateId) -> SdgResu
             instance: label,
             seq,
         });
-        if let Ok(decl) = inner.sdg.state(state) {
-            inner
-                .obs
-                .state_with_id(&decl.name, Some(state))
-                .checkpoints
-                .inc();
-        }
+        (inner.obs.state_with_id(&unit.name, Some(state)))
+            .checkpoints
+            .inc();
         // Trim upstream buffers covered by this checkpoint.
-        trim_for(inner, state, replica, &set);
+        trim_for(inner, unit, replica, &set);
         ctl.record(state, replica, set, &inner.stores);
     }
     Ok(())
 }
 
-/// Trims buffers into `(state, replica)`'s consumer tasks using the
+/// Trims buffers into replica `replica` of `unit`'s tasks using the
 /// checkpoint's vector watermarks.
-fn trim_for(inner: &Inner, state: StateId, replica: u32, set: &BackupSet) {
-    let tasks = inner.units.of_state(state).map_or(&[][..], |u| &u.tasks);
-    for &task in tasks {
+fn trim_for(inner: &Inner, unit: &Unit, replica: u32, set: &BackupSet) {
+    for &task in &unit.tasks {
         for (edge, _) in inner.in_edges(task) {
             for (src, buf) in inner.buffers.buffers_into(edge, replica) {
                 buf.lock().trim(set.vector.get(lane(edge, src)));
@@ -355,11 +359,11 @@ fn trim_for(inner: &Inner, state: StateId, replica: u32, set: &BackupSet) {
 
 /// Executes one recovery on behalf of the supervisor.
 pub(crate) fn recover(inner: &Inner, ctl: &mut Control, unit: RecoveryUnit) -> SdgResult<()> {
-    match unit {
-        RecoveryUnit::State(state, replica) => {
-            fail_and_recover(inner, ctl, state, replica).map(|_| ())
-        }
-        RecoveryUnit::Task(task, replica) => respawn_stateless(inner, ctl, task, replica),
+    let replica = unit.replica;
+    let unit = &inner.units[unit.unit];
+    match unit.state {
+        Some(state) => fail_and_recover(inner, ctl, state, replica).map(|_| ()),
+        None => respawn_stateless(inner, ctl, unit, replica),
     }
 }
 
@@ -374,7 +378,8 @@ fn fail_and_recover(
     replica: u32,
 ) -> SdgResult<(Duration, usize)> {
     let t0 = Instant::now();
-    let label = inner.se_label(state, replica);
+    let unit = inner.units.of_state(state)?;
+    let label = unit.label(replica);
     inner.obs.record_event(EventKind::FailureInjected {
         instance: label.clone(),
     });
@@ -386,8 +391,8 @@ fn fail_and_recover(
     // filter would wrongly discard the replay. Sends made meanwhile from
     // inside the pool are staged, and the pause's drop flushes them after
     // the replay, stamped above it. The old instances die first.
-    let mut paused = Quiesced::pause(inner, inner.units.of_state(state)?);
-    paused.kill(replica);
+    let mut paused = Quiesced::pause(inner, unit);
+    paused.kill(replica)?;
 
     // Restore state from the m backup stores, composing the base
     // generation with any deltas taken since it. The resilient restore
@@ -396,14 +401,13 @@ fn fail_and_recover(
     // checkpointed), recovery rebuilds from an empty store and a zero
     // watermark — replay then reconstructs the state from scratch.
     let restore_t0 = Instant::now();
-    let decl = inner.sdg.state(state)?.clone();
-    let (stripes, dim, delta) = inner.layout_of(&decl);
+    let (stripes, dim, delta) = inner.layout_of(inner.sdg.state(state)?);
     // The restore decodes every entry straight into the stripe that
     // owns its key, each stripe with the exact vector recorded at
     // checkpoint time when the stripe layout is unchanged (else the
     // cut's min vector on every stripe, which is safe but replays
     // more).
-    let new_cell = match &chain {
+    let cell = match &chain {
         Some(chain) => {
             let restored = restore_chain_resilient(
                 chain,
@@ -435,30 +439,20 @@ fn fail_and_recover(
                 ctl.truncate(state, replica, restored.used + 1);
             }
             let parts = restored.parts.into_iter().next().expect("n=1 restore");
-            StateCell::from_parts(parts, dim, delta)
+            Arc::new(StateCell::from_parts(parts, dim, delta))
         }
-        None => StateCell::new_striped(decl.ty, stripes, dim, delta),
+        None => inner.empty_cell(state)?,
     };
-    let new_cell = Arc::new(new_cell);
-    let (floor, frontier) = (new_cell.vector(), new_cell.frontier());
-    inner
-        .cells
-        .write()
-        .get_mut(&state)
-        .and_then(|g| {
-            g.get_mut(replica as usize)
-                .map(|slot| *slot = Arc::clone(&new_cell))
-        })
-        .ok_or_else(|| SdgError::NotFound(format!("state instance {state}#{replica}")))?;
+    let (floor, frontier) = (cell.vector(), cell.frontier());
     let restore = restore_t0.elapsed();
     inner.obs.record_event(EventKind::RecoveryRestored {
         instance: label.clone(),
         took: restore,
     });
 
-    // Respawn workers on a fresh node, swapping them in through the
-    // held pause.
-    paused.spawn(replica, ctl.next_node())?;
+    // Respawn the replica on a fresh node and on the restored cell,
+    // swapping it in through the held pause.
+    paused.spawn(replica, ctl.next_node(), Some(cell))?;
 
     // Replay from upstream output buffers past the restored watermarks,
     // still before any producer may send: replayed items must be first
@@ -522,15 +516,10 @@ fn replay_watermarks<'a>(
 /// (see `Inner::logs_into`). This is §5's model: durability comes
 /// from the stateful consumers' checkpoints plus replay of the lanes
 /// into them, so the respawn restores liveness, not the lost items.
-fn respawn_stateless(
-    inner: &Inner,
-    ctl: &mut Control,
-    task: TaskId,
-    replica: u32,
-) -> SdgResult<()> {
-    let mut paused = Quiesced::pause(inner, inner.units.unit(task));
-    paused.kill(replica);
-    paused.spawn(replica, ctl.next_node())
+fn respawn_stateless(inner: &Inner, ctl: &mut Control, unit: &Unit, replica: u32) -> SdgResult<()> {
+    let mut paused = Quiesced::pause(inner, unit);
+    paused.kill(replica)?;
+    paused.spawn(replica, ctl.next_node(), None)
 }
 
 /// Adds (`Out`) or removes (`In`) one instance of `task`. A stateless
@@ -552,7 +541,7 @@ fn scale(
         let n = paused.route.len();
         let node = if out {
             let node = ctl.next_node();
-            paused.spawn(n as u32, node)?;
+            paused.spawn(n as u32, node, None)?;
             node
         } else if n <= 1 {
             return Err(SdgError::Runtime(format!(
@@ -568,7 +557,7 @@ fn scale(
         return Ok(MigrationStats::default());
     };
     let decl = inner.sdg.state(state)?;
-    let unit = match decl.dist {
+    let part = match decl.dist {
         Distribution::Local => {
             let way = if out { "out" } else { "in" };
             return Err(SdgError::Runtime(format!(
@@ -583,12 +572,12 @@ fn scale(
         }
         Distribution::Partitioned { .. } => "partition",
     };
-    let p = inner.cells.read().get(&state).map_or(0, Vec::len);
+    let p = unit.route.read().len();
     if out {
         migrate(inner, ctl, state, task_id, p + 1)
     } else if p <= 1 {
         Err(SdgError::Runtime(format!(
-            "state `{}` is already at one {unit}",
+            "state `{}` is already at one {part}",
             decl.name
         )))
     } else {
@@ -612,24 +601,26 @@ fn migrate(
     // earlier would let producers route by the old partition count
     // against the already-moved state. Its drop flushes the sends staged
     // meanwhile by the new count.
-    let (mut paused, drain) = Quiesced::drain(inner, inner.units.of_state(state)?, trigger)?;
+    let unit = inner.units.of_state(state)?;
+    let (mut paused, drain) = Quiesced::drain(inner, unit, trigger)?;
     let migrate_t0 = Instant::now();
-    let p = inner.cells.read().get(&state).map_or(0, Vec::len);
-    let moved_bytes = match inner.sdg.state(state)?.dist {
-        Distribution::Partitioned { .. } => repartition(inner, state, to)?,
-        _ => fold_partial(inner, state)?,
+    let cells = state_cells(&paused.route);
+    let p = cells.len();
+    let (moved_bytes, added) = match inner.sdg.state(state)?.dist {
+        Distribution::Partitioned { .. } => repartition(inner, state, &cells, to)?,
+        _ => (fold_partial(&cells)?, None),
     };
     ctl.invalidate(state, to);
     let (node, direction) = if to > p {
         let node = ctl.next_node();
-        paused.spawn(p as u32, node)?;
+        paused.spawn(p as u32, node, added)?;
         (node, ScaleDirection::Out)
     } else {
         ctl.forget_replica(state, to as u32, &inner.stores);
         (paused.stop_last(), ScaleDirection::In)
     };
     drop(paused);
-    record_migration(inner, state, moved_bytes, migrate_t0.elapsed());
+    record_migration(inner, unit, moved_bytes, migrate_t0.elapsed());
     record_scale(inner, trigger, node, direction);
     // The migration emptied every record and left every tracked chunk
     // dirty, so these takes are bases: each chain is recoverable again
@@ -637,7 +628,7 @@ fn migrate(
     // scale; its replica keeps the empty record, and its recovery is
     // refused until the next take.
     if inner.cfg.checkpoint.enabled {
-        let _ = checkpoint_state(inner, ctl, state);
+        let _ = checkpoint_state(inner, ctl, unit);
     }
     Ok(MigrationStats { drain, moved_bytes })
 }
@@ -651,20 +642,8 @@ fn scale_out_partial(
     trigger: TaskId,
 ) -> SdgResult<MigrationStats> {
     let mut paused = Quiesced::pause(inner, inner.units.of_state(state)?);
-    let new_replica = {
-        let mut cells = inner.cells.write();
-        let group = cells
-            .get_mut(&state)
-            .ok_or_else(|| SdgError::NotFound(format!("state {state}")))?;
-        let decl = inner.sdg.state(state)?;
-        let (stripes, dim, delta) = inner.layout_of(decl);
-        group.push(Arc::new(StateCell::new_striped(
-            decl.ty, stripes, dim, delta,
-        )));
-        group.len() as u32 - 1
-    };
-    let node = ctl.next_node();
-    paused.spawn(new_replica, node)?;
+    let (replica, node) = (paused.route.len() as u32, ctl.next_node());
+    paused.spawn(replica, node, Some(inner.empty_cell(state)?))?;
     drop(paused);
     record_scale(inner, trigger, node, ScaleDirection::Out);
     Ok(MigrationStats::default())
@@ -692,31 +671,37 @@ pub(crate) fn check_partial_merge(sdg: &Sdg, name: &str) -> SdgResult<()> {
 }
 
 /// Folds the last partial replica's aggregate (and its dedupe watermarks)
-/// into replica 0 and removes its cell — pointwise addition preserves the
-/// element-wise-sum invariant of partial groups. Returns the bytes moved.
-fn fold_partial(inner: &Inner, state: StateId) -> SdgResult<u64> {
-    let mut cells = inner.cells.write();
-    let group = cells.get_mut(&state).expect("checked by scale_in");
-    let victim = group.pop().expect("p > 1");
+/// into replica 0 of `group` — pointwise addition preserves the
+/// element-wise-sum invariant of partial groups; the caller then stops
+/// the last replica. Returns the bytes moved.
+fn fold_partial(group: &[Arc<StateCell>]) -> SdgResult<u64> {
+    let victim = group.last().expect("p > 1");
     let (entries, vector) = victim.export_merged();
     group[0].merge_additive(&entries, &vector)?;
     Ok(entries.iter().map(|e| e.size() as u64).sum())
 }
 
-/// Re-places every entry of the partitioned SE `state` onto `to`
-/// instances, the way a restore places a checkpoint.
+/// Re-places every entry of the partitioned SE `state`, whose instances
+/// are `group`, onto `to` instances, the way a restore places a
+/// checkpoint.
 ///
 /// Each instance exports its entries once, and one [`ChunkReader`] puts
 /// every entry straight into its final stripe by
 /// [`KeyLayout::shard`](sdg_state::partition::KeyLayout::shard), the rule
 /// the dispatchers route by. Survivors
 /// install their new stripes in place, because workers hold their cells;
-/// an added instance gets a new cell, and a removed one (the last) leaves
-/// the group. Every stripe gets the group's pointwise-max vector, which is
-/// exact after the drain: fresh items carry higher timestamps than
-/// anything placed. Returns the bytes placed on an instance other than the
-/// one that exported them.
-fn repartition(inner: &Inner, state: StateId, to: usize) -> SdgResult<u64> {
+/// an added instance gets a new cell, returned for the caller to spawn,
+/// and a removed one (the last) is left for the caller to stop. Every
+/// stripe gets the group's pointwise-max vector, which is exact after the
+/// drain: fresh items carry higher timestamps than anything placed.
+/// Returns the bytes placed on an instance other than the one that
+/// exported them, and the added cell.
+fn repartition(
+    inner: &Inner,
+    state: StateId,
+    group: &[Arc<StateCell>],
+    to: usize,
+) -> SdgResult<(u64, Option<Arc<StateCell>>)> {
     let decl = inner.sdg.state(state)?;
     if decl.ty == StateType::Vector {
         return Err(SdgError::State(format!(
@@ -725,10 +710,6 @@ fn repartition(inner: &Inner, state: StateId, to: usize) -> SdgResult<u64> {
         )));
     }
     let (stripes, dim, delta) = inner.layout_of(decl);
-    let mut cells = inner.cells.write();
-    let group = cells
-        .get_mut(&state)
-        .ok_or_else(|| SdgError::NotFound(format!("state {state}")))?;
     let mut reader = ChunkReader::new(decl.ty, to, stripes, dim);
     let mut vector = VectorTs::new();
     let mut moved = 0;
@@ -738,15 +719,14 @@ fn repartition(inner: &Inner, state: StateId, to: usize) -> SdgResult<u64> {
         moved += reader.place(i, &entries)?;
     }
     let mut placed = reader.finish().into_iter();
-    group.truncate(to);
     for (cell, stores) in group.iter().zip(placed.by_ref()) {
         cell.install(stores, &vector);
     }
-    for stores in placed {
+    let added = placed.next().map(|stores| {
         let parts = stores.into_iter().map(|s| (s, vector.clone())).collect();
-        group.push(Arc::new(StateCell::from_parts(parts, dim, delta)));
-    }
-    Ok(moved)
+        Arc::new(StateCell::from_parts(parts, dim, delta))
+    });
+    Ok((moved, added))
 }
 
 /// Records one scale event in the obs log and the reconfig counters. A
@@ -757,10 +737,9 @@ fn repartition(inner: &Inner, state: StateId, to: usize) -> SdgResult<u64> {
 fn record_scale(inner: &Inner, task: TaskId, node: u32, direction: ScaleDirection) {
     let unit = inner.units.unit(task);
     let instances = unit.route.read().len() as u32;
-    let group = unit.state.and_then(|s| inner.sdg.state(s).ok());
-    let name = match (direction, group) {
-        (ScaleDirection::In, Some(state)) => state.name.clone(),
-        _ => inner.task_name(task),
+    let name = match direction {
+        ScaleDirection::In => unit.name.clone(),
+        ScaleDirection::Out => inner.task_name(task),
     };
     let (task, counters) = (name, inner.obs.reconfig());
     let (event, counter) = match direction {
@@ -785,12 +764,10 @@ fn record_scale(inner: &Inner, task: TaskId, node: u32, direction: ScaleDirectio
     counter.inc();
 }
 
-/// Records one state-migration episode (bytes that changed SE owner).
-fn record_migration(inner: &Inner, state: StateId, bytes: u64, took: Duration) {
-    let state = inner
-        .sdg
-        .state(state)
-        .map_or_else(|_| state.to_string(), |d| d.name.clone());
+/// Records one state-migration episode of `unit`'s SE (bytes that changed
+/// SE owner).
+fn record_migration(inner: &Inner, unit: &Unit, bytes: u64, took: Duration) {
+    let state = unit.name.clone();
     inner
         .obs
         .record_event(EventKind::StateMigrated { state, bytes, took });

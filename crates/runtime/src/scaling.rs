@@ -22,7 +22,7 @@ use sdg_common::obs::EventKind;
 use sdg_graph::model::{Distribution, Sdg};
 
 use crate::config::ScalingConfig;
-use crate::deploy::{Inner, Units};
+use crate::deploy::{Inner, Unit, Units};
 use crate::reconfig::ReconfigRequest::{self, ScaleIn, ScaleOut};
 use crate::reconfig::{check_partial_merge, execute};
 
@@ -61,33 +61,23 @@ impl StopWait {
     }
 }
 
-/// One state group: the tasks that one reconfiguration resizes together,
-/// and its instance count at deploy time, below which it never shrinks.
+/// What the policy may do to one state group (a recovery unit, whose
+/// tasks one reconfiguration resizes together), and its instance count at
+/// deploy time, below which it never shrinks.
 #[derive(Debug)]
 struct Group {
-    tasks: Vec<TaskId>,
     can_grow: bool,
     can_shrink: bool,
     floor: u32,
 }
 
-impl Group {
-    /// The group's fill: the mean fill of its mailboxes, each shared by
-    /// the group's tasks.
-    fn fill(&self, sample: &Sample) -> f64 {
-        self.tasks.iter().map(|&t| sample.fill(t)).sum()
-    }
-}
-
-/// The deployment's state groups: its recovery units ([`Units`]), each
-/// with what the policy may do to it.
+/// The policy of each of the deployment's recovery units ([`Units`]), in
+/// unit order.
 #[derive(Debug)]
 pub(crate) struct Groups {
     groups: Vec<Group>,
-    /// Each task's group, indexed by task.
-    group_of: Vec<usize>,
-    /// The groups each task's consumers belong to, its own excepted (a
-    /// consumer in its group shares its mailbox), indexed by task.
+    /// The units each task's consumers belong to, its own excepted (a
+    /// consumer in its unit shares its mailbox), indexed by task.
     downstream: Vec<Vec<usize>>,
 }
 
@@ -107,19 +97,17 @@ impl Groups {
                     _ => (true, true),
                 };
                 Group {
-                    floor: deployed.instances(&unit.tasks),
-                    tasks: unit.tasks.clone(),
+                    floor: deployed.instances(unit),
                     can_grow,
                     can_shrink,
                 }
             })
             .collect();
-        let group_of: Vec<usize> = sdg.tasks.iter().map(|t| units.of(t.id).0).collect();
         let downstream = (sdg.tasks.iter())
             .map(|t| {
-                let own = group_of[t.id.raw() as usize];
+                let own = units.of(t.id).0;
                 let mut consumers: Vec<usize> = (sdg.flows_from(t.id).iter())
-                    .map(|f| group_of[f.to.raw() as usize])
+                    .map(|f| units.of(f.to).0)
                     .filter(|&g| g != own)
                     .collect();
                 consumers.sort_unstable();
@@ -127,16 +115,7 @@ impl Groups {
                 consumers
             })
             .collect();
-        Groups {
-            groups,
-            group_of,
-            downstream,
-        }
-    }
-
-    /// The fill of `task`'s group.
-    fn fill(&self, sample: &Sample, task: TaskId) -> f64 {
-        self.groups[self.group_of[task.raw() as usize]].fill(sample)
+        Groups { groups, downstream }
     }
 }
 
@@ -150,9 +129,7 @@ impl Sample {
     pub(crate) fn take(inner: &Inner) -> Sample {
         let capacity = inner.cfg.channel_capacity as f64;
         let per_task = inner.sdg.tasks.iter().map(|t| {
-            let (slots, slot) = (inner.units.unit(t.id).route.read(), inner.units.of(t.id).1);
-            let depth: usize = slots.iter().map(|i| i.tx.queued(slot)).sum();
-            let n = slots.len();
+            let (depth, n) = inner.units.load(t.id);
             (depth as f64 / (capacity * n.max(1) as f64), n as u32)
         });
         Sample(per_task.collect())
@@ -162,9 +139,15 @@ impl Sample {
         self.0[task.raw() as usize].0
     }
 
-    /// A group's instance count: every task in it has the same.
-    fn instances(&self, tasks: &[TaskId]) -> u32 {
-        self.0[tasks[0].raw() as usize].1
+    /// A unit's fill: the mean fill of its mailboxes, each shared by the
+    /// unit's tasks.
+    fn unit_fill(&self, unit: &Unit) -> f64 {
+        unit.tasks.iter().map(|&t| self.fill(t)).sum()
+    }
+
+    /// A unit's instance count: every task in it has the same.
+    fn instances(&self, unit: &Unit) -> u32 {
+        self.0[unit.tasks[0].raw() as usize].1
     }
 }
 
@@ -185,19 +168,21 @@ pub(crate) type PolicyState = Vec<(u32, u32)>;
 pub(crate) fn decide(
     state: &mut PolicyState,
     sample: &Sample,
+    units: &Units,
     groups: &Groups,
     cfg: &ScalingConfig,
 ) -> Option<ReconfigRequest> {
     state.resize(groups.groups.len(), (0, 0));
-    let fills: Vec<f64> = groups.groups.iter().map(|g| g.fill(sample)).collect();
+    let fills: Vec<f64> = units.iter().map(|u| sample.unit_fill(u)).collect();
     let backpressured = |t: TaskId| {
         let mut downstream = groups.downstream[t.raw() as usize].iter();
         downstream.any(|&g| fills[g] >= cfg.high_watermark / 2.0)
     };
     let mut best: Option<(f64, usize, ReconfigRequest)> = None;
-    for (i, (g, (out, idle))) in groups.groups.iter().zip(state.iter_mut()).enumerate() {
-        let n = sample.instances(&g.tasks);
-        let busiest = (g.tasks.iter().copied())
+    let policies = units.iter().zip(&groups.groups).zip(state.iter_mut());
+    for (i, ((u, g), (out, idle))) in policies.enumerate() {
+        let n = sample.instances(u);
+        let busiest = (u.tasks.iter().copied())
             .reduce(|a, b| {
                 if sample.fill(b) > sample.fill(a) {
                     b
@@ -214,7 +199,7 @@ pub(crate) fn decide(
         let (key, request) = if grows && *out >= cfg.patience {
             (fills[i], ScaleOut { task: busiest })
         } else if shrinks && *idle >= cfg.idle_patience {
-            (-1.0, ScaleIn { task: g.tasks[0] })
+            (-1.0, ScaleIn { task: u.tasks[0] })
         } else {
             continue;
         };
@@ -233,13 +218,13 @@ pub(crate) fn run_scaling_monitor(inner: &Inner, groups: Groups) {
     let mut state = PolicyState::default();
     while !inner.stop_wait.wait(cfg.check_interval) {
         let sample = Sample::take(inner);
-        let Some(request) = decide(&mut state, &sample, &groups, cfg) else {
+        let Some(request) = decide(&mut state, &sample, &inner.units, &groups, cfg) else {
             continue;
         };
         if let ScaleOut { task } = request {
             inner.obs.record_event(EventKind::BottleneckDetected {
                 task: inner.sdg.tasks[task.raw() as usize].name.clone(),
-                fill: groups.fill(&sample, task),
+                fill: sample.unit_fill(inner.units.unit(task)),
             });
         }
         let _ = execute(inner, request);
@@ -342,23 +327,36 @@ mod tests {
         cf_sample([0.9, busy, 0.0, 0.0, 0.0], co_occ)
     }
 
+    /// `sdg`'s units and their policy, with floors from `deployed`.
+    fn policy(sdg: &Sdg, deployed: &Sample) -> (Units, Groups) {
+        let units = Units::new(sdg);
+        let groups = Groups::new(&units, sdg, deployed);
+        (units, groups)
+    }
+
     /// Replays `samples` into a fresh policy, returning each decision.
     fn replay(
+        units: &Units,
         groups: &Groups,
         cfg: &ScalingConfig,
         samples: impl IntoIterator<Item = Sample>,
     ) -> Vec<Option<ReconfigRequest>> {
         let mut state = PolicyState::default();
         (samples.into_iter())
-            .map(|s| decide(&mut state, &s, groups, cfg))
+            .map(|s| decide(&mut state, &s, units, groups, cfg))
             .collect()
     }
 
     #[test]
     fn a_busy_group_at_its_ceiling_never_sheds_its_idle_member() {
         let sdg = cf();
-        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
-        let decisions = replay(&groups, &fig10_cfg(), (0..100).map(|i| fig10_trace(i, 4)));
+        let (units, groups) = policy(&sdg, &cf_sample([0.0; 5], 1));
+        let decisions = replay(
+            &units,
+            &groups,
+            &fig10_cfg(),
+            (0..100).map(|i| fig10_trace(i, 4)),
+        );
         assert!(decisions.iter().all(Option::is_none), "{decisions:?}");
     }
 
@@ -366,8 +364,9 @@ mod tests {
     fn a_busy_group_below_its_ceiling_grows_after_patience_samples() {
         let sdg = cf();
         let cfg = fig10_cfg();
-        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
+        let (units, groups) = policy(&sdg, &cf_sample([0.0; 5], 1));
         let decisions = replay(
+            &units,
             &groups,
             &cfg,
             (0..cfg.patience as usize).map(|i| fig10_trace(i, 3)),
@@ -382,11 +381,12 @@ mod tests {
     fn a_group_grows_on_its_mailbox_fill_and_names_its_busiest_task() {
         let sdg = cf();
         let cfg = fig10_cfg();
-        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
+        let (units, groups) = policy(&sdg, &cf_sample([0.0; 5], 1));
         let patience = cfg.patience as usize;
         // `getRec_1` holds most of `coOcc`'s mailbox: the scale-out names
         // it, not the group's first task.
         let decisions = replay(
+            &units,
             &groups,
             &cfg,
             (0..patience).map(|_| cf_sample([0.0, 0.1, 0.0, 0.8, 0.0], 1)),
@@ -396,6 +396,7 @@ mod tests {
         // Neither task alone reaches the watermark, but the mailbox they
         // share does: the group grows, named after the first on a tie.
         let decisions = replay(
+            &units,
             &groups,
             &cfg,
             (0..patience).map(|_| cf_sample([0.0, 0.3, 0.0, 0.3, 0.0], 1)),
@@ -433,8 +434,13 @@ mod tests {
             idle_patience: 2,
             ..fig10_cfg()
         };
-        let groups = Groups::new(&Units::new(&sdg), &sdg, &Sample(vec![(0.0, 1); 2]));
-        let decisions = replay(&groups, &cfg, (0..2).map(|_| Sample(vec![(0.0, 2); 2])));
+        let (units, groups) = policy(&sdg, &Sample(vec![(0.0, 1); 2]));
+        let decisions = replay(
+            &units,
+            &groups,
+            &cfg,
+            (0..2).map(|_| Sample(vec![(0.0, 2); 2])),
+        );
         let request = decisions[1].expect("an idle group above its floor shrinks");
         assert_eq!(request, ScaleIn { task: put });
 
@@ -478,11 +484,11 @@ mod tests {
             ..fig10_cfg()
         };
         for floor in [1, 2] {
-            let groups = Groups::new(&Units::new(&sdg), &sdg, &one_task(0.0, floor));
+            let (units, groups) = policy(&sdg, &one_task(0.0, floor));
             let mut state = PolicyState::default();
             let mut n = floor;
             let mut tick =
-                |fill: f64, n: u32| decide(&mut state, &one_task(fill, n), &groups, &cfg);
+                |fill: f64, n: u32| decide(&mut state, &one_task(fill, n), &units, &groups, &cfg);
             // Each move resets the group's streaks, so the next one, either
             // way, waits for fresh samples.
             for _ in 0..2 {
@@ -519,8 +525,13 @@ mod tests {
             access(t, AccessMode::Local),
         );
         let sdg = b.build_unchecked();
-        let groups = Groups::new(&Units::new(&sdg), &sdg, &one_task(0.0, 1));
-        let decisions = replay(&groups, &fig10_cfg(), (0..100).map(|_| one_task(1.0, 1)));
+        let (units, groups) = policy(&sdg, &one_task(0.0, 1));
+        let decisions = replay(
+            &units,
+            &groups,
+            &fig10_cfg(),
+            (0..100).map(|_| one_task(1.0, 1)),
+        );
         assert!(decisions.iter().all(Option::is_none), "{decisions:?}");
     }
 
@@ -544,15 +555,15 @@ mod tests {
         let cfg = fig10_cfg();
         let idle = (0..100).map(|_| cf_sample([0.0; 5], 2));
         let sdg = certified(false);
-        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
-        let decisions = replay(&groups, &cfg, idle.clone());
+        let (units, groups) = policy(&sdg, &cf_sample([0.0; 5], 1));
+        let decisions = replay(&units, &groups, &cfg, idle.clone());
         assert!(decisions.iter().all(Option::is_none), "{decisions:?}");
 
         // A certified merge lets the same group shrink.
         let sdg = certified(true);
-        let groups = Groups::new(&Units::new(&sdg), &sdg, &cf_sample([0.0; 5], 1));
+        let (units, groups) = policy(&sdg, &cf_sample([0.0; 5], 1));
         let ar1 = sdg.task_by_name("addRating_1").unwrap().id;
-        let decisions = replay(&groups, &cfg, idle);
+        let decisions = replay(&units, &groups, &cfg, idle);
         let shrink = Some(ScaleIn { task: ar1 });
         assert_eq!(decisions[cfg.idle_patience as usize - 1], shrink);
     }
@@ -576,8 +587,8 @@ mod tests {
         b.connect(src, dst, Dispatch::OneToAny, vec![]);
         let sdg = b.build_unchecked();
         let both = |fill| Sample(vec![(fill, 1), (fill, 1)]);
-        let groups = Groups::new(&Units::new(&sdg), &sdg, &both(0.0));
-        let decisions = replay(&groups, &fig10_cfg(), (0..100).map(|_| both(1.0)));
+        let (units, groups) = policy(&sdg, &both(0.0));
+        let decisions = replay(&units, &groups, &fig10_cfg(), (0..100).map(|_| both(1.0)));
         assert!(decisions.iter().all(Option::is_none), "{decisions:?}");
     }
 }

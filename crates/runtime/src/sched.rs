@@ -75,6 +75,7 @@ use std::time::{Duration, Instant};
 
 use sdg_common::obs::SchedInstruments;
 
+use crate::fault::XorShift64;
 use crate::worker::{SendClosed, Worker, WorkerMsg};
 
 /// Messages an actor processes per activation before rescheduling itself:
@@ -585,25 +586,6 @@ impl PoolShared {
     }
 }
 
-/// A minimal xorshift generator for victim selection — deterministic per
-/// worker, no shared state.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift((seed.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
-
 /// The work-stealing actor pool. One per deployment.
 pub struct Pool {
     shared: Arc<PoolShared>,
@@ -704,7 +686,8 @@ fn new_actor(shared: &Arc<PoolShared>, cap: usize, worker: Option<Worker>) -> Ar
 
 /// Main loop of one pool worker.
 fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
-    let mut rng = XorShift::new(me as u64);
+    // Deterministic per worker, spread so neighbouring workers probe apart.
+    let mut rng = XorShift64::new((me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
@@ -744,7 +727,7 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
 
 /// Finds the next runnable actor: own deque (newest), then the injector,
 /// then randomized stealing of the oldest work from other workers.
-fn find_task(shared: &PoolShared, me: usize, rng: &mut XorShift) -> Option<Arc<Actor>> {
+fn find_task(shared: &PoolShared, me: usize, rng: &mut XorShift64) -> Option<Arc<Actor>> {
     if let Some(actor) = shared.locals[me].lock().expect("deque lock").pop_back() {
         return Some(actor);
     }
@@ -1062,7 +1045,10 @@ mod tests {
         };
         Worker {
             tes: names.iter().enumerate().map(te).collect(),
-            unit: RecoveryUnit::Task(sdg_common::ids::TaskId(0), 0),
+            unit: RecoveryUnit {
+                unit: 0,
+                replica: 0,
+            },
             cell: None,
             sink,
             pending_outputs: Vec::new(),
@@ -1424,19 +1410,6 @@ mod tests {
         assert!(early < late);
         assert!(early < tie);
         assert!(early == twin);
-    }
-
-    #[test]
-    fn xorshift_is_deterministic_and_covers_victims() {
-        let mut a = XorShift::new(3);
-        let mut b = XorShift::new(3);
-        let mut seen = [false; 4];
-        for _ in 0..64 {
-            let v = a.next();
-            assert_eq!(v, b.next());
-            seen[(v % 4) as usize] = true;
-        }
-        assert!(seen.iter().all(|s| *s), "all victims probed: {seen:?}");
     }
 
     #[test]

@@ -141,14 +141,24 @@ impl BufferRegistry {
 }
 
 /// One replica of a recovery unit in its [`Route`]: the actor's mailbox
-/// producers send into, and what the supervisor and the scale paths read
-/// about it.
+/// producers send into, and what the supervisor and the control
+/// operations read about it. The route is the one index of an SE group's
+/// instances: replica `r`'s cell is the one its instance carries.
 pub(crate) struct Instance {
     pub(crate) tx: PoolSender,
     /// The worker's liveness flag ([`Worker::alive`]).
     pub(crate) alive: Arc<AtomicBool>,
     /// The cluster node hosting the instance.
     pub(crate) node: u32,
+    /// The SE instance the replica runs on ([`Worker::cell`]); `None` in a
+    /// stateless unit.
+    pub(crate) cell: Option<Arc<StateCell>>,
+}
+
+/// The SE instances of `route`'s replicas, in replica order, cloned out of
+/// the route so no guard is held while they are used.
+pub(crate) fn state_cells(route: &[Instance]) -> Vec<Arc<StateCell>> {
+    route.iter().filter_map(|i| i.cell.clone()).collect()
 }
 
 /// How producers reach one recovery unit — every task of an SE group, or
@@ -665,7 +675,7 @@ impl Worker {
     pub(crate) fn panic_probe(&self, slot: usize) -> PanicProbe {
         PanicProbe {
             unit: self.unit,
-            label: format!("{}#{}", self.tes[slot].name, self.unit.replica()),
+            label: format!("{}#{}", self.tes[slot].name, self.unit.replica),
             hub: Arc::clone(&self.hub),
         }
     }
@@ -679,8 +689,7 @@ impl Worker {
             match action {
                 FaultAction::Panic => panic!(
                     "injected fault: {}#{} fails on this item",
-                    self.tes[slot].name,
-                    self.unit.replica()
+                    self.tes[slot].name, self.unit.replica
                 ),
                 FaultAction::Stall(dur) => {
                     // The items before this one in the slice are done:
@@ -803,7 +812,7 @@ impl Worker {
             }
             return Ok(());
         }
-        let (code, scratch, replica) = (&te.code, &mut te.scratch, unit.replica());
+        let (code, scratch, replica) = (&te.code, &mut te.scratch, unit.replica);
         let effects = match cell {
             Some(cell) => {
                 let lane = lane(item.edge, item.src_replica);
