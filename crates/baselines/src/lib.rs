@@ -29,3 +29,17 @@ pub mod sparklike;
 pub use microbatch::MicroBatchWordCount;
 pub use naiadlike::{NaiadCheckpointTarget, NaiadKvStore, NaiadWordCount};
 pub use sparklike::SparkLikeLogisticRegression;
+
+use std::time::{Duration, Instant};
+
+/// Sleeps (or spins for short waits) to model fixed scheduling cost.
+fn spin_sleep(d: Duration) {
+    if d > Duration::from_micros(200) {
+        std::thread::sleep(d);
+    } else {
+        let end = Instant::now() + d;
+        while Instant::now() < end {
+            std::hint::spin_loop();
+        }
+    }
+}

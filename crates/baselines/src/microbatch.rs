@@ -15,6 +15,8 @@ use std::time::{Duration, Instant};
 
 use sdg_common::obs::{MetricsRegistry, MetricsSnapshot, TaskShard};
 
+use crate::spin_sleep;
+
 /// Configuration of the micro-batch engine.
 #[derive(Debug, Clone)]
 pub struct MicroBatchConfig {
@@ -167,18 +169,6 @@ impl MicroBatchWordCount {
             }
         }
         Some(lo as f64 / window.as_secs_f64())
-    }
-}
-
-/// Sleeps (or spins for short waits) to model fixed scheduling cost.
-fn spin_sleep(d: Duration) {
-    if d > Duration::from_micros(200) {
-        std::thread::sleep(d);
-    } else {
-        let end = Instant::now() + d;
-        while Instant::now() < end {
-            std::hint::spin_loop();
-        }
     }
 }
 

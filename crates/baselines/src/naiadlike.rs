@@ -13,6 +13,8 @@ use std::time::{Duration, Instant};
 
 use sdg_common::obs::{EventKind, MetricsRegistry, MetricsSnapshot, TaskShard};
 
+use crate::spin_sleep;
+
 /// Where synchronous checkpoints are written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NaiadCheckpointTarget {
@@ -284,17 +286,6 @@ impl NaiadWordCount {
             return None;
         }
         Some(self.cfg.batch_size as f64 / latency.as_secs_f64())
-    }
-}
-
-fn spin_sleep(d: Duration) {
-    if d > Duration::from_micros(200) {
-        std::thread::sleep(d);
-    } else {
-        let end = Instant::now() + d;
-        while Instant::now() < end {
-            std::hint::spin_loop();
-        }
     }
 }
 

@@ -13,6 +13,8 @@ use std::time::{Duration, Instant};
 
 use sdg_common::obs::{MetricsRegistry, MetricsSnapshot, TaskShard};
 
+use crate::spin_sleep;
+
 /// One labelled example.
 #[derive(Debug, Clone)]
 pub struct Example {
@@ -218,17 +220,6 @@ pub fn synthetic_dataset(
         out[i % partitions].push(Example { features, label });
     }
     out
-}
-
-fn spin_sleep(d: Duration) {
-    if d > Duration::from_micros(200) {
-        std::thread::sleep(d);
-    } else {
-        let end = Instant::now() + d;
-        while Instant::now() < end {
-            std::hint::spin_loop();
-        }
-    }
 }
 
 #[cfg(test)]

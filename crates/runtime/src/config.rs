@@ -112,8 +112,8 @@ impl ScalingConfig {
 /// backoff (see [`crate::fault`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorConfig {
-    /// Master switch. On by default: with no fault plan and no panics the
-    /// supervisor is a parked thread waking `heartbeat_interval`-ly.
+    /// Master switch. On by default: a duty of the control thread that
+    /// sleeps until a caught panic wakes it (or a heartbeat scan is due).
     pub enabled: bool,
     /// Heuristic hang detection from stalled heartbeat epochs. Off by
     /// default. An instance blocked on downstream backpressure is never
@@ -126,7 +126,8 @@ pub struct SupervisorConfig {
     /// tune the threshold to their checkpoint and state sizes. Panic
     /// detection is precise and always on with the supervisor.
     pub hang_detection: bool,
-    /// Supervisor scan period (and heartbeat staleness unit).
+    /// Heartbeat scan period and staleness unit, and the storm guard: at
+    /// most one recovery starts per interval. A panic waits for no scan.
     pub heartbeat_interval: Duration,
     /// Consecutive stalled scans before an instance is declared hung.
     pub miss_threshold: u32,
@@ -178,7 +179,8 @@ pub struct RuntimeConfig {
     /// backpressure).
     pub channel_capacity: usize,
     /// Initial SE instance counts: partitions for partitioned SEs, replica
-    /// count for partial SEs. Defaults to 1.
+    /// count for partial SEs. Defaults to 1. An SE no task accesses has
+    /// no instance, and a count for it is a config error.
     pub se_instances: HashMap<StateId, usize>,
     /// Initial instance counts for stateless tasks. Defaults to 1.
     pub task_instances: HashMap<TaskId, usize>,

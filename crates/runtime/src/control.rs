@@ -1,11 +1,16 @@
-//! The control sequencer: one lock serialises every control operation.
+//! The control plane's thread and its sequencer.
 //!
-//! Checkpoints (manual and interval), the five scale paths,
-//! fail-and-recover, the supervisor's respawns and
-//! `Deployment::with_state` all run holding the deployment's one
-//! [`Sequencer`]. The functions that take checkpoints, move state or
-//! change the topology ([`crate::reconfig`]) take `&mut Control`, so none
-//! of them can be called unsequenced. `Control` owns what those
+//! One control thread ([`start`]) runs the deployment's three timed
+//! duties: the interval checkpoint (§5), the scaling monitor (§3.3) and
+//! the recovery supervisor (§5). It sleeps on one inbox until the
+//! earliest deadline, a caught panic, or shutdown.
+//!
+//! One lock serialises every control operation. Checkpoints (manual and
+//! interval), the five scale paths, fail-and-recover, the supervisor's
+//! respawns and `Deployment::with_state` all run holding the
+//! deployment's one [`Sequencer`]. The functions that take checkpoints,
+//! move state or change the topology ([`crate::reconfig`]) take
+//! `&mut Control`, so none of them can be called unsequenced. `Control` owns what those
 //! operations share: the checkpoint seq counter, one chain record per SE
 //! instance, and the cluster node allocator ([`Control::next_node`]),
 //! which needs no atomic since every caller holds the sequencer.
@@ -28,10 +33,18 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use sdg_checkpoint::backup::{BackupSet, BackupStore};
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::{InstanceId, StateId, TaskId};
+
+use crate::deploy::Inner;
+use crate::fault::{RecoveryUnit, Supervisor};
+use crate::reconfig::{execute, ReconfigRequest};
+use crate::scaling::Monitor;
 
 /// Synthetic instance id used to key SE-instance checkpoints.
 pub(crate) fn se_instance_id(state: StateId, replica: u32) -> InstanceId {
@@ -244,4 +257,67 @@ impl Control {
             store.garbage_collect(se_instance_id(state, replica), u64::MAX);
         }
     }
+}
+
+/// What wakes the control thread before its next deadline.
+#[derive(Debug)]
+pub(crate) enum Wake {
+    /// A panic caught in the unit's replica at the instant, for the
+    /// supervisor.
+    Failed(RecoveryUnit, Instant),
+    /// The deployment shuts down.
+    Stop,
+}
+
+/// Starts the deployment's one control thread, unless none of its duties
+/// is on: the interval checkpoint, the scaling [`Monitor`] and the
+/// [`Supervisor`]. The thread sleeps on `inbox` until the earliest duty is
+/// due, a caught panic arrives, or [`Wake::Stop`].
+///
+/// Within one wake it first queues every failure the inbox holds (the
+/// inbox is read before any deadline counts), then lets the supervisor
+/// scan and recover, then takes a due checkpoint, then samples. Every
+/// action runs under the sequencer, so the thread adds no ordering of its
+/// own to the control operations.
+pub(crate) fn start(inner: &Arc<Inner>, inbox: Receiver<Wake>) -> Option<JoinHandle<()>> {
+    let cfg = &inner.cfg;
+    // A take every `interval` since start: a slow one does not shift the
+    // ones after it.
+    let interval = cfg.checkpoint.interval;
+    let mut take = cfg.checkpoint.enabled.then(|| Instant::now() + interval);
+    let mut monitor = cfg.scaling.enabled.then(|| Monitor::new(inner));
+    let mut supervisor = cfg.supervisor.enabled.then(|| Supervisor::new(inner));
+    if take.is_none() && monitor.is_none() && supervisor.is_none() {
+        return None;
+    }
+    let inner = Arc::clone(inner);
+    Some(std::thread::spawn(move || loop {
+        let sample = monitor.as_ref().map(|m| m.due);
+        let next = [take, sample, supervisor.as_ref().and_then(Supervisor::due)];
+        let wake = match next.into_iter().flatten().min() {
+            Some(at) => inbox.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match wake {
+            Ok(Wake::Failed(unit, at)) => {
+                if let Some(supervisor) = &mut supervisor {
+                    supervisor.failed(&inner, unit, at);
+                }
+                continue;
+            }
+            Ok(Wake::Stop) | Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+        let now = Instant::now();
+        if let Some(supervisor) = &mut supervisor {
+            supervisor.tick(&inner, now);
+        }
+        if let Some(due) = take.as_mut().filter(|due| **due <= now) {
+            *due += interval;
+            let _ = execute(&inner, ReconfigRequest::Checkpoint);
+        }
+        if let Some(monitor) = monitor.as_mut().filter(|m| m.due <= now) {
+            monitor.sample(&inner);
+        }
+    }))
 }

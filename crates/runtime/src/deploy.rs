@@ -5,10 +5,11 @@
 //! SE, or one stateless task. It allocates TE and SE instances to nodes
 //! (§3.3), registers one pool actor per replica of each unit (one worker
 //! hosting the unit's TE instances on the replica's SE instance, behind
-//! the unit's one route), wires the mailboxes, and starts the
-//! controllers. The route is the only index of an SE's instances: each
-//! entry carries its replica's cell, so an SE group's replica count is
-//! its route's length, and an SE no task accesses has no instance. The
+//! the unit's one route), wires the mailboxes, and starts the one
+//! control thread (`control::start`). The route is the only index of an
+//! SE's instances: each entry carries its replica's cell, so an SE
+//! group's replica count is its route's length, and an SE no task
+//! accesses has no instance (a count for it is a config error). The
 //! handle then accepts external requests ([`Deployment::submit`]),
 //! exposes the output sink, and supports §5's replay-based recovery.
 
@@ -37,12 +38,9 @@ use sdg_state::store::{StateStore, StateType};
 
 use crate::compile::Scratch;
 use crate::config::RuntimeConfig;
-use crate::control::Sequencer;
-use crate::fault::{
-    run_supervisor, FailureHub, FaultInjector, Health, HeartbeatView, RecoveryUnit,
-};
-use crate::reconfig::{self, ReconfigReport, ReconfigRequest};
-use crate::scaling::{run_scaling_monitor, Groups, Sample, StopWait};
+use crate::control::{self, Sequencer, Wake};
+use crate::fault::{FailureHub, FaultInjector, Health, RecoveryUnit};
+use crate::reconfig::{ReconfigReport, ReconfigRequest};
 use crate::sched::Pool;
 use crate::worker::{
     state_cells, BufferRegistry, Instance, OutEdge, Paused, PreparedCode, Route, Te, Worker,
@@ -264,8 +262,8 @@ pub(crate) struct Inner {
     entries: HashMap<String, TaskId>,
     /// The flows that send without credit ([`cycle_flows`]).
     cycle_flows: HashSet<EdgeId>,
-    /// Caught worker/actor panics, drained by the supervisor.
-    pub(crate) failure_hub: Arc<FailureHub>,
+    /// Where caught worker/actor panics are reported.
+    failure_hub: Arc<FailureHub>,
     /// Resolved fault plan (empty when no plan is configured).
     injector: FaultInjector,
     /// Supervisor-driven health ([`Health`] as `u8`); `Degraded` is
@@ -291,10 +289,6 @@ pub(crate) struct Inner {
     pub(crate) control: Sequencer,
     /// The work-stealing pool running every TE instance as an actor.
     pool: Arc<Pool>,
-    /// Parks the controller threads between ticks; stopped at shutdown so
-    /// they exit without sleeping out their interval.
-    pub(crate) stop_wait: StopWait,
-    pub started: Instant,
 }
 
 /// A private submission handle with its own ingest lane (see
@@ -345,7 +339,9 @@ impl IngestHandle {
 pub struct Deployment {
     inner: Arc<Inner>,
     sink_rx: Receiver<OutputEvent>,
-    control: Mutex<Vec<JoinHandle<()>>>,
+    /// The control thread's inbox, and the thread ([`control::start`]).
+    wake: Sender<Wake>,
+    control: Option<JoinHandle<()>>,
     /// The shared ingest lane (src 0) behind [`Deployment::submit`].
     ingest: Mutex<IngestHandle>,
 }
@@ -355,6 +351,19 @@ impl Deployment {
     pub fn start(sdg: Sdg, cfg: RuntimeConfig) -> SdgResult<Deployment> {
         validate(&sdg)?;
         cfg.validate()?;
+        // An SE no task accesses has no unit, so a count for it (or for a
+        // state the graph lacks) would make no instance.
+        if let Some(&state) =
+            (cfg.se_instances.keys()).find(|&&s| sdg.tasks_accessing(s).is_empty())
+        {
+            let name = sdg
+                .state(state)
+                .map_or_else(|_| state.to_string(), |d| d.name.clone());
+            return Err(SdgError::Config(format!(
+                "se_instances names state element `{name}`, which no task accesses: \
+                 it has no instance"
+            )));
+        }
         let sdg = Arc::new(sdg);
         let allocation = allocate(&sdg);
         let (sink_tx, sink_rx) = unbounded();
@@ -400,7 +409,11 @@ impl Deployment {
         // a plan naming an unknown task is a config error, not a silently
         // unarmed chaos run.
         let injector = FaultInjector::resolve(cfg.faults.as_ref(), &sdg)?;
-        let failure_hub = Arc::new(FailureHub::new(Arc::clone(&obs)));
+        let (wake, inbox) = unbounded();
+        let failure_hub = Arc::new(FailureHub {
+            obs: Arc::clone(&obs),
+            supervisor: cfg.supervisor.enabled.then(|| wake.clone()),
+        });
         let units = Units::new(&sdg);
 
         let inner = Arc::new(Inner {
@@ -422,8 +435,6 @@ impl Deployment {
             stores,
             control: Sequencer::new(allocation.num_nodes),
             pool,
-            stop_wait: StopWait::default(),
-            started: Instant::now(),
         });
 
         // Spawn instances: an SE group has one per SE instance, each on an
@@ -462,52 +473,20 @@ impl Deployment {
         }
         drop(ctl);
 
-        let deployment = Deployment {
+        Ok(Deployment {
             ingest: Mutex::new(IngestHandle::next(&inner)?),
+            control: control::start(&inner, inbox),
             inner,
             sink_rx,
-            control: Mutex::new(Vec::new()),
-        };
-        deployment.start_controllers();
-        Ok(deployment)
-    }
-
-    fn start_controllers(&self) {
-        let mut control = self.control.lock();
-        if self.inner.cfg.checkpoint.enabled {
-            let inner = Arc::clone(&self.inner);
-            control.push(std::thread::spawn(move || {
-                // A checkpoint every `interval` since start: a slow one does
-                // not shift the ones after it.
-                let (interval, stop) = (inner.cfg.checkpoint.interval, &inner.stop_wait);
-                let mut due = interval;
-                while !stop.wait(due.saturating_sub(inner.started.elapsed())) {
-                    due = due.saturating_add(interval);
-                    let _ = reconfig::execute(&inner, ReconfigRequest::Checkpoint);
-                }
-            }));
-        }
-        if self.inner.cfg.scaling.enabled {
-            let inner = Arc::clone(&self.inner);
-            let groups = Groups::new(&inner.units, &inner.sdg, &Sample::take(&inner));
-            control.push(std::thread::spawn(move || {
-                run_scaling_monitor(&inner, groups);
-            }));
-        }
-        if self.inner.cfg.supervisor.enabled {
-            let inner = Arc::clone(&self.inner);
-            let cfg = self.inner.cfg.supervisor.clone();
-            control.push(std::thread::spawn(move || {
-                run_supervisor(inner, cfg);
-            }));
-        }
+            wake,
+        })
     }
 
     /// Supervisor-driven health: `Healthy` → `Recovering` while failures
     /// are being repaired, terminal `Degraded` once a recovery exhausts
     /// its attempts.
     pub fn health(&self) -> Health {
-        self.inner.health_state()
+        Health::from_u8(self.inner.health.load(Ordering::Acquire))
     }
 
     /// Submits an external request to entry method `entry`.
@@ -544,8 +523,8 @@ impl Deployment {
     /// instance counts.
     ///
     /// This is the deployment's only control-plane entry point: the
-    /// checkpoint interval thread and the scaling monitor submit their
-    /// requests here too. Every request runs holding the control
+    /// control thread's interval checkpoints and scaling monitor submit
+    /// their requests here too. Every request runs holding the control
     /// sequencer, as do the supervisor's recoveries and
     /// [`Deployment::with_state`], so a checkpoint never overlaps a
     /// migration or a recovery; a request waits for the ones that asked
@@ -658,9 +637,9 @@ impl Deployment {
         }
     }
 
-    /// Stops all workers and controllers, joining their threads.
+    /// Stops all workers and the control thread, joining their threads.
     pub fn shutdown(self) {
-        self.inner.stop_wait.stop();
+        let _ = self.wake.send(Wake::Stop);
         for unit in self.inner.units.iter() {
             for instance in unit.route.read().iter() {
                 // `force_send` so a full mailbox cannot block shutdown: Stop
@@ -669,8 +648,8 @@ impl Deployment {
                 let _ = instance.tx.force_send(0, WorkerMsg::Stop);
             }
         }
-        for handle in self.control.lock().drain(..) {
-            let _ = handle.join();
+        if let Some(control) = self.control {
+            let _ = control.join();
         }
         self.inner.pool.join();
     }
@@ -879,61 +858,12 @@ impl Inner {
         edges
     }
 
-    // ---- supervisor interface (see `crate::fault::run_supervisor`) ----
-
-    pub(crate) fn health_state(&self) -> Health {
-        Health::from_u8(self.health.load(Ordering::Acquire))
-    }
-
-    /// `Healthy` → `Recovering`; never leaves `Degraded`.
-    pub(crate) fn mark_recovering(&self) {
-        let _ = self.health.compare_exchange(
-            Health::Healthy.as_u8(),
-            Health::Recovering.as_u8(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-    }
-
-    /// `Recovering` → `Healthy`; never leaves `Degraded`.
-    pub(crate) fn mark_stable(&self) {
-        let _ = self.health.compare_exchange(
-            Health::Recovering.as_u8(),
-            Health::Healthy.as_u8(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-    }
-
-    /// Terminal escalation.
-    pub(crate) fn mark_degraded(&self) {
-        self.health
-            .store(Health::Degraded.as_u8(), Ordering::Release);
-    }
-
-    /// Samples every actor's heartbeat epoch — its mailbox's pop count —
-    /// together with what the supervisor needs to judge it: liveness,
-    /// queued input, and whether a stalled epoch can mean a hang at all
-    /// (only a `Running` actor holds a pool thread). The mailbox fields
-    /// are read under one lock. An actor is one replica of a recovery
-    /// unit.
-    pub(crate) fn heartbeat_view(&self) -> Vec<HeartbeatView> {
-        let mut views = Vec::new();
-        for (u, unit) in self.units.iter().enumerate() {
-            for (replica, instance) in unit.route.read().iter().enumerate() {
-                let (epoch, queued, hang_candidate) = instance.tx.progress();
-                let replica = replica as u32;
-                views.push(HeartbeatView {
-                    unit: RecoveryUnit { unit: u, replica },
-                    epoch,
-                    alive: instance.alive.load(Ordering::Acquire),
-                    queued,
-                    hang_candidate,
-                    label: unit.label(replica),
-                });
-            }
+    /// Sets the deployment's health, which never leaves the terminal
+    /// `Degraded`; the supervisor is its one writer.
+    pub(crate) fn set_health(&self, health: Health) {
+        if self.health.load(Ordering::Acquire) != Health::Degraded.as_u8() {
+            self.health.store(health.as_u8(), Ordering::Release);
         }
-        views
     }
 
     /// The name of `task` in event payloads and errors.
@@ -1180,10 +1110,10 @@ mod tests {
         d.shutdown();
     }
 
-    /// An SE that no task accesses has no unit, so it has no instance: it
-    /// has no cell to read, its instance gauge reads 0, and a checkpoint
-    /// takes nothing of it. A replica an SE group does not have is not
-    /// found either.
+    /// An SE that no task accesses has no unit, so it has no instance: a
+    /// count for it is a config error, it has no cell to read, its
+    /// instance gauge reads 0, and a checkpoint takes nothing of it. A
+    /// replica an SE group does not have is not found either.
     #[test]
     fn an_se_no_task_accesses_has_no_instance() {
         let prog = sdg_ir::parser::parse_program(
@@ -1195,9 +1125,20 @@ mod tests {
         let [kv, idle] = ["kv", "idle"].map(|n| sdg.state_by_name(n).unwrap().id);
         let mut cfg = RuntimeConfig::default();
         cfg.se_instances.insert(kv, 2);
-        cfg.se_instances.insert(idle, 2);
         cfg.checkpoint.enabled = true;
         cfg.checkpoint.interval = Duration::from_secs(3600); // Manual only.
+
+        // A count for it, or for a state the graph lacks, is refused.
+        for state in [idle, StateId(7)] {
+            let mut cfg = cfg.clone();
+            cfg.se_instances.insert(state, 2);
+            let err = Deployment::start(sdg.clone(), cfg).err().unwrap();
+            let name = if state == idle { "`idle`" } else { "`s7`" };
+            assert!(
+                matches!(&err, SdgError::Config(m) if m.contains(name)),
+                "{err}"
+            );
+        }
         let d = Deployment::start(sdg, cfg).unwrap();
         put(&d, 1);
         assert!(d.quiesce(Duration::from_secs(30)));

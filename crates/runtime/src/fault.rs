@@ -8,24 +8,27 @@
 //!    reproducible: the same plan over the same input fails at the same
 //!    item on every run.
 //! 2. **Detection** — every actor step runs inside the pool's
-//!    `catch_unwind` boundary; a caught panic is reported to the deployment's
-//!    [`FailureHub`]. Independently, every mailbox counts the messages
-//!    popped from it — its heartbeat epoch — and the supervisor scans the
-//!    epochs to flag actors that sit on a non-empty mailbox without
-//!    making progress.
+//!    `catch_unwind` boundary; a caught panic is reported through the
+//!    deployment's [`FailureHub`] straight into the inbox of the control
+//!    thread (`control::start`), which wakes and hands it to the
+//!    `Supervisor`: no scan waits between the panic and its recovery.
+//!    Independently, and only with `hang_detection` on, every mailbox
+//!    counts the messages popped from it — its heartbeat epoch — and the
+//!    supervisor scans the epochs every `heartbeat_interval` to flag
+//!    actors that sit on a non-empty mailbox without making progress.
 //! 3. **Recovery** — the supervisor drives the existing §5
 //!    fail-and-recover path (restore from the backup chain, replay
 //!    upstream buffers past the watermark) with bounded exponential
-//!    backoff and jitter, at most one recovery per scan (the storm
-//!    guard), and escalation to the terminal [`Health::Degraded`] state
-//!    after `MAX_ATTEMPTS` (5) failed attempts.
+//!    backoff and jitter, at most one recovery per `heartbeat_interval`
+//!    (the storm guard), and escalation to the terminal
+//!    [`Health::Degraded`] state after `MAX_ATTEMPTS` (5) failed attempts.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use crossbeam::channel::Sender;
 use sdg_checkpoint::backup::StoreFaultSpec;
 use sdg_common::error::{SdgError, SdgResult};
 use sdg_common::ids::TaskId;
@@ -33,6 +36,7 @@ use sdg_common::obs::{EventKind, MetricsRegistry};
 use sdg_graph::model::Sdg;
 
 use crate::config::SupervisorConfig;
+use crate::control::Wake;
 use crate::deploy::Inner;
 use crate::reconfig;
 
@@ -44,7 +48,7 @@ pub(crate) const MAX_ATTEMPTS: u32 = 5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Panic the worker mid-loop; caught at the pool's panic boundary and
-    /// reported to the [`FailureHub`].
+    /// reported through the [`FailureHub`].
     Panic,
     /// Stall the worker for the given duration *before* it touches the
     /// item — long enough for heartbeat detection to declare it hung. The
@@ -216,50 +220,13 @@ impl FaultInjector {
     }
 }
 
-/// One caught worker/actor panic.
-#[derive(Debug, Clone)]
-pub(crate) struct FailureReport {
-    /// The actor's recovery unit.
-    pub unit: RecoveryUnit,
-    /// TE instance label, e.g. `bump_0#1`.
-    pub label: String,
-    /// Best-effort rendering of the panic payload.
-    pub message: String,
-    /// When the panic was caught — the supervisor's detection latency is
-    /// measured from here.
-    pub at: Instant,
-}
-
-/// Collects `FailureReport`s from the pool's panic boundary for the
-/// supervisor to drain. Reporting also logs the `worker_panicked` event
-/// and bumps the panic counter, so failures are visible even when the
-/// supervisor is disabled.
+/// Where the pool's panic boundary reports caught panics
+/// (`PanicProbe::report`).
 #[derive(Debug)]
 pub struct FailureHub {
-    reports: Mutex<Vec<FailureReport>>,
-    obs: Arc<MetricsRegistry>,
-}
-
-impl FailureHub {
-    pub(crate) fn new(obs: Arc<MetricsRegistry>) -> Self {
-        FailureHub {
-            reports: Mutex::new(Vec::new()),
-            obs,
-        }
-    }
-
-    pub(crate) fn report(&self, report: FailureReport) {
-        self.obs.faults().worker_panics.inc();
-        self.obs.record_event(EventKind::WorkerPanicked {
-            instance: report.label.clone(),
-            message: report.message.clone(),
-        });
-        self.reports.lock().push(report);
-    }
-
-    pub(crate) fn drain(&self) -> Vec<FailureReport> {
-        std::mem::take(&mut *self.reports.lock())
-    }
+    pub(crate) obs: Arc<MetricsRegistry>,
+    /// The control thread's inbox, while a supervisor reads it.
+    pub(crate) supervisor: Option<Sender<Wake>>,
 }
 
 /// Renders a panic payload (the argument of `panic!`) for reporting.
@@ -278,19 +245,28 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Debug, Clone)]
 pub(crate) struct PanicProbe {
     pub unit: RecoveryUnit,
+    /// TE instance label, e.g. `bump_0#1`.
     pub label: String,
     pub hub: Arc<FailureHub>,
 }
 
 impl PanicProbe {
-    /// Reports a caught panic to the hub.
+    /// Reports a caught panic: it logs the `worker_panicked` event and
+    /// bumps the panic counter, so failures are visible even when the
+    /// supervisor is disabled. While it is enabled, the report then wakes
+    /// the control thread ([`crate::control`]), whose [`Supervisor`]
+    /// queues the recovery; without one, nothing is kept.
     pub(crate) fn report(&self, payload: &(dyn std::any::Any + Send)) {
-        self.hub.report(FailureReport {
-            unit: self.unit,
-            label: self.label.clone(),
+        let obs = &self.hub.obs;
+        obs.faults().worker_panics.inc();
+        obs.record_event(EventKind::WorkerPanicked {
+            instance: self.label.clone(),
             message: panic_message(payload),
-            at: Instant::now(),
         });
+        if let Some(inbox) = &self.hub.supervisor {
+            // Fails only once the control thread has stopped.
+            let _ = inbox.send(Wake::Failed(self.unit, Instant::now()));
+        }
     }
 }
 
@@ -332,27 +308,6 @@ impl Health {
 pub(crate) struct RecoveryUnit {
     pub(crate) unit: usize,
     pub(crate) replica: u32,
-}
-
-/// One actor's heartbeat as sampled by the supervisor.
-#[derive(Debug)]
-pub(crate) struct HeartbeatView {
-    /// What the actor runs, and what recovering it means.
-    pub unit: RecoveryUnit,
-    /// Messages popped from the actor's mailbox so far: the actor steps
-    /// once per pop.
-    pub epoch: u64,
-    /// Kill flag state; dead instances are never flagged (they are either
-    /// being recovered already or were retired on purpose).
-    pub alive: bool,
-    /// Items waiting in the actor's mailbox.
-    pub queued: usize,
-    /// `false` when the instance is provably not hung: only a `Running`
-    /// actor holds a pool thread, while idle, queued, credit-suspended and
-    /// resting ones legitimately sit on a stalled epoch.
-    pub hang_candidate: bool,
-    /// The unit's label for events.
-    pub label: String,
 }
 
 /// xorshift64* — the runtime's one tiny deterministic generator: backoff
@@ -403,134 +358,172 @@ struct HeartbeatTrack {
     stale: u32,
 }
 
-/// The supervisor loop: parked on the deployment's stop-aware condvar at
-/// `heartbeat_interval`, it (1) drains caught panics, (2) scans heartbeat
-/// epochs for hung instances, and (3) drives pending recoveries with
-/// backoff, one recovery per scan and Degraded escalation.
-pub(crate) fn run_supervisor(inner: Arc<Inner>, cfg: SupervisorConfig) {
-    let obs = Arc::clone(&inner.obs);
-    let seed = inner.cfg.faults.as_ref().map_or(0, |p| p.seed);
-    let mut rng = XorShift64::new(seed ^ 0x5de7_ec7e_d5ba_dbed);
-    let mut tracks: HashMap<RecoveryUnit, HeartbeatTrack> = HashMap::new();
-    let mut pending: VecDeque<PendingRecovery> = VecDeque::new();
-    let mut queued: HashSet<RecoveryUnit> = HashSet::new();
+/// The supervisor, owned by the control thread ([`crate::control`]): it
+/// (1) queues each caught panic as its report arrives, (2) scans the
+/// heartbeat epochs for hung instances every `heartbeat_interval` while
+/// `hang_detection` is on, and (3) drives the queued recoveries with
+/// backoff, at most one per `heartbeat_interval` (the storm guard), and
+/// Degraded escalation.
+pub(crate) struct Supervisor {
+    cfg: SupervisorConfig,
+    rng: XorShift64,
+    /// The failed units awaiting recovery or backing off, each once.
+    pending: VecDeque<PendingRecovery>,
+    tracks: HashMap<RecoveryUnit, HeartbeatTrack>,
+    /// The next heartbeat scan; `None` without hang detection.
+    next_scan: Option<Instant>,
+    /// No recovery starts before this: the storm guard.
+    next_recovery: Instant,
+}
 
-    while !inner.stop_wait.wait(cfg.heartbeat_interval) {
-        // 1. Caught panics: precise detection timestamps.
-        for report in inner.failure_hub.drain() {
-            obs.faults()
-                .detection_ns
-                .record_duration(report.at.elapsed());
-            enqueue(&inner, &mut pending, &mut queued, report.unit);
+impl Supervisor {
+    pub(crate) fn new(inner: &Inner) -> Supervisor {
+        let cfg = inner.cfg.supervisor.clone();
+        let seed = inner.cfg.faults.as_ref().map_or(0, |p| p.seed);
+        let now = Instant::now();
+        Supervisor {
+            rng: XorShift64::new(seed ^ 0x5de7_ec7e_d5ba_dbed),
+            pending: VecDeque::new(),
+            tracks: HashMap::new(),
+            next_scan: cfg.hang_detection.then(|| now + cfg.heartbeat_interval),
+            next_recovery: now,
+            cfg,
         }
+    }
 
-        // 2. Heartbeat scan: flag instances whose epoch stalls across
-        // `miss_threshold` scans while work is queued. Dead instances and
-        // ones already queued for recovery are skipped.
-        if cfg.hang_detection {
-            for view in inner.heartbeat_view() {
-                let unit = view.unit;
-                let track = tracks.entry(unit).or_insert(HeartbeatTrack {
-                    epoch: view.epoch,
-                    stale: 0,
-                });
-                let stalled = view.epoch == track.epoch
-                    && view.alive
-                    && view.queued > 0
-                    && view.hang_candidate
-                    && !queued.contains(&unit);
-                if !stalled {
-                    track.epoch = view.epoch;
-                    track.stale = 0;
+    /// When the supervisor next has work: its next scan, or the first
+    /// recovery that backoff and the storm guard allow. `None` while it
+    /// has neither.
+    pub(crate) fn due(&self) -> Option<Instant> {
+        let recovery = self.pending.iter().map(|p| p.eligible_at).min();
+        let recovery = recovery.map(|at| at.max(self.next_recovery));
+        recovery.into_iter().chain(self.next_scan).min()
+    }
+
+    /// Queues the unit of a panic caught `at`: its detection is precise.
+    pub(crate) fn failed(&mut self, inner: &Inner, unit: RecoveryUnit, at: Instant) {
+        inner
+            .obs
+            .faults()
+            .detection_ns
+            .record_duration(at.elapsed());
+        self.enqueue(inner, unit);
+    }
+
+    /// Does what is due at `now`: a heartbeat scan, then one recovery.
+    pub(crate) fn tick(&mut self, inner: &Inner, now: Instant) {
+        if self.next_scan.is_some_and(|at| at <= now) {
+            self.scan(inner);
+            self.next_scan = Some(Instant::now() + self.cfg.heartbeat_interval);
+        }
+        let eligible = self.pending.iter().position(|p| p.eligible_at <= now);
+        if let Some(pos) = eligible.filter(|_| self.next_recovery <= now) {
+            self.recover(inner, pos, now);
+            self.next_recovery = Instant::now() + self.cfg.heartbeat_interval;
+        }
+        if self.pending.is_empty() {
+            inner.set_health(Health::Healthy);
+        }
+    }
+
+    /// Flags each instance whose heartbeat epoch (its mailbox's pop count)
+    /// stalls across `miss_threshold` scans while items wait for it and it
+    /// holds a pool thread: `Idle`, `Scheduled`, `Suspended` and `Resting`
+    /// actors legitimately sit on a stalled epoch. Dead instances and ones
+    /// queued for recovery are skipped.
+    fn scan(&mut self, inner: &Inner) {
+        let obs = &inner.obs;
+        for (u, group) in inner.units.iter().enumerate() {
+            for (replica, instance) in group.route.read().iter().enumerate() {
+                let unit = RecoveryUnit {
+                    unit: u,
+                    replica: replica as u32,
+                };
+                let (epoch, queued, running) = instance.tx.progress();
+                let pending = self.pending.iter().any(|p| p.unit == unit);
+                let track = (self.tracks.entry(unit)).or_insert(HeartbeatTrack { epoch, stale: 0 });
+                let alive = instance.alive.load(Ordering::Acquire);
+                if epoch != track.epoch || !alive || queued == 0 || !running || pending {
+                    *track = HeartbeatTrack { epoch, stale: 0 };
                     continue;
                 }
                 track.stale += 1;
-                if track.stale >= cfg.miss_threshold {
-                    obs.faults().heartbeats_missed.inc();
-                    obs.record_event(EventKind::HeartbeatMissed {
-                        instance: view.label.clone(),
-                        missed: track.stale,
-                    });
-                    // Detection latency is bounded by the scans it took.
-                    obs.faults()
-                        .detection_ns
-                        .record_duration(cfg.heartbeat_interval * track.stale);
-                    track.stale = 0;
-                    enqueue(&inner, &mut pending, &mut queued, unit);
+                if track.stale < self.cfg.miss_threshold {
+                    continue;
+                }
+                let missed = std::mem::take(&mut track.stale);
+                obs.faults().heartbeats_missed.inc();
+                obs.record_event(EventKind::HeartbeatMissed {
+                    instance: group.label(unit.replica),
+                    missed,
+                });
+                // Detection latency is bounded by the scans it took.
+                obs.faults()
+                    .detection_ns
+                    .record_duration(self.cfg.heartbeat_interval * missed);
+                self.enqueue(inner, unit);
+            }
+        }
+    }
+
+    /// Runs attempt `attempts + 1` of the queued recovery at `pos`: on
+    /// failure it backs off from `now`, or escalates after
+    /// [`MAX_ATTEMPTS`].
+    fn recover(&mut self, inner: &Inner, pos: usize, now: Instant) {
+        let obs = &inner.obs;
+        let mut p = self.pending.remove(pos).expect("position is in bounds");
+        p.attempts += 1;
+        inner.set_health(Health::Recovering);
+        obs.recovery().started.inc();
+        obs.recovery().in_flight.set(1);
+        obs.record_event(EventKind::RecoveryStarted {
+            instance: p.label.clone(),
+            attempt: p.attempts,
+        });
+        let result = reconfig::recover(inner, &mut inner.control.lock(), p.unit);
+        obs.recovery().in_flight.set(0);
+        match result {
+            Ok(()) => {
+                obs.recovery().succeeded.inc();
+                obs.recovery()
+                    .mttr_ns
+                    .record_duration(p.detected_at.elapsed());
+                obs.record_event(EventKind::RecoverySucceeded {
+                    instance: p.label,
+                    attempt: p.attempts,
+                });
+            }
+            Err(e) => {
+                obs.recovery().failed.inc();
+                obs.record_event(EventKind::RecoveryFailed {
+                    instance: p.label.clone(),
+                    attempt: p.attempts,
+                    error: e.to_string(),
+                });
+                if p.attempts >= MAX_ATTEMPTS {
+                    // Exhausted: escalate and stop retrying this unit.
+                    inner.set_health(Health::Degraded);
+                } else {
+                    p.eligible_at = now + backoff_for(&self.cfg, p.attempts, &mut self.rng);
+                    self.pending.push_back(p);
                 }
             }
         }
+    }
 
-        // 3. Drive one recovery per scan (the storm guard), skipping
-        // entries still backing off.
+    fn enqueue(&mut self, inner: &Inner, unit: RecoveryUnit) {
+        if self.pending.iter().any(|p| p.unit == unit) {
+            return; // already queued or backing off
+        }
         let now = Instant::now();
-        if let Some(pos) = pending.iter().position(|p| p.eligible_at <= now) {
-            let mut p = pending.remove(pos).expect("position is in bounds");
-            p.attempts += 1;
-            inner.mark_recovering();
-            obs.recovery().started.inc();
-            obs.recovery().in_flight.set(1);
-            obs.record_event(EventKind::RecoveryStarted {
-                instance: p.label.clone(),
-                attempt: p.attempts,
-            });
-            let result = reconfig::recover(&inner, &mut inner.control.lock(), p.unit);
-            obs.recovery().in_flight.set(0);
-            match result {
-                Ok(()) => {
-                    obs.recovery().succeeded.inc();
-                    obs.recovery()
-                        .mttr_ns
-                        .record_duration(p.detected_at.elapsed());
-                    obs.record_event(EventKind::RecoverySucceeded {
-                        instance: p.label.clone(),
-                        attempt: p.attempts,
-                    });
-                    queued.remove(&p.unit);
-                }
-                Err(e) => {
-                    obs.recovery().failed.inc();
-                    obs.record_event(EventKind::RecoveryFailed {
-                        instance: p.label.clone(),
-                        attempt: p.attempts,
-                        error: e.to_string(),
-                    });
-                    if p.attempts >= MAX_ATTEMPTS {
-                        // Exhausted: escalate and stop retrying this unit.
-                        inner.mark_degraded();
-                        queued.remove(&p.unit);
-                    } else {
-                        p.eligible_at = now + backoff_for(&cfg, p.attempts, &mut rng);
-                        pending.push_back(p);
-                    }
-                }
-            }
-        }
-
-        if pending.is_empty() {
-            inner.mark_stable();
-        }
+        self.pending.push_back(PendingRecovery {
+            unit,
+            label: inner.units[unit.unit].label(unit.replica),
+            attempts: 0,
+            detected_at: now,
+            eligible_at: now,
+        });
     }
-}
-
-fn enqueue(
-    inner: &Arc<Inner>,
-    pending: &mut VecDeque<PendingRecovery>,
-    queued: &mut HashSet<RecoveryUnit>,
-    unit: RecoveryUnit,
-) {
-    if !queued.insert(unit) {
-        return; // already queued or backing off
-    }
-    let label = inner.units[unit.unit].label(unit.replica);
-    let now = Instant::now();
-    pending.push_back(PendingRecovery {
-        unit,
-        label,
-        attempts: 0,
-        detected_at: now,
-        eligible_at: now,
-    });
 }
 
 #[cfg(test)]

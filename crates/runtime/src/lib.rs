@@ -37,9 +37,9 @@
 //!   [`deploy::Deployment::reconfigure`] executes scale-out, scale-in,
 //!   checkpoint and failure-injection requests and returns a uniform
 //!   report with timings, migrated bytes and resulting instance counts.
-//!   One control sequencer orders every such request (the checkpoint
-//!   timer's and the scaling monitor's included) with the supervisor's
-//!   recoveries and `with_state`;
+//!   One control thread runs the checkpoint timer, the scaling monitor
+//!   and the supervisor, and one control sequencer orders every request
+//!   with the supervisor's recoveries and `with_state`;
 //! - **failure recovery** (§5): periodic asynchronous checkpoints, output
 //!   buffers with trimming, node-failure injection, parallel restore and
 //!   replay with timestamp-based duplicate filtering ([`deploy`]);

@@ -4,9 +4,9 @@
 //! [`crate::deploy::Deployment::reconfigure`] accepts a [`ReconfigRequest`]
 //! — scale-out, scale-in, checkpoint, or failure injection — and returns a
 //! uniform [`ReconfigReport`] carrying timings, migrated bytes and the
-//! resulting instance counts. The checkpoint interval thread and the
-//! scaling monitor submit their requests through the same entry, and the
-//! supervisor calls `recover`. Every operation here takes
+//! resulting instance counts. The control thread (`control::start`)
+//! submits its interval checkpoints and the scaling monitor's requests
+//! through the same entry, and its supervisor calls `recover`. Every operation here takes
 //! `&mut Control`, so it runs holding the control sequencer
 //! (`Inner::control`): checkpoints, migrations and recoveries never
 //! interleave.

@@ -11,11 +11,11 @@
 //! accesses one SE, so the policy (`decide`) rules per group. The tasks of
 //! a group share one mailbox per SE instance, so a group's fill is that
 //! mailbox's, and each task's fill is its share of it. The policy is a
-//! pure function of the samples; the monitor thread only samples and
+//! pure function of the samples; the `Monitor`, one duty of the
+//! deployment's control thread (`control::start`), only samples and
 //! submits its requests to the control plane ([`crate::reconfig`]).
 
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::Instant;
 
 use sdg_common::ids::TaskId;
 use sdg_common::obs::EventKind;
@@ -33,32 +33,6 @@ pub enum ScaleDirection {
     Out,
     /// An instance was removed (state live-migrated into survivors).
     In,
-}
-
-/// The stop flag of the controller threads, which park on it between
-/// ticks: `Deployment::shutdown` wakes them at once instead of letting
-/// them sleep out their interval. The flag lives under the mutex the
-/// waiters park on, so a stop can never slip past a waiter unseen.
-#[derive(Debug, Default)]
-pub(crate) struct StopWait {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl StopWait {
-    /// Parks for up to `period`, returning early once [`StopWait::stop`]
-    /// was called. Returns whether it was.
-    pub(crate) fn wait(&self, period: Duration) -> bool {
-        let guard = self.stopped.lock().unwrap_or_else(|e| e.into_inner());
-        let waited = self.cv.wait_timeout_while(guard, period, |s| !*s);
-        *waited.unwrap_or_else(|e| e.into_inner()).0
-    }
-
-    /// Sets the flag and wakes every parked waiter.
-    pub(crate) fn stop(&self) {
-        *self.stopped.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.cv.notify_all();
-    }
 }
 
 /// What the policy may do to one state group (a recovery unit, whose
@@ -212,22 +186,41 @@ pub(crate) fn decide(
     Some(request)
 }
 
-/// Runs the bottleneck monitor over `groups` until the deployment stops.
-pub(crate) fn run_scaling_monitor(inner: &Inner, groups: Groups) {
-    let cfg = &inner.cfg.scaling;
-    let mut state = PolicyState::default();
-    while !inner.stop_wait.wait(cfg.check_interval) {
+/// The bottleneck monitor, owned by the control thread
+/// ([`crate::control`]): a sample every `check_interval`, and the move
+/// [`decide`] makes of it submitted through [`execute`].
+pub(crate) struct Monitor {
+    groups: Groups,
+    state: PolicyState,
+    /// When the next sample is due.
+    pub(crate) due: Instant,
+}
+
+impl Monitor {
+    /// A monitor of `inner`'s units, each floored at its count now.
+    pub(crate) fn new(inner: &Inner) -> Monitor {
+        Monitor {
+            groups: Groups::new(&inner.units, &inner.sdg, &Sample::take(inner)),
+            state: PolicyState::default(),
+            due: Instant::now() + inner.cfg.scaling.check_interval,
+        }
+    }
+
+    /// Takes a sample and submits the policy's move, if it makes one.
+    pub(crate) fn sample(&mut self, inner: &Inner) {
+        let cfg = &inner.cfg.scaling;
         let sample = Sample::take(inner);
-        let Some(request) = decide(&mut state, &sample, &inner.units, &groups, cfg) else {
-            continue;
-        };
-        if let ScaleOut { task } = request {
+        let request = decide(&mut self.state, &sample, &inner.units, &self.groups, cfg);
+        if let Some(ScaleOut { task }) = request {
             inner.obs.record_event(EventKind::BottleneckDetected {
                 task: inner.sdg.tasks[task.raw() as usize].name.clone(),
                 fill: sample.unit_fill(inner.units.unit(task)),
             });
         }
-        let _ = execute(inner, request);
+        if let Some(request) = request {
+            let _ = execute(inner, request);
+        }
+        self.due = Instant::now() + cfg.check_interval;
     }
 }
 

@@ -1055,7 +1055,10 @@ mod tests {
             speed: 1.0,
             alive: Arc::new(AtomicBool::new(true)),
             work_debt: Duration::ZERO,
-            hub: Arc::new(FailureHub::new(Arc::clone(obs))),
+            hub: Arc::new(FailureHub {
+                obs: Arc::clone(obs),
+                supervisor: None,
+            }),
         }
     }
 

@@ -543,7 +543,7 @@ fn recovery_replays_only_the_items_after_the_checkpoint() {
     d.shutdown();
 }
 
-/// Checkpoints come from the interval thread and from
+/// Checkpoints come from the control thread's interval and from
 /// `ReconfigRequest::Checkpoint` alike, and `with_state` re-splits a
 /// striped cell's stores: each must wait for the other instead of failing
 /// it with "consolidate without begin_checkpoint" or "checkpoint already in

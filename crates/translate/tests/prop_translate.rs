@@ -127,11 +127,13 @@ fn run_and_collect(
     let program = parse_program(src).expect("generated programs parse");
     let sdg = translate(&program).expect("generated programs translate");
     let mut cfg = RuntimeConfig::default();
+    // An SE no task accesses has no instance, so it takes no count.
     for state in &sdg.states {
         if matches!(
             state.dist,
             sdg_graph::model::Distribution::Partitioned { .. }
-        ) {
+        ) && !sdg.tasks_accessing(state.id).is_empty()
+        {
             cfg.se_instances.insert(state.id, partitions);
         }
     }
