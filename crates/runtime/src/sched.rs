@@ -27,9 +27,9 @@
 //!   randomly probed victims. Idle workers park on a condvar.
 //! - **Wake protocol.** Any push that makes an actor runnable — onto a
 //!   local deque or the injector, from a timer fire or a credit resume —
-//!   wakes one parked worker if any is parked, so a runnable actor never
-//!   waits for a parked worker's `MAX_PARK` timeout. A push reads the
-//!   atomic parked count and takes the idle lock only when it is non-zero;
+//!   wakes one parked worker if any is parked, and a parked worker has no
+//!   other timeout than the earliest timer (`park_timeout`). A push reads
+//!   the atomic parked count and takes the idle lock only when it is non-zero;
 //!   a parking worker announces itself in that count under the idle lock
 //!   and then re-scans the deques, so it either sees the push or the push
 //!   sees it — and the lock makes the wake land after it is waiting.
@@ -82,11 +82,6 @@ use crate::worker::{SendClosed, Worker, WorkerMsg};
 /// long enough to amortise wakeup cost over a batch drain, short enough
 /// that one busy mailbox cannot monopolise a pool worker.
 const RUN_SLICE: usize = 128;
-
-/// Longest a pool worker parks before re-checking for work. Wakes make it
-/// a backstop only: every runnable push and every timer registration
-/// wakes a parked worker.
-const MAX_PARK: Duration = Duration::from_millis(50);
 
 /// Synthetic service time is rested in slices of at least this much: a
 /// shorter timer wait overshoots by the timer slack, which would distort
@@ -713,16 +708,28 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
             shared.parked.fetch_sub(1, Ordering::SeqCst);
             continue;
         }
-        let wait = shared
-            .next_timer()
-            .map(|at| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(MAX_PARK)
-            .min(MAX_PARK);
         shared.obs.parks.inc();
-        let (idle, _) = shared.idle_cv.wait_timeout(idle, wait).expect("idle lock");
+        let idle = match park_timeout(shared.next_timer(), Instant::now()) {
+            Some(wait) => {
+                shared
+                    .idle_cv
+                    .wait_timeout(idle, wait)
+                    .expect("idle lock")
+                    .0
+            }
+            None => shared.idle_cv.wait(idle).expect("idle lock"),
+        };
         shared.parked.fetch_sub(1, Ordering::SeqCst);
         drop(idle);
     }
+}
+
+/// How long a parked worker waits before it re-checks on its own: until
+/// the earliest timer when one is pending, else (`None`) until woken. Every
+/// runnable push, timer registration, credit resume and shutdown wakes a
+/// parked worker, so nothing else is waited for.
+fn park_timeout(next_timer: Option<Instant>, now: Instant) -> Option<Duration> {
+    next_timer.map(|at| at.saturating_duration_since(now))
 }
 
 /// Finds the next runnable actor: own deque (newest), then the injector,
@@ -1093,6 +1100,16 @@ mod tests {
         std::iter::from_fn(|| rx.try_recv().ok())
             .map(|e| (e.corr, e.latency))
             .collect()
+    }
+
+    #[test]
+    fn a_parked_worker_waits_for_the_earliest_timer_or_else_for_a_wake() {
+        let now = Instant::now();
+        assert_eq!(park_timeout(None, now), None);
+        let at = now + Duration::from_millis(7);
+        assert_eq!(park_timeout(Some(at), now), Some(Duration::from_millis(7)));
+        // A timer already due: re-check at once.
+        assert_eq!(park_timeout(Some(now), at), Some(Duration::ZERO));
     }
 
     #[test]

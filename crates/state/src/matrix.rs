@@ -4,21 +4,29 @@
 //! `userItem` (partitioned by row = user) and `coOcc` (partial, replicated,
 //! randomly accessed). Rows are hash maps from column index to `f64`.
 //!
+//! Both levels are keyed by [`HashedIndex`]: an index with its hash,
+//! computed once from one process-wide [`RandomState`] (std's keyed
+//! SipHash, since row and column indices arrive in requests), and handed to
+//! the map unchanged by [`StoredHash`].
+//!
 //! Cost model, with `c` the cells of one row and `x` the entries of a
 //! vector. While a checkpoint is outstanding, writes land in a dirty
 //! overlay keyed by row the same way, so every bound below holds with the
 //! overlay's row added to `c`; nothing scans the whole overlay.
-//! - `get`, `set`, `add`: one probe per level (row, then column).
+//! - `get`, `set`, `add`: each index is hashed once, then one probe per
+//!   level (row, then column) in the overlay and the base alike.
 //! - `row`: O(c log c); builds and sorts that row only.
-//! - `multiply`: one pass over the rows, each costing min(x, c) lookups
-//!   (probe `x`'s columns in the row, or walk the row and binary-search
-//!   `x`), then a sort of the non-zero results. No row is copied; the only
-//!   allocation is the output, plus a sorted copy of `x` when `x` is not
-//!   already strictly ascending (what `row` returns is).
+//! - `multiply`: hashes each entry of `x` once per call, then one pass
+//!   over the rows, each costing min(x, c) lookups (probe `x`'s hashed
+//!   columns in the row, or walk the row and binary-search `x`), then a
+//!   sort of the non-zero results. No row is copied and no index is hashed
+//!   again; the only allocations are the output and the hashed copy of
+//!   `x`.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use sdg_common::codec::encode_to_vec;
 use sdg_common::error::{SdgError, SdgResult};
@@ -27,7 +35,68 @@ use sdg_common::value::{Key, Value};
 use crate::entry::StateEntry;
 use crate::partition::{KeyLayout, PartitionDim};
 
-type Rows = HashMap<i64, HashMap<i64, f64>>;
+/// A row or column index with its keyed hash, computed once.
+///
+/// Two keys compare by index alone; the hash is a function of the index
+/// (one set of keys per process), so equal keys hash equally.
+#[derive(Debug, Clone, Copy)]
+pub struct HashedIndex {
+    index: i64,
+    hash: u64,
+}
+
+impl HashedIndex {
+    pub(crate) fn new(index: i64) -> Self {
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        HashedIndex {
+            index,
+            hash: KEYS.get_or_init(RandomState::new).hash_one(index),
+        }
+    }
+
+    pub(crate) fn index(self) -> i64 {
+        self.index
+    }
+}
+
+impl PartialEq for HashedIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index
+    }
+}
+
+impl Eq for HashedIndex {}
+
+impl Hash for HashedIndex {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The hasher of the matrix maps: hands a [`HashedIndex`]'s stored hash
+/// to the map unchanged.
+#[derive(Debug, Default)]
+pub struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("matrix maps hash only HashedIndex keys");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// The cells of one row, by column.
+pub type Cells = HashMap<HashedIndex, f64, BuildHasherDefault<StoredHash>>;
+
+/// A matrix's rows, by row index: what a checkpoint snapshot holds.
+pub type Rows = HashMap<HashedIndex, Cells, BuildHasherDefault<StoredHash>>;
 
 /// A mutable sparse matrix supporting dirty-state checkpoints.
 #[derive(Debug, Clone, Default)]
@@ -44,25 +113,25 @@ pub struct SparseMatrix {
 /// The visible cells of one row: the overlay's row shadowing the base's.
 #[derive(Clone, Copy)]
 struct RowView<'a> {
-    base: Option<&'a HashMap<i64, f64>>,
-    over: Option<&'a HashMap<i64, f64>>,
+    base: Option<&'a Cells>,
+    over: Option<&'a Cells>,
 }
 
 impl RowView<'_> {
-    fn get(self, col: i64) -> Option<f64> {
+    fn get(self, col: &HashedIndex) -> Option<f64> {
         self.over
-            .and_then(|o| o.get(&col))
-            .or_else(|| self.base.and_then(|b| b.get(&col)))
+            .and_then(|o| o.get(col))
+            .or_else(|| self.base.and_then(|b| b.get(col)))
             .copied()
     }
 
     /// Upper bound on the visible cells (exact outside a checkpoint).
     fn len_bound(self) -> usize {
-        self.base.map_or(0, HashMap::len) + self.over.map_or(0, HashMap::len)
+        self.base.map_or(0, Cells::len) + self.over.map_or(0, Cells::len)
     }
 
     /// Visits every visible cell once, in unspecified order.
-    fn for_each(self, mut f: impl FnMut(i64, f64)) {
+    fn for_each(self, mut f: impl FnMut(HashedIndex, f64)) {
         for (&c, &v) in self.over.into_iter().flatten() {
             f(c, v);
         }
@@ -125,15 +194,15 @@ impl SparseMatrix {
         self.dirty_cells * 32
     }
 
-    fn row_view(&self, row: i64) -> RowView<'_> {
+    fn row_view(&self, row: &HashedIndex) -> RowView<'_> {
         RowView {
-            base: self.base.get(&row),
-            over: self.dirty.as_ref().and_then(|d| d.get(&row)),
+            base: self.base.get(row),
+            over: self.dirty.as_ref().and_then(|d| d.get(row)),
         }
     }
 
     /// Visits every row with a visible cell once, in unspecified order.
-    fn for_each_row(&self, mut f: impl FnMut(i64, RowView<'_>)) {
+    fn for_each_row(&self, mut f: impl FnMut(HashedIndex, RowView<'_>)) {
         let dirty = self.dirty.as_ref().filter(|d| !d.is_empty());
         for (&row, cells) in self.base.iter() {
             let over = dirty.and_then(|d| d.get(&row));
@@ -159,28 +228,30 @@ impl SparseMatrix {
     }
 
     /// Visits every visible cell once, in unspecified order.
-    fn for_each_cell(&self, mut f: impl FnMut(i64, i64, f64)) {
+    fn for_each_cell(&self, mut f: impl FnMut(HashedIndex, HashedIndex, f64)) {
         self.for_each_row(|row, cells| cells.for_each(|col, v| f(row, col, v)));
     }
 
     /// Reads element `(row, col)`; absent elements read as `0.0`.
     pub fn get(&self, row: i64, col: i64) -> f64 {
-        self.row_view(row).get(col).unwrap_or(0.0)
+        self.row_view(&HashedIndex::new(row))
+            .get(&HashedIndex::new(col))
+            .unwrap_or(0.0)
     }
 
     /// Writes element `(row, col)`.
     pub fn set(&mut self, row: i64, col: i64, value: f64) {
-        self.update(row, col, |_| value);
+        self.update(HashedIndex::new(row), HashedIndex::new(col), |_| value);
     }
 
     /// Adds `delta` to element `(row, col)`.
     pub fn add(&mut self, row: i64, col: i64, delta: f64) {
-        self.update(row, col, |v| v + delta);
+        self.update(HashedIndex::new(row), HashedIndex::new(col), |v| v + delta);
     }
 
     /// Writes `f(current)` to `(row, col)`, an absent cell reading `0.0`,
     /// with one probe into the row that takes the write.
-    fn update(&mut self, row: i64, col: i64, f: impl FnOnce(f64) -> f64) {
+    fn update(&mut self, row: HashedIndex, col: HashedIndex, f: impl FnOnce(f64) -> f64) {
         match &mut self.dirty {
             Some(dirty) => match dirty.entry(row).or_default().entry(col) {
                 Entry::Occupied(mut e) => {
@@ -216,9 +287,9 @@ impl SparseMatrix {
     /// Returns the visible contents of `row` as `(col, value)` pairs sorted
     /// by column.
     pub fn row(&self, row: i64) -> Vec<(i64, f64)> {
-        let cells = self.row_view(row);
+        let cells = self.row_view(&HashedIndex::new(row));
         let mut out = Vec::with_capacity(cells.len_bound());
-        cells.for_each(|c, v| out.push((c, v)));
+        cells.for_each(|c, v| out.push((c.index, v)));
         out.sort_unstable_by_key(|&(c, _)| c);
         out
     }
@@ -226,7 +297,7 @@ impl SparseMatrix {
     /// Returns the sorted list of row indices with stored elements.
     pub fn row_indices(&self) -> Vec<i64> {
         let mut rows = Vec::with_capacity(self.base.len());
-        self.for_each_row(|row, _| rows.push(row));
+        self.for_each_row(|row, _| rows.push(row.index));
         rows.sort_unstable();
         rows
     }
@@ -240,27 +311,24 @@ impl SparseMatrix {
     /// it does not depend on which side of a row is walked. This is the
     /// `coOcc.multiply(userRow)` operation of Alg. 1 line 16.
     pub fn multiply(&self, x: &[(i64, f64)]) -> Vec<(i64, f64)> {
-        let sorted;
-        let x = if x.windows(2).all(|w| w[0].0 < w[1].0) {
-            x
-        } else {
-            let mut v = x.to_vec();
-            v.sort_by_key(|&(i, _)| i); // Stable: duplicates keep their order.
-            v.dedup_by(|later, kept| {
+        // x's columns, each hashed once for every row's probes.
+        let mut x: Vec<(HashedIndex, f64)> =
+            x.iter().map(|&(c, v)| (HashedIndex::new(c), v)).collect();
+        if !x.windows(2).all(|w| w[0].0.index < w[1].0.index) {
+            x.sort_by_key(|&(c, _)| c.index); // Stable: duplicates keep their order.
+            x.dedup_by(|later, kept| {
                 let dup = later.0 == kept.0;
                 if dup {
                     *kept = *later;
                 }
                 dup
             });
-            sorted = v;
-            &sorted[..]
-        };
+        }
         let mut out: Vec<(i64, f64)> = Vec::new();
         self.for_each_row(|row, cells| {
             let acc = if x.len() <= cells.len_bound() {
                 // Probe x's columns in the row; x is already ascending.
-                x.iter().fold(0.0, |acc, &(c, xv)| match cells.get(c) {
+                x.iter().fold(0.0, |acc, (c, xv)| match cells.get(c) {
                     Some(v) => acc + v * xv,
                     None => acc,
                 })
@@ -269,8 +337,8 @@ impl SparseMatrix {
                 // end of `out` and summed in ascending column order there.
                 let mark = out.len();
                 cells.for_each(|c, v| {
-                    if let Ok(i) = x.binary_search_by_key(&c, |&(xc, _)| xc) {
-                        out.push((c, v * x[i].1));
+                    if let Ok(i) = x.binary_search_by_key(&c.index, |&(xc, _)| xc.index) {
+                        out.push((c.index, v * x[i].1));
                     }
                 });
                 out[mark..].sort_unstable_by_key(|&(c, _)| c);
@@ -279,7 +347,7 @@ impl SparseMatrix {
                 acc
             };
             if acc != 0.0 {
-                out.push((row, acc));
+                out.push((row.index, acc));
             }
         });
         out.sort_unstable_by_key(|&(r, _)| r);
@@ -294,7 +362,7 @@ impl SparseMatrix {
                 "checkpoint already in progress on this matrix".into(),
             ));
         }
-        self.dirty = Some(HashMap::new());
+        self.dirty = Some(Rows::default());
         Ok(Arc::clone(&self.base))
     }
 
@@ -344,7 +412,11 @@ impl SparseMatrix {
         assert!(n > 0, "partition count must be positive");
         let mut parts: Vec<SparseMatrix> = (0..n).map(|_| SparseMatrix::new()).collect();
         self.for_each_cell(|row, col, v| {
-            parts[KeyLayout::stripe(owner_hash(dim, row, col), n)].set(row, col, v)
+            parts[KeyLayout::stripe(owner_hash(dim, row.index, col.index), n)].update(
+                row,
+                col,
+                |_| v,
+            )
         });
         parts
     }
@@ -354,7 +426,7 @@ impl SparseMatrix {
     /// This is one natural reconciliation for partial co-occurrence
     /// matrices, exposed for ablation experiments.
     pub fn absorb_add(&mut self, other: &SparseMatrix) {
-        other.for_each_cell(|row, col, v| self.add(row, col, v));
+        other.for_each_cell(|row, col, v| self.update(row, col, |x| x + v));
     }
 }
 
@@ -450,8 +522,9 @@ mod tests {
         assert_eq!(m.dirty_bytes(), 2 * 32);
 
         // The snapshot still holds the pre-checkpoint values.
-        assert_eq!(snap.get(&1).unwrap().get(&1), Some(&1.0));
-        assert!(!snap.contains_key(&2));
+        let (one, two) = (HashedIndex::new(1), HashedIndex::new(2));
+        assert_eq!(snap.get(&one).unwrap().get(&one), Some(&1.0));
+        assert!(!snap.contains_key(&two));
 
         m.consolidate().unwrap();
         assert_eq!(m.get(1, 1), 10.0);

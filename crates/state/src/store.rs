@@ -15,7 +15,7 @@ use sdg_common::value::{Key, Value};
 
 use crate::dense::{block_value, DenseVector, EXPORT_BLOCK};
 use crate::entry::StateEntry;
-use crate::matrix::{owner_hash, row_value, SparseMatrix};
+use crate::matrix::{owner_hash, row_value, Rows, SparseMatrix};
 use crate::partition::PartitionDim;
 use crate::table::KeyedTable;
 
@@ -333,7 +333,7 @@ pub enum StateSnapshot {
     /// Snapshot of a [`KeyedTable`].
     Table(Arc<HashMap<Key, Value>>),
     /// Snapshot of a [`SparseMatrix`] (rows map).
-    Matrix(Arc<HashMap<i64, HashMap<i64, f64>>>),
+    Matrix(Arc<Rows>),
     /// Snapshot of a [`DenseVector`].
     Vector(Arc<Vec<f64>>),
 }
@@ -378,12 +378,12 @@ impl StateSnapshot {
                 }
             }
             StateSnapshot::Matrix(rows) => {
-                for (&row, cells) in rows.iter() {
+                for (row, cells) in rows.iter() {
                     if cells.is_empty() {
                         continue;
                     }
-                    f(&Key::Int(row), &|buf| {
-                        row_value(cells.iter().map(|(&c, &v)| (c, v)).collect()).encode(buf)
+                    f(&Key::Int(row.index()), &|buf| {
+                        row_value(cells.iter().map(|(c, &v)| (c.index(), v)).collect()).encode(buf)
                     });
                 }
             }

@@ -129,16 +129,29 @@ fn arb_f64() -> BoxedStrategy<f64> {
     .boxed()
 }
 
+/// The extremes of the `i64` index range, and indices past 32 bits.
+const FAR_INDICES: [i64; 5] = [-1, i64::MIN, i64::MAX, 1 << 32, -(1 << 40)];
+
+/// A matrix index from `0..small` or [`FAR_INDICES`]: a small pool, so ops
+/// still meet on the same cells, that spans the whole `i64` range.
+fn arb_index(small: i64) -> BoxedStrategy<i64> {
+    prop_oneof![
+        3 => 0..small,
+        1 => prop::sample::select(FAR_INDICES.to_vec()),
+    ]
+    .boxed()
+}
+
 fn arb_matrix_ops() -> impl Strategy<Value = Vec<MatrixOp>> {
     prop::collection::vec(
         prop_oneof![
-            3 => (0i64..6, 0i64..10, arb_f64()).prop_map(|(r, c, v)| MatrixOp::Set(r, c, v)),
-            4 => (0i64..6, 0i64..10, arb_f64()).prop_map(|(r, c, v)| MatrixOp::Add(r, c, v)),
-            1 => (0i64..7, 0i64..11).prop_map(|(r, c)| MatrixOp::Get(r, c)),
-            1 => (0i64..7).prop_map(MatrixOp::Row),
+            3 => (arb_index(6), arb_index(10), arb_f64()).prop_map(|(r, c, v)| MatrixOp::Set(r, c, v)),
+            4 => (arb_index(6), arb_index(10), arb_f64()).prop_map(|(r, c, v)| MatrixOp::Add(r, c, v)),
+            1 => (arb_index(7), arb_index(11)).prop_map(|(r, c)| MatrixOp::Get(r, c)),
+            1 => arb_index(7).prop_map(MatrixOp::Row),
             // Unsorted, with duplicate indices, zeros, and lengths on
             // both sides of a row's length.
-            2 => prop::collection::vec((0i64..11, arb_f64()), 0..16).prop_map(MatrixOp::Multiply),
+            2 => prop::collection::vec((arb_index(11), arb_f64()), 0..16).prop_map(MatrixOp::Multiply),
             1 => Just(MatrixOp::Checkpoint),
         ],
         0..80,
@@ -307,7 +320,7 @@ proptest! {
         if snap.is_some() {
             m.consolidate().unwrap();
         }
-        for r in 0..6 {
+        for r in (0..7).chain(FAR_INDICES) {
             prop_assert_eq!(bits(&m.row(r)), bits(&naive.row(r)));
         }
     }
@@ -400,7 +413,7 @@ proptest! {
     #[test]
     fn snapshot_entries_equal_live_export(
         table_ops in arb_table_ops(),
-        cells in prop::collection::vec((0i64..8, 0i64..8, 1i64..10), 0..16),
+        cells in prop::collection::vec((arb_index(8), arb_index(8), 1i64..10), 0..16),
         dense in prop::collection::vec(-10i64..10, 0..300),
     ) {
         let mut stores = Vec::new();
