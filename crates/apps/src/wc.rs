@@ -44,14 +44,18 @@ pub const WC_SOURCE: &str = r#"
 "#;
 
 /// Splits a line into lowercase words and forwards one record per word.
-struct SplitTask;
+struct SplitTask {
+    /// The word records' one field name, shared by every record instead
+    /// of allocated per word.
+    w: Arc<str>,
+}
 
 impl NativeTask for SplitTask {
     fn process(&self, input: &Record, ctx: &mut dyn TaskContext) -> SdgResult<()> {
         let line = input.require("line")?.as_str()?.to_lowercase();
         for word in line.split_whitespace() {
             let mut out = Record::with_capacity(1);
-            out.set("w", Value::str(word));
+            out.push_unchecked(Arc::clone(&self.w), Value::str(word));
             ctx.forward(out);
         }
         Ok(())
@@ -98,7 +102,7 @@ impl WcApp {
             TaskKind::Entry {
                 method: "addLine".into(),
             },
-            TaskCode::Native(Arc::new(SplitTask)),
+            TaskCode::Native(Arc::new(SplitTask { w: "w".into() })),
             None,
         );
         let count = b.add_task(

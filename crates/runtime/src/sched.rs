@@ -12,7 +12,11 @@
 //!   time, so per-instance ordering and dedupe semantics are those of one
 //!   serial consumer. One mutex guards both the queue and the actor's run
 //!   state, so a push can never race an idle transition into a lost
-//!   wakeup.
+//!   wakeup. A slice takes a run of messages under one lock and steps
+//!   them from a local batch; a slice that stops early puts what it did
+//!   not step back at the front, in the lock that changes its run state.
+//!   Taken but unstepped messages still count against the capacity and
+//!   as queued for the heartbeat, whose epoch counts steps.
 //! - **One mailbox per SE instance.** An SE group's tasks share one route,
 //!   whose instances hold one [`PoolSender`] per actor; a producer's lane
 //!   names the TE it feeds by its slot in the worker, and the mailbox
@@ -25,28 +29,32 @@
 //!   (owner pops newest) or a global injector; an idle worker takes its
 //!   own work first, then the injector, then steals the *oldest* work from
 //!   randomly probed victims. Idle workers park on a condvar.
-//! - **Wake protocol.** Any push that makes an actor runnable — onto a
-//!   local deque or the injector, from a timer fire or a credit resume —
-//!   wakes one parked worker if any is parked, and a parked worker has no
-//!   other timeout than the earliest timer (`park_timeout`). A push reads
-//!   the atomic parked count and takes the idle lock only when it is non-zero;
-//!   a parking worker announces itself in that count under the idle lock
-//!   and then re-scans the deques, so it either sees the push or the push
-//!   sees it — and the lock makes the wake land after it is waiting.
+//! - **Wake protocol.** A worker that finds no work spins a few
+//!   microseconds (`SPIN_ROUNDS`) before it parks, re-scanning only when
+//!   the pool's push count moves; it is not counted as parked while it
+//!   spins, so a push in that gap pays no wake. Any push that makes an
+//!   actor runnable — onto a local deque or the injector, from a timer
+//!   fire or a credit resume — wakes one parked worker if any is parked,
+//!   and a parked worker has no other timeout than the earliest timer
+//!   (`park_timeout`). A push reads the atomic parked count and takes the
+//!   idle lock only when it is non-zero; a parking worker announces itself
+//!   in that count under the idle lock and then re-scans the deques, so it
+//!   either sees the push or the push sees it — and the lock makes the
+//!   wake land after it is waiting.
 //! - **Credit-based backpressure.** A send from inside an actor never
 //!   blocks the pool thread: the message is pushed unconditionally and, if
 //!   the destination is at capacity, the *producer actor* suspends after
 //!   its slice, registering itself as a waiter on each over-full mailbox.
-//!   The pop that takes a mailbox back under capacity reschedules its
-//!   waiters. Suspension only ever propagates upstream (consumers never
-//!   wait on producers), so when the actors form a DAG the sinks always
-//!   drain and, by induction over reverse topological order, every
-//!   suspended actor is eventually resumed — no deadlock. A lane that
-//!   closes a cycle of actors (an SE group feeding itself through another
-//!   task, or an iteration) sends without credit
-//!   ([`PoolSender::force_send`]), which keeps the credit graph acyclic.
-//!   External threads (ingest, control plane) block on the mailbox condvar
-//!   instead, like a bounded channel.
+//!   The first take or slice end that finds the mailbox's unstepped
+//!   messages back under capacity reschedules its waiters. Suspension
+//!   only ever propagates upstream (consumers never wait on producers),
+//!   so when the actors form a DAG the sinks always drain and, by
+//!   induction over reverse topological order, every suspended actor is
+//!   eventually resumed — no deadlock. A lane that closes a cycle of
+//!   actors (an SE group feeding itself through another task, or an
+//!   iteration) sends without credit ([`PoolSender::force_send`]), which
+//!   keeps the credit graph acyclic. External threads (ingest, control
+//!   plane) block on the mailbox condvar instead, like a bounded channel.
 //! - **Timer heap.** One shared min-heap holds the ends of synthetic
 //!   service-time rests: an actor that owes `RuntimeConfig::work_ns`
 //!   service time is `Resting` on the heap instead of sleeping a pool
@@ -82,6 +90,17 @@ use crate::worker::{SendClosed, Worker, WorkerMsg};
 /// long enough to amortise wakeup cost over a batch drain, short enough
 /// that one busy mailbox cannot monopolise a pool worker.
 const RUN_SLICE: usize = 128;
+
+/// Rounds of a spin hint an idle pool worker makes, watching the push
+/// count, before it parks. A round costs ~17 ns on a 2-core Xeon VM, so
+/// the spin lasts ~1.1 µs, about the gap between two pushes of a
+/// closed-loop feeder, and an idle pool parks at once. A longer spin
+/// starves the other threads of a small host: 256 rounds tripled the
+/// median client latency of a paced KV load on 2 cores. Spinning keeps
+/// the core: a `yield_now` round hands it to any other runnable thread for
+/// up to a scheduler slice, during which a push or a due timer finds the
+/// worker neither parked nor looking.
+const SPIN_ROUNDS: usize = 64;
 
 /// Synthetic service time is rested in slices of at least this much: a
 /// shorter timer wait overshoots by the timer slack, which would distort
@@ -124,12 +143,13 @@ struct MailboxInner {
     disconnected: bool,
     /// Producer actors suspended on this mailbox's credit.
     waiters: Vec<Arc<Actor>>,
-    /// External senders blocked on `not_full` since the last notify; pops
+    /// External senders blocked on `not_full` since the last notify; takes
     /// notify only when one is waiting.
     blocked_senders: usize,
-    /// Messages popped so far. The actor steps once per popped message,
-    /// so this is the supervisor's heartbeat epoch.
-    pops: u64,
+    /// Messages slices have taken out of `queue`, less those put back
+    /// unstepped. [`Actor::steps`] trails it by the messages the running
+    /// slice holds.
+    taken: u64,
 }
 
 /// One actor scheduled on the pool: a serial mailbox plus the [`Worker`]
@@ -144,6 +164,11 @@ struct Actor {
     cap: usize,
     /// The worker, taken out by the pool thread running a slice.
     worker: Mutex<Option<Worker>>,
+    /// Messages stepped so far: the supervisor's heartbeat epoch. Only the
+    /// slice running the actor writes it (a load and a store, no
+    /// read-modify-write: the mailbox lock orders one slice after the
+    /// next), so a slice stalled mid-batch shows a stalled epoch.
+    steps: AtomicU64,
     shared: Arc<PoolShared>,
 }
 
@@ -203,14 +228,17 @@ impl PoolSender {
         self.actor.push(slot, msg, true)
     }
 
-    /// Messages queued in the mailbox, for every hosted TE
-    /// (join-shortest-queue dispatch: they all wait in one queue).
+    /// Messages not yet stepped, for every hosted TE: those queued and
+    /// those the running slice has taken (join-shortest-queue dispatch:
+    /// they all wait in one queue).
     pub fn len(&self) -> usize {
-        self.actor.mb.lock().expect("mailbox lock").queue.len()
+        self.actor
+            .unstepped(&self.actor.mb.lock().expect("mailbox lock"))
     }
 
     /// Messages queued for the TE in `slot`: its task's share of the
-    /// mailbox (queue-depth gauges, the scaling monitor's fill).
+    /// mailbox (queue-depth gauges, the scaling monitor's fill). The
+    /// running slice's batch has left it.
     pub(crate) fn queued(&self, slot: usize) -> usize {
         self.actor.mb.lock().expect("mailbox lock").queued[slot]
     }
@@ -220,22 +248,28 @@ impl PoolSender {
         self.len() == 0
     }
 
-    /// The mailbox's progress, read under one lock: messages popped so
-    /// far, messages queued, and whether the actor holds a pool thread
-    /// right now. The supervisor's hang detection only suspects `Running`
+    /// The mailbox's progress, read under one lock: messages stepped so
+    /// far, messages not yet stepped (queued, or taken by the running
+    /// slice and still held), and whether the actor holds a pool thread
+    /// right now. A message taken but not stepped is no progress, so an
+    /// actor stalled mid-batch with an emptied mailbox still has work
+    /// waiting. The supervisor's hang detection only suspects `Running`
     /// actors: `Idle`, `Scheduled`, `Suspended` and `Resting` actors
-    /// legitimately sit on a stalled pop count while queued behind busy
+    /// legitimately sit on a stalled step count while queued behind busy
     /// workers, awaiting send credit, or serving synthetic service time.
     pub(crate) fn progress(&self) -> (u64, usize, bool) {
         let mb = self.actor.mb.lock().expect("mailbox lock");
-        (mb.pops, mb.queue.len(), mb.state == RunState::Running)
+        let (steps, held) = self.actor.held(&mb);
+        (steps, mb.queue.len() + held, mb.state == RunState::Running)
     }
 
     /// Whether the actor is done with every message sent to it so far: its
     /// mailbox is empty and it does not hold a pool thread. Both are read
     /// under one mailbox lock, and an actor is `Running` from before its
-    /// pop until its slice ends, so an item mid-`handle` (stalled,
-    /// blocked, or sending) is never quiet. Drain barriers ask this.
+    /// first take until its slice ends (having put back what it did not
+    /// step), so an item held in a slice's batch or mid-`handle`
+    /// (stalled, blocked, or sending) is never quiet. Drain barriers ask
+    /// this.
     pub(crate) fn is_quiet(&self) -> bool {
         let mb = self.actor.mb.lock().expect("mailbox lock");
         mb.queue.is_empty() && mb.state != RunState::Running
@@ -290,7 +324,7 @@ impl Actor {
         let in_ctx = in_actor();
         let mut mb = self.mb.lock().expect("mailbox lock");
         if !in_ctx && !force {
-            while !mb.closed && mb.queue.len() >= self.cap {
+            while !mb.closed && self.full(&mb) {
                 mb.blocked_senders += 1;
                 mb = self.not_full.wait(mb).expect("mailbox lock");
             }
@@ -304,7 +338,7 @@ impl Actor {
         if schedule {
             mb.state = RunState::Scheduled;
         }
-        let over = in_ctx && !force && mb.queue.len() >= self.cap;
+        let over = in_ctx && !force && self.full(&mb);
         drop(mb);
         if schedule {
             self.shared.schedule(Arc::clone(self), ctx_worker());
@@ -326,38 +360,125 @@ impl Actor {
         Ok(())
     }
 
-    /// Pops one message. Returns the message with its TE's slot, the
-    /// waiters to resume when the pop crossed back under capacity, and the
+    /// Moves up to `max` messages, in order, from the mailbox to the
+    /// slice's empty `batch` under one lock (swapping the two buffers when
+    /// that is the whole queue), adjusting the per-slot counts, after
+    /// handing out the credit the slice's steps so far made
+    /// ([`Actor::release`]). Returns the waiters to resume and the
     /// disconnect flag.
-    ///
-    /// Blocked external senders are woken only once the queue has drained
-    /// to half its capacity, so a closed-loop feeder refills half a mailbox
-    /// per wake instead of trading one context switch per message with the
-    /// consumer at the capacity edge. The notify claims every counted
-    /// sender; one that has to wait again counts itself again.
-    fn pop(&self) -> (Option<(usize, WorkerMsg)>, Vec<Arc<Actor>>, bool) {
+    fn take(
+        &self,
+        max: usize,
+        batch: &mut VecDeque<(usize, WorkerMsg)>,
+    ) -> (Vec<Arc<Actor>>, bool) {
+        debug_assert!(batch.is_empty());
         let mut mb = self.mb.lock().expect("mailbox lock");
-        let msg = mb.queue.pop_front();
-        if let Some((slot, _)) = &msg {
-            mb.queued[*slot] -= 1;
-            mb.pops += 1;
+        let credit = self.release(&mut mb);
+        let n = mb.queue.len().min(max);
+        let MailboxInner { queue, queued, .. } = &mut *mb;
+        if n == queue.len() {
+            // The whole queue: trade buffers instead of moving messages,
+            // so a push waits on this lock as little as possible.
+            std::mem::swap(queue, batch);
+        } else {
+            batch.extend(queue.drain(..n));
         }
-        let mut waiters = Vec::new();
-        if msg.is_some() && mb.queue.len() + 1 == self.cap {
-            // Crossed from at-capacity to under-capacity: hand the credit
-            // to suspended producers.
-            waiters = std::mem::take(&mut mb.waiters);
+        for (slot, _) in batch.iter() {
+            queued[*slot] -= 1;
         }
-        let notify = mb.blocked_senders > 0 && mb.queue.len() <= self.cap / 2;
+        mb.taken += n as u64;
+        let disconnected = mb.disconnected;
+        drop(mb);
+        (self.notify(credit), disconnected)
+    }
+
+    /// Ends a slice under one lock: puts the messages it took but did not
+    /// step back at the front of the mailbox, in order, then sets the run
+    /// state `next` picks, then hands out the credit the slice's steps
+    /// made. Returns the new state and the waiters to resume.
+    fn end_slice(
+        &self,
+        batch: &mut VecDeque<(usize, WorkerMsg)>,
+        next: impl FnOnce(&MailboxInner) -> RunState,
+    ) -> (RunState, Vec<Arc<Actor>>) {
+        let mut mb = self.mb.lock().expect("mailbox lock");
+        self.put_back(&mut mb, batch);
+        mb.state = next(&mb);
+        let state = mb.state;
+        let credit = self.release(&mut mb);
+        drop(mb);
+        (state, self.notify(credit))
+    }
+
+    /// Returns `batch` to the front of the mailbox, in order.
+    fn put_back(&self, mb: &mut MailboxInner, batch: &mut VecDeque<(usize, WorkerMsg)>) {
+        mb.taken -= batch.len() as u64;
+        for (slot, msg) in batch.drain(..).rev() {
+            mb.queued[slot] += 1;
+            mb.queue.push_front((slot, msg));
+        }
+    }
+
+    /// The credit steps made, read at a take or a slice's end, when the
+    /// slice holds no message. Suspended producers register only while
+    /// the actor has `cap` or more messages unstepped, so once it has fewer
+    /// they all get their credit, once. Blocked external senders are woken
+    /// only once half the capacity is free, so a closed-loop feeder refills
+    /// half a mailbox per wake instead of trading one context switch per
+    /// message with the consumer at the capacity edge. The notify claims
+    /// every counted sender; one that has to wait again counts itself
+    /// again.
+    fn release(&self, mb: &mut MailboxInner) -> (Vec<Arc<Actor>>, bool) {
+        let unstepped = self.unstepped(mb);
+        let waiters = if unstepped < self.cap {
+            std::mem::take(&mut mb.waiters)
+        } else {
+            Vec::new()
+        };
+        let notify = mb.blocked_senders > 0 && unstepped <= self.cap / 2;
         if notify {
             mb.blocked_senders = 0;
         }
-        let disconnected = mb.disconnected;
-        drop(mb);
+        (waiters, notify)
+    }
+
+    /// Wakes the blocked external senders `release` claimed, after the
+    /// lock is dropped, and passes on its waiters.
+    fn notify(&self, (waiters, notify): (Vec<Arc<Actor>>, bool)) -> Vec<Arc<Actor>> {
         if notify {
             self.not_full.notify_all();
         }
-        (msg, waiters, disconnected)
+        waiters
+    }
+
+    /// Counts one stepped message. Only the running slice calls this.
+    fn stepped(&self) {
+        let steps = self.steps.load(Ordering::Relaxed) + 1;
+        self.steps.store(steps, Ordering::Relaxed);
+    }
+
+    /// Messages stepped so far, and those the running slice has taken but
+    /// not stepped, read under `mb`. A step follows its take in the
+    /// slice, and the lock held here orders that take before this read,
+    /// so the step count never exceeds `taken`.
+    fn held(&self, mb: &MailboxInner) -> (u64, usize) {
+        let steps = self.steps.load(Ordering::Relaxed);
+        (steps, (mb.taken - steps) as usize)
+    }
+
+    /// Whether the messages sent and not yet stepped reach the capacity.
+    /// The running slice holds at most [`RUN_SLICE`], so a queue that far
+    /// short of `cap` needs no read of the step count, which the slice
+    /// writes at every step from another core.
+    fn full(&self, mb: &MailboxInner) -> bool {
+        mb.queue.len() + RUN_SLICE >= self.cap && self.unstepped(mb) >= self.cap
+    }
+
+    /// Messages sent and not yet stepped: those queued and those the
+    /// running slice holds. The mailbox's capacity bounds this count, so a
+    /// batch taken out of the queue makes no room until it is stepped.
+    fn unstepped(&self, mb: &MailboxInner) -> usize {
+        mb.queue.len() + self.held(mb).1
     }
 }
 
@@ -409,6 +530,11 @@ struct PoolShared {
     /// Earliest heap deadline as nanoseconds since `origin` ([`NO_TIMER`]
     /// when empty), so workers check for due timers without the heap lock.
     next_due: AtomicU64,
+    /// Runnable pushes so far. A spinning worker re-scans the deques only
+    /// when it moves, so it takes no deque lock a push needs in between.
+    /// `Relaxed`: it publishes nothing (the deque lock orders the push),
+    /// and a move the spinner misses is caught by the park re-scan.
+    pushes: AtomicU64,
     origin: Instant,
     /// Actors not yet retired; `join` waits for zero.
     live: Mutex<usize>,
@@ -430,6 +556,7 @@ impl PoolShared {
                 seq: 0,
             }),
             next_due: AtomicU64::new(NO_TIMER),
+            pushes: AtomicU64::new(0),
             origin: Instant::now(),
             live: Mutex::new(0),
             done: Condvar::new(),
@@ -450,6 +577,7 @@ impl PoolShared {
                 .expect("injector lock")
                 .push_back(actor),
         }
+        self.pushes.fetch_add(1, Ordering::Relaxed);
         self.wake_if_parked();
     }
 
@@ -670,11 +798,12 @@ fn new_actor(shared: &Arc<PoolShared>, cap: usize, worker: Option<Worker>) -> Ar
             disconnected: false,
             waiters: Vec::new(),
             blocked_senders: 0,
-            pops: 0,
+            taken: 0,
         }),
         not_full: Condvar::new(),
         cap: cap.max(1),
         worker: Mutex::new(worker),
+        steps: AtomicU64::new(0),
         shared: Arc::clone(shared),
     })
 }
@@ -683,15 +812,14 @@ fn new_actor(shared: &Arc<PoolShared>, cap: usize, worker: Option<Worker>) -> Ar
 fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
     // Deterministic per worker, spread so neighbouring workers probe apart.
     let mut rng = XorShift64::new((me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // The slice's batch, reused by every slice this worker runs.
+    let mut batch = VecDeque::with_capacity(RUN_SLICE);
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        // Due timers go first: a pool that always finds work would
-        // otherwise never reach them.
-        shared.fire_due_timers(me);
-        if let Some(actor) = find_task(shared, me, &mut rng) {
-            run_actor(shared, me, actor);
+        if let Some(actor) = spin_for_task(shared, me, &mut rng) {
+            run_actor(shared, me, actor, &mut batch);
             continue;
         }
         // Park: announce, then re-scan. A push that read `parked` before
@@ -722,6 +850,28 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
         shared.parked.fetch_sub(1, Ordering::SeqCst);
         drop(idle);
     }
+}
+
+/// Finds work for the worker, spinning up to [`SPIN_ROUNDS`] rounds before
+/// it parks. Each round fires due timers first (a pool that always finds
+/// work would otherwise never reach them), then looks for work if the push
+/// count moved since the last look; the first round always looks. A
+/// spinning worker is not counted in `parked`, so a push meanwhile finds
+/// it awake and pays no futex wake.
+fn spin_for_task(shared: &PoolShared, me: usize, rng: &mut XorShift64) -> Option<Arc<Actor>> {
+    let mut seen = None;
+    for _ in 0..SPIN_ROUNDS {
+        shared.fire_due_timers(me);
+        let pushes = shared.pushes.load(Ordering::Relaxed);
+        if seen != Some(pushes) {
+            seen = Some(pushes);
+            if let Some(actor) = find_task(shared, me, rng) {
+                return Some(actor);
+            }
+        }
+        std::hint::spin_loop();
+    }
+    None
 }
 
 /// How long a parked worker waits before it re-checks on its own: until
@@ -761,10 +911,17 @@ fn find_task(shared: &PoolShared, me: usize, rng: &mut XorShift64) -> Option<Arc
     None
 }
 
-/// Runs one actor slice: drain up to [`RUN_SLICE`] messages, each stepped
-/// by the worker's TE of its slot, then hand the actor back to the
-/// scheduler in the appropriate state.
-fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
+/// Runs one actor slice: take up to [`RUN_SLICE`] messages into `batch`
+/// under one mailbox lock (again if they run out first), step each by the
+/// worker's TE of its slot, put back what a slice that stops early did not
+/// step, then hand the actor back to the scheduler in the appropriate
+/// state. `batch` is empty on entry and on return.
+fn run_actor(
+    shared: &Arc<PoolShared>,
+    me: usize,
+    actor: Arc<Actor>,
+    batch: &mut VecDeque<(usize, WorkerMsg)>,
+) {
     {
         let mut mb = actor.mb.lock().expect("mailbox lock");
         if mb.closed {
@@ -794,49 +951,50 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         if blocked || worker.work_debt >= REST_QUANTUM {
             break;
         }
-        let (msg, waiters, disconnected) = actor.pop();
-        if !waiters.is_empty() {
-            shared.resume(waiters, Some(me));
-        }
-        match msg {
-            None => {
+        if batch.is_empty() {
+            let (waiters, disconnected) = actor.take(RUN_SLICE - processed, batch);
+            if !waiters.is_empty() {
+                shared.resume(waiters, Some(me));
+            }
+            if batch.is_empty() {
                 // The queue is drained: retire once every sender dropped.
                 stopped = disconnected;
                 break;
             }
-            Some((slot, msg)) => {
-                let step = || worker.step(slot, msg);
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
-                    Ok(true) => {
-                        stopped = true;
-                        break;
-                    }
-                    Ok(false) => {
-                        processed += 1;
-                        if processed >= RUN_SLICE {
-                            break;
-                        }
-                    }
-                    Err(payload) => {
-                        // The actor dies with its worker: report the caught
-                        // panic, drop the worker, and retire the mailbox so
-                        // producers see disconnect instead of a wedged
-                        // queue — the pool thread itself survives to run
-                        // other actors. The items before the panic applied
-                        // their state, and a replay's dedupe will not emit
-                        // them again: their outputs leave before the worker
-                        // is dropped.
-                        let probe = worker.panic_probe(slot);
-                        CURRENT.with(|c| {
-                            c.borrow_mut().take();
-                        });
-                        worker.flush_outputs();
-                        drop(worker);
-                        probe.report(payload.as_ref());
-                        retire(shared, &actor, Some(me));
-                        return;
-                    }
+        }
+        let (slot, msg) = batch.pop_front().expect("a non-empty batch");
+        let step = || worker.step(slot, msg);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(step));
+        actor.stepped();
+        match result {
+            Ok(true) => {
+                stopped = true;
+                break;
+            }
+            Ok(false) => {
+                processed += 1;
+                if processed >= RUN_SLICE {
+                    break;
                 }
+            }
+            Err(payload) => {
+                // The actor dies with its worker: report the caught panic,
+                // drop the worker, and retire the mailbox so producers see
+                // disconnect instead of a wedged queue — the pool thread
+                // itself survives to run other actors. The items before
+                // the panic applied their state, and a replay's dedupe
+                // will not emit them again: their outputs leave before the
+                // worker is dropped.
+                let probe = worker.panic_probe(slot);
+                CURRENT.with(|c| {
+                    c.borrow_mut().take();
+                });
+                worker.flush_outputs();
+                drop(worker);
+                probe.report(payload.as_ref());
+                actor.put_back(&mut actor.mb.lock().expect("mailbox lock"), batch);
+                retire(shared, &actor, Some(me));
+                return;
             }
         }
     }
@@ -847,6 +1005,8 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
         .with(|c| c.borrow_mut().take())
         .expect("actor ctx set for the slice");
     if stopped {
+        // `retire` drops whatever is queued, what the slice holds included.
+        actor.put_back(&mut actor.mb.lock().expect("mailbox lock"), batch);
         drop(worker);
         retire(shared, &actor, Some(me));
         return;
@@ -858,48 +1018,49 @@ fn run_actor(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>) {
     let rest = (ctx.blocked.is_empty() && worker.work_debt >= REST_QUANTUM)
         .then(|| std::mem::take(&mut worker.work_debt));
     *actor.worker.lock().expect("worker slot") = Some(worker);
-    if !ctx.blocked.is_empty() {
-        suspend(shared, me, actor, ctx.blocked);
-        return;
-    }
-    if let Some(rest) = rest {
-        // Rest instead of sleeping the pool thread. The entry is
-        // registered only after the actor is observably Resting, so the
-        // fire path cannot miss it; pushes meanwhile only enqueue.
-        let until = Instant::now() + rest;
-        actor.mb.lock().expect("mailbox lock").state = RunState::Resting(until);
-        shared.register_timer(until, actor);
-        return;
-    }
-    let schedule = {
-        let mut mb = actor.mb.lock().expect("mailbox lock");
-        if mb.queue.is_empty() && !mb.disconnected {
-            mb.state = RunState::Idle;
-            false
+    // A slice that stopped early (credit, a rest) puts back what it took
+    // but did not step in the same lock as its state change, so a quiet
+    // actor holds no message.
+    let (next, waiters) = actor.end_slice(batch, |mb| {
+        if !ctx.blocked.is_empty() {
+            RunState::Suspended
+        } else if let Some(rest) = rest {
+            // Rest instead of sleeping the pool thread.
+            RunState::Resting(Instant::now() + rest)
+        } else if mb.queue.is_empty() && !mb.disconnected {
+            RunState::Idle
         } else {
             // More input arrived during the slice, or the disconnect
             // drain still has to observe the empty queue.
-            mb.state = RunState::Scheduled;
-            true
+            RunState::Scheduled
         }
-    };
-    if schedule {
-        shared.schedule(actor, Some(me));
+    });
+    shared.resume(waiters, Some(me));
+    match next {
+        RunState::Suspended => suspend(shared, me, actor, ctx.blocked),
+        // The entry is registered only after the actor is observably
+        // Resting, so the fire path cannot miss it; pushes meanwhile only
+        // enqueue.
+        RunState::Resting(until) => shared.register_timer(until, actor),
+        RunState::Scheduled => shared.schedule(actor, Some(me)),
+        RunState::Idle | RunState::Running => {}
     }
 }
 
-/// Suspends `actor` on its over-full destinations (credit wait).
+/// Registers the `Suspended` `actor` on its over-full destinations (credit
+/// wait), or reschedules it if none is full any more.
 fn suspend(shared: &Arc<PoolShared>, me: usize, actor: Arc<Actor>, blocked: Vec<Arc<Actor>>) {
-    actor.mb.lock().expect("mailbox lock").state = RunState::Suspended;
     let mut registered = 0usize;
     for dest in blocked {
         let mut dm = dest.mb.lock().expect("mailbox lock");
         // Re-check under the destination's lock: a drained (or retired)
         // destination owes no credit. A still-full one holds our
-        // registration until a pop crosses back under capacity — the same
-        // lock serialises that pop against this check, so the wakeup
-        // cannot be missed.
-        if !dm.closed && dm.queue.len() >= dest.cap {
+        // registration until one of its takes or slice ends finds it back
+        // under capacity — the same lock serialises that release against
+        // this check, and a destination with `cap` messages unstepped is
+        // running or scheduled, so it reaches one: the wakeup cannot be
+        // missed.
+        if !dm.closed && dest.full(&dm) {
             dm.waiters.push(Arc::clone(&actor));
             registered += 1;
         }
@@ -1023,6 +1184,22 @@ mod tests {
         }
     }
 
+    /// A task that sends a marker to another actor, then emits its input:
+    /// from inside a slice, a send into a full mailbox suspends the slice.
+    struct SendThenEmit(PoolSender);
+
+    impl sdg_graph::model::NativeTask for SendThenEmit {
+        fn process(
+            &self,
+            input: &sdg_common::value::Record,
+            ctx: &mut dyn sdg_graph::model::TaskContext,
+        ) -> sdg_common::error::SdgResult<()> {
+            self.0.send(0, marker(0)).expect("destination open");
+            ctx.emit(input.clone());
+            Ok(())
+        }
+    }
+
     /// A worker hosting a TE per name in `names`, each emitting every
     /// input into `sink`, with `fault` armed on the first one's `nth` item.
     fn emit_worker(
@@ -1031,10 +1208,21 @@ mod tests {
         sink: crossbeam::channel::Sender<OutputEvent>,
         obs: &Arc<sdg_common::obs::MetricsRegistry>,
     ) -> Worker {
+        task_worker(names, Arc::new(EmitInput), fault, sink, obs)
+    }
+
+    /// [`emit_worker`] with every TE running `task`.
+    fn task_worker(
+        names: &[&str],
+        task: Arc<dyn sdg_graph::model::NativeTask>,
+        fault: Option<(FaultAction, u64)>,
+        sink: crossbeam::channel::Sender<OutputEvent>,
+        obs: &Arc<sdg_common::obs::MetricsRegistry>,
+    ) -> Worker {
         let te = |(slot, &name): (usize, &&str)| Te {
             task: sdg_common::ids::TaskId(slot as u32),
             name: name.into(),
-            code: PreparedCode::Native(Arc::new(EmitInput)),
+            code: PreparedCode::Native(Arc::clone(&task)),
             scratch: crate::compile::Scratch::new(),
             outs: Vec::new(),
             pending_gathers: Default::default(),
@@ -1095,6 +1283,19 @@ mod tests {
         (shared, actor, rx)
     }
 
+    /// The corrs of the items queued in `actor`'s mailbox, front first.
+    fn queued_corrs(actor: &Actor) -> Vec<u64> {
+        let mb = actor.mb.lock().unwrap();
+        mb.queue.iter().map(|(_, m)| corr_of(m)).collect()
+    }
+
+    fn corr_of(msg: &WorkerMsg) -> u64 {
+        match msg {
+            WorkerMsg::Item(item) => item.corr,
+            other => panic!("expected an item, got {other:?}"),
+        }
+    }
+
     /// Everything in the sink, as `(corr, latency)`.
     fn sunk(rx: &crossbeam::channel::Receiver<OutputEvent>) -> Vec<(u64, Option<Duration>)> {
         std::iter::from_fn(|| rx.try_recv().ok())
@@ -1118,13 +1319,13 @@ mod tests {
         let (shared, actor, rx) = emitter(None, n, None);
         // A full slice reschedules the actor with the rest still queued;
         // the slice's outputs are in the sink, in order.
-        run_actor(&shared, 0, Arc::clone(&actor));
+        run_actor(&shared, 0, Arc::clone(&actor), &mut VecDeque::new());
         assert_eq!(actor.mb.lock().unwrap().state, RunState::Scheduled);
         let corrs: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
         assert_eq!(corrs, (0..RUN_SLICE as u64).collect::<Vec<_>>());
         // The last slice leaves the actor idle, hence quiet, with nothing
         // held back.
-        run_actor(&shared, 0, Arc::clone(&actor));
+        run_actor(&shared, 0, Arc::clone(&actor), &mut VecDeque::new());
         let tx = PoolSender { actor };
         assert!(tx.is_quiet());
         let corrs: Vec<u64> = sunk(&rx).into_iter().map(|(c, _)| c).collect();
@@ -1144,7 +1345,7 @@ mod tests {
             tx.force_send(slot, marker(corr)).unwrap();
         }
         assert_eq!((tx.len(), tx.queued(0), tx.queued(1)), (3, 2, 1));
-        run_actor(&shared, 0, Arc::clone(&tx.actor));
+        run_actor(&shared, 0, Arc::clone(&tx.actor), &mut VecDeque::new());
         let snap = obs.snapshot();
         let processed = |t| snap.task(t).unwrap().processed;
         assert_eq!((processed("a"), processed("b")), (2, 1));
@@ -1157,7 +1358,7 @@ mod tests {
     #[test]
     fn a_panic_mid_slice_loses_no_output_of_the_items_before_it() {
         let (shared, actor, rx) = emitter(Some((FaultAction::Panic, 4)), 6, None);
-        run_actor(&shared, 0, Arc::clone(&actor));
+        run_actor(&shared, 0, Arc::clone(&actor), &mut VecDeque::new());
         assert!(actor.mb.lock().unwrap().closed, "the actor retired");
         // Items 0–2 applied before the panic on the fourth: their outputs
         // reached the sink although the worker was dropped.
@@ -1173,7 +1374,7 @@ mod tests {
             4,
             Some(Instant::now()),
         );
-        run_actor(&shared, 0, Arc::clone(&actor));
+        run_actor(&shared, 0, Arc::clone(&actor), &mut VecDeque::new());
         // Latency is stamped when an output reaches the sink: the two items
         // before the stalled one left before the stall, the rest after it.
         let out = sunk(&rx);
@@ -1188,24 +1389,33 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_preserves_fifo_order() {
+    fn mailbox_preserves_fifo_order_across_takes_and_put_backs() {
         let (_shared, actor) = shell(1, 16);
         for i in 0..5u64 {
             actor.push(0, marker(i), true).unwrap();
         }
-        for i in 0..5u64 {
-            let (msg, _, _) = actor.pop();
-            match msg {
-                Some((0, WorkerMsg::Item(item))) => assert_eq!(item.corr, i),
-                other => panic!("expected item, got {other:?}"),
-            }
-        }
-        let (none, _, _) = actor.pop();
-        assert!(none.is_none());
+        let mut batch = VecDeque::new();
+        actor.take(3, &mut batch);
+        assert_eq!(queued_corrs(&actor), vec![3, 4]);
+        // One stepped; the other two go back in front of the rest.
+        assert_eq!(corr_of(&batch.pop_front().unwrap().1), 0);
+        actor.stepped();
+        actor.mb.lock().unwrap().state = RunState::Running;
+        let (state, _) = actor.end_slice(&mut batch, |_| RunState::Scheduled);
+        assert_eq!(state, RunState::Scheduled);
+        assert!(batch.is_empty());
+        assert_eq!(queued_corrs(&actor), vec![1, 2, 3, 4]);
+        assert_eq!(actor.mb.lock().unwrap().queued, vec![4]);
+        actor.take(RUN_SLICE, &mut batch);
+        let corrs: Vec<u64> = batch.iter().map(|(_, m)| corr_of(m)).collect();
+        assert_eq!(corrs, vec![1, 2, 3, 4]);
+        batch.clear();
+        actor.take(RUN_SLICE, &mut batch);
+        assert!(batch.is_empty());
     }
 
     #[test]
-    fn pops_count_each_popped_message_and_no_empty_pop() {
+    fn progress_counts_stepped_messages_and_holds_taken_ones_as_queued() {
         let (_shared, actor) = shell(1, 4);
         let tx = PoolSender {
             actor: Arc::clone(&actor),
@@ -1215,12 +1425,142 @@ mod tests {
         actor.push(0, marker(1), true).unwrap();
         assert_eq!(tx.progress(), (0, 2, false));
         actor.mb.lock().unwrap().state = RunState::Running;
-        assert!(actor.pop().0.is_some());
+        let mut batch = VecDeque::new();
+        actor.take(RUN_SLICE, &mut batch);
+        // Both taken in one lock, neither stepped: no progress, and both
+        // still wait (dispatch sees them too).
+        assert_eq!(batch.len(), 2);
+        assert_eq!(tx.progress(), (0, 2, true));
+        assert_eq!((tx.len(), tx.queued(0)), (2, 0));
+        batch.pop_front();
+        actor.stepped();
         assert_eq!(tx.progress(), (1, 1, true));
-        assert!(actor.pop().0.is_some());
-        assert!(actor.pop().0.is_none());
-        assert!(actor.pop().0.is_none());
-        assert_eq!(tx.progress(), (2, 0, true), "an empty pop is no progress");
+        batch.pop_front();
+        actor.stepped();
+        actor.take(RUN_SLICE, &mut batch);
+        actor.take(RUN_SLICE, &mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(tx.progress(), (2, 0, true), "an empty take is no progress");
+    }
+
+    #[test]
+    fn a_hang_mid_batch_shows_a_stalled_epoch_with_work_waiting() {
+        let stall = Duration::from_millis(300);
+        let (shared, actor, rx) = emitter(Some((FaultAction::Stall(stall), 2)), 4, None);
+        let tx = PoolSender {
+            actor: Arc::clone(&actor),
+        };
+        let runner = std::thread::spawn(move || {
+            run_actor(&shared, 0, actor, &mut VecDeque::new());
+        });
+        // The slice took all four in one lock and stepped the first; the
+        // second stalls with the mailbox empty.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rx.try_recv().is_err() {
+            assert!(Instant::now() < deadline, "the first output never left");
+            std::thread::yield_now();
+        }
+        assert!(tx.actor.mb.lock().unwrap().queue.is_empty());
+        // What the supervisor flags: a `Running` actor whose epoch does not
+        // move while messages wait for it — the stalled one included.
+        let first = tx.progress();
+        assert_eq!(first, (1, 3, true));
+        assert!(!tx.is_quiet(), "a held message is not quiet");
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(tx.progress(), first);
+        runner.join().unwrap();
+        assert_eq!(tx.progress(), (4, 0, false));
+        assert!(tx.is_quiet());
+    }
+
+    #[test]
+    fn a_slice_suspended_for_credit_puts_back_what_it_did_not_step() {
+        let shared = Arc::new(PoolShared::new(1, Arc::new(SchedInstruments::default())));
+        // The destination holds one message at most, and holds one already.
+        let dest = new_actor(&shared, 1, None);
+        dest.push(0, marker(100), true).unwrap();
+        let to = PoolSender {
+            actor: Arc::clone(&dest),
+        };
+        let (sink, rx) = crossbeam::channel::unbounded();
+        let obs = Arc::new(sdg_common::obs::MetricsRegistry::new());
+        let worker = task_worker(&["send"], Arc::new(SendThenEmit(to)), None, sink, &obs);
+        let actor = new_actor(&shared, 16, Some(worker));
+        let tx = PoolSender {
+            actor: Arc::clone(&actor),
+        };
+        for corr in 0..4 {
+            tx.force_send(0, marker(corr)).unwrap();
+        }
+        shared.injector.lock().unwrap().clear();
+        let mut batch = VecDeque::new();
+        let mut order = Vec::new();
+        for slice in 1..=4u64 {
+            run_actor(&shared, 0, Arc::clone(&actor), &mut batch);
+            assert!(batch.is_empty());
+            // Each slice steps one item, whose send finds the destination
+            // full: the slice suspends, and the items it took but did not
+            // step are back at the front, in order.
+            order.extend(sunk(&rx).into_iter().map(|(c, _)| c));
+            assert_eq!(order.len() as u64, slice);
+            assert_eq!(queued_corrs(&actor), (slice..4).collect::<Vec<_>>());
+            assert_eq!(tx.progress(), (slice, 4 - slice as usize, false));
+            assert_eq!(actor.mb.lock().unwrap().state, RunState::Suspended);
+            // Draining the destination crosses back under capacity once and
+            // resumes the producer exactly once.
+            let mut drained = VecDeque::new();
+            dest.take(RUN_SLICE, &mut drained);
+            for _ in drained.drain(..) {
+                dest.stepped();
+            }
+            let (_, waiters) = dest.end_slice(&mut drained, |_| RunState::Idle);
+            assert_eq!(waiters.len(), 1);
+            shared.resume(waiters, None);
+            assert_eq!(shared.obs.resumes.get(), slice);
+            assert!(shared.injector.lock().unwrap().pop_front().is_some());
+            assert!(shared.injector.lock().unwrap().is_empty());
+        }
+        assert_eq!(order, vec![0, 1, 2, 3], "FIFO across slices");
+        // Resumed with nothing left: the next slice idles it.
+        run_actor(&shared, 0, Arc::clone(&actor), &mut batch);
+        assert!(tx.is_quiet());
+        // Break the test's cycle (the worker holds a sender to `dest`).
+        drop(actor.worker.lock().unwrap().take());
+    }
+
+    #[test]
+    fn a_slice_that_rests_puts_back_what_it_did_not_step() {
+        let (shared, actor, rx) = emitter(None, 5, None);
+        let rest = REST_QUANTUM;
+        if let Some(worker) = actor.worker.lock().unwrap().as_mut() {
+            worker.tes[0].work_ns = rest.as_nanos() as u64;
+        }
+        let tx = PoolSender {
+            actor: Arc::clone(&actor),
+        };
+        shared.injector.lock().unwrap().clear();
+        let mut batch = VecDeque::new();
+        let mut order = Vec::new();
+        for slice in 1..=5u64 {
+            run_actor(&shared, 0, Arc::clone(&actor), &mut batch);
+            assert!(batch.is_empty());
+            // One item owes a full quantum: the slice rests after it with
+            // the rest back at the front of the mailbox, in order.
+            order.extend(sunk(&rx).into_iter().map(|(c, _)| c));
+            assert_eq!(order.len() as u64, slice);
+            assert_eq!(queued_corrs(&actor), (slice..5).collect::<Vec<_>>());
+            assert_eq!(tx.progress(), (slice, 5 - slice as usize, false));
+            let until = match actor.mb.lock().unwrap().state {
+                RunState::Resting(until) => until,
+                other => panic!("expected a rest, got {other:?}"),
+            };
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
+            assert_eq!(shared.fire_due_timers(0), 1);
+            assert!(shared.locals[0].lock().unwrap().pop_back().is_some());
+        }
+        assert_eq!(order, vec![0, 1, 2, 3, 4], "FIFO across slices");
+        run_actor(&shared, 0, Arc::clone(&actor), &mut batch);
+        assert!(tx.is_quiet());
     }
 
     #[test]
@@ -1248,25 +1588,63 @@ mod tests {
     }
 
     #[test]
-    fn pop_crossing_capacity_returns_waiters_once() {
+    fn steps_crossing_capacity_return_waiters_once() {
         let (shared, actor) = shell(1, 2);
         let (_, producer) = shell(1, 2);
         producer.mb.lock().unwrap().state = RunState::Suspended;
-        for _ in 0..3 {
+        for _ in 0..5 {
             actor.push(0, WorkerMsg::Stop, true).unwrap();
         }
         actor.mb.lock().unwrap().waiters.push(Arc::clone(&producer));
-        // len 3 → 2: still at capacity, no credit yet.
-        let (_, waiters, _) = actor.pop();
+        let mut batch = VecDeque::new();
+        let step = |n: usize, batch: &mut VecDeque<_>| {
+            for _ in 0..n {
+                batch.pop_front().unwrap();
+                actor.stepped();
+            }
+        };
+        // Five unstepped; a take makes no room, three steps leave two: still
+        // at capacity, no credit at the next take.
+        let (waiters, _) = actor.take(3, &mut batch);
         assert!(waiters.is_empty());
-        // len 2 → 1: crossed under capacity, credit handed out.
-        let (_, waiters, _) = actor.pop();
+        step(3, &mut batch);
+        let (waiters, _) = actor.take(RUN_SLICE, &mut batch);
+        assert!(waiters.is_empty());
+        // Two steps cross under capacity: the slice's end hands the credit
+        // out once for the whole batch.
+        step(2, &mut batch);
+        let (_, waiters) = actor.end_slice(&mut batch, |_| RunState::Idle);
         assert_eq!(waiters.len(), 1);
         shared.resume(waiters, None);
         assert_eq!(producer.mb.lock().unwrap().state, RunState::Scheduled);
         assert_eq!(shared.obs.resumes.get(), 1);
-        // Subsequent pops find no stale registrations.
-        let (_, waiters, _) = actor.pop();
+        // A slice that puts four back is at capacity again; the next
+        // crossing hands credit to whoever registered since, and only to
+        // them.
+        for _ in 0..4 {
+            actor.push(0, WorkerMsg::Stop, true).unwrap();
+        }
+        let (_, again) = shell(1, 2);
+        again.mb.lock().unwrap().state = RunState::Suspended;
+        actor.mb.lock().unwrap().waiters.push(Arc::clone(&again));
+        actor.take(RUN_SLICE, &mut batch);
+        step(1, &mut batch);
+        let (_, waiters) = actor.end_slice(&mut batch, |_| RunState::Scheduled);
+        assert!(waiters.is_empty(), "three put back are still at capacity");
+        assert_eq!(actor.mb.lock().unwrap().queue.len(), 3);
+        actor.take(RUN_SLICE, &mut batch);
+        step(2, &mut batch);
+        let (_, waiters) = actor.end_slice(&mut batch, |_| RunState::Scheduled);
+        assert_eq!(actor.mb.lock().unwrap().queue.len(), 1);
+        assert_eq!(waiters.len(), 1);
+        assert!(Arc::ptr_eq(&waiters[0], &again));
+        shared.resume(waiters, None);
+        assert_eq!(shared.obs.resumes.get(), 2);
+        // Later releases find no stale registrations.
+        actor.push(0, WorkerMsg::Stop, true).unwrap();
+        actor.take(RUN_SLICE, &mut batch);
+        step(1, &mut batch);
+        let (_, waiters) = actor.end_slice(&mut batch, |_| RunState::Idle);
         assert!(waiters.is_empty());
     }
 
@@ -1281,21 +1659,30 @@ mod tests {
         while actor.mb.lock().unwrap().blocked_senders == 0 {
             std::thread::yield_now();
         }
+        let mut batch = VecDeque::new();
+        let step = |batch: &mut VecDeque<(usize, WorkerMsg)>| {
+            let (_, msg) = batch.pop_front().unwrap();
+            actor.stepped();
+            corr_of(&msg)
+        };
+        // A take makes no room: the batch is still unstepped.
+        actor.take(RUN_SLICE, &mut batch);
+        assert_eq!(actor.mb.lock().unwrap().blocked_senders, 1);
         // 4 → 3: room for one, but the sender stays blocked (and counted)
         // until the mailbox is half drained.
-        assert!(actor.pop().0.is_some());
+        assert_eq!(step(&mut batch), 0);
+        actor.put_back(&mut actor.mb.lock().unwrap(), &mut batch);
+        actor.take(RUN_SLICE, &mut batch);
         assert_eq!(actor.mb.lock().unwrap().blocked_senders, 1);
-        // 3 → 2: half drained with a sender counted as blocked — the pop
-        // must notify, or the join below never returns.
-        assert!(actor.pop().0.is_some());
+        // 3 → 2: half drained with a sender counted as blocked — the slice's
+        // end must notify, or the join below never returns.
+        assert_eq!(step(&mut batch), 1);
+        actor.end_slice(&mut batch, |_| RunState::Scheduled);
         assert_eq!(handle.join().unwrap(), Ok(()));
         assert_eq!(actor.mb.lock().unwrap().blocked_senders, 0);
-        let corrs: Vec<u64> = std::iter::from_fn(|| actor.pop().0)
-            .map(|(_, m)| match m {
-                WorkerMsg::Item(item) => item.corr,
-                other => panic!("expected an item, got {other:?}"),
-            })
-            .collect();
+        actor.take(RUN_SLICE, &mut batch);
+        let corrs: Vec<u64> =
+            std::iter::from_fn(|| (!batch.is_empty()).then(|| step(&mut batch))).collect();
         assert_eq!(corrs, vec![2, 3, 4]);
     }
 
@@ -1308,9 +1695,9 @@ mod tests {
         assert!(tx.is_quiet());
         actor.push(0, marker(0), true).unwrap();
         assert!(!tx.is_quiet(), "a queued item");
-        // A worker popped the item and is still handling it.
+        // A worker took the item and is still handling it.
         actor.mb.lock().unwrap().state = RunState::Running;
-        assert!(actor.pop().0.is_some());
+        actor.take(RUN_SLICE, &mut VecDeque::new());
         assert!(!tx.is_quiet(), "an item mid-handle");
         for after in [
             RunState::Idle,
@@ -1448,6 +1835,31 @@ mod tests {
         let parked = parked_stand_in(&shared);
         shared.schedule(actor, Some(0));
         assert!(parked.join().unwrap(), "the parked worker slept on");
+    }
+
+    #[test]
+    fn a_push_while_a_worker_spins_needs_no_wake_and_an_idle_pool_parks() {
+        let (shared, actor) = shell(1, 4);
+        let mut rng = XorShift64::new(1);
+        // Spinning with nothing runnable ends empty-handed, never counted
+        // as parked.
+        assert!(spin_for_task(&shared, 0, &mut rng).is_none());
+        assert_eq!(shared.parked.load(Ordering::SeqCst), 0);
+        // A push meanwhile sees no parked worker, so it wakes nobody, and
+        // the spin finds the actor.
+        actor.push(0, marker(0), true).unwrap();
+        let found = spin_for_task(&shared, 0, &mut rng).expect("the spin finds the push");
+        assert!(Arc::ptr_eq(&found, &actor));
+        assert_eq!(shared.obs.parks.get(), 0);
+        // A pool with nothing to do still parks once its spin ends.
+        let sched = Arc::new(SchedInstruments::default());
+        let pool = Pool::start(1, Arc::clone(&sched));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sched.parks.get() == 0 {
+            assert!(Instant::now() < deadline, "an idle pool parks");
+            std::thread::yield_now();
+        }
+        drop(pool);
     }
 
     #[test]
